@@ -50,17 +50,14 @@ from .measures import (
     concurrence_pure,
     concurrence_two_qubit,
     cren_gw,
-    crenoa_gw,
     f_alpha,
     g_alpha,
     gw_one_to_rest_concurrence_sq,
-    gw_pairwise_coa,
     gw_pairwise_concurrence,
     linear_entropy,
     negativity,
     renyi_entanglement_gw,
     renyi_entropy,
-    reoa_gw,
 )
 from .inequalities import (
     Applicability,

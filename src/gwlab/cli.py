@@ -115,7 +115,6 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 class RunConfig:
     """Parsed invocation: state source, partition, grids and output shape."""
 
-    command: str
     state_spec: Optional[str] = None
     partition: Optional[Partition] = None
     alpha: tuple[float, float, float] = DEFAULT_ALPHA_GRID
@@ -208,8 +207,9 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
     if config.c_pow is not None and config.b_pow is not None and config.k is not None:
         tighter = TighterParams(c_pow=config.c_pow, b_pow=config.b_pow, k=config.k)
 
+    grid = alpha_grid(*config.alpha, exclude_one=config.exclude_one)
     reports: list[InequalityReport] = []
-    for a in alpha_grid(*config.alpha, exclude_one=config.exclude_one):
+    for a in grid:
         reports.append(check_monogamy_sq(psi, partition, 0, a))
         reports.append(check_polygamy(psi, partition, 0, a))
         if config.mu >= 2.0:
@@ -217,19 +217,10 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
         elif 0.0 < config.mu <= 1.0:
             reports.append(check_polygamy_power(psi, partition, 0, a, config.mu))
         if len(blocks) >= 3:
-            reports.append(
-                check_reoa_triangle(psi, Partition.of(blocks[:3]), a)
-            )
-            reports.append(
-                check_merged_block_upper_bound(
-                    psi, blocks[0], blocks[1], blocks[2:], a
-                )
-            )
-            reports.append(
-                check_upper_bound_bipartition(
-                    psi, blocks[0], blocks[1], blocks[2:], a
-                )
-            )
+            p, q, rest = blocks[0], blocks[1], blocks[2:]
+            reports.append(check_reoa_triangle(psi, Partition.of(blocks[:3]), a))
+            reports.append(check_merged_block_upper_bound(psi, p, q, rest, a))
+            reports.append(check_upper_bound_bipartition(psi, p, q, rest, a))
         reports.append(check_monogamy_cap(psi, partition, a))
         reports.append(
             check_trace_bound_renyi(psi, a, (blocks[0], set().union(*blocks[1:])))
@@ -245,10 +236,8 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
                 reports.append(
                     check_tighter_multi(psi, partition, 1, tighter, "concurrence")
                 )
-    if spec.vacuum_weight > 0.0:
-        mid = alpha_grid(*config.alpha, exclude_one=config.exclude_one)
-        if mid:
-            reports.extend(run_mixture_suite(spec, mid[len(mid) // 2], tighter))
+    if spec.vacuum_weight > 0.0 and grid:
+        reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
     return reports
 
 
@@ -281,30 +270,31 @@ def cmd_oracle(config: RunConfig) -> int:
         psi = superpose_with_vacuum(spec)
         partition = config.partition or Partition.singletons(spec.n)
         partition.require_complete(psi.layout)
+        if partition.n_blocks < 2:
+            raise ValueError("partition needs at least two blocks")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     blocks = list(partition.blocks)
+
+    def pair_reduction(block_a, block_b):
+        """The reduction to two blocks, with the blocks in its own indexing."""
+        keep = sorted(block_a | block_b)
+        remap = {p: q for q, p in enumerate(keep)}
+        local = ({remap[p] for p in block_a}, {remap[p] for p in block_b})
+        return reduce_to_parties(psi, keep), local
+
     lines: list[str] = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            keep = sorted(blocks[i] | blocks[j])
-            rho = reduce_to_parties(psi, keep)
-            remap = {p: q for q, p in enumerate(keep)}
-            local = (
-                {remap[p] for p in blocks[i]},
-                {remap[p] for p in blocks[j]},
-            )
+            rho, local = pair_reduction(blocks[i], blocks[j])
             report = verify_c_equals_ca(
                 rho, trials=config.trials, seed=config.seed, blocks=local
             )
             report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
             lines.append(report_to_json_line(report))
     if config.extra.get("alphas"):
-        keep = sorted(blocks[0] | blocks[1])
-        rho = reduce_to_parties(psi, keep)
-        remap = {p: q for q, p in enumerate(keep)}
-        local = ({remap[p] for p in blocks[0]}, {remap[p] for p in blocks[1]})
+        rho, local = pair_reduction(blocks[0], blocks[1])
         for a in config.extra["alphas"]:
             report = verify_e_alpha_formula(
                 rho, a, trials=config.trials, seed=config.seed, blocks=local
@@ -402,7 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "verify":
             config = RunConfig(
-                command="verify",
                 state_spec=args.spec,
                 partition=parse_partition(args.partition) if args.partition else None,
                 alpha=_parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID,
@@ -417,7 +406,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_verify(config)
         if args.command == "oracle":
             config = RunConfig(
-                command="oracle",
                 state_spec=args.spec,
                 partition=parse_partition(args.partition) if args.partition else None,
                 trials=args.trials,

@@ -191,16 +191,37 @@ def _restrict_to_blocks(
     return reduced, Partition.of([{remap[p] for p in b} for b in blocks])
 
 
-def _pair_c2_values(state: State, partition: Partition, s: int):
-    split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    return split.pair_sum_sq, split.pair_sq
-
-
 def _partition_params(partition: Partition, s: int) -> dict:
     return {
         "partition": [sorted(b) for b in partition.blocks],
         "s": int(s),
     }
+
+
+def _power_relation(
+    name: str,
+    direction: str,
+    state: State,
+    partition: Partition,
+    s: int,
+    order: OrderLike,
+    mu: float,
+    tol: float,
+) -> InequalityReport:
+    """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
+    blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
+    order = _as_order(order)
+    state, partition = _restrict_to_blocks(state, partition.blocks)
+    params = {"alpha": order.alpha, "mu": mu, **_partition_params(partition, s)}
+    in_window = (
+        order.supports_monogamy if direction == "ge" else order.supports_polygamy
+    )
+    if not in_window:
+        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
+    split = gw_one_to_rest_concurrence_sq(state, partition, s)
+    lhs = f_alpha(split.pair_sum_sq, order) ** mu
+    rhs = sum(f_alpha(c2, order) ** mu for c2 in split.pair_sq)
+    return _applicable(name, lhs, rhs, direction, tol, params)
 
 
 def check_monogamy_sq(
@@ -212,15 +233,7 @@ def check_monogamy_sq(
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    order = _as_order(order)
-    state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, "mu": 2.0, **_partition_params(partition, s)}
-    if not order.supports_monogamy:
-        return _skipped("monogamy_sq", Applicability.OUT_OF_WINDOW, params)
-    total_sq, pair_sq = _pair_c2_values(state, partition, s)
-    lhs = f_alpha(total_sq, order) ** 2
-    rhs = sum(f_alpha(c2, order) ** 2 for c2 in pair_sq)
-    return _applicable("monogamy_sq", lhs, rhs, "ge", tol, params)
+    return _power_relation("monogamy_sq", "ge", state, partition, s, order, 2.0, tol)
 
 
 def check_monogamy_power(
@@ -235,15 +248,7 @@ def check_monogamy_power(
     mu = float(mu)
     if mu < 2.0:
         raise ValueError(f"power monogamy needs mu >= 2, got {mu}")
-    order = _as_order(order)
-    state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, "mu": mu, **_partition_params(partition, s)}
-    if not order.supports_monogamy:
-        return _skipped("monogamy_power", Applicability.OUT_OF_WINDOW, params)
-    total_sq, pair_sq = _pair_c2_values(state, partition, s)
-    lhs = f_alpha(total_sq, order) ** mu
-    rhs = sum(f_alpha(c2, order) ** mu for c2 in pair_sq)
-    return _applicable("monogamy_power", lhs, rhs, "ge", tol, params)
+    return _power_relation("monogamy_power", "ge", state, partition, s, order, mu, tol)
 
 
 def check_polygamy(
@@ -254,15 +259,7 @@ def check_polygamy(
     tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    order = _as_order(order)
-    state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, "mu": 1.0, **_partition_params(partition, s)}
-    if not order.supports_polygamy:
-        return _skipped("polygamy", Applicability.OUT_OF_WINDOW, params)
-    total_sq, pair_sq = _pair_c2_values(state, partition, s)
-    lhs = f_alpha(total_sq, order)
-    rhs = sum(f_alpha(c2, order) for c2 in pair_sq)
-    return _applicable("polygamy", lhs, rhs, "le", tol, params)
+    return _power_relation("polygamy", "le", state, partition, s, order, 1.0, tol)
 
 
 def check_polygamy_power(
@@ -277,19 +274,32 @@ def check_polygamy_power(
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    order = _as_order(order)
-    state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, "mu": mu, **_partition_params(partition, s)}
-    if not order.supports_polygamy:
-        return _skipped("polygamy_power", Applicability.OUT_OF_WINDOW, params)
-    total_sq, pair_sq = _pair_c2_values(state, partition, s)
-    lhs = f_alpha(total_sq, order) ** mu
-    rhs = sum(f_alpha(c2, order) ** mu for c2 in pair_sq)
-    return _applicable("polygamy_power", lhs, rhs, "le", tol, params)
+    return _power_relation("polygamy_power", "le", state, partition, s, order, mu, tol)
 
 
 def _pair_c2(state: State, block_a, block_b) -> float:
     return gw_pairwise_concurrence(state, block_a, block_b).value ** 2
+
+
+def _outside_domain(values: Iterable[float]) -> bool:
+    return any(a > 1.0 + F_DOMAIN_SLACK for a in values)
+
+
+def _merged_block_terms(state: State, block_p, block_q, rest) -> list[float]:
+    """[C^2(P,Q)] + [C^2(P,R) for R in rest] + [C^2(Q,R) for R in rest]."""
+    terms = [_pair_c2(state, block_p, block_q)]
+    terms += [_pair_c2(state, block_p, r) for r in rest]
+    terms += [_pair_c2(state, block_q, r) for r in rest]
+    return terms
+
+
+def _merged_block_rhs(terms: list[float], order: RenyiOrder) -> float:
+    """2 f(C^2(P,Q)) + sum_R f(C^2(P,R)) + sum_R f(C^2(Q,R))."""
+    k = (len(terms) - 1) // 2
+    rhs = 2.0 * f_alpha(terms[0], order)
+    rhs += sum(f_alpha(a, order) for a in terms[1 : 1 + k])
+    rhs += sum(f_alpha(a, order) for a in terms[1 + k :])
+    return rhs
 
 
 def check_merged_block_upper_bound(
@@ -302,48 +312,35 @@ def check_merged_block_upper_bound(
 ) -> InequalityReport:
     """Entanglement across the merged PQ cut of a pure state is bounded by
     twice the PQ term plus all pairwise P/Q-to-rest terms."""
+    name = "merged_block_upper_bound"
     order = _as_order(order)
-    block_p = frozenset(block_p)
-    block_q = frozenset(block_q)
-    rest = [frozenset(b) for b in rest_blocks]
-    params = {
-        "alpha": order.alpha,
-        "blocks": [sorted(block_p), sorted(block_q)] + [sorted(b) for b in rest],
-    }
+    partition = Partition.of([block_p, block_q, *rest_blocks])
+    block_p, block_q, *rest = partition.blocks
+    params = {"alpha": order.alpha, "blocks": [sorted(b) for b in partition.blocks]}
     if not isinstance(psi, PureState):
         raise ValueError("this bound is stated for pure states")
     if not rest:
         raise ValueError("need at least one rest block")
-    Partition.of([block_p, block_q] + rest).require_complete(psi.layout)
+    partition.require_complete(psi.layout)
     if not order.supports_polygamy:
-        return _skipped("merged_block_upper_bound", Applicability.OUT_OF_WINDOW, params)
+        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
 
-    arguments = [_pair_c2(psi, block_p, block_q)]
-    arguments += [_pair_c2(psi, block_p, r) for r in rest]
-    arguments += [_pair_c2(psi, block_q, r) for r in rest]
-    if any(a > 1.0 + F_DOMAIN_SLACK for a in arguments):
-        params["domain"] = [float(a) for a in arguments]
-        return _skipped("merged_block_upper_bound", Applicability.DOMAIN_SKIPPED, params)
+    terms = _merged_block_terms(psi, block_p, block_q, rest)
+    if _outside_domain(terms):
+        params["domain"] = [float(a) for a in terms]
+        return _skipped(name, Applicability.DOMAIN_SKIPPED, params)
 
-    rest_union = frozenset().union(*rest) if rest else frozenset()
-    spectrum = schmidt_spectrum(psi, (block_p | block_q, rest_union))
+    spectrum = schmidt_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
     lams = spectrum.coefficients
     if int(np.count_nonzero(lams > 1e-10)) <= 2:
         c2_cut = max(0.0, 2.0 * (1.0 - float((lams**2).sum())))
-        if c2_cut > 1.0 + F_DOMAIN_SLACK:
+        if _outside_domain([c2_cut]):
             params["domain"] = [float(c2_cut)]
-            return _skipped(
-                "merged_block_upper_bound", Applicability.DOMAIN_SKIPPED, params
-            )
+            return _skipped(name, Applicability.DOMAIN_SKIPPED, params)
         lhs = f_alpha(c2_cut, order)
     else:
         lhs = renyi_entropy(spectrum, order).value
-
-    k = len(rest)
-    rhs = 2.0 * f_alpha(arguments[0], order)
-    rhs += sum(f_alpha(a, order) for a in arguments[1 : 1 + k])
-    rhs += sum(f_alpha(a, order) for a in arguments[1 + k :])
-    return _applicable("merged_block_upper_bound", lhs, rhs, "le", tol, params)
+    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", tol, params)
 
 
 def check_reoa_triangle(
@@ -352,10 +349,12 @@ def check_reoa_triangle(
     order: OrderLike,
     tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
-    """Triangle bound among the three one-to-rest assisted values.
+    """Triangle bound among the three one-to-rest values f_alpha(C^2).
 
-    On this family the assisted and plain Renyi entanglements coincide, so a
-    single numeric check covers both statements.
+    The check runs on the f_alpha(C^2) values of each block against the
+    other two.  They are the assisted values exactly when the three blocks
+    cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
+    roof, only a lower bound on the assisted value.
     """
     order = _as_order(order)
     if partition.n_blocks != 3:
@@ -365,7 +364,8 @@ def check_reoa_triangle(
     if not order.supports_polygamy:
         return _skipped("reoa_triangle", Applicability.OUT_OF_WINDOW, params)
     values = [
-        f_alpha(_pair_c2_values(state, partition, s)[0], order) for s in range(3)
+        f_alpha(gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq, order)
+        for s in range(3)
     ]
     return _applicable(
         "reoa_triangle", values[0], values[1] + values[2], "le", tol, params
@@ -382,44 +382,24 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
+    name = "pair_block_upper_bound"
     order = _as_order(order)
-    block_p1 = frozenset(block_p1)
-    block_p2 = frozenset(block_p2)
     qs = [frozenset(b) for b in q_blocks]
     if not qs:
         raise ValueError("need at least one Q block")
-    state, partition = _restrict_to_blocks(state, [block_p1 | block_p2] + qs)
-    merged = partition.blocks[0]
-    qs_local = list(partition.blocks[1:])
-    # recover the P1/P2 split inside the reduced indexing
-    union = sorted(frozenset().union(block_p1, block_p2, *qs))
-    remap = {p: i for i, p in enumerate(union)}
-    p1_local = frozenset(remap[p] for p in block_p1)
-    p2_local = frozenset(remap[p] for p in block_p2)
-    assert p1_local | p2_local == merged
-    params = {
-        "alpha": order.alpha,
-        "blocks": [sorted(p1_local), sorted(p2_local)] + [sorted(b) for b in qs_local],
-    }
+    state, partition = _restrict_to_blocks(state, [block_p1, block_p2, *qs])
+    p1, p2, *qs = partition.blocks
+    params = {"alpha": order.alpha, "blocks": [sorted(b) for b in partition.blocks]}
     if not order.supports_polygamy:
-        return _skipped(
-            "pair_block_upper_bound", Applicability.OUT_OF_WINDOW, params
-        )
-    arguments = [_pair_c2(state, p1_local, p2_local)]
-    arguments += [_pair_c2(state, p1_local, q) for q in qs_local]
-    arguments += [_pair_c2(state, p2_local, q) for q in qs_local]
-    total_sq, _ = _pair_c2_values(state, partition, 0)
-    if any(a > 1.0 + F_DOMAIN_SLACK for a in arguments + [total_sq]):
-        params["domain"] = [float(a) for a in arguments]
-        return _skipped(
-            "pair_block_upper_bound", Applicability.DOMAIN_SKIPPED, params
-        )
+        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
+    terms = _merged_block_terms(state, p1, p2, qs)
+    merged = Partition.of([p1 | p2, *qs])
+    total_sq = gw_one_to_rest_concurrence_sq(state, merged, 0).pair_sum_sq
+    if _outside_domain(terms + [total_sq]):
+        params["domain"] = [float(a) for a in terms]
+        return _skipped(name, Applicability.DOMAIN_SKIPPED, params)
     lhs = f_alpha(total_sq, order)
-    k = len(qs_local)
-    rhs = 2.0 * f_alpha(arguments[0], order)
-    rhs += sum(f_alpha(a, order) for a in arguments[1 : 1 + k])
-    rhs += sum(f_alpha(a, order) for a in arguments[1 + k :])
-    return _applicable("pair_block_upper_bound", lhs, rhs, "le", tol, params)
+    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", tol, params)
 
 
 @dataclass(frozen=True)
@@ -459,59 +439,21 @@ class TighterParams:
 _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
-def _tighter_measure_values(
+def _tighter_sides(
     state: State,
     partition: Partition,
-    params: TighterParams,
-    measure_kind: str,
-    order: Optional[RenyiOrder],
-):
-    """Pairwise and suffix one-to-rest values for the requested measure, plus
-    the concurrence values that carry the side conditions."""
-    m = partition.n_blocks
-    # blocks carry their 1-based numbers: pair_c2[i] is C^2(P1, P_i), i in 2..m
-    pair_c2 = [None, None] + [
-        _pair_c2(state, partition.blocks[0], partition.blocks[i - 1])
-        for i in range(2, m + 1)
-    ]
-
-    def suffix_c2(j: int) -> float:
-        # C^2(P1 | P_j ... P_m) through pairwise additivity
-        return float(sum(pair_c2[i] for i in range(j, m + 1)))
-
-    if measure_kind in ("concurrence", "cren"):
-        pair_m = [None, None] + [math.sqrt(c2) for c2 in pair_c2[2:]]
-
-        def suffix_m(j: int) -> float:
-            return math.sqrt(suffix_c2(j))
-
-    else:
-        pair_m = [None, None] + [f_alpha(c2, order) for c2 in pair_c2[2:]]
-
-        def suffix_m(j: int) -> float:
-            return f_alpha(suffix_c2(j), order)
-
-    if measure_kind in ("concurrence", "cren"):
-        # side conditions ride on the measure itself, which equals the
-        # concurrence on this family
-        cond_pair, cond_suffix = pair_m, suffix_m
-    else:
-        cond_pair = [None, None] + [math.sqrt(c2) for c2 in pair_c2[2:]]
-
-        def cond_suffix(j: int) -> float:
-            return math.sqrt(suffix_c2(j))
-
-    return pair_m, suffix_m, cond_pair, cond_suffix
-
-
-def _tighter_preamble(
-    state: State,
-    partition: Partition,
+    split_index: int,
     params: TighterParams,
     measure_kind: str,
     order: Optional[OrderLike],
-    name: str,
 ):
+    """Report params and, inside the order window, (lhs, rhs, conditions) of
+    the multi-block tightened bound; the sides are None outside the window.
+
+    Blocks are numbered 1..m with P1 distinguished.  ``conditions`` holds the
+    chain, index and margin of every side condition in checking order; they
+    are stated on the concurrence, which CREN equals on this family.
+    """
     if measure_kind not in _TIGHTER_KINDS:
         raise ValueError(f"measure_kind must be one of {_TIGHTER_KINDS}")
     order_obj: Optional[RenyiOrder] = None
@@ -530,8 +472,38 @@ def _tighter_preamble(
     }
     if order_obj is not None:
         report_params["alpha"] = order_obj.alpha
-    window_ok = measure_kind != "renyi" or order_obj.supports_monogamy
-    return state, partition, order_obj, report_params, window_ok
+        if not order_obj.supports_monogamy:
+            return report_params, None
+
+    m = partition.n_blocks
+    first = partition.blocks[0]
+    # indices follow the 1-based block numbers: pair_c2[i] is C^2(P1, P_i)
+    # and suffix_c2[j] is C^2(P1 | P_j ... P_m) through pairwise additivity
+    pair_c2 = [None, None] + [_pair_c2(state, first, b) for b in partition.blocks[1:]]
+    suffix_c2 = [None, None] + [float(sum(pair_c2[j:])) for j in range(2, m + 1)]
+    c_pair = [None, None] + [math.sqrt(c2) for c2 in pair_c2[2:]]
+    c_suffix = [None, None] + [math.sqrt(c2) for c2 in suffix_c2[2:]]
+    if order_obj is None:
+        pair_m, lhs_m = c_pair, c_suffix[2]
+    else:
+        pair_m = [None, None] + [f_alpha(c2, order_obj) for c2 in pair_c2[2:]]
+        lhs_m = f_alpha(suffix_c2[2], order_obj)
+
+    c, k, n = params.c_pow, params.k, split_index
+    conditions = [
+        {"chain": 1, "index": i, "margin": c_suffix[i + 1] ** c - k * c_pair[i] ** c}
+        for i in range(2, n + 1)
+    ]
+    conditions += [
+        {"chain": 2, "index": j, "margin": c_pair[j] ** c - k * c_suffix[j + 1] ** c}
+        for j in range(n + 1, m)
+    ]
+    b, h = params.b_pow, params.h
+    lhs = lhs_m**b
+    rhs = sum(h ** (i - 2) * pair_m[i] ** b for i in range(2, n + 1))
+    rhs += h**n * sum(pair_m[i] ** b for i in range(n + 1, m))
+    rhs += h ** (n - 1) * pair_m[m] ** b
+    return report_params, (lhs, rhs, conditions)
 
 
 def check_tighter_three(
@@ -546,27 +518,20 @@ def check_tighter_three(
     P1P2 term (in c_pow powers), the one-to-rest value dominates
     M(P1P2)^b + h * M(P1P3)^b.
 
-    The coefficient h attaches to the conditioned-larger P1P3 term.
+    The coefficient h attaches to the conditioned-larger P1P3 term.  This is
+    the multi-block bound at split index 2; only the recorded params differ.
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
     name = f"tighter_three_{measure_kind}"
-    state, partition, order_obj, rparams, window_ok = _tighter_preamble(
-        state, partition, params, measure_kind, order, name
-    )
-    if not window_ok:
+    rparams, sides = _tighter_sides(state, partition, 2, params, measure_kind, order)
+    if sides is None:
         return _skipped(name, Applicability.OUT_OF_WINDOW, rparams)
-    pair_m, suffix_m, cond_pair, _ = _tighter_measure_values(
-        state, partition, params, measure_kind, order_obj
-    )
-    c = params.c_pow
-    margin = cond_pair[3] ** c - params.k * cond_pair[2] ** c
+    lhs, rhs, [condition] = sides
+    margin = condition["margin"]
     rparams["condition_margin"] = float(margin)
     if margin < CONDITION_MARGIN:
         return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    b = params.b_pow
-    lhs = suffix_m(2) ** b
-    rhs = pair_m[2] ** b + params.h * pair_m[3] ** b
     return _applicable(name, lhs, rhs, "ge", tol, rparams)
 
 
@@ -593,32 +558,15 @@ def check_tighter_multi(
     if not 1 <= n <= m - 1:
         raise ValueError(f"split_index must lie in [1, {m - 1}], got {n}")
     name = f"tighter_multi_{measure_kind}"
-    state, partition, order_obj, rparams, window_ok = _tighter_preamble(
-        state, partition, params, measure_kind, order, name
-    )
+    rparams, sides = _tighter_sides(state, partition, n, params, measure_kind, order)
     rparams["split_index"] = n
-    if not window_ok:
+    if sides is None:
         return _skipped(name, Applicability.OUT_OF_WINDOW, rparams)
-    pair_m, suffix_m, cond_pair, cond_suffix = _tighter_measure_values(
-        state, partition, params, measure_kind, order_obj
-    )
-    c = params.c_pow
-    for i in range(2, n + 1):
-        margin = cond_suffix(i + 1) ** c - params.k * cond_pair[i] ** c
-        if margin < CONDITION_MARGIN:
-            rparams["failed_condition"] = {"chain": 1, "index": i, "margin": margin}
+    lhs, rhs, conditions = sides
+    for condition in conditions:
+        if condition["margin"] < CONDITION_MARGIN:
+            rparams["failed_condition"] = condition
             return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    for j in range(n + 1, m):
-        margin = cond_pair[j] ** c - params.k * cond_suffix(j + 1) ** c
-        if margin < CONDITION_MARGIN:
-            rparams["failed_condition"] = {"chain": 2, "index": j, "margin": margin}
-            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    b = params.b_pow
-    h = params.h
-    lhs = suffix_m(2) ** b
-    rhs = sum(h ** (i - 2) * pair_m[i] ** b for i in range(2, n + 1))
-    rhs += h**n * sum(pair_m[i] ** b for i in range(n + 1, m))
-    rhs += h ** (n - 1) * pair_m[m] ** b
     return _applicable(name, lhs, rhs, "ge", tol, rparams)
 
 
@@ -641,15 +589,14 @@ def run_mixture_suite(
     purified = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
     mixture = mix_with_vacuum(spec)
 
+    first_three = Partition.of([{0}, {1}, {2}])
     reports: list[InequalityReport] = []
     for stage, state in (("purified", purified), ("mixture", mixture)):
-        n = state.layout.n_parties
-        singles = Partition.singletons(n)
-        rep = check_monogamy_sq(state, singles, 0, order)
-        rep.params["stage"] = stage
-        reports.append(rep)
-        first_three = Partition.of([{0}, {1}, {2}])
-        rep = check_tighter_three(state, first_three, tighter, "concurrence")
-        rep.params["stage"] = stage
-        reports.append(rep)
+        singles = Partition.singletons(state.layout.n_parties)
+        for rep in (
+            check_monogamy_sq(state, singles, 0, order),
+            check_tighter_three(state, first_three, tighter, "concurrence"),
+        ):
+            rep.params["stage"] = stage
+            reports.append(rep)
     return reports

@@ -50,12 +50,9 @@ __all__ = [
     "negativity",
     "block_pair_reduction",
     "gw_pairwise_concurrence",
-    "gw_pairwise_coa",
     "gw_one_to_rest_concurrence_sq",
     "renyi_entanglement_gw",
-    "reoa_gw",
     "cren_gw",
-    "crenoa_gw",
 ]
 
 #: Orders at or above this threshold make f_alpha^2 convex (monogamy regime).
@@ -65,6 +62,9 @@ ALPHA_POLYGAMY_MAX = (math.sqrt(13.0) - 1.0) / 2.0
 
 #: Orders within this distance of 1 use the von Neumann limit.
 VON_NEUMANN_BAND = 1e-6
+#: Orders this close to 1 (outside the von Neumann band) take sum(lambda^alpha)-1
+#: through expm1; the plain Renyi quotient loses about eps / |1 - alpha| there.
+EXPM1_BAND = 1e-3
 
 #: Squared-concurrence sums may overshoot 1 by float noise only.
 F_DOMAIN_SLACK = 1e-9
@@ -131,12 +131,9 @@ class MeasureValue:
 
     KINDS = (
         "concurrence",
-        "coa",
         "negativity",
         "cren",
-        "crenoa",
         "renyi_ent",
-        "reoa",
         "linear_entropy",
     )
     METHODS = ("closed_form", "two_qubit_formula", "oracle")
@@ -156,7 +153,8 @@ def f_alpha(x: float, order: OrderLike) -> float:
     """Renyi entanglement of a Schmidt-rank-2 state with squared concurrence x.
 
     The two Schmidt coefficients are (1 -+ sqrt(1-x))/2.  Near order 1 the
-    von Neumann limit (binary entropy) is used.  Inputs in (1, 1+1e-9] clamp
+    von Neumann limit (binary entropy) is used, and just outside that band an
+    expm1/log1p form keeps full precision.  Inputs in (1, 1+1e-9] clamp
     to 1; anything larger is a domain error rather than an extrapolation.
     """
     order = _as_order(order)
@@ -173,6 +171,10 @@ def f_alpha(x: float, order: OrderLike) -> float:
                 ent -= lam * math.log2(lam)
         return ent
     a = order.alpha
+    if abs(1.0 - a) < EXPM1_BAND:
+        lams = [lam for lam in (lam_lo, lam_hi) if lam > 0.0]
+        excess = sum(lam * math.expm1((a - 1.0) * math.log(lam)) for lam in lams)
+        return math.log1p(excess) / ((1.0 - a) * math.log(2.0))
     return math.log2(lam_lo**a + lam_hi**a) / (1.0 - a)
 
 
@@ -306,21 +308,11 @@ def gw_pairwise_concurrence(
     """Concurrence between two blocks of a GW-family state.
 
     Coarse-grains to the two blocks, compresses the local supports to qubits
-    and applies the two-qubit formula.  On this family the concurrence of
-    assistance coincides with it (see :func:`gw_pairwise_coa`).
+    and applies the two-qubit formula.
     """
     _require_gw(state, "pairwise concurrence")
     pair = block_pair_reduction(state, block_s, block_k)
     return concurrence_two_qubit(pair)
-
-
-def gw_pairwise_coa(
-    state: State, block_s: Iterable[int], block_k: Iterable[int]
-) -> MeasureValue:
-    """Concurrence of assistance between two blocks; equals the concurrence
-    on this family."""
-    value = gw_pairwise_concurrence(state, block_s, block_k).value
-    return MeasureValue(value, kind="coa", method="two_qubit_formula")
 
 
 class ConcurrenceSplit(NamedTuple):
@@ -391,26 +383,6 @@ def renyi_entanglement_gw(
     )
 
 
-def reoa_gw(
-    state: State, partition: Partition, s: int, order: OrderLike
-) -> MeasureValue:
-    """Renyi entanglement of assistance, returned as f_alpha(C^2) inside the
-    concavity window.
-
-    On a pure input's one-to-rest cut this is exact: the only decomposition
-    is the state itself.  On a mixed reduction f_alpha(C^2) is the convex
-    roof (the minimum over decompositions), so it is only a proven lower
-    bound on the assisted value, which is the maximum."""
-    order = _as_order(order)
-    if not order.supports_polygamy:
-        raise ApplicabilityError(
-            f"order {order.alpha} outside the window "
-            f"[{ALPHA_MONOGAMY_MIN:.10f}, {ALPHA_POLYGAMY_MAX:.10f}]"
-        )
-    split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    return MeasureValue(f_alpha(split.value, order), kind="reoa", method="closed_form")
-
-
 def cren_gw(state: State, bipartition) -> MeasureValue:
     """Convex-roof extended negativity between two blocks of a GW state.
 
@@ -429,9 +401,3 @@ def cren_gw(state: State, bipartition) -> MeasureValue:
         )
     value = concurrence_two_qubit(pair).value
     return MeasureValue(value, kind="cren", method="two_qubit_formula")
-
-
-def crenoa_gw(state: State, bipartition) -> MeasureValue:
-    """Assisted CREN; equals CREN on this family."""
-    value = cren_gw(state, bipartition).value
-    return MeasureValue(value, kind="crenoa", method="two_qubit_formula")

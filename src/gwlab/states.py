@@ -43,6 +43,8 @@ def _normalized_table(values, shape, name: str) -> np.ndarray:
     table = np.array(values, dtype=complex)
     if table.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{name} has non-finite entries")
     norm_sq = float(np.sum(np.abs(table) ** 2))
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(
@@ -215,13 +217,13 @@ def gw_spec_from_json(text: str) -> GWSpec:
         d = int(doc["d"])
         pairs = doc["amplitudes"]
         w = float(doc["vacuum_weight"])
+        flat = np.array(
+            [complex(float(re), float(im)) for re, im in pairs], dtype=complex
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed GW spec document: {exc}") from exc
-    if n < 2 or d < 2 or len(pairs) != n * (d - 1):
+    if n < 2 or d < 2 or flat.size != n * (d - 1):
         raise ValueError(
-            f"amplitude list of length {len(pairs)} does not match n={n}, d={d}"
+            f"amplitude list of length {flat.size} does not match n={n}, d={d}"
         )
-    flat = np.array(
-        [complex(float(re), float(im)) for re, im in pairs], dtype=complex
-    )
     return GWSpec(n=n, d=d, amplitudes=flat.reshape(n, d - 1), vacuum_weight=w)

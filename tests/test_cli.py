@@ -155,6 +155,9 @@ def test_verify_malformed_spec_exit_two(tmp_path):
     assert main(["verify", "--spec", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["verify", "--spec", str(missing)]) == 2
+    # amplitude entries that are not [re, im] pairs
+    unpaired = '{"n": 2, "d": 2, "amplitudes": [1.0, 0.0], "vacuum_weight": 0.0}'
+    assert main(["verify", "--spec", unpaired]) == 2
 
 
 def test_verify_determinism(spec_file, tmp_path):
@@ -220,6 +223,13 @@ def test_oracle_env_seed(spec_file, tmp_path, monkeypatch):
         ]
     )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_oracle_single_block_exit_two(spec_file, capsys):
+    args = ["oracle", "--spec", spec_file, "--partition", "0,1,2,3", "--trials", "10"]
+    assert main(args + ["--alpha", "1.1"]) == 2
+    assert main(args) == 2
+    assert "partition needs at least two blocks" in capsys.readouterr().err
 
 
 def test_oracle_low_trials_unconverged(spec_file, tmp_path):

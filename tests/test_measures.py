@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gwlab import (
     ALPHA_MONOGAMY_MIN,
@@ -22,11 +22,9 @@ from gwlab import (
     concurrence_pure,
     concurrence_two_qubit,
     cren_gw,
-    crenoa_gw,
     f_alpha,
     g_alpha,
     gw_one_to_rest_concurrence_sq,
-    gw_pairwise_coa,
     gw_pairwise_concurrence,
     linear_entropy,
     negativity,
@@ -34,7 +32,6 @@ from gwlab import (
     reduce_to_parties,
     renyi_entanglement_gw,
     renyi_entropy,
-    reoa_gw,
     superpose_with_vacuum,
 )
 from gwlab.featured import (
@@ -103,6 +100,10 @@ def test_f_alpha_domain():
     y=st.floats(min_value=0.0, max_value=1.0),
     a=st.floats(min_value=0.83, max_value=5.0),
 )
+# orders just outside the von Neumann band, where the plain Renyi quotient
+# lost about eps / |1 - a| and overshot 1 or broke monotonicity
+@example(x=0.9999999999999999, y=0.0, a=0.99999)
+@example(x=1.0, y=0.9999999999999999, a=0.9999989)
 def test_f_alpha_monotone_property(x, y, a):
     lo, hi = sorted((x, y))
     assert f_alpha(hi, a) >= f_alpha(lo, a) - 1e-10
@@ -314,14 +315,6 @@ def test_pairwise_zero_cross_amplitudes():
     assert gw_pairwise_concurrence(psi, {0}, {1}).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_coa_equals_concurrence_on_family():
-    rho, _ = figure1_reduction()
-    c = gw_pairwise_concurrence(rho, {0}, {1})
-    ca = gw_pairwise_coa(rho, {0}, {1})
-    assert c.value == ca.value
-    assert ca.kind == "coa"
-
-
 def test_one_to_rest_split_featured():
     rho, partition = figure1_reduction()
     split = gw_one_to_rest_concurrence_sq(rho, partition, 0)
@@ -361,16 +354,6 @@ def test_renyi_entanglement_featured():
         renyi_entanglement_gw(rho, partition, 0, 0.5)
 
 
-def test_reoa_equals_renyi_value_inside_window():
-    rho, partition = figure1_reduction()
-    a = reoa_gw(rho, partition, 0, 1.1)
-    b = renyi_entanglement_gw(rho, partition, 0, 1.1)
-    assert a.value == b.value
-    assert a.kind == "reoa"
-    with pytest.raises(ApplicabilityError):
-        reoa_gw(rho, partition, 0, 2.0)
-
-
 def test_negativity_values(bell_state):
     assert negativity(bell_state, ({0}, {1})).value == pytest.approx(1.0, abs=1e-10)
     prod = PureState(np.array([0, 1, 0, 0]), SubsystemLayout((2, 2)))
@@ -394,7 +377,6 @@ def test_cren_matches_concurrence_on_featured_pairs():
     assert cren_gw(rho, ({0}, {2})).value == pytest.approx(
         TWO_SQRT2_OVER_5, abs=1e-10
     )
-    assert crenoa_gw(rho, ({0}, {1})).value == pytest.approx(pair01, abs=1e-12)
 
 
 def test_cren_vacuum_is_zero():

@@ -1,0 +1,76 @@
+"""Pinned ``gwlab verify`` report streams.
+
+The expected streams in ``tests/data`` were recorded before the checkers
+were merged into one implementation per inequality shape.  "Same
+behaviour" is checked the way the project defines it: every report keeps
+its name, applicability tag, verdict and params keys, and every number
+agrees within 1e-12.  A deliberate output change re-records a stream by
+running the ``ARGS`` below with ``--out tests/data/<file>`` and is written
+up in CHANGES.md.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from gwlab.cli import main
+
+DATA = Path(__file__).parent / "data"
+NUM_TOL = 1e-12
+
+README_SPEC = (
+    '{"n": 4, "d": 2, "amplitudes": [[0.7071067811865476, 0.0], [0.5, 0.0], '
+    '[0.4, 0.0], [0.3, 0.0]], "vacuum_weight": 0.0}'
+)
+#: d=3 vacuum superposition with four blocks.  Its block weights meet the
+#: side conditions of ``tighter_multi`` and of the mixture suite's
+#: three-party bound, so both are applicable.
+MIXTURE_SPEC = (
+    '{"n": 5, "d": 3, "amplitudes": [[0.5, 0.0], [0.4, 0.3], [0.3, 0.0], '
+    '[0.0, -0.1], [0.4, 0.2], [0.1, 0.3], [0.1, 0.1], [0.2, 0.0], [0.0, 0.0], '
+    '[0.2, 0.0]], "vacuum_weight": 0.3}'
+)
+#: The order grid crosses both window edges, so out-of-window reports show too.
+TIGHTER = ["--c-pow", "2", "--b-pow", "1", "--k", "2", "--alpha", "0.6:1.6:0.05"]
+
+ARGS = {
+    "report_stream_readme.jsonl": [
+        "verify", "--spec", README_SPEC, "--partition", "0|1,2|3", *TIGHTER,
+        "--format", "jsonl",
+    ],
+    "report_stream_mixture.jsonl": [
+        "verify", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4", *TIGHTER,
+        "--mu", "0.5", "--format", "jsonl",
+    ],
+}
+
+
+def _assert_same(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict), where
+        assert sorted(got) == sorted(want), f"{where}: keys {sorted(got)}"
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif want is None or isinstance(want, (bool, str)):
+        assert got == want and type(got) is type(want), f"{where}: {got!r}"
+    else:
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert math.isfinite(got), f"{where}: {got!r}"
+        assert abs(got - want) <= NUM_TOL, f"{where}: {got!r} vs {want!r}"
+
+
+@pytest.mark.parametrize("stream", sorted(ARGS))
+def test_verify_report_stream_unchanged(stream, tmp_path):
+    out = tmp_path / stream
+    assert main(ARGS[stream] + ["--out", str(out)]) == 0
+    got = [json.loads(line) for line in out.read_text().splitlines()]
+    want = [json.loads(line) for line in (DATA / stream).read_text().splitlines()]
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        _assert_same(g, w, f"line {i + 1} ({w['name']})")

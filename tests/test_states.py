@@ -237,3 +237,18 @@ def test_json_rejects_malformed():
         gw_spec_from_json('{"n": 3, "d": 2}')
     with pytest.raises(ValueError):
         gw_spec_from_json('{"n": 3, "d": 2, "amplitudes": [[1, 0]], "vacuum_weight": 0}')
+    # amplitude entries must be [re, im] pairs, not bare numbers
+    with pytest.raises(ValueError, match="malformed"):
+        gw_spec_from_json('{"n": 2, "d": 2, "amplitudes": [1.0, 0.0], "vacuum_weight": 0}')
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_amplitudes_rejected(bad):
+    # abs(nan - 1) > tol is False, so the norm check alone lets NaN through
+    with pytest.raises(ValueError, match="non-finite"):
+        GWSpec(n=2, d=2, amplitudes=[[bad], [0.5]])
+    with pytest.raises(ValueError, match="non-finite"):
+        GWSpec.qubit([complex(0.6, bad), 0.8])
+    base = GWSpec(n=2, d=3, amplitudes=[[0.6, 0.0], [0.0, 0.8]], vacuum_weight=0.3)
+    with pytest.raises(ValueError, match="non-finite"):
+        PurificationSpec(base=base, ancilla_amplitudes=[bad, 1.0])

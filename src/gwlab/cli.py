@@ -78,6 +78,8 @@ def alpha_grid(
     start: float, stop: float, step: float, exclude_one: bool = True
 ) -> list[float]:
     """Arithmetic grid [start, stop] with an optional hole at order 1."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid {start}:{stop}:{step} has a non-finite entry")
     if step <= 0:
         raise ValueError("grid step must be positive")
     values = []
@@ -208,6 +210,23 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
         tighter = TighterParams(c_pow=config.c_pow, b_pow=config.b_pow, k=config.k)
 
     grid = alpha_grid(*config.alpha, exclude_one=config.exclude_one)
+    if not grid:
+        start, stop, step = config.alpha
+        raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
+    # the concurrence and CREN tightened bounds take no Renyi order, so they
+    # are built once and repeated at every order, in the stream's order:
+    # three-block concurrence, CREN, Renyi, then the multi-block bound
+    order_free: list[InequalityReport] = []
+    if tighter is not None and len(blocks) >= 3:
+        first_three = Partition.of(blocks[:3])
+        order_free = [
+            check_tighter_three(psi, first_three, tighter, kind)
+            for kind in ("concurrence", "cren")
+        ]
+        if len(blocks) >= 4:
+            order_free.append(
+                check_tighter_multi(psi, partition, 1, tighter, "concurrence")
+            )
     reports: list[InequalityReport] = []
     for a in grid:
         reports.append(check_monogamy_sq(psi, partition, 0, a))
@@ -225,18 +244,13 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
         reports.append(
             check_trace_bound_renyi(psi, a, (blocks[0], set().union(*blocks[1:])))
         )
-        if tighter is not None and len(blocks) >= 3:
-            for kind in ("concurrence", "cren", "renyi"):
-                reports.append(
-                    check_tighter_three(
-                        psi, Partition.of(blocks[:3]), tighter, kind, order=a
-                    )
-                )
-            if len(blocks) >= 4:
-                reports.append(
-                    check_tighter_multi(psi, partition, 1, tighter, "concurrence")
-                )
-    if spec.vacuum_weight > 0.0 and grid:
+        if order_free:
+            reports.extend(order_free[:2])
+            reports.append(
+                check_tighter_three(psi, first_three, tighter, "renyi", order=a)
+            )
+            reports.extend(order_free[2:])
+    if spec.vacuum_weight > 0.0:
         reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
     return reports
 

@@ -23,6 +23,7 @@ from .tensor import (
     PureState,
     State,
     SchmidtSpectrum,
+    _memoized,
     coarse_grain_state,
     compress_local_support,
     partial_trace,
@@ -231,6 +232,10 @@ def concurrence_two_qubit(rho: DensityOperator) -> MeasureValue:
     """
     if rho.layout.dims != (2, 2):
         raise ValueError(f"need a 2x2 qubit pair, got dims {rho.layout.dims}")
+    return _memoized(rho, ("concurrence_two_qubit",), lambda: _concurrence(rho))
+
+
+def _concurrence(rho: DensityOperator) -> MeasureValue:
     rho_tilde = _SIGMA_Y2 @ rho.matrix.conj() @ _SIGMA_Y2
     evals, evecs = np.linalg.eigh(rho.matrix)
     sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
@@ -275,11 +280,19 @@ def block_pair_reduction(
     """Reduce to two blocks, view them as two parties, compress to qubits.
 
     On GW-family states the compressed reduction is always a qubit pair; a
-    different shape is surfaced as a finding."""
+    different shape is surfaced as a finding.  The pair is memoized on the
+    state per ordered block pair: (a, b) and (b, a) compress differently."""
     block_a = frozenset(int(p) for p in block_a)
     block_b = frozenset(int(p) for p in block_b)
     if block_a & block_b:
         raise ValueError("blocks overlap")
+    key = ("block_pair_reduction", block_a, block_b)
+    return _memoized(state, key, lambda: _block_pair(state, block_a, block_b))
+
+
+def _block_pair(
+    state: State, block_a: frozenset[int], block_b: frozenset[int]
+) -> DensityOperator:
     keep = sorted(block_a | block_b)
     reduced = (
         partial_trace(state, keep)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import gwlab.measures
 from gwlab import GWSpec, gw_spec_to_json
 from gwlab.cli import alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition
 from gwlab.featured import FIG1_AMPLITUDES
@@ -158,6 +159,49 @@ def test_verify_malformed_spec_exit_two(tmp_path):
     # amplitude entries that are not [re, im] pairs
     unpaired = '{"n": 2, "d": 2, "amplitudes": [1.0, 0.0], "vacuum_weight": 0.0}'
     assert main(["verify", "--spec", unpaired]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0.9:inf:0.1", "0.9:1.3:nan", "nan:1.3:0.1"])
+def test_verify_non_finite_grid_exit_two(spec_file, grid, capsys):
+    start, stop, step = (float(v) for v in grid.split(":"))
+    with pytest.raises(ValueError, match="non-finite"):
+        alpha_grid(start, stop, step)
+    assert main(["verify", "--spec", spec_file, "--alpha", grid]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    args = ["verify", "--spec", spec_file, "--out", str(out)]
+    assert main(args + ["--alpha", "1.3:0.9:0.1"]) == 2
+    assert main(args + ["--alpha", "1:1:1"]) == 2  # only order 1, excluded
+    assert "holds no orders" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
+    # every dense reduction is memoized on the state and the order-free
+    # tightened reports are built once, so a 10-order grid compresses no
+    # more local supports than a 1-order grid
+    calls = []
+    compress = gwlab.measures.compress_local_support
+
+    def counting(state):
+        calls.append(state)
+        return compress(state)
+
+    monkeypatch.setattr(gwlab.measures, "compress_local_support", counting)
+    spec = gw_spec_to_json(GWSpec.qubit([0.5, 0.5, 0.5, 0.5], vacuum_weight=0.2))
+    counts = []
+    for grid in ("1.1:1.1:1", "0.83:1.30:0.05"):
+        calls.clear()
+        args = ["verify", "--spec", spec, "--alpha", grid, "--c-pow", "2"]
+        args += ["--b-pow", "1", "--k", "2", "--out", str(tmp_path / "r.jsonl")]
+        assert main(args) == 0
+        counts.append(len(calls))
+    assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_verify_determinism(spec_file, tmp_path):

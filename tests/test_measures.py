@@ -12,12 +12,14 @@ from gwlab import (
     ApplicabilityError,
     DensityOperator,
     DomainError,
+    FindingError,
     GWSpec,
     Partition,
     ProvenanceError,
     PureState,
     SchmidtSpectrum,
     SubsystemLayout,
+    block_pair_reduction,
     build_w_qubit,
     concurrence_pure,
     concurrence_two_qubit,
@@ -391,3 +393,41 @@ def test_cren_random_matches_pairwise(rng):
         psi = superpose_with_vacuum(spec)
         c = gw_pairwise_concurrence(psi, {0}, {1}).value
         assert cren_gw(psi, ({0}, {1})).value == pytest.approx(c, abs=1e-12)
+
+
+def test_block_pair_reduction_memo_per_ordered_pair():
+    psi = superpose_with_vacuum(GWSpec.qubit(FIG1_AMPLITUDES, vacuum_weight=0.2))
+    twin = superpose_with_vacuum(GWSpec.qubit(FIG1_AMPLITUDES, vacuum_weight=0.2))
+    ab = block_pair_reduction(psi, {0}, {1, 3})
+    assert block_pair_reduction(psi, [0], (3, 1)) is ab
+    ba = block_pair_reduction(psi, {1, 3}, {0})
+    assert ba is not ab
+    for mine, (a, b) in ((ab, ({0}, {1, 3})), (ba, ({1, 3}, {0}))):
+        fresh = block_pair_reduction(twin, a, b)
+        assert fresh is not mine
+        np.testing.assert_array_equal(mine.matrix, fresh.matrix)
+    # the orders compress differently; the qubit-pair concurrence agrees
+    assert not np.allclose(ab.matrix, ba.matrix)
+    c_ab = concurrence_two_qubit(ab)
+    assert concurrence_two_qubit(ab) is c_ab
+    assert concurrence_two_qubit(ba).value == pytest.approx(c_ab.value, abs=1e-12)
+
+
+def test_block_pair_reduction_errors_are_not_memoized():
+    psi = build_w_qubit(FIG1_AMPLITUDES)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overlap"):
+            block_pair_reduction(psi, {0, 1}, {1})
+    # three-level local supports on both sides: not a GW qubit pair
+    qutrit_pair = PureState(
+        np.array([1, 0, 0, 0, 1, 0, 0, 0, 1]) / math.sqrt(3.0),
+        SubsystemLayout((3, 3)),
+        gw=True,
+    )
+    for _ in range(2):
+        with pytest.raises(FindingError):
+            block_pair_reduction(qutrit_pair, {0}, {1})
+    bad = DensityOperator(np.eye(8) / 8.0, SubsystemLayout((2, 2, 2)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="qubit pair"):
+            concurrence_two_qubit(bad)

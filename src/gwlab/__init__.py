@@ -79,10 +79,8 @@ from .inequalities import (
     run_mixture_suite,
 )
 from .roof import (
-    DecompositionSample,
     RoofEstimate,
     convex_roof_bounds,
-    sample_decompositions,
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )

@@ -1,6 +1,9 @@
 """Stochastic convex-roof estimation over pure-state decompositions.
 
-Every m-element decomposition of a rank-r density operator arises from an
+The estimator takes two-qubit states only: the paper's closed forms are
+stated for the two-qubit reduction of a generalized W-class state, and
+``block_pair_reduction`` compresses every pair of blocks to one.  Every
+m-element decomposition of a rank-r density operator arises from an
 m x r isometry applied to its eigen-ensemble, so the optimizer explores the
 isometry manifold: Haar-random draws interleaved with random-rotation
 refinement of the incumbent best decompositions.  Minima over sampled
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,13 +33,11 @@ from .measures import (
     f_alpha,
     gw_pairwise_concurrence,
 )
-from .tensor import DensityOperator, PureState, SUPPORT_TOL, schmidt_spectrum
+from .tensor import DensityOperator, SUPPORT_TOL, State
 
 __all__ = [
-    "DecompositionSample",
     "RoofEstimate",
     "AGREEMENT_TOL",
-    "sample_decompositions",
     "convex_roof_bounds",
     "verify_c_equals_ca",
     "verify_e_alpha_formula",
@@ -60,15 +61,6 @@ REFINE_HORIZON = 12000
 REFINE_FLOOR = 1e-3
 
 _MEASURE_KINDS = ("concurrence", "negativity", "renyi_ent")
-
-
-@dataclass(frozen=True, eq=False)
-class DecompositionSample:
-    """One pure-state decomposition: weights q_k and component states."""
-
-    weights: np.ndarray
-    states: list[PureState]
-    cardinality: int
 
 
 @dataclass(frozen=True)
@@ -127,103 +119,25 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     return (evecs[:, order][:, keep] * np.sqrt(evals[keep])).T
 
 
-def sample_decompositions(
-    rho: DensityOperator, m: int, trials: int, seed: int
-) -> Iterator[DecompositionSample]:
-    """Stream of Haar-random m-element decompositions of ``rho``.
+def _pair_average(
+    rows: np.ndarray, measure_kind: str, order: Optional[RenyiOrder]
+) -> float:
+    """Weighted average of the pure measure over the rows of an unnormalized
+    two-qubit component matrix.
 
-    Each sample reconstructs rho exactly (up to float noise) because the
-    mixing isometries have orthonormal columns.
-    """
-    ensemble = _eigen_ensemble(rho)
-    r = ensemble.shape[0]
-    if m < r:
-        raise ValueError(f"cardinality {m} below the state rank {r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        iso = _haar_isometry(rng, m, r)
-        rows = iso @ ensemble
-        weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-        states = []
-        for k in range(m):
-            w = float(weights[k])
-            if w > 1e-14:
-                states.append(
-                    PureState(rows[k] / math.sqrt(w), rho.layout, gw=rho.gw)
-                )
-            else:
-                unit = np.zeros(rho.layout.total_dim, dtype=complex)
-                unit[0] = 1.0
-                states.append(PureState(unit, rho.layout, gw=rho.gw))
-        yield DecompositionSample(
-            weights=weights, states=states, cardinality=m
-        )
-
-
-def _component_averager(
-    layout_dims: tuple[int, ...],
-    measure_kind: str,
-    order: Optional[RenyiOrder],
-    bipartition,
-):
-    """Average of the pure measure over the rows of an unnormalized component
-    matrix, weighted by the component weights."""
-    if measure_kind not in _MEASURE_KINDS:
-        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-    if measure_kind == "renyi_ent" and order is None:
-        raise ValueError("renyi_ent needs a Renyi order")
-
-    if layout_dims == (2, 2):
-        # pure two-qubit components: concurrence and negativity are both
-        # 2|det| of the amplitude matrix, and the Renyi value follows from
-        # the squared concurrence.
-        def average(rows: np.ndarray) -> float:
-            dets = np.abs(rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2])
-            if measure_kind in ("concurrence", "negativity"):
-                return float(2.0 * dets.sum())
-            weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-            total = 0.0
-            for w, det in zip(weights, dets):
-                if w > 1e-14:
-                    c2 = min(1.0, (2.0 * det / w) ** 2)
-                    total += w * f_alpha(c2, order)
-            return total
-
-        return average
-
-    if bipartition is None:
-        bipartition = ({0}, set(range(1, len(layout_dims))))
-    from .tensor import SubsystemLayout
-
-    layout = SubsystemLayout(layout_dims)
-
-    def average(rows: np.ndarray) -> float:
-        weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-        total = 0.0
-        for k in range(rows.shape[0]):
-            w = float(weights[k])
-            if w <= 1e-14:
-                continue
-            psi = PureState(rows[k] / math.sqrt(w), layout)
-            lams = schmidt_spectrum(psi, bipartition).coefficients
-            if measure_kind == "concurrence":
-                value = math.sqrt(max(0.0, 2.0 * (1.0 - float((lams**2).sum()))))
-            elif measure_kind == "negativity":
-                value = float(np.sqrt(lams).sum() ** 2 - 1.0)
-            else:
-                lams = lams[lams > 1e-15]
-                if order.near_one:
-                    value = float(-(lams * np.log2(lams)).sum())
-                else:
-                    value = float(
-                        np.log2((lams**order.alpha).sum()) / (1.0 - order.alpha)
-                    )
-            total += w * value
-        return total
-
-    return average
+    Concurrence and negativity of a pure two-qubit component are both 2|det|
+    of its amplitude matrix, and the Renyi value follows from the squared
+    concurrence."""
+    dets = np.abs(rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2])
+    if measure_kind in ("concurrence", "negativity"):
+        return float(2.0 * dets.sum())
+    weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
+    total = 0.0
+    for w, det in zip(weights, dets):
+        if w > 1e-14:
+            c2 = min(1.0, (2.0 * det / w) ** 2)
+            total += w * f_alpha(c2, order)
+    return total
 
 
 def convex_roof_bounds(
@@ -233,15 +147,21 @@ def convex_roof_bounds(
     trials: int = 20000,
     seed: int = 0,
     order: Optional[OrderLike] = None,
-    bipartition=None,
 ) -> RoofEstimate:
-    """Estimate min and max decomposition averages of a pure-state measure.
+    """Estimate min and max decomposition averages of a pure-state measure
+    on a two-qubit state.
 
     Interleaves Haar exploration with random-rotation refinement of the
     incumbent minimizing and maximizing isometries.  ``converged`` is true
     when neither best value improved by more than ``PLATEAU_TOL`` during the
     last quarter of the trials (and the run was long enough to judge).
     """
+    if rho.layout.dims != (2, 2):
+        raise ValueError(f"the roof takes qubit pairs, got dims {rho.layout.dims}")
+    if measure_kind not in _MEASURE_KINDS:
+        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
+    if measure_kind == "renyi_ent" and order is None:
+        raise ValueError("renyi_ent needs a Renyi order")
     order_obj = _as_order(order) if order is not None else None
     ensemble = _eigen_ensemble(rho)
     r = ensemble.shape[0]
@@ -251,7 +171,6 @@ def convex_roof_bounds(
         raise ValueError(f"cardinality {m} below the state rank {r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    average = _component_averager(rho.layout.dims, measure_kind, order_obj, bipartition)
 
     best_min = math.inf
     best_max = -math.inf
@@ -267,7 +186,7 @@ def convex_roof_bounds(
             step = REFINE_FLOOR**frac
             base = iso_min if t % 2 == 0 else iso_max
             iso = _rotated_isometry(rng, base, step)
-        value = average(iso @ ensemble)
+        value = _pair_average(iso @ ensemble, measure_kind, order_obj)
         if value < best_min - PLATEAU_TOL:
             last_improve = t
         if value > best_max + PLATEAU_TOL:
@@ -289,48 +208,59 @@ def convex_roof_bounds(
     )
 
 
-def _pair_blocks(rho: DensityOperator, blocks):
-    if blocks is None:
-        blocks = ({0}, set(range(1, rho.layout.n_parties)))
-    return tuple(frozenset(b) for b in blocks)
+def _oracle_report(
+    name: str,
+    state: State,
+    blocks,
+    order: Optional[RenyiOrder],
+    trials: int,
+    seed: int,
+    params: dict,
+) -> InequalityReport:
+    """Run the roof on the compressed pair of two blocks (by default party 0
+    and the rest) and compare its min and max with the closed form: the
+    concurrence C, or f_alpha(C^2) when an order is given.
+
+    The max side is compared for the concurrence, and for the Renyi form
+    only inside the concavity window or on a pure pair.  A non-converged
+    run is reported as CONDITION_UNMET (with the numbers attached), not as
+    a violation."""
+    block_a, block_b = blocks or ({0}, set(range(1, state.layout.n_parties)))
+    closed = gw_pairwise_concurrence(state, block_a, block_b).value
+    if order is not None:
+        closed = f_alpha(closed**2, order)
+    pair = block_pair_reduction(state, block_a, block_b)
+    kind = "concurrence" if order is None else "renyi_ent"
+    estimate = convex_roof_bounds(pair, kind, trials=trials, seed=seed, order=order)
+    max_side = order is None or order.supports_polygamy or pair.rank() == 1
+    deviations = [abs(estimate.min_estimate - closed)]
+    if max_side:
+        deviations.append(abs(estimate.max_estimate - closed))
+        deviations.append(abs(estimate.min_estimate - estimate.max_estimate))
+    params.update(
+        closed_form=closed,
+        roof_min=estimate.min_estimate,
+        roof_max=estimate.max_estimate,
+        converged=estimate.converged,
+    )
+    if order is not None:
+        params["max_side_checked"] = max_side
+    if not estimate.converged:
+        return _skipped(name, Applicability.CONDITION_UNMET, params)
+    return _applicable(name, max(deviations), AGREEMENT_TOL, "le", 0.0, params)
 
 
 def verify_c_equals_ca(
-    rho: DensityOperator,
-    trials: int = 20000,
-    seed: int = 0,
-    blocks=None,
+    state: State, trials: int = 20000, seed: int = 0, blocks=None
 ) -> InequalityReport:
     """Check that the min and max decomposition averages of the concurrence
-    pinch together onto the two-qubit closed form.
-
-    A non-converged oracle run is reported as CONDITION_UNMET (with the
-    numbers attached), not as a violation.
-    """
-    block_a, block_b = _pair_blocks(rho, blocks)
-    closed = gw_pairwise_concurrence(rho, block_a, block_b).value
-    pair = block_pair_reduction(rho, block_a, block_b)
-    estimate = convex_roof_bounds(pair, "concurrence", trials=trials, seed=seed)
-    deviation = max(
-        abs(estimate.min_estimate - estimate.max_estimate),
-        abs(estimate.min_estimate - closed),
-        abs(estimate.max_estimate - closed),
-    )
-    params = {
-        "closed_form": closed,
-        "roof_min": estimate.min_estimate,
-        "roof_max": estimate.max_estimate,
-        "trials": trials,
-        "seed": int(seed),
-        "converged": estimate.converged,
-    }
-    if not estimate.converged:
-        return _skipped("c_equals_ca", Applicability.CONDITION_UNMET, params)
-    return _applicable("c_equals_ca", deviation, AGREEMENT_TOL, "le", 0.0, params)
+    pinch together onto the two-qubit closed form."""
+    params = {"trials": trials, "seed": int(seed)}
+    return _oracle_report("c_equals_ca", state, blocks, None, trials, seed, params)
 
 
 def verify_e_alpha_formula(
-    rho: DensityOperator,
+    state: State,
     order: OrderLike,
     trials: int = 20000,
     seed: int = 0,
@@ -346,30 +276,9 @@ def verify_e_alpha_formula(
     exceed it.
     """
     order = _as_order(order)
-    block_a, block_b = _pair_blocks(rho, blocks)
     params: dict = {"alpha": order.alpha, "trials": trials, "seed": int(seed)}
     if not order.supports_monogamy:
         return _skipped("e_alpha_formula", Applicability.OUT_OF_WINDOW, params)
-    closed_c = gw_pairwise_concurrence(rho, block_a, block_b).value
-    closed = f_alpha(closed_c**2, order)
-    pair = block_pair_reduction(rho, block_a, block_b)
-    estimate = convex_roof_bounds(
-        pair, "renyi_ent", trials=trials, seed=seed, order=order
+    return _oracle_report(
+        "e_alpha_formula", state, blocks, order, trials, seed, params
     )
-    deviations = [abs(estimate.min_estimate - closed)]
-    if order.supports_polygamy or pair.rank() == 1:
-        deviations.append(abs(estimate.max_estimate - closed))
-        deviations.append(abs(estimate.min_estimate - estimate.max_estimate))
-    deviation = max(deviations)
-    params.update(
-        {
-            "closed_form": closed,
-            "roof_min": estimate.min_estimate,
-            "roof_max": estimate.max_estimate,
-            "converged": estimate.converged,
-            "max_side_checked": order.supports_polygamy or pair.rank() == 1,
-        }
-    )
-    if not estimate.converged:
-        return _skipped("e_alpha_formula", Applicability.CONDITION_UNMET, params)
-    return _applicable("e_alpha_formula", deviation, AGREEMENT_TOL, "le", 0.0, params)

@@ -161,13 +161,25 @@ def test_verify_malformed_spec_exit_two(tmp_path):
     assert main(["verify", "--spec", unpaired]) == 2
 
 
-@pytest.mark.parametrize("grid", ["0.9:inf:0.1", "0.9:1.3:nan", "nan:1.3:0.1"])
-def test_verify_non_finite_grid_exit_two(spec_file, grid, capsys):
+#: Each rejected order grid and the reason its error names.
+BAD_GRIDS = {
+    "0.9:inf:0.1": "non-finite",
+    "0.9:1.3:nan": "non-finite",
+    "nan:1.3:0.1": "non-finite",
+    # 0.9 + k * 1e-300 == 0.9, so a grid built without a size check never ends
+    "0.9:1.3:1e-300": "more than 100000 orders",
+    "0.9:1.3:1e-9": "more than 100000 orders",
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
+def test_verify_bad_grid_exit_two(spec_file, grid, capsys):
+    why = BAD_GRIDS[grid]
     start, stop, step = (float(v) for v in grid.split(":"))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=why):
         alpha_grid(start, stop, step)
     assert main(["verify", "--spec", spec_file, "--alpha", grid]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert why in capsys.readouterr().err
 
 
 def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):

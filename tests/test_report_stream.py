@@ -1,7 +1,10 @@
-"""Pinned ``gwlab verify`` report streams.
+"""Pinned ``gwlab verify`` and ``gwlab oracle`` report streams.
 
-The expected streams in ``tests/data`` were recorded before the checkers
-were merged into one implementation per inequality shape.  "Same
+The expected verify streams in ``tests/data`` were recorded before the
+checkers were merged into one implementation per inequality shape, and the
+oracle streams before the convex-roof oracle was cut down to one qubit-pair
+averager.  Between them the oracle streams carry every tag: out of window,
+condition unmet, and applicable both satisfied and unsatisfied.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number
 agrees within 1e-12.  A deliberate output change re-records a stream by
@@ -44,6 +47,14 @@ ARGS = {
         "verify", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4", *TIGHTER,
         "--mu", "0.5", "--format", "jsonl",
     ],
+    "oracle_stream_readme.jsonl": [
+        "oracle", "--spec", README_SPEC, "--partition", "0|1,2|3",
+        "--trials", "1000", "--seed", "7", "--alpha", "0.7,0.9,1.1,1.25,1.5",
+    ],
+    "oracle_stream_mixture.jsonl": [
+        "oracle", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4",
+        "--trials", "1000", "--seed", "11", "--alpha", "0.9,1.2",
+    ],
 }
 
 
@@ -65,8 +76,7 @@ def _assert_same(got, want, where: str) -> None:
         assert abs(got - want) <= NUM_TOL, f"{where}: {got!r} vs {want!r}"
 
 
-@pytest.mark.parametrize("stream", sorted(ARGS))
-def test_verify_report_stream_unchanged(stream, tmp_path):
+def _assert_stream_unchanged(stream, tmp_path) -> None:
     out = tmp_path / stream
     assert main(ARGS[stream] + ["--out", str(out)]) == 0
     got = [json.loads(line) for line in out.read_text().splitlines()]
@@ -74,3 +84,13 @@ def test_verify_report_stream_unchanged(stream, tmp_path):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_same(g, w, f"line {i + 1} ({w['name']})")
+
+
+@pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("report")))
+def test_verify_report_stream_unchanged(stream, tmp_path):
+    _assert_stream_unchanged(stream, tmp_path)
+
+
+@pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
+def test_oracle_report_stream_unchanged(stream, tmp_path):
+    _assert_stream_unchanged(stream, tmp_path)

@@ -1,12 +1,16 @@
 """Convex-roof oracle: sampling, estimation and closed-form agreement."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import gwlab
 from gwlab import (
     Applicability,
+    GWSpec,
     DensityOperator,
     SubsystemLayout,
     block_pair_reduction,
@@ -16,13 +20,12 @@ from gwlab import (
     f_alpha,
     gw_pairwise_concurrence,
     reduce_to_parties,
-    sample_decompositions,
     superpose_with_vacuum,
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )
 from gwlab.featured import figure1_state
-from gwlab.roof import AGREEMENT_TOL
+from gwlab.roof import AGREEMENT_TOL, _eigen_ensemble, _haar_isometry, _trial_rng
 from conftest import rand_unit, random_gw_spec
 
 
@@ -30,45 +33,67 @@ def _figure1_pair():
     return reduce_to_parties(figure1_state(), {0, 1})
 
 
+def _draws(rho, m, trials, seed):
+    """The rows of each Haar-drawn decomposition, as the roof draws them."""
+    ensemble = _eigen_ensemble(rho)
+    for t in range(trials):
+        yield _haar_isometry(_trial_rng(seed, t), m, ensemble.shape[0]) @ ensemble
+
+
 def test_pure_state_has_unique_decomposition(bell_state):
-    rho = bell_state.density()
-    samples = list(sample_decompositions(rho, 3, 5, seed=3))
-    for sample in samples:
-        for w, comp in zip(sample.weights, sample.states):
+    for rows in _draws(bell_state.density(), 3, 5, seed=3):
+        for row in rows:
+            w = float(np.vdot(row, row).real)
             if w > 1e-12:
-                overlap = abs(np.vdot(comp.amplitudes, bell_state.amplitudes))
+                overlap = abs(np.vdot(row, bell_state.amplitudes)) / math.sqrt(w)
                 assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
 def test_samples_reconstruct_state(rng):
     spec = random_gw_spec(rng, n_min=3, n_max=4)
     rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
-    for sample in sample_decompositions(rho, 4, 20, seed=17):
-        recon = sum(
-            w * np.outer(s.amplitudes, s.amplitudes.conj())
-            for w, s in zip(sample.weights, sample.states)
-        )
+    for rows in _draws(rho, 4, 20, seed=17):
+        recon = rows.T @ rows.conj()
         assert float(np.max(np.abs(recon - rho.matrix))) < 1e-10
-        assert abs(float(sample.weights.sum()) - 1.0) < 1e-10
+        assert abs(float(np.vdot(rows, rows).real) - 1.0) < 1e-10
 
 
 def test_sampling_is_deterministic(rng):
     spec = random_gw_spec(rng, n_min=3, n_max=3)
     rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
-    a = list(sample_decompositions(rho, 4, 10, seed=99))
-    b = list(sample_decompositions(rho, 4, 10, seed=99))
-    for sa, sb in zip(a, b):
-        np.testing.assert_array_equal(sa.weights, sb.weights)
-        for x, y in zip(sa.states, sb.states):
-            np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
+    a = list(_draws(rho, 4, 10, seed=99))
+    b = list(_draws(rho, 4, 10, seed=99))
+    for ra, rb in zip(a, b):
+        np.testing.assert_array_equal(ra, rb)
 
 
 def test_cardinality_below_rank_rejected(bell_state):
     q = 0.5
     mat = q * bell_state.density().matrix + (1 - q) * np.eye(4) / 4
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
-    with pytest.raises(ValueError):
-        list(sample_decompositions(rho, 2, 1, seed=0))
+    with pytest.raises(ValueError, match="below the state rank"):
+        convex_roof_bounds(rho, "concurrence", m=2, trials=1)
+
+
+def test_roof_rejects_qutrit_pair():
+    # the roof averages two-qubit components only; a pair of qutrits must be
+    # compressed by block_pair_reduction first
+    spec = GWSpec(n=3, d=3, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
+    rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
+    assert rho.layout.dims == (3, 3)
+    with pytest.raises(ValueError, match="qubit pairs"):
+        convex_roof_bounds(rho, "concurrence", trials=10)
+    assert block_pair_reduction(rho, {0}, {1}).layout.dims == (2, 2)
+
+
+def test_every_exported_name_resolves():
+    modules = [gwlab] + [
+        importlib.import_module(f"gwlab.{info.name}")
+        for info in pkgutil.iter_modules(gwlab.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_roof_bounds_pin_featured_pair():

@@ -48,7 +48,7 @@ from .inequalities import (
 )
 from .measures import f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence
 from .roof import verify_c_equals_ca, verify_e_alpha_formula
-from .states import GWSpec, gw_spec_from_json, superpose_with_vacuum
+from .states import GWSpec, gw_spec_from_json, reduce_to_parties, superpose_with_vacuum
 from .tensor import Partition
 
 __all__ = [
@@ -299,17 +299,30 @@ def cmd_oracle(config: RunConfig) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     blocks = list(partition.blocks)
+
+    def pair_reduction(block_a, block_b):
+        """The reduction to two blocks, with the blocks in its own indexing."""
+        keep = sorted(block_a | block_b)
+        remap = {p: q for q, p in enumerate(keep)}
+        local = ({remap[p] for p in block_a}, {remap[p] for p in block_b})
+        return reduce_to_parties(psi, keep), local
+
     lines: list[str] = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
+            rho, local = pair_reduction(blocks[i], blocks[j])
             report = verify_c_equals_ca(
-                psi, config.trials, config.seed, blocks=(blocks[i], blocks[j])
+                rho, trials=config.trials, seed=config.seed, blocks=local
             )
             report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
             lines.append(report_to_json_line(report))
-    for a in config.alphas:
-        report = verify_e_alpha_formula(psi, a, config.trials, config.seed, blocks[:2])
-        lines.append(report_to_json_line(report))
+    if config.alphas:
+        rho, local = pair_reduction(blocks[0], blocks[1])
+        for a in config.alphas:
+            report = verify_e_alpha_formula(
+                rho, a, trials=config.trials, seed=config.seed, blocks=local
+            )
+            lines.append(report_to_json_line(report))
     _write_lines(lines, config.out)
     return 0
 

@@ -28,6 +28,7 @@ from .measures import (
     _as_order,
     f_alpha,
     gw_one_to_rest_concurrence_sq,
+    gw_pairwise_concurrence,
     renyi_entropy,
 )
 from .tensor import Partition, PureState, bipartition_matrix, schmidt_spectrum
@@ -209,7 +210,8 @@ def check_monogamy_cap(
     <= (log2 d)^2, with d the dimension of the first block."""
     order = _as_order(order)
     partition.require_complete(state.layout)
-    d_alice = math.prod(state.layout.dims[p] for p in partition.blocks[0])
+    alice = partition.blocks[0]
+    d_alice = math.prod(state.layout.dims[p] for p in sorted(alice))
     params = {
         "alpha": order.alpha,
         "d": d_alice,
@@ -219,7 +221,13 @@ def check_monogamy_cap(
         return _skipped("monogamy_cap", Applicability.OUT_OF_WINDOW, params)
     split = gw_one_to_rest_concurrence_sq(state, partition, 0)
     middle = f_alpha(split.value, order) ** 2
-    lhs = sum(f_alpha(c2, order) ** 2 for c2 in split.pair_sq)
+    lhs = sum(
+        f_alpha(
+            gw_pairwise_concurrence(state, alice, block).value ** 2, order
+        )
+        ** 2
+        for block in partition.blocks[1:]
+    )
     cap = math.log2(d_alice) ** 2
     params["middle"] = middle
     slack = min(middle - lhs, cap - middle)

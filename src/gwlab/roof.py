@@ -1,9 +1,6 @@
 """Stochastic convex-roof estimation over pure-state decompositions.
 
-The estimator takes two-qubit states only: the paper's closed forms are
-stated for the two-qubit reduction of a generalized W-class state, and
-``block_pair_reduction`` compresses every pair of blocks to one.  Every
-m-element decomposition of a rank-r density operator arises from an
+Every m-element decomposition of a rank-r density operator arises from an
 m x r isometry applied to its eigen-ensemble, so the optimizer explores the
 isometry manifold: Haar-random draws interleaved with random-rotation
 refinement of the incumbent best decompositions.  Minima over sampled
@@ -33,7 +30,13 @@ from .measures import (
     f_alpha,
     gw_pairwise_concurrence,
 )
-from .tensor import DensityOperator, SUPPORT_TOL, State
+from .tensor import (
+    DensityOperator,
+    PureState,
+    SUPPORT_TOL,
+    State,
+    schmidt_spectrum,
+)
 
 __all__ = [
     "RoofEstimate",
@@ -119,25 +122,68 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     return (evecs[:, order][:, keep] * np.sqrt(evals[keep])).T
 
 
-def _pair_average(
-    rows: np.ndarray, measure_kind: str, order: Optional[RenyiOrder]
-) -> float:
-    """Weighted average of the pure measure over the rows of an unnormalized
-    two-qubit component matrix.
+def _component_averager(
+    layout_dims: tuple[int, ...],
+    measure_kind: str,
+    order: Optional[RenyiOrder],
+    bipartition,
+):
+    """Average of the pure measure over the rows of an unnormalized component
+    matrix, weighted by the component weights."""
+    if measure_kind not in _MEASURE_KINDS:
+        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
+    if measure_kind == "renyi_ent" and order is None:
+        raise ValueError("renyi_ent needs a Renyi order")
 
-    Concurrence and negativity of a pure two-qubit component are both 2|det|
-    of its amplitude matrix, and the Renyi value follows from the squared
-    concurrence."""
-    dets = np.abs(rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2])
-    if measure_kind in ("concurrence", "negativity"):
-        return float(2.0 * dets.sum())
-    weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-    total = 0.0
-    for w, det in zip(weights, dets):
-        if w > 1e-14:
-            c2 = min(1.0, (2.0 * det / w) ** 2)
-            total += w * f_alpha(c2, order)
-    return total
+    if layout_dims == (2, 2):
+        # pure two-qubit components: concurrence and negativity are both
+        # 2|det| of the amplitude matrix, and the Renyi value follows from
+        # the squared concurrence.
+        def average(rows: np.ndarray) -> float:
+            dets = np.abs(rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2])
+            if measure_kind in ("concurrence", "negativity"):
+                return float(2.0 * dets.sum())
+            weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
+            total = 0.0
+            for w, det in zip(weights, dets):
+                if w > 1e-14:
+                    c2 = min(1.0, (2.0 * det / w) ** 2)
+                    total += w * f_alpha(c2, order)
+            return total
+
+        return average
+
+    if bipartition is None:
+        bipartition = ({0}, set(range(1, len(layout_dims))))
+    from .tensor import SubsystemLayout
+
+    layout = SubsystemLayout(layout_dims)
+
+    def average(rows: np.ndarray) -> float:
+        weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
+        total = 0.0
+        for k in range(rows.shape[0]):
+            w = float(weights[k])
+            if w <= 1e-14:
+                continue
+            psi = PureState(rows[k] / math.sqrt(w), layout)
+            lams = schmidt_spectrum(psi, bipartition).coefficients
+            if measure_kind == "concurrence":
+                value = math.sqrt(max(0.0, 2.0 * (1.0 - float((lams**2).sum()))))
+            elif measure_kind == "negativity":
+                value = float(np.sqrt(lams).sum() ** 2 - 1.0)
+            else:
+                lams = lams[lams > 1e-15]
+                if order.near_one:
+                    value = float(-(lams * np.log2(lams)).sum())
+                else:
+                    value = float(
+                        np.log2((lams**order.alpha).sum()) / (1.0 - order.alpha)
+                    )
+            total += w * value
+        return total
+
+    return average
 
 
 def convex_roof_bounds(
@@ -147,21 +193,15 @@ def convex_roof_bounds(
     trials: int = 20000,
     seed: int = 0,
     order: Optional[OrderLike] = None,
+    bipartition=None,
 ) -> RoofEstimate:
-    """Estimate min and max decomposition averages of a pure-state measure
-    on a two-qubit state.
+    """Estimate min and max decomposition averages of a pure-state measure.
 
     Interleaves Haar exploration with random-rotation refinement of the
     incumbent minimizing and maximizing isometries.  ``converged`` is true
     when neither best value improved by more than ``PLATEAU_TOL`` during the
     last quarter of the trials (and the run was long enough to judge).
     """
-    if rho.layout.dims != (2, 2):
-        raise ValueError(f"the roof takes qubit pairs, got dims {rho.layout.dims}")
-    if measure_kind not in _MEASURE_KINDS:
-        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-    if measure_kind == "renyi_ent" and order is None:
-        raise ValueError("renyi_ent needs a Renyi order")
     order_obj = _as_order(order) if order is not None else None
     ensemble = _eigen_ensemble(rho)
     r = ensemble.shape[0]
@@ -171,6 +211,7 @@ def convex_roof_bounds(
         raise ValueError(f"cardinality {m} below the state rank {r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    average = _component_averager(rho.layout.dims, measure_kind, order_obj, bipartition)
 
     best_min = math.inf
     best_max = -math.inf
@@ -186,7 +227,7 @@ def convex_roof_bounds(
             step = REFINE_FLOOR**frac
             base = iso_min if t % 2 == 0 else iso_max
             iso = _rotated_isometry(rng, base, step)
-        value = _pair_average(iso @ ensemble, measure_kind, order_obj)
+        value = average(iso @ ensemble)
         if value < best_min - PLATEAU_TOL:
             last_improve = t
         if value > best_max + PLATEAU_TOL:

@@ -2,8 +2,8 @@
 
 The expected verify streams in ``tests/data`` were recorded before the
 checkers were merged into one implementation per inequality shape, and the
-oracle streams before the convex-roof oracle was cut down to one qubit-pair
-averager.  Between them the oracle streams carry every tag: out of window,
+oracle streams before the two oracle checks were folded into one pipeline.
+Between them the oracle streams carry every tag: out of window,
 condition unmet, and applicable both satisfied and unsatisfied.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number

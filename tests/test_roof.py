@@ -10,7 +10,6 @@ import pytest
 import gwlab
 from gwlab import (
     Applicability,
-    GWSpec,
     DensityOperator,
     SubsystemLayout,
     block_pair_reduction,
@@ -73,17 +72,6 @@ def test_cardinality_below_rank_rejected(bell_state):
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
     with pytest.raises(ValueError, match="below the state rank"):
         convex_roof_bounds(rho, "concurrence", m=2, trials=1)
-
-
-def test_roof_rejects_qutrit_pair():
-    # the roof averages two-qubit components only; a pair of qutrits must be
-    # compressed by block_pair_reduction first
-    spec = GWSpec(n=3, d=3, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
-    rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
-    assert rho.layout.dims == (3, 3)
-    with pytest.raises(ValueError, match="qubit pairs"):
-        convex_roof_bounds(rho, "concurrence", trials=10)
-    assert block_pair_reduction(rho, {0}, {1}).layout.dims == (2, 2)
 
 
 def test_every_exported_name_resolves():

@@ -11,6 +11,7 @@ from .tensor import (
     DIM_CAP,
     DensityOperator,
     Partition,
+    PartyLayout,
     PureState,
     SchmidtSpectrum,
     SubsystemLayout,
@@ -25,6 +26,7 @@ from .tensor import (
     trace_norm,
 )
 from .states import (
+    GWBlocks,
     GWSpec,
     PurificationSpec,
     build_gw_qudit,
@@ -50,6 +52,7 @@ from .measures import (
     concurrence_pure,
     concurrence_two_qubit,
     cren_gw,
+    cut_spectrum,
     f_alpha,
     g_alpha,
     gw_one_to_rest_concurrence_sq,

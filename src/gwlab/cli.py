@@ -46,9 +46,20 @@ from .inequalities import (
     report_to_json_line,
     run_mixture_suite,
 )
-from .measures import f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence
+from .measures import (
+    _as_order,
+    f_alpha,
+    gw_one_to_rest_concurrence_sq,
+    gw_pairwise_concurrence,
+)
 from .roof import verify_c_equals_ca, verify_e_alpha_formula
-from .states import GWSpec, gw_spec_from_json, reduce_to_parties, superpose_with_vacuum
+from .states import (
+    GWBlocks,
+    GWSpec,
+    gw_spec_from_json,
+    reduce_to_parties,
+    superpose_with_vacuum,
+)
 from .tensor import Partition
 
 __all__ = [
@@ -210,7 +221,9 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
 
 def _verify_reports(config: RunConfig) -> list[InequalityReport]:
     spec = _load_spec(config.state_spec)
-    psi = superpose_with_vacuum(spec)
+    # every verify check is a closed form, so the block weights stand in for
+    # the dense state and no party count is too large
+    psi = GWBlocks.of(spec)
     partition = config.partition or Partition.singletons(spec.n)
     partition.require_complete(psi.layout)
     blocks = list(partition.blocks)
@@ -295,6 +308,7 @@ def cmd_oracle(config: RunConfig) -> int:
         partition.require_complete(psi.layout)
         if partition.n_blocks < 2:
             raise ValueError("partition needs at least two blocks")
+        orders = [_as_order(a) for a in config.alphas]
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -316,9 +330,9 @@ def cmd_oracle(config: RunConfig) -> int:
             )
             report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
             lines.append(report_to_json_line(report))
-    if config.alphas:
+    if orders:
         rho, local = pair_reduction(blocks[0], blocks[1])
-        for a in config.alphas:
+        for a in orders:
             report = verify_e_alpha_formula(
                 rho, a, trials=config.trials, seed=config.seed, blocks=local
             )

@@ -26,12 +26,17 @@ from .measures import (
     FindingError,
     OrderLike,
     _as_order,
+    cut_spectrum,
     f_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
     renyi_entropy,
 )
-from .tensor import Partition, PureState, bipartition_matrix, schmidt_spectrum
+from .states import FamilyState
+from .tensor import Partition, PureState, bipartition_matrix, require_dense
+
+# unused; the benchmark tracer expects this import site (ROADMAP item 1)
+from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
     "LOG_BASE",
@@ -90,8 +95,9 @@ def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
     lam0 = float(s[0]) ** 2
     closed = 2.0 * math.sqrt(max(0.0, 1.0 - lam0))
 
-    aligned = np.outer(u[:, 0], vh[0, :]).reshape(-1)
     vec = mat.reshape(-1)
+    require_dense(vec.size, square=True)
+    aligned = np.outer(u[:, 0], vh[0, :]).reshape(-1)
     diff = np.outer(vec, vec.conj()) - np.outer(aligned, aligned.conj())
     eigensolve = float(np.abs(np.linalg.eigvalsh(diff)).sum())
     if abs(eigensolve - closed) > 1e-9:
@@ -103,18 +109,21 @@ def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
 
 
 def check_trace_bound_renyi(
-    psi: PureState, order: OrderLike, bipartition=None, tol: float = 1e-9
+    psi: FamilyState, order: OrderLike, bipartition=None, tol: float = 1e-9
 ) -> InequalityReport:
-    """Distance to the aligned product state is at most 2 sqrt(2 E_alpha)."""
+    """Distance to the aligned product state is at most 2 sqrt(2 E_alpha).
+
+    The distance is 2 sqrt(1 - lambda_0), taken as the weight of the Schmidt
+    coefficients below the largest so that no cancellation enters."""
     order = _as_order(order)
     if bipartition is None:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
     params = {"alpha": order.alpha}
     if order.alpha < 1.0:
         return _skipped("trace_bound_renyi", Applicability.OUT_OF_WINDOW, params)
-    spectrum = schmidt_spectrum(psi, bipartition)
+    spectrum = cut_spectrum(psi, bipartition)
     lam0 = float(spectrum.coefficients[0])
-    lhs = 2.0 * math.sqrt(max(0.0, 1.0 - lam0))
+    lhs = 2.0 * math.sqrt(float(spectrum.coefficients[1:].sum()))
     entanglement = renyi_entropy(spectrum, order).value
     rhs = 2.0 * math.sqrt(2.0 * entanglement)
     params["lambda0"] = lam0
@@ -201,7 +210,7 @@ def gap_bound(inp: GameBoundInput) -> GapBoundResult:
 
 
 def check_monogamy_cap(
-    state,
+    state: FamilyState,
     partition: Partition,
     order: OrderLike,
     tol: float = 1e-9,

@@ -1,10 +1,11 @@
 """Monogamy, polygamy, upper-bound and tightened-bound checkers.
 
-Every checker evaluates one inequality on a GW-family state and returns an
-:class:`InequalityReport`.  Applicability (order windows, side conditions,
-domain restrictions) is a first-class result state rather than an error, so
-grid sweeps produce complete report streams; genuine violations on
-applicable instances surface as ``satisfied=False`` and are never swallowed.
+Every checker evaluates one inequality on a GW-family state, dense or
+:class:`GWBlocks`, and returns an :class:`InequalityReport`.  Applicability
+(order windows, side conditions, domain restrictions) is a first-class
+result state rather than an error, so grid sweeps produce complete report
+streams; genuine violations on applicable instances surface as
+``satisfied=False`` and are never swallowed.
 """
 
 from __future__ import annotations
@@ -22,13 +23,18 @@ from .measures import (
     OrderLike,
     RenyiOrder,
     _as_order,
+    cut_spectrum,
     f_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
     renyi_entropy,
 )
-from .states import GWSpec, PurificationSpec, mix_with_vacuum, purify_mixture
-from .tensor import Partition, PureState, State, partial_trace, schmidt_spectrum
+from .states import FamilyState, GWBlocks, GWSpec, reduce_to_parties
+from .tensor import Partition
+
+# unused; the benchmark tracer expects these import sites (ROADMAP item 1)
+from .states import mix_with_vacuum, purify_mixture  # noqa: F401
+from .tensor import partial_trace, schmidt_spectrum  # noqa: F401
 
 __all__ = [
     "Applicability",
@@ -174,8 +180,8 @@ def check_scalar_power_bound(
 
 
 def _restrict_to_blocks(
-    state: State, blocks: Iterable[Iterable[int]]
-) -> tuple[State, Partition]:
+    state: FamilyState, blocks: Iterable[Iterable[int]]
+) -> tuple[FamilyState, Partition]:
     """Reduce to the union of the blocks and reindex them on the reduction.
 
     Checkers accept block families that cover only part of the state; the
@@ -186,7 +192,7 @@ def _restrict_to_blocks(
     n = state.layout.n_parties
     if union == list(range(n)):
         return state, Partition.of(blocks)
-    reduced = partial_trace(state, union)
+    reduced = reduce_to_parties(state, union)
     remap = {p: i for i, p in enumerate(union)}
     return reduced, Partition.of([{remap[p] for p in b} for b in blocks])
 
@@ -201,7 +207,7 @@ def _partition_params(partition: Partition, s: int) -> dict:
 def _power_relation(
     name: str,
     direction: str,
-    state: State,
+    state: FamilyState,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -225,7 +231,7 @@ def _power_relation(
 
 
 def check_monogamy_sq(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -237,7 +243,7 @@ def check_monogamy_sq(
 
 
 def check_monogamy_power(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -252,7 +258,7 @@ def check_monogamy_power(
 
 
 def check_polygamy(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -263,7 +269,7 @@ def check_polygamy(
 
 
 def check_polygamy_power(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -277,7 +283,7 @@ def check_polygamy_power(
     return _power_relation("polygamy_power", "le", state, partition, s, order, mu, tol)
 
 
-def _pair_c2(state: State, block_a, block_b) -> float:
+def _pair_c2(state: FamilyState, block_a, block_b) -> float:
     return gw_pairwise_concurrence(state, block_a, block_b).value ** 2
 
 
@@ -285,7 +291,7 @@ def _outside_domain(values: Iterable[float]) -> bool:
     return any(a > 1.0 + F_DOMAIN_SLACK for a in values)
 
 
-def _merged_block_terms(state: State, block_p, block_q, rest) -> list[float]:
+def _merged_block_terms(state: FamilyState, block_p, block_q, rest) -> list[float]:
     """[C^2(P,Q)] + [C^2(P,R) for R in rest] + [C^2(Q,R) for R in rest]."""
     terms = [_pair_c2(state, block_p, block_q)]
     terms += [_pair_c2(state, block_p, r) for r in rest]
@@ -303,7 +309,7 @@ def _merged_block_rhs(terms: list[float], order: RenyiOrder) -> float:
 
 
 def check_merged_block_upper_bound(
-    psi: PureState,
+    psi: FamilyState,
     block_p: Iterable[int],
     block_q: Iterable[int],
     rest_blocks: Iterable[Iterable[int]],
@@ -317,11 +323,11 @@ def check_merged_block_upper_bound(
     partition = Partition.of([block_p, block_q, *rest_blocks])
     block_p, block_q, *rest = partition.blocks
     params = {"alpha": order.alpha, "blocks": [sorted(b) for b in partition.blocks]}
-    if not isinstance(psi, PureState):
-        raise ValueError("this bound is stated for pure states")
     if not rest:
         raise ValueError("need at least one rest block")
     partition.require_complete(psi.layout)
+    # raises unless psi is pure, the only case the bound is stated for
+    spectrum = cut_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
     if not order.supports_polygamy:
         return _skipped(name, Applicability.OUT_OF_WINDOW, params)
 
@@ -330,7 +336,6 @@ def check_merged_block_upper_bound(
         params["domain"] = [float(a) for a in terms]
         return _skipped(name, Applicability.DOMAIN_SKIPPED, params)
 
-    spectrum = schmidt_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
     lams = spectrum.coefficients
     if int(np.count_nonzero(lams > 1e-10)) <= 2:
         c2_cut = max(0.0, 2.0 * (1.0 - float((lams**2).sum())))
@@ -344,7 +349,7 @@ def check_merged_block_upper_bound(
 
 
 def check_reoa_triangle(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     order: OrderLike,
     tol: float = CLOSED_FORM_TOL,
@@ -373,7 +378,7 @@ def check_reoa_triangle(
 
 
 def check_upper_bound_bipartition(
-    state: State,
+    state: FamilyState,
     block_p1: Iterable[int],
     block_p2: Iterable[int],
     q_blocks: Iterable[Iterable[int]],
@@ -440,7 +445,7 @@ _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
 def _tighter_sides(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     split_index: int,
     params: TighterParams,
@@ -507,7 +512,7 @@ def _tighter_sides(
 
 
 def check_tighter_three(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     params: TighterParams,
     measure_kind: str = "concurrence",
@@ -536,7 +541,7 @@ def check_tighter_three(
 
 
 def check_tighter_multi(
-    state: State,
+    state: FamilyState,
     partition: Partition,
     split_index: int,
     params: TighterParams,
@@ -578,16 +583,15 @@ def run_mixture_suite(
     """Run the monogamy and tightened checks on a vacuum mixture.
 
     The mixture is verified through its (n+1)-party purification, which is a
-    pure family member, and directly on the mixed operator (itself a valid
-    reduction of that purification).
+    pure family member, and directly on the mixture (itself a valid
+    reduction of that purification).  Both stages are block weights, the
+    ones :func:`purify_mixture` and :func:`mix_with_vacuum` build densely.
     """
     order = _as_order(order)
     if tighter is None:
         tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    anc = np.zeros(spec.d - 1, dtype=complex)
-    anc[-1] = 1.0
-    purified = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
-    mixture = mix_with_vacuum(spec)
+    purified = GWBlocks.purification(spec)
+    mixture = GWBlocks.of(spec, pure=False)
 
     first_three = Partition.of([{0}, {1}, {2}])
     reports: list[InequalityReport] = []

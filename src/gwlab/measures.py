@@ -7,6 +7,11 @@ makes the pairwise concurrences exactly computable and pins the one-to-rest
 convex-roof values through the additivity of squared pairwise concurrence.
 The Renyi-order map ``f_alpha`` then turns squared concurrence into the
 Renyi entanglement for Schmidt-rank-2 states.
+
+Each family closed form takes a dense state or a :class:`GWBlocks`.  On a
+GWBlocks it is scalar arithmetic on the block weights; on a dense state it
+is computed from the reductions, the reference the weights are tested
+against.  The argument type alone selects the path.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+from .states import FamilyState, GWBlocks
 from .tensor import (
     DensityOperator,
     Partition,
@@ -52,6 +58,7 @@ __all__ = [
     "block_pair_reduction",
     "gw_pairwise_concurrence",
     "gw_one_to_rest_concurrence_sq",
+    "cut_spectrum",
     "renyi_entanglement_gw",
     "cren_gw",
 ]
@@ -137,7 +144,7 @@ class MeasureValue:
         "renyi_ent",
         "linear_entropy",
     )
-    METHODS = ("closed_form", "two_qubit_formula", "oracle")
+    METHODS = ("closed_form", "two_qubit_formula", "block_weights", "oracle")
 
     def __post_init__(self):
         v = float(self.value)
@@ -173,10 +180,16 @@ def f_alpha(x: float, order: OrderLike) -> float:
         return ent
     a = order.alpha
     if abs(1.0 - a) < EXPM1_BAND:
-        lams = [lam for lam in (lam_lo, lam_hi) if lam > 0.0]
-        excess = sum(lam * math.expm1((a - 1.0) * math.log(lam)) for lam in lams)
-        return math.log1p(excess) / ((1.0 - a) * math.log(2.0))
+        return _renyi_near_one([lam for lam in (lam_lo, lam_hi) if lam > 0.0], a)
     return math.log2(lam_lo**a + lam_hi**a) / (1.0 - a)
+
+
+def _renyi_near_one(lams: Iterable[float], a: float) -> float:
+    """log2(sum lambda^a) / (1-a) for positive lambdas summing to one, as
+    log1p(sum lambda expm1((a-1) ln lambda)): the plain quotient loses about
+    eps / |1 - a| for orders within EXPM1_BAND of 1."""
+    excess = sum(lam * math.expm1((a - 1.0) * math.log(lam)) for lam in lams)
+    return math.log1p(excess) / ((1.0 - a) * math.log(2.0))
 
 
 def g_alpha(y: float, order: OrderLike) -> float:
@@ -202,10 +215,12 @@ def renyi_entropy(
     order = _as_order(order)
     lams = _spectrum_values(spectrum)
     lams = lams[lams > 1e-15]
+    a = order.alpha
     if order.near_one:
         value = float(-(lams * np.log2(lams)).sum())
+    elif abs(1.0 - a) < EXPM1_BAND:
+        value = _renyi_near_one(lams.tolist(), a)
     else:
-        a = order.alpha
         value = float(np.log2((lams**a).sum()) / (1.0 - a))
     return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
 
@@ -316,14 +331,24 @@ def _block_pair(
 
 
 def gw_pairwise_concurrence(
-    state: State, block_s: Iterable[int], block_k: Iterable[int]
+    state: FamilyState, block_s: Iterable[int], block_k: Iterable[int]
 ) -> MeasureValue:
     """Concurrence between two blocks of a GW-family state.
 
-    Coarse-grains to the two blocks, compresses the local supports to qubits
-    and applies the two-qubit formula.
+    On block weights this is 2 (1-w) sqrt(s_S s_K).  A dense state is
+    coarse-grained to the two blocks, its local supports are compressed to
+    qubits and the two-qubit formula applies.
     """
     _require_gw(state, "pairwise concurrence")
+    if isinstance(state, GWBlocks):
+        block_s, block_k = frozenset(block_s), frozenset(block_k)
+        if not block_s or not block_k:
+            raise ValueError("blocks must be nonempty")
+        if not block_s.isdisjoint(block_k):
+            raise ValueError("blocks overlap")
+        product = state.block_weight(block_s) * state.block_weight(block_k)
+        value = 2.0 * (1.0 - state.vacuum_weight) * math.sqrt(product)
+        return MeasureValue(value, kind="concurrence", method="block_weights")
     pair = block_pair_reduction(state, block_s, block_k)
     return concurrence_two_qubit(pair)
 
@@ -341,13 +366,14 @@ class ConcurrenceSplit(NamedTuple):
 
 
 def gw_one_to_rest_concurrence_sq(
-    state: State, partition: Partition, s: int
+    state: FamilyState, partition: Partition, s: int
 ) -> ConcurrenceSplit:
     """C^2 of block s against the rest, directly and as the pairwise sum.
 
-    The two routes must agree within ``ADDITIVITY_TOL``; a violation means
-    the state is outside the family where squared concurrence is additive
-    and raises :class:`FindingError` instead of returning silently.
+    On a dense state the two routes must agree within ``ADDITIVITY_TOL``;
+    a violation means the state is outside the family where squared
+    concurrence is additive and raises :class:`FindingError` instead of
+    returning silently.  On block weights both are 4 (1-w)^2 s_S s_R.
     """
     _require_gw(state, "one-to-rest concurrence")
     partition.require_complete(state.layout)
@@ -357,6 +383,8 @@ def gw_one_to_rest_concurrence_sq(
     rest_blocks = [b for i, b in enumerate(partition.blocks) if i != s]
     if not rest_blocks:
         raise ValueError("partition needs at least two blocks")
+    if isinstance(state, GWBlocks):
+        return _split_from_weights(state, partition, s)
     rest_union = frozenset().union(*rest_blocks)
 
     if isinstance(state, PureState):
@@ -381,8 +409,36 @@ def gw_one_to_rest_concurrence_sq(
     return ConcurrenceSplit(direct_sq, pair_sum_sq, pair_sq)
 
 
+def _split_from_weights(
+    state: GWBlocks, partition: Partition, s: int
+) -> ConcurrenceSplit:
+    weights = [state.block_weight(block) for block in partition.blocks]
+    scale = 4.0 * (1.0 - state.vacuum_weight) ** 2 * weights[s]
+    others = weights[:s] + weights[s + 1 :]
+    pair_sq = tuple(scale * x for x in others)
+    return ConcurrenceSplit(scale * math.fsum(others), float(sum(pair_sq)), pair_sq)
+
+
+def cut_spectrum(state: FamilyState, bipartition) -> SchmidtSpectrum:
+    """Schmidt spectrum of a pure state across a cut of all its parties.
+
+    On block weights the cut has Schmidt rank at most two, with
+    lambda_0 lambda_1 = C^2 / 4 and C^2 = 4 (1-w)^2 s_A s_B.  The smaller
+    coefficient is computed as C^2 / (2 (1 + sqrt(1 - C^2))), which avoids
+    the cancellation in (1 - sqrt(1 - C^2)) / 2.
+    """
+    if isinstance(state, GWBlocks) and state.pure:
+        s_a, s_b = state.merged(Partition.of(bipartition)).weights
+        c2 = min(4.0 * (1.0 - state.vacuum_weight) ** 2 * s_a * s_b, 1.0)
+        minor = c2 / (2.0 * (1.0 + math.sqrt(1.0 - c2)))
+        return SchmidtSpectrum([1.0 - minor, minor])
+    if not isinstance(state, PureState):
+        raise ValueError("a Schmidt spectrum needs a pure state")
+    return schmidt_spectrum(state, bipartition)
+
+
 def renyi_entanglement_gw(
-    state: State, partition: Partition, s: int, order: OrderLike
+    state: FamilyState, partition: Partition, s: int, order: OrderLike
 ) -> MeasureValue:
     """Renyi entanglement of block s against the rest via f_alpha(C^2)."""
     order = _as_order(order)

@@ -5,13 +5,16 @@ weight one, optionally superposed or mixed with the vacuum ket |0...0>.
 Reductions and coarse-grainings of these states stay inside the family,
 which is what makes the closed-form measures in :mod:`gwlab.measures`
 applicable; every constructor here therefore tags its output with
-``gw=True``.
+``gw=True``.  :class:`GWBlocks` describes the same members by their
+excitation weights alone, with no dense array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -19,13 +22,19 @@ from .tensor import (
     DensityOperator,
     NORM_TOL,
     Partition,
+    PartyLayout,
     PureState,
     SubsystemLayout,
+    _validated_keep,
+    coarse_grain,
     partial_trace,
+    require_dense,
 )
 
 __all__ = [
     "GWSpec",
+    "GWBlocks",
+    "FamilyState",
     "Partition",
     "PurificationSpec",
     "build_w_qubit",
@@ -117,8 +126,96 @@ class PurificationSpec:
         object.__setattr__(self, "ancilla_amplitudes", anc)
 
 
+@dataclass(frozen=True, eq=False)
+class GWBlocks:
+    """A family member described by its excitation weights, with no dense array.
+
+    ``weights[k]`` is the share s_k of the excitation carried by party k and
+    ``vacuum_weight`` is w, so the ket exciting party k has probability
+    (1-w) s_k.  Every closed form in :mod:`gwlab.measures` depends on these
+    numbers only (Kim and Sanders, J. Phys. A 41, 495301 (2008)):
+    C(S, K) = 2 (1-w) sqrt(s_S s_K) and C^2(S | R) = 4 (1-w)^2 s_S s_R, with
+    s_B the summed weight of block B and R the other parties present.
+
+    ``pure`` marks a vacuum superposition, whose weights sum to one; a vacuum
+    mixture and every reduction are not pure.  A reduction keeps the weights
+    of the parties it keeps, and merging blocks sums them, so both stay
+    GWBlocks.
+    """
+
+    weights: tuple[float, ...]
+    layout: PartyLayout
+    vacuum_weight: float = 0.0
+    pure: bool = True
+
+    #: Only family members have a GWBlocks description.
+    gw = True
+
+    def __post_init__(self):
+        weights = tuple(float(x) for x in self.weights)
+        if len(weights) != self.layout.n_parties:
+            raise ValueError(
+                f"{len(weights)} weights for {self.layout.n_parties} parties"
+            )
+        if not all(math.isfinite(x) and x >= 0.0 for x in weights):
+            raise ValueError("weights must be finite and nonnegative")
+        total = math.fsum(weights)
+        if total > 1.0 + NORM_TOL or (self.pure and abs(total - 1.0) > NORM_TOL):
+            raise ValueError(f"weights sum to {total}")
+        w = float(self.vacuum_weight)
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"vacuum_weight {w} outside [0, 1]")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vacuum_weight", w)
+        object.__setattr__(self, "pure", bool(self.pure))
+
+    @classmethod
+    def of(cls, spec: GWSpec, pure: bool = True) -> "GWBlocks":
+        """The spec's vacuum superposition, or its vacuum mixture when not
+        ``pure``: the weights of :func:`superpose_with_vacuum` and
+        :func:`mix_with_vacuum`."""
+        weights = np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
+        layout = PartyLayout((spec.d,) * spec.n)
+        return cls(tuple(weights.tolist()), layout, spec.vacuum_weight, pure)
+
+    @classmethod
+    def purification(cls, spec: GWSpec) -> "GWBlocks":
+        """The pure member of :func:`purify_mixture`: the spec's weights scaled
+        by 1-w plus an ancilla party of weight w, with no vacuum."""
+        w = spec.vacuum_weight
+        mixture = cls.of(spec, pure=False)
+        weights = tuple((1.0 - w) * s for s in mixture.weights) + (w,)
+        layout = PartyLayout(mixture.layout.dims + (spec.d,))
+        return cls(weights, layout, 0.0, True)
+
+    def block_weight(self, parties) -> float:
+        """Summed weight s_B of the listed parties."""
+        values = [self.weights[p] for p in parties]  # IndexError past the end
+        if values and min(parties) < 0:
+            raise IndexError(f"negative party index in {sorted(parties)}")
+        return math.fsum(values)
+
+    def restricted(self, keep) -> "GWBlocks":
+        """The reduction to ``keep``, its parties renumbered in ascending order."""
+        keep_list = _validated_keep(self.layout, keep)
+        weights = tuple(self.weights[p] for p in keep_list)
+        layout = self.layout.restricted(keep_list)
+        return GWBlocks(weights, layout, self.vacuum_weight, pure=False)
+
+    def merged(self, partition: Partition) -> "GWBlocks":
+        """One party per block of a complete partition, weighing s_B."""
+        layout = coarse_grain(self.layout, partition)
+        weights = tuple(self.block_weight(b) for b in partition.blocks)
+        return GWBlocks(weights, layout, self.vacuum_weight, self.pure)
+
+
+#: What the family closed forms accept: a dense state or its block weights.
+FamilyState = Union[PureState, DensityOperator, GWBlocks]
+
+
 def _weight_one_vector(n: int, d: int, table: np.ndarray) -> np.ndarray:
     """Flat amplitude vector supported on Hamming-weight-one kets."""
+    require_dense(d**n)
     vec = np.zeros(d**n, dtype=complex)
     for s in range(n):
         stride = d ** (n - 1 - s)
@@ -162,6 +259,7 @@ def superpose_with_vacuum(spec: GWSpec) -> PureState:
 def mix_with_vacuum(spec: GWSpec) -> DensityOperator:
     """(1-w)|W><W| + w|0...0><0...0|; rank at most two."""
     w = spec.vacuum_weight
+    require_dense(spec.d**spec.n, square=True)
     wvec = _weight_one_vector(spec.n, spec.d, spec.amplitudes)
     mat = (1.0 - w) * np.outer(wvec, wvec.conj())
     mat[0, 0] += w
@@ -184,14 +282,17 @@ def purify_mixture(pspec: PurificationSpec) -> PureState:
     return build_gw_qudit(induced)
 
 
-def reduce_to_parties(psi: PureState, subset) -> DensityOperator:
-    """Reduced density matrix on ``subset``, keeping the GW provenance tag.
+def reduce_to_parties(psi: FamilyState, subset) -> DensityOperator | GWBlocks:
+    """Reduced density matrix on ``subset``, keeping the GW provenance tag;
+    the kept weights for a :class:`GWBlocks`.
 
     Reductions of family members stay in the family, so closed-form measures
     remain valid on the result.
     """
     if not psi.gw:
         raise ValueError("reduce_to_parties needs a GW-tagged state")
+    if isinstance(psi, GWBlocks):
+        return psi.restricted(subset)
     return partial_trace(psi, subset)
 
 

@@ -11,16 +11,26 @@ Each state also holds a private memo of values derived from it (reductions,
 Schmidt spectra, compressed pair reductions and their concurrences), filled
 on first use and dropped with the state.  Two threads filling the same entry
 at once at worst compute the same value twice.
+
+A :class:`PartyLayout` describes parties of any number; a
+:class:`SubsystemLayout` also fits dense storage.  :func:`require_dense`
+refuses a dense array that does not fit in memory before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import string
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no address-space limits to read on this platform
+    resource = None
 
 #: Hard cap on the composite dimension.  Dense storage only; every supported
 #: instance is tiny, so exceeding this signals a caller bug.
@@ -34,9 +44,60 @@ NORM_TOL = 1e-10
 EIG_FLOOR = -1e-10
 SUPPORT_TOL = 1e-10
 
+#: Bytes of a complex128 entry.
+_ENTRY_BYTES = 16
+#: Arrays of a dense state's size alive at once while it is built and
+#: validated (``PureState.density`` peaks at 4.06 of them).
+_BUILD_COPIES = 4
+#: Arrays below this size are not checked against the memory limits: reading
+#: the limits costs more than such an allocation.
+_GUARD_MIN_BYTES = 2**24
+
 _AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 _T = TypeVar("_T")
+
+
+def _proc_text(path: str) -> str:
+    """Contents of a /proc file, or "" where there is none."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def _memory_headroom() -> float:
+    """Bytes this process can still allocate: the address-space soft limit
+    less what the process maps now, and the memory the system has available;
+    infinite where neither is known."""
+    room = math.inf
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            statm = _proc_text("/proc/self/statm").split()
+            mapped = int(statm[0]) * os.sysconf("SC_PAGE_SIZE") if statm else 0
+            room = soft - mapped
+    for line in _proc_text("/proc/meminfo").splitlines():
+        if line.startswith("MemAvailable:"):
+            room = min(room, int(line.split()[1]) * 1024)
+    return room
+
+
+def require_dense(dim: int, square: bool = False) -> None:
+    """Refuse a dense complex array of ``dim`` entries (``dim x dim`` when
+    ``square``) before it is allocated: raises ValueError when building it
+    needs more bytes than :func:`_memory_headroom` leaves."""
+    need = _BUILD_COPIES * _ENTRY_BYTES * dim * (dim if square else 1)
+    if need < _GUARD_MIN_BYTES:
+        return
+    room = _memory_headroom()
+    if need > room:
+        shape = f"{dim}x{dim}" if square else f"{dim}"
+        raise ValueError(
+            f"a dense {shape} array needs {need} bytes to build; "
+            f"only {room:.0f} are left"
+        )
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
@@ -47,7 +108,7 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SubsystemLayout:
+class PartyLayout:
     """Ordered list of local dimensions; fixes the tensor-index convention."""
 
     dims: tuple[int, ...]
@@ -58,10 +119,6 @@ class SubsystemLayout:
             raise ValueError("layout needs at least one party")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        if math.prod(dims) > DIM_CAP:
-            raise ValueError(
-                f"total dimension {math.prod(dims)} exceeds cap {DIM_CAP}"
-            )
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -72,14 +129,25 @@ class SubsystemLayout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def restricted(self, keep: Sequence[int]) -> "SubsystemLayout":
+    def restricted(self, keep: Sequence[int]) -> "PartyLayout":
         """Layout of the listed parties, kept in ascending party order."""
-        return SubsystemLayout(tuple(self.dims[p] for p in sorted(keep)))
+        return type(self)(tuple(self.dims[p] for p in sorted(keep)))
 
     def check_party(self, party: int) -> int:
         if not 0 <= party < self.n_parties:
             raise IndexError(f"party {party} out of range for {self.dims}")
         return party
+
+
+class SubsystemLayout(PartyLayout):
+    """A layout whose composite dimension fits dense storage (``DIM_CAP``)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if math.prod(self.dims) > DIM_CAP:
+            raise ValueError(
+                f"total dimension {math.prod(self.dims)} exceeds cap {DIM_CAP}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +182,7 @@ class PureState:
         return self.amplitudes.reshape(self.layout.dims)
 
     def density(self) -> "DensityOperator":
+        require_dense(self.layout.total_dim, square=True)
         mat = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityOperator(mat, self.layout, gw=self.gw)
 
@@ -234,7 +303,7 @@ class Partition:
     def parties(self) -> frozenset[int]:
         return frozenset().union(*self.blocks)
 
-    def require_complete(self, layout: SubsystemLayout) -> None:
+    def require_complete(self, layout: PartyLayout) -> None:
         if self.parties() != frozenset(range(layout.n_parties)):
             raise ValueError(
                 f"partition {sorted(map(sorted, self.blocks))} does not cover "
@@ -242,7 +311,7 @@ class Partition:
             )
 
 
-def _validated_keep(layout: SubsystemLayout, keep: Iterable[int]) -> list[int]:
+def _validated_keep(layout: PartyLayout, keep: Iterable[int]) -> list[int]:
     keep_list = sorted({int(p) for p in keep})
     if not keep_list:
         raise ValueError("keep set must be nonempty")
@@ -266,6 +335,7 @@ def _partial_trace(state: State, keep_list: list[int]) -> DensityOperator:
     layout = state.layout
     rest = [p for p in range(layout.n_parties) if p not in keep_list]
     d_keep = math.prod(layout.dims[p] for p in keep_list)
+    require_dense(d_keep, square=True)
 
     if isinstance(state, PureState):
         t = np.transpose(state.tensor(), keep_list + rest)
@@ -309,7 +379,7 @@ def trace_norm(matrix) -> float:
 
 
 def _normalized_bipartition(
-    layout: SubsystemLayout, bipartition: tuple[Iterable[int], Iterable[int]]
+    layout: PartyLayout, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> tuple[list[int], list[int]]:
     side_a = sorted({int(p) for p in bipartition[0]})
     side_b = sorted({int(p) for p in bipartition[1]})
@@ -351,10 +421,10 @@ def partition_permutation(partition: Partition) -> tuple[int, ...]:
     return tuple(p for block in partition.blocks for p in sorted(block))
 
 
-def coarse_grain(layout: SubsystemLayout, partition: Partition) -> SubsystemLayout:
+def coarse_grain(layout: PartyLayout, partition: Partition) -> PartyLayout:
     """Layout with one party per block, dimension the product over members."""
     partition.require_complete(layout)
-    return SubsystemLayout(
+    return type(layout)(
         tuple(
             math.prod(layout.dims[p] for p in sorted(block))
             for block in partition.blocks

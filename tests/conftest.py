@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,25 @@ def random_complete_partition(
     for party, b in zip(order, assignment):
         blocks[b].add(int(party))
     return Partition.of(blocks)
+
+
+def assert_same_doc(got, want, where: str, tol: float = 1e-12) -> None:
+    """Same keys, strings, booleans and nulls; numbers within ``tol``."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict), where
+        assert sorted(got) == sorted(want), f"{where}: keys {sorted(got)}"
+        for key in want:
+            assert_same_doc(got[key], want[key], f"{where}.{key}", tol)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_doc(g, w, f"{where}[{i}]", tol)
+    elif want is None or isinstance(want, (bool, str)):
+        assert got == want and type(got) is type(want), f"{where}: {got!r}"
+    else:
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert math.isfinite(got), f"{where}: {got!r}"
+        assert abs(got - want) <= tol, f"{where}: {got!r} vs {want!r}"
 
 
 @pytest.fixture

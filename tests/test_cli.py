@@ -3,11 +3,19 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwlab.cli
 import gwlab.measures
+import gwlab.tensor
 from gwlab import GWSpec, gw_spec_to_json
 from gwlab.cli import alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition
 from gwlab.featured import FIG1_AMPLITUDES
@@ -192,9 +200,8 @@ def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):
 
 
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
-    # every dense reduction is memoized on the state and the order-free
-    # tightened reports are built once, so a 10-order grid compresses no
-    # more local supports than a 1-order grid
+    # verify runs on block weights, so neither grid compresses any local
+    # support, whatever its number of orders
     calls = []
     compress = gwlab.measures.compress_local_support
 
@@ -212,8 +219,7 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
         assert main(args) == 0
         counts.append(len(calls))
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
+    assert counts == [0, 0]
 
 
 def test_verify_determinism(spec_file, tmp_path):
@@ -314,3 +320,69 @@ def test_gamebounds_table(tmp_path):
 def test_unknown_figure_id():
     with pytest.raises(ValueError):
         cmd_figure(7)
+
+
+def test_oracle_checks_orders_before_any_roof(spec_file, monkeypatch, capsys):
+    def roof(*args, **kwargs):
+        raise AssertionError("a roof ran before the orders were checked")
+
+    monkeypatch.setattr(gwlab.cli, "verify_c_equals_ca", roof)
+    args = ["oracle", "--spec", spec_file, "--trials", "10", "--alpha", "0.9,-1"]
+    assert main(args) == 2
+    assert "Renyi order must be positive" in capsys.readouterr().err
+
+
+def _run_capped(args, cap_bytes=2**30):
+    """``gwlab args`` in a child process whose address space is capped."""
+    code = "import sys; from gwlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(gwlab.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+
+
+#: 14 qubits split as one party against the other 13: the pair of the two
+#: blocks is a dense 2^14 x 2^14 operator, 4 GiB of complex entries.
+WIDE_SPEC = gw_spec_to_json(GWSpec.qubit(np.ones(14) / math.sqrt(14)))
+WIDE_CUT = "0|" + ",".join(str(p) for p in range(1, 14))
+
+
+def test_oracle_refuses_oversize_dense_array():
+    proc = _run_capped(["oracle", "--spec", WIDE_SPEC, "--partition", WIDE_CUT,
+                        "--trials", "10"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: a dense 16384x16384 array needs")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_two_wide_blocks_needs_no_dense_array():
+    proc = _run_capped(["verify", "--spec", WIDE_SPEC, "--partition", WIDE_CUT,
+                        "--alpha", "1.1:1.1:1"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5
+
+
+def test_verify_thousand_parties_builds_no_dense_state(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
+    monkeypatch.setattr(gwlab.tensor.DensityOperator, "__post_init__", refuse)
+    rng = np.random.default_rng(1000)
+    amps = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    spec = GWSpec.qubit(amps / np.linalg.norm(amps), vacuum_weight=0.2)
+    out = tmp_path / "r.jsonl"
+    args = ["verify", "--spec", gw_spec_to_json(spec), "--alpha", "0.9:1.3:0.2"]
+    args += ["--c-pow", "2", "--b-pow", "1", "--k", "2", "--out", str(out)]
+    started = time.perf_counter()
+    assert main(args) == 0
+    assert time.perf_counter() - started < 5.0
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {r["params"].get("stage") for r in reports} == {None, "purified", "mixture"}
+    assert len(reports[0]["params"]["partition"]) == 1000

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -134,6 +135,15 @@ def test_renyi_entropy_values():
     assert renyi_entropy(SchmidtSpectrum([0.75, 0.25]), 1.0).value == pytest.approx(
         vn, abs=1e-12
     )
+    # orders just outside the von Neumann band, where the plain quotient
+    # loses about eps / |1 - alpha|; spectrum (0.8, 0.2) has C^2 = 0.64
+    for a in (1.0 + 2e-6, 1.00002, 1.0 - 2e-6, 1.0009):
+        with mpmath.workdps(50):
+            lams = (mpmath.mpf("0.8"), mpmath.mpf("0.2"))
+            exact = mpmath.log(sum(lam**a for lam in lams), 2) / (1 - mpmath.mpf(a))
+        value = renyi_entropy(SchmidtSpectrum([0.8, 0.2]), a).value
+        assert abs(value - float(exact)) < 1e-14, a
+        assert abs(value - f_alpha(0.64, a)) < 1e-14, a
 
 
 def test_renyi_on_density_operator(bell_state):

@@ -13,11 +13,11 @@ up in CHANGES.md.
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
 
+from conftest import assert_same_doc
 from gwlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -58,24 +58,6 @@ ARGS = {
 }
 
 
-def _assert_same(got, want, where: str) -> None:
-    if isinstance(want, dict):
-        assert isinstance(got, dict), where
-        assert sorted(got) == sorted(want), f"{where}: keys {sorted(got)}"
-        for key in want:
-            _assert_same(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same(g, w, f"{where}[{i}]")
-    elif want is None or isinstance(want, (bool, str)):
-        assert got == want and type(got) is type(want), f"{where}: {got!r}"
-    else:
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
-        assert math.isfinite(got), f"{where}: {got!r}"
-        assert abs(got - want) <= NUM_TOL, f"{where}: {got!r} vs {want!r}"
-
-
 def _assert_stream_unchanged(stream, tmp_path) -> None:
     out = tmp_path / stream
     assert main(ARGS[stream] + ["--out", str(out)]) == 0
@@ -83,7 +65,7 @@ def _assert_stream_unchanged(stream, tmp_path) -> None:
     want = [json.loads(line) for line in (DATA / stream).read_text().splitlines()]
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        _assert_same(g, w, f"line {i + 1} ({w['name']})")
+        assert_same_doc(g, w, f"line {i + 1} ({w['name']})", NUM_TOL)
 
 
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("report")))

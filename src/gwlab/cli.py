@@ -146,7 +146,8 @@ class RunConfig:
     b_pow: Optional[float] = None
     k: Optional[float] = None
     trials: int = 20000
-    seed: int = DEFAULT_SEED
+    #: None reads GWLAB_SEED, falling back to DEFAULT_SEED.
+    seed: Optional[int] = DEFAULT_SEED
     out: Optional[str] = None
     fmt: str = "jsonl"
     alphas: tuple[float, ...] = ()
@@ -302,6 +303,11 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_oracle(config: RunConfig) -> int:
     """Convex-roof estimates plus agreement reports, one JSON object per line."""
     try:
+        if config.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {config.trials}")
+        seed = _env_seed() if config.seed is None else config.seed
+        if seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {seed}")
         spec = _load_spec(config.state_spec)
         psi = superpose_with_vacuum(spec)
         partition = config.partition or Partition.singletons(spec.n)
@@ -326,7 +332,7 @@ def cmd_oracle(config: RunConfig) -> int:
         for j in range(i + 1, len(blocks)):
             rho, local = pair_reduction(blocks[i], blocks[j])
             report = verify_c_equals_ca(
-                rho, trials=config.trials, seed=config.seed, blocks=local
+                rho, trials=config.trials, seed=seed, blocks=local
             )
             report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
             lines.append(report_to_json_line(report))
@@ -334,7 +340,7 @@ def cmd_oracle(config: RunConfig) -> int:
         rho, local = pair_reduction(blocks[0], blocks[1])
         for a in orders:
             report = verify_e_alpha_formula(
-                rho, a, trials=config.trials, seed=config.seed, blocks=local
+                rho, a, trials=config.trials, seed=seed, blocks=local
             )
             lines.append(report_to_json_line(report))
     _write_lines(lines, config.out)
@@ -413,7 +419,12 @@ def _env_seed() -> int:
     raw = os.environ.get("GWLAB_SEED")
     if raw is None:
         return DEFAULT_SEED
-    return int(raw)
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"GWLAB_SEED must be a non-negative integer, got {raw!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -447,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 state_spec=args.spec,
                 partition=parse_partition(args.partition) if args.partition else None,
                 trials=args.trials,
-                seed=args.seed if args.seed is not None else _env_seed(),
+                seed=args.seed,
                 out=args.out,
                 alphas=tuple(float(v) for v in alphas),
             )

@@ -192,6 +192,26 @@ def _renyi_near_one(lams: Iterable[float], a: float) -> float:
     return math.log1p(excess) / ((1.0 - a) * math.log(2.0))
 
 
+def _f_alpha_array(x: np.ndarray, order: OrderLike) -> np.ndarray:
+    """f_alpha elementwise on squared concurrences already in [0, 1], with
+    the scalar form's three branches.  The roof averages thousands of
+    components per call; ``f_alpha`` stays scalar for the closed forms."""
+    order = _as_order(order)
+    lam_lo = (1.0 - np.sqrt(1.0 - x)) / 2.0
+    lam_hi = 1.0 - lam_lo
+    a = order.alpha
+    if order.near_one or abs(1.0 - a) < EXPM1_BAND:
+        # only lam_lo can vanish, and a zero lambda contributes nothing
+        log_lo = np.log(np.where(lam_lo > 0.0, lam_lo, 1.0))
+        log_hi = np.log(lam_hi)
+        if order.near_one:
+            return -(lam_lo * log_lo + lam_hi * log_hi) / math.log(2.0)
+        excess = lam_lo * np.expm1((a - 1.0) * log_lo)
+        excess += lam_hi * np.expm1((a - 1.0) * log_hi)
+        return np.log1p(excess) / ((1.0 - a) * math.log(2.0))
+    return np.log2(lam_lo**a + lam_hi**a) / (1.0 - a)
+
+
 def g_alpha(y: float, order: OrderLike) -> float:
     """f_alpha evaluated at the square of an (unsquared) concurrence y."""
     y = float(y)

@@ -1,13 +1,20 @@
 """Stochastic convex-roof estimation over pure-state decompositions.
 
-Every m-element decomposition of a rank-r density operator arises from an
+The estimator takes two-qubit states only: the paper's closed forms are
+stated for the two-qubit reduction of a generalized W-class state, and
+``block_pair_reduction`` compresses every pair of blocks to one.  Every
+m-element decomposition of a rank-r density operator arises from an
 m x r isometry applied to its eigen-ensemble, so the optimizer explores the
 isometry manifold: Haar-random draws interleaved with random-rotation
 refinement of the incumbent best decompositions.  Minima over sampled
 decompositions upper-bound the true convex roof; maxima lower-bound the
-assisted value.  All randomness derives from (seed, trial-index) pairs and
-refinement state only from earlier trials, so runs are reproducible and a
-longer run extends a shorter one.
+assisted value.
+
+Trials run in generations of ``GENERATION`` candidates that are drawn,
+orthonormalised and averaged as one batch.  All randomness of generation g
+derives from the (seed, g) pair and is drawn in fixed shapes however many
+trials remain, and refinement uses only incumbents of earlier generations,
+so runs are reproducible and a longer run extends a shorter one.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -26,17 +33,15 @@ from .measures import (
     OrderLike,
     RenyiOrder,
     _as_order,
+    _f_alpha_array,
     block_pair_reduction,
     f_alpha,
     gw_pairwise_concurrence,
 )
-from .tensor import (
-    DensityOperator,
-    PureState,
-    SUPPORT_TOL,
-    State,
-    schmidt_spectrum,
-)
+from .tensor import DensityOperator, SUPPORT_TOL, State
+
+# unused here; kept only as a bench/tracer.py seed import site (ROADMAP item 1)
+from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
     "RoofEstimate",
@@ -62,6 +67,9 @@ EXPLORE_CYCLE = 5
 #: trials.
 REFINE_HORIZON = 12000
 REFINE_FLOOR = 1e-3
+#: Trials drawn, orthonormalised and averaged as one batch.  Incumbents
+#: change only between generations.
+GENERATION = 64
 
 _MEASURE_KINDS = ("concurrence", "negativity", "renyi_ent")
 
@@ -82,34 +90,37 @@ class RoofEstimate:
             raise ValueError("min estimate exceeds max estimate")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-
-
-def _haar_isometry(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
-    z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+def _generation_draws(seed: int, g: int, m: int, r: int):
+    """Generation g's randomness, in fixed shapes: GENERATION Haar-random
+    m x r isometries, and per candidate two distinct rows, an angle and a
+    phase for a refinement rotation."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
+    # real and imaginary parts side by side: the view is the complex draw
+    z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
     q, rmat = np.linalg.qr(z)
-    diag = np.diagonal(rmat).copy()
+    diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    haar = q * (diag / np.abs(diag))[:, None, :]
+    row_k = rng.integers(m, size=GENERATION)
+    row_l = rng.integers(m - 1, size=GENERATION)
+    row_l += row_l >= row_k
+    theta = rng.standard_normal(GENERATION)
+    phase = np.exp(2j * np.pi * rng.uniform(size=GENERATION))
+    return haar, (row_k, row_l, theta, phase)
 
 
-def _rotated_isometry(
-    rng: np.random.Generator, base: np.ndarray, step: float
-) -> np.ndarray:
-    """Mix two random rows of the isometry by a small unitary rotation.
+def _rotated(bases, row_k, row_l, theta, phase) -> np.ndarray:
+    """Mix rows k and l of each isometry by a small unitary rotation.
 
-    Left-multiplying by a unitary keeps the columns orthonormal, so the
+    Left-multiplying by a unitary keeps the columns orthonormal, so each
     result still parameterizes a valid decomposition."""
-    m = base.shape[0]
-    k, l = rng.choice(m, size=2, replace=False)
-    theta = step * rng.standard_normal()
-    phase = np.exp(2j * np.pi * rng.uniform())
-    c, s = np.cos(theta), np.sin(theta)
-    out = base.copy()
-    row_k, row_l = out[k].copy(), out[l].copy()
-    out[k] = c * row_k - s * phase * row_l
-    out[l] = s * np.conj(phase) * row_k + c * row_l
+    idx = np.arange(bases.shape[0])
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    phase = phase[:, None]
+    a, b = bases[idx, row_k], bases[idx, row_l]
+    out = bases.copy()
+    out[idx, row_k] = c * a - s * phase * b
+    out[idx, row_l] = s * np.conj(phase) * a + c * b
     return out
 
 
@@ -122,68 +133,23 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     return (evecs[:, order][:, keep] * np.sqrt(evals[keep])).T
 
 
-def _component_averager(
-    layout_dims: tuple[int, ...],
-    measure_kind: str,
-    order: Optional[RenyiOrder],
-    bipartition,
-):
-    """Average of the pure measure over the rows of an unnormalized component
-    matrix, weighted by the component weights."""
-    if measure_kind not in _MEASURE_KINDS:
-        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-    if measure_kind == "renyi_ent" and order is None:
-        raise ValueError("renyi_ent needs a Renyi order")
+def _pair_average(
+    rows: np.ndarray, measure_kind: str, order: Optional[RenyiOrder]
+) -> np.ndarray:
+    """Weighted average of the pure measure over the rows of unnormalized
+    two-qubit component matrices: rows of shape (candidates, m, 4) give one
+    average per candidate.
 
-    if layout_dims == (2, 2):
-        # pure two-qubit components: concurrence and negativity are both
-        # 2|det| of the amplitude matrix, and the Renyi value follows from
-        # the squared concurrence.
-        def average(rows: np.ndarray) -> float:
-            dets = np.abs(rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2])
-            if measure_kind in ("concurrence", "negativity"):
-                return float(2.0 * dets.sum())
-            weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-            total = 0.0
-            for w, det in zip(weights, dets):
-                if w > 1e-14:
-                    c2 = min(1.0, (2.0 * det / w) ** 2)
-                    total += w * f_alpha(c2, order)
-            return total
-
-        return average
-
-    if bipartition is None:
-        bipartition = ({0}, set(range(1, len(layout_dims))))
-    from .tensor import SubsystemLayout
-
-    layout = SubsystemLayout(layout_dims)
-
-    def average(rows: np.ndarray) -> float:
-        weights = np.real(np.einsum("kd,kd->k", rows, rows.conj()))
-        total = 0.0
-        for k in range(rows.shape[0]):
-            w = float(weights[k])
-            if w <= 1e-14:
-                continue
-            psi = PureState(rows[k] / math.sqrt(w), layout)
-            lams = schmidt_spectrum(psi, bipartition).coefficients
-            if measure_kind == "concurrence":
-                value = math.sqrt(max(0.0, 2.0 * (1.0 - float((lams**2).sum()))))
-            elif measure_kind == "negativity":
-                value = float(np.sqrt(lams).sum() ** 2 - 1.0)
-            else:
-                lams = lams[lams > 1e-15]
-                if order.near_one:
-                    value = float(-(lams * np.log2(lams)).sum())
-                else:
-                    value = float(
-                        np.log2((lams**order.alpha).sum()) / (1.0 - order.alpha)
-                    )
-            total += w * value
-        return total
-
-    return average
+    Concurrence and negativity of a pure two-qubit component are both 2|det|
+    of its amplitude matrix, and the Renyi value follows from the squared
+    concurrence."""
+    dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
+    if measure_kind != "renyi_ent":
+        return 2.0 * dets.sum(axis=1)
+    weights = np.einsum("gkd,gkd->gk", rows, rows.conj()).real
+    live = weights > 1e-14
+    c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
+    return np.where(live, weights * _f_alpha_array(c2, order), 0.0).sum(axis=1)
 
 
 def convex_roof_bounds(
@@ -193,15 +159,22 @@ def convex_roof_bounds(
     trials: int = 20000,
     seed: int = 0,
     order: Optional[OrderLike] = None,
-    bipartition=None,
 ) -> RoofEstimate:
-    """Estimate min and max decomposition averages of a pure-state measure.
+    """Estimate min and max decomposition averages of a pure-state measure
+    on a two-qubit state.
 
     Interleaves Haar exploration with random-rotation refinement of the
-    incumbent minimizing and maximizing isometries.  ``converged`` is true
-    when neither best value improved by more than ``PLATEAU_TOL`` during the
-    last quarter of the trials (and the run was long enough to judge).
+    incumbent minimizing and maximizing isometries.  Trial t is a Haar draw
+    when t < 8, when t is a multiple of ``EXPLORE_CYCLE`` or before any
+    incumbent exists; otherwise it rotates the minimizer (even t) or the
+    maximizer (odd t).  ``converged`` is true when neither best value
+    improved by more than ``PLATEAU_TOL`` during the last quarter of the
+    trials (and the run was long enough to judge).
     """
+    if rho.layout.dims != (2, 2):
+        raise ValueError(
+            f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}"
+        )
     order_obj = _as_order(order) if order is not None else None
     ensemble = _eigen_ensemble(rho)
     r = ensemble.shape[0]
@@ -209,35 +182,50 @@ def convex_roof_bounds(
         m = r + 2
     if m < r:
         raise ValueError(f"cardinality {m} below the state rank {r}")
+    if m < 2:
+        raise ValueError("cardinality must be at least 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    average = _component_averager(rho.layout.dims, measure_kind, order_obj, bipartition)
+    if measure_kind not in _MEASURE_KINDS:
+        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
+    if measure_kind == "renyi_ent" and order_obj is None:
+        raise ValueError("renyi_ent needs a Renyi order")
 
     best_min = math.inf
     best_max = -math.inf
     iso_min = iso_max = None
     last_improve = 0
 
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        if t < 8 or t % EXPLORE_CYCLE == 0 or iso_min is None:
-            iso = _haar_isometry(rng, m, r)
-        else:
-            frac = min(1.0, t / REFINE_HORIZON)
-            step = REFINE_FLOOR**frac
-            base = iso_min if t % 2 == 0 else iso_max
-            iso = _rotated_isometry(rng, base, step)
-        value = average(iso @ ensemble)
-        if value < best_min - PLATEAU_TOL:
-            last_improve = t
-        if value > best_max + PLATEAU_TOL:
-            last_improve = t
-        if value < best_min:
-            best_min = value
-            iso_min = iso
-        if value > best_max:
-            best_max = value
-            iso_max = iso
+    for g in range(-(-trials // GENERATION)):
+        haar, (row_k, row_l, theta, phase) = _generation_draws(seed, g, m, r)
+        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
+        n = t.size
+        candidates = haar[:n]
+        if iso_min is not None:
+            refine = (t >= 8) & (t % EXPLORE_CYCLE != 0)
+            bases = np.where((t % 2 == 0)[:, None, None], iso_min, iso_max)
+            steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
+            rotated = _rotated(
+                bases, row_k[:n], row_l[:n], steps * theta[:n], phase[:n]
+            )
+            candidates = np.where(refine[:, None, None], rotated, candidates)
+        # one 2-D product over every component row of the generation
+        rows = (candidates.reshape(-1, r) @ ensemble).reshape(n, m, -1)
+        values = _pair_average(rows, measure_kind, order_obj)
+        # the best values before each trial, earlier trials of this
+        # generation included
+        prior_min = np.minimum.accumulate(np.concatenate(([best_min], values[:-1])))
+        prior_max = np.maximum.accumulate(np.concatenate(([best_max], values[:-1])))
+        improved = (values < prior_min - PLATEAU_TOL) | (
+            values > prior_max + PLATEAU_TOL
+        )
+        if improved.any():
+            last_improve = int(t[improved][-1])
+        lo, hi = int(np.argmin(values)), int(np.argmax(values))
+        if values[lo] < best_min:
+            best_min, iso_min = float(values[lo]), candidates[lo]
+        if values[hi] > best_max:
+            best_max, iso_max = float(values[hi]), candidates[hi]
 
     converged = trials >= MIN_PLATEAU_TRIALS and last_improve < math.floor(0.75 * trials)
     return RoofEstimate(

@@ -332,6 +332,30 @@ def test_oracle_checks_orders_before_any_roof(spec_file, monkeypatch, capsys):
     assert "Renyi order must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, env_seed, message",
+    [
+        (["--trials", "0"], None, "--trials must be at least 1"),
+        (["--seed", "-1"], None, "--seed must be non-negative"),
+        ([], "seven", "GWLAB_SEED must be a non-negative integer"),
+        ([], "-3", "GWLAB_SEED must be a non-negative integer"),
+    ],
+    ids=["trials-zero", "seed-negative", "env-seed-not-int", "env-seed-negative"],
+)
+def test_oracle_checks_trials_and_seed_before_any_roof(
+    spec_file, monkeypatch, capsys, extra, env_seed, message
+):
+    calls = []
+    monkeypatch.setattr(gwlab.cli, "verify_c_equals_ca", lambda *a, **k: calls.append(a))
+    if env_seed is None:
+        monkeypatch.delenv("GWLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GWLAB_SEED", env_seed)
+    assert main(["oracle", "--spec", spec_file, "--trials", "10", *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def _run_capped(args, cap_bytes=2**30):
     """``gwlab args`` in a child process whose address space is capped."""
     code = "import sys; from gwlab.cli import main; sys.exit(main(sys.argv[1:]))"

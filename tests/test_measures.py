@@ -37,6 +37,7 @@ from gwlab import (
     renyi_entropy,
     superpose_with_vacuum,
 )
+from gwlab.measures import _f_alpha_array
 from gwlab.featured import (
     FIG1_AMPLITUDES,
     FIG2_AMPLITUDES,
@@ -111,6 +112,18 @@ def test_f_alpha_monotone_property(x, y, a):
     lo, hi = sorted((x, y))
     assert f_alpha(hi, a) >= f_alpha(lo, a) - 1e-10
     assert 0.0 <= f_alpha(x, a) <= 1.0 + 1e-12
+
+
+def test_f_alpha_array_matches_scalar():
+    # the roof's batched form: order 1 takes the von Neumann branch, the
+    # orders 1 -+ 2e-6 and 1.0005 the expm1 branch; x = 0 and 1e-300 have a
+    # zero Schmidt coefficient
+    xs = [0.0, 1e-300, 1e-12, 0.3, 1.0 - 1e-15, 1.0]
+    for a in (0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.0005, 1.2, 2.0, 5.0):
+        values = _f_alpha_array(np.array(xs), a)
+        assert values.shape == (len(xs),)
+        for x, value in zip(xs, values):
+            assert abs(value - f_alpha(x, a)) < 1e-12, (x, a)
 
 
 def test_g_alpha_matches_squared_argument():

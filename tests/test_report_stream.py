@@ -1,10 +1,11 @@
 """Pinned ``gwlab verify`` and ``gwlab oracle`` report streams.
 
 The expected verify streams in ``tests/data`` were recorded before the
-checkers were merged into one implementation per inequality shape, and the
-oracle streams before the two oracle checks were folded into one pipeline.
-Between them the oracle streams carry every tag: out of window,
-condition unmet, and applicable both satisfied and unsatisfied.  "Same
+checkers were merged into one implementation per inequality shape.  The
+oracle streams were recorded when the roof began drawing its trials in
+generations; they carry the tags out of window, condition unmet and
+applicable satisfied.  No applicable unsatisfied oracle report is pinned:
+none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number
 agrees within 1e-12.  A deliberate output change re-records a stream by

@@ -11,6 +11,7 @@ import gwlab
 from gwlab import (
     Applicability,
     DensityOperator,
+    GWSpec,
     SubsystemLayout,
     block_pair_reduction,
     build_w_qubit,
@@ -24,7 +25,7 @@ from gwlab import (
     verify_e_alpha_formula,
 )
 from gwlab.featured import figure1_state
-from gwlab.roof import AGREEMENT_TOL, _eigen_ensemble, _haar_isometry, _trial_rng
+from gwlab.roof import AGREEMENT_TOL, GENERATION, _eigen_ensemble, _generation_draws
 from conftest import rand_unit, random_gw_spec
 
 
@@ -35,8 +36,9 @@ def _figure1_pair():
 def _draws(rho, m, trials, seed):
     """The rows of each Haar-drawn decomposition, as the roof draws them."""
     ensemble = _eigen_ensemble(rho)
-    for t in range(trials):
-        yield _haar_isometry(_trial_rng(seed, t), m, ensemble.shape[0]) @ ensemble
+    for g in range(-(-trials // GENERATION)):
+        haar, _ = _generation_draws(seed, g, m, ensemble.shape[0])
+        yield from (haar @ ensemble)[: trials - g * GENERATION]
 
 
 def test_pure_state_has_unique_decomposition(bell_state):
@@ -72,6 +74,19 @@ def test_cardinality_below_rank_rejected(bell_state):
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
     with pytest.raises(ValueError, match="below the state rank"):
         convex_roof_bounds(rho, "concurrence", m=2, trials=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        convex_roof_bounds(bell_state.density(), "concurrence", m=1, trials=1)
+
+
+def test_roof_rejects_qutrit_pair():
+    # the roof averages two-qubit components only; a pair of qutrits must be
+    # compressed by block_pair_reduction first
+    spec = GWSpec(n=3, d=3, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
+    rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
+    assert rho.layout.dims == (3, 3)
+    with pytest.raises(ValueError, match="qubit pairs"):
+        convex_roof_bounds(rho, "concurrence", trials=10)
+    assert block_pair_reduction(rho, {0}, {1}).layout.dims == (2, 2)
 
 
 def test_every_exported_name_resolves():
@@ -125,7 +140,10 @@ def test_roof_separable_inputs_stay_small(rng):
 def test_roof_estimates_monotone_in_trials():
     pair = block_pair_reduction(_figure1_pair(), {0}, {1})
     prev_min, prev_max = math.inf, -math.inf
-    for trials in (50, 200, 800):
+    # counts on both sides of generation boundaries: a shorter run is a
+    # prefix of a longer one
+    G = GENERATION
+    for trials in (1, 50, G - 1, G, G + 1, 3 * G + 5, 800):
         est = convex_roof_bounds(pair, "renyi_ent", trials=trials, seed=21, order=1.1)
         assert est.min_estimate <= prev_min + 1e-12
         assert est.max_estimate >= prev_max - 1e-12

@@ -57,7 +57,6 @@ from .measures import (
     g_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
-    linear_entropy,
     negativity,
     renyi_entanglement_gw,
     renyi_entropy,
@@ -72,7 +71,6 @@ from .inequalities import (
     check_polygamy,
     check_polygamy_power,
     check_reoa_triangle,
-    check_scalar_power_bound,
     check_tighter_multi,
     check_tighter_three,
     check_upper_bound_bipartition,
@@ -92,7 +90,6 @@ from .games import (
     GapBoundResult,
     check_monogamy_cap,
     check_trace_bound_renyi,
-    game_gap_endpoint,
     game_gap_fn,
     game_gap_grid_min,
     gap_bound,

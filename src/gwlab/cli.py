@@ -11,11 +11,9 @@ seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,13 +55,14 @@ from .states import (
     GWBlocks,
     GWSpec,
     gw_spec_from_json,
-    reduce_to_parties,
     superpose_with_vacuum,
 )
 from .tensor import Partition
 
+# unused; the benchmark tracer expects this import site (ROADMAP item 1)
+from .states import reduce_to_parties  # noqa: F401
+
 __all__ = [
-    "RunConfig",
     "alpha_grid",
     "parse_partition",
     "cmd_figure",
@@ -133,24 +132,25 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: state source, partition, grids and output shape."""
+def _partition(args: argparse.Namespace, spec: GWSpec) -> Partition:
+    """``--partition`` if given, else one block per party."""
+    if args.partition:
+        return parse_partition(args.partition)
+    return Partition.singletons(spec.n)
 
-    state_spec: Optional[str] = None
-    partition: Optional[Partition] = None
-    alpha: tuple[float, float, float] = DEFAULT_ALPHA_GRID
-    exclude_one: bool = True
-    mu: float = 2.0
-    c_pow: Optional[float] = None
-    b_pow: Optional[float] = None
-    k: Optional[float] = None
-    trials: int = 20000
-    #: None reads GWLAB_SEED, falling back to DEFAULT_SEED.
-    seed: Optional[int] = DEFAULT_SEED
-    out: Optional[str] = None
-    fmt: str = "jsonl"
-    alphas: tuple[float, ...] = ()
+
+def _tighter(args: argparse.Namespace) -> Optional[TighterParams]:
+    """The tightened-bound exponents: all of --c-pow, --b-pow, --k or none."""
+    flags = {"--c-pow": args.c_pow, "--b-pow": args.b_pow, "--k": args.k}
+    missing = [flag for flag, value in flags.items() if value is None]
+    if len(missing) == len(flags):
+        return None
+    if missing:
+        raise ValueError(
+            "the tightened bounds need --c-pow, --b-pow and --k; "
+            f"missing {', '.join(missing)}"
+        )
+    return TighterParams(c_pow=args.c_pow, b_pow=args.b_pow, k=args.k)
 
 
 def _load_spec(source: str) -> GWSpec:
@@ -220,21 +220,20 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     return lines
 
 
-def _verify_reports(config: RunConfig) -> list[InequalityReport]:
-    spec = _load_spec(config.state_spec)
+def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
+    tighter = _tighter(args)
+    spec = _load_spec(args.spec)
     # every verify check is a closed form, so the block weights stand in for
     # the dense state and no party count is too large
     psi = GWBlocks.of(spec)
-    partition = config.partition or Partition.singletons(spec.n)
+    partition = _partition(args, spec)
     partition.require_complete(psi.layout)
     blocks = list(partition.blocks)
-    tighter = None
-    if config.c_pow is not None and config.b_pow is not None and config.k is not None:
-        tighter = TighterParams(c_pow=config.c_pow, b_pow=config.b_pow, k=config.k)
 
-    grid = alpha_grid(*config.alpha, exclude_one=config.exclude_one)
+    alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
+    grid = alpha_grid(*alpha, exclude_one=not args.include_one)
     if not grid:
-        start, stop, step = config.alpha
+        start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
     # the concurrence and CREN tightened bounds take no Renyi order, so they
     # are built once and repeated at every order, in the stream's order:
@@ -254,10 +253,10 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
     for a in grid:
         reports.append(check_monogamy_sq(psi, partition, 0, a))
         reports.append(check_polygamy(psi, partition, 0, a))
-        if config.mu >= 2.0:
-            reports.append(check_monogamy_power(psi, partition, 0, a, config.mu))
-        elif 0.0 < config.mu <= 1.0:
-            reports.append(check_polygamy_power(psi, partition, 0, a, config.mu))
+        if args.mu >= 2.0:
+            reports.append(check_monogamy_power(psi, partition, 0, a, args.mu))
+        elif 0.0 < args.mu <= 1.0:
+            reports.append(check_polygamy_power(psi, partition, 0, a, args.mu))
         if len(blocks) >= 3:
             p, q, rest = blocks[0], blocks[1], blocks[2:]
             reports.append(check_reoa_triangle(psi, Partition.of(blocks[:3]), a))
@@ -278,20 +277,16 @@ def _verify_reports(config: RunConfig) -> list[InequalityReport]:
     return reports
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run every applicable checker over the grid; exit 0 only if no
     applicable check failed."""
-    try:
-        reports = _verify_reports(config)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if config.fmt == "csv":
+    reports = _verify_reports(args)
+    if args.format == "csv":
         rows = [report_to_csv_row(r) for r in reports]
         lines = _csv_lines(CSV_HEADER, rows)
     else:
         lines = [report_to_json_line(r) for r in reports]
-    _write_lines(lines, config.out)
+    _write_lines(lines, args.out)
     failed = [
         r
         for r in reports
@@ -300,50 +295,38 @@ def cmd_verify(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    """Convex-roof estimates plus agreement reports, one JSON object per line."""
-    try:
-        if config.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {config.trials}")
-        seed = _env_seed() if config.seed is None else config.seed
-        if seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {seed}")
-        spec = _load_spec(config.state_spec)
-        psi = superpose_with_vacuum(spec)
-        partition = config.partition or Partition.singletons(spec.n)
-        partition.require_complete(psi.layout)
-        if partition.n_blocks < 2:
-            raise ValueError("partition needs at least two blocks")
-        orders = [_as_order(a) for a in config.alphas]
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    blocks = list(partition.blocks)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    """Convex-roof estimates plus agreement reports, one JSON object per line.
 
-    def pair_reduction(block_a, block_b):
-        """The reduction to two blocks, with the blocks in its own indexing."""
-        keep = sorted(block_a | block_b)
-        remap = {p: q for q, p in enumerate(keep)}
-        local = ({remap[p] for p in block_a}, {remap[p] for p in block_b})
-        return reduce_to_parties(psi, keep), local
+    Each block pair of the full state goes to ``verify_*``, which reduce and
+    compress it through ``block_pair_reduction``."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    seed = _env_seed() if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    spec = _load_spec(args.spec)
+    psi = superpose_with_vacuum(spec)
+    partition = _partition(args, spec)
+    partition.require_complete(psi.layout)
+    if partition.n_blocks < 2:
+        raise ValueError("partition needs at least two blocks")
+    orders = [_as_order(float(a)) for a in args.alpha.split(",")] if args.alpha else []
+    blocks = list(partition.blocks)
 
     lines: list[str] = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            rho, local = pair_reduction(blocks[i], blocks[j])
-            report = verify_c_equals_ca(
-                rho, trials=config.trials, seed=seed, blocks=local
-            )
+            pair = (blocks[i], blocks[j])
+            report = verify_c_equals_ca(psi, trials=args.trials, seed=seed, blocks=pair)
             report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
             lines.append(report_to_json_line(report))
-    if orders:
-        rho, local = pair_reduction(blocks[0], blocks[1])
-        for a in orders:
-            report = verify_e_alpha_formula(
-                rho, a, trials=config.trials, seed=seed, blocks=local
-            )
-            lines.append(report_to_json_line(report))
-    _write_lines(lines, config.out)
+    for a in orders:
+        report = verify_e_alpha_formula(
+            psi, a, trials=args.trials, seed=seed, blocks=(blocks[0], blocks[1])
+        )
+        lines.append(report_to_json_line(report))
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -435,41 +418,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "oracle":
+            return cmd_oracle(args)
         if args.command == "figure":
             cmd_figure(args.fig_id, args.out)
-            return 0
-        if args.command == "verify":
-            config = RunConfig(
-                state_spec=args.spec,
-                partition=parse_partition(args.partition) if args.partition else None,
-                alpha=_parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID,
-                exclude_one=not args.include_one,
-                mu=args.mu,
-                c_pow=args.c_pow,
-                b_pow=args.b_pow,
-                k=args.k,
-                out=args.out,
-                fmt=args.format,
-            )
-            return cmd_verify(config)
-        if args.command == "oracle":
-            alphas = args.alpha.split(",") if args.alpha else []
-            config = RunConfig(
-                state_spec=args.spec,
-                partition=parse_partition(args.partition) if args.partition else None,
-                trials=args.trials,
-                seed=args.seed,
-                out=args.out,
-                alphas=tuple(float(v) for v in alphas),
-            )
-            return cmd_oracle(config)
-        if args.command == "gamebounds":
+        else:
             cmd_gamebounds(_int_list(args.n), _int_list(args.d), args.out)
-            return 0
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import (
+    CLOSED_FORM_TOL,
     Applicability,
     InequalityReport,
     _applicable,
@@ -29,13 +30,13 @@ from .measures import (
     cut_spectrum,
     f_alpha,
     gw_one_to_rest_concurrence_sq,
-    gw_pairwise_concurrence,
     renyi_entropy,
 )
 from .states import FamilyState
 from .tensor import Partition, PureState, bipartition_matrix, require_dense
 
-# unused; the benchmark tracer expects this import site (ROADMAP item 1)
+# unused; the benchmark tracer expects these import sites (ROADMAP item 1)
+from .measures import gw_pairwise_concurrence  # noqa: F401
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "trace_distance_to_vacuum",
     "check_trace_bound_renyi",
     "game_gap_fn",
-    "game_gap_endpoint",
     "game_gap_grid_min",
     "gap_bound",
     "check_monogamy_cap",
@@ -109,7 +109,7 @@ def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
 
 
 def check_trace_bound_renyi(
-    psi: FamilyState, order: OrderLike, bipartition=None, tol: float = 1e-9
+    psi: FamilyState, order: OrderLike, bipartition=None
 ) -> InequalityReport:
     """Distance to the aligned product state is at most 2 sqrt(2 E_alpha).
 
@@ -127,15 +127,15 @@ def check_trace_bound_renyi(
     entanglement = renyi_entropy(spectrum, order).value
     rhs = 2.0 * math.sqrt(2.0 * entanglement)
     params["lambda0"] = lam0
-    return _applicable("trace_bound_renyi", lhs, rhs, "le", tol, params)
+    return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
 
 
-def game_gap_fn(lambda0: float, order: OrderLike, d: int = 2) -> float:
+def game_gap_fn(lambda0: float, order: OrderLike) -> float:
     """-2 log2[l^a + (1-l)^a] - (1-l)(a-1), the scalar behind the pure-state
     trace bound.
 
-    Nonnegative on lambda0 in [1/d, 1] for Schmidt rank at most two; use
-    :func:`game_gap_grid_min` to scan that domain.
+    Nonnegative on lambda0 in [1/2, 1], the Schmidt-rank-2 domain; use
+    :func:`game_gap_grid_min` to scan it.
     """
     order = _as_order(order)
     a = order.alpha
@@ -144,28 +144,8 @@ def game_gap_fn(lambda0: float, order: OrderLike, d: int = 2) -> float:
     lam = float(lambda0)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda0 must lie in [0, 1], got {lam}")
-    if int(d) < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     inner = lam**a + (1.0 - lam) ** a
     return -2.0 * math.log2(inner) - (1.0 - lam) * (a - 1.0)
-
-
-def game_gap_endpoint(d: int, order: OrderLike) -> float:
-    """Endpoint value -log2[1+(d-1)^a] + a log2 d - (d-1)(a-1)/d.
-
-    Lower-bounds ``game_gap_fn(1/d, order, d)`` for d >= 2 and orders >= 1.
-    At d = 2 (the Schmidt-rank-2 regime) it equals (a-1)/2, so it certifies
-    the gap function's nonnegativity at that endpoint; for d >= 3 it can go
-    negative even though the gap function itself stays positive.
-    """
-    order = _as_order(order)
-    a = order.alpha
-    d = int(d)
-    if a < 1.0:
-        raise ValueError(f"order must be >= 1, got {a}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return -math.log2(1.0 + (d - 1) ** a) + a * math.log2(d) - (d - 1) * (a - 1.0) / d
 
 
 def game_gap_grid_min(
@@ -213,7 +193,6 @@ def check_monogamy_cap(
     state: FamilyState,
     partition: Partition,
     order: OrderLike,
-    tol: float = 1e-9,
 ) -> InequalityReport:
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
@@ -230,13 +209,7 @@ def check_monogamy_cap(
         return _skipped("monogamy_cap", Applicability.OUT_OF_WINDOW, params)
     split = gw_one_to_rest_concurrence_sq(state, partition, 0)
     middle = f_alpha(split.value, order) ** 2
-    lhs = sum(
-        f_alpha(
-            gw_pairwise_concurrence(state, alice, block).value ** 2, order
-        )
-        ** 2
-        for block in partition.blocks[1:]
-    )
+    lhs = sum(f_alpha(c2, order) ** 2 for c2 in split.pair_sq)
     cap = math.log2(d_alice) ** 2
     params["middle"] = middle
     slack = min(middle - lhs, cap - middle)
@@ -245,7 +218,7 @@ def check_monogamy_cap(
         lhs=float(lhs),
         rhs=float(cap),
         slack=float(slack),
-        satisfied=bool(slack >= -tol),
+        satisfied=bool(slack >= -CLOSED_FORM_TOL),
         applicability=Applicability.APPLICABLE,
         params=params,
     )

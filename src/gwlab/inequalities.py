@@ -41,9 +41,7 @@ __all__ = [
     "InequalityReport",
     "TighterParams",
     "CLOSED_FORM_TOL",
-    "EIGEN_TOL",
     "h_coefficient",
-    "check_scalar_power_bound",
     "check_monogamy_sq",
     "check_monogamy_power",
     "check_polygamy",
@@ -59,10 +57,8 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-#: Default tolerance for inequalities evaluated through scalar closed forms.
+#: Tolerance of every inequality evaluated through scalar closed forms.
 CLOSED_FORM_TOL = 1e-9
-#: Looser tolerance for paths that pass through dense eigensolves.
-EIGEN_TOL = 1e-7
 #: Side conditions need at least this margin; borderline cases are reported
 #: as unmet with diagnostics rather than guessed.
 CONDITION_MARGIN = 1e-12
@@ -94,7 +90,12 @@ class InequalityReport:
 
 
 def _applicable(
-    name: str, lhs: float, rhs: float, direction: str, tol: float, params: dict
+    name: str,
+    lhs: float,
+    rhs: float,
+    direction: str,
+    params: dict,
+    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     slack = (lhs - rhs) if direction == "ge" else (rhs - lhs)
     return InequalityReport(
@@ -167,18 +168,6 @@ def h_coefficient(k: float, t: float) -> float:
     return ((1.0 + k) ** t - 1.0) / k**t
 
 
-def check_scalar_power_bound(
-    x: float, k: float, t: float, tol: float = 1e-12
-) -> InequalityReport:
-    """(1+x)^t >= 1 + h(k, t) x^t for x >= k >= 1 and t in [0, 1]."""
-    params = {"x": float(x), "k": float(k), "t": float(t)}
-    if not (x >= k >= 1.0 and 0.0 <= t <= 1.0):
-        return _skipped("scalar_power_bound", Applicability.CONDITION_UNMET, params)
-    lhs = (1.0 + x) ** t
-    rhs = 1.0 + h_coefficient(k, t) * x**t
-    return _applicable("scalar_power_bound", lhs, rhs, "ge", tol, params)
-
-
 def _restrict_to_blocks(
     state: FamilyState, blocks: Iterable[Iterable[int]]
 ) -> tuple[FamilyState, Partition]:
@@ -212,7 +201,6 @@ def _power_relation(
     s: int,
     order: OrderLike,
     mu: float,
-    tol: float,
 ) -> InequalityReport:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
     blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
@@ -227,7 +215,7 @@ def _power_relation(
     split = gw_one_to_rest_concurrence_sq(state, partition, s)
     lhs = f_alpha(split.pair_sum_sq, order) ** mu
     rhs = sum(f_alpha(c2, order) ** mu for c2 in split.pair_sq)
-    return _applicable(name, lhs, rhs, direction, tol, params)
+    return _applicable(name, lhs, rhs, direction, params)
 
 
 def check_monogamy_sq(
@@ -235,11 +223,10 @@ def check_monogamy_sq(
     partition: Partition,
     s: int,
     order: OrderLike,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    return _power_relation("monogamy_sq", "ge", state, partition, s, order, 2.0, tol)
+    return _power_relation("monogamy_sq", "ge", state, partition, s, order, 2.0)
 
 
 def check_monogamy_power(
@@ -248,13 +235,12 @@ def check_monogamy_power(
     s: int,
     order: OrderLike,
     mu: float,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """mu-th power monogamy for mu >= 2."""
     mu = float(mu)
     if mu < 2.0:
         raise ValueError(f"power monogamy needs mu >= 2, got {mu}")
-    return _power_relation("monogamy_power", "ge", state, partition, s, order, mu, tol)
+    return _power_relation("monogamy_power", "ge", state, partition, s, order, mu)
 
 
 def check_polygamy(
@@ -262,10 +248,9 @@ def check_polygamy(
     partition: Partition,
     s: int,
     order: OrderLike,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    return _power_relation("polygamy", "le", state, partition, s, order, 1.0, tol)
+    return _power_relation("polygamy", "le", state, partition, s, order, 1.0)
 
 
 def check_polygamy_power(
@@ -274,13 +259,12 @@ def check_polygamy_power(
     s: int,
     order: OrderLike,
     mu: float,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """mu-th power polygamy for 0 < mu <= 1."""
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    return _power_relation("polygamy_power", "le", state, partition, s, order, mu, tol)
+    return _power_relation("polygamy_power", "le", state, partition, s, order, mu)
 
 
 def _pair_c2(state: FamilyState, block_a, block_b) -> float:
@@ -314,7 +298,6 @@ def check_merged_block_upper_bound(
     block_q: Iterable[int],
     rest_blocks: Iterable[Iterable[int]],
     order: OrderLike,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Entanglement across the merged PQ cut of a pure state is bounded by
     twice the PQ term plus all pairwise P/Q-to-rest terms."""
@@ -345,14 +328,13 @@ def check_merged_block_upper_bound(
         lhs = f_alpha(c2_cut, order)
     else:
         lhs = renyi_entropy(spectrum, order).value
-    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", tol, params)
+    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", params)
 
 
 def check_reoa_triangle(
     state: FamilyState,
     partition: Partition,
     order: OrderLike,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Triangle bound among the three one-to-rest values f_alpha(C^2).
 
@@ -373,7 +355,7 @@ def check_reoa_triangle(
         for s in range(3)
     ]
     return _applicable(
-        "reoa_triangle", values[0], values[1] + values[2], "le", tol, params
+        "reoa_triangle", values[0], values[1] + values[2], "le", params
     )
 
 
@@ -383,7 +365,6 @@ def check_upper_bound_bipartition(
     block_p2: Iterable[int],
     q_blocks: Iterable[Iterable[int]],
     order: OrderLike,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
@@ -404,7 +385,7 @@ def check_upper_bound_bipartition(
         params["domain"] = [float(a) for a in terms]
         return _skipped(name, Applicability.DOMAIN_SKIPPED, params)
     lhs = f_alpha(total_sq, order)
-    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", tol, params)
+    return _applicable(name, lhs, _merged_block_rhs(terms, order), "le", params)
 
 
 @dataclass(frozen=True)
@@ -517,7 +498,6 @@ def check_tighter_three(
     params: TighterParams,
     measure_kind: str = "concurrence",
     order: Optional[OrderLike] = None,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Tightened three-block bound: when the P1P3 term dominates k times the
     P1P2 term (in c_pow powers), the one-to-rest value dominates
@@ -537,7 +517,7 @@ def check_tighter_three(
     rparams["condition_margin"] = float(margin)
     if margin < CONDITION_MARGIN:
         return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    return _applicable(name, lhs, rhs, "ge", tol, rparams)
+    return _applicable(name, lhs, rhs, "ge", rparams)
 
 
 def check_tighter_multi(
@@ -547,7 +527,6 @@ def check_tighter_multi(
     params: TighterParams,
     measure_kind: str = "concurrence",
     order: Optional[OrderLike] = None,
-    tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     """Tightened multi-block bound with geometric h weights.
 
@@ -572,7 +551,7 @@ def check_tighter_multi(
         if condition["margin"] < CONDITION_MARGIN:
             rparams["failed_condition"] = condition
             return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    return _applicable(name, lhs, rhs, "ge", tol, rparams)
+    return _applicable(name, lhs, rhs, "ge", rparams)
 
 
 def run_mixture_suite(

@@ -53,7 +53,6 @@ __all__ = [
     "renyi_entropy",
     "concurrence_pure",
     "concurrence_two_qubit",
-    "linear_entropy",
     "negativity",
     "block_pair_reduction",
     "gw_pairwise_concurrence",
@@ -142,7 +141,6 @@ class MeasureValue:
         "negativity",
         "cren",
         "renyi_ent",
-        "linear_entropy",
     )
     METHODS = ("closed_form", "two_qubit_formula", "block_weights", "oracle")
 
@@ -282,11 +280,6 @@ def _concurrence(rho: DensityOperator) -> MeasureValue:
     mu = np.sqrt(mu)[::-1]
     value = max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
     return MeasureValue(value, kind="concurrence", method="two_qubit_formula")
-
-
-def linear_entropy(rho: DensityOperator) -> MeasureValue:
-    value = max(0.0, 1.0 - rho.purity())
-    return MeasureValue(value, kind="linear_entropy", method="closed_form")
 
 
 def negativity(state: State, bipartition) -> MeasureValue:

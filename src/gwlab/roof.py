@@ -71,7 +71,7 @@ REFINE_FLOOR = 1e-3
 #: change only between generations.
 GENERATION = 64
 
-_MEASURE_KINDS = ("concurrence", "negativity", "renyi_ent")
+_MEASURE_KINDS = ("concurrence", "renyi_ent")
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def _pair_average(
     two-qubit component matrices: rows of shape (candidates, m, 4) give one
     average per candidate.
 
-    Concurrence and negativity of a pure two-qubit component are both 2|det|
-    of its amplitude matrix, and the Renyi value follows from the squared
-    concurrence."""
+    The concurrence of a pure two-qubit component is 2|det| of its amplitude
+    matrix (so is its negativity, which makes this roof the CREN roof too),
+    and the Renyi value follows from the squared concurrence."""
     dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
     if measure_kind != "renyi_ent":
         return 2.0 * dets.sum(axis=1)
@@ -155,7 +155,6 @@ def _pair_average(
 def convex_roof_bounds(
     rho: DensityOperator,
     measure_kind: str,
-    m: Optional[int] = None,
     trials: int = 20000,
     seed: int = 0,
     order: Optional[OrderLike] = None,
@@ -169,7 +168,8 @@ def convex_roof_bounds(
     incumbent exists; otherwise it rotates the minimizer (even t) or the
     maximizer (odd t).  ``converged`` is true when neither best value
     improved by more than ``PLATEAU_TOL`` during the last quarter of the
-    trials (and the run was long enough to judge).
+    trials (and the run was long enough to judge).  Each decomposition has
+    rank + 2 elements.
     """
     if rho.layout.dims != (2, 2):
         raise ValueError(
@@ -178,12 +178,7 @@ def convex_roof_bounds(
     order_obj = _as_order(order) if order is not None else None
     ensemble = _eigen_ensemble(rho)
     r = ensemble.shape[0]
-    if m is None:
-        m = r + 2
-    if m < r:
-        raise ValueError(f"cardinality {m} below the state rank {r}")
-    if m < 2:
-        raise ValueError("cardinality must be at least 2")
+    m = r + 2
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if measure_kind not in _MEASURE_KINDS:
@@ -276,7 +271,7 @@ def _oracle_report(
         params["max_side_checked"] = max_side
     if not estimate.converged:
         return _skipped(name, Applicability.CONDITION_UNMET, params)
-    return _applicable(name, max(deviations), AGREEMENT_TOL, "le", 0.0, params)
+    return _applicable(name, max(deviations), AGREEMENT_TOL, "le", params, tol=0.0)
 
 
 def verify_c_equals_ca(

@@ -226,9 +226,6 @@ class DensityOperator:
             )
         return np.sort(np.clip(vals, 0.0, None))[::-1]
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     def rank(self, tol: float = SUPPORT_TOL) -> int:
         return int(np.count_nonzero(self.eigenvalues() > tol))
 

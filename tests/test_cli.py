@@ -199,6 +199,27 @@ def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+TIGHTER_FLAGS = ("--c-pow", "--b-pow", "--k")
+
+
+@pytest.mark.parametrize(
+    "given", [["--c-pow"], ["--k"], ["--c-pow", "--b-pow"], ["--b-pow", "--k"]]
+)
+def test_verify_partial_tightened_flags_exit_two(spec_file, tmp_path, capsys, given):
+    # the tightened bounds need all three exponents; a partial set used to
+    # drop every tightened bound and exit 0
+    out = tmp_path / "r.jsonl"
+    values = {"--c-pow": "2", "--b-pow": "1", "--k": "2"}
+    args = ["verify", "--spec", spec_file, "--out", str(out)]
+    args += [v for flag in given for v in (flag, values[flag])]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    missing = [flag for flag in TIGHTER_FLAGS if flag not in given]
+    assert err.rstrip().endswith("missing " + ", ".join(missing))
+    assert not out.exists()
+
+
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     # verify runs on block weights, so neither grid compresses any local
     # support, whatever its number of orders
@@ -265,6 +286,23 @@ def test_oracle_reports_and_determinism(spec_file, tmp_path):
     assert len(pairs) == 3  # all block pairs
     for r in pairs:
         assert r["satisfied"]
+
+
+def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
+    # verify_* reduce each block pair of the full state themselves, so the
+    # CLI makes no reduction of its own
+    args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3"]
+    args += ["--trials", "300", "--seed", "7", "--alpha", "0.9,1.1"]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(args + ["--out", str(a)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cmd_oracle reduced the state itself")
+
+    monkeypatch.setattr(gwlab.cli, "reduce_to_parties", refuse)
+    assert main(args + ["--out", str(b)]) == 0
+    assert b.read_bytes() == a.read_bytes()
+    assert len(b.read_text().splitlines()) == 5
 
 
 def test_oracle_env_seed(spec_file, tmp_path, monkeypatch):

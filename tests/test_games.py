@@ -14,7 +14,6 @@ from gwlab import (
     SubsystemLayout,
     check_monogamy_cap,
     check_trace_bound_renyi,
-    game_gap_endpoint,
     game_gap_fn,
     game_gap_grid_min,
     gap_bound,
@@ -94,18 +93,6 @@ def test_game_gap_values():
         game_gap_fn(0.5, 0.9)
     with pytest.raises(ValueError):
         game_gap_fn(1.5, 2.0)
-
-
-def test_game_gap_endpoint_formula():
-    # printed endpoint expression at d=2, order 2: -log2(2) + 2 - 1/2
-    assert game_gap_endpoint(2, 2.0) == pytest.approx(0.5, abs=1e-12)
-    # it lower-bounds the gap function at lambda0 = 1/d
-    for d in (2, 3, 5):
-        for a in (1.0, 1.5, 2.0, 4.0):
-            assert game_gap_fn(1.0 / d, a, d) >= game_gap_endpoint(d, a) - 1e-12
-    # in the Schmidt-rank-2 regime it is itself nonnegative: (a - 1)/2
-    for a in (1.0, 1.5, 2.0, 4.0):
-        assert game_gap_endpoint(2, a) == pytest.approx((a - 1.0) / 2.0, abs=1e-12)
 
 
 def test_game_gap_nonnegative_on_grid():

@@ -1,0 +1,64 @@
+"""Every top-level import in ``src/gwlab`` has a reader.
+
+An import counts as read when the module uses the name, lists it in
+``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
+``bench/tracer.py``, the import sites the benchmark tracer wraps.  The
+package ``__init__`` re-exports by importing, so its imports are its public
+names.  The tracer's tuple is read from its source, never edited.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gwlab").glob("*.py"))
+
+
+def _literal(tree: ast.Module, name: str):
+    """The literal assigned to ``name`` at module level, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+SEED_IMPORT_SITES = _literal(
+    ast.parse((ROOT / "bench" / "tracer.py").read_text()), "SEED_IMPORT_SITES"
+)
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_has_a_reader(path):
+    assert SEED_IMPORT_SITES, "bench/tracer.py defines no SEED_IMPORT_SITES"
+    tree = ast.parse(path.read_text())
+    imported = _imported_names(tree)
+    if path.name == "__init__.py":
+        assert all(not name.startswith("_") for name in imported)
+        return
+    module = path.stem
+    sites = {s.split(".")[1] for s in SEED_IMPORT_SITES if s.split(".")[0] == module}
+    allowed = _read_names(tree) | set(_literal(tree, "__all__") or ()) | sites
+    unread = [name for name in imported if name not in allowed]
+    assert unread == [], f"{path.name} imports {unread} and never reads them"

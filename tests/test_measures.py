@@ -29,7 +29,6 @@ from gwlab import (
     g_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
-    linear_entropy,
     negativity,
     partial_trace,
     reduce_to_parties,
@@ -228,29 +227,6 @@ def test_werner_mixture_separable_point(bell_state):
     mat = q * bell_state.density().matrix + (1 - q) * np.eye(4) / 4
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
     assert concurrence_two_qubit(rho).value == 0.0
-
-
-def test_linear_entropy_values():
-    pure = DensityOperator(np.diag([1.0, 0.0]), SubsystemLayout((2,)))
-    assert linear_entropy(pure).value == pytest.approx(0.0, abs=1e-12)
-    mixed = DensityOperator(np.eye(2) / 2, SubsystemLayout((2,)))
-    assert linear_entropy(mixed).value == pytest.approx(0.5, abs=1e-12)
-    psi2 = figure2_state()
-    rho = partial_trace(psi2, {0, 1, 2})
-    assert linear_entropy(rho).value == pytest.approx(15.0 / 128.0, abs=1e-12)
-
-
-def test_linear_entropy_triangle_on_reductions(rng):
-    for _ in range(20):
-        spec = random_gw_spec(rng, n_min=3, n_max=5)
-        psi = superpose_with_vacuum(spec)
-        a, b = sorted(rng.choice(spec.n, size=2, replace=False))
-        rho_ab = partial_trace(psi, {int(a), int(b)})
-        t_ab = linear_entropy(rho_ab).value
-        t_a = linear_entropy(partial_trace(psi, {int(a)})).value
-        t_b = linear_entropy(partial_trace(psi, {int(b)})).value
-        assert abs(t_a - t_b) <= t_ab + 1e-12
-        assert t_ab <= t_a + t_b + 1e-12
 
 
 def _grid_values(alpha: float, xs: np.ndarray) -> np.ndarray:

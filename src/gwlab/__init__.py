@@ -82,6 +82,7 @@ from .inequalities import (
 from .roof import (
     RoofEstimate,
     convex_roof_bounds,
+    oracle_reports,
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )

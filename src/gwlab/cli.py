@@ -50,7 +50,7 @@ from .measures import (
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
 )
-from .roof import verify_c_equals_ca, verify_e_alpha_formula
+from .roof import oracle_reports
 from .states import (
     GWBlocks,
     GWSpec,
@@ -59,7 +59,8 @@ from .states import (
 )
 from .tensor import Partition
 
-# unused; the benchmark tracer expects this import site (ROADMAP item 1)
+# unused; the benchmark tracer expects these import sites (ROADMAP item 1)
+from .roof import verify_c_equals_ca, verify_e_alpha_formula  # noqa: F401
 from .states import reduce_to_parties  # noqa: F401
 
 __all__ = [
@@ -298,8 +299,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Convex-roof estimates plus agreement reports, one JSON object per line.
 
-    Each block pair of the full state goes to ``verify_*``, which reduce and
-    compress it through ``block_pair_reduction``."""
+    Every block pair of the full state, and each order on the first two
+    blocks, is one target of ``oracle_reports``, which reduces and
+    compresses each pair through ``block_pair_reduction`` and runs all the
+    roofs in lockstep."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _env_seed() if args.seed is None else args.seed
@@ -313,20 +316,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("partition needs at least two blocks")
     orders = [_as_order(float(a)) for a in args.alpha.split(",")] if args.alpha else []
     blocks = list(partition.blocks)
-
-    lines: list[str] = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            pair = (blocks[i], blocks[j])
-            report = verify_c_equals_ca(psi, trials=args.trials, seed=seed, blocks=pair)
-            report.params["pair"] = [sorted(blocks[i]), sorted(blocks[j])]
-            lines.append(report_to_json_line(report))
-    for a in orders:
-        report = verify_e_alpha_formula(
-            psi, a, trials=args.trials, seed=seed, blocks=(blocks[0], blocks[1])
-        )
-        lines.append(report_to_json_line(report))
-    _write_lines(lines, args.out)
+    pairs = [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
+    targets = [(pair, None) for pair in pairs] + [(pairs[0], a) for a in orders]
+    reports = oracle_reports(psi, targets, trials=args.trials, seed=seed)
+    for (a, b), report in zip(pairs, reports):
+        report.params["pair"] = [sorted(a), sorted(b)]
+    _write_lines([report_to_json_line(r) for r in reports], args.out)
     return 0
 
 

@@ -14,7 +14,9 @@ Trials run in generations of ``GENERATION`` candidates that are drawn,
 orthonormalised and averaged as one batch.  All randomness of generation g
 derives from the (seed, g) pair and is drawn in fixed shapes however many
 trials remain, and refinement uses only incumbents of earlier generations,
-so runs are reproducible and a longer run extends a shorter one.
+so runs are reproducible and a longer run extends a shorter one.  The runs
+of one call share their seed and advance in lockstep: each generation is
+drawn once per isometry shape and read by every run of that shape.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
     "RoofEstimate",
     "AGREEMENT_TOL",
     "convex_roof_bounds",
+    "oracle_reports",
     "verify_c_equals_ca",
     "verify_e_alpha_formula",
 ]
@@ -93,19 +96,29 @@ class RoofEstimate:
 def _generation_draws(seed: int, g: int, m: int, r: int):
     """Generation g's randomness, in fixed shapes: GENERATION Haar-random
     m x r isometries, and per candidate two distinct rows, an angle and a
-    phase for a refinement rotation."""
+    phase for a refinement rotation.
+
+    Only the candidates a run can read as Haar draws are orthonormalised:
+    all of generation 0 (no incumbent exists yet), later the trials t with
+    t % EXPLORE_CYCLE == 0.  The other isometries are NaN.  The arrays are
+    read-only: every run of shape (m, r) reads the same ones."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
     # real and imaginary parts side by side: the view is the complex draw
     z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
-    q, rmat = np.linalg.qr(z)
+    t = g * GENERATION + np.arange(GENERATION)
+    used = slice(None) if g == 0 else t % EXPLORE_CYCLE == 0
+    q, rmat = np.linalg.qr(z[used])
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    haar = q * (diag / np.abs(diag))[:, None, :]
+    haar = np.full_like(z, np.nan)
+    haar[used] = q * (diag / np.abs(diag))[:, None, :]
     row_k = rng.integers(m, size=GENERATION)
     row_l = rng.integers(m - 1, size=GENERATION)
     row_l += row_l >= row_k
     theta = rng.standard_normal(GENERATION)
     phase = np.exp(2j * np.pi * rng.uniform(size=GENERATION))
+    for array in (haar, row_k, row_l, theta, phase):
+        array.flags.writeable = False
     return haar, (row_k, row_l, theta, phase)
 
 
@@ -152,6 +165,95 @@ def _pair_average(
     return np.where(live, weights * _f_alpha_array(c2, order), 0.0).sum(axis=1)
 
 
+class _Run:
+    """One roof run between generations: its eigen-ensemble, the incumbent
+    minimizing and maximizing isometries with their values, and the last
+    trial that improved either by more than ``PLATEAU_TOL``."""
+
+    def __init__(self, rho: DensityOperator, measure_kind: str, order):
+        self.ensemble = _eigen_ensemble(rho)
+        r = self.ensemble.shape[0]
+        self.shape = (r + 2, r)
+        self.measure_kind, self.order = measure_kind, order
+        self.best_min, self.best_max = math.inf, -math.inf
+        self.iso_min = self.iso_max = None
+        self.last_improve = 0
+
+    def step(self, t: np.ndarray, steps: np.ndarray, draws) -> None:
+        """Evaluate trials t, whose rotation scales are ``steps``."""
+        haar, (row_k, row_l, theta, phase) = draws
+        n = t.size
+        candidates = haar[:n]
+        if self.iso_min is not None:
+            refine = (t >= 8) & (t % EXPLORE_CYCLE != 0)
+            bases = np.where((t % 2 == 0)[:, None, None], self.iso_min, self.iso_max)
+            rotated = _rotated(bases, row_k[:n], row_l[:n], steps * theta[:n], phase[:n])
+            candidates = np.where(refine[:, None, None], rotated, candidates)
+        m, r = self.shape
+        # one 2-D product over every component row of the generation
+        rows = (candidates.reshape(-1, r) @ self.ensemble).reshape(n, m, -1)
+        values = _pair_average(rows, self.measure_kind, self.order)
+        # the best values before each trial, earlier trials of this
+        # generation included
+        prior_min = np.minimum.accumulate(np.concatenate(([self.best_min], values[:-1])))
+        prior_max = np.maximum.accumulate(np.concatenate(([self.best_max], values[:-1])))
+        improved = (values < prior_min - PLATEAU_TOL) | (values > prior_max + PLATEAU_TOL)
+        if improved.any():
+            self.last_improve = int(t[improved][-1])
+        lo, hi = int(np.argmin(values)), int(np.argmax(values))
+        if values[lo] < self.best_min:
+            self.best_min, self.iso_min = float(values[lo]), candidates[lo]
+        if values[hi] > self.best_max:
+            self.best_max, self.iso_max = float(values[hi]), candidates[hi]
+
+
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
+    """One estimate per (rho, measure_kind, order) target, every run on the
+    same seed and trial count.
+
+    Every target is checked before the first eigen-decomposition.  The runs
+    then advance one generation at a time; a generation's draws are made
+    once per isometry shape and discarded after it, so memory does not grow
+    with the trial count."""
+    _check_run(trials, seed)
+    for rho, measure_kind, order in targets:
+        if rho.layout.dims != (2, 2):
+            raise ValueError(
+                f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}"
+            )
+        if measure_kind not in _MEASURE_KINDS:
+            raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
+        if measure_kind == "renyi_ent" and order is None:
+            raise ValueError("renyi_ent needs a Renyi order")
+    runs = [_Run(*target) for target in targets]
+    for g in range(-(-trials // GENERATION)):
+        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
+        steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
+        draws = {}
+        for run in runs:
+            if run.shape not in draws:
+                draws[run.shape] = _generation_draws(seed, g, *run.shape)
+            run.step(t, steps, draws[run.shape])
+    limit = math.floor(0.75 * trials)
+    return [
+        RoofEstimate(
+            min_estimate=run.best_min,
+            max_estimate=run.best_max,
+            trials=trials,
+            seed=int(seed),
+            converged=trials >= MIN_PLATEAU_TRIALS and run.last_improve < limit,
+        )
+        for run in runs
+    ]
+
+
 def convex_roof_bounds(
     rho: DensityOperator,
     measure_kind: str,
@@ -171,91 +273,21 @@ def convex_roof_bounds(
     trials (and the run was long enough to judge).  Each decomposition has
     rank + 2 elements.
     """
-    if rho.layout.dims != (2, 2):
-        raise ValueError(
-            f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}"
-        )
     order_obj = _as_order(order) if order is not None else None
-    ensemble = _eigen_ensemble(rho)
-    r = ensemble.shape[0]
-    m = r + 2
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if measure_kind not in _MEASURE_KINDS:
-        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-    if measure_kind == "renyi_ent" and order_obj is None:
-        raise ValueError("renyi_ent needs a Renyi order")
-
-    best_min = math.inf
-    best_max = -math.inf
-    iso_min = iso_max = None
-    last_improve = 0
-
-    for g in range(-(-trials // GENERATION)):
-        haar, (row_k, row_l, theta, phase) = _generation_draws(seed, g, m, r)
-        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
-        n = t.size
-        candidates = haar[:n]
-        if iso_min is not None:
-            refine = (t >= 8) & (t % EXPLORE_CYCLE != 0)
-            bases = np.where((t % 2 == 0)[:, None, None], iso_min, iso_max)
-            steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
-            rotated = _rotated(
-                bases, row_k[:n], row_l[:n], steps * theta[:n], phase[:n]
-            )
-            candidates = np.where(refine[:, None, None], rotated, candidates)
-        # one 2-D product over every component row of the generation
-        rows = (candidates.reshape(-1, r) @ ensemble).reshape(n, m, -1)
-        values = _pair_average(rows, measure_kind, order_obj)
-        # the best values before each trial, earlier trials of this
-        # generation included
-        prior_min = np.minimum.accumulate(np.concatenate(([best_min], values[:-1])))
-        prior_max = np.maximum.accumulate(np.concatenate(([best_max], values[:-1])))
-        improved = (values < prior_min - PLATEAU_TOL) | (
-            values > prior_max + PLATEAU_TOL
-        )
-        if improved.any():
-            last_improve = int(t[improved][-1])
-        lo, hi = int(np.argmin(values)), int(np.argmax(values))
-        if values[lo] < best_min:
-            best_min, iso_min = float(values[lo]), candidates[lo]
-        if values[hi] > best_max:
-            best_max, iso_max = float(values[hi]), candidates[hi]
-
-    converged = trials >= MIN_PLATEAU_TRIALS and last_improve < math.floor(0.75 * trials)
-    return RoofEstimate(
-        min_estimate=float(best_min),
-        max_estimate=float(best_max),
-        trials=trials,
-        seed=int(seed),
-        converged=bool(converged),
-    )
+    return _roof_estimates([(rho, measure_kind, order_obj)], trials, seed)[0]
 
 
-def _oracle_report(
-    name: str,
-    state: State,
-    blocks,
-    order: Optional[RenyiOrder],
-    trials: int,
-    seed: int,
-    params: dict,
-) -> InequalityReport:
-    """Run the roof on the compressed pair of two blocks (by default party 0
-    and the rest) and compare its min and max with the closed form: the
-    concurrence C, or f_alpha(C^2) when an order is given.
+def _compare(concurrence, pair, order, estimate, params) -> InequalityReport:
+    """Compare a roof estimate's min and max with the closed form: the
+    concurrence C (``c_equals_ca``), or f_alpha(C^2) when an order is given
+    (``e_alpha_formula``).
 
     The max side is compared for the concurrence, and for the Renyi form
     only inside the concavity window or on a pure pair.  A non-converged
     run is reported as CONDITION_UNMET (with the numbers attached), not as
     a violation."""
-    block_a, block_b = blocks or ({0}, set(range(1, state.layout.n_parties)))
-    closed = gw_pairwise_concurrence(state, block_a, block_b).value
-    if order is not None:
-        closed = f_alpha(closed**2, order)
-    pair = block_pair_reduction(state, block_a, block_b)
-    kind = "concurrence" if order is None else "renyi_ent"
-    estimate = convex_roof_bounds(pair, kind, trials=trials, seed=seed, order=order)
+    name = "c_equals_ca" if order is None else "e_alpha_formula"
+    closed = concurrence if order is None else f_alpha(concurrence**2, order)
     max_side = order is None or order.supports_polygamy or pair.rank() == 1
     deviations = [abs(estimate.min_estimate - closed)]
     if max_side:
@@ -274,13 +306,57 @@ def _oracle_report(
     return _applicable(name, max(deviations), AGREEMENT_TOL, "le", params, tol=0.0)
 
 
+def oracle_reports(
+    state: State,
+    targets: Sequence[tuple],
+    trials: int = 20000,
+    seed: int = 0,
+) -> list[InequalityReport]:
+    """One agreement report per ``(blocks, order)`` target: ``c_equals_ca``
+    when the order is None, else ``e_alpha_formula`` at that order.
+
+    Each pair of blocks (by default party 0 and the rest) is reduced and
+    compressed through ``block_pair_reduction`` once, however many targets
+    name it.  Every target is checked before any reduction or roof runs;
+    orders outside the convexity threshold are reported OUT_OF_WINDOW
+    without a roof, and the roofs of the others run in lockstep."""
+    _check_run(trials, seed)
+    orders = [None if order is None else _as_order(order) for _, order in targets]
+    reports: list = [None] * len(targets)
+    pairs: dict = {}
+    pending = []
+    for i, ((blocks, _), order) in enumerate(zip(targets, orders)):
+        params: dict = {"trials": trials, "seed": int(seed)}
+        if order is not None:
+            params["alpha"] = order.alpha
+            if not order.supports_monogamy:
+                reports[i] = _skipped("e_alpha_formula", Applicability.OUT_OF_WINDOW, params)
+                continue
+        block_a, block_b = blocks or ({0}, set(range(1, state.layout.n_parties)))
+        key = (frozenset(block_a), frozenset(block_b))
+        if key not in pairs:
+            pairs[key] = (
+                gw_pairwise_concurrence(state, block_a, block_b).value,
+                block_pair_reduction(state, block_a, block_b),
+            )
+        pending.append((i, order, params, *pairs[key]))
+    estimates = _roof_estimates(
+        [(pair, "concurrence" if order is None else "renyi_ent", order)
+         for _, order, _, _, pair in pending],
+        trials,
+        seed,
+    )
+    for (i, order, params, concurrence, pair), estimate in zip(pending, estimates):
+        reports[i] = _compare(concurrence, pair, order, estimate, params)
+    return reports
+
+
 def verify_c_equals_ca(
     state: State, trials: int = 20000, seed: int = 0, blocks=None
 ) -> InequalityReport:
     """Check that the min and max decomposition averages of the concurrence
     pinch together onto the two-qubit closed form."""
-    params = {"trials": trials, "seed": int(seed)}
-    return _oracle_report("c_equals_ca", state, blocks, None, trials, seed, params)
+    return oracle_reports(state, [(blocks, None)], trials, seed)[0]
 
 
 def verify_e_alpha_formula(
@@ -299,10 +375,4 @@ def verify_e_alpha_formula(
     f_alpha(C^2) is the minimum over decompositions and the maximizing ones
     exceed it.
     """
-    order = _as_order(order)
-    params: dict = {"alpha": order.alpha, "trials": trials, "seed": int(seed)}
-    if not order.supports_monogamy:
-        return _skipped("e_alpha_formula", Applicability.OUT_OF_WINDOW, params)
-    return _oracle_report(
-        "e_alpha_formula", state, blocks, order, trials, seed, params
-    )
+    return oracle_reports(state, [(blocks, order)], trials, seed)[0]

@@ -15,8 +15,16 @@ import pytest
 
 import gwlab.cli
 import gwlab.measures
+import gwlab.roof
 import gwlab.tensor
-from gwlab import GWSpec, gw_spec_to_json
+from gwlab import (
+    GWSpec,
+    gw_spec_to_json,
+    report_to_json_line,
+    superpose_with_vacuum,
+    verify_c_equals_ca,
+    verify_e_alpha_formula,
+)
 from gwlab.cli import alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition
 from gwlab.featured import FIG1_AMPLITUDES
 
@@ -289,8 +297,8 @@ def test_oracle_reports_and_determinism(spec_file, tmp_path):
 
 
 def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
-    # verify_* reduce each block pair of the full state themselves, so the
-    # CLI makes no reduction of its own
+    # one oracle_reports call gets the full state and every target; it
+    # reduces each block pair itself, so the CLI makes no reduction of its own
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3"]
     args += ["--trials", "300", "--seed", "7", "--alpha", "0.9,1.1"]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -299,10 +307,76 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cmd_oracle reduced the state itself")
 
+    calls = []
+    real = gwlab.cli.oracle_reports
+
+    def spy(state, targets, **kwargs):
+        calls.append((state, targets))
+        return real(state, targets, **kwargs)
+
     monkeypatch.setattr(gwlab.cli, "reduce_to_parties", refuse)
+    monkeypatch.setattr(gwlab.cli, "oracle_reports", spy)
     assert main(args + ["--out", str(b)]) == 0
     assert b.read_bytes() == a.read_bytes()
     assert len(b.read_text().splitlines()) == 5
+    [(state, targets)] = calls
+    assert state.layout.n_parties == 4
+    assert [order and order.alpha for _, order in targets] == [None] * 3 + [0.9, 1.1]
+
+
+def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
+    # party 1 carries no excitation, so the pair {0} | {2, 3} is pure: rank 1,
+    # isometries of shape (3, 1) beside the (4, 2) of the two mixed pairs;
+    # the orders run on the mixed pair {0} | {1}, and 0.5 is out of window
+    spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
+    path = tmp_path / "spec.json"
+    path.write_text(gw_spec_to_json(spec))
+    shapes = set()
+    real = gwlab.roof._generation_draws
+
+    def record(seed, g, m, r):
+        shapes.add((m, r))
+        return real(seed, g, m, r)
+
+    monkeypatch.setattr(gwlab.roof, "_generation_draws", record)
+    out = tmp_path / "o.jsonl"
+    args = ["oracle", "--spec", str(path), "--partition", "0|1|2,3", "--trials", "300"]
+    assert main(args + ["--seed", "5", "--alpha", "1.1,0.5", "--out", str(out)]) == 0
+    assert shapes == {(4, 2), (3, 1)}
+
+    psi = superpose_with_vacuum(spec)
+    a, b, c = {0}, {1}, {2, 3}
+    solo = []
+    for pair in ((a, b), (a, c), (b, c)):
+        report = verify_c_equals_ca(psi, trials=300, seed=5, blocks=pair)
+        report.params["pair"] = [sorted(pair[0]), sorted(pair[1])]
+        solo.append(report)
+    solo += [verify_e_alpha_formula(psi, x, trials=300, seed=5, blocks=(a, b))
+             for x in (1.1, 0.5)]
+    assert solo[1].params["roof_min"] == pytest.approx(solo[1].params["roof_max"])
+    assert solo[4].applicability.value == "OUT_OF_WINDOW"
+    assert out.read_text().splitlines() == [report_to_json_line(r) for r in solo]
+
+
+def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkeypatch):
+    # README spec: three blocks, so three pairs plus two orders share every
+    # generation of the single isometry shape
+    calls = []
+    real = gwlab.roof._generation_draws
+
+    def count(seed, g, m, r):
+        draws = real(seed, g, m, r)
+        haar, rest = draws
+        assert not any(x.flags.writeable for x in (haar, *rest))
+        calls.append((g, m, r))
+        return draws
+
+    monkeypatch.setattr(gwlab.roof, "_generation_draws", count)
+    args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "1000"]
+    assert main(args + ["--seed", "7", "--alpha", "0.9,1.1",
+                        "--out", str(tmp_path / "o.jsonl")]) == 0
+    generations = -(-1000 // gwlab.roof.GENERATION)
+    assert sorted(calls) == [(g, 4, 2) for g in range(generations)]
 
 
 def test_oracle_env_seed(spec_file, tmp_path, monkeypatch):
@@ -364,7 +438,7 @@ def test_oracle_checks_orders_before_any_roof(spec_file, monkeypatch, capsys):
     def roof(*args, **kwargs):
         raise AssertionError("a roof ran before the orders were checked")
 
-    monkeypatch.setattr(gwlab.cli, "verify_c_equals_ca", roof)
+    monkeypatch.setattr(gwlab.cli, "oracle_reports", roof)
     args = ["oracle", "--spec", spec_file, "--trials", "10", "--alpha", "0.9,-1"]
     assert main(args) == 2
     assert "Renyi order must be positive" in capsys.readouterr().err
@@ -384,7 +458,7 @@ def test_oracle_checks_trials_and_seed_before_any_roof(
     spec_file, monkeypatch, capsys, extra, env_seed, message
 ):
     calls = []
-    monkeypatch.setattr(gwlab.cli, "verify_c_equals_ca", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(gwlab.cli, "oracle_reports", lambda *a, **k: calls.append(a))
     if env_seed is None:
         monkeypatch.delenv("GWLAB_SEED", raising=False)
     else:

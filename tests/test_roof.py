@@ -27,8 +27,16 @@ from gwlab import (
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )
+import gwlab.roof
 from gwlab.featured import figure1_state
-from gwlab.roof import AGREEMENT_TOL, GENERATION, _eigen_ensemble, _generation_draws
+from gwlab.roof import (
+    AGREEMENT_TOL,
+    EXPLORE_CYCLE,
+    GENERATION,
+    _eigen_ensemble,
+    _generation_draws,
+    oracle_reports,
+)
 from conftest import rand_unit, random_gw_spec
 
 
@@ -37,11 +45,31 @@ def _figure1_pair():
 
 
 def _draws(rho, m, trials, seed):
-    """The rows of each Haar-drawn decomposition, as the roof draws them."""
+    """The rows of each Haar-drawn decomposition, as the roof draws them:
+    every trial of generation 0, later every EXPLORE_CYCLE-th trial."""
     ensemble = _eigen_ensemble(rho)
     for g in range(-(-trials // GENERATION)):
         haar, _ = _generation_draws(seed, g, m, ensemble.shape[0])
-        yield from (haar @ ensemble)[: trials - g * GENERATION]
+        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
+        read = (t % EXPLORE_CYCLE == 0) | (g == 0)
+        yield from haar[: t.size][read] @ ensemble
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 7])
+def test_haar_rows_match_full_qr(g):
+    # only the rows read as Haar draws are orthonormalised; each must equal,
+    # bit for bit, the same row of one QR over all GENERATION draws
+    seed, m, r = 42, 4, 2
+    haar, _ = _generation_draws(seed, g, m, r)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
+    z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
+    q, rmat = np.linalg.qr(z)
+    diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
+    full = q * (diag / np.abs(diag))[:, None, :]
+    t = g * GENERATION + np.arange(GENERATION)
+    used = (t % EXPLORE_CYCLE == 0) | (g == 0)
+    np.testing.assert_array_equal(haar[used], full[used])
+    assert np.isnan(haar[~used]).all()
 
 
 def test_pure_state_has_unique_decomposition(bell_state):
@@ -80,6 +108,48 @@ def test_roof_rejects_qutrit_pair():
     with pytest.raises(ValueError, match="qubit pairs"):
         convex_roof_bounds(rho, "concurrence", trials=10)
     assert block_pair_reduction(rho, {0}, {1}).layout.dims == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"measure_kind": "concurrence", "trials": 0}, "trials must be >= 1"),
+        ({"measure_kind": "concurrence", "seed": -1}, "seed must be non-negative"),
+        ({"measure_kind": "negativity"}, "measure_kind must be one of"),
+        ({"measure_kind": "renyi_ent"}, "renyi_ent needs a Renyi order"),
+        ({"measure_kind": "renyi_ent", "order": -1.0}, "order must be positive"),
+    ],
+    ids=["trials-zero", "seed-negative", "unknown-kind", "renyi-no-order", "bad-order"],
+)
+def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, message):
+    pair = block_pair_reduction(_figure1_pair(), {0}, {1})
+
+    def refuse(*args):
+        raise AssertionError("an eigen-decomposition ran before the checks")
+
+    monkeypatch.setattr(gwlab.roof, "_eigen_ensemble", refuse)
+    with pytest.raises(ValueError, match=message):
+        convex_roof_bounds(pair, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "targets, trials, message",
+    [
+        ([(None, None), (None, 1.1)], 0, "trials must be >= 1"),
+        ([(None, None), (None, 1.1), (None, -2.0)], 10, "order must be positive"),
+    ],
+    ids=["trials-zero", "last-order-bad"],
+)
+def test_oracle_reports_check_every_target_first(monkeypatch, targets, trials, message):
+    rho = _figure1_pair()
+
+    def refuse(*args):
+        raise AssertionError("a reduction or roof ran before every target was checked")
+
+    for name in ("block_pair_reduction", "gw_pairwise_concurrence", "_eigen_ensemble"):
+        monkeypatch.setattr(gwlab.roof, name, refuse)
+    with pytest.raises(ValueError, match=message):
+        oracle_reports(rho, targets, trials=trials, seed=3)
 
 
 def test_every_exported_name_resolves():

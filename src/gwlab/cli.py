@@ -174,21 +174,23 @@ def _csv_lines(header: Sequence[str], rows: list[Sequence[str]]) -> list[str]:
 
 
 def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
-    """Emit the dataset behind one bundled figure as CSV lines."""
+    """Emit the dataset behind one bundled figure as CSV lines.
+
+    Every column is a closed form, so the figures run on block weights."""
+    psi = GWBlocks.of(featured.figure_spec(fig_id))
     if fig_id == 1:
-        rho, partition = featured.figure1_reduction()
-        split = gw_one_to_rest_concurrence_sq(rho, partition, 0)
+        rho = psi.restricted({0, 1, 2})
+        split = gw_one_to_rest_concurrence_sq(rho, Partition.singletons(3), 0)
         c2_pairs = split.pair_sq
         rows = []
         for a in alpha_grid(*DEFAULT_ALPHA_GRID):
             e_pairs = [f_alpha(c2, a) for c2 in c2_pairs]
             lower = math.sqrt(sum(e * e for e in e_pairs))
-            mid = f_alpha(split.value, a)
+            mid = f_alpha(split.pair_sum_sq, a)
             upper = sum(e_pairs)
             rows.append((_fmt(a), _fmt(lower), _fmt(mid), _fmt(upper)))
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
-        psi = featured.figure2_state()
         block_p, block_q, block_r = featured.figure2_blocks()
         rows = []
         for a in alpha_grid(*DEFAULT_ALPHA_GRID):
@@ -197,12 +199,11 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
             )
             rows.append((_fmt(a), _fmt(report.lhs), _fmt(report.rhs)))
         lines = _csv_lines(("alpha", "lhs", "upper_bound"), rows)
-    elif fig_id == 3:
-        psi = featured.figure3_state()
+    else:
         c12 = gw_pairwise_concurrence(psi, {0}, {1}).value
         c13 = gw_pairwise_concurrence(psi, {0}, {2}).value
         split = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
-        exact_c = math.sqrt(split.value)
+        exact_c = math.sqrt(split.pair_sum_sq)
         rows = []
         b = 0.0
         idx = 0
@@ -215,8 +216,6 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
             idx += 1
             b = idx * 0.02
         lines = _csv_lines(("b_pow", "exact", "bound_k1", "bound_k2"), rows)
-    else:
-        raise ValueError(f"unknown figure id {fig_id}")
     _write_lines(lines, out)
     return lines
 

@@ -149,16 +149,13 @@ def game_gap_fn(lambda0: float, order: OrderLike) -> float:
 
 
 def game_gap_grid_min(
-    d: int = 2,
-    lambda_step: float = 0.001,
-    alpha_start: float = 1.0,
-    alpha_stop: float = 5.0,
-    alpha_step: float = 0.05,
+    d: int = 2, lambda_step: float = 0.001, alpha_step: float = 0.05
 ) -> float:
-    """Minimum of the gap function over lambda0 in [1/d, 1] and the order grid."""
+    """Minimum of the gap function over lambda0 in [1/d, 1] and the orders
+    1 to 5 in steps of ``alpha_step``."""
     lams = np.arange(1.0 / d, 1.0 + lambda_step / 2, lambda_step)
     lams = np.clip(lams, 0.0, 1.0)
-    alphas = np.arange(alpha_start, alpha_stop + alpha_step / 2, alpha_step)
+    alphas = np.arange(1.0, 5.0 + alpha_step / 2, alpha_step)
     best = math.inf
     for a in alphas:
         inner = lams**a + (1.0 - lams) ** a
@@ -208,7 +205,7 @@ def check_monogamy_cap(
     if not order.supports_monogamy:
         return _skipped("monogamy_cap", Applicability.OUT_OF_WINDOW, params)
     split = gw_one_to_rest_concurrence_sq(state, partition, 0)
-    middle = f_alpha(split.value, order) ** 2
+    middle = f_alpha(split.pair_sum_sq, order) ** 2
     lhs = sum(f_alpha(c2, order) ** 2 for c2 in split.pair_sq)
     cap = math.log2(d_alice) ** 2
     params["middle"] = middle

@@ -373,10 +373,6 @@ class ConcurrenceSplit(NamedTuple):
     pair_sum_sq: float
     pair_sq: tuple[float, ...]
 
-    @property
-    def value(self) -> float:
-        return self.pair_sum_sq
-
 
 def gw_one_to_rest_concurrence_sq(
     state: FamilyState, partition: Partition, s: int
@@ -461,7 +457,7 @@ def renyi_entanglement_gw(
         )
     split = gw_one_to_rest_concurrence_sq(state, partition, s)
     return MeasureValue(
-        f_alpha(split.value, order), kind="renyi_ent", method="closed_form"
+        f_alpha(split.pair_sum_sq, order), kind="renyi_ent", method="closed_form"
     )
 
 

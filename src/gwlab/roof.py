@@ -185,7 +185,7 @@ class _Run:
         n = t.size
         candidates = haar[:n]
         if self.iso_min is not None:
-            refine = (t >= 8) & (t % EXPLORE_CYCLE != 0)
+            refine = t % EXPLORE_CYCLE != 0
             bases = np.where((t % 2 == 0)[:, None, None], self.iso_min, self.iso_max)
             rotated = _rotated(bases, row_k[:n], row_l[:n], steps * theta[:n], phase[:n])
             candidates = np.where(refine[:, None, None], rotated, candidates)
@@ -266,12 +266,11 @@ def convex_roof_bounds(
 
     Interleaves Haar exploration with random-rotation refinement of the
     incumbent minimizing and maximizing isometries.  Trial t is a Haar draw
-    when t < 8, when t is a multiple of ``EXPLORE_CYCLE`` or before any
-    incumbent exists; otherwise it rotates the minimizer (even t) or the
-    maximizer (odd t).  ``converged`` is true when neither best value
-    improved by more than ``PLATEAU_TOL`` during the last quarter of the
-    trials (and the run was long enough to judge).  Each decomposition has
-    rank + 2 elements.
+    when t is a multiple of ``EXPLORE_CYCLE`` or before any incumbent exists;
+    otherwise it rotates the minimizer (even t) or the maximizer (odd t).
+    ``converged`` is true when neither best value improved by more than
+    ``PLATEAU_TOL`` during the last quarter of the trials (and the run was
+    long enough to judge).  Each decomposition has rank + 2 elements.
     """
     order_obj = _as_order(order) if order is not None else None
     return _roof_estimates([(rho, measure_kind, order_obj)], trials, seed)[0]

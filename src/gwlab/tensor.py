@@ -226,8 +226,8 @@ class DensityOperator:
             )
         return np.sort(np.clip(vals, 0.0, None))[::-1]
 
-    def rank(self, tol: float = SUPPORT_TOL) -> int:
-        return int(np.count_nonzero(self.eigenvalues() > tol))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.eigenvalues() > SUPPORT_TOL))
 
 
 State = Union[PureState, DensityOperator]
@@ -447,7 +447,7 @@ def coarse_grain_state(state: State, partition: Partition) -> State:
     return DensityOperator(t.reshape(d, d), new_layout, gw=state.gw)
 
 
-def _support_basis(rho_local: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+def _support_basis(rho_local: np.ndarray) -> np.ndarray:
     """Rows form an orthonormal basis of the local support, dimension >= 2.
 
     The basis comes from Gram-Schmidt over the computational kets projected
@@ -457,7 +457,7 @@ def _support_basis(rho_local: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarra
     """
     d = rho_local.shape[0]
     evals, evecs = np.linalg.eigh(rho_local)
-    support = evecs[:, evals > tol]
+    support = evecs[:, evals > SUPPORT_TOL]
     rank = support.shape[1]
     proj = support @ support.conj().T
 

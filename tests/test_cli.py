@@ -100,6 +100,21 @@ def test_figure_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+@pytest.mark.parametrize("fig_id", [1, 2, 3])
+def test_figure_matches_golden_without_dense_state(fig_id, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
+    monkeypatch.setattr(gwlab.tensor.DensityOperator, "__post_init__", refuse)
+    out = tmp_path / f"figure{fig_id}.csv"
+    assert main(["figure", str(fig_id), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"figure{fig_id}.csv").read_bytes()
+
+
 def test_verify_exit_zero_and_jsonl(spec_file, tmp_path):
     out = tmp_path / "reports.jsonl"
     code = main(

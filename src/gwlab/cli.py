@@ -21,8 +21,8 @@ from . import featured
 from .games import (
     LOG_BASE,
     GameBoundInput,
-    check_monogamy_cap,
-    check_trace_bound_renyi,
+    _monogamy_cap,
+    _trace_bound_renyi,
     gap_bound,
 )
 from .inequalities import (
@@ -30,15 +30,12 @@ from .inequalities import (
     Applicability,
     InequalityReport,
     TighterParams,
-    check_merged_block_upper_bound,
-    check_monogamy_power,
-    check_monogamy_sq,
-    check_polygamy,
-    check_polygamy_power,
-    check_reoa_triangle,
-    check_tighter_multi,
-    check_tighter_three,
-    check_upper_bound_bipartition,
+    _merged_block_upper_bound,
+    _power_relation,
+    _reoa_triangle,
+    _tightened,
+    _upper_bound_bipartition,
+    at_order,
     h_coefficient,
     report_to_csv_row,
     report_to_json_line,
@@ -60,6 +57,12 @@ from .states import (
 from .tensor import Partition
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
+from .games import check_monogamy_cap, check_trace_bound_renyi  # noqa: F401
+from .inequalities import (  # noqa: F401
+    check_merged_block_upper_bound, check_monogamy_power, check_monogamy_sq,
+    check_polygamy, check_polygamy_power, check_reoa_triangle, check_tighter_multi,
+    check_tighter_three, check_upper_bound_bipartition,
+)
 from .roof import verify_c_equals_ca, verify_e_alpha_formula  # noqa: F401
 from .states import reduce_to_parties  # noqa: F401
 
@@ -192,11 +195,10 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
         block_p, block_q, block_r = featured.figure2_blocks()
+        bound = _merged_block_upper_bound(psi, block_p, block_q, [block_r])
         rows = []
         for a in alpha_grid(*DEFAULT_ALPHA_GRID):
-            report = check_merged_block_upper_bound(
-                psi, block_p, block_q, [block_r], a
-            )
+            report = bound.at(a)
             rows.append((_fmt(a), _fmt(report.lhs), _fmt(report.rhs)))
         lines = _csv_lines(("alpha", "lhs", "upper_bound"), rows)
     else:
@@ -222,6 +224,8 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
 
 def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     tighter = _tighter(args)
+    if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
+        raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec = _load_spec(args.spec)
     # every verify check is a closed form, so the block weights stand in for
     # the dense state and no party count is too large
@@ -235,43 +239,32 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     if not grid:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
-    # the concurrence and CREN tightened bounds take no Renyi order, so they
-    # are built once and repeated at every order, in the stream's order:
-    # three-block concurrence, CREN, Renyi, then the multi-block bound
-    order_free: list[InequalityReport] = []
+    # each checker does its order-free work once, here, in the stream's order;
+    # an order then costs only the window tests and the f_alpha values
+    power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
+    checks = [
+        _power_relation("monogamy_sq", "ge", psi, partition, 0, 2.0),
+        _power_relation("polygamy", "le", psi, partition, 0, 1.0),
+        _power_relation(*power, psi, partition, 0, args.mu),
+    ]
+    if len(blocks) >= 3:
+        p, q, rest = blocks[0], blocks[1], blocks[2:]
+        checks += [
+            _reoa_triangle(psi, Partition.of(blocks[:3])),
+            _merged_block_upper_bound(psi, p, q, rest),
+            _upper_bound_bipartition(psi, p, q, rest),
+        ]
+    checks.append(_monogamy_cap(psi, partition))
+    checks.append(_trace_bound_renyi(psi, (blocks[0], set().union(*blocks[1:]))))
     if tighter is not None and len(blocks) >= 3:
         first_three = Partition.of(blocks[:3])
-        order_free = [
-            check_tighter_three(psi, first_three, tighter, kind)
-            for kind in ("concurrence", "cren")
-        ]
+        for kind in ("concurrence", "cren", "renyi"):
+            checks.append(_tightened(psi, first_three, 2, tighter, kind, three=True))
         if len(blocks) >= 4:
-            order_free.append(
-                check_tighter_multi(psi, partition, 1, tighter, "concurrence")
-            )
+            checks.append(_tightened(psi, partition, 1, tighter, "concurrence"))
     reports: list[InequalityReport] = []
     for a in grid:
-        reports.append(check_monogamy_sq(psi, partition, 0, a))
-        reports.append(check_polygamy(psi, partition, 0, a))
-        if args.mu >= 2.0:
-            reports.append(check_monogamy_power(psi, partition, 0, a, args.mu))
-        elif 0.0 < args.mu <= 1.0:
-            reports.append(check_polygamy_power(psi, partition, 0, a, args.mu))
-        if len(blocks) >= 3:
-            p, q, rest = blocks[0], blocks[1], blocks[2:]
-            reports.append(check_reoa_triangle(psi, Partition.of(blocks[:3]), a))
-            reports.append(check_merged_block_upper_bound(psi, p, q, rest, a))
-            reports.append(check_upper_bound_bipartition(psi, p, q, rest, a))
-        reports.append(check_monogamy_cap(psi, partition, a))
-        reports.append(
-            check_trace_bound_renyi(psi, a, (blocks[0], set().union(*blocks[1:])))
-        )
-        if order_free:
-            reports.extend(order_free[:2])
-            reports.append(
-                check_tighter_three(psi, first_three, tighter, "renyi", order=a)
-            )
-            reports.extend(order_free[2:])
+        reports += at_order(a, checks)
     if spec.vacuum_weight > 0.0:
         reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
     return reports

@@ -20,15 +20,15 @@ from .inequalities import (
     CLOSED_FORM_TOL,
     Applicability,
     InequalityReport,
+    _MONOGAMY,
+    Prepared,
     _applicable,
-    _skipped,
 )
 from .measures import (
     FindingError,
     OrderLike,
     _as_order,
     cut_spectrum,
-    f_alpha,
     gw_one_to_rest_concurrence_sq,
     renyi_entropy,
 )
@@ -36,7 +36,7 @@ from .states import FamilyState
 from .tensor import Partition, PureState, bipartition_matrix, require_dense
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import gw_pairwise_concurrence  # noqa: F401
+from .measures import f_alpha, gw_pairwise_concurrence  # noqa: F401
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -115,19 +115,23 @@ def check_trace_bound_renyi(
 
     The distance is 2 sqrt(1 - lambda_0), taken as the weight of the Schmidt
     coefficients below the largest so that no cancellation enters."""
-    order = _as_order(order)
+    return _trace_bound_renyi(psi, bipartition).at(order)
+
+
+def _trace_bound_renyi(psi: FamilyState, bipartition=None) -> Prepared:
     if bipartition is None:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
-    params = {"alpha": order.alpha}
-    if order.alpha < 1.0:
-        return _skipped("trace_bound_renyi", Applicability.OUT_OF_WINDOW, params)
     spectrum = cut_spectrum(psi, bipartition)
     lam0 = float(spectrum.coefficients[0])
     lhs = 2.0 * math.sqrt(float(spectrum.coefficients[1:].sum()))
-    entanglement = renyi_entropy(spectrum, order).value
-    rhs = 2.0 * math.sqrt(2.0 * entanglement)
-    params["lambda0"] = lam0
-    return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
+
+    def evaluate(order, values, params):
+        entanglement = renyi_entropy(spectrum, order).value
+        rhs = 2.0 * math.sqrt(2.0 * entanglement)
+        params["lambda0"] = lam0
+        return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
+
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, evaluate)
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
@@ -193,29 +197,31 @@ def check_monogamy_cap(
 ) -> InequalityReport:
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
-    order = _as_order(order)
+    return _monogamy_cap(state, partition).at(order)
+
+
+def _monogamy_cap(state: FamilyState, partition: Partition) -> Prepared:
     partition.require_complete(state.layout)
-    alice = partition.blocks[0]
-    d_alice = math.prod(state.layout.dims[p] for p in sorted(alice))
-    params = {
-        "alpha": order.alpha,
-        "d": d_alice,
-        "partition": [sorted(b) for b in partition.blocks],
-    }
-    if not order.supports_monogamy:
-        return _skipped("monogamy_cap", Applicability.OUT_OF_WINDOW, params)
+    d_alice = math.prod(state.layout.dims[p] for p in sorted(partition.blocks[0]))
     split = gw_one_to_rest_concurrence_sq(state, partition, 0)
-    middle = f_alpha(split.pair_sum_sq, order) ** 2
-    lhs = sum(f_alpha(c2, order) ** 2 for c2 in split.pair_sq)
+    c2s = (split.pair_sum_sq, *split.pair_sq)
     cap = math.log2(d_alice) ** 2
-    params["middle"] = middle
-    slack = min(middle - lhs, cap - middle)
-    return InequalityReport(
-        name="monogamy_cap",
-        lhs=float(lhs),
-        rhs=float(cap),
-        slack=float(slack),
-        satisfied=bool(slack >= -CLOSED_FORM_TOL),
-        applicability=Applicability.APPLICABLE,
-        params=params,
-    )
+
+    def evaluate(order, values, params):
+        f = values(c2s)
+        middle = f[0] ** 2
+        lhs = sum(v**2 for v in f[1:])
+        params["middle"] = middle
+        slack = min(middle - lhs, cap - middle)
+        return InequalityReport(
+            name="monogamy_cap",
+            lhs=float(lhs),
+            rhs=float(cap),
+            slack=float(slack),
+            satisfied=bool(slack >= -CLOSED_FORM_TOL),
+            applicability=Applicability.APPLICABLE,
+            params=params,
+        )
+
+    params = {"d": d_alice, "partition": [sorted(b) for b in partition.blocks]}
+    return Prepared("monogamy_cap", _MONOGAMY, params, evaluate)

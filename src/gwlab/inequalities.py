@@ -1,11 +1,12 @@
 """Monogamy, polygamy, upper-bound and tightened-bound checkers.
 
 Every checker evaluates one inequality on a GW-family state, dense or
-:class:`GWBlocks`, and returns an :class:`InequalityReport`.  Applicability
-(order windows and side conditions) is a first-class result state rather
-than an error, so grid sweeps produce complete report streams; genuine
-violations on applicable instances surface as ``satisfied=False`` and are
-never swallowed.
+:class:`GWBlocks`, and returns an :class:`InequalityReport`: its
+:class:`Prepared` form, which holds the order-free work, evaluated by
+:func:`at_order` at one order.  Applicability (order windows and side
+conditions) is a first-class result state rather than an error, so grid
+sweeps produce complete report streams; genuine violations on applicable
+instances surface as ``satisfied=False`` and are never swallowed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .measures import (
     OrderLike,
@@ -38,6 +39,7 @@ __all__ = [
     "InequalityReport",
     "TighterParams",
     "CLOSED_FORM_TOL",
+    "at_order",
     "h_coefficient",
     "check_monogamy_sq",
     "check_monogamy_power",
@@ -117,6 +119,46 @@ def _skipped(name: str, why: Applicability, params: dict) -> InequalityReport:
     )
 
 
+class Prepared(NamedTuple):
+    """A checker with its order-free work (validation, reductions, C^2
+    values) done.  Inside the order ``window`` its report is
+    ``evaluate(order, values, params)``, where ``values`` maps a prepared C^2
+    vector to its f_alpha values at that order."""
+
+    name: str
+    window: Callable[[RenyiOrder], bool]
+    params: dict
+    evaluate: Callable[..., InequalityReport]
+
+    def at(self, order: OrderLike) -> InequalityReport:
+        return at_order(order, [self])[0]
+
+
+_MONOGAMY = RenyiOrder.supports_monogamy.fget
+_POLYGAMY = RenyiOrder.supports_polygamy.fget
+
+
+def at_order(order: OrderLike, checks: Iterable[Prepared]) -> list[InequalityReport]:
+    """The reports of prepared checkers at one order.  f_alpha runs once per
+    distinct C^2 vector, and every checker that prepared it reads the values."""
+    order = _as_order(order)
+    memo: dict[tuple, list] = {}
+
+    def values(c2s: tuple) -> list:
+        found = memo.get(c2s)
+        if found is None:
+            found = memo[c2s] = [f_alpha(c2, order) for c2 in c2s]
+        return found
+
+    def report(check: Prepared) -> InequalityReport:
+        params = {"alpha": order.alpha, **check.params}
+        if not check.window(order):
+            return _skipped(check.name, Applicability.OUT_OF_WINDOW, params)
+        return check.evaluate(order, values, params)
+
+    return [report(check) for check in checks]
+
+
 CSV_HEADER = ("name", "alpha", "mu", "k", "lhs", "rhs", "slack", "satisfied")
 
 
@@ -139,6 +181,9 @@ def report_to_csv_row(report: InequalityReport) -> tuple[str, ...]:
     )
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def report_to_json_line(report: InequalityReport) -> str:
     doc = {
         "name": report.name,
@@ -149,7 +194,7 @@ def report_to_json_line(report: InequalityReport) -> str:
         "applicability": report.applicability.value,
         "params": report.params,
     }
-    return json.dumps(doc, sort_keys=True)
+    return _JSON.encode(doc)
 
 
 def h_coefficient(k: float, t: float) -> float:
@@ -190,28 +235,22 @@ def _partition_params(partition: Partition, s: int) -> dict:
 
 
 def _power_relation(
-    name: str,
-    direction: str,
-    state: FamilyState,
-    partition: Partition,
-    s: int,
-    order: OrderLike,
-    mu: float,
-) -> InequalityReport:
+    name: str, direction: str, state: FamilyState, partition: Partition, s: int, mu
+) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
     blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
-    order = _as_order(order)
     state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, "mu": mu, **_partition_params(partition, s)}
-    in_window = (
-        order.supports_monogamy if direction == "ge" else order.supports_polygamy
-    )
-    if not in_window:
-        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
     split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    lhs = f_alpha(split.pair_sum_sq, order) ** mu
-    rhs = sum(f_alpha(c2, order) ** mu for c2 in split.pair_sq)
-    return _applicable(name, lhs, rhs, direction, params)
+    c2s = (split.pair_sum_sq, *split.pair_sq)
+
+    def evaluate(order, values, params):
+        f = values(c2s)
+        rhs = sum(v**mu for v in f[1:])
+        return _applicable(name, f[0] ** mu, rhs, direction, params)
+
+    params = {"mu": mu, **_partition_params(partition, s)}
+    window = _MONOGAMY if direction == "ge" else _POLYGAMY
+    return Prepared(name, window, params, evaluate)
 
 
 def check_monogamy_sq(
@@ -222,7 +261,7 @@ def check_monogamy_sq(
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    return _power_relation("monogamy_sq", "ge", state, partition, s, order, 2.0)
+    return _power_relation("monogamy_sq", "ge", state, partition, s, 2.0).at(order)
 
 
 def check_monogamy_power(
@@ -232,11 +271,11 @@ def check_monogamy_power(
     order: OrderLike,
     mu: float,
 ) -> InequalityReport:
-    """mu-th power monogamy for mu >= 2."""
+    """mu-th power monogamy for finite mu >= 2."""
     mu = float(mu)
-    if mu < 2.0:
-        raise ValueError(f"power monogamy needs mu >= 2, got {mu}")
-    return _power_relation("monogamy_power", "ge", state, partition, s, order, mu)
+    if not (math.isfinite(mu) and mu >= 2.0):
+        raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
+    return _power_relation("monogamy_power", "ge", state, partition, s, mu).at(order)
 
 
 def check_polygamy(
@@ -246,7 +285,7 @@ def check_polygamy(
     order: OrderLike,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    return _power_relation("polygamy", "le", state, partition, s, order, 1.0)
+    return _power_relation("polygamy", "le", state, partition, s, 1.0).at(order)
 
 
 def check_polygamy_power(
@@ -260,7 +299,7 @@ def check_polygamy_power(
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    return _power_relation("polygamy_power", "le", state, partition, s, order, mu)
+    return _power_relation("polygamy_power", "le", state, partition, s, mu).at(order)
 
 
 def _pair_c2(state: FamilyState, block_a, block_b) -> float:
@@ -268,14 +307,19 @@ def _pair_c2(state: FamilyState, block_a, block_b) -> float:
 
 
 def _merged_cut_bound(
-    name: str, state: FamilyState, p, q, rest, cut_c2: float, order: RenyiOrder, params
-) -> InequalityReport:
+    name: str, state: FamilyState, p, q, rest, cut_c2: float, params: dict
+) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))],
     given the cut's squared concurrence ``cut_c2``."""
-    rhs = 2.0 * f_alpha(_pair_c2(state, p, q), order)
-    rhs += sum(f_alpha(_pair_c2(state, p, r), order) for r in rest)
-    rhs += sum(f_alpha(_pair_c2(state, q, r), order) for r in rest)
-    return _applicable(name, f_alpha(cut_c2, order), rhs, "le", params)
+    p_c2 = tuple(_pair_c2(state, p, b) for b in (q, *rest))
+    q_c2 = tuple(_pair_c2(state, q, r) for r in rest)
+
+    def evaluate(order, values, params):
+        f_p = values(p_c2)
+        rhs = 2.0 * f_p[0] + sum(f_p[1:]) + sum(values(q_c2))
+        return _applicable(name, values((cut_c2,))[0], rhs, "le", params)
+
+    return Prepared(name, _POLYGAMY, params, evaluate)
 
 
 def check_merged_block_upper_bound(
@@ -290,20 +334,21 @@ def check_merged_block_upper_bound(
 
     The cut's C^2 comes from its Schmidt spectrum, which has rank at most
     two on this family."""
-    name = "merged_block_upper_bound"
-    order = _as_order(order)
+    return _merged_block_upper_bound(psi, block_p, block_q, rest_blocks).at(order)
+
+
+def _merged_block_upper_bound(psi, block_p, block_q, rest_blocks) -> Prepared:
     partition = Partition.of([block_p, block_q, *rest_blocks])
     block_p, block_q, *rest = partition.blocks
-    params = {"alpha": order.alpha, "blocks": [sorted(b) for b in partition.blocks]}
+    params = {"blocks": [sorted(b) for b in partition.blocks]}
     if not rest:
         raise ValueError("need at least one rest block")
     partition.require_complete(psi.layout)
     # raises unless psi is pure, the only case the bound is stated for
     spectrum = cut_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
-    if not order.supports_polygamy:
-        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
     cut_c2 = max(0.0, 2.0 * (1.0 - float((spectrum.coefficients**2).sum())))
-    return _merged_cut_bound(name, psi, block_p, block_q, rest, cut_c2, order, params)
+    name = "merged_block_upper_bound"
+    return _merged_cut_bound(name, psi, block_p, block_q, rest, cut_c2, params)
 
 
 def check_reoa_triangle(
@@ -318,20 +363,24 @@ def check_reoa_triangle(
     cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
     roof, only a lower bound on the assisted value.
     """
-    order = _as_order(order)
+    return _reoa_triangle(state, partition).at(order)
+
+
+def _reoa_triangle(state: FamilyState, partition: Partition) -> Prepared:
     if partition.n_blocks != 3:
         raise ValueError("triangle bound needs exactly three blocks")
     state, partition = _restrict_to_blocks(state, partition.blocks)
-    params = {"alpha": order.alpha, **_partition_params(partition, 0)}
-    if not order.supports_polygamy:
-        return _skipped("reoa_triangle", Applicability.OUT_OF_WINDOW, params)
-    values = [
-        f_alpha(gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq, order)
+    c2s = tuple(
+        gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq
         for s in range(3)
-    ]
-    return _applicable(
-        "reoa_triangle", values[0], values[1] + values[2], "le", params
     )
+
+    def evaluate(order, values, params):
+        f = values(c2s)
+        return _applicable("reoa_triangle", f[0], f[1] + f[2], "le", params)
+
+    params = _partition_params(partition, 0)
+    return Prepared("reoa_triangle", _POLYGAMY, params, evaluate)
 
 
 def check_upper_bound_bipartition(
@@ -343,19 +392,20 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
-    name = "pair_block_upper_bound"
-    order = _as_order(order)
+    return _upper_bound_bipartition(state, block_p1, block_p2, q_blocks).at(order)
+
+
+def _upper_bound_bipartition(state, block_p1, block_p2, q_blocks) -> Prepared:
     qs = [frozenset(b) for b in q_blocks]
     if not qs:
         raise ValueError("need at least one Q block")
     state, partition = _restrict_to_blocks(state, [block_p1, block_p2, *qs])
     p1, p2, *qs = partition.blocks
-    params = {"alpha": order.alpha, "blocks": [sorted(b) for b in partition.blocks]}
-    if not order.supports_polygamy:
-        return _skipped(name, Applicability.OUT_OF_WINDOW, params)
+    params = {"blocks": [sorted(b) for b in partition.blocks]}
     merged = Partition.of([p1 | p2, *qs])
     cut_c2 = gw_one_to_rest_concurrence_sq(state, merged, 0).pair_sum_sq
-    return _merged_cut_bound(name, state, p1, p2, qs, cut_c2, order, params)
+    name = "pair_block_upper_bound"
+    return _merged_cut_bound(name, state, p1, p2, qs, cut_c2, params)
 
 
 @dataclass(frozen=True)
@@ -395,43 +445,36 @@ class TighterParams:
 _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
-def _tighter_sides(
-    state: FamilyState,
-    partition: Partition,
-    split_index: int,
-    params: TighterParams,
-    measure_kind: str,
-    order: Optional[OrderLike],
-):
-    """Report params and, inside the order window, (lhs, rhs, conditions) of
-    the multi-block tightened bound; the sides are None outside the window.
+def _tightened(
+    state, partition, split_index, params: TighterParams, measure_kind, three=False
+) -> Prepared:
+    """The multi-block tightened bound; ``three`` names it the three-block one
+    and records the margin of its one side condition.
 
     Blocks are numbered 1..m with P1 distinguished.  ``conditions`` holds the
     chain, index and margin of every side condition in checking order; they
-    are stated on the concurrence, which CREN equals on this family.
-    """
+    are stated on the concurrence, which CREN equals on this family.  The
+    concurrence and CREN kinds take no order, so their report is made once."""
+    m = partition.n_blocks
+    if m < 3:
+        raise ValueError("need at least three blocks")
+    n = int(split_index)
+    if not 1 <= n <= m - 1:
+        raise ValueError(f"split_index must lie in [1, {m - 1}], got {n}")
     if measure_kind not in _TIGHTER_KINDS:
         raise ValueError(f"measure_kind must be one of {_TIGHTER_KINDS}")
-    order_obj: Optional[RenyiOrder] = None
-    if measure_kind == "renyi":
-        if order is None:
-            raise ValueError("renyi kind needs a Renyi order")
-        order_obj = _as_order(order)
+    name = f"tighter_{'three' if three else 'multi'}_{measure_kind}"
     state, partition = _restrict_to_blocks(state, partition.blocks)
+    h = params.h
     report_params = {
         "measure": measure_kind,
         "c_pow": params.c_pow,
         "b_pow": params.b_pow,
         "k": params.k,
-        "h": params.h,
+        "h": h,
         **_partition_params(partition, 0),
+        **({} if three else {"split_index": n}),
     }
-    if order_obj is not None:
-        report_params["alpha"] = order_obj.alpha
-        if not order_obj.supports_monogamy:
-            return report_params, None
-
-    m = partition.n_blocks
     first = partition.blocks[0]
     # indices follow the 1-based block numbers: pair_c2[i] is C^2(P1, P_i)
     # and suffix_c2[j] is C^2(P1 | P_j ... P_m) through pairwise additivity
@@ -439,13 +482,9 @@ def _tighter_sides(
     suffix_c2 = [None, None] + [float(sum(pair_c2[j:])) for j in range(2, m + 1)]
     c_pair = [None, None] + [math.sqrt(c2) for c2 in pair_c2[2:]]
     c_suffix = [None, None] + [math.sqrt(c2) for c2 in suffix_c2[2:]]
-    if order_obj is None:
-        pair_m, lhs_m = c_pair, c_suffix[2]
-    else:
-        pair_m = [None, None] + [f_alpha(c2, order_obj) for c2 in pair_c2[2:]]
-        lhs_m = f_alpha(suffix_c2[2], order_obj)
+    pair_vec, lhs_vec = tuple(pair_c2[2:]), (suffix_c2[2],)
 
-    c, k, n = params.c_pow, params.k, split_index
+    c, k, b = params.c_pow, params.k, params.b_pow
     conditions = [
         {"chain": 1, "index": i, "margin": c_suffix[i + 1] ** c - k * c_pair[i] ** c}
         for i in range(2, n + 1)
@@ -454,12 +493,37 @@ def _tighter_sides(
         {"chain": 2, "index": j, "margin": c_pair[j] ** c - k * c_suffix[j + 1] ** c}
         for j in range(n + 1, m)
     ]
-    b, h = params.b_pow, params.h
-    lhs = lhs_m**b
-    rhs = sum(h ** (i - 2) * pair_m[i] ** b for i in range(2, n + 1))
-    rhs += h**n * sum(pair_m[i] ** b for i in range(n + 1, m))
-    rhs += h ** (n - 1) * pair_m[m] ** b
-    return report_params, (lhs, rhs, conditions)
+    failed = [cond for cond in conditions if cond["margin"] < CONDITION_MARGIN]
+    if three:
+        in_window = {"condition_margin": float(conditions[0]["margin"])}
+    else:
+        in_window = {"failed_condition": failed[0]} if failed else {}
+
+    def evaluate(order, values, rparams):
+        rparams.update(in_window)
+        if failed:
+            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
+        if order is None:
+            pair_m, lhs_m = c_pair, c_suffix[2]
+        else:
+            pair_m, lhs_m = [None, None] + values(pair_vec), values(lhs_vec)[0]
+        rhs = sum(h ** (i - 2) * pair_m[i] ** b for i in range(2, n + 1))
+        rhs += h**n * sum(pair_m[i] ** b for i in range(n + 1, m))
+        rhs += h ** (n - 1) * pair_m[m] ** b
+        return _applicable(name, lhs_m**b, rhs, "ge", rparams)
+
+    if measure_kind != "renyi":
+        report = evaluate(None, None, report_params)
+        return Prepared(name, lambda order: True, {}, lambda *_: report)
+    return Prepared(name, _MONOGAMY, report_params, evaluate)
+
+
+def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityReport:
+    if measure_kind != "renyi":
+        return check.evaluate()
+    if order is None:
+        raise ValueError("renyi kind needs a Renyi order")
+    return check.at(order)
 
 
 def check_tighter_three(
@@ -478,16 +542,8 @@ def check_tighter_three(
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
-    name = f"tighter_three_{measure_kind}"
-    rparams, sides = _tighter_sides(state, partition, 2, params, measure_kind, order)
-    if sides is None:
-        return _skipped(name, Applicability.OUT_OF_WINDOW, rparams)
-    lhs, rhs, [condition] = sides
-    margin = condition["margin"]
-    rparams["condition_margin"] = float(margin)
-    if margin < CONDITION_MARGIN:
-        return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    return _applicable(name, lhs, rhs, "ge", rparams)
+    check = _tightened(state, partition, 2, params, measure_kind, three=True)
+    return _tighter_report(check, measure_kind, order)
 
 
 def check_tighter_multi(
@@ -505,23 +561,8 @@ def check_tighter_multi(
     weights h^(i-2); the second chain (pairs split_index+1..m-1 dominating k
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
-    m = partition.n_blocks
-    if m < 3:
-        raise ValueError("need at least three blocks")
-    n = int(split_index)
-    if not 1 <= n <= m - 1:
-        raise ValueError(f"split_index must lie in [1, {m - 1}], got {n}")
-    name = f"tighter_multi_{measure_kind}"
-    rparams, sides = _tighter_sides(state, partition, n, params, measure_kind, order)
-    rparams["split_index"] = n
-    if sides is None:
-        return _skipped(name, Applicability.OUT_OF_WINDOW, rparams)
-    lhs, rhs, conditions = sides
-    for condition in conditions:
-        if condition["margin"] < CONDITION_MARGIN:
-            rparams["failed_condition"] = condition
-            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-    return _applicable(name, lhs, rhs, "ge", rparams)
+    check = _tightened(state, partition, split_index, params, measure_kind)
+    return _tighter_report(check, measure_kind, order)
 
 
 def run_mixture_suite(

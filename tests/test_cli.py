@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 import gwlab.cli
+import gwlab.games
+import gwlab.inequalities
 import gwlab.measures
 import gwlab.roof
 import gwlab.tensor
 from gwlab import (
+    GWBlocks,
     GWSpec,
     gw_spec_to_json,
     report_to_json_line,
@@ -245,25 +248,61 @@ def test_verify_partial_tightened_flags_exit_two(spec_file, tmp_path, capsys, gi
 
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     # verify runs on block weights, so neither grid compresses any local
-    # support, whatever its number of orders
-    calls = []
+    # support, and the order-free closed forms (block weights and pair
+    # concurrences) run once per job, whatever its number of orders
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
     compress = gwlab.measures.compress_local_support
-
-    def counting(state):
-        calls.append(state)
-        return compress(state)
-
-    monkeypatch.setattr(gwlab.measures, "compress_local_support", counting)
+    monkeypatch.setattr(
+        gwlab.measures, "compress_local_support", counting("compress", compress)
+    )
+    pairwise = counting("pairwise", gwlab.measures.gw_pairwise_concurrence)
+    for module in (gwlab.measures, gwlab.inequalities, gwlab.games, gwlab.cli):
+        monkeypatch.setattr(module, "gw_pairwise_concurrence", pairwise)
+    weight = counting("block_weight", GWBlocks.block_weight)
+    monkeypatch.setattr(GWBlocks, "block_weight", weight)
     spec = gw_spec_to_json(GWSpec.qubit([0.5, 0.5, 0.5, 0.5], vacuum_weight=0.2))
     counts = []
     for grid in ("1.1:1.1:1", "0.83:1.30:0.05"):
-        calls.clear()
+        calls.update(compress=0, pairwise=0, block_weight=0)
         args = ["verify", "--spec", spec, "--alpha", grid, "--c-pow", "2"]
         args += ["--b-pow", "1", "--k", "2", "--out", str(tmp_path / "r.jsonl")]
         assert main(args) == 0
-        counts.append(len(calls))
+        counts.append(dict(calls))
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert counts == [0, 0]
+    assert counts[0] == counts[1]
+    assert counts[0]["compress"] == 0
+    assert counts[0]["pairwise"] > 0 and counts[0]["block_weight"] > 0
+
+
+def test_verify_single_block_exit_two(spec_file, tmp_path, capsys):
+    # every checker prepares its split before any order, so a one-block
+    # partition fails even on a grid with no order in any window, where it
+    # used to exit 0 with skipped reports only
+    out = tmp_path / "r.jsonl"
+    args = ["verify", "--spec", spec_file, "--partition", "0,1,2,3", "--out", str(out)]
+    assert main(args + ["--alpha", "0.5:0.7:0.1"]) == 2
+    assert main(args) == 2
+    assert "partition needs at least two blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["1.5", "-1", "0", "nan", "inf"])
+def test_verify_mu_outside_domain_exit_two(spec_file, tmp_path, capsys, mu):
+    # a --mu outside (0, 1] and [2, inf) used to drop the power report and
+    # exit 0, or with inf to report an infinite power bound
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--spec", spec_file, "--mu", mu, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mu must lie in (0, 1] or [2, inf), got ")
+    assert not out.exists()
 
 
 def test_verify_determinism(spec_file, tmp_path):

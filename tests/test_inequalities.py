@@ -119,6 +119,15 @@ def test_monogamy_power_reduces_to_square():
         check_monogamy_power(rho, partition, 0, 2.0, 1.5)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_power_checkers_reject_non_finite_mu(mu):
+    rho, partition = figure1_reduction()
+    with pytest.raises(ValueError, match="finite mu >= 2"):
+        check_monogamy_power(rho, partition, 0, 2.0, mu)
+    with pytest.raises(ValueError, match="mu in"):
+        check_polygamy_power(rho, partition, 0, 1.1, mu)
+
+
 def test_polygamy_featured_chain():
     rho, partition = figure1_reduction()
     report = check_polygamy(rho, partition, 0, 1.1)

@@ -8,9 +8,11 @@ applicable satisfied.  No applicable unsatisfied oracle report is pinned:
 none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number
-agrees within 1e-12.  A deliberate output change re-records a stream by
-running the ``ARGS`` below with ``--out tests/data/<file>`` and is written
-up in CHANGES.md.
+agrees within 1e-12.  The CSV stream is pinned byte for byte, as the
+project's "same behaviour" asks of CSV output; it runs the default order
+grid.  A deliberate output change re-records a stream by running the
+``ARGS`` below with ``--out tests/data/<file>`` and is written up in
+CHANGES.md.
 """
 
 import json
@@ -44,6 +46,10 @@ ARGS = {
         "verify", "--spec", README_SPEC, "--partition", "0|1,2|3", *TIGHTER,
         "--format", "jsonl",
     ],
+    "report_stream_readme.csv": [
+        "verify", "--spec", README_SPEC, "--partition", "0|1,2|3", *TIGHTER[:6],
+        "--format", "csv",
+    ],
     "report_stream_mixture.jsonl": [
         "verify", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4", *TIGHTER,
         "--mu", "0.5", "--format", "jsonl",
@@ -69,9 +75,18 @@ def _assert_stream_unchanged(stream, tmp_path) -> None:
         assert_same_doc(g, w, f"line {i + 1} ({w['name']})", NUM_TOL)
 
 
-@pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("report")))
+@pytest.mark.parametrize(
+    "stream", sorted(s for s in ARGS if s.startswith("report") and s.endswith(".jsonl"))
+)
 def test_verify_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
+
+
+def test_verify_csv_stream_bytes_unchanged(tmp_path):
+    stream = "report_stream_readme.csv"
+    out = tmp_path / stream
+    assert main(ARGS[stream] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / stream).read_bytes()
 
 
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))

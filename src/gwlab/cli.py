@@ -48,12 +48,7 @@ from .measures import (
     gw_pairwise_concurrence,
 )
 from .roof import oracle_reports
-from .states import (
-    GWBlocks,
-    GWSpec,
-    gw_spec_from_json,
-    superpose_with_vacuum,
-)
+from .states import GWBlocks, GWSpec, gw_spec_from_json
 from .tensor import Partition
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
@@ -64,7 +59,7 @@ from .inequalities import (  # noqa: F401
     check_tighter_three, check_upper_bound_bipartition,
 )
 from .roof import verify_c_equals_ca, verify_e_alpha_formula  # noqa: F401
-from .states import reduce_to_parties  # noqa: F401
+from .states import reduce_to_parties, superpose_with_vacuum  # noqa: F401
 
 __all__ = [
     "alpha_grid",
@@ -87,6 +82,10 @@ DEFAULT_ALPHA_GRID = (0.8229, 1.3027, 0.005)
 #: (a tiny step, or one that float addition cannot advance) is refused
 #: before anything is built.
 MAX_GRID_ORDERS = 10**5
+
+#: Most roof targets (block pairs plus orders) an oracle job may ask for; a
+#: target holds about 4 KB, and a larger job is refused before any is built.
+MAX_ORACLE_TARGETS = 10**5
 
 
 def _fmt(x: float) -> str:
@@ -136,13 +135,6 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _partition(args: argparse.Namespace, spec: GWSpec) -> Partition:
-    """``--partition`` if given, else one block per party."""
-    if args.partition:
-        return parse_partition(args.partition)
-    return Partition.singletons(spec.n)
-
-
 def _tighter(args: argparse.Namespace) -> Optional[TighterParams]:
     """The tightened-bound exponents: all of --c-pow, --b-pow, --k or none."""
     flags = {"--c-pow": args.c_pow, "--b-pow": args.b_pow, "--k": args.k}
@@ -162,6 +154,19 @@ def _load_spec(source: str) -> GWSpec:
     if not source.lstrip().startswith("{"):
         text = Path(source).read_text()
     return gw_spec_from_json(text)
+
+
+def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]:
+    """The spec, its block weights (no dense state, so no party count is too
+    large) and ``--partition`` or one block per party, checked complete."""
+    spec = _load_spec(args.spec)
+    psi = GWBlocks.of(spec)
+    partition = (
+        parse_partition(args.partition) if args.partition
+        else Partition.singletons(spec.n)
+    )
+    partition.require_complete(psi.layout)
+    return spec, psi, partition
 
 
 def _write_lines(lines: list[str], out: Optional[str]) -> None:
@@ -226,12 +231,7 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     tighter = _tighter(args)
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
-    spec = _load_spec(args.spec)
-    # every verify check is a closed form, so the block weights stand in for
-    # the dense state and no party count is too large
-    psi = GWBlocks.of(spec)
-    partition = _partition(args, spec)
-    partition.require_complete(psi.layout)
+    spec, psi, partition = _load_blocks(args)
     blocks = list(partition.blocks)
 
     alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
@@ -291,22 +291,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Convex-roof estimates plus agreement reports, one JSON object per line.
 
-    Every block pair of the full state, and each order on the first two
-    blocks, is one target of ``oracle_reports``, which reduces and
-    compresses each pair through ``block_pair_reduction`` and runs all the
-    roofs in lockstep."""
+    Every block pair of the state's block weights, and each order on the
+    first two blocks, is one target of ``oracle_reports``, which builds each
+    pair's canonical qubit pair through ``block_pair_reduction`` and runs
+    all the roofs in lockstep.  A job of more than ``MAX_ORACLE_TARGETS``
+    targets is refused before any pair is listed."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _env_seed() if args.seed is None else args.seed
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
-    spec = _load_spec(args.spec)
-    psi = superpose_with_vacuum(spec)
-    partition = _partition(args, spec)
-    partition.require_complete(psi.layout)
-    if partition.n_blocks < 2:
+    _, psi, partition = _load_blocks(args)
+    k = partition.n_blocks
+    if k < 2:
         raise ValueError("partition needs at least two blocks")
     orders = [_as_order(float(a)) for a in args.alpha.split(",")] if args.alpha else []
+    if k * (k - 1) // 2 + len(orders) > MAX_ORACLE_TARGETS:
+        raise ValueError(
+            f"{k} blocks and {len(orders)} orders make more than "
+            f"MAX_ORACLE_TARGETS = {MAX_ORACLE_TARGETS} oracle targets"
+        )
     blocks = list(partition.blocks)
     pairs = [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
     targets = [(pair, None) for pair in pairs] + [(pairs[0], a) for a in orders]

@@ -29,6 +29,7 @@ from .tensor import (
     PureState,
     State,
     SchmidtSpectrum,
+    SubsystemLayout,
     _memoized,
     coarse_grain_state,
     compress_local_support,
@@ -303,17 +304,30 @@ def _require_gw(state: State, what: str) -> None:
 
 
 def block_pair_reduction(
-    state: State, block_a: Iterable[int], block_b: Iterable[int]
+    state: FamilyState, block_a: Iterable[int], block_b: Iterable[int]
 ) -> DensityOperator:
-    """Reduce to two blocks, view them as two parties, compress to qubits.
+    """The two blocks' reduction as a qubit pair, block a first.
 
-    On GW-family states the compressed reduction is always a qubit pair; a
-    different shape is surfaced as a finding.  The pair is memoized on the
-    state per ordered block pair: (a, b) and (b, a) compress differently."""
+    A pure GWBlocks gives the canonical pair |phi><phi| + (1-w)(1-s_a-s_b)|00><00|,
+    phi = sqrt(w)|00> + sqrt((1-w) s_b)|01> + sqrt((1-w) s_a)|10>: the dense
+    pair up to a local unitary.  A mixture has the same weights but lacks the
+    sqrt(w) coherence, so a GWBlocks that is not pure is refused.  A dense
+    state is reduced to the two blocks, viewed as two parties and compressed
+    to qubits (another shape is a finding), and memoized per ordered pair:
+    (a, b) and (b, a) compress differently."""
     block_a = frozenset(int(p) for p in block_a)
     block_b = frozenset(int(p) for p in block_b)
-    if block_a & block_b:
-        raise ValueError("blocks overlap")
+    if not block_a or not block_b or block_a & block_b:
+        raise ValueError("blocks must be nonempty and must not overlap")
+    if isinstance(state, GWBlocks):
+        if not state.pure:
+            raise ValueError("a block pair of block weights needs a pure state")
+        w = state.vacuum_weight
+        s_a, s_b = state.block_weight(block_a), state.block_weight(block_b)
+        phi = np.sqrt([w, (1.0 - w) * s_b, (1.0 - w) * s_a, 0.0])
+        matrix = np.outer(phi, phi)
+        matrix[0, 0] += (1.0 - w) * max(0.0, 1.0 - s_a - s_b)
+        return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
     key = ("block_pair_reduction", block_a, block_b)
     return _memoized(state, key, lambda: _block_pair(state, block_a, block_b))
 

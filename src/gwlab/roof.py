@@ -2,7 +2,7 @@
 
 The estimator takes two-qubit states only: the paper's closed forms are
 stated for the two-qubit reduction of a generalized W-class state, and
-``block_pair_reduction`` compresses every pair of blocks to one.  Every
+``block_pair_reduction`` turns every pair of blocks into one.  Every
 m-element decomposition of a rank-r density operator arises from an
 m x r isometry applied to its eigen-ensemble, so the optimizer explores the
 isometry manifold: Haar-random draws interleaved with random-rotation
@@ -40,7 +40,8 @@ from .measures import (
     f_alpha,
     gw_pairwise_concurrence,
 )
-from .tensor import DensityOperator, SUPPORT_TOL, State
+from .states import FamilyState
+from .tensor import DensityOperator, SUPPORT_TOL
 
 # unused here; kept only as a bench/tracer.py seed import site (ROADMAP item 1)
 from .tensor import schmidt_spectrum  # noqa: F401
@@ -306,7 +307,7 @@ def _compare(concurrence, pair, order, estimate, params) -> InequalityReport:
 
 
 def oracle_reports(
-    state: State,
+    state: FamilyState,
     targets: Sequence[tuple],
     trials: int = 20000,
     seed: int = 0,
@@ -314,10 +315,11 @@ def oracle_reports(
     """One agreement report per ``(blocks, order)`` target: ``c_equals_ca``
     when the order is None, else ``e_alpha_formula`` at that order.
 
-    Each pair of blocks (by default party 0 and the rest) is reduced and
-    compressed through ``block_pair_reduction`` once, however many targets
-    name it.  Every target is checked before any reduction or roof runs;
-    orders outside the convexity threshold are reported OUT_OF_WINDOW
+    Each pair of blocks (by default party 0 and the rest) becomes a qubit
+    pair through ``block_pair_reduction`` once, however many targets name
+    it: the canonical pair of a GWBlocks, or the compressed reduction of a
+    dense state.  Every target is checked before any pair is built or roof
+    runs; orders outside the convexity threshold are reported OUT_OF_WINDOW
     without a roof, and the roofs of the others run in lockstep."""
     _check_run(trials, seed)
     orders = [None if order is None else _as_order(order) for _, order in targets]
@@ -351,7 +353,7 @@ def oracle_reports(
 
 
 def verify_c_equals_ca(
-    state: State, trials: int = 20000, seed: int = 0, blocks=None
+    state: FamilyState, trials: int = 20000, seed: int = 0, blocks=None
 ) -> InequalityReport:
     """Check that the min and max decomposition averages of the concurrence
     pinch together onto the two-qubit closed form."""
@@ -359,7 +361,7 @@ def verify_c_equals_ca(
 
 
 def verify_e_alpha_formula(
-    state: State,
+    state: FamilyState,
     order: OrderLike,
     trials: int = 20000,
     seed: int = 0,

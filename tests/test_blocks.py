@@ -13,6 +13,7 @@ from gwlab import (
     Partition,
     PurificationSpec,
     TighterParams,
+    block_pair_reduction,
     check_merged_block_upper_bound,
     check_monogamy_cap,
     check_monogamy_power,
@@ -25,6 +26,7 @@ from gwlab import (
     check_trace_bound_renyi,
     check_upper_bound_bipartition,
     coarse_grain_state,
+    concurrence_two_qubit,
     cut_spectrum,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
@@ -125,6 +127,18 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         _assert_same_reports(
             run_mixture_suite(spec, 1.1), _dense_mixture_suite(spec, 1.1)
         )
+        # the canonical pair of the weights against the dense compressed pair
+        first = partition.blocks[0]
+        for other in partition.blocks[1:]:
+            pairs = [block_pair_reduction(x, first, other) for x in (blocks, dense)]
+            spectra = [
+                np.concatenate([p.eigenvalues()]
+                               + [partial_trace(p, {q}).eigenvalues() for q in (0, 1)])
+                for p in pairs
+            ]
+            np.testing.assert_allclose(spectra[0], spectra[1], rtol=0.0, atol=1e-12)
+            got, want = (concurrence_two_qubit(p).value for p in pairs)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_restriction_and_merging_match_dense(rng):
@@ -174,6 +188,10 @@ def test_blocks_validation_and_purity():
         GWBlocks((1.5, -0.5), GWBlocks.of(spec).layout)
     with pytest.raises(ValueError, match="pure state"):
         cut_spectrum(GWBlocks.of(spec, pure=False), ({0}, {1}))
+    with pytest.raises(ValueError, match="pure state"):
+        block_pair_reduction(GWBlocks.of(spec, pure=False), {0}, {1})
+    with pytest.raises(ValueError, match="nonempty"):
+        block_pair_reduction(GWBlocks.of(spec), set(), {1})
     three = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
     with pytest.raises(ValueError, match="pure state"):
         check_merged_block_upper_bound(

@@ -24,7 +24,6 @@ from gwlab import (
     GWSpec,
     gw_spec_to_json,
     report_to_json_line,
-    superpose_with_vacuum,
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )
@@ -351,15 +350,15 @@ def test_oracle_reports_and_determinism(spec_file, tmp_path):
 
 
 def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
-    # one oracle_reports call gets the full state and every target; it
-    # reduces each block pair itself, so the CLI makes no reduction of its own
+    # one oracle_reports call gets the state's block weights and every
+    # target; it builds each block pair itself, and no dense state is built
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3"]
     args += ["--trials", "300", "--seed", "7", "--alpha", "0.9,1.1"]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(args + ["--out", str(a)]) == 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("cmd_oracle reduced the state itself")
+    def refuse(self):
+        raise AssertionError("a dense state was built")
 
     calls = []
     real = gwlab.cli.oracle_reports
@@ -368,13 +367,13 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
         calls.append((state, targets))
         return real(state, targets, **kwargs)
 
-    monkeypatch.setattr(gwlab.cli, "reduce_to_parties", refuse)
+    monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
     monkeypatch.setattr(gwlab.cli, "oracle_reports", spy)
     assert main(args + ["--out", str(b)]) == 0
     assert b.read_bytes() == a.read_bytes()
     assert len(b.read_text().splitlines()) == 5
     [(state, targets)] = calls
-    assert state.layout.n_parties == 4
+    assert isinstance(state, GWBlocks) and state.layout.n_parties == 4
     assert [order and order.alpha for _, order in targets] == [None] * 3 + [0.9, 1.1]
 
 
@@ -398,7 +397,7 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
     assert main(args + ["--seed", "5", "--alpha", "1.1,0.5", "--out", str(out)]) == 0
     assert shapes == {(4, 2), (3, 1)}
 
-    psi = superpose_with_vacuum(spec)
+    psi = GWBlocks.of(spec)
     a, b, c = {0}, {1}, {2, 3}
     solo = []
     for pair in ((a, b), (a, c), (b, c)):
@@ -537,17 +536,31 @@ def _run_capped(args, cap_bytes=2**30):
     )
 
 
-#: 14 qubits split as one party against the other 13: the pair of the two
-#: blocks is a dense 2^14 x 2^14 operator, 4 GiB of complex entries.
+#: 14 qubits split as one party against the other 13: on the dense path the
+#: pair of the two blocks is a 2^14 x 2^14 operator, 4 GiB of complex entries.
 WIDE_SPEC = gw_spec_to_json(GWSpec.qubit(np.ones(14) / math.sqrt(14)))
 WIDE_CUT = "0|" + ",".join(str(p) for p in range(1, 14))
+#: 2000 qubits with a vacuum admixture: a dense state would need 2^2000 entries.
+HUGE_SPEC = gw_spec_to_json(GWSpec.qubit(np.ones(2000) / math.sqrt(2000), 0.2))
 
 
-def test_oracle_refuses_oversize_dense_array():
+def test_oracle_runs_wide_pairs_on_weights():
     proc = _run_capped(["oracle", "--spec", WIDE_SPEC, "--partition", WIDE_CUT,
                         "--trials", "10"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1
+    huge_cut = "0|" + ",".join(str(p) for p in range(1, 2000))
+    proc = _run_capped(["oracle", "--spec", HUGE_SPEC, "--partition", huge_cut,
+                        "--trials", "10", "--alpha", "1.1"], cap_bytes=2 * 2**30)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2
+
+
+def test_oracle_refuses_too_many_targets():
+    # singleton blocks of 2000 parties make about 2e6 pairs, gigabytes of roofs
+    proc = _run_capped(["oracle", "--spec", HUGE_SPEC, "--trials", "10"])
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: a dense 16384x16384 array needs")
+    assert "MAX_ORACLE_TARGETS" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -17,6 +17,7 @@ against.  The argument type alone selects the path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -106,7 +107,7 @@ class RenyiOrder:
     def __post_init__(self):
         a = float(self.alpha)
         if not np.isfinite(a) or a <= 0.0:
-            raise ValueError(f"Renyi order must be positive, got {a}")
+            raise ValueError(f"Renyi order must be positive and finite, got {a}")
         object.__setattr__(self, "alpha", a)
 
     @property
@@ -180,7 +181,12 @@ def f_alpha(x: float, order: OrderLike) -> float:
     a = order.alpha
     if abs(1.0 - a) < EXPM1_BAND:
         return _renyi_near_one([lam for lam in (lam_lo, lam_hi) if lam > 0.0], a)
-    return math.log2(lam_lo**a + lam_hi**a) / (1.0 - a)
+    power_sum = lam_lo**a + lam_hi**a
+    if power_sum < sys.float_info.min:
+        # past order ~1000 the plain sum underflows: factor lam_hi**a out
+        log_sum = a * math.log2(lam_hi) + math.log2((lam_lo / lam_hi) ** a + 1.0)
+        return log_sum / (1.0 - a)
+    return math.log2(power_sum) / (1.0 - a)
 
 
 def _renyi_near_one(lams: Iterable[float], a: float) -> float:
@@ -208,7 +214,14 @@ def _f_alpha_array(x: np.ndarray, order: OrderLike) -> np.ndarray:
         excess = lam_lo * np.expm1((a - 1.0) * log_lo)
         excess += lam_hi * np.expm1((a - 1.0) * log_hi)
         return np.log1p(excess) / ((1.0 - a) * math.log(2.0))
-    return np.log2(lam_lo**a + lam_hi**a) / (1.0 - a)
+    power_sum = lam_lo**a + lam_hi**a
+    tiny = power_sum < sys.float_info.min
+    log_sum = np.log2(np.where(tiny, 1.0, power_sum))
+    if tiny.any():
+        # past order ~1000 the plain sum underflows: factor lam_hi**a out
+        factored = a * np.log2(lam_hi) + np.log2((lam_lo / lam_hi) ** a + 1.0)
+        log_sum = np.where(tiny, factored, log_sum)
+    return log_sum / (1.0 - a)
 
 
 def g_alpha(y: float, order: OrderLike) -> float:
@@ -240,7 +253,14 @@ def renyi_entropy(
     elif abs(1.0 - a) < EXPM1_BAND:
         value = _renyi_near_one(lams.tolist(), a)
     else:
-        value = float(np.log2((lams**a).sum()) / (1.0 - a))
+        power_sum = (lams**a).sum()
+        if power_sum < sys.float_info.min:
+            # past order ~1000 the plain sum underflows: factor max(lams)**a out
+            top = lams.max()
+            log_sum = a * np.log2(top) + np.log2(((lams / top) ** a).sum())
+            value = float(log_sum / (1.0 - a))
+        else:
+            value = float(np.log2(power_sum) / (1.0 - a))
     return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
 
 

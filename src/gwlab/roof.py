@@ -16,7 +16,8 @@ derives from the (seed, g) pair and is drawn in fixed shapes however many
 trials remain, and refinement uses only incumbents of earlier generations,
 so runs are reproducible and a longer run extends a shorter one.  The runs
 of one call share their seed and advance in lockstep: each generation is
-drawn once per isometry shape and read by every run of that shape.
+drawn once per isometry shape, and the runs of a shape step as stacked
+arrays of at most ``GROUP_RUNS`` runs, one matrix product each.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +35,6 @@ import numpy as np
 from .inequalities import Applicability, InequalityReport, _applicable, _skipped
 from .measures import (
     OrderLike,
-    RenyiOrder,
     _as_order,
     _f_alpha_array,
     block_pair_reduction,
@@ -74,6 +75,9 @@ REFINE_FLOOR = 1e-3
 #: Trials drawn, orthonormalised and averaged as one batch.  Incumbents
 #: change only between generations.
 GENERATION = 64
+#: Runs of one isometry shape advance in stacks of at most this many, so a
+#: generation's temporaries do not grow with the number of targets.
+GROUP_RUNS = 256
 
 _MEASURE_KINDS = ("concurrence", "renyi_ent")
 
@@ -96,46 +100,35 @@ class RoofEstimate:
 
 def _generation_draws(seed: int, g: int, m: int, r: int):
     """Generation g's randomness, in fixed shapes: GENERATION Haar-random
-    m x r isometries, and per candidate two distinct rows, an angle and a
-    phase for a refinement rotation.
-
-    Only the candidates a run can read as Haar draws are orthonormalised:
-    all of generation 0 (no incumbent exists yet), later the trials t with
-    t % EXPLORE_CYCLE == 0.  The other isometries are NaN.  The arrays are
-    read-only: every run of shape (m, r) reads the same ones."""
+    m x r isometries, and the moves of the trials that refine an incumbent
+    (none in generation 0, later those with t % EXPLORE_CYCLE != 0): their
+    indices, which rotate the minimizer (even t), the two distinct rows each
+    mixes, and cos, sin * phase and sin * conj(phase) of its rotation.  Only
+    the other draws are orthonormalised (the refining ones are NaN).  Every
+    run of shape (m, r) reads these arrays, so they are read-only."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
     # real and imaginary parts side by side: the view is the complex draw
     z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
     t = g * GENERATION + np.arange(GENERATION)
-    used = slice(None) if g == 0 else t % EXPLORE_CYCLE == 0
-    q, rmat = np.linalg.qr(z[used])
+    refine = (t % EXPLORE_CYCLE != 0) & (g > 0)
+    q, rmat = np.linalg.qr(z[~refine])
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
     haar = np.full_like(z, np.nan)
-    haar[used] = q * (diag / np.abs(diag))[:, None, :]
+    haar[~refine] = q * (diag / np.abs(diag))[:, None, :]
     row_k = rng.integers(m, size=GENERATION)
     row_l = rng.integers(m - 1, size=GENERATION)
     row_l += row_l >= row_k
-    theta = rng.standard_normal(GENERATION)
-    phase = np.exp(2j * np.pi * rng.uniform(size=GENERATION))
-    for array in (haar, row_k, row_l, theta, phase):
+    steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
+    angle = steps * rng.standard_normal(GENERATION)
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    phase = np.exp(2j * np.pi * rng.uniform(size=GENERATION))[:, None]
+    j = np.flatnonzero(refine)
+    moves = (j, t[j] % 2 == 0, row_k[j], row_l[j], c[j],
+             (s * phase)[j], (s * np.conj(phase))[j])
+    for array in (haar, *moves):
         array.flags.writeable = False
-    return haar, (row_k, row_l, theta, phase)
-
-
-def _rotated(bases, row_k, row_l, theta, phase) -> np.ndarray:
-    """Mix rows k and l of each isometry by a small unitary rotation.
-
-    Left-multiplying by a unitary keeps the columns orthonormal, so each
-    result still parameterizes a valid decomposition."""
-    idx = np.arange(bases.shape[0])
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    phase = phase[:, None]
-    a, b = bases[idx, row_k], bases[idx, row_l]
-    out = bases.copy()
-    out[idx, row_k] = c * a - s * phase * b
-    out[idx, row_l] = s * np.conj(phase) * a + c * b
-    return out
+    return haar, moves
 
 
 def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
@@ -147,65 +140,68 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     return (evecs[:, order][:, keep] * np.sqrt(evals[keep])).T
 
 
-def _pair_average(
-    rows: np.ndarray, measure_kind: str, order: Optional[RenyiOrder]
-) -> np.ndarray:
-    """Weighted average of the pure measure over the rows of unnormalized
-    two-qubit component matrices: rows of shape (candidates, m, 4) give one
-    average per candidate.
+class _Group:
+    """Up to ``GROUP_RUNS`` roof runs of one isometry shape as one stack:
+    eigen-ensembles, incumbent minimizing and maximizing isometries with
+    their values, and the last trial that improved either by more than
+    ``PLATEAU_TOL``.  Concurrence runs come first, then the Renyi runs."""
 
-    The concurrence of a pure two-qubit component is 2|det| of its amplitude
-    matrix (so is its negativity, which makes this roof the CREN roof too),
-    and the Renyi value follows from the squared concurrence."""
-    dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
-    if measure_kind != "renyi_ent":
-        return 2.0 * dets.sum(axis=1)
-    weights = np.einsum("gkd,gkd->gk", rows, rows.conj()).real
-    live = weights > 1e-14
-    c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
-    return np.where(live, weights * _f_alpha_array(c2, order), 0.0).sum(axis=1)
-
-
-class _Run:
-    """One roof run between generations: its eigen-ensemble, the incumbent
-    minimizing and maximizing isometries with their values, and the last
-    trial that improved either by more than ``PLATEAU_TOL``."""
-
-    def __init__(self, rho: DensityOperator, measure_kind: str, order):
-        self.ensemble = _eigen_ensemble(rho)
-        r = self.ensemble.shape[0]
+    def __init__(self, runs: list):
+        self.targets = [i for i, _, _ in runs]
+        self.ensembles = np.stack([e for _, e, _ in runs])
+        size, r = self.ensembles.shape[:2]
         self.shape = (r + 2, r)
-        self.measure_kind, self.order = measure_kind, order
-        self.best_min, self.best_max = math.inf, -math.inf
-        self.iso_min = self.iso_max = None
-        self.last_improve = 0
+        self.best_min, self.best_max = np.full(size, math.inf), np.full(size, -math.inf)
+        self.iso_min = np.full((size, r + 2, r), np.nan, complex)
+        self.iso_max = self.iso_min.copy()
+        self.last_improve = np.zeros(size, dtype=int)
+        alphas = np.array([order.alpha for _, _, order in runs if order is not None])
+        self.conc = len(runs) - alphas.size
+        self.parts = [(alpha, alphas == alpha) for alpha in dict.fromkeys(alphas.tolist())]
 
-    def step(self, t: np.ndarray, steps: np.ndarray, draws) -> None:
-        """Evaluate trials t, whose rotation scales are ``steps``."""
-        haar, (row_k, row_l, theta, phase) = draws
-        n = t.size
-        candidates = haar[:n]
-        if self.iso_min is not None:
-            refine = t % EXPLORE_CYCLE != 0
-            bases = np.where((t % 2 == 0)[:, None, None], self.iso_min, self.iso_max)
-            rotated = _rotated(bases, row_k[:n], row_l[:n], steps * theta[:n], phase[:n])
-            candidates = np.where(refine[:, None, None], rotated, candidates)
+    def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
+        """Evaluate trials t: the Haar draws, with the refining rows of
+        ``moves`` rotating the incumbents instead."""
+        runs = np.arange(len(self.targets))
+        refine, even, row_k, row_l, c, s_phase, s_conj = moves
+        bases = np.where(even[:, None, None], self.iso_min[:, None], self.iso_max[:, None])
+        # a unitary mix of rows k and l keeps the columns orthonormal
+        j = np.arange(refine.size)
+        a, b = bases[:, j, row_k], bases[:, j, row_l]
+        bases[:, j, row_k] = c * a - s_phase * b
+        bases[:, j, row_l] = s_conj * a + c * b
+        candidates = np.broadcast_to(haar, (runs.size, *haar.shape)).copy()
+        candidates[:, refine] = bases
         m, r = self.shape
-        # one 2-D product over every component row of the generation
-        rows = (candidates.reshape(-1, r) @ self.ensemble).reshape(n, m, -1)
-        values = _pair_average(rows, self.measure_kind, self.order)
-        # the best values before each trial, earlier trials of this
-        # generation included
-        prior_min = np.minimum.accumulate(np.concatenate(([self.best_min], values[:-1])))
-        prior_max = np.maximum.accumulate(np.concatenate(([self.best_max], values[:-1])))
-        improved = (values < prior_min - PLATEAU_TOL) | (values > prior_max + PLATEAU_TOL)
-        if improved.any():
-            self.last_improve = int(t[improved][-1])
-        lo, hi = int(np.argmin(values)), int(np.argmax(values))
-        if values[lo] < self.best_min:
-            self.best_min, self.iso_min = float(values[lo]), candidates[lo]
-        if values[hi] > self.best_max:
-            self.best_max, self.iso_max = float(values[hi]), candidates[hi]
+        # per run, one 2-D product over every component row of the generation
+        rows = (candidates.reshape(runs.size, -1, r) @ self.ensembles).reshape(
+            runs.size, -1, m, 4)
+        # a pure two-qubit component has concurrence (and negativity, so this
+        # is the CREN roof too) 2|det| of its amplitudes, Renyi value f_alpha(C^2)
+        dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
+        values = np.empty(dets.shape[:2])
+        values[: self.conc] = 2.0 * dets[: self.conc].sum(axis=-1)
+        mixed, dets = rows[self.conc :].reshape(-1, m, 4), dets[self.conc :]
+        weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
+        live = weights > 1e-14
+        c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
+        for alpha, part in self.parts:
+            c2[part] = _f_alpha_array(c2[part], alpha)
+        values[self.conc :] = np.where(live, weights * c2, 0.0).sum(axis=-1)
+        # the best values before each trial, this generation's earlier ones too
+        low, high = (np.concatenate((best[:, None], values[:, :-1]), axis=1)
+                     for best in (self.best_min, self.best_max))
+        improved = (values < np.minimum.accumulate(low, axis=1) - PLATEAU_TOL) | (
+            values > np.maximum.accumulate(high, axis=1) + PLATEAU_TOL)
+        last = t[::-1][np.argmax(improved[:, ::-1], axis=1)]
+        self.last_improve = np.where(improved.any(axis=1), last, self.last_improve)
+        for best, iso, pick, beats in (
+            (self.best_min, self.iso_min, values.argmin(axis=1), np.less),
+            (self.best_max, self.iso_max, values.argmax(axis=1), np.greater),
+        ):
+            better = beats(values[runs, pick], best)
+            best[better] = values[runs, pick][better]
+            iso[better] = candidates[runs[better], pick[better]]
 
 
 def _check_run(trials: int, seed: int) -> None:
@@ -219,10 +215,10 @@ def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
     """One estimate per (rho, measure_kind, order) target, every run on the
     same seed and trial count.
 
-    Every target is checked before the first eigen-decomposition.  The runs
-    then advance one generation at a time; a generation's draws are made
-    once per isometry shape and discarded after it, so memory does not grow
-    with the trial count."""
+    Every target is checked before the first eigen-decomposition, and each
+    distinct rho is decomposed once.  The runs advance one generation at a
+    time in ``_Group`` stacks; a generation's draws are made once per shape
+    and discarded after it, so memory does not grow with the trial count."""
     _check_run(trials, seed)
     for rho, measure_kind, order in targets:
         if rho.layout.dims != (2, 2):
@@ -233,26 +229,32 @@ def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
             raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
         if measure_kind == "renyi_ent" and order is None:
             raise ValueError("renyi_ent needs a Renyi order")
-    runs = [_Run(*target) for target in targets]
+    ensembles = {id(rho): rho for rho, _, _ in targets}
+    ensembles = {key: _eigen_ensemble(rho) for key, rho in ensembles.items()}
+    runs = [(i, ensembles[id(rho)], order if kind == "renyi_ent" else None)
+            for i, (rho, kind, order) in enumerate(targets)]
+    runs.sort(key=lambda run: (len(run[1]), run[2] is not None))
+    groups = []
+    for _, same in groupby(runs, key=lambda run: len(run[1])):
+        same = list(same)
+        groups += [_Group(same[k : k + GROUP_RUNS]) for k in range(0, len(same), GROUP_RUNS)]
     for g in range(-(-trials // GENERATION)):
         t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
-        steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
-        draws = {}
-        for run in runs:
-            if run.shape not in draws:
-                draws[run.shape] = _generation_draws(seed, g, *run.shape)
-            run.step(t, steps, draws[run.shape])
+        draws: dict = {}
+        for group in groups:
+            if group.shape not in draws:
+                haar, moves = _generation_draws(seed, g, *group.shape)
+                keep = np.searchsorted(moves[0], t.size)
+                draws[group.shape] = (haar[: t.size], [x[:keep] for x in moves])
+            group.step(t, *draws[group.shape])
     limit = math.floor(0.75 * trials)
-    return [
-        RoofEstimate(
-            min_estimate=run.best_min,
-            max_estimate=run.best_max,
-            trials=trials,
-            seed=int(seed),
-            converged=trials >= MIN_PLATEAU_TRIALS and run.last_improve < limit,
-        )
-        for run in runs
-    ]
+    found = np.empty((len(targets), 3))
+    for group in groups:
+        best = (group.best_min, group.best_max, group.last_improve)
+        found[group.targets] = np.transpose(best)
+    plateau = trials >= MIN_PLATEAU_TRIALS
+    return [RoofEstimate(low, high, trials, int(seed), plateau and last < limit)
+            for low, high, last in found.tolist()]
 
 
 def convex_roof_bounds(

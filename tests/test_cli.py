@@ -22,6 +22,7 @@ import gwlab.tensor
 from gwlab import (
     GWBlocks,
     GWSpec,
+    gw_spec_from_json,
     gw_spec_to_json,
     report_to_json_line,
     verify_c_equals_ca,
@@ -377,13 +378,33 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
     assert [order and order.alpha for _, order in targets] == [None] * 3 + [0.9, 1.1]
 
 
+def _oracle_lines(tmp_path, spec, partition, orders, trials, seed):
+    """The oracle's lines, and the block weights of the spec as it read it."""
+    path = tmp_path / "spec.json"
+    path.write_text(gw_spec_to_json(spec))
+    out = tmp_path / "o.jsonl"
+    args = ["oracle", "--spec", str(path), "--partition", partition, "--trials", str(trials)]
+    if orders:
+        args += ["--alpha", ",".join(map(str, orders))]
+    assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+    return out.read_text().splitlines(), GWBlocks.of(gw_spec_from_json(path.read_text()))
+
+
+def _solo_line(psi, pair, order, trials, seed):
+    """The oracle line of one target, run alone."""
+    if order is None:
+        report = verify_c_equals_ca(psi, trials=trials, seed=seed, blocks=pair)
+        report.params["pair"] = [sorted(pair[0]), sorted(pair[1])]
+    else:
+        report = verify_e_alpha_formula(psi, order, trials=trials, seed=seed, blocks=pair)
+    return report_to_json_line(report)
+
+
 def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
     # party 1 carries no excitation, so the pair {0} | {2, 3} is pure: rank 1,
     # isometries of shape (3, 1) beside the (4, 2) of the two mixed pairs;
     # the orders run on the mixed pair {0} | {1}, and 0.5 is out of window
     spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
-    path = tmp_path / "spec.json"
-    path.write_text(gw_spec_to_json(spec))
     shapes = set()
     real = gwlab.roof._generation_draws
 
@@ -392,23 +413,71 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
         return real(seed, g, m, r)
 
     monkeypatch.setattr(gwlab.roof, "_generation_draws", record)
-    out = tmp_path / "o.jsonl"
-    args = ["oracle", "--spec", str(path), "--partition", "0|1|2,3", "--trials", "300"]
-    assert main(args + ["--seed", "5", "--alpha", "1.1,0.5", "--out", str(out)]) == 0
+    lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 300, 5)
     assert shapes == {(4, 2), (3, 1)}
-
-    psi = GWBlocks.of(spec)
     a, b, c = {0}, {1}, {2, 3}
-    solo = []
-    for pair in ((a, b), (a, c), (b, c)):
-        report = verify_c_equals_ca(psi, trials=300, seed=5, blocks=pair)
-        report.params["pair"] = [sorted(pair[0]), sorted(pair[1])]
-        solo.append(report)
-    solo += [verify_e_alpha_formula(psi, x, trials=300, seed=5, blocks=(a, b))
-             for x in (1.1, 0.5)]
-    assert solo[1].params["roof_min"] == pytest.approx(solo[1].params["roof_max"])
-    assert solo[4].applicability.value == "OUT_OF_WINDOW"
-    assert out.read_text().splitlines() == [report_to_json_line(r) for r in solo]
+    targets = [((a, b), None), ((a, c), None), ((b, c), None), ((a, b), 1.1), ((a, b), 0.5)]
+    assert lines == [_solo_line(psi, pair, order, 300, 5) for pair, order in targets]
+    pure = json.loads(lines[1])["params"]
+    assert pure["roof_min"] == pytest.approx(pure["roof_max"])
+    assert json.loads(lines[4])["applicability"] == "OUT_OF_WINDOW"
+
+
+def test_oracle_stack_of_mixed_measures_equals_solo_runs(tmp_path):
+    # every pair is mixed and entangled, so one (4, 2) stack holds the three
+    # concurrence runs and one order in each f_alpha branch: the von Neumann
+    # band, the expm1 band and the plain power sum
+    spec = GWSpec.qubit(np.array([0.6, 0.48, 0.64, 0.0]))
+    orders = (1.0000005, 1.0005, 1.1)
+    lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", orders, 300, 5)
+    a, b, c = {0}, {1}, {2, 3}
+    targets = [((a, b), None), ((a, c), None), ((b, c), None)]
+    targets += [((a, b), order) for order in orders]
+    assert lines == [_solo_line(psi, pair, order, 300, 5) for pair, order in targets]
+
+
+def test_oracle_many_stacks_equal_solo_runs(tmp_path):
+    # 30 singleton blocks make 435 concurrence runs of one shape, more than
+    # one stack holds
+    n = 30
+    amplitudes = np.random.default_rng(4).uniform(0.5, 1.0, n)
+    spec = GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), vacuum_weight=0.2)
+    pairs = [({i}, {j}) for i in range(n) for j in range(i + 1, n)]
+    assert len(pairs) > gwlab.roof.GROUP_RUNS
+    lines, psi = _oracle_lines(tmp_path, spec, "|".join(map(str, range(n))), (), 100, 9)
+    for k in (0, len(pairs) // 2, len(pairs) - 1):
+        assert lines[k] == _solo_line(psi, pairs[k], None, 100, 9), k
+
+
+def test_oracle_decomposes_each_pair_once(spec_file, tmp_path, monkeypatch):
+    # README spec: three pairs, and both orders reuse the first one
+    calls = []
+    real = gwlab.roof._eigen_ensemble
+
+    def count(rho):
+        calls.append(rho)
+        return real(rho)
+
+    monkeypatch.setattr(gwlab.roof, "_eigen_ensemble", count)
+    args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "100"]
+    assert main(args + ["--alpha", "0.9,1.1", "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert len(calls) == 3
+
+
+def test_large_order_values_stay_finite(spec_file, tmp_path):
+    # past order ~1000 the plain Renyi power sum underflows to zero
+    out = tmp_path / "v.jsonl"
+    args = ["verify", "--spec", spec_file, "--partition", "0|1,2|3"]
+    assert main(args + ["--alpha", "5000:5000:1", "--out", str(out)]) == 0
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    [trace] = [doc for doc in docs if doc["name"] == "trace_bound_renyi"]
+    assert math.isfinite(trace["rhs"]) and trace["satisfied"]
+    out = tmp_path / "o.jsonl"
+    args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "300"]
+    assert main(args + ["--alpha", "5000", "--seed", "3", "--out", str(out)]) == 0
+    [doc] = [json.loads(line) for line in out.read_text().splitlines() if "e_alpha" in line]
+    assert all(math.isfinite(doc["params"][key])
+               for key in ("closed_form", "roof_min", "roof_max"))
 
 
 def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkeypatch):

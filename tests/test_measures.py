@@ -158,6 +158,27 @@ def test_renyi_entropy_values():
         assert abs(value - f_alpha(0.64, a)) < 1e-14, a
 
 
+@pytest.mark.parametrize("a", [2000.0, 5000.0, 1e4, 1e6])
+def test_renyi_values_at_large_orders_match_mpmath(a):
+    # past order ~1000 the plain power sum underflows; the factored form
+    # keeps all three implementations finite and accurate
+    xs = [0.05, 0.3, 0.75, 1.0]
+    lams = [0.6, 0.3, 0.1]
+    with mpmath.workdps(50):
+        def plain(spectrum):
+            total = sum(mpmath.mpf(lam) ** a for lam in spectrum)
+            return float(mpmath.log(total, 2) / (1 - mpmath.mpf(a)))
+
+        halves = [(1 - mpmath.sqrt(1 - mpmath.mpf(x))) / 2 for x in xs]
+        exact_f = [plain((lo, 1 - lo)) for lo in halves]
+        exact_s = plain(lams)
+    arrays = _f_alpha_array(np.array(xs), a)
+    for x, value, exact in zip(xs, arrays, exact_f):
+        assert f_alpha(x, a) == pytest.approx(exact, rel=1e-12), x
+        assert value == pytest.approx(exact, rel=1e-12), x
+    assert renyi_entropy(SchmidtSpectrum(lams), a).value == pytest.approx(exact_s, rel=1e-12)
+
+
 def test_renyi_on_density_operator(bell_state):
     rho = partial_trace(bell_state, {0})
     assert renyi_entropy(rho, 3.0).value == pytest.approx(1.0, abs=1e-12)

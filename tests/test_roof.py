@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import gwlab
 from gwlab import (
     Applicability,
     DensityOperator,
+    GWBlocks,
     GWSpec,
     PureState,
     SubsystemLayout,
@@ -118,8 +120,10 @@ def test_roof_rejects_qutrit_pair():
         ({"measure_kind": "negativity"}, "measure_kind must be one of"),
         ({"measure_kind": "renyi_ent"}, "renyi_ent needs a Renyi order"),
         ({"measure_kind": "renyi_ent", "order": -1.0}, "order must be positive"),
+        ({"measure_kind": "renyi_ent", "order": math.inf}, "must be positive and finite"),
     ],
-    ids=["trials-zero", "seed-negative", "unknown-kind", "renyi-no-order", "bad-order"],
+    ids=["trials-zero", "seed-negative", "unknown-kind", "renyi-no-order", "bad-order",
+         "infinite-order"],
 )
 def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, message):
     pair = block_pair_reduction(_figure1_pair(), {0}, {1})
@@ -314,3 +318,21 @@ def test_unconverged_runs_are_flagged():
     report = verify_c_equals_ca(_figure1_pair(), trials=10, seed=1)
     assert not report.params["converged"]
     assert report.applicability == Applicability.CONDITION_UNMET
+
+
+def test_oracle_memory_per_target_stays_bounded():
+    # 100 singleton blocks give 4950 concurrence runs of one shape; they step
+    # in stacks of GROUP_RUNS, so a generation's temporaries do not grow with
+    # the target count.  On these inputs, stepping one run at a time peaked
+    # at about 11.2 KB per target and the stacks at about 5.2 KB.
+    n = 100
+    state = GWBlocks.of(GWSpec.qubit(np.full(n, math.sqrt(1 / n)), vacuum_weight=0.2))
+    targets = [(({i}, {j}), None) for i in range(n) for j in range(i + 1, n)]
+    tracemalloc.start()
+    try:
+        reports = oracle_reports(state, targets, trials=128, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 4950
+    assert peak / len(targets) <= 10.6e3

@@ -11,6 +11,7 @@ seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -349,7 +350,10 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    callers may run ``main`` many times."""
     parser = argparse.ArgumentParser(
         prog="gwlab",
         description="Generalized W-class states: measures, inequality "

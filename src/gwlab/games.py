@@ -12,6 +12,7 @@ All logarithms are base 2; the emitted tables record that base.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,13 @@ def game_gap_fn(lambda0: float, order: OrderLike) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda0 must lie in [0, 1], got {lam}")
     inner = lam**a + (1.0 - lam) ** a
-    return -2.0 * math.log2(inner) - (1.0 - lam) * (a - 1.0)
+    if inner < sys.float_info.min:
+        # past order ~1000 the plain sum underflows: factor the larger term out
+        small, big = sorted((lam, 1.0 - lam))
+        log_inner = a * math.log2(big) + math.log2((small / big) ** a + 1.0)
+    else:
+        log_inner = math.log2(inner)
+    return -2.0 * log_inner - (1.0 - lam) * (a - 1.0)
 
 
 def game_gap_grid_min(

@@ -10,14 +10,16 @@ refinement of the incumbent best decompositions.  Minima over sampled
 decompositions upper-bound the true convex roof; maxima lower-bound the
 assisted value.
 
-Trials run in generations of ``GENERATION`` candidates that are drawn,
-orthonormalised and averaged as one batch.  All randomness of generation g
-derives from the (seed, g) pair and is drawn in fixed shapes however many
-trials remain, and refinement uses only incumbents of earlier generations,
-so runs are reproducible and a longer run extends a shorter one.  The runs
-of one call share their seed and advance in lockstep: each generation is
-drawn once per isometry shape, and the runs of a shape step as stacked
-arrays of at most ``GROUP_RUNS`` runs, one matrix product each.
+Trials run in generations of ``GENERATION`` candidates that are averaged
+as one batch.  All randomness of generation g derives from the (seed, g)
+pair and is drawn in fixed shapes however many trials remain, and
+refinement uses only incumbents of earlier generations, so runs are
+reproducible and a longer run extends a shorter one.  The runs of one call
+share their seed and advance in lockstep.  Draws are made per chunk of
+``DRAW_CHUNK`` generations and isometry shape, still one stream per
+generation, with one QR over the chunk, so memory is bounded per chunk.
+The runs of a shape step through each generation as stacked arrays of at
+most ``GROUP_RUNS`` runs, one matrix product each.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -78,6 +80,9 @@ GENERATION = 64
 #: Runs of one isometry shape advance in stacks of at most this many, so a
 #: generation's temporaries do not grow with the number of targets.
 GROUP_RUNS = 256
+#: Generations drawn and orthonormalised together, once per isometry shape,
+#: so a chunk's arrays do not grow with the trial count.
+DRAW_CHUNK = 16
 
 _MEASURE_KINDS = ("concurrence", "renyi_ent")
 
@@ -98,37 +103,54 @@ class RoofEstimate:
             raise ValueError("min estimate exceeds max estimate")
 
 
-def _generation_draws(seed: int, g: int, m: int, r: int):
-    """Generation g's randomness, in fixed shapes: GENERATION Haar-random
-    m x r isometries, and the moves of the trials that refine an incumbent
-    (none in generation 0, later those with t % EXPLORE_CYCLE != 0): their
-    indices, which rotate the minimizer (even t), the two distinct rows each
+def _draw_chunk(seed: int, start: int, stop: int, m: int, r: int) -> list:
+    """The randomness of trials start to stop - 1 (start a multiple of
+    GENERATION), as one (trials, Haar draws, moves) triple per generation.
+
+    Generation g draws from its own (seed, g) stream, in fixed shapes however
+    many of its trials run: GENERATION complex normal m x r matrices, then
+    per trial two row indices, a rotation angle and a phase.  The trials that
+    refine an incumbent (none in generation 0, later those with
+    t % EXPLORE_CYCLE != 0) become moves: their index in the generation,
+    whether they rotate the minimizer (even t), the two distinct rows each
     mixes, and cos, sin * phase and sin * conj(phase) of its rotation.  Only
-    the other draws are orthonormalised (the refining ones are NaN).  Every
-    run of shape (m, r) reads these arrays, so they are read-only."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
-    # real and imaginary parts side by side: the view is the complex draw
-    z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
-    t = g * GENERATION + np.arange(GENERATION)
-    refine = (t % EXPLORE_CYCLE != 0) & (g > 0)
+    the other matrices are orthonormalised, by one QR over the chunk (the
+    refining ones are NaN).  Every run of shape (m, r) reads these arrays,
+    so they are read-only."""
+    gens = range(start // GENERATION, -(-stop // GENERATION))
+    z = np.empty((len(gens), GENERATION, m, r), complex)
+    rows = np.empty((2, len(gens), GENERATION), int)
+    normal, uniform = np.empty((2, len(gens), GENERATION))
+    for i, g in enumerate(gens):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
+        # real and imaginary parts side by side: the view is the complex draw
+        z[i] = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
+        rows[0, i] = rng.integers(m, size=GENERATION)
+        rows[1, i] = rng.integers(m - 1, size=GENERATION)
+        normal[i] = rng.standard_normal(GENERATION)
+        uniform[i] = rng.uniform(size=GENERATION)
+    size = stop - start
+    t = np.arange(start, stop)
+    refine = (t % EXPLORE_CYCLE != 0) & (t >= GENERATION)
+    z = z.reshape(-1, m, r)[:size]
     q, rmat = np.linalg.qr(z[~refine])
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
     haar = np.full_like(z, np.nan)
     haar[~refine] = q * (diag / np.abs(diag))[:, None, :]
-    row_k = rng.integers(m, size=GENERATION)
-    row_l = rng.integers(m - 1, size=GENERATION)
-    row_l += row_l >= row_k
-    steps = REFINE_FLOOR ** np.minimum(1.0, t / REFINE_HORIZON)
-    angle = steps * rng.standard_normal(GENERATION)
-    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    phase = np.exp(2j * np.pi * rng.uniform(size=GENERATION))[:, None]
     j = np.flatnonzero(refine)
-    moves = (j, t[j] % 2 == 0, row_k[j], row_l[j], c[j],
-             (s * phase)[j], (s * np.conj(phase))[j])
-    for array in (haar, *moves):
+    row_k, row_l = rows.reshape(2, -1)[:, j]
+    row_l += row_l >= row_k
+    angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * normal.ravel()[j]
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    phase = np.exp(2j * np.pi * uniform.ravel()[j])[:, None]
+    moves = (j % GENERATION, t[j] % 2 == 0, row_k, row_l, c, s * phase, s * np.conj(phase))
+    for array in (t, haar, *moves):
         array.flags.writeable = False
-    return haar, moves
+    lows = range(0, size, GENERATION)
+    cuts = np.searchsorted(j, [*lows, size]).tolist()
+    return [(t[lo : lo + GENERATION], haar[lo : lo + GENERATION],
+             tuple(x[a:b] for x in moves)) for lo, a, b in zip(lows, cuts, cuts[1:])]
 
 
 def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
@@ -217,8 +239,9 @@ def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
 
     Every target is checked before the first eigen-decomposition, and each
     distinct rho is decomposed once.  The runs advance one generation at a
-    time in ``_Group`` stacks; a generation's draws are made once per shape
-    and discarded after it, so memory does not grow with the trial count."""
+    time in ``_Group`` stacks; draws are made once per chunk of
+    ``DRAW_CHUNK`` generations and shape and discarded after it, so memory
+    does not grow with the trial count."""
     _check_run(trials, seed)
     for rho, measure_kind, order in targets:
         if rho.layout.dims != (2, 2):
@@ -238,15 +261,14 @@ def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
     for _, same in groupby(runs, key=lambda run: len(run[1])):
         same = list(same)
         groups += [_Group(same[k : k + GROUP_RUNS]) for k in range(0, len(same), GROUP_RUNS)]
-    for g in range(-(-trials // GENERATION)):
-        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
-        draws: dict = {}
+    shapes = dict.fromkeys(group.shape for group in groups)
+    span = DRAW_CHUNK * GENERATION
+    for start in range(0, trials, span):
+        chunks = {shape: _draw_chunk(seed, start, min(trials, start + span), *shape)
+                  for shape in shapes}
         for group in groups:
-            if group.shape not in draws:
-                haar, moves = _generation_draws(seed, g, *group.shape)
-                keep = np.searchsorted(moves[0], t.size)
-                draws[group.shape] = (haar[: t.size], [x[:keep] for x in moves])
-            group.step(t, *draws[group.shape])
+            for generation in chunks[group.shape]:
+                group.step(*generation)
     limit = math.floor(0.75 * trials)
     found = np.empty((len(targets), 3))
     for group in groups:

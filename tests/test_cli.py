@@ -225,6 +225,21 @@ def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_parser_is_built_once_and_reused(spec_file, tmp_path, capsys):
+    # main runs many times in one process: a refused call and --help must
+    # leave the shared parser as a fresh one is
+    good = ["oracle", "--spec", spec_file, "--trials", "100", "--alpha", "1.1", "--out"]
+    gwlab.cli._build_parser.cache_clear()
+    assert main(["oracle", "--spec", spec_file, "--trials", "many"]) == 2
+    assert main(good + [str(tmp_path / "a.jsonl")]) == 0
+    assert main(["oracle", "--help"]) == 0
+    assert gwlab.cli._build_parser.cache_info().misses == 1
+    assert "usage: gwlab oracle" in capsys.readouterr().out
+    gwlab.cli._build_parser.cache_clear()
+    assert main(good + [str(tmp_path / "b.jsonl")]) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
 TIGHTER_FLAGS = ("--c-pow", "--b-pow", "--k")
 
 
@@ -406,13 +421,13 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
     # the orders run on the mixed pair {0} | {1}, and 0.5 is out of window
     spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
     shapes = set()
-    real = gwlab.roof._generation_draws
+    real = gwlab.roof._draw_chunk
 
-    def record(seed, g, m, r):
+    def record(seed, start, stop, m, r):
         shapes.add((m, r))
-        return real(seed, g, m, r)
+        return real(seed, start, stop, m, r)
 
-    monkeypatch.setattr(gwlab.roof, "_generation_draws", record)
+    monkeypatch.setattr(gwlab.roof, "_draw_chunk", record)
     lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 300, 5)
     assert shapes == {(4, 2), (3, 1)}
     a, b, c = {0}, {1}, {2, 3}
@@ -482,23 +497,37 @@ def test_large_order_values_stay_finite(spec_file, tmp_path):
 
 def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkeypatch):
     # README spec: three blocks, so three pairs plus two orders share every
-    # generation of the single isometry shape
+    # generation of the single isometry shape; chunks of five generations
+    # split the 16 generations of 1000 trials four ways, the last one short
     calls = []
-    real = gwlab.roof._generation_draws
+    real = gwlab.roof._draw_chunk
+    G = gwlab.roof.GENERATION
 
-    def count(seed, g, m, r):
-        draws = real(seed, g, m, r)
-        haar, rest = draws
-        assert not any(x.flags.writeable for x in (haar, *rest))
-        calls.append((g, m, r))
-        return draws
+    def count(seed, start, stop, m, r):
+        chunk = real(seed, start, stop, m, r)
+        assert all(not x.flags.writeable for t, haar, moves in chunk for x in (t, haar, *moves))
+        generations = range(start // G, -(-stop // G))
+        assert len(chunk) == len(generations)
+        calls.extend((g, m, r) for g in generations)
+        return chunk
 
-    monkeypatch.setattr(gwlab.roof, "_generation_draws", count)
+    monkeypatch.setattr(gwlab.roof, "_draw_chunk", count)
+    monkeypatch.setattr(gwlab.roof, "DRAW_CHUNK", 5)
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "1000"]
     assert main(args + ["--seed", "7", "--alpha", "0.9,1.1",
                         "--out", str(tmp_path / "o.jsonl")]) == 0
-    generations = -(-1000 // gwlab.roof.GENERATION)
-    assert sorted(calls) == [(g, 4, 2) for g in range(generations)]
+    assert sorted(calls) == [(g, 4, 2) for g in range(-(-1000 // G))]
+
+
+def test_oracle_chunking_changes_no_bit(tmp_path, monkeypatch):
+    # 2100 trials are 33 generations: three chunks, the last one a single
+    # generation cut short, for both shapes (4, 2) and (3, 1) of the lockstep
+    # spec above
+    spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
+    assert -(-2100 // gwlab.roof.GENERATION) == 2 * gwlab.roof.DRAW_CHUNK + 1
+    lines, _ = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 2100, 5)
+    monkeypatch.setattr(gwlab.roof, "DRAW_CHUNK", 1)
+    assert _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 2100, 5)[0] == lines
 
 
 def test_oracle_env_seed(spec_file, tmp_path, monkeypatch):

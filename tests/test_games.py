@@ -95,6 +95,17 @@ def test_game_gap_values():
         game_gap_fn(1.5, 2.0)
 
 
+def test_game_gap_finite_at_large_order():
+    # past order ~1000 the plain power sum underflows to zero; the value must
+    # match the log-domain form of log2[l^a + (1-l)^a]
+    a = 5000.0
+    for lam in (0.6, 0.5, 0.3):
+        log_inner = np.logaddexp2(a * math.log2(lam), a * math.log2(1.0 - lam))
+        value = game_gap_fn(lam, a)
+        assert math.isfinite(value)
+        assert value == pytest.approx(-2.0 * log_inner - (1.0 - lam) * (a - 1.0), rel=1e-12)
+
+
 def test_game_gap_nonnegative_on_grid():
     assert game_gap_grid_min(2, lambda_step=0.005, alpha_step=0.25) >= -1e-9
 

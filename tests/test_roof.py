@@ -35,8 +35,8 @@ from gwlab.roof import (
     AGREEMENT_TOL,
     EXPLORE_CYCLE,
     GENERATION,
+    _draw_chunk,
     _eigen_ensemble,
-    _generation_draws,
     oracle_reports,
 )
 from conftest import rand_unit, random_gw_spec
@@ -50,28 +50,31 @@ def _draws(rho, m, trials, seed):
     """The rows of each Haar-drawn decomposition, as the roof draws them:
     every trial of generation 0, later every EXPLORE_CYCLE-th trial."""
     ensemble = _eigen_ensemble(rho)
-    for g in range(-(-trials // GENERATION)):
-        haar, _ = _generation_draws(seed, g, m, ensemble.shape[0])
-        t = np.arange(g * GENERATION, min(trials, (g + 1) * GENERATION))
-        read = (t % EXPLORE_CYCLE == 0) | (g == 0)
-        yield from haar[: t.size][read] @ ensemble
+    for t, haar, _ in _draw_chunk(seed, 0, trials, m, ensemble.shape[0]):
+        read = (t % EXPLORE_CYCLE == 0) | (t < GENERATION)
+        yield from haar[read] @ ensemble
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 7])
 def test_haar_rows_match_full_qr(g):
-    # only the rows read as Haar draws are orthonormalised; each must equal,
-    # bit for bit, the same row of one QR over all GENERATION draws
+    # only the rows read as Haar draws are orthonormalised, by one QR over the
+    # chunk; each must equal, bit for bit, the same row of one QR over all
+    # GENERATION draws of generation g, in a chunk of eight generations (the
+    # last cut short) and in a chunk of g alone
     seed, m, r = 42, 4, 2
-    haar, _ = _generation_draws(seed, g, m, r)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
     z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
     q, rmat = np.linalg.qr(z)
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     full = q * (diag / np.abs(diag))[:, None, :]
-    t = g * GENERATION + np.arange(GENERATION)
-    used = (t % EXPLORE_CYCLE == 0) | (g == 0)
-    np.testing.assert_array_equal(haar[used], full[used])
-    assert np.isnan(haar[~used]).all()
+    eight = _draw_chunk(seed, 0, 8 * GENERATION - 9, m, r)
+    alone = _draw_chunk(seed, g * GENERATION, (g + 1) * GENERATION, m, r)
+    assert len(eight) == 8 and len(alone) == 1
+    for t, haar, _ in (eight[g], alone[0]):
+        np.testing.assert_array_equal(t, g * GENERATION + np.arange(t.size))
+        used = (t % EXPLORE_CYCLE == 0) | (g == 0)
+        np.testing.assert_array_equal(haar[used], full[: t.size][used])
+        assert np.isnan(haar[~used]).all()
 
 
 def test_pure_state_has_unique_decomposition(bell_state):
@@ -207,10 +210,11 @@ def test_roof_separable_inputs_stay_small(rng):
 def test_roof_estimates_monotone_in_trials():
     pair = block_pair_reduction(_figure1_pair(), {0}, {1})
     prev_min, prev_max = math.inf, -math.inf
-    # counts on both sides of generation boundaries: a shorter run is a
-    # prefix of a longer one
+    # counts on both sides of generation boundaries and of the first
+    # DRAW_CHUNK boundary: a shorter run is a prefix of a longer one
     G = GENERATION
-    for trials in (1, 50, G - 1, G, G + 1, 3 * G + 5, 800):
+    assert 1024 == gwlab.roof.DRAW_CHUNK * G
+    for trials in (1, 50, G - 1, G, G + 1, 3 * G + 5, 800, 1023, 1024, 1025):
         est = convex_roof_bounds(pair, "renyi_ent", trials=trials, seed=21, order=1.1)
         assert est.min_estimate <= prev_min + 1e-12
         assert est.max_estimate >= prev_max - 1e-12

@@ -36,7 +36,7 @@ from .inequalities import (
     _reoa_triangle,
     _tightened,
     _upper_bound_bipartition,
-    at_order,
+    at_orders,
     h_coefficient,
     report_to_csv_row,
     report_to_json_line,
@@ -44,7 +44,6 @@ from .inequalities import (
 )
 from .measures import (
     _as_order,
-    f_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
 )
@@ -59,6 +58,7 @@ from .inequalities import (  # noqa: F401
     check_polygamy, check_polygamy_power, check_reoa_triangle, check_tighter_multi,
     check_tighter_three, check_upper_bound_bipartition,
 )
+from .measures import f_alpha  # noqa: F401
 from .roof import verify_c_equals_ca, verify_e_alpha_formula  # noqa: F401
 from .states import reduce_to_parties, superpose_with_vacuum  # noqa: F401
 
@@ -101,20 +101,17 @@ def alpha_grid(
         raise ValueError(f"grid {start}:{stop}:{step} has a non-finite entry")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    if (stop - start) / step > MAX_GRID_ORDERS:
-        raise ValueError(
-            f"grid {start}:{stop}:{step} asks for more than {MAX_GRID_ORDERS} orders"
-        )
     values = []
-    k = 0
-    while True:
+    # bounded by count: below the spacing of start, start + k * step stalls
+    for k in range(MAX_GRID_ORDERS + 1):
         v = start + k * step
         if v > stop + 1e-12:
-            break
+            return values
         if not (exclude_one and abs(v - 1.0) < 1e-9):
             values.append(v)
-        k += 1
-    return values
+    raise ValueError(
+        f"grid {start}:{stop}:{step} asks for more than {MAX_GRID_ORDERS} orders"
+    )
 
 
 def parse_partition(text: str) -> Partition:
@@ -187,25 +184,26 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
 
     Every column is a closed form, so the figures run on block weights."""
     psi = GWBlocks.of(featured.figure_spec(fig_id))
+    grid = alpha_grid(*DEFAULT_ALPHA_GRID)
     if fig_id == 1:
-        rho = psi.restricted({0, 1, 2})
-        split = gw_one_to_rest_concurrence_sq(rho, Partition.singletons(3), 0)
-        c2_pairs = split.pair_sq
-        rows = []
-        for a in alpha_grid(*DEFAULT_ALPHA_GRID):
-            e_pairs = [f_alpha(c2, a) for c2 in c2_pairs]
-            lower = math.sqrt(sum(e * e for e in e_pairs))
-            mid = f_alpha(split.pair_sum_sq, a)
-            upper = sum(e_pairs)
-            rows.append((_fmt(a), _fmt(lower), _fmt(mid), _fmt(upper)))
+        # lower is the monogamy bound, upper the polygamy one, on E(0|12)
+        rho, singles = psi.restricted({0, 1, 2}), Partition.singletons(3)
+        reports = at_orders(grid, [
+            _power_relation("monogamy_sq", "ge", rho, singles, 0, 2.0),
+            _power_relation("polygamy", "le", rho, singles, 0, 1.0),
+        ])
+        rows = [
+            (_fmt(a), _fmt(math.sqrt(sq.rhs)), _fmt(poly.lhs), _fmt(poly.rhs))
+            for a, sq, poly in zip(grid, reports[::2], reports[1::2])
+        ]
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
         block_p, block_q, block_r = featured.figure2_blocks()
         bound = _merged_block_upper_bound(psi, block_p, block_q, [block_r])
-        rows = []
-        for a in alpha_grid(*DEFAULT_ALPHA_GRID):
-            report = bound.at(a)
-            rows.append((_fmt(a), _fmt(report.lhs), _fmt(report.rhs)))
+        rows = [
+            (_fmt(a), _fmt(report.lhs), _fmt(report.rhs))
+            for a, report in zip(grid, at_orders(grid, [bound]))
+        ]
         lines = _csv_lines(("alpha", "lhs", "upper_bound"), rows)
     else:
         c12 = gw_pairwise_concurrence(psi, {0}, {1}).value
@@ -241,7 +239,7 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
     # each checker does its order-free work once, here, in the stream's order;
-    # an order then costs only the window tests and the f_alpha values
+    # at_orders then makes each C^2 vector's f_alpha table once for the grid
     power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
     checks = [
         _power_relation("monogamy_sq", "ge", psi, partition, 0, 2.0),
@@ -263,9 +261,7 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
             checks.append(_tightened(psi, first_three, 2, tighter, kind, three=True))
         if len(blocks) >= 4:
             checks.append(_tightened(psi, partition, 1, tighter, "concurrence"))
-    reports: list[InequalityReport] = []
-    for a in grid:
-        reports += at_order(a, checks)
+    reports = at_orders(grid, checks)
     if spec.vacuum_weight > 0.0:
         reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
     return reports

@@ -29,15 +29,15 @@ from .measures import (
     FindingError,
     OrderLike,
     _as_order,
+    _renyi,
     cut_spectrum,
     gw_one_to_rest_concurrence_sq,
-    renyi_entropy,
 )
 from .states import FamilyState
 from .tensor import Partition, PureState, bipartition_matrix, require_dense
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import f_alpha, gw_pairwise_concurrence  # noqa: F401
+from .measures import f_alpha, gw_pairwise_concurrence, renyi_entropy  # noqa: F401
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -65,6 +65,8 @@ class GameBoundInput:
 
     def __post_init__(self):
         n, d = int(self.n), int(self.d)
+        if max(n, d) > sys.float_info.max:
+            raise ValueError("player count and dimension must fit a float")
         if n < 1:
             raise ValueError(f"player count must be >= 1, got {n}")
         if d < 2:
@@ -124,11 +126,12 @@ def _trace_bound_renyi(psi: FamilyState, bipartition=None) -> Prepared:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
     spectrum = cut_spectrum(psi, bipartition)
     lam0 = float(spectrum.coefficients[0])
-    lhs = 2.0 * math.sqrt(float(spectrum.coefficients[1:].sum()))
+    tail = float(spectrum.coefficients[1:].sum())
+    lhs = 2.0 * math.sqrt(tail)
+    c2 = (4.0 * tail * (1.0 - tail),)  # Schmidt rank two: E_alpha = f_alpha(C^2)
 
     def evaluate(order, values, params):
-        entanglement = renyi_entropy(spectrum, order).value
-        rhs = 2.0 * math.sqrt(2.0 * entanglement)
+        rhs = 2.0 * math.sqrt(2.0 * values(c2)[0])
         params["lambda0"] = lam0
         return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
 
@@ -136,8 +139,8 @@ def _trace_bound_renyi(psi: FamilyState, bipartition=None) -> Prepared:
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
-    """-2 log2[l^a + (1-l)^a] - (1-l)(a-1), the scalar behind the pure-state
-    trace bound.
+    """-2 log2[l^a + (1-l)^a] - (1-l)(a-1) = (a-1) (2 E_a - (1-l)), with E_a
+    the Renyi entropy of (l, 1-l): the scalar behind the pure-state trace bound.
 
     Nonnegative on lambda0 in [1/2, 1], the Schmidt-rank-2 domain; use
     :func:`game_gap_grid_min` to scan it.
@@ -149,14 +152,12 @@ def game_gap_fn(lambda0: float, order: OrderLike) -> float:
     lam = float(lambda0)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda0 must lie in [0, 1], got {lam}")
-    inner = lam**a + (1.0 - lam) ** a
-    if inner < sys.float_info.min:
-        # past order ~1000 the plain sum underflows: factor the larger term out
-        small, big = sorted((lam, 1.0 - lam))
-        log_inner = a * math.log2(big) + math.log2((small / big) ** a + 1.0)
-    else:
-        log_inner = math.log2(inner)
-    return -2.0 * log_inner - (1.0 - lam) * (a - 1.0)
+    return float(_gap(np.asarray(lam), a))
+
+
+def _gap(lam, a: float):
+    """The gap function elementwise on lambda0 values ``lam`` at order a."""
+    return (a - 1.0) * (2.0 * _renyi(np.minimum(lam, 1.0 - lam), a) - (1.0 - lam))
 
 
 def game_gap_grid_min(
@@ -167,12 +168,7 @@ def game_gap_grid_min(
     lams = np.arange(1.0 / d, 1.0 + lambda_step / 2, lambda_step)
     lams = np.clip(lams, 0.0, 1.0)
     alphas = np.arange(1.0, 5.0 + alpha_step / 2, alpha_step)
-    best = math.inf
-    for a in alphas:
-        inner = lams**a + (1.0 - lams) ** a
-        values = -2.0 * np.log2(inner) - (1.0 - lams) * (a - 1.0)
-        best = min(best, float(values.min()))
-    return best
+    return min(float(_gap(lams, a).min()) for a in alphas.tolist())
 
 
 def gap_bound(inp: GameBoundInput) -> GapBoundResult:

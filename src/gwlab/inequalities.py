@@ -3,7 +3,7 @@
 Every checker evaluates one inequality on a GW-family state, dense or
 :class:`GWBlocks`, and returns an :class:`InequalityReport`: its
 :class:`Prepared` form, which holds the order-free work, evaluated by
-:func:`at_order` at one order.  Applicability (order windows and side
+:func:`at_orders` over an order grid.  Applicability (order windows and side
 conditions) is a first-class result state rather than an error, so grid
 sweeps produce complete report streams; genuine violations on applicable
 instances surface as ``satisfied=False`` and are never swallowed.
@@ -11,18 +11,19 @@ instances surface as ``satisfied=False`` and are never swallowed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .measures import (
     OrderLike,
     RenyiOrder,
     _as_order,
+    _f_alpha_grid,
     cut_spectrum,
-    f_alpha,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
 )
@@ -30,7 +31,7 @@ from .states import FamilyState, GWBlocks, GWSpec, reduce_to_parties
 from .tensor import Partition
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import renyi_entropy  # noqa: F401
+from .measures import f_alpha, renyi_entropy  # noqa: F401
 from .states import mix_with_vacuum, purify_mixture  # noqa: F401
 from .tensor import partial_trace, schmidt_spectrum  # noqa: F401
 
@@ -39,7 +40,7 @@ __all__ = [
     "InequalityReport",
     "TighterParams",
     "CLOSED_FORM_TOL",
-    "at_order",
+    "at_orders",
     "h_coefficient",
     "check_monogamy_sq",
     "check_monogamy_power",
@@ -58,6 +59,9 @@ __all__ = [
 
 #: Tolerance of every inequality evaluated through scalar closed forms.
 CLOSED_FORM_TOL = 1e-9
+#: Most f_alpha values ``at_orders`` holds per C^2 vector at once: a long
+#: vector takes fewer orders per block, so its table stays near 0.5 MB.
+GRID_VALUES = 2**14
 #: Side conditions need at least this margin; borderline cases are reported
 #: as unmet with diagnostics rather than guessed.
 CONDITION_MARGIN = 1e-12
@@ -131,32 +135,41 @@ class Prepared(NamedTuple):
     evaluate: Callable[..., InequalityReport]
 
     def at(self, order: OrderLike) -> InequalityReport:
-        return at_order(order, [self])[0]
+        return at_orders([order], [self])[0]
 
 
 _MONOGAMY = RenyiOrder.supports_monogamy.fget
 _POLYGAMY = RenyiOrder.supports_polygamy.fget
 
 
-def at_order(order: OrderLike, checks: Iterable[Prepared]) -> list[InequalityReport]:
-    """The reports of prepared checkers at one order.  f_alpha runs once per
-    distinct C^2 vector, and every checker that prepared it reads the values."""
-    order = _as_order(order)
-    memo: dict[tuple, list] = {}
+def at_orders(
+    grid: Iterable[OrderLike], checks: Sequence[Prepared]
+) -> list[InequalityReport]:
+    """The reports of prepared checkers at every order of the grid, order by
+    order.  Each distinct C^2 vector gets its f_alpha values for a block of
+    orders (the whole grid unless it is long) at once, shared by its readers."""
+    orders = [_as_order(a) for a in grid]
+    alphas = [order.alpha for order in orders]
+    blocks: dict[tuple, tuple[int, list]] = {}
 
-    def values(c2s: tuple) -> list:
-        found = memo.get(c2s)
-        if found is None:
-            found = memo[c2s] = [f_alpha(c2, order) for c2 in c2s]
-        return found
+    def values(row: int, c2s: tuple) -> list:
+        start, rows = blocks.get(c2s, (0, []))
+        if not start <= row < start + len(rows):
+            stop = row + max(1, GRID_VALUES // len(c2s))
+            start, rows = row, _f_alpha_grid(c2s, alphas[row:stop]).tolist()
+            blocks[c2s] = start, rows
+        return rows[row - start]
 
-    def report(check: Prepared) -> InequalityReport:
-        params = {"alpha": order.alpha, **check.params}
-        if not check.window(order):
-            return _skipped(check.name, Applicability.OUT_OF_WINDOW, params)
-        return check.evaluate(order, values, params)
-
-    return [report(check) for check in checks]
+    reports = []
+    for row, order in enumerate(orders):
+        at_row = functools.partial(values, row)
+        for check in checks:
+            params = {"alpha": order.alpha, **check.params}
+            if check.window(order):
+                reports.append(check.evaluate(order, at_row, params))
+            else:
+                reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
+    return reports
 
 
 CSV_HEADER = ("name", "alpha", "mu", "k", "lhs", "rhs", "slack", "satisfied")
@@ -199,10 +212,9 @@ def report_to_json_line(report: InequalityReport) -> str:
 
 def h_coefficient(k: float, t: float) -> float:
     """Tightening coefficient ((1+k)^t - 1) / k^t for k >= 1, t in [0, 1]."""
-    k = float(k)
-    t = float(t)
-    if k < 1.0:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k, t = float(k), float(t)
+    if not (math.isfinite(k) and k >= 1.0):
+        raise ValueError(f"k must be finite and >= 1, got {k}")
     if not 0.0 <= t <= 1.0 + 1e-12:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     t = min(t, 1.0)
@@ -423,6 +435,8 @@ class TighterParams:
 
     def __post_init__(self):
         c, b, k = float(self.c_pow), float(self.b_pow), float(self.k)
+        if not all(math.isfinite(v) for v in (c, b, k)):
+            raise ValueError(f"c_pow, b_pow and k must be finite, got {c}, {b}, {k}")
         if c < 2.0:
             raise ValueError(f"c_pow must be >= 2, got {c}")
         if not 0.0 <= b <= c:

@@ -17,9 +17,8 @@ against.  The argument type alone selects the path.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +74,8 @@ VON_NEUMANN_BAND = 1e-6
 #: through expm1; the plain Renyi quotient loses about eps / |1 - alpha| there.
 EXPM1_BAND = 1e-3
 
+_LN2 = math.log(2.0)
+
 #: Squared-concurrence sums may overshoot 1 by float noise only.
 F_DOMAIN_SLACK = 1e-9
 
@@ -118,10 +119,6 @@ class RenyiOrder:
     def supports_polygamy(self) -> bool:
         return ALPHA_MONOGAMY_MIN <= self.alpha <= ALPHA_POLYGAMY_MAX
 
-    @property
-    def near_one(self) -> bool:
-        return abs(self.alpha - 1.0) < VON_NEUMANN_BAND
-
 
 OrderLike = Union[RenyiOrder, float, int]
 
@@ -157,71 +154,83 @@ class MeasureValue:
         object.__setattr__(self, "value", max(v, 0.0))
 
 
+def _band(alpha: float) -> int:
+    """The kernel branch of an order: 0 von Neumann, 1 expm1, 2 elsewhere."""
+    gap = abs(alpha - 1.0)
+    return 0 if gap < VON_NEUMANN_BAND else 1 if gap < EXPM1_BAND else 2
+
+
+def _renyi(lo, a, band: Optional[int] = None, minor=None) -> np.ndarray:
+    """Renyi entropy in bits of spectra whose largest coefficient is 1 - lo.
+
+    ``minor`` holds the other coefficients along its last axis (by default
+    ``lo``: rank 2).  ``a`` is an order, or a column of orders in one
+    ``band``, which picks the branch: the von Neumann limit,
+    log1p(sum lambda expm1((a-1) ln lambda)) (the plain quotient loses about
+    eps / |1 - a| there), or (a log1p(-lo) + log1p(sum (lambda/(1-lo))^a)) /
+    (1-a), which cannot underflow.  ``np.power`` keeps a 0-d call bit-equal
+    to the same element of an array call."""
+    band = _band(a) if band is None else band
+    hi, log_hi = 1.0 - lo, np.log1p(-lo)
+
+    def total(term):
+        return term(lo) if minor is None else term(minor).sum(axis=-1)
+
+    if band == 2:
+        return (a * log_hi + np.log1p(total(lambda lam: np.power(lam / hi, a)))) / (
+            (1.0 - a) * _LN2)
+
+    def log(lam):  # a zero coefficient contributes nothing
+        return np.log(np.where(lam > 0.0, lam, 1.0))
+
+    if band == 0:
+        return (-total(lambda lam: lam * log(lam)) - hi * log_hi) / _LN2
+    excess = total(lambda lam: lam * np.expm1((a - 1.0) * log(lam)))
+    return np.log1p(excess + hi * np.expm1((a - 1.0) * log_hi)) / ((1.0 - a) * _LN2)
+
+
+def _lam_lo(x):
+    """The smaller Schmidt coefficient (1 - sqrt(1-x))/2 of a rank-2 state
+    with squared concurrence x in [0, 1], free of that form's cancellation."""
+    return x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+
+
+def _checked_c2(x) -> np.ndarray:
+    """Squared concurrences clamped to [0, 1]; one further outside than
+    ``F_DOMAIN_SLACK`` is a domain error, not an extrapolation."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= -F_DOMAIN_SLACK) & (x <= 1.0 + F_DOMAIN_SLACK))
+    if outside.any():
+        raise DomainError(f"squared concurrence {x[outside][0]} outside [0, 1]")
+    return np.clip(x, 0.0, 1.0)
+
+
 def f_alpha(x: float, order: OrderLike) -> float:
     """Renyi entanglement of a Schmidt-rank-2 state with squared concurrence x.
 
-    The two Schmidt coefficients are (1 -+ sqrt(1-x))/2.  Near order 1 the
-    von Neumann limit (binary entropy) is used, and just outside that band an
-    expm1/log1p form keeps full precision.  Inputs in (1, 1+1e-9] clamp
-    to 1; anything larger is a domain error rather than an extrapolation.
-    """
-    order = _as_order(order)
-    x = float(x)
-    if x > 1.0 + F_DOMAIN_SLACK or x < -F_DOMAIN_SLACK:
-        raise DomainError(f"squared concurrence {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    lam_lo = (1.0 - math.sqrt(1.0 - x)) / 2.0
-    lam_hi = 1.0 - lam_lo
-    if order.near_one:
-        ent = 0.0
-        for lam in (lam_lo, lam_hi):
-            if lam > 0.0:
-                ent -= lam * math.log2(lam)
-        return ent
-    a = order.alpha
-    if abs(1.0 - a) < EXPM1_BAND:
-        return _renyi_near_one([lam for lam in (lam_lo, lam_hi) if lam > 0.0], a)
-    power_sum = lam_lo**a + lam_hi**a
-    if power_sum < sys.float_info.min:
-        # past order ~1000 the plain sum underflows: factor lam_hi**a out
-        log_sum = a * math.log2(lam_hi) + math.log2((lam_lo / lam_hi) ** a + 1.0)
-        return log_sum / (1.0 - a)
-    return math.log2(power_sum) / (1.0 - a)
+    The Schmidt coefficients are (1 -+ sqrt(1-x))/2; this is the 0-d call of
+    ``_f_alpha_array``, after the domain check of ``_checked_c2``."""
+    return float(_f_alpha_array(_checked_c2(float(x)), order))
 
 
-def _renyi_near_one(lams: Iterable[float], a: float) -> float:
-    """log2(sum lambda^a) / (1-a) for positive lambdas summing to one, as
-    log1p(sum lambda expm1((a-1) ln lambda)): the plain quotient loses about
-    eps / |1 - a| for orders within EXPM1_BAND of 1."""
-    excess = sum(lam * math.expm1((a - 1.0) * math.log(lam)) for lam in lams)
-    return math.log1p(excess) / ((1.0 - a) * math.log(2.0))
+def _f_alpha_array(x, order: OrderLike) -> np.ndarray:
+    """f_alpha elementwise on squared concurrences already in [0, 1]."""
+    return _renyi(_lam_lo(x), _as_order(order).alpha)
 
 
-def _f_alpha_array(x: np.ndarray, order: OrderLike) -> np.ndarray:
-    """f_alpha elementwise on squared concurrences already in [0, 1], with
-    the scalar form's three branches.  The roof averages thousands of
-    components per call; ``f_alpha`` stays scalar for the closed forms."""
-    order = _as_order(order)
-    lam_lo = (1.0 - np.sqrt(1.0 - x)) / 2.0
-    lam_hi = 1.0 - lam_lo
-    a = order.alpha
-    if order.near_one or abs(1.0 - a) < EXPM1_BAND:
-        # only lam_lo can vanish, and a zero lambda contributes nothing
-        log_lo = np.log(np.where(lam_lo > 0.0, lam_lo, 1.0))
-        log_hi = np.log(lam_hi)
-        if order.near_one:
-            return -(lam_lo * log_lo + lam_hi * log_hi) / math.log(2.0)
-        excess = lam_lo * np.expm1((a - 1.0) * log_lo)
-        excess += lam_hi * np.expm1((a - 1.0) * log_hi)
-        return np.log1p(excess) / ((1.0 - a) * math.log(2.0))
-    power_sum = lam_lo**a + lam_hi**a
-    tiny = power_sum < sys.float_info.min
-    log_sum = np.log2(np.where(tiny, 1.0, power_sum))
-    if tiny.any():
-        # past order ~1000 the plain sum underflows: factor lam_hi**a out
-        factored = a * np.log2(lam_hi) + np.log2((lam_lo / lam_hi) ** a + 1.0)
-        log_sum = np.where(tiny, factored, log_sum)
-    return log_sum / (1.0 - a)
+def _f_alpha_grid(x, alphas: Sequence[float]) -> np.ndarray:
+    """f_alpha of squared concurrences x (columns) at each order of alphas
+    (rows), one kernel call per band of orders.  Each row is bit-equal to
+    ``f_alpha`` at its order."""
+    lo = _lam_lo(_checked_c2(x))
+    column = np.array(alphas, dtype=float)[:, None]
+    bands: dict[int, list[int]] = {}
+    for i, a in enumerate(alphas):
+        bands.setdefault(_band(a), []).append(i)
+    out = np.empty((len(alphas), lo.size))
+    for band, rows in bands.items():
+        out[rows] = _renyi(lo, column[rows], band)
+    return out
 
 
 def g_alpha(y: float, order: OrderLike) -> float:
@@ -232,35 +241,20 @@ def g_alpha(y: float, order: OrderLike) -> float:
     return f_alpha(max(y, 0.0) ** 2, order)
 
 
-def _spectrum_values(spectrum: Union[SchmidtSpectrum, DensityOperator]) -> np.ndarray:
-    if isinstance(spectrum, SchmidtSpectrum):
-        return spectrum.coefficients
-    if isinstance(spectrum, DensityOperator):
-        return spectrum.eigenvalues()
-    raise TypeError(f"expected SchmidtSpectrum or DensityOperator, got {type(spectrum)}")
-
-
 def renyi_entropy(
     spectrum: Union[SchmidtSpectrum, DensityOperator], order: OrderLike
 ) -> MeasureValue:
-    """log2(sum lambda_i^alpha)/(1-alpha); von Neumann entropy near alpha=1."""
-    order = _as_order(order)
-    lams = _spectrum_values(spectrum)
-    lams = lams[lams > 1e-15]
-    a = order.alpha
-    if order.near_one:
-        value = float(-(lams * np.log2(lams)).sum())
-    elif abs(1.0 - a) < EXPM1_BAND:
-        value = _renyi_near_one(lams.tolist(), a)
+    """log2(sum lambda_i^alpha)/(1-alpha); von Neumann entropy near alpha=1.
+
+    The largest coefficient enters as one minus the others, as in f_alpha."""
+    if isinstance(spectrum, SchmidtSpectrum):
+        lams = spectrum.coefficients
+    elif isinstance(spectrum, DensityOperator):
+        lams = spectrum.eigenvalues()
     else:
-        power_sum = (lams**a).sum()
-        if power_sum < sys.float_info.min:
-            # past order ~1000 the plain sum underflows: factor max(lams)**a out
-            top = lams.max()
-            log_sum = a * np.log2(top) + np.log2(((lams / top) ** a).sum())
-            value = float(log_sum / (1.0 - a))
-        else:
-            value = float(np.log2(power_sum) / (1.0 - a))
+        raise TypeError(f"expected SchmidtSpectrum or DensityOperator, got {type(spectrum)}")
+    minor = np.sort(lams[lams > 1e-15])[:-1]
+    value = float(_renyi(minor.sum(), _as_order(order).alpha, minor=minor))
     return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
 
 
@@ -466,14 +460,13 @@ def cut_spectrum(state: FamilyState, bipartition) -> SchmidtSpectrum:
     """Schmidt spectrum of a pure state across a cut of all its parties.
 
     On block weights the cut has Schmidt rank at most two, with
-    lambda_0 lambda_1 = C^2 / 4 and C^2 = 4 (1-w)^2 s_A s_B.  The smaller
-    coefficient is computed as C^2 / (2 (1 + sqrt(1 - C^2))), which avoids
-    the cancellation in (1 - sqrt(1 - C^2)) / 2.
+    lambda_0 lambda_1 = C^2 / 4 and C^2 = 4 (1-w)^2 s_A s_B; the smaller
+    coefficient comes from ``_lam_lo``, as in f_alpha.
     """
     if isinstance(state, GWBlocks) and state.pure:
         s_a, s_b = state.merged(Partition.of(bipartition)).weights
         c2 = min(4.0 * (1.0 - state.vacuum_weight) ** 2 * s_a * s_b, 1.0)
-        minor = c2 / (2.0 * (1.0 + math.sqrt(1.0 - c2)))
+        minor = _lam_lo(c2)
         return SchmidtSpectrum([1.0 - minor, minor])
     if not isinstance(state, PureState):
         raise ValueError("a Schmidt spectrum needs a pure state")

@@ -203,6 +203,10 @@ BAD_GRIDS = {
     # 0.9 + k * 1e-300 == 0.9, so a grid built without a size check never ends
     "0.9:1.3:1e-300": "more than 100000 orders",
     "0.9:1.3:1e-9": "more than 100000 orders",
+    # (stop - start) / step is 0, yet 1e300 + k == 1e300 for every k that a
+    # list can hold: a size check on that quotient lets the grid grow until
+    # memory runs out
+    "1e300:1e300:1": "more than 100000 orders",
 }
 
 
@@ -261,6 +265,23 @@ def test_verify_partial_tightened_flags_exit_two(spec_file, tmp_path, capsys, gi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("2", "1", "nan"), ("2", "1", "inf"), ("inf", "1", "2"), ("nan", "1", "2"),
+     ("2", "nan", "2"), ("2", "inf", "2")],
+)
+def test_verify_non_finite_tightened_flags_exit_two(spec_file, tmp_path, capsys, flags):
+    # a NaN --k used to emit NaN slacks (invalid JSON) and exit 1, an infinite
+    # --k or --c-pow to write NaN or Infinity into params, and a NaN --c-pow
+    # to blame --b-pow
+    out = tmp_path / "r.jsonl"
+    args = ["verify", "--spec", spec_file, "--out", str(out)]
+    args += [v for pair in zip(TIGHTER_FLAGS, flags) for v in pair]
+    assert main(args) == 2
+    assert "c_pow, b_pow and k must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     # verify runs on block weights, so neither grid compresses any local
     # support, and the order-free closed forms (block weights and pair
@@ -295,6 +316,23 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     assert counts[0] == counts[1]
     assert counts[0]["compress"] == 0
     assert counts[0]["pairwise"] > 0 and counts[0]["block_weight"] > 0
+
+
+def test_verify_order_blocks_change_no_bit(monkeypatch, tmp_path):
+    # a C^2 vector longer than GRID_VALUES / (grid size) is evaluated over
+    # blocks of orders; blocks of one, two and three orders give the bytes
+    # of the whole-grid table
+    amps = np.array([0.5, 0.4, 0.3, 0.5, 0.2, 0.45])
+    spec = gw_spec_to_json(GWSpec.qubit(amps / np.linalg.norm(amps), vacuum_weight=0.2))
+    args = ["verify", "--spec", spec, "--partition", "0|1,2|3|4|5", "--alpha",
+            "0.85:1.3:0.05", "--include-one", "--c-pow", "2", "--b-pow", "1", "--k", "2"]
+    outputs = []
+    for values in (gwlab.inequalities.GRID_VALUES, 5, 10, 15):
+        monkeypatch.setattr(gwlab.inequalities, "GRID_VALUES", values)
+        out = tmp_path / f"r{values}.jsonl"
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert all(o == outputs[0] for o in outputs[1:])
 
 
 def test_verify_single_block_exit_two(spec_file, tmp_path, capsys):
@@ -578,6 +616,16 @@ def test_gamebounds_table(tmp_path):
     code = main(["gamebounds", "--n", "1,16", "--d", "2,4", "--out", str(tmp_path / "g2.csv")])
     assert code == 0
     assert (tmp_path / "g2.csv").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--d"])
+def test_gamebounds_beyond_float_range_exit_two(tmp_path, capsys, flag):
+    # 10**400 is a valid int that no float holds; it used to end in an
+    # OverflowError traceback
+    out = tmp_path / "gb.csv"
+    assert main(["gamebounds", flag, str(10**400), "--out", str(out)]) == 2
+    assert "must fit a float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_figure_id():

@@ -51,6 +51,17 @@ def test_h_coefficient_values():
         h_coefficient(2.0, 1.5)
 
 
+def test_h_coefficient_and_tighter_params_need_finite_values():
+    # an infinite k made h = inf / inf = NaN
+    for k in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            h_coefficient(k, 0.5)
+    for bad in ({"k": math.nan}, {"k": math.inf}, {"c_pow": math.inf},
+                {"c_pow": math.nan}, {"b_pow": math.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            TighterParams(**{"c_pow": 2.0, "b_pow": 1.0, "k": 2.0, **bad})
+
+
 def _power_bound_slack(x, k, t):
     """(1+x)^t - (1 + h(k, t) x^t), the lemma behind h_coefficient: it is
     nonnegative for x >= k >= 1 and t in [0, 1]."""

@@ -36,7 +36,7 @@ from gwlab import (
     renyi_entropy,
     superpose_with_vacuum,
 )
-from gwlab.measures import _f_alpha_array
+from gwlab.measures import _f_alpha_array, _f_alpha_grid
 from gwlab.featured import (
     FIG1_AMPLITUDES,
     FIG2_AMPLITUDES,
@@ -113,16 +113,55 @@ def test_f_alpha_monotone_property(x, y, a):
     assert 0.0 <= f_alpha(x, a) <= 1.0 + 1e-12
 
 
+#: One order in each kernel branch and on both sides of 1: von Neumann
+#: (1), expm1 (1 -+ 2e-6, 1.0005) and the log1p quotient (the rest).
+BRANCH_ORDERS = (0.83, 0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.0005, 1.2, 2.0, 5.0, 5000.0)
+#: x = 0 has a zero Schmidt coefficient, 1e-300 a subnormal-free tiny one.
+BRANCH_XS = (0.0, 1e-300, 1e-12, 0.3, 0.64, 1.0 - 1e-15, 1.0)
+
+
 def test_f_alpha_array_matches_scalar():
-    # the roof's batched form: order 1 takes the von Neumann branch, the
-    # orders 1 -+ 2e-6 and 1.0005 the expm1 branch; x = 0 and 1e-300 have a
-    # zero Schmidt coefficient
-    xs = [0.0, 1e-300, 1e-12, 0.3, 1.0 - 1e-15, 1.0]
-    for a in (0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.0005, 1.2, 2.0, 5.0):
-        values = _f_alpha_array(np.array(xs), a)
-        assert values.shape == (len(xs),)
-        for x, value in zip(xs, values):
-            assert abs(value - f_alpha(x, a)) < 1e-12, (x, a)
+    # the scalar is the 0-d call of the array form, so every element is
+    # bit-equal to it, in every branch
+    for a in BRANCH_ORDERS:
+        values = _f_alpha_array(np.array(BRANCH_XS), a)
+        assert values.shape == (len(BRANCH_XS),)
+        for x, value in zip(BRANCH_XS, values):
+            assert value == f_alpha(x, a), (x, a)
+
+
+def test_f_alpha_grid_rows_match_scalar():
+    # the grid groups the orders by branch and evaluates each group in one
+    # call; its rows come back in the grid's order, bit-equal to f_alpha
+    grid = [1.2, 1.0, 0.9, 1.0 + 2e-6, 5000.0, 1.0 - 3e-7, 1.0005, 0.83, 2.0]
+    table = _f_alpha_grid(BRANCH_XS, grid)
+    assert table.shape == (len(grid), len(BRANCH_XS))
+    for a, row in zip(grid, table):
+        assert row.tolist() == [f_alpha(x, a) for x in BRANCH_XS], a
+    single = _f_alpha_grid((0.3,), grid)
+    assert single[:, 0].tolist() == [f_alpha(0.3, a) for a in grid]
+
+
+def _f_alpha_exact(x: float, a: float):
+    """f_alpha at 700 digits, from the cancellation-free lambda_lo; 50 digits
+    cannot tell 1 - lambda_lo from 1 at x = 1e-300."""
+    with mpmath.workdps(700):
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        lo = x / (2 * (1 + mpmath.sqrt(1 - x)))
+        lams = (lo, 1 - lo)
+        if a == 1:
+            return -sum(lam * mpmath.log(lam, 2) for lam in lams)
+        return mpmath.log(sum(lam**a for lam in lams), 2) / (1 - a)
+
+
+@pytest.mark.parametrize("a", [0.83, 0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.2, 2.0, 5.0])
+def test_f_alpha_relative_error_over_full_range(a):
+    # the smaller Schmidt coefficient used to come from (1 - sqrt(1-x))/2,
+    # which cancels: relative error 8.5e-4 at x = 1e-14 and 1 below 1e-16
+    xs = [10.0**e for e in range(-300, 0, 9)] + [0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0]
+    for x in xs:
+        exact = _f_alpha_exact(x, a)
+        assert abs(f_alpha(x, a) - exact) <= 1e-13 * exact, x
 
 
 def test_g_alpha_matches_squared_argument():
@@ -177,6 +216,23 @@ def test_renyi_values_at_large_orders_match_mpmath(a):
         assert f_alpha(x, a) == pytest.approx(exact, rel=1e-12), x
         assert value == pytest.approx(exact, rel=1e-12), x
     assert renyi_entropy(SchmidtSpectrum(lams), a).value == pytest.approx(exact_s, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.0005, 2.0])
+def test_rank_three_renyi_matches_mpmath_in_every_branch(a):
+    # the kernel's rank > 2 form in the von Neumann, expm1 and quotient
+    # branches: the largest coefficient enters as one minus the others, so
+    # the reference normalizes the same way (near order 1 an unnormalized
+    # sum would move the plain quotient by about eps / |1 - a|)
+    with mpmath.workdps(50):
+        minor = [mpmath.mpf(0.3), mpmath.mpf(0.1)]
+        lams = [1 - sum(minor)] + minor
+        exact = (
+            -sum(lam * mpmath.log(lam, 2) for lam in lams) if a == 1.0
+            else mpmath.log(sum(lam**a for lam in lams), 2) / (1 - mpmath.mpf(a))
+        )
+    value = renyi_entropy(SchmidtSpectrum([0.6, 0.3, 0.1]), a).value
+    assert value == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_renyi_on_density_operator(bell_state):

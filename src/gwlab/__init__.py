@@ -28,6 +28,7 @@ from .tensor import (
 from .states import (
     GWBlocks,
     GWSpec,
+    ProvenanceError,
     PurificationSpec,
     build_gw_qudit,
     build_w_qubit,
@@ -46,7 +47,6 @@ from .measures import (
     DomainError,
     FindingError,
     MeasureValue,
-    ProvenanceError,
     RenyiOrder,
     block_pair_reduction,
     concurrence_pure,

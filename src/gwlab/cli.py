@@ -96,22 +96,35 @@ def _fmt(x: float) -> str:
 def alpha_grid(
     start: float, stop: float, step: float, exclude_one: bool = True
 ) -> list[float]:
-    """Arithmetic grid [start, stop] with an optional hole at order 1."""
+    """Arithmetic grid [start, stop] with an optional hole at order 1.
+
+    A grid never holds one order twice: a step that float addition cannot
+    advance is refused, also when the grid ends anyway."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"grid {start}:{stop}:{step} has a non-finite entry")
     if step <= 0:
         raise ValueError("grid step must be positive")
     values = []
+    previous, repeated = None, False
     # bounded by count: below the spacing of start, start + k * step stalls
     for k in range(MAX_GRID_ORDERS + 1):
         v = start + k * step
         if v > stop + 1e-12:
-            return values
+            break
+        repeated = repeated or v == previous
+        previous = v
         if not (exclude_one and abs(v - 1.0) < 1e-9):
             values.append(v)
-    raise ValueError(
-        f"grid {start}:{stop}:{step} asks for more than {MAX_GRID_ORDERS} orders"
-    )
+    else:
+        raise ValueError(
+            f"grid {start}:{stop}:{step} asks for more than {MAX_GRID_ORDERS} orders"
+        )
+    if repeated:
+        raise ValueError(
+            f"grid {start}:{stop}:{step} repeats an order: its step does not "
+            "advance past the float spacing of its orders"
+        )
+    return values
 
 
 def parse_partition(text: str) -> Partition:

@@ -33,8 +33,8 @@ from .measures import (
     cut_spectrum,
     gw_one_to_rest_concurrence_sq,
 )
-from .states import FamilyState
-from .tensor import Partition, PureState, bipartition_matrix, require_dense
+from .states import GWBlocks
+from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
 from .measures import f_alpha, gw_pairwise_concurrence, renyi_entropy  # noqa: F401
@@ -112,16 +112,16 @@ def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
 
 
 def check_trace_bound_renyi(
-    psi: FamilyState, order: OrderLike, bipartition=None
+    psi: State | GWBlocks, order: OrderLike, bipartition=None
 ) -> InequalityReport:
     """Distance to the aligned product state is at most 2 sqrt(2 E_alpha).
 
     The distance is 2 sqrt(1 - lambda_0), taken as the weight of the Schmidt
     coefficients below the largest so that no cancellation enters."""
-    return _trace_bound_renyi(psi, bipartition).at(order)
+    return _trace_bound_renyi(GWBlocks.from_state(psi), bipartition).at(order)
 
 
-def _trace_bound_renyi(psi: FamilyState, bipartition=None) -> Prepared:
+def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
     if bipartition is None:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
     spectrum = cut_spectrum(psi, bipartition)
@@ -194,16 +194,16 @@ def gap_bound(inp: GameBoundInput) -> GapBoundResult:
 
 
 def check_monogamy_cap(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     order: OrderLike,
 ) -> InequalityReport:
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
-    return _monogamy_cap(state, partition).at(order)
+    return _monogamy_cap(GWBlocks.from_state(state), partition).at(order)
 
 
-def _monogamy_cap(state: FamilyState, partition: Partition) -> Prepared:
+def _monogamy_cap(state: GWBlocks, partition: Partition) -> Prepared:
     partition.require_complete(state.layout)
     d_alice = math.prod(state.layout.dims[p] for p in sorted(partition.blocks[0]))
     split = gw_one_to_rest_concurrence_sq(state, partition, 0)

@@ -1,12 +1,15 @@
 """Monogamy, polygamy, upper-bound and tightened-bound checkers.
 
-Every checker evaluates one inequality on a GW-family state, dense or
-:class:`GWBlocks`, and returns an :class:`InequalityReport`: its
-:class:`Prepared` form, which holds the order-free work, evaluated by
-:func:`at_orders` over an order grid.  Applicability (order windows and side
-conditions) is a first-class result state rather than an error, so grid
-sweeps produce complete report streams; genuine violations on applicable
-instances surface as ``satisfied=False`` and are never swallowed.
+Every checker evaluates one inequality on the block weights of a GW-family
+state and returns an :class:`InequalityReport`: its :class:`Prepared` form,
+which holds the order-free work, evaluated by :func:`at_orders` over an
+order grid.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
+state and turns the latter into block weights at entry, through
+:meth:`GWBlocks.from_state`; the preparers take block weights only.
+Applicability (order windows and side conditions) is a first-class result
+state rather than an error, so grid sweeps produce complete report streams;
+genuine violations on applicable instances surface as ``satisfied=False``
+and are never swallowed.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .measures import (
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
 )
-from .states import FamilyState, GWBlocks, GWSpec, reduce_to_parties
-from .tensor import Partition
+from .states import GWBlocks, GWSpec
+from .tensor import Partition, State
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
 from .measures import f_alpha, renyi_entropy  # noqa: F401
@@ -222,8 +225,8 @@ def h_coefficient(k: float, t: float) -> float:
 
 
 def _restrict_to_blocks(
-    state: FamilyState, blocks: Iterable[Iterable[int]]
-) -> tuple[FamilyState, Partition]:
+    state: GWBlocks, blocks: Iterable[Iterable[int]]
+) -> tuple[GWBlocks, Partition]:
     """Reduce to the union of the blocks and reindex them on the reduction.
 
     Checkers accept block families that cover only part of the state; the
@@ -234,7 +237,7 @@ def _restrict_to_blocks(
     n = state.layout.n_parties
     if union == list(range(n)):
         return state, Partition.of(blocks)
-    reduced = reduce_to_parties(state, union)
+    reduced = state.restricted(union)
     remap = {p: i for i, p in enumerate(union)}
     return reduced, Partition.of([{remap[p] for p in b} for b in blocks])
 
@@ -247,7 +250,7 @@ def _partition_params(partition: Partition, s: int) -> dict:
 
 
 def _power_relation(
-    name: str, direction: str, state: FamilyState, partition: Partition, s: int, mu
+    name: str, direction: str, state: GWBlocks, partition: Partition, s: int, mu
 ) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
     blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
@@ -266,18 +269,19 @@ def _power_relation(
 
 
 def check_monogamy_sq(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     s: int,
     order: OrderLike,
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
+    state = GWBlocks.from_state(state)
     return _power_relation("monogamy_sq", "ge", state, partition, s, 2.0).at(order)
 
 
 def check_monogamy_power(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -287,21 +291,23 @@ def check_monogamy_power(
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 2.0):
         raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
+    state = GWBlocks.from_state(state)
     return _power_relation("monogamy_power", "ge", state, partition, s, mu).at(order)
 
 
 def check_polygamy(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     s: int,
     order: OrderLike,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
+    state = GWBlocks.from_state(state)
     return _power_relation("polygamy", "le", state, partition, s, 1.0).at(order)
 
 
 def check_polygamy_power(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     s: int,
     order: OrderLike,
@@ -311,15 +317,16 @@ def check_polygamy_power(
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
+    state = GWBlocks.from_state(state)
     return _power_relation("polygamy_power", "le", state, partition, s, mu).at(order)
 
 
-def _pair_c2(state: FamilyState, block_a, block_b) -> float:
+def _pair_c2(state: GWBlocks, block_a, block_b) -> float:
     return gw_pairwise_concurrence(state, block_a, block_b).value ** 2
 
 
 def _merged_cut_bound(
-    name: str, state: FamilyState, p, q, rest, cut_c2: float, params: dict
+    name: str, state: GWBlocks, p, q, rest, cut_c2: float, params: dict
 ) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))],
     given the cut's squared concurrence ``cut_c2``."""
@@ -335,7 +342,7 @@ def _merged_cut_bound(
 
 
 def check_merged_block_upper_bound(
-    psi: FamilyState,
+    psi: State | GWBlocks,
     block_p: Iterable[int],
     block_q: Iterable[int],
     rest_blocks: Iterable[Iterable[int]],
@@ -346,10 +353,11 @@ def check_merged_block_upper_bound(
 
     The cut's C^2 comes from its Schmidt spectrum, which has rank at most
     two on this family."""
+    psi = GWBlocks.from_state(psi)
     return _merged_block_upper_bound(psi, block_p, block_q, rest_blocks).at(order)
 
 
-def _merged_block_upper_bound(psi, block_p, block_q, rest_blocks) -> Prepared:
+def _merged_block_upper_bound(psi: GWBlocks, block_p, block_q, rest_blocks) -> Prepared:
     partition = Partition.of([block_p, block_q, *rest_blocks])
     block_p, block_q, *rest = partition.blocks
     params = {"blocks": [sorted(b) for b in partition.blocks]}
@@ -364,7 +372,7 @@ def _merged_block_upper_bound(psi, block_p, block_q, rest_blocks) -> Prepared:
 
 
 def check_reoa_triangle(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     order: OrderLike,
 ) -> InequalityReport:
@@ -375,10 +383,10 @@ def check_reoa_triangle(
     cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
     roof, only a lower bound on the assisted value.
     """
-    return _reoa_triangle(state, partition).at(order)
+    return _reoa_triangle(GWBlocks.from_state(state), partition).at(order)
 
 
-def _reoa_triangle(state: FamilyState, partition: Partition) -> Prepared:
+def _reoa_triangle(state: GWBlocks, partition: Partition) -> Prepared:
     if partition.n_blocks != 3:
         raise ValueError("triangle bound needs exactly three blocks")
     state, partition = _restrict_to_blocks(state, partition.blocks)
@@ -396,7 +404,7 @@ def _reoa_triangle(state: FamilyState, partition: Partition) -> Prepared:
 
 
 def check_upper_bound_bipartition(
-    state: FamilyState,
+    state: State | GWBlocks,
     block_p1: Iterable[int],
     block_p2: Iterable[int],
     q_blocks: Iterable[Iterable[int]],
@@ -404,10 +412,11 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
+    state = GWBlocks.from_state(state)
     return _upper_bound_bipartition(state, block_p1, block_p2, q_blocks).at(order)
 
 
-def _upper_bound_bipartition(state, block_p1, block_p2, q_blocks) -> Prepared:
+def _upper_bound_bipartition(state: GWBlocks, block_p1, block_p2, q_blocks) -> Prepared:
     qs = [frozenset(b) for b in q_blocks]
     if not qs:
         raise ValueError("need at least one Q block")
@@ -460,7 +469,8 @@ _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
 def _tightened(
-    state, partition, split_index, params: TighterParams, measure_kind, three=False
+    state: GWBlocks, partition, split_index, params: TighterParams, measure_kind,
+    three=False,
 ) -> Prepared:
     """The multi-block tightened bound; ``three`` names it the three-block one
     and records the margin of its one side condition.
@@ -541,7 +551,7 @@ def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityRepo
 
 
 def check_tighter_three(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     params: TighterParams,
     measure_kind: str = "concurrence",
@@ -556,12 +566,13 @@ def check_tighter_three(
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
+    state = GWBlocks.from_state(state)
     check = _tightened(state, partition, 2, params, measure_kind, three=True)
     return _tighter_report(check, measure_kind, order)
 
 
 def check_tighter_multi(
-    state: FamilyState,
+    state: State | GWBlocks,
     partition: Partition,
     split_index: int,
     params: TighterParams,
@@ -575,6 +586,7 @@ def check_tighter_multi(
     weights h^(i-2); the second chain (pairs split_index+1..m-1 dominating k
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
+    state = GWBlocks.from_state(state)
     check = _tightened(state, partition, split_index, params, measure_kind)
     return _tighter_report(check, measure_kind, order)
 

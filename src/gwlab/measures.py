@@ -8,10 +8,12 @@ convex-roof values through the additivity of squared pairwise concurrence.
 The Renyi-order map ``f_alpha`` then turns squared concurrence into the
 Renyi entanglement for Schmidt-rank-2 states.
 
-Each family closed form takes a dense state or a :class:`GWBlocks`.  On a
-GWBlocks it is scalar arithmetic on the block weights; on a dense state it
-is computed from the reductions, the reference the weights are tested
-against.  The argument type alone selects the path.
+Every family closed form is scalar arithmetic on block weights.  It takes
+a :class:`GWBlocks` or a GW-tagged dense state, which
+:meth:`GWBlocks.from_state` turns into block weights once, at entry.  The
+dense measures (``concurrence_pure``, ``concurrence_two_qubit``,
+``negativity``) work on the arrays themselves: they are the reference the
+weight forms are tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .states import FamilyState, GWBlocks
+from .states import GWBlocks
 from .tensor import (
     DensityOperator,
     Partition,
@@ -30,14 +32,14 @@ from .tensor import (
     State,
     SchmidtSpectrum,
     SubsystemLayout,
-    _memoized,
     coarse_grain_state,
-    compress_local_support,
-    partial_trace,
     partial_transpose,
     schmidt_spectrum,
     trace_norm,
 )
+
+# unused; the benchmark tracer expects these import sites (ROADMAP item 1)
+from .tensor import compress_local_support, partial_trace  # noqa: F401
 
 __all__ = [
     "ALPHA_MONOGAMY_MIN",
@@ -47,7 +49,6 @@ __all__ = [
     "ConcurrenceSplit",
     "DomainError",
     "ApplicabilityError",
-    "ProvenanceError",
     "FindingError",
     "f_alpha",
     "g_alpha",
@@ -79,9 +80,6 @@ _LN2 = math.log(2.0)
 #: Squared-concurrence sums may overshoot 1 by float noise only.
 F_DOMAIN_SLACK = 1e-9
 
-#: Direct and pairwise-sum one-to-rest values must agree this tightly.
-ADDITIVITY_TOL = 1e-9
-
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a closed form."""
@@ -89,10 +87,6 @@ class DomainError(ValueError):
 
 class ApplicabilityError(ValueError):
     """Renyi order outside the window where a closed form is proven."""
-
-
-class ProvenanceError(ValueError):
-    """Closed form requested on a state without GW provenance."""
 
 
 class FindingError(RuntimeError):
@@ -280,10 +274,6 @@ def concurrence_two_qubit(rho: DensityOperator) -> MeasureValue:
     """
     if rho.layout.dims != (2, 2):
         raise ValueError(f"need a 2x2 qubit pair, got dims {rho.layout.dims}")
-    return _memoized(rho, ("concurrence_two_qubit",), lambda: _concurrence(rho))
-
-
-def _concurrence(rho: DensityOperator) -> MeasureValue:
     rho_tilde = _SIGMA_Y2 @ rho.matrix.conj() @ _SIGMA_Y2
     evals, evecs = np.linalg.eigh(rho.matrix)
     sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
@@ -309,89 +299,43 @@ def negativity(state: State, bipartition) -> MeasureValue:
     return MeasureValue(max(0.0, value), kind="negativity", method="closed_form")
 
 
-def _require_gw(state: State, what: str) -> None:
-    if not state.gw:
-        raise ProvenanceError(
-            f"{what} is a closed form for the generalized W-class family; "
-            "the input state carries no GW provenance"
-        )
-
-
 def block_pair_reduction(
-    state: FamilyState, block_a: Iterable[int], block_b: Iterable[int]
+    state: State | GWBlocks, block_a: Iterable[int], block_b: Iterable[int]
 ) -> DensityOperator:
-    """The two blocks' reduction as a qubit pair, block a first.
-
-    A pure GWBlocks gives the canonical pair |phi><phi| + (1-w)(1-s_a-s_b)|00><00|,
-    phi = sqrt(w)|00> + sqrt((1-w) s_b)|01> + sqrt((1-w) s_a)|10>: the dense
-    pair up to a local unitary.  A mixture has the same weights but lacks the
-    sqrt(w) coherence, so a GWBlocks that is not pure is refused.  A dense
-    state is reduced to the two blocks, viewed as two parties and compressed
-    to qubits (another shape is a finding), and memoized per ordered pair:
-    (a, b) and (b, a) compress differently."""
+    """The canonical qubit pair of two blocks of a pure family member, block
+    a first: |phi><phi| + (1-w)(1-s_a-s_b)|00><00|, phi = sqrt(w)|00> +
+    sqrt((1-w) s_b)|01> + sqrt((1-w) s_a)|10>.  It is the compressed dense
+    pair up to a local unitary.  A mixture has the same weights but lacks
+    the sqrt(w) coherence, so a state that is not pure is refused."""
+    state = GWBlocks.from_state(state)
     block_a = frozenset(int(p) for p in block_a)
     block_b = frozenset(int(p) for p in block_b)
     if not block_a or not block_b or block_a & block_b:
         raise ValueError("blocks must be nonempty and must not overlap")
-    if isinstance(state, GWBlocks):
-        if not state.pure:
-            raise ValueError("a block pair of block weights needs a pure state")
-        w = state.vacuum_weight
-        s_a, s_b = state.block_weight(block_a), state.block_weight(block_b)
-        phi = np.sqrt([w, (1.0 - w) * s_b, (1.0 - w) * s_a, 0.0])
-        matrix = np.outer(phi, phi)
-        matrix[0, 0] += (1.0 - w) * max(0.0, 1.0 - s_a - s_b)
-        return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
-    key = ("block_pair_reduction", block_a, block_b)
-    return _memoized(state, key, lambda: _block_pair(state, block_a, block_b))
-
-
-def _block_pair(
-    state: State, block_a: frozenset[int], block_b: frozenset[int]
-) -> DensityOperator:
-    keep = sorted(block_a | block_b)
-    reduced = (
-        partial_trace(state, keep)
-        if set(keep) != set(range(state.layout.n_parties))
-        else state
-    )
-    remap = {p: i for i, p in enumerate(keep)}
-    local = Partition.of(
-        [{remap[p] for p in block_a}, {remap[p] for p in block_b}]
-    )
-    two_party = coarse_grain_state(reduced, local)
-    if isinstance(two_party, PureState):
-        two_party = two_party.density()
-    compressed, layout = compress_local_support(two_party)
-    if layout.dims != (2, 2):
-        raise FindingError(
-            f"block reduction compressed to dims {layout.dims}, not a qubit "
-            "pair; the state is outside the GW structure"
-        )
-    return compressed
+    if not state.pure:
+        raise ValueError("a block pair needs a pure state")
+    w = state.vacuum_weight
+    s_a, s_b = state.block_weight(block_a), state.block_weight(block_b)
+    phi = np.sqrt([w, (1.0 - w) * s_b, (1.0 - w) * s_a, 0.0])
+    matrix = np.outer(phi, phi)
+    matrix[0, 0] += (1.0 - w) * max(0.0, 1.0 - s_a - s_b)
+    return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
 
 
 def gw_pairwise_concurrence(
-    state: FamilyState, block_s: Iterable[int], block_k: Iterable[int]
+    state: State | GWBlocks, block_s: Iterable[int], block_k: Iterable[int]
 ) -> MeasureValue:
-    """Concurrence between two blocks of a GW-family state.
-
-    On block weights this is 2 (1-w) sqrt(s_S s_K).  A dense state is
-    coarse-grained to the two blocks, its local supports are compressed to
-    qubits and the two-qubit formula applies.
-    """
-    _require_gw(state, "pairwise concurrence")
-    if isinstance(state, GWBlocks):
-        block_s, block_k = frozenset(block_s), frozenset(block_k)
-        if not block_s or not block_k:
-            raise ValueError("blocks must be nonempty")
-        if not block_s.isdisjoint(block_k):
-            raise ValueError("blocks overlap")
-        product = state.block_weight(block_s) * state.block_weight(block_k)
-        value = 2.0 * (1.0 - state.vacuum_weight) * math.sqrt(product)
-        return MeasureValue(value, kind="concurrence", method="block_weights")
-    pair = block_pair_reduction(state, block_s, block_k)
-    return concurrence_two_qubit(pair)
+    """Concurrence 2 (1-w) sqrt(s_S s_K) between two blocks of a GW-family
+    state."""
+    state = GWBlocks.from_state(state)
+    block_s, block_k = frozenset(block_s), frozenset(block_k)
+    if not block_s or not block_k:
+        raise ValueError("blocks must be nonempty")
+    if not block_s.isdisjoint(block_k):
+        raise ValueError("blocks overlap")
+    product = state.block_weight(block_s) * state.block_weight(block_k)
+    value = 2.0 * (1.0 - state.vacuum_weight) * math.sqrt(product)
+    return MeasureValue(value, kind="concurrence", method="block_weights")
 
 
 class ConcurrenceSplit(NamedTuple):
@@ -403,52 +347,16 @@ class ConcurrenceSplit(NamedTuple):
 
 
 def gw_one_to_rest_concurrence_sq(
-    state: FamilyState, partition: Partition, s: int
+    state: State | GWBlocks, partition: Partition, s: int
 ) -> ConcurrenceSplit:
-    """C^2 of block s against the rest, directly and as the pairwise sum.
-
-    On a dense state the two routes must agree within ``ADDITIVITY_TOL``;
-    a violation means the state is outside the family where squared
-    concurrence is additive and raises :class:`FindingError` instead of
-    returning silently.  On block weights both are 4 (1-w)^2 s_S s_R.
-    """
-    _require_gw(state, "one-to-rest concurrence")
+    """C^2 = 4 (1-w)^2 s_S s_R of block s against the rest R, directly and
+    as the sum of the pair table."""
+    state = GWBlocks.from_state(state)
     partition.require_complete(state.layout)
     if not 0 <= s < partition.n_blocks:
         raise IndexError(f"block index {s} out of range")
-    block_s = partition.blocks[s]
-    rest_blocks = [b for i, b in enumerate(partition.blocks) if i != s]
-    if not rest_blocks:
+    if partition.n_blocks < 2:
         raise ValueError("partition needs at least two blocks")
-    if isinstance(state, GWBlocks):
-        return _split_from_weights(state, partition, s)
-    rest_union = frozenset().union(*rest_blocks)
-
-    if isinstance(state, PureState):
-        direct = concurrence_pure(state, (block_s, rest_union)).value
-    else:
-        pair = block_pair_reduction(state, block_s, rest_union)
-        direct = concurrence_two_qubit(pair).value
-    direct_sq = direct**2
-
-    pair_sq = tuple(
-        gw_pairwise_concurrence(state, block_s, block_k).value ** 2
-        for block_k in rest_blocks
-    )
-    pair_sum_sq = float(sum(pair_sq))
-
-    if abs(direct_sq - pair_sum_sq) > ADDITIVITY_TOL:
-        raise FindingError(
-            "squared-concurrence additivity failed: direct "
-            f"{direct_sq!r} vs pairwise sum {pair_sum_sq!r} "
-            f"(block {s} of {[sorted(b) for b in partition.blocks]})"
-        )
-    return ConcurrenceSplit(direct_sq, pair_sum_sq, pair_sq)
-
-
-def _split_from_weights(
-    state: GWBlocks, partition: Partition, s: int
-) -> ConcurrenceSplit:
     weights = [state.block_weight(block) for block in partition.blocks]
     scale = 4.0 * (1.0 - state.vacuum_weight) ** 2 * weights[s]
     others = weights[:s] + weights[s + 1 :]
@@ -456,25 +364,25 @@ def _split_from_weights(
     return ConcurrenceSplit(scale * math.fsum(others), float(sum(pair_sq)), pair_sq)
 
 
-def cut_spectrum(state: FamilyState, bipartition) -> SchmidtSpectrum:
-    """Schmidt spectrum of a pure state across a cut of all its parties.
+def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
+    """Schmidt spectrum of a pure family member across a cut of all its
+    parties.
 
-    On block weights the cut has Schmidt rank at most two, with
-    lambda_0 lambda_1 = C^2 / 4 and C^2 = 4 (1-w)^2 s_A s_B; the smaller
-    coefficient comes from ``_lam_lo``, as in f_alpha.
+    The cut has Schmidt rank at most two, with lambda_0 lambda_1 = C^2 / 4
+    and C^2 = 4 (1-w)^2 s_A s_B; the smaller coefficient comes from
+    ``_lam_lo``, as in f_alpha.
     """
-    if isinstance(state, GWBlocks) and state.pure:
-        s_a, s_b = state.merged(Partition.of(bipartition)).weights
-        c2 = min(4.0 * (1.0 - state.vacuum_weight) ** 2 * s_a * s_b, 1.0)
-        minor = _lam_lo(c2)
-        return SchmidtSpectrum([1.0 - minor, minor])
-    if not isinstance(state, PureState):
+    state = GWBlocks.from_state(state)
+    if not state.pure:
         raise ValueError("a Schmidt spectrum needs a pure state")
-    return schmidt_spectrum(state, bipartition)
+    s_a, s_b = state.merged(Partition.of(bipartition)).weights
+    c2 = min(4.0 * (1.0 - state.vacuum_weight) ** 2 * s_a * s_b, 1.0)
+    minor = _lam_lo(c2)
+    return SchmidtSpectrum([1.0 - minor, minor])
 
 
 def renyi_entanglement_gw(
-    state: FamilyState, partition: Partition, s: int, order: OrderLike
+    state: State | GWBlocks, partition: Partition, s: int, order: OrderLike
 ) -> MeasureValue:
     """Renyi entanglement of block s against the rest via f_alpha(C^2)."""
     order = _as_order(order)
@@ -488,21 +396,14 @@ def renyi_entanglement_gw(
     )
 
 
-def cren_gw(state: State, bipartition) -> MeasureValue:
+def cren_gw(state: State | GWBlocks, bipartition) -> MeasureValue:
     """Convex-roof extended negativity between two blocks of a GW state.
 
     On this family CREN coincides with the pairwise concurrence, because all
     pure states in the optimal decompositions have Schmidt rank two.
     """
-    _require_gw(state, "CREN")
     blocks = [frozenset(b) for b in bipartition]
     if len(blocks) != 2:
         raise ValueError("CREN needs a two-block bipartition")
-    pair = block_pair_reduction(state, blocks[0], blocks[1])
-    if pair.rank() > 2:
-        raise FindingError(
-            f"compressed pair reduction has rank {pair.rank()} > 2; "
-            "outside the GW structure"
-        )
-    value = concurrence_two_qubit(pair).value
-    return MeasureValue(value, kind="cren", method="two_qubit_formula")
+    value = gw_pairwise_concurrence(state, *blocks).value
+    return MeasureValue(value, kind="cren", method="block_weights")

@@ -43,8 +43,8 @@ from .measures import (
     f_alpha,
     gw_pairwise_concurrence,
 )
-from .states import FamilyState
-from .tensor import DensityOperator, SUPPORT_TOL
+from .states import GWBlocks
+from .tensor import DensityOperator, SUPPORT_TOL, State
 
 # unused here; kept only as a bench/tracer.py seed import site (ROADMAP item 1)
 from .tensor import schmidt_spectrum  # noqa: F401
@@ -331,7 +331,7 @@ def _compare(concurrence, pair, order, estimate, params) -> InequalityReport:
 
 
 def oracle_reports(
-    state: FamilyState,
+    state: State | GWBlocks,
     targets: Sequence[tuple],
     trials: int = 20000,
     seed: int = 0,
@@ -339,12 +339,14 @@ def oracle_reports(
     """One agreement report per ``(blocks, order)`` target: ``c_equals_ca``
     when the order is None, else ``e_alpha_formula`` at that order.
 
-    Each pair of blocks (by default party 0 and the rest) becomes a qubit
-    pair through ``block_pair_reduction`` once, however many targets name
-    it: the canonical pair of a GWBlocks, or the compressed reduction of a
-    dense state.  Every target is checked before any pair is built or roof
-    runs; orders outside the convexity threshold are reported OUT_OF_WINDOW
-    without a roof, and the roofs of the others run in lockstep."""
+    The state, a pure GWBlocks or a GW-tagged dense pure state, becomes
+    block weights at entry.  Each pair of blocks (by default party 0 and the
+    rest) becomes its canonical qubit pair through ``block_pair_reduction``
+    once, however many targets name it.  Every target is checked before any
+    pair is built or roof runs; orders outside the convexity threshold are
+    reported OUT_OF_WINDOW without a roof, and the roofs of the others run
+    in lockstep."""
+    state = GWBlocks.from_state(state)
     _check_run(trials, seed)
     orders = [None if order is None else _as_order(order) for _, order in targets]
     reports: list = [None] * len(targets)
@@ -377,7 +379,7 @@ def oracle_reports(
 
 
 def verify_c_equals_ca(
-    state: FamilyState, trials: int = 20000, seed: int = 0, blocks=None
+    state: State | GWBlocks, trials: int = 20000, seed: int = 0, blocks=None
 ) -> InequalityReport:
     """Check that the min and max decomposition averages of the concurrence
     pinch together onto the two-qubit closed form."""
@@ -385,7 +387,7 @@ def verify_c_equals_ca(
 
 
 def verify_e_alpha_formula(
-    state: FamilyState,
+    state: State | GWBlocks,
     order: OrderLike,
     trials: int = 20000,
     seed: int = 0,

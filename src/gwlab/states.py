@@ -6,7 +6,9 @@ Reductions and coarse-grainings of these states stay inside the family,
 which is what makes the closed-form measures in :mod:`gwlab.measures`
 applicable; every constructor here therefore tags its output with
 ``gw=True``.  :class:`GWBlocks` describes the same members by their
-excitation weights alone, with no dense array.
+excitation weights alone, with no dense array; :meth:`GWBlocks.from_state`
+reads those weights off a dense member, and is the one place that tells the
+two kinds of state apart.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .tensor import (
     Partition,
     PartyLayout,
     PureState,
+    SUPPORT_TOL,
     SubsystemLayout,
     _validated_keep,
     coarse_grain,
@@ -34,8 +36,8 @@ from .tensor import (
 __all__ = [
     "GWSpec",
     "GWBlocks",
-    "FamilyState",
     "Partition",
+    "ProvenanceError",
     "PurificationSpec",
     "build_w_qubit",
     "build_gw_qudit",
@@ -46,6 +48,10 @@ __all__ = [
     "gw_spec_to_json",
     "gw_spec_from_json",
 ]
+
+
+class ProvenanceError(ValueError):
+    """Closed form requested on a state without GW provenance."""
 
 
 def _normalized_table(values, shape, name: str) -> np.ndarray:
@@ -179,6 +185,51 @@ class GWBlocks:
         return cls(tuple(weights.tolist()), layout, spec.vacuum_weight, pure)
 
     @classmethod
+    def from_state(cls, state) -> "GWBlocks":
+        """The weights of a GW-tagged state; a GWBlocks is returned as it is.
+
+        A dense state must have no population outside Hamming weight <= 1
+        beyond ``SUPPORT_TOL``.  A :class:`PureState` gives a pure GWBlocks
+        with w = |amp_0|^2 and s_k the population party k excites, over
+        their total.  A :class:`DensityOperator` gives a GWBlocks that is
+        not pure, with w = 0 and weights (1-w) s_k from its diagonal: off a
+        pure state the closed forms read only these products, and the
+        diagonal does not fix w alone."""
+        if isinstance(state, GWBlocks):
+            return state
+        if not state.gw:
+            raise ProvenanceError(
+                "closed forms hold on the generalized W-class family; "
+                "the input state carries no GW provenance"
+            )
+        pure = isinstance(state, PureState)
+        if pure:
+            populations = np.abs(state.amplitudes) ** 2
+        else:
+            populations = np.real(np.diagonal(state.matrix))
+        # party k alone excited to level i sits at flat index i * stride_k
+        dims = state.layout.dims
+        strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
+        excited = [
+            max(0.0, float(populations[stride : d * stride : stride].sum()))
+            for d, stride in zip(dims, strides)
+        ]
+        vacuum = float(populations[0])
+        outside = float(populations.sum()) - vacuum - math.fsum(excited)
+        if outside > SUPPORT_TOL:
+            raise ValueError(
+                f"state has population {outside:.3e} outside Hamming weight <= 1; "
+                "it is not a generalized W-class member"
+            )
+        layout = PartyLayout(dims)
+        if not pure:
+            return cls(tuple(excited), layout, 0.0, pure=False)
+        total = math.fsum(excited)
+        if total == 0.0:  # the vacuum: every closed form is 0, any weights do
+            excited, total = [1.0] + excited[1:], 1.0
+        return cls(tuple(x / total for x in excited), layout, vacuum, pure=True)
+
+    @classmethod
     def purification(cls, spec: GWSpec) -> "GWBlocks":
         """The pure member of :func:`purify_mixture`: the spec's weights scaled
         by 1-w plus an ancilla party of weight w, with no vacuum."""
@@ -207,10 +258,6 @@ class GWBlocks:
         layout = coarse_grain(self.layout, partition)
         weights = tuple(self.block_weight(b) for b in partition.blocks)
         return GWBlocks(weights, layout, self.vacuum_weight, self.pure)
-
-
-#: What the family closed forms accept: a dense state or its block weights.
-FamilyState = Union[PureState, DensityOperator, GWBlocks]
 
 
 def _weight_one_vector(n: int, d: int, table: np.ndarray) -> np.ndarray:
@@ -282,17 +329,14 @@ def purify_mixture(pspec: PurificationSpec) -> PureState:
     return build_gw_qudit(induced)
 
 
-def reduce_to_parties(psi: FamilyState, subset) -> DensityOperator | GWBlocks:
-    """Reduced density matrix on ``subset``, keeping the GW provenance tag;
-    the kept weights for a :class:`GWBlocks`.
-
-    Reductions of family members stay in the family, so closed-form measures
-    remain valid on the result.
+def reduce_to_parties(psi: PureState | DensityOperator, subset) -> DensityOperator:
+    """Reduced density matrix of a dense GW-tagged state on ``subset``,
+    keeping the tag: reductions of family members stay in the family, so
+    closed-form measures remain valid on the result.  Block weights reduce
+    through :meth:`GWBlocks.restricted`.
     """
     if not psi.gw:
         raise ValueError("reduce_to_parties needs a GW-tagged state")
-    if isinstance(psi, GWBlocks):
-        return psi.restricted(subset)
     return partial_trace(psi, subset)
 
 

@@ -7,10 +7,6 @@ amplitude vector into shape ``dims`` maps axis k to party k.
 
 All objects are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
-Each state also holds a private memo of values derived from it (reductions,
-Schmidt spectra, compressed pair reductions and their concurrences), filled
-on first use and dropped with the state.  Two threads filling the same entry
-at once at worst compute the same value twice.
 
 A :class:`PartyLayout` describes parties of any number; a
 :class:`SubsystemLayout` also fits dense storage.  :func:`require_dense`
@@ -22,8 +18,8 @@ from __future__ import annotations
 import math
 import os
 import string
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar, Union
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -54,8 +50,6 @@ _BUILD_COPIES = 4
 _GUARD_MIN_BYTES = 2**24
 
 _AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
-
-_T = TypeVar("_T")
 
 
 def _proc_text(path: str) -> str:
@@ -162,7 +156,6 @@ class PureState:
     amplitudes: np.ndarray
     layout: SubsystemLayout
     gw: bool = False
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amp = _as_complex_vector(self.amplitudes, "amplitudes")
@@ -194,7 +187,6 @@ class DensityOperator:
     matrix: np.ndarray
     layout: SubsystemLayout
     gw: bool = False
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -231,19 +223,6 @@ class DensityOperator:
 
 
 State = Union[PureState, DensityOperator]
-
-
-def _memoized(state: State, key: Hashable, compute: Callable[[], _T]) -> _T:
-    """The value stored on ``state`` under ``key``, computed on first use.
-
-    Only immutable values derived from the state alone may be stored, and
-    callers validate their arguments first: an exception leaves no entry,
-    so an invalid call raises again every time.
-    """
-    try:
-        return state._memo[key]
-    except KeyError:
-        return state._memo.setdefault(key, compute())
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,11 +303,6 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityOperator:
     inherits the GW provenance flag (reductions stay inside the family).
     """
     keep_list = _validated_keep(state.layout, keep)
-    key = ("partial_trace", tuple(keep_list))
-    return _memoized(state, key, lambda: _partial_trace(state, keep_list))
-
-
-def _partial_trace(state: State, keep_list: list[int]) -> DensityOperator:
     layout = state.layout
     rest = [p for p in range(layout.n_parties) if p not in keep_list]
     d_keep = math.prod(layout.dims[p] for p in keep_list)
@@ -403,14 +377,8 @@ def schmidt_spectrum(
     psi: PureState, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> SchmidtSpectrum:
     """Eigenvalues of the reduced operator on the first block."""
-    side_a, side_b = _normalized_bipartition(psi.layout, bipartition)
-
-    def compute() -> SchmidtSpectrum:
-        mat = bipartition_matrix(psi, (side_a, side_b))
-        return SchmidtSpectrum(np.linalg.svd(mat, compute_uv=False) ** 2)
-
-    key = ("schmidt_spectrum", tuple(side_a), tuple(side_b))
-    return _memoized(psi, key, compute)
+    mat = bipartition_matrix(psi, bipartition)
+    return SchmidtSpectrum(np.linalg.svd(mat, compute_uv=False) ** 2)
 
 
 def partition_permutation(partition: Partition) -> tuple[int, ...]:

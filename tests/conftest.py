@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from gwlab import GWSpec, Partition, PureState, SubsystemLayout
+from gwlab import (
+    FindingError,
+    GWSpec,
+    Partition,
+    PureState,
+    SubsystemLayout,
+    coarse_grain_state,
+    compress_local_support,
+    partial_trace,
+)
 
 
 def rand_unit(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -47,6 +56,30 @@ def random_complete_partition(
     for party, b in zip(order, assignment):
         blocks[b].add(int(party))
     return Partition.of(blocks)
+
+
+def dense_block_pair(state, block_a, block_b):
+    """The dense reference for a pair of blocks: the reduction of a dense
+    state to the two blocks, viewed as two parties and compressed onto its
+    local supports.  On the family that is a qubit pair; another shape is a
+    finding."""
+    block_a, block_b = frozenset(block_a), frozenset(block_b)
+    keep = sorted(block_a | block_b)
+    reduced = state
+    if keep != list(range(state.layout.n_parties)):
+        reduced = partial_trace(state, keep)
+    remap = {p: i for i, p in enumerate(keep)}
+    local = Partition.of([{remap[p] for p in block_a}, {remap[p] for p in block_b}])
+    two_party = coarse_grain_state(reduced, local)
+    if isinstance(two_party, PureState):
+        two_party = two_party.density()
+    compressed, layout = compress_local_support(two_party)
+    if layout.dims != (2, 2):
+        raise FindingError(
+            f"block reduction compressed to dims {layout.dims}, not a qubit "
+            "pair; the state is outside the GW structure"
+        )
+    return compressed
 
 
 def assert_same_doc(got, want, where: str, tol: float = 1e-12) -> None:

@@ -18,10 +18,10 @@ import pytest
 
 from gwlab import (
     Applicability,
+    GWBlocks,
     GWSpec,
     Partition,
     TighterParams,
-    block_pair_reduction,
     build_w_qubit,
     check_merged_block_upper_bound,
     check_monogamy_power,
@@ -31,6 +31,7 @@ from gwlab import (
     check_reoa_triangle,
     check_tighter_three,
     check_upper_bound_bipartition,
+    concurrence_pure,
     concurrence_two_qubit,
     convex_roof_bounds,
     f_alpha,
@@ -49,7 +50,11 @@ from gwlab import (
 from gwlab.cli import cmd_figure, cmd_gamebounds, main
 from gwlab.featured import figure1_reduction, figure1_state, figure2_state, figure2_blocks
 from gwlab.roof import AGREEMENT_TOL
-from conftest import random_complete_partition, random_gw_spec
+from conftest import dense_block_pair, random_complete_partition, random_gw_spec
+
+#: Dense one-to-rest C^2 and the pairwise sum on the weights must agree this
+#: tightly.
+ADDITIVITY_TOL = 1e-9
 
 
 def _report(criterion: str, started: float, limit: float, detail: str = "") -> None:
@@ -61,8 +66,8 @@ def _report(criterion: str, started: float, limit: float, detail: str = "") -> N
 def test_criterion_01_worked_example_pair_concurrences():
     started = time.perf_counter()
     rho, _ = figure1_reduction()
-    pair01 = block_pair_reduction(rho, {0}, {1})
-    pair02 = block_pair_reduction(rho, {0}, {2})
+    pair01 = dense_block_pair(rho, {0}, {1})
+    pair02 = dense_block_pair(rho, {0}, {2})
     c01 = concurrence_two_qubit(pair01).value
     c02 = concurrence_two_qubit(pair02).value
     assert abs(c01 - math.sqrt(2.0) / 2.0) < 1e-10
@@ -160,17 +165,19 @@ def test_criterion_05_squared_concurrence_additivity():
     worst = 0.0
     for _ in range(200):
         spec = random_gw_spec(rng, n_min=2, n_max=6, d=2)
-        psi = superpose_with_vacuum(spec)
+        psi, weights = superpose_with_vacuum(spec), GWBlocks.of(spec)
         partition = random_complete_partition(rng, spec.n)
-        for s in range(partition.n_blocks):
-            split = gw_one_to_rest_concurrence_sq(psi, partition, s)
-            worst = max(worst, abs(split.direct_sq - split.pair_sum_sq))
-    assert worst < 1e-9
+        for s, block in enumerate(partition.blocks):
+            rest = partition.parties() - block
+            direct = concurrence_pure(psi, (block, rest)).value ** 2
+            split = gw_one_to_rest_concurrence_sq(weights, partition, s)
+            worst = max(worst, abs(direct - split.pair_sum_sq))
+    assert worst < ADDITIVITY_TOL
     _report(
         "criterion 5",
         started,
         120.0,
-        f"200 random states, every block: additivity gap {worst:.2e}",
+        f"200 random states, every block: dense C^2 vs weight pair sum {worst:.2e}",
     )
 
 
@@ -185,7 +192,7 @@ def test_criterion_06a_oracle_concurrence_agreement():
         keep = sorted(rng.choice(spec.n, size=2, replace=False))
         rho = reduce_to_parties(psi, keep)
         closed = gw_pairwise_concurrence(rho, {0}, {1}).value
-        pair = block_pair_reduction(rho, {0}, {1})
+        pair = dense_block_pair(rho, {0}, {1})
         est = convex_roof_bounds(pair, "concurrence", trials=20000, seed=seed)
         dev = max(
             abs(est.min_estimate - est.max_estimate),
@@ -237,7 +244,7 @@ def test_criterion_06b_oracle_renyi_agreement():
         keep = sorted(rng.choice(spec.n, size=2, replace=False))
         rho = reduce_to_parties(psi, keep)
         closed_c = gw_pairwise_concurrence(rho, {0}, {1}).value
-        pair = block_pair_reduction(rho, {0}, {1})
+        pair = dense_block_pair(rho, {0}, {1})
         s_s, s_k = (spec.block_weight([i]) for i in keep)
         dets = [
             float(np.linalg.det(partial_trace(pair, [p]).matrix).real)

@@ -1,4 +1,4 @@
-"""Block-weight descriptions against the dense reference path."""
+"""Block-weight descriptions against the dense reference values."""
 
 import json
 import math
@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from gwlab import (
+    DensityOperator,
     GWBlocks,
     GWSpec,
     Partition,
+    ProvenanceError,
+    PureState,
     PurificationSpec,
+    SubsystemLayout,
     TighterParams,
     block_pair_reduction,
     check_merged_block_upper_bound,
@@ -26,14 +30,16 @@ from gwlab import (
     check_trace_bound_renyi,
     check_upper_bound_bipartition,
     coarse_grain_state,
+    concurrence_pure,
     concurrence_two_qubit,
+    cren_gw,
     cut_spectrum,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
     mix_with_vacuum,
     partial_trace,
     purify_mixture,
-    reduce_to_parties,
+    renyi_entanglement_gw,
     report_to_json_line,
     run_mixture_suite,
     schmidt_spectrum,
@@ -41,6 +47,7 @@ from gwlab import (
 )
 from conftest import (
     assert_same_doc,
+    dense_block_pair,
     rand_unit,
     random_complete_partition,
     random_gw_spec,
@@ -88,11 +95,16 @@ def _assert_same_reports(got, want):
         assert_same_doc(json.loads(report_to_json_line(g)), doc, f"#{i} {w.name}")
 
 
-def _dense_mixture_suite(spec, order):
-    """run_mixture_suite's checks on the dense purification and mixture."""
+def _dense_purification(spec):
+    """The dense purification whose weights ``GWBlocks.purification`` holds."""
     anc = np.zeros(spec.d - 1, dtype=complex)
     anc[-1] = 1.0
-    purified = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
+    return purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
+
+
+def _dense_mixture_suite(spec, order):
+    """run_mixture_suite's checks on the dense purification and mixture."""
+    purified = _dense_purification(spec)
     reports = []
     for stage, state in (("purified", purified), ("mixture", mix_with_vacuum(spec))):
         singles = Partition.singletons(state.layout.n_parties)
@@ -127,10 +139,17 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         _assert_same_reports(
             run_mixture_suite(spec, 1.1), _dense_mixture_suite(spec, 1.1)
         )
-        # the canonical pair of the weights against the dense compressed pair
+        # dense first principles against the weight forms: the canonical pair
+        # against the dense compressed pair, Wootters C of the dense pair
+        # against the pair C^2, the dense cut's Schmidt spectrum against
+        # cut_spectrum and its concurrence against the one-to-rest split
         first = partition.blocks[0]
-        for other in partition.blocks[1:]:
-            pairs = [block_pair_reduction(x, first, other) for x in (blocks, dense)]
+        split = gw_one_to_rest_concurrence_sq(blocks, partition, 0)
+        for other, pair_sq in zip(partition.blocks[1:], split.pair_sq):
+            pairs = [
+                block_pair_reduction(blocks, first, other),
+                dense_block_pair(dense, first, other),
+            ]
             spectra = [
                 np.concatenate([p.eigenvalues()]
                                + [partial_trace(p, {q}).eigenvalues() for q in (0, 1)])
@@ -139,6 +158,14 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
             np.testing.assert_allclose(spectra[0], spectra[1], rtol=0.0, atol=1e-12)
             got, want = (concurrence_two_qubit(p).value for p in pairs)
             assert got == pytest.approx(want, abs=1e-12)
+            assert want**2 == pytest.approx(pair_sq, abs=1e-12)
+        cut = (first, partition.parties() - first)
+        want = schmidt_spectrum(dense, cut).coefficients
+        got = cut_spectrum(blocks, cut).coefficients
+        np.testing.assert_allclose(got, want[:2], rtol=0.0, atol=1e-12)
+        assert want[2:].sum() == pytest.approx(0.0, abs=1e-12)
+        direct = concurrence_pure(dense, cut).value ** 2
+        assert direct == pytest.approx(split.pair_sum_sq, abs=1e-12)
 
 
 def test_restriction_and_merging_match_dense(rng):
@@ -147,11 +174,11 @@ def test_restriction_and_merging_match_dense(rng):
         blocks, psi = GWBlocks.of(spec), superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=3, replace=False).tolist())
         pair = ({0}, {1, 2})
-        want = gw_pairwise_concurrence(partial_trace(psi, keep), *pair).value
-        reduced = reduce_to_parties(blocks, keep)
+        want = concurrence_two_qubit(dense_block_pair(partial_trace(psi, keep), *pair))
+        reduced = blocks.restricted(keep)
         assert not reduced.pure and reduced.layout.n_parties == 3
         assert gw_pairwise_concurrence(reduced, *pair).value == pytest.approx(
-            want, abs=1e-12
+            want.value, abs=1e-12
         )
         partition = random_complete_partition(rng, spec.n, 3)
         merged = blocks.merged(partition)
@@ -201,3 +228,68 @@ def test_blocks_validation_and_purity():
         GWBlocks.of(spec).block_weight({-1})
     with pytest.raises(ValueError, match="overlap"):
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {0, 1})
+
+
+def _closed_form_products(blocks):
+    """The products (1-w) s_k, all that the closed forms read off a state
+    that is not pure."""
+    return [(1.0 - blocks.vacuum_weight) * s for s in blocks.weights]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_from_state_matches_spec_weights(rng, d):
+    for _ in range(6):
+        spec = random_gw_spec(rng, n_min=2, n_max=5, d=d)
+        psi = superpose_with_vacuum(spec)
+        keep = sorted(rng.choice(spec.n, size=2, replace=False).tolist())
+        cases = [
+            (psi, GWBlocks.of(spec)),
+            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=False)),
+            (_dense_purification(spec), GWBlocks.purification(spec)),
+            (partial_trace(psi, keep), GWBlocks.of(spec).restricted(keep)),
+        ]
+        for dense, want in cases:
+            got = GWBlocks.from_state(dense)
+            assert got.pure == want.pure
+            assert got.layout.dims == want.layout.dims
+            np.testing.assert_allclose(
+                _closed_form_products(got), _closed_form_products(want),
+                rtol=0.0, atol=1e-12,
+            )
+            if want.pure:
+                assert got.vacuum_weight == pytest.approx(want.vacuum_weight, abs=1e-12)
+        blocks = GWBlocks.of(spec)
+        assert GWBlocks.from_state(blocks) is blocks
+
+
+def test_from_state_vacuum_has_no_entanglement():
+    spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=1.0)
+    singles = Partition.singletons(3)
+    for state in (superpose_with_vacuum(spec), mix_with_vacuum(spec)):
+        assert gw_pairwise_concurrence(state, {0}, {1}).value == 0.0
+        split = gw_one_to_rest_concurrence_sq(state, singles, 0)
+        assert (split.direct_sq, split.pair_sum_sq, split.pair_sq) == (0.0, 0.0, (0.0, 0.0))
+        assert cren_gw(state, ({0}, {1, 2})).value == 0.0
+        assert renyi_entanglement_gw(state, singles, 0, 2.0).value == 0.0
+    psi = superpose_with_vacuum(spec)
+    assert cut_spectrum(psi, ({0}, {1, 2})).coefficients.tolist() == [1.0, 0.0]
+    assert concurrence_two_qubit(block_pair_reduction(psi, {0}, {1})).value == 0.0
+
+
+def test_from_state_refuses_off_family_and_untagged_states():
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    doubly_excited = [
+        PureState(bell, SubsystemLayout((2, 2)), gw=True),
+        DensityOperator(np.eye(4) / 4.0, SubsystemLayout((2, 2)), gw=True),
+    ]
+    for state in doubly_excited:
+        with pytest.raises(ValueError, match="outside Hamming weight <= 1"):
+            GWBlocks.from_state(state)
+    w_pair = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    untagged = [
+        PureState(w_pair, SubsystemLayout((2, 2))),
+        DensityOperator(np.outer(w_pair, w_pair), SubsystemLayout((2, 2))),
+    ]
+    for state in untagged:
+        with pytest.raises(ProvenanceError):
+            GWBlocks.from_state(state)

@@ -207,6 +207,10 @@ BAD_GRIDS = {
     # list can hold: a size check on that quotient lets the grid grow until
     # memory runs out
     "1e300:1e300:1": "more than 100000 orders",
+    # 1e17 + k == 1e17 for k < 9, so the grid would end holding 1e17 nine times
+    "1e17:1e17:1": "repeats an order",
+    # the step advances from 2**53 - 2 to 2**53, then 2**53 + 1 rounds back
+    "9007199254740990:9007199254740996:1": "repeats an order",
 }
 
 

@@ -10,6 +10,7 @@ from gwlab import (
     GameBoundInput,
     GWSpec,
     Partition,
+    ProvenanceError,
     PureState,
     SubsystemLayout,
     check_monogamy_cap,
@@ -53,15 +54,26 @@ def test_trace_distance_two_paths_agree_random(rng):
         assert d == pytest.approx(2.0 * math.sqrt(1.0 - lam0), abs=1e-9)
 
 
+def _family_pair(lam0: float) -> PureState:
+    """sqrt(lam0)|01> + sqrt(1-lam0)|10>: Schmidt coefficients lam0, 1-lam0
+    inside the family, where the trace bound is a closed form."""
+    vec = np.zeros(4)
+    vec[1], vec[2] = math.sqrt(lam0), math.sqrt(1.0 - lam0)
+    return PureState(vec, SubsystemLayout((2, 2)), gw=True)
+
+
 def test_trace_bound_bell(bell_state):
-    report = check_trace_bound_renyi(bell_state, 1.0)
+    report = check_trace_bound_renyi(_family_pair(0.5), 1.0)
     assert report.lhs == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert report.rhs == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-10)
     assert report.satisfied
+    # |00> + |11> has the same spectrum but is no family member
+    with pytest.raises(ProvenanceError):
+        check_trace_bound_renyi(bell_state, 1.0)
 
 
 def test_trace_bound_product():
-    psi = PureState(np.array([1, 0, 0, 0]), SubsystemLayout((2, 2)))
+    psi = PureState(np.array([1, 0, 0, 0]), SubsystemLayout((2, 2)), gw=True)
     report = check_trace_bound_renyi(psi, 2.0)
     assert report.lhs == pytest.approx(0.0, abs=1e-10)
     assert report.rhs == pytest.approx(0.0, abs=1e-10)
@@ -69,16 +81,14 @@ def test_trace_bound_product():
 
 
 def test_trace_bound_window():
-    psi = PureState(np.array([1, 0, 0, 0]), SubsystemLayout((2, 2)))
+    psi = PureState(np.array([1, 0, 0, 0]), SubsystemLayout((2, 2)), gw=True)
     report = check_trace_bound_renyi(psi, 0.9)
     assert report.applicability == Applicability.OUT_OF_WINDOW
 
 
 def test_trace_bound_rank_two_grid():
     for lam0 in np.linspace(0.5, 1.0, 26):
-        vec = np.zeros(4)
-        vec[0], vec[3] = math.sqrt(lam0), math.sqrt(1 - lam0)
-        psi = PureState(vec, SubsystemLayout((2, 2)))
+        psi = _family_pair(float(lam0))
         for a in np.linspace(1.0, 5.0, 17):
             report = check_trace_bound_renyi(psi, float(a))
             assert report.satisfied, (lam0, a)

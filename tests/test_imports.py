@@ -1,4 +1,5 @@
-"""Every top-level import in ``src/gwlab`` has a reader.
+"""Every top-level import in ``src/gwlab`` has a reader, and only
+``states.py`` tells block weights from dense states.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -62,3 +63,27 @@ def test_every_import_has_a_reader(path):
     allowed = _read_names(tree) | set(_literal(tree, "__all__") or ()) | sites
     unread = [name for name in imported if name not in allowed]
     assert unread == [], f"{path.name} imports {unread} and never reads them"
+
+
+def _is_gwblocks_check(node: ast.AST) -> bool:
+    """Whether ``node`` is a call ``isinstance(x, ...)`` naming GWBlocks."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return any(
+        getattr(n, "id", None) == "GWBlocks" or getattr(n, "attr", None) == "GWBlocks"
+        for n in ast.walk(node.args[1])
+    )
+
+
+def test_only_states_branches_on_block_weights():
+    # GWBlocks.from_state turns every state into block weights; no other
+    # module may tell the two kinds apart
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "states.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_gwblocks_check(node)
+    ]
+    assert found == [], f"isinstance(..., GWBlocks) outside states.py at {found}"

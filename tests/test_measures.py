@@ -13,7 +13,6 @@ from gwlab import (
     ApplicabilityError,
     DensityOperator,
     DomainError,
-    FindingError,
     GWSpec,
     Partition,
     ProvenanceError,
@@ -45,7 +44,7 @@ from gwlab.featured import (
     figure2_state,
     figure3_state,
 )
-from conftest import rand_unit, random_gw_spec
+from conftest import dense_block_pair, rand_unit, random_gw_spec
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 TWO_SQRT2_OVER_5 = 2.0 * math.sqrt(2.0) / 5.0
@@ -262,11 +261,14 @@ def test_concurrence_pure_values(bell_state):
 
 def test_two_qubit_concurrence_on_featured_pairs():
     rho, _ = figure1_reduction()
-    pair01 = gw_pairwise_concurrence(rho, {0}, {1})
-    pair02 = gw_pairwise_concurrence(rho, {0}, {2})
+    pair01 = concurrence_two_qubit(dense_block_pair(rho, {0}, {1}))
+    pair02 = concurrence_two_qubit(dense_block_pair(rho, {0}, {2}))
     assert pair01.value == pytest.approx(SQRT2_OVER_2, abs=1e-10)
     assert pair02.value == pytest.approx(TWO_SQRT2_OVER_5, abs=1e-10)
     assert pair01.method == "two_qubit_formula"
+    closed = gw_pairwise_concurrence(rho, {0}, {1})
+    assert closed.value == pytest.approx(pair01.value, abs=1e-12)
+    assert closed.method == "block_weights"
 
 
 def test_two_qubit_concurrence_maximally_mixed():
@@ -471,39 +473,32 @@ def test_cren_random_matches_pairwise(rng):
         assert cren_gw(psi, ({0}, {1})).value == pytest.approx(c, abs=1e-12)
 
 
-def test_block_pair_reduction_memo_per_ordered_pair():
+def test_block_pair_reduction_either_order_gives_one_concurrence():
     psi = superpose_with_vacuum(GWSpec.qubit(FIG1_AMPLITUDES, vacuum_weight=0.2))
-    twin = superpose_with_vacuum(GWSpec.qubit(FIG1_AMPLITUDES, vacuum_weight=0.2))
     ab = block_pair_reduction(psi, {0}, {1, 3})
-    assert block_pair_reduction(psi, [0], (3, 1)) is ab
+    np.testing.assert_array_equal(block_pair_reduction(psi, [0], (3, 1)).matrix, ab.matrix)
     ba = block_pair_reduction(psi, {1, 3}, {0})
-    assert ba is not ab
-    for mine, (a, b) in ((ab, ({0}, {1, 3})), (ba, ({1, 3}, {0}))):
-        fresh = block_pair_reduction(twin, a, b)
-        assert fresh is not mine
-        np.testing.assert_array_equal(mine.matrix, fresh.matrix)
-    # the orders compress differently; the qubit-pair concurrence agrees
+    # block a comes first, so the orders give different pairs with one concurrence
     assert not np.allclose(ab.matrix, ba.matrix)
-    c_ab = concurrence_two_qubit(ab)
-    assert concurrence_two_qubit(ab) is c_ab
-    assert concurrence_two_qubit(ba).value == pytest.approx(c_ab.value, abs=1e-12)
+    c_ab = concurrence_two_qubit(ab).value
+    assert concurrence_two_qubit(ba).value == pytest.approx(c_ab, abs=1e-12)
+    assert c_ab == pytest.approx(gw_pairwise_concurrence(psi, {0}, {1, 3}).value, abs=1e-12)
 
 
-def test_block_pair_reduction_errors_are_not_memoized():
+def test_block_pair_reduction_refuses_bad_blocks_and_states():
     psi = build_w_qubit(FIG1_AMPLITUDES)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="overlap"):
-            block_pair_reduction(psi, {0, 1}, {1})
+    with pytest.raises(ValueError, match="overlap"):
+        block_pair_reduction(psi, {0, 1}, {1})
+    with pytest.raises(ValueError, match="pure state"):
+        block_pair_reduction(reduce_to_parties(psi, {0, 1, 2}), {0}, {1})
     # three-level local supports on both sides: not a GW qubit pair
     qutrit_pair = PureState(
         np.array([1, 0, 0, 0, 1, 0, 0, 0, 1]) / math.sqrt(3.0),
         SubsystemLayout((3, 3)),
         gw=True,
     )
-    for _ in range(2):
-        with pytest.raises(FindingError):
-            block_pair_reduction(qutrit_pair, {0}, {1})
+    with pytest.raises(ValueError, match="outside Hamming weight <= 1"):
+        block_pair_reduction(qutrit_pair, {0}, {1})
     bad = DensityOperator(np.eye(8) / 8.0, SubsystemLayout((2, 2, 2)))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="qubit pair"):
-            concurrence_two_qubit(bad)
+    with pytest.raises(ValueError, match="qubit pair"):
+        concurrence_two_qubit(bad)

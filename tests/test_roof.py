@@ -39,7 +39,10 @@ from gwlab.roof import (
     _eigen_ensemble,
     oracle_reports,
 )
-from conftest import rand_unit, random_gw_spec
+from conftest import dense_block_pair, rand_unit, random_gw_spec
+
+#: The blocks of ``_figure1_pair``, for the roof run on the pure state.
+FIGURE1_PAIR = ({0}, {1})
 
 
 def _figure1_pair():
@@ -105,14 +108,17 @@ def test_sampling_is_deterministic(rng):
 
 
 def test_roof_rejects_qutrit_pair():
-    # the roof averages two-qubit components only; a pair of qutrits must be
-    # compressed by block_pair_reduction first
+    # the roof averages two-qubit components only; a pair of qutrits must
+    # first become a qubit pair: the canonical pair of the pure state's
+    # weights, or the dense compressed pair
     spec = GWSpec(n=3, d=3, amplitudes=np.full((3, 2), 1 / math.sqrt(6)))
-    rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
+    psi = superpose_with_vacuum(spec)
+    rho = reduce_to_parties(psi, {0, 1})
     assert rho.layout.dims == (3, 3)
     with pytest.raises(ValueError, match="qubit pairs"):
         convex_roof_bounds(rho, "concurrence", trials=10)
-    assert block_pair_reduction(rho, {0}, {1}).layout.dims == (2, 2)
+    assert block_pair_reduction(psi, {0}, {1}).layout.dims == (2, 2)
+    assert dense_block_pair(rho, {0}, {1}).layout.dims == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +135,7 @@ def test_roof_rejects_qutrit_pair():
          "infinite-order"],
 )
 def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, message):
-    pair = block_pair_reduction(_figure1_pair(), {0}, {1})
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
 
     def refuse(*args):
         raise AssertionError("an eigen-decomposition ran before the checks")
@@ -170,7 +176,7 @@ def test_every_exported_name_resolves():
 
 
 def test_roof_bounds_pin_featured_pair():
-    pair = block_pair_reduction(_figure1_pair(), {0}, {1})
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
     estimate = convex_roof_bounds(pair, "concurrence", trials=3000, seed=5)
     closed = math.sqrt(2.0) / 2.0
     assert abs(estimate.min_estimate - closed) < AGREEMENT_TOL
@@ -208,7 +214,7 @@ def test_roof_separable_inputs_stay_small(rng):
 
 
 def test_roof_estimates_monotone_in_trials():
-    pair = block_pair_reduction(_figure1_pair(), {0}, {1})
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
     prev_min, prev_max = math.inf, -math.inf
     # counts on both sides of generation boundaries and of the first
     # DRAW_CHUNK boundary: a shorter run is a prefix of a longer one
@@ -224,7 +230,7 @@ def test_roof_estimates_monotone_in_trials():
 def test_negativity_roof_matches_concurrence_on_family(rng):
     spec = random_gw_spec(rng, n_min=3, n_max=4)
     rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
-    pair = block_pair_reduction(rho, {0}, {1})
+    pair = dense_block_pair(rho, {0}, {1})
     closed = gw_pairwise_concurrence(rho, {0}, {1}).value
     # a pure two-qubit component has negativity equal to its concurrence, so
     # the concurrence roof is the negativity (CREN) roof
@@ -240,7 +246,7 @@ def test_negativity_roof_matches_concurrence_on_family(rng):
 
 
 def test_verify_c_equals_ca_featured():
-    report = verify_c_equals_ca(_figure1_pair(), trials=3000, seed=7)
+    report = verify_c_equals_ca(figure1_state(), trials=3000, seed=7, blocks=FIGURE1_PAIR)
     assert report.applicability == Applicability.APPLICABLE
     assert report.satisfied
     assert report.params["closed_form"] == pytest.approx(
@@ -250,8 +256,7 @@ def test_verify_c_equals_ca_featured():
 
 def test_verify_c_equals_ca_product_reduction():
     psi = build_w_qubit((1.0, 0.0, 0.0))
-    rho = reduce_to_parties(psi, {1, 2})
-    report = verify_c_equals_ca(rho, trials=300, seed=7)
+    report = verify_c_equals_ca(psi, trials=300, seed=7, blocks=({1}, {2}))
     assert report.satisfied
     assert report.params["closed_form"] == pytest.approx(0.0, abs=1e-12)
 
@@ -261,8 +266,9 @@ def test_verify_c_equals_ca_random(rng):
         spec = random_gw_spec(rng, n_min=3, n_max=5)
         psi = superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=2, replace=False))
-        rho = reduce_to_parties(psi, keep)
-        report = verify_c_equals_ca(rho, trials=2000, seed=int(rng.integers(1e6)))
+        blocks = ({int(keep[0])}, {int(keep[1])})
+        report = verify_c_equals_ca(psi, trials=2000, seed=int(rng.integers(1e6)),
+                                    blocks=blocks)
         assert report.applicability == Applicability.APPLICABLE
         assert report.satisfied, report.params
 
@@ -271,8 +277,8 @@ def test_verify_e_alpha_min_side_matches():
     # the convex-roof side of the Renyi closed form holds; the assisted side
     # genuinely exceeds it on this family, which the oracle must surface
     # rather than hide
-    rho = _figure1_pair()
-    report = verify_e_alpha_formula(rho, 1.1, trials=4000, seed=7)
+    psi = figure1_state()
+    report = verify_e_alpha_formula(psi, 1.1, trials=4000, seed=7, blocks=FIGURE1_PAIR)
     closed = report.params["closed_form"]
     assert abs(report.params["roof_min"] - closed) < AGREEMENT_TOL
     assert report.params["roof_max"] > closed + 0.05
@@ -281,8 +287,8 @@ def test_verify_e_alpha_min_side_matches():
 
 
 def test_verify_e_alpha_out_of_window():
-    rho = _figure1_pair()
-    report = verify_e_alpha_formula(rho, 0.5, trials=100, seed=7)
+    psi = figure1_state()
+    report = verify_e_alpha_formula(psi, 0.5, trials=100, seed=7, blocks=FIGURE1_PAIR)
     assert report.applicability == Applicability.OUT_OF_WINDOW
 
 
@@ -290,7 +296,7 @@ def test_verify_e_alpha_pure_maximally_entangled_pair():
     # the weight-one maximally entangled pair has a unique decomposition, so
     # every estimate equals the closed form exactly
     psi = build_w_qubit(np.ones(2) / math.sqrt(2.0))
-    report = verify_e_alpha_formula(psi.density(), 2.0, trials=200, seed=4)
+    report = verify_e_alpha_formula(psi, 2.0, trials=200, seed=4)
     assert report.applicability == Applicability.APPLICABLE
     assert report.satisfied
     assert report.params["closed_form"] == pytest.approx(1.0, abs=1e-12)
@@ -319,7 +325,7 @@ def test_assisted_average_exceeds_closed_form_exactly():
 
 def test_unconverged_runs_are_flagged():
     # too few trials can never certify a plateau
-    report = verify_c_equals_ca(_figure1_pair(), trials=10, seed=1)
+    report = verify_c_equals_ca(figure1_state(), trials=10, seed=1, blocks=FIGURE1_PAIR)
     assert not report.params["converged"]
     assert report.applicability == Applicability.CONDITION_UNMET
 

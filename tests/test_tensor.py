@@ -245,49 +245,24 @@ def test_density_operator_validation():
         PureState(np.array([1.0, 0.5]), SubsystemLayout((2,)))  # norm off
 
 
-def _twin_w_states():
-    # two states built from the same amplitudes: equal data, separate memos
-    return build_w_qubit(FIG1_AMPS), build_w_qubit(FIG1_AMPS)
-
-
-def test_partial_trace_memo_returns_same_object():
-    psi, twin = _twin_w_states()
+def test_partial_trace_ignores_keep_order():
+    psi = build_w_qubit(FIG1_AMPS)
     first = partial_trace(psi, {2, 0})
-    assert partial_trace(psi, [0, 2]) is first  # keyed by the sorted keep set
-    fresh = partial_trace(twin, {0, 2})
-    assert fresh is not first  # the twin does not share the memo
-    np.testing.assert_array_equal(first.matrix, fresh.matrix)
-    assert first.layout == fresh.layout
-    # a density-operator input has its own memo too
-    rho = psi.density()
-    assert partial_trace(rho, {1}) is partial_trace(rho, {1})
+    again = partial_trace(psi, [0, 2])
+    np.testing.assert_array_equal(first.matrix, again.matrix)
+    assert first.layout == again.layout
+    # a density-operator input gives the same reduction
     np.testing.assert_allclose(
-        partial_trace(rho, {1}).matrix, partial_trace(psi, {1}).matrix, atol=1e-12
+        partial_trace(psi.density(), {1}).matrix, partial_trace(psi, {1}).matrix,
+        atol=1e-12,
     )
 
 
-def test_schmidt_spectrum_memo_returns_same_object():
-    psi, twin = _twin_w_states()
+def test_schmidt_spectrum_ignores_side_order():
+    psi = build_w_qubit(FIG1_AMPS)
     first = schmidt_spectrum(psi, ({2, 0}, [3, 1]))
-    assert schmidt_spectrum(psi, ([0, 2], {1, 3})) is first
-    fresh = schmidt_spectrum(twin, ({0, 2}, {1, 3}))
-    assert fresh is not first
-    np.testing.assert_array_equal(first.coefficients, fresh.coefficients)
-    # the sides are not interchangeable keys, but give the same spectrum
+    again = schmidt_spectrum(psi, ([0, 2], {1, 3}))
+    np.testing.assert_array_equal(again.coefficients, first.coefficients)
+    # the sides are interchangeable
     swapped = schmidt_spectrum(psi, ({1, 3}, {0, 2}))
-    assert swapped is not first
     np.testing.assert_allclose(swapped.coefficients, first.coefficients, atol=1e-12)
-
-
-def test_memoized_calls_validate_every_time(bell_state):
-    assert partial_trace(bell_state, {0}) is partial_trace(bell_state, {0})
-    for _ in range(2):
-        with pytest.raises(IndexError):
-            partial_trace(bell_state, {5})
-        with pytest.raises(ValueError):
-            partial_trace(bell_state, set())
-        with pytest.raises(ValueError):
-            schmidt_spectrum(bell_state, ({0}, {0, 1}))
-    assert schmidt_spectrum(bell_state, ({0}, {1})) is schmidt_spectrum(
-        bell_state, ({0}, {1})
-    )

@@ -11,12 +11,14 @@ seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import featured
 from .games import (
@@ -180,12 +182,11 @@ def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]
     return spec, psi, partition
 
 
-def _write_lines(lines: list[str], out: Optional[str]) -> None:
-    payload = "".join(line + "\n" for line in lines)
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload)
+def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
+    """Write each line, as it comes, to the ``out`` file or to stdout."""
+    stream = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+    with stream as file:
+        file.writelines(line + "\n" for line in lines)
 
 
 def _csv_lines(header: Sequence[str], rows: list[Sequence[str]]) -> list[str]:
@@ -285,10 +286,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     applicable check failed."""
     reports = _verify_reports(args)
     if args.format == "csv":
-        rows = [report_to_csv_row(r) for r in reports]
-        lines = _csv_lines(CSV_HEADER, rows)
+        rows = (",".join(report_to_csv_row(r)) for r in reports)
+        lines = itertools.chain([",".join(CSV_HEADER)], rows)
     else:
-        lines = [report_to_json_line(r) for r in reports]
+        lines = map(report_to_json_line, reports)
     _write_lines(lines, args.out)
     failed = [
         r
@@ -327,7 +328,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     reports = oracle_reports(psi, targets, trials=args.trials, seed=seed)
     for (a, b), report in zip(pairs, reports):
         report.params["pair"] = [sorted(a), sorted(b)]
-    _write_lines([report_to_json_line(r) for r in reports], args.out)
+    _write_lines(map(report_to_json_line, reports), args.out)
     return 0
 
 

@@ -8,12 +8,13 @@ convex-roof values through the additivity of squared pairwise concurrence.
 The Renyi-order map ``f_alpha`` then turns squared concurrence into the
 Renyi entanglement for Schmidt-rank-2 states.
 
-Every family closed form is scalar arithmetic on block weights.  It takes
-a :class:`GWBlocks` or a GW-tagged dense state, which
-:meth:`GWBlocks.from_state` turns into block weights once, at entry.  The
-dense measures (``concurrence_pure``, ``concurrence_two_qubit``,
-``negativity``) work on the arrays themselves: they are the reference the
-weight forms are tested against.
+Every family closed form is scalar arithmetic on the excitation
+probabilities t_k of a :class:`GWBlocks`; only a pure member's canonical
+pair also reads the vacuum population w.  It takes a :class:`GWBlocks` or a
+GW-tagged dense state, which :meth:`GWBlocks.from_state` turns into block
+weights once, at entry.  The dense measures (``concurrence_pure``,
+``concurrence_two_qubit``, ``negativity``) work on the arrays themselves:
+they are the reference the weight forms are tested against.
 """
 
 from __future__ import annotations
@@ -303,10 +304,10 @@ def block_pair_reduction(
     state: State | GWBlocks, block_a: Iterable[int], block_b: Iterable[int]
 ) -> DensityOperator:
     """The canonical qubit pair of two blocks of a pure family member, block
-    a first: |phi><phi| + (1-w)(1-s_a-s_b)|00><00|, phi = sqrt(w)|00> +
-    sqrt((1-w) s_b)|01> + sqrt((1-w) s_a)|10>.  It is the compressed dense
-    pair up to a local unitary.  A mixture has the same weights but lacks
-    the sqrt(w) coherence, so a state that is not pure is refused."""
+    a first: |phi><phi| + (1-w-t_a-t_b)|00><00|, phi = sqrt(w)|00> +
+    sqrt(t_b)|01> + sqrt(t_a)|10>.  It is the compressed dense pair up to a
+    local unitary.  A mixture has the same weights but lacks the sqrt(w)
+    coherence, so a state that is not pure is refused."""
     state = GWBlocks.from_state(state)
     block_a = frozenset(int(p) for p in block_a)
     block_b = frozenset(int(p) for p in block_b)
@@ -315,18 +316,17 @@ def block_pair_reduction(
     if not state.pure:
         raise ValueError("a block pair needs a pure state")
     w = state.vacuum_weight
-    s_a, s_b = state.block_weight(block_a), state.block_weight(block_b)
-    phi = np.sqrt([w, (1.0 - w) * s_b, (1.0 - w) * s_a, 0.0])
+    t_a, t_b = state.block_weight(block_a), state.block_weight(block_b)
+    phi = np.sqrt([w, t_b, t_a, 0.0])
     matrix = np.outer(phi, phi)
-    matrix[0, 0] += (1.0 - w) * max(0.0, 1.0 - s_a - s_b)
+    matrix[0, 0] += max(0.0, 1.0 - w - t_a - t_b)
     return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
 
 
 def gw_pairwise_concurrence(
     state: State | GWBlocks, block_s: Iterable[int], block_k: Iterable[int]
 ) -> MeasureValue:
-    """Concurrence 2 (1-w) sqrt(s_S s_K) between two blocks of a GW-family
-    state."""
+    """Concurrence 2 sqrt(t_S t_K) between two blocks of a GW-family state."""
     state = GWBlocks.from_state(state)
     block_s, block_k = frozenset(block_s), frozenset(block_k)
     if not block_s or not block_k:
@@ -334,14 +334,13 @@ def gw_pairwise_concurrence(
     if not block_s.isdisjoint(block_k):
         raise ValueError("blocks overlap")
     product = state.block_weight(block_s) * state.block_weight(block_k)
-    value = 2.0 * (1.0 - state.vacuum_weight) * math.sqrt(product)
+    value = 2.0 * math.sqrt(product)
     return MeasureValue(value, kind="concurrence", method="block_weights")
 
 
 class ConcurrenceSplit(NamedTuple):
-    """One-to-rest squared concurrence computed two ways, plus the pair table."""
+    """One-to-rest squared concurrence as the sum of its pair table."""
 
-    direct_sq: float
     pair_sum_sq: float
     pair_sq: tuple[float, ...]
 
@@ -349,8 +348,8 @@ class ConcurrenceSplit(NamedTuple):
 def gw_one_to_rest_concurrence_sq(
     state: State | GWBlocks, partition: Partition, s: int
 ) -> ConcurrenceSplit:
-    """C^2 = 4 (1-w)^2 s_S s_R of block s against the rest R, directly and
-    as the sum of the pair table."""
+    """C^2 = 4 t_S t_R of block s against the rest R, as the sum of the pair
+    table 4 t_S t_K over the other blocks K."""
     state = GWBlocks.from_state(state)
     partition.require_complete(state.layout)
     if not 0 <= s < partition.n_blocks:
@@ -358,10 +357,9 @@ def gw_one_to_rest_concurrence_sq(
     if partition.n_blocks < 2:
         raise ValueError("partition needs at least two blocks")
     weights = [state.block_weight(block) for block in partition.blocks]
-    scale = 4.0 * (1.0 - state.vacuum_weight) ** 2 * weights[s]
-    others = weights[:s] + weights[s + 1 :]
-    pair_sq = tuple(scale * x for x in others)
-    return ConcurrenceSplit(scale * math.fsum(others), float(sum(pair_sq)), pair_sq)
+    scale = 4.0 * weights[s]
+    pair_sq = tuple(scale * x for x in weights[:s] + weights[s + 1 :])
+    return ConcurrenceSplit(float(sum(pair_sq)), pair_sq)
 
 
 def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
@@ -369,14 +367,14 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
     parties.
 
     The cut has Schmidt rank at most two, with lambda_0 lambda_1 = C^2 / 4
-    and C^2 = 4 (1-w)^2 s_A s_B; the smaller coefficient comes from
+    and C^2 = 4 t_A t_B; the smaller coefficient comes from
     ``_lam_lo``, as in f_alpha.
     """
     state = GWBlocks.from_state(state)
     if not state.pure:
         raise ValueError("a Schmidt spectrum needs a pure state")
-    s_a, s_b = state.merged(Partition.of(bipartition)).weights
-    c2 = min(4.0 * (1.0 - state.vacuum_weight) ** 2 * s_a * s_b, 1.0)
+    t_a, t_b = state.merged(Partition.of(bipartition)).weights
+    c2 = min(4.0 * t_a * t_b, 1.0)
     minor = _lam_lo(c2)
     return SchmidtSpectrum([1.0 - minor, minor])
 

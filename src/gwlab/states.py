@@ -6,9 +6,9 @@ Reductions and coarse-grainings of these states stay inside the family,
 which is what makes the closed-form measures in :mod:`gwlab.measures`
 applicable; every constructor here therefore tags its output with
 ``gw=True``.  :class:`GWBlocks` describes the same members by their
-excitation weights alone, with no dense array; :meth:`GWBlocks.from_state`
-reads those weights off a dense member, and is the one place that tells the
-two kinds of state apart.
+excitation probabilities alone, with no dense array;
+:meth:`GWBlocks.from_state` reads those off a dense member, and is the one
+place that tells the two kinds of state apart.
 """
 
 from __future__ import annotations
@@ -134,19 +134,21 @@ class PurificationSpec:
 
 @dataclass(frozen=True, eq=False)
 class GWBlocks:
-    """A family member described by its excitation weights, with no dense array.
+    """A family member described by its excitation probabilities, with no
+    dense array.
 
-    ``weights[k]`` is the share s_k of the excitation carried by party k and
-    ``vacuum_weight`` is w, so the ket exciting party k has probability
-    (1-w) s_k.  Every closed form in :mod:`gwlab.measures` depends on these
-    numbers only (Kim and Sanders, J. Phys. A 41, 495301 (2008)):
-    C(S, K) = 2 (1-w) sqrt(s_S s_K) and C^2(S | R) = 4 (1-w)^2 s_S s_R, with
-    s_B the summed weight of block B and R the other parties present.
+    ``weights[k]`` is the probability t_k of the ket exciting party k and
+    ``vacuum_weight`` is the vacuum population w, so that the weights and w
+    sum to one.  Every closed form in :mod:`gwlab.measures` reads the t_k
+    only (Kim and Sanders, J. Phys. A 41, 495301 (2008)): C(S, K) =
+    2 sqrt(t_S t_K) and C^2(S | R) = 4 t_S t_R, with t_B the summed weight of
+    block B and R the other parties present.  Only a pure member's canonical
+    pair also reads w.
 
-    ``pure`` marks a vacuum superposition, whose weights sum to one; a vacuum
-    mixture and every reduction are not pure.  A reduction keeps the weights
-    of the parties it keeps, and merging blocks sums them, so both stay
-    GWBlocks.
+    ``pure`` marks a vacuum superposition; a vacuum mixture and every
+    reduction are not pure.  A reduction keeps the weights of the parties it
+    keeps and counts the rest as vacuum, and merging blocks sums them, so
+    both stay GWBlocks.
     """
 
     weights: tuple[float, ...]
@@ -163,14 +165,13 @@ class GWBlocks:
             raise ValueError(
                 f"{len(weights)} weights for {self.layout.n_parties} parties"
             )
-        if not all(math.isfinite(x) and x >= 0.0 for x in weights):
-            raise ValueError("weights must be finite and nonnegative")
-        total = math.fsum(weights)
-        if total > 1.0 + NORM_TOL or (self.pure and abs(total - 1.0) > NORM_TOL):
-            raise ValueError(f"weights sum to {total}")
         w = float(self.vacuum_weight)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"vacuum_weight {w} outside [0, 1]")
+        if not all(math.isfinite(x) and x >= 0.0 for x in weights + (w,)):
+            raise ValueError("weights and vacuum_weight must be finite and nonnegative")
+        # a dense member may leave up to SUPPORT_TOL outside Hamming weight <= 1
+        total = math.fsum(weights + (w,))
+        if abs(total - 1.0) > NORM_TOL + SUPPORT_TOL:
+            raise ValueError(f"weights and vacuum_weight sum to {total}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vacuum_weight", w)
         object.__setattr__(self, "pure", bool(self.pure))
@@ -178,23 +179,21 @@ class GWBlocks:
     @classmethod
     def of(cls, spec: GWSpec, pure: bool = True) -> "GWBlocks":
         """The spec's vacuum superposition, or its vacuum mixture when not
-        ``pure``: the weights of :func:`superpose_with_vacuum` and
-        :func:`mix_with_vacuum`."""
-        weights = np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
+        ``pure``: t_k = (1-w) sum_i |a_ki|^2, the excited populations of
+        :func:`superpose_with_vacuum` and :func:`mix_with_vacuum`."""
+        w = spec.vacuum_weight
+        weights = (1.0 - w) * np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
         layout = PartyLayout((spec.d,) * spec.n)
-        return cls(tuple(weights.tolist()), layout, spec.vacuum_weight, pure)
+        return cls(tuple(weights.tolist()), layout, w, pure)
 
     @classmethod
     def from_state(cls, state) -> "GWBlocks":
         """The weights of a GW-tagged state; a GWBlocks is returned as it is.
 
         A dense state must have no population outside Hamming weight <= 1
-        beyond ``SUPPORT_TOL``.  A :class:`PureState` gives a pure GWBlocks
-        with w = |amp_0|^2 and s_k the population party k excites, over
-        their total.  A :class:`DensityOperator` gives a GWBlocks that is
-        not pure, with w = 0 and weights (1-w) s_k from its diagonal: off a
-        pure state the closed forms read only these products, and the
-        diagonal does not fix w alone."""
+        beyond ``SUPPORT_TOL``.  Its excited populations are the weights and
+        its vacuum population is w.  A :class:`PureState` is pure, and so is
+        a :class:`DensityOperator` with 1 - Tr rho^2 <= ``SUPPORT_TOL``."""
         if isinstance(state, GWBlocks):
             return state
         if not state.gw:
@@ -202,11 +201,12 @@ class GWBlocks:
                 "closed forms hold on the generalized W-class family; "
                 "the input state carries no GW provenance"
             )
-        pure = isinstance(state, PureState)
-        if pure:
-            populations = np.abs(state.amplitudes) ** 2
+        if isinstance(state, PureState):
+            populations, pure = np.abs(state.amplitudes) ** 2, True
         else:
-            populations = np.real(np.diagonal(state.matrix))
+            matrix = state.matrix
+            populations = np.real(np.diagonal(matrix))
+            pure = 1.0 - float(np.vdot(matrix, matrix).real) <= SUPPORT_TOL
         # party k alone excited to level i sits at flat index i * stride_k
         dims = state.layout.dims
         strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
@@ -214,47 +214,42 @@ class GWBlocks:
             max(0.0, float(populations[stride : d * stride : stride].sum()))
             for d, stride in zip(dims, strides)
         ]
-        vacuum = float(populations[0])
+        vacuum = max(0.0, float(populations[0]))
         outside = float(populations.sum()) - vacuum - math.fsum(excited)
         if outside > SUPPORT_TOL:
             raise ValueError(
                 f"state has population {outside:.3e} outside Hamming weight <= 1; "
                 "it is not a generalized W-class member"
             )
-        layout = PartyLayout(dims)
-        if not pure:
-            return cls(tuple(excited), layout, 0.0, pure=False)
-        total = math.fsum(excited)
-        if total == 0.0:  # the vacuum: every closed form is 0, any weights do
-            excited, total = [1.0] + excited[1:], 1.0
-        return cls(tuple(x / total for x in excited), layout, vacuum, pure=True)
+        return cls(tuple(excited), PartyLayout(dims), vacuum, pure)
 
     @classmethod
     def purification(cls, spec: GWSpec) -> "GWBlocks":
-        """The pure member of :func:`purify_mixture`: the spec's weights scaled
-        by 1-w plus an ancilla party of weight w, with no vacuum."""
-        w = spec.vacuum_weight
+        """The pure member of :func:`purify_mixture`: the mixture's weights
+        plus an ancilla party of weight w, with no vacuum."""
         mixture = cls.of(spec, pure=False)
-        weights = tuple((1.0 - w) * s for s in mixture.weights) + (w,)
+        weights = mixture.weights + (spec.vacuum_weight,)
         layout = PartyLayout(mixture.layout.dims + (spec.d,))
         return cls(weights, layout, 0.0, True)
 
     def block_weight(self, parties) -> float:
-        """Summed weight s_B of the listed parties."""
+        """Summed weight t_B of the listed parties."""
         values = [self.weights[p] for p in parties]  # IndexError past the end
         if values and min(parties) < 0:
             raise IndexError(f"negative party index in {sorted(parties)}")
         return math.fsum(values)
 
     def restricted(self, keep) -> "GWBlocks":
-        """The reduction to ``keep``, its parties renumbered in ascending order."""
+        """The reduction to ``keep``, its parties renumbered in ascending
+        order; the parties traced out count as vacuum."""
         keep_list = _validated_keep(self.layout, keep)
         weights = tuple(self.weights[p] for p in keep_list)
         layout = self.layout.restricted(keep_list)
-        return GWBlocks(weights, layout, self.vacuum_weight, pure=False)
+        vacuum = max(0.0, 1.0 - math.fsum(weights))
+        return GWBlocks(weights, layout, vacuum, pure=False)
 
     def merged(self, partition: Partition) -> "GWBlocks":
-        """One party per block of a complete partition, weighing s_B."""
+        """One party per block of a complete partition, weighing t_B."""
         layout = coarse_grain(self.layout, partition)
         weights = tuple(self.block_weight(b) for b in partition.blocks)
         return GWBlocks(weights, layout, self.vacuum_weight, self.pure)

@@ -18,6 +18,7 @@ from gwlab import (
     SubsystemLayout,
     TighterParams,
     block_pair_reduction,
+    build_w_qubit,
     check_merged_block_upper_bound,
     check_monogamy_cap,
     check_monogamy_power,
@@ -44,7 +45,9 @@ from gwlab import (
     run_mixture_suite,
     schmidt_spectrum,
     superpose_with_vacuum,
+    verify_e_alpha_formula,
 )
+from gwlab.tensor import SUPPORT_TOL
 from conftest import (
     assert_same_doc,
     dense_block_pair,
@@ -187,7 +190,9 @@ def test_restriction_and_merging_match_dense(rng):
         split = gw_one_to_rest_concurrence_sq(merged, Partition.singletons(3), 0)
         want = gw_one_to_rest_concurrence_sq(dense_merged, Partition.singletons(3), 0)
         assert split.pair_sq == pytest.approx(want.pair_sq, abs=1e-12)
-        assert split.direct_sq == pytest.approx(want.direct_sq, abs=1e-12)
+        cut = (partition.blocks[0], partition.parties() - partition.blocks[0])
+        direct = concurrence_pure(psi, cut).value ** 2
+        assert split.pair_sum_sq == pytest.approx(direct, abs=1e-12)
 
 
 def test_cut_spectrum_is_exact_for_weak_cuts():
@@ -230,21 +235,18 @@ def test_blocks_validation_and_purity():
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {0, 1})
 
 
-def _closed_form_products(blocks):
-    """The products (1-w) s_k, all that the closed forms read off a state
-    that is not pure."""
-    return [(1.0 - blocks.vacuum_weight) * s for s in blocks.weights]
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_from_state_matches_spec_weights(rng, d):
+    # one encoding per state: a dense member and the weights built from its
+    # spec agree on every excitation probability and on the vacuum population
     for _ in range(6):
         spec = random_gw_spec(rng, n_min=2, n_max=5, d=d)
         psi = superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=2, replace=False).tolist())
         cases = [
             (psi, GWBlocks.of(spec)),
-            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=False)),
+            # with no vacuum the mixture is the pure state itself
+            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=spec.vacuum_weight == 0.0)),
             (_dense_purification(spec), GWBlocks.purification(spec)),
             (partial_trace(psi, keep), GWBlocks.of(spec).restricted(keep)),
         ]
@@ -252,14 +254,68 @@ def test_from_state_matches_spec_weights(rng, d):
             got = GWBlocks.from_state(dense)
             assert got.pure == want.pure
             assert got.layout.dims == want.layout.dims
-            np.testing.assert_allclose(
-                _closed_form_products(got), _closed_form_products(want),
-                rtol=0.0, atol=1e-12,
-            )
-            if want.pure:
-                assert got.vacuum_weight == pytest.approx(want.vacuum_weight, abs=1e-12)
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
+            assert got.vacuum_weight == pytest.approx(want.vacuum_weight, abs=1e-12)
+            total = math.fsum(want.weights) + want.vacuum_weight
+            assert total == pytest.approx(1.0, abs=1e-12)
         blocks = GWBlocks.of(spec)
         assert GWBlocks.from_state(blocks) is blocks
+
+
+def test_from_state_accepts_population_within_support_tolerance():
+    # a doubly-excited population just under SUPPORT_TOL leaves the weights
+    # and the vacuum summing to 1 - 0.9 SUPPORT_TOL, which the sum check allows
+    w_pair = np.array([0.0, 0.6, 0.8, 0.0])
+    for eps, ok in ((0.9 * SUPPORT_TOL, True), (1.1 * SUPPORT_TOL, False)):
+        vec = math.sqrt(1.0 - eps) * w_pair + math.sqrt(eps) * np.array([0, 0, 0, 1.0])
+        rho = (1.0 - eps) * np.outer(w_pair, w_pair)
+        rho[3, 3] += eps
+        for state in (
+            PureState(vec, SubsystemLayout((2, 2)), gw=True),
+            DensityOperator(rho, SubsystemLayout((2, 2)), gw=True),
+        ):
+            if not ok:
+                with pytest.raises(ValueError, match="outside Hamming weight <= 1"):
+                    GWBlocks.from_state(state)
+                continue
+            blocks = GWBlocks.from_state(state)
+            assert blocks.pure == isinstance(state, PureState)  # rho has rank 2
+            np.testing.assert_allclose(blocks.weights, [0.64, 0.36], rtol=0.0, atol=1e-9)
+            assert blocks.vacuum_weight == 0.0
+
+
+def test_rank_one_operator_is_pure(rng):
+    # psi.density() gives the weights of psi: the same canonical pairs and
+    # cut spectra, and the same oracle report on the maximally entangled pair
+    psi = build_w_qubit(np.ones(2) / math.sqrt(2.0))
+    report = verify_e_alpha_formula(psi, 2.0, trials=200, seed=4)
+    same = verify_e_alpha_formula(psi.density(), 2.0, trials=200, seed=4)
+    assert report_to_json_line(same) == report_to_json_line(report)
+    for _ in range(4):
+        spec = random_gw_spec(rng, n_min=3, n_max=4, vacuum="always")
+        psi = superpose_with_vacuum(spec)
+        vector, operator = (GWBlocks.from_state(s) for s in (psi, psi.density()))
+        assert operator.pure and operator.layout.dims == vector.layout.dims
+        np.testing.assert_allclose(operator.weights, vector.weights, rtol=1e-15, atol=0.0)
+        assert operator.vacuum_weight == pytest.approx(vector.vacuum_weight, rel=1e-15)
+        blocks = ({0}, set(range(1, spec.n)))
+        np.testing.assert_allclose(
+            block_pair_reduction(operator, *blocks).matrix,
+            block_pair_reduction(vector, *blocks).matrix,
+            rtol=0.0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            cut_spectrum(operator, blocks).coefficients,
+            cut_spectrum(vector, blocks).coefficients,
+            rtol=0.0, atol=1e-15,
+        )
+        # a mixture of rank two has no canonical pair
+        mixture = mix_with_vacuum(spec)
+        assert not GWBlocks.from_state(mixture).pure
+        with pytest.raises(ValueError, match="pure state"):
+            block_pair_reduction(mixture, *blocks)
+        with pytest.raises(ValueError, match="pure state"):
+            verify_e_alpha_formula(mixture, 2.0, trials=10)
 
 
 def test_from_state_vacuum_has_no_entanglement():
@@ -268,7 +324,7 @@ def test_from_state_vacuum_has_no_entanglement():
     for state in (superpose_with_vacuum(spec), mix_with_vacuum(spec)):
         assert gw_pairwise_concurrence(state, {0}, {1}).value == 0.0
         split = gw_one_to_rest_concurrence_sq(state, singles, 0)
-        assert (split.direct_sq, split.pair_sum_sq, split.pair_sq) == (0.0, 0.0, (0.0, 0.0))
+        assert (split.pair_sum_sq, split.pair_sq) == (0.0, (0.0, 0.0))
         assert cren_gw(state, ({0}, {1, 2})).value == 0.0
         assert renyi_entanglement_gw(state, singles, 0, 2.0).value == 0.0
     psi = superpose_with_vacuum(spec)

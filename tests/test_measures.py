@@ -399,7 +399,6 @@ def test_one_to_rest_split_featured():
     rho, partition = figure1_reduction()
     split = gw_one_to_rest_concurrence_sq(rho, partition, 0)
     assert split.pair_sum_sq == pytest.approx(0.82, abs=1e-10)
-    assert split.direct_sq == pytest.approx(split.pair_sum_sq, abs=1e-9)
     assert split.pair_sq[0] == pytest.approx(0.5, abs=1e-10)
     assert split.pair_sq[1] == pytest.approx(0.32, abs=1e-10)
 
@@ -408,11 +407,11 @@ def test_one_to_rest_vacuum_state():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=1.0)
     psi = superpose_with_vacuum(spec)
     split = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
-    assert split.direct_sq == pytest.approx(0.0, abs=1e-12)
     assert split.pair_sum_sq == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_to_rest_additivity_random(rng):
+    # the pair table sums to the dense one-to-rest concurrence of the cut
     worst = 0.0
     for _ in range(30):
         spec = random_gw_spec(rng, n_min=3, n_max=6)
@@ -422,7 +421,9 @@ def test_one_to_rest_additivity_random(rng):
         partition = random_complete_partition(rng, spec.n)
         for s in range(partition.n_blocks):
             split = gw_one_to_rest_concurrence_sq(psi, partition, s)
-            worst = max(worst, abs(split.direct_sq - split.pair_sum_sq))
+            block = partition.blocks[s]
+            direct = concurrence_pure(psi, (block, partition.parties() - block)).value
+            worst = max(worst, abs(direct**2 - split.pair_sum_sq))
     assert worst < 1e-9
 
 

@@ -82,11 +82,14 @@ def test_verify_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
 
 
-def test_verify_csv_stream_bytes_unchanged(tmp_path):
+def test_verify_csv_stream_bytes_unchanged(tmp_path, capsys):
+    # the same bytes whether the lines go to a file or to stdout
     stream = "report_stream_readme.csv"
     out = tmp_path / stream
     assert main(ARGS[stream] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / stream).read_bytes()
+    assert main(ARGS[stream]) == 0
+    assert capsys.readouterr().out == (DATA / stream).read_text()
 
 
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))

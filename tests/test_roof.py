@@ -296,7 +296,7 @@ def test_verify_e_alpha_pure_maximally_entangled_pair():
     # the weight-one maximally entangled pair has a unique decomposition, so
     # every estimate equals the closed form exactly
     psi = build_w_qubit(np.ones(2) / math.sqrt(2.0))
-    report = verify_e_alpha_formula(psi, 2.0, trials=200, seed=4)
+    report = verify_e_alpha_formula(psi.density(), 2.0, trials=200, seed=4)
     assert report.applicability == Applicability.APPLICABLE
     assert report.satisfied
     assert report.params["closed_form"] == pytest.approx(1.0, abs=1e-12)

@@ -24,6 +24,7 @@ from .inequalities import (
     _MONOGAMY,
     Prepared,
     _applicable,
+    _fold,
 )
 from .measures import (
     FindingError,
@@ -130,12 +131,12 @@ def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
     lhs = 2.0 * math.sqrt(tail)
     c2 = (4.0 * tail * (1.0 - tail),)  # Schmidt rank two: E_alpha = f_alpha(C^2)
 
-    def evaluate(order, values, params):
-        rhs = 2.0 * math.sqrt(2.0 * values(c2)[0])
+    def evaluate(f, params):
+        rhs = 2.0 * math.sqrt(2.0 * f[0])
         params["lambda0"] = lam0
         return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
 
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, evaluate)
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, c2, evaluate)
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
@@ -210,10 +211,8 @@ def _monogamy_cap(state: GWBlocks, partition: Partition) -> Prepared:
     c2s = (split.pair_sum_sq, *split.pair_sq)
     cap = math.log2(d_alice) ** 2
 
-    def evaluate(order, values, params):
-        f = values(c2s)
-        middle = f[0] ** 2
-        lhs = sum(v**2 for v in f[1:])
+    def evaluate(f, params):
+        middle, lhs = _fold(f, 2.0)
         params["middle"] = middle
         slack = min(middle - lhs, cap - middle)
         return InequalityReport(
@@ -227,4 +226,4 @@ def _monogamy_cap(state: GWBlocks, partition: Partition) -> Prepared:
         )
 
     params = {"d": d_alice, "partition": [sorted(b) for b in partition.blocks]}
-    return Prepared("monogamy_cap", _MONOGAMY, params, evaluate)
+    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate)

@@ -10,15 +10,22 @@ Applicability (order windows and side conditions) is a first-class result
 state rather than an error, so grid sweeps produce complete report streams;
 genuine violations on applicable instances surface as ``satisfied=False``
 and are never swallowed.
+
+Most checkers are one relation, M(x_0)^mu against sum_g c_g sum_{k in g}
+M(x_k)^mu, on squared concurrences x = 4 t_A t_B from the one-to-rest pair
+tables and M = f_alpha: :func:`_fold` evaluates it, :func:`_relation` makes
+a checker of it, and the README lists each checker's x_0, groups and mu.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .measures import (
@@ -28,13 +35,12 @@ from .measures import (
     _f_alpha_grid,
     cut_spectrum,
     gw_one_to_rest_concurrence_sq,
-    gw_pairwise_concurrence,
 )
 from .states import GWBlocks, GWSpec
 from .tensor import Partition, State
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import f_alpha, renyi_entropy  # noqa: F401
+from .measures import f_alpha, gw_pairwise_concurrence, renyi_entropy  # noqa: F401
 from .states import mix_with_vacuum, purify_mixture  # noqa: F401
 from .tensor import partial_trace, schmidt_spectrum  # noqa: F401
 
@@ -129,13 +135,14 @@ def _skipped(name: str, why: Applicability, params: dict) -> InequalityReport:
 class Prepared(NamedTuple):
     """A checker with its order-free work (validation, reductions, C^2
     values) done.  Inside the order ``window`` its report is
-    ``evaluate(order, values, params)``, where ``values`` maps a prepared C^2
-    vector to its f_alpha values at that order."""
+    ``evaluate(f, params)``, where ``f`` lists the f_alpha values of its
+    squared concurrences ``c2s`` at that order."""
 
     name: str
     window: Callable[[RenyiOrder], bool]
     params: dict
-    evaluate: Callable[..., InequalityReport]
+    c2s: tuple
+    evaluate: Callable[[list, dict], InequalityReport]
 
     def at(self, order: OrderLike) -> InequalityReport:
         return at_orders([order], [self])[0]
@@ -156,7 +163,7 @@ def at_orders(
     blocks: dict[tuple, tuple[int, list]] = {}
 
     def values(row: int, c2s: tuple) -> list:
-        start, rows = blocks.get(c2s, (0, []))
+        start, rows = blocks.get(c2s, (0, ()))
         if not start <= row < start + len(rows):
             stop = row + max(1, GRID_VALUES // len(c2s))
             start, rows = row, _f_alpha_grid(c2s, alphas[row:stop]).tolist()
@@ -165,11 +172,11 @@ def at_orders(
 
     reports = []
     for row, order in enumerate(orders):
-        at_row = functools.partial(values, row)
         for check in checks:
             params = {"alpha": order.alpha, **check.params}
             if check.window(order):
-                reports.append(check.evaluate(order, at_row, params))
+                f = values(row, check.c2s) if check.c2s else ()
+                reports.append(check.evaluate(f, params))
             else:
                 reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
     return reports
@@ -249,23 +256,42 @@ def _partition_params(partition: Partition, s: int) -> dict:
     }
 
 
+def _fold(m: Sequence[float], mu: float, groups=((1.0, 1, None),)) -> tuple:
+    """``m[0]^mu`` and the sum over ``(coef, start, stop)`` groups of ``coef *
+    sum(v^mu for v in m[start:stop])``, added left to right on every Python."""
+    rhs = 0.0
+    for coef, start, stop in groups:
+        rhs += coef * reduce(add, map(pow, m[start:stop], repeat(mu)), 0.0)
+    return m[0] ** mu, rhs
+
+
+def _relation(
+    name: str, direction: str, params: dict, c2s: tuple, mu: float = 1.0,
+    groups=((1.0, 1, None),), in_window: Optional[dict] = None, unmet: bool = False,
+) -> Prepared:
+    """:func:`_fold` on f_alpha of ``c2s``, checked "ge" in the monogamy window
+    and "le" in the polygamy one.  Reports in the window get the ``in_window``
+    params, and are CONDITION_UNMET if ``unmet``."""
+
+    def evaluate(f, rparams):
+        rparams.update(in_window or {})
+        if unmet:
+            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
+        return _applicable(name, *_fold(f, mu, groups), direction, rparams)
+
+    window = _MONOGAMY if direction == "ge" else _POLYGAMY
+    return Prepared(name, window, params, () if unmet else c2s, evaluate)
+
+
 def _power_relation(
     name: str, direction: str, state: GWBlocks, partition: Partition, s: int, mu
 ) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
     blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
     state, partition = _restrict_to_blocks(state, partition.blocks)
-    split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    c2s = (split.pair_sum_sq, *split.pair_sq)
-
-    def evaluate(order, values, params):
-        f = values(c2s)
-        rhs = sum(v**mu for v in f[1:])
-        return _applicable(name, f[0] ** mu, rhs, direction, params)
-
     params = {"mu": mu, **_partition_params(partition, s)}
-    window = _MONOGAMY if direction == "ge" else _POLYGAMY
-    return Prepared(name, window, params, evaluate)
+    split = gw_one_to_rest_concurrence_sq(state, partition, s)
+    return _relation(name, direction, params, (split.pair_sum_sq, *split.pair_sq), mu)
 
 
 def check_monogamy_sq(
@@ -321,24 +347,17 @@ def check_polygamy_power(
     return _power_relation("polygamy_power", "le", state, partition, s, mu).at(order)
 
 
-def _pair_c2(state: GWBlocks, block_a, block_b) -> float:
-    return gw_pairwise_concurrence(state, block_a, block_b).value ** 2
-
-
 def _merged_cut_bound(
-    name: str, state: GWBlocks, p, q, rest, cut_c2: float, params: dict
+    name: str, state: GWBlocks, partition: Partition, cut_c2: float
 ) -> Prepared:
-    """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))],
-    given the cut's squared concurrence ``cut_c2``."""
-    p_c2 = tuple(_pair_c2(state, p, b) for b in (q, *rest))
-    q_c2 = tuple(_pair_c2(state, q, r) for r in rest)
-
-    def evaluate(order, values, params):
-        f_p = values(p_c2)
-        rhs = 2.0 * f_p[0] + sum(f_p[1:]) + sum(values(q_c2))
-        return _applicable(name, values((cut_c2,))[0], rhs, "le", params)
-
-    return Prepared(name, _POLYGAMY, params, evaluate)
+    """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
+    the blocks (P, Q, R...) of ``partition``, given the cut's ``cut_c2``: the
+    pairs are P's one-to-rest table and Q's without its first (QP) entry."""
+    p_c2 = gw_one_to_rest_concurrence_sq(state, partition, 0).pair_sq
+    q_c2 = gw_one_to_rest_concurrence_sq(state, partition, 1).pair_sq[1:]
+    groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
+    params = {"blocks": [sorted(b) for b in partition.blocks]}
+    return _relation(name, "le", params, (cut_c2, *p_c2, *q_c2), 1.0, groups)
 
 
 def check_merged_block_upper_bound(
@@ -360,15 +379,13 @@ def check_merged_block_upper_bound(
 def _merged_block_upper_bound(psi: GWBlocks, block_p, block_q, rest_blocks) -> Prepared:
     partition = Partition.of([block_p, block_q, *rest_blocks])
     block_p, block_q, *rest = partition.blocks
-    params = {"blocks": [sorted(b) for b in partition.blocks]}
     if not rest:
         raise ValueError("need at least one rest block")
     partition.require_complete(psi.layout)
     # raises unless psi is pure, the only case the bound is stated for
     spectrum = cut_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
     cut_c2 = max(0.0, 2.0 * (1.0 - float((spectrum.coefficients**2).sum())))
-    name = "merged_block_upper_bound"
-    return _merged_cut_bound(name, psi, block_p, block_q, rest, cut_c2, params)
+    return _merged_cut_bound("merged_block_upper_bound", psi, partition, cut_c2)
 
 
 def check_reoa_triangle(
@@ -394,13 +411,8 @@ def _reoa_triangle(state: GWBlocks, partition: Partition) -> Prepared:
         gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq
         for s in range(3)
     )
-
-    def evaluate(order, values, params):
-        f = values(c2s)
-        return _applicable("reoa_triangle", f[0], f[1] + f[2], "le", params)
-
     params = _partition_params(partition, 0)
-    return Prepared("reoa_triangle", _POLYGAMY, params, evaluate)
+    return _relation("reoa_triangle", "le", params, c2s)
 
 
 def check_upper_bound_bipartition(
@@ -422,11 +434,9 @@ def _upper_bound_bipartition(state: GWBlocks, block_p1, block_p2, q_blocks) -> P
         raise ValueError("need at least one Q block")
     state, partition = _restrict_to_blocks(state, [block_p1, block_p2, *qs])
     p1, p2, *qs = partition.blocks
-    params = {"blocks": [sorted(b) for b in partition.blocks]}
     merged = Partition.of([p1 | p2, *qs])
     cut_c2 = gw_one_to_rest_concurrence_sq(state, merged, 0).pair_sum_sq
-    name = "pair_block_upper_bound"
-    return _merged_cut_bound(name, state, p1, p2, qs, cut_c2, params)
+    return _merged_cut_bound("pair_block_upper_bound", state, partition, cut_c2)
 
 
 @dataclass(frozen=True)
@@ -499,14 +509,12 @@ def _tightened(
         **_partition_params(partition, 0),
         **({} if three else {"split_index": n}),
     }
-    first = partition.blocks[0]
-    # indices follow the 1-based block numbers: pair_c2[i] is C^2(P1, P_i)
-    # and suffix_c2[j] is C^2(P1 | P_j ... P_m) through pairwise additivity
-    pair_c2 = [None, None] + [_pair_c2(state, first, b) for b in partition.blocks[1:]]
-    suffix_c2 = [None, None] + [float(sum(pair_c2[j:])) for j in range(2, m + 1)]
-    c_pair = [None, None] + [math.sqrt(c2) for c2 in pair_c2[2:]]
-    c_suffix = [None, None] + [math.sqrt(c2) for c2 in suffix_c2[2:]]
-    pair_vec, lhs_vec = tuple(pair_c2[2:]), (suffix_c2[2],)
+    # by 1-based block numbers, c2s[i - 1] is C^2(P1, P_i), c_pair[i] is
+    # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity
+    split = gw_one_to_rest_concurrence_sq(state, partition, 0)
+    c2s = (split.pair_sum_sq, *split.pair_sq)
+    c_pair = [None, None] + [math.sqrt(x) for x in c2s[1:]]
+    c_suffix = [None, None] + [math.sqrt(reduce(add, c2s[i:], 0.0)) for i in range(1, m)]
 
     c, k, b = params.c_pow, params.k, params.b_pow
     conditions = [
@@ -523,23 +531,14 @@ def _tightened(
     else:
         in_window = {"failed_condition": failed[0]} if failed else {}
 
-    def evaluate(order, values, rparams):
-        rparams.update(in_window)
-        if failed:
-            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-        if order is None:
-            pair_m, lhs_m = c_pair, c_suffix[2]
-        else:
-            pair_m, lhs_m = [None, None] + values(pair_vec), values(lhs_vec)[0]
-        rhs = sum(h ** (i - 2) * pair_m[i] ** b for i in range(2, n + 1))
-        rhs += h**n * sum(pair_m[i] ** b for i in range(n + 1, m))
-        rhs += h ** (n - 1) * pair_m[m] ** b
-        return _applicable(name, lhs_m**b, rhs, "ge", rparams)
-
-    if measure_kind != "renyi":
-        report = evaluate(None, None, report_params)
-        return Prepared(name, lambda order: True, {}, lambda *_: report)
-    return Prepared(name, _MONOGAMY, report_params, evaluate)
+    # weights h^(i-2) up to the split, h^n after it, h^(n-1) on the last pair
+    groups = [(h ** (i - 2), i - 1, i) for i in range(2, n + 1)]
+    groups += [(h**n, n, m - 1), (h ** (n - 1), m - 1, m)]
+    check = _relation(name, "ge", report_params, c2s, b, groups, in_window, bool(failed))
+    if measure_kind == "renyi":
+        return check
+    report = check.evaluate([math.sqrt(x) for x in c2s], report_params)
+    return Prepared(name, lambda order: True, {}, (), lambda *_: report)
 
 
 def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityReport:
@@ -603,20 +602,17 @@ def run_mixture_suite(
     reduction of that purification).  Both stages are block weights, the
     ones :func:`purify_mixture` and :func:`mix_with_vacuum` build densely.
     """
-    order = _as_order(order)
     if tighter is None:
         tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    purified = GWBlocks.purification(spec)
-    mixture = GWBlocks.of(spec, pure=False)
-
     first_three = Partition.of([{0}, {1}, {2}])
-    reports: list[InequalityReport] = []
-    for stage, state in (("purified", purified), ("mixture", mixture)):
+    checks = []
+    for state in (GWBlocks.purification(spec), GWBlocks.of(spec, pure=False)):
         singles = Partition.singletons(state.layout.n_parties)
-        for rep in (
-            check_monogamy_sq(state, singles, 0, order),
-            check_tighter_three(state, first_three, tighter, "concurrence"),
-        ):
-            rep.params["stage"] = stage
-            reports.append(rep)
+        checks += [
+            _power_relation("monogamy_sq", "ge", state, singles, 0, 2.0),
+            _tightened(state, first_three, 2, tighter, "concurrence", three=True),
+        ]
+    reports = at_orders([order], checks)
+    for stage, report in zip(["purified"] * 2 + ["mixture"] * 2, reports):
+        report.params["stage"] = stage
     return reports

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -349,7 +351,7 @@ def gw_one_to_rest_concurrence_sq(
     state: State | GWBlocks, partition: Partition, s: int
 ) -> ConcurrenceSplit:
     """C^2 = 4 t_S t_R of block s against the rest R, as the sum of the pair
-    table 4 t_S t_K over the other blocks K."""
+    table 4 t_S t_K over the other blocks K, added left to right."""
     state = GWBlocks.from_state(state)
     partition.require_complete(state.layout)
     if not 0 <= s < partition.n_blocks:
@@ -359,7 +361,7 @@ def gw_one_to_rest_concurrence_sq(
     weights = [state.block_weight(block) for block in partition.blocks]
     scale = 4.0 * weights[s]
     pair_sq = tuple(scale * x for x in weights[:s] + weights[s + 1 :])
-    return ConcurrenceSplit(float(sum(pair_sq)), pair_sq)
+    return ConcurrenceSplit(reduce(add, pair_sq, 0.0), pair_sq)
 
 
 def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:

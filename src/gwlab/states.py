@@ -145,10 +145,10 @@ class GWBlocks:
     block B and R the other parties present.  Only a pure member's canonical
     pair also reads w.
 
-    ``pure`` marks a vacuum superposition; a vacuum mixture and every
-    reduction are not pure.  A reduction keeps the weights of the parties it
-    keeps and counts the rest as vacuum, and merging blocks sums them, so
-    both stay GWBlocks.
+    ``pure`` marks a vacuum superposition; a vacuum mixture with w > 0 and
+    every reduction are not pure.  A reduction keeps the weights of the
+    parties it keeps and counts the rest as vacuum, and merging blocks sums
+    them, so both stay GWBlocks.
     """
 
     weights: tuple[float, ...]
@@ -180,11 +180,11 @@ class GWBlocks:
     def of(cls, spec: GWSpec, pure: bool = True) -> "GWBlocks":
         """The spec's vacuum superposition, or its vacuum mixture when not
         ``pure``: t_k = (1-w) sum_i |a_ki|^2, the excited populations of
-        :func:`superpose_with_vacuum` and :func:`mix_with_vacuum`."""
+        :func:`superpose_with_vacuum` and :func:`mix_with_vacuum` (pure at w = 0)."""
         w = spec.vacuum_weight
         weights = (1.0 - w) * np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
         layout = PartyLayout((spec.d,) * spec.n)
-        return cls(tuple(weights.tolist()), layout, w, pure)
+        return cls(tuple(weights.tolist()), layout, w, pure or w == 0.0)
 
     @classmethod
     def from_state(cls, state) -> "GWBlocks":

@@ -222,6 +222,8 @@ def test_blocks_validation_and_purity():
         cut_spectrum(GWBlocks.of(spec, pure=False), ({0}, {1}))
     with pytest.raises(ValueError, match="pure state"):
         block_pair_reduction(GWBlocks.of(spec, pure=False), {0}, {1})
+    # with no vacuum the mixture is the pure state itself
+    assert GWBlocks.of(GWSpec.qubit([0.6, 0.8]), pure=False).pure
     with pytest.raises(ValueError, match="nonempty"):
         block_pair_reduction(GWBlocks.of(spec), set(), {1})
     three = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
@@ -245,8 +247,7 @@ def test_from_state_matches_spec_weights(rng, d):
         keep = sorted(rng.choice(spec.n, size=2, replace=False).tolist())
         cases = [
             (psi, GWBlocks.of(spec)),
-            # with no vacuum the mixture is the pure state itself
-            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=spec.vacuum_weight == 0.0)),
+            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=False)),
             (_dense_purification(spec), GWBlocks.purification(spec)),
             (partial_trace(psi, keep), GWBlocks.of(spec).restricted(keep)),
         ]

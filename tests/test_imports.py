@@ -1,5 +1,6 @@
-"""Every top-level import in ``src/gwlab`` has a reader, and only
-``states.py`` tells block weights from dense states.
+"""Every top-level import in ``src/gwlab`` has a reader, only
+``states.py`` tells block weights from dense states, and no module calls
+the builtin ``sum``.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -87,3 +88,17 @@ def test_only_states_branches_on_block_weights():
         if _is_gwblocks_check(node)
     ]
     assert found == [], f"isinstance(..., GWBlocks) outside states.py at {found}"
+
+
+def test_no_builtin_sum():
+    # CPython 3.12 made the builtin sum of floats compensated, so a result
+    # summed by it would depend on the interpreter; sums add left to right
+    # with functools.reduce(operator.add, ..., 0.0) instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert found == [], f"builtin sum called at {found}"

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from gwlab import (
     Applicability,
+    GWBlocks,
     GWSpec,
     Partition,
+    PartyLayout,
     TighterParams,
     build_w_qubit,
     check_merged_block_upper_bound,
@@ -21,6 +23,7 @@ from gwlab import (
     check_tighter_multi,
     check_tighter_three,
     check_upper_bound_bipartition,
+    cut_spectrum,
     f_alpha,
     h_coefficient,
     renyi_entropy,
@@ -342,6 +345,80 @@ def test_tighter_multi_random_condition_filtered(rng):
             found += 1
             assert report.satisfied, report
     assert found >= 8
+
+
+def _left_sum(values):
+    """Add left to right from 0.0, the order every checker sums in."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _c2(t, a, b):
+    # the one-to-rest table's product: (4 t_a) t_b
+    return 4.0 * t[a] * t[b]
+
+
+def test_merged_and_pair_block_bounds_fold_bit_for_bit(rng):
+    # rhs = 2 f(PQ) + sum_R f(PR) + sum_R f(QR), each sum left to right
+    def pair_rhs(t, f):  # t: the block weights of P, Q, R1, R2, ...
+        rest = range(2, len(t))
+        return (2.0 * f(_c2(t, 0, 1)) + _left_sum(f(_c2(t, 0, r)) for r in rest)
+                + _left_sum(f(_c2(t, 1, r)) for r in rest))
+
+    for _ in range(20):
+        spec = random_gw_spec(rng, n_min=6, n_max=9)
+        psi = GWBlocks.of(spec)
+        order = float(rng.uniform(0.83, 1.3))
+        n_blocks = int(rng.integers(5, spec.n + 1))
+        blocks = random_complete_partition(rng, spec.n, n_blocks).blocks
+
+        def f(x):
+            return f_alpha(x, order)
+
+        t = [math.fsum(psi.weights[p] for p in b) for b in blocks]
+        report = check_merged_block_upper_bound(psi, *blocks[:2], blocks[2:], order)
+        cut_blocks = (blocks[0] | blocks[1], frozenset().union(*blocks[2:]))
+        spectrum = cut_spectrum(psi, cut_blocks)
+        cut = max(0.0, 2.0 * (1.0 - float((spectrum.coefficients**2).sum())))
+        assert report.applicability == Applicability.APPLICABLE
+        assert (report.lhs, report.rhs) == (f(cut), pair_rhs(t, f))
+
+        # without the last block the pair-block bound runs on a reduction
+        t = t[:-1]
+        report = check_upper_bound_bipartition(psi, *blocks[:2], blocks[2:-1], order)
+        cut = _left_sum(4.0 * (t[0] + t[1]) * t[r] for r in range(2, len(t)))
+        assert report.applicability == Applicability.APPLICABLE
+        assert (report.lhs, report.rhs) == (f(cut), pair_rhs(t, f))
+
+
+def test_tighter_multi_renyi_folds_bit_for_bit(rng):
+    # m blocks split at n, 2 <= n <= m - 2, both condition chains holding:
+    # rhs = sum_{i<=n} h^(i-2) M_i^b + h^n sum_{n<i<m} M_i^b + h^(n-1) M_m^b
+    k = 1.2
+    for _ in range(20):
+        m = int(rng.integers(6, 10))
+        n = int(rng.integers(2, m - 1))
+        later = [float(rng.uniform(0.5, 1.0))]  # pair weights m, m-1, ..., 2
+        for j in range(m - 1, 1, -1):
+            scale = k * rng.uniform(1.05, 2.0) if j > n else rng.uniform(0.1, 0.95) / k
+            later.append(float(scale * math.fsum(later)))
+        raw = [float(rng.uniform(0.5, 2.0) * math.fsum(later))] + later[::-1]
+        t = tuple(x / math.fsum(raw) for x in raw)
+        psi = GWBlocks(t, PartyLayout((2,) * m))
+        params = TighterParams(c_pow=2.0, b_pow=float(rng.uniform(0.5, 2.0)), k=k)
+        order, b, h = float(rng.uniform(0.9, 3.0)), params.b_pow, params.h
+        report = check_tighter_multi(
+            psi, Partition.singletons(m), n, params, "renyi", order
+        )
+        pair = [None, None] + [f_alpha(_c2(t, 0, i - 1), order) for i in range(2, m + 1)]
+        lhs = f_alpha(_left_sum(_c2(t, 0, i) for i in range(1, m)), order) ** b
+        rhs = _left_sum(h ** (i - 2) * pair[i] ** b for i in range(2, n + 1))
+        rhs += h**n * _left_sum(pair[i] ** b for i in range(n + 1, m))
+        rhs += h ** (n - 1) * pair[m] ** b
+        assert report.applicability == Applicability.APPLICABLE
+        assert (report.lhs, report.rhs) == (lhs, rhs)
 
 
 def test_mixture_suite_pure_limit():

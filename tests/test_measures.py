@@ -13,8 +13,10 @@ from gwlab import (
     ApplicabilityError,
     DensityOperator,
     DomainError,
+    GWBlocks,
     GWSpec,
     Partition,
+    PartyLayout,
     ProvenanceError,
     PureState,
     SchmidtSpectrum,
@@ -408,6 +410,18 @@ def test_one_to_rest_vacuum_state():
     psi = superpose_with_vacuum(spec)
     split = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
     assert split.pair_sum_sq == pytest.approx(0.0, abs=1e-12)
+
+
+def test_one_to_rest_sum_adds_left_to_right():
+    # each 2**-55 term is under half an ulp of 0.75, so a left-to-right sum
+    # stays at 0.75; a compensated one (CPython 3.12's builtin sum) rounds
+    # the three terms together up to the next float
+    delta = 2.0**-55
+    blocks = GWBlocks((0.25, 0.75, delta, delta, delta), PartyLayout((2,) * 5))
+    split = gw_one_to_rest_concurrence_sq(blocks, Partition.singletons(5), 0)
+    assert split.pair_sq == (0.75, delta, delta, delta)
+    assert split.pair_sum_sq == 0.75
+    assert math.fsum(split.pair_sq) > 0.75
 
 
 def test_one_to_rest_additivity_random(rng):

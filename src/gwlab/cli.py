@@ -33,22 +33,19 @@ from .inequalities import (
     Applicability,
     InequalityReport,
     TighterParams,
-    _merged_block_upper_bound,
+    _block_weights,
+    _csv_num,
+    _merged_cut_bound,
     _power_relation,
     _reoa_triangle,
     _tightened,
-    _upper_bound_bipartition,
     at_orders,
     h_coefficient,
     report_to_csv_row,
     report_to_json_line,
     run_mixture_suite,
 )
-from .measures import (
-    _as_order,
-    gw_one_to_rest_concurrence_sq,
-    gw_pairwise_concurrence,
-)
+from .measures import _as_order, _pair_table
 from .roof import oracle_reports
 from .states import GWBlocks, GWSpec, gw_spec_from_json
 from .tensor import Partition
@@ -60,7 +57,9 @@ from .inequalities import (  # noqa: F401
     check_polygamy, check_polygamy_power, check_reoa_triangle, check_tighter_multi,
     check_tighter_three, check_upper_bound_bipartition,
 )
-from .measures import f_alpha  # noqa: F401
+from .measures import (  # noqa: F401
+    f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence,
+)
 from .roof import verify_c_equals_ca, verify_e_alpha_formula  # noqa: F401
 from .states import reduce_to_parties, superpose_with_vacuum  # noqa: F401
 
@@ -89,10 +88,6 @@ MAX_GRID_ORDERS = 10**5
 #: Most roof targets (block pairs plus orders) an oracle job may ask for; a
 #: target holds about 4 KB, and a larger job is refused before any is built.
 MAX_ORACLE_TARGETS = 10**5
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 def alpha_grid(
@@ -201,29 +196,26 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     grid = alpha_grid(*DEFAULT_ALPHA_GRID)
     if fig_id == 1:
         # lower is the monogamy bound, upper the polygamy one, on E(0|12)
-        rho, singles = psi.restricted({0, 1, 2}), Partition.singletons(3)
+        t, singles = _block_weights(psi, [{0}, {1}, {2}])
         reports = at_orders(grid, [
-            _power_relation("monogamy_sq", "ge", rho, singles, 0, 2.0),
-            _power_relation("polygamy", "le", rho, singles, 0, 1.0),
+            _power_relation("monogamy_sq", "ge", t, singles, 0, 2.0),
+            _power_relation("polygamy", "le", t, singles, 0, 1.0),
         ])
         rows = [
-            (_fmt(a), _fmt(math.sqrt(sq.rhs)), _fmt(poly.lhs), _fmt(poly.rhs))
+            tuple(map(_csv_num, (a, math.sqrt(sq.rhs), poly.lhs, poly.rhs)))
             for a, sq, poly in zip(grid, reports[::2], reports[1::2])
         ]
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
-        block_p, block_q, block_r = featured.figure2_blocks()
-        bound = _merged_block_upper_bound(psi, block_p, block_q, [block_r])
+        blocks = featured.figure2_blocks()
+        bound = _merged_cut_bound("merged_block_upper_bound", psi, blocks, True)
         rows = [
-            (_fmt(a), _fmt(report.lhs), _fmt(report.rhs))
+            tuple(map(_csv_num, (a, report.lhs, report.rhs)))
             for a, report in zip(grid, at_orders(grid, [bound]))
         ]
         lines = _csv_lines(("alpha", "lhs", "upper_bound"), rows)
     else:
-        c12 = gw_pairwise_concurrence(psi, {0}, {1}).value
-        c13 = gw_pairwise_concurrence(psi, {0}, {2}).value
-        split = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
-        exact_c = math.sqrt(split.pair_sum_sq)
+        exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
         rows = []
         b = 0.0
         idx = 0
@@ -232,7 +224,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
             exact = exact_c**b
             bound_k1 = c12**b + h_coefficient(1.0, t) * c13**b
             bound_k2 = c12**b + h_coefficient(2.0, t) * c13**b
-            rows.append((_fmt(b), _fmt(exact), _fmt(bound_k1), _fmt(bound_k2)))
+            rows.append(tuple(map(_csv_num, (b, exact, bound_k1, bound_k2))))
             idx += 1
             b = idx * 0.02
         lines = _csv_lines(("b_pow", "exact", "bound_k1", "bound_k2"), rows)
@@ -245,6 +237,7 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec, psi, partition = _load_blocks(args)
+    t, partition = _block_weights(psi, partition.blocks)
     blocks = list(partition.blocks)
 
     alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
@@ -256,25 +249,25 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     # at_orders then makes each C^2 vector's f_alpha table once for the grid
     power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
     checks = [
-        _power_relation("monogamy_sq", "ge", psi, partition, 0, 2.0),
-        _power_relation("polygamy", "le", psi, partition, 0, 1.0),
-        _power_relation(*power, psi, partition, 0, args.mu),
+        _power_relation("monogamy_sq", "ge", t, partition, 0, 2.0),
+        _power_relation("polygamy", "le", t, partition, 0, 1.0),
+        _power_relation(*power, t, partition, 0, args.mu),
     ]
     if len(blocks) >= 3:
-        p, q, rest = blocks[0], blocks[1], blocks[2:]
+        t3, first_three = _block_weights(psi, blocks[:3])
         checks += [
-            _reoa_triangle(psi, Partition.of(blocks[:3])),
-            _merged_block_upper_bound(psi, p, q, rest),
-            _upper_bound_bipartition(psi, p, q, rest),
+            _reoa_triangle(t3, first_three),
+            _merged_cut_bound("merged_block_upper_bound", psi, blocks, True),
+            _merged_cut_bound("pair_block_upper_bound", psi, blocks, False),
         ]
-    checks.append(_monogamy_cap(psi, partition))
+    d_alice = math.prod(psi.layout.dims[p] for p in blocks[0])
+    checks.append(_monogamy_cap(t, partition, d_alice))
     checks.append(_trace_bound_renyi(psi, (blocks[0], set().union(*blocks[1:]))))
     if tighter is not None and len(blocks) >= 3:
-        first_three = Partition.of(blocks[:3])
         for kind in ("concurrence", "cren", "renyi"):
-            checks.append(_tightened(psi, first_three, 2, tighter, kind, three=True))
+            checks.append(_tightened(t3, first_three, 2, tighter, kind, three=True))
         if len(blocks) >= 4:
-            checks.append(_tightened(psi, partition, 1, tighter, "concurrence"))
+            checks.append(_tightened(t, partition, 1, tighter, "concurrence"))
     reports = at_orders(grid, checks)
     if spec.vacuum_weight > 0.0:
         reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
@@ -345,8 +338,8 @@ def cmd_gamebounds(
                 (
                     str(int(n)),
                     str(int(d)),
-                    _fmt(result.new_bound),
-                    _fmt(result.reference_bound),
+                    _csv_num(result.new_bound),
+                    _csv_num(result.reference_bound),
                     str(result.tighter).lower(),
                     str(LOG_BASE),
                 )

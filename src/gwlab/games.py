@@ -26,19 +26,14 @@ from .inequalities import (
     _applicable,
     _fold,
 )
-from .measures import (
-    FindingError,
-    OrderLike,
-    _as_order,
-    _renyi,
-    cut_spectrum,
-    gw_one_to_rest_concurrence_sq,
-)
+from .measures import FindingError, OrderLike, _as_order, _lam_lo, _pair_table, _renyi
 from .states import GWBlocks
 from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import f_alpha, gw_pairwise_concurrence, renyi_entropy  # noqa: F401
+from .measures import (  # noqa: F401
+    f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence, renyi_entropy,
+)
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -117,26 +112,28 @@ def check_trace_bound_renyi(
 ) -> InequalityReport:
     """Distance to the aligned product state is at most 2 sqrt(2 E_alpha).
 
-    The distance is 2 sqrt(1 - lambda_0), taken as the weight of the Schmidt
-    coefficients below the largest so that no cancellation enters."""
+    The state must be pure, and its cut has Schmidt rank two.  The distance
+    is 2 sqrt(1 - lambda_0), taken as the smaller Schmidt coefficient of the
+    cut's C^2 so that no cancellation enters, and E_alpha = f_alpha(C^2)."""
     return _trace_bound_renyi(GWBlocks.from_state(psi), bipartition).at(order)
 
 
 def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
+    if not psi.pure:
+        raise ValueError("the trace bound needs a pure state")
     if bipartition is None:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
-    spectrum = cut_spectrum(psi, bipartition)
-    lam0 = float(spectrum.coefficients[0])
-    tail = float(spectrum.coefficients[1:].sum())
+    c2 = min(_pair_table(psi.merged(Partition.of(bipartition)).weights, 0)[0], 1.0)
+    tail = float(_lam_lo(c2))
+    lam0 = 1.0 - tail
     lhs = 2.0 * math.sqrt(tail)
-    c2 = (4.0 * tail * (1.0 - tail),)  # Schmidt rank two: E_alpha = f_alpha(C^2)
 
     def evaluate(f, params):
         rhs = 2.0 * math.sqrt(2.0 * f[0])
         params["lambda0"] = lam0
         return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
 
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, c2, evaluate)
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, (c2,), evaluate)
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
@@ -201,14 +198,14 @@ def check_monogamy_cap(
 ) -> InequalityReport:
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
-    return _monogamy_cap(GWBlocks.from_state(state), partition).at(order)
+    merged = GWBlocks.from_state(state).merged(partition)
+    return _monogamy_cap(merged.weights, partition, merged.layout.dims[0]).at(order)
 
 
-def _monogamy_cap(state: GWBlocks, partition: Partition) -> Prepared:
-    partition.require_complete(state.layout)
-    d_alice = math.prod(state.layout.dims[p] for p in sorted(partition.blocks[0]))
-    split = gw_one_to_rest_concurrence_sq(state, partition, 0)
-    c2s = (split.pair_sum_sq, *split.pair_sq)
+def _monogamy_cap(t: tuple, partition: Partition, d_alice: int) -> Prepared:
+    """The cap on the blocks' weights ``t``; ``d_alice`` is the first block's
+    dimension."""
+    c2s = _pair_table(t, 0)
     cap = math.log2(d_alice) ** 2
 
     def evaluate(f, params):

@@ -4,17 +4,20 @@ Every checker evaluates one inequality on the block weights of a GW-family
 state and returns an :class:`InequalityReport`: its :class:`Prepared` form,
 which holds the order-free work, evaluated by :func:`at_orders` over an
 order grid.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
-state and turns the latter into block weights at entry, through
-:meth:`GWBlocks.from_state`; the preparers take block weights only.
-Applicability (order windows and side conditions) is a first-class result
-state rather than an error, so grid sweeps produce complete report streams;
-genuine violations on applicable instances surface as ``satisfied=False``
-and are never swallowed.
+state and takes the weights t_B of its blocks once, at entry, through
+:func:`_block_weights` (:meth:`GWBlocks.from_state`, then
+:meth:`GWBlocks.merged` on the reduction to the parties the blocks cover);
+the preparers take those weights and the renumbered blocks.  Applicability
+(order windows and side conditions) is a first-class result state rather
+than an error, so grid sweeps produce complete report streams; genuine
+violations on applicable instances surface as ``satisfied=False`` and are
+never swallowed.
 
 Most checkers are one relation, M(x_0)^mu against sum_g c_g sum_{k in g}
-M(x_k)^mu, on squared concurrences x = 4 t_A t_B from the one-to-rest pair
-tables and M = f_alpha: :func:`_fold` evaluates it, :func:`_relation` makes
-a checker of it, and the README lists each checker's x_0, groups and mu.
+M(x_k)^mu, on squared concurrences x = 4 t_A t_B and M = f_alpha.  Every x,
+a cut's included, comes from one pair table, ``measures._pair_table``.
+:func:`_fold` evaluates the relation, :func:`_relation` makes a checker of
+it, and the README lists each checker's x_0, groups and mu.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -33,14 +36,15 @@ from .measures import (
     RenyiOrder,
     _as_order,
     _f_alpha_grid,
-    cut_spectrum,
-    gw_one_to_rest_concurrence_sq,
+    _pair_table,
 )
 from .states import GWBlocks, GWSpec
 from .tensor import Partition, State
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
-from .measures import f_alpha, gw_pairwise_concurrence, renyi_entropy  # noqa: F401
+from .measures import (  # noqa: F401
+    f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence, renyi_entropy,
+)
 from .states import mix_with_vacuum, purify_mixture  # noqa: F401
 from .tensor import partial_trace, schmidt_spectrum  # noqa: F401
 
@@ -231,22 +235,24 @@ def h_coefficient(k: float, t: float) -> float:
     return ((1.0 + k) ** t - 1.0) / k**t
 
 
-def _restrict_to_blocks(
-    state: GWBlocks, blocks: Iterable[Iterable[int]]
-) -> tuple[GWBlocks, Partition]:
-    """Reduce to the union of the blocks and reindex them on the reduction.
+def _block_weights(
+    state: State | GWBlocks, blocks: Iterable[Iterable[int]]
+) -> tuple[tuple[float, ...], Partition]:
+    """The weights t_B of the blocks and the blocks as a partition, renumbered
+    on the reduction to the parties they cover.
 
     Checkers accept block families that cover only part of the state; the
     quantities they test live on the reduction to the covered parties.
     """
+    state = GWBlocks.from_state(state)
     blocks = [frozenset(int(p) for p in b) for b in blocks]
     union = sorted(frozenset().union(*blocks))
-    n = state.layout.n_parties
-    if union == list(range(n)):
-        return state, Partition.of(blocks)
-    reduced = state.restricted(union)
-    remap = {p: i for i, p in enumerate(union)}
-    return reduced, Partition.of([{remap[p] for p in b} for b in blocks])
+    if union != list(range(state.layout.n_parties)):
+        state = state.restricted(union)
+        remap = {p: i for i, p in enumerate(union)}
+        blocks = [{remap[p] for p in b} for b in blocks]
+    partition = Partition.of(blocks)
+    return state.merged(partition).weights, partition
 
 
 def _partition_params(partition: Partition, s: int) -> dict:
@@ -284,14 +290,12 @@ def _relation(
 
 
 def _power_relation(
-    name: str, direction: str, state: GWBlocks, partition: Partition, s: int, mu
+    name: str, direction: str, t: tuple, partition: Partition, s: int, mu
 ) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
     blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
-    state, partition = _restrict_to_blocks(state, partition.blocks)
     params = {"mu": mu, **_partition_params(partition, s)}
-    split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    return _relation(name, direction, params, (split.pair_sum_sq, *split.pair_sq), mu)
+    return _relation(name, direction, params, _pair_table(t, s), mu)
 
 
 def check_monogamy_sq(
@@ -302,8 +306,8 @@ def check_monogamy_sq(
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    state = GWBlocks.from_state(state)
-    return _power_relation("monogamy_sq", "ge", state, partition, s, 2.0).at(order)
+    t, partition = _block_weights(state, partition.blocks)
+    return _power_relation("monogamy_sq", "ge", t, partition, s, 2.0).at(order)
 
 
 def check_monogamy_power(
@@ -317,8 +321,8 @@ def check_monogamy_power(
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 2.0):
         raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
-    state = GWBlocks.from_state(state)
-    return _power_relation("monogamy_power", "ge", state, partition, s, mu).at(order)
+    t, partition = _block_weights(state, partition.blocks)
+    return _power_relation("monogamy_power", "ge", t, partition, s, mu).at(order)
 
 
 def check_polygamy(
@@ -328,8 +332,8 @@ def check_polygamy(
     order: OrderLike,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    state = GWBlocks.from_state(state)
-    return _power_relation("polygamy", "le", state, partition, s, 1.0).at(order)
+    t, partition = _block_weights(state, partition.blocks)
+    return _power_relation("polygamy", "le", t, partition, s, 1.0).at(order)
 
 
 def check_polygamy_power(
@@ -343,18 +347,28 @@ def check_polygamy_power(
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    state = GWBlocks.from_state(state)
-    return _power_relation("polygamy_power", "le", state, partition, s, mu).at(order)
+    t, partition = _block_weights(state, partition.blocks)
+    return _power_relation("polygamy_power", "le", t, partition, s, mu).at(order)
 
 
 def _merged_cut_bound(
-    name: str, state: GWBlocks, partition: Partition, cut_c2: float
+    name: str, state: State | GWBlocks, blocks: Iterable[Iterable[int]], pure: bool
 ) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
-    the blocks (P, Q, R...) of ``partition``, given the cut's ``cut_c2``: the
-    pairs are P's one-to-rest table and Q's without its first (QP) entry."""
-    p_c2 = gw_one_to_rest_concurrence_sq(state, partition, 0).pair_sq
-    q_c2 = gw_one_to_rest_concurrence_sq(state, partition, 1).pair_sq[1:]
+    the blocks (P, Q, R...): the pairs are P's pair table and Q's without its
+    QP entry, and the cut's C^2 is the table of the merged block PQ, whose
+    weight sums the parties of P and Q, on the same reduction.  ``pure`` asks
+    for a pure state that the blocks cover."""
+    state = GWBlocks.from_state(state)
+    p, q, *rest = given = Partition.of(blocks).blocks
+    if not rest:
+        raise ValueError("need at least one rest block")
+    t, partition = _block_weights(state, given)
+    if pure and not (state.pure and len(partition.parties()) == state.layout.n_parties):
+        raise ValueError(f"{name} needs a pure state that its blocks cover")
+    # the merged block on the parties' own numbers, never the renumbered ones
+    cut_c2 = _pair_table(_block_weights(state, [p | q, *rest])[0], 0)[0]
+    p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
     params = {"blocks": [sorted(b) for b in partition.blocks]}
     return _relation(name, "le", params, (cut_c2, *p_c2, *q_c2), 1.0, groups)
@@ -370,22 +384,11 @@ def check_merged_block_upper_bound(
     """Entanglement across the merged PQ cut of a pure state is bounded by
     twice the PQ term plus all pairwise P/Q-to-rest terms.
 
-    The cut's C^2 comes from its Schmidt spectrum, which has rank at most
-    two on this family."""
-    psi = GWBlocks.from_state(psi)
-    return _merged_block_upper_bound(psi, block_p, block_q, rest_blocks).at(order)
-
-
-def _merged_block_upper_bound(psi: GWBlocks, block_p, block_q, rest_blocks) -> Prepared:
-    partition = Partition.of([block_p, block_q, *rest_blocks])
-    block_p, block_q, *rest = partition.blocks
-    if not rest:
-        raise ValueError("need at least one rest block")
-    partition.require_complete(psi.layout)
-    # raises unless psi is pure, the only case the bound is stated for
-    spectrum = cut_spectrum(psi, (block_p | block_q, frozenset().union(*rest)))
-    cut_c2 = max(0.0, 2.0 * (1.0 - float((spectrum.coefficients**2).sum())))
-    return _merged_cut_bound("merged_block_upper_bound", psi, partition, cut_c2)
+    The blocks must cover the state.  The cut's C^2 = 4 t_PQ t_R is the
+    merged block's pair table, as in :func:`check_upper_bound_bipartition`;
+    a state that is not pure is refused."""
+    blocks = [block_p, block_q, *rest_blocks]
+    return _merged_cut_bound("merged_block_upper_bound", psi, blocks, True).at(order)
 
 
 def check_reoa_triangle(
@@ -400,19 +403,14 @@ def check_reoa_triangle(
     cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
     roof, only a lower bound on the assisted value.
     """
-    return _reoa_triangle(GWBlocks.from_state(state), partition).at(order)
+    return _reoa_triangle(*_block_weights(state, partition.blocks)).at(order)
 
 
-def _reoa_triangle(state: GWBlocks, partition: Partition) -> Prepared:
+def _reoa_triangle(t: tuple, partition: Partition) -> Prepared:
     if partition.n_blocks != 3:
         raise ValueError("triangle bound needs exactly three blocks")
-    state, partition = _restrict_to_blocks(state, partition.blocks)
-    c2s = tuple(
-        gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq
-        for s in range(3)
-    )
-    params = _partition_params(partition, 0)
-    return _relation("reoa_triangle", "le", params, c2s)
+    c2s = tuple(_pair_table(t, s)[0] for s in range(3))
+    return _relation("reoa_triangle", "le", _partition_params(partition, 0), c2s)
 
 
 def check_upper_bound_bipartition(
@@ -424,19 +422,8 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
-    state = GWBlocks.from_state(state)
-    return _upper_bound_bipartition(state, block_p1, block_p2, q_blocks).at(order)
-
-
-def _upper_bound_bipartition(state: GWBlocks, block_p1, block_p2, q_blocks) -> Prepared:
-    qs = [frozenset(b) for b in q_blocks]
-    if not qs:
-        raise ValueError("need at least one Q block")
-    state, partition = _restrict_to_blocks(state, [block_p1, block_p2, *qs])
-    p1, p2, *qs = partition.blocks
-    merged = Partition.of([p1 | p2, *qs])
-    cut_c2 = gw_one_to_rest_concurrence_sq(state, merged, 0).pair_sum_sq
-    return _merged_cut_bound("pair_block_upper_bound", state, partition, cut_c2)
+    blocks = [block_p1, block_p2, *q_blocks]
+    return _merged_cut_bound("pair_block_upper_bound", state, blocks, False).at(order)
 
 
 @dataclass(frozen=True)
@@ -479,7 +466,7 @@ _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
 def _tightened(
-    state: GWBlocks, partition, split_index, params: TighterParams, measure_kind,
+    t: tuple, partition: Partition, split_index, params: TighterParams, measure_kind,
     three=False,
 ) -> Prepared:
     """The multi-block tightened bound; ``three`` names it the three-block one
@@ -498,7 +485,6 @@ def _tightened(
     if measure_kind not in _TIGHTER_KINDS:
         raise ValueError(f"measure_kind must be one of {_TIGHTER_KINDS}")
     name = f"tighter_{'three' if three else 'multi'}_{measure_kind}"
-    state, partition = _restrict_to_blocks(state, partition.blocks)
     h = params.h
     report_params = {
         "measure": measure_kind,
@@ -510,11 +496,12 @@ def _tightened(
         **({} if three else {"split_index": n}),
     }
     # by 1-based block numbers, c2s[i - 1] is C^2(P1, P_i), c_pair[i] is
-    # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity
-    split = gw_one_to_rest_concurrence_sq(state, partition, 0)
-    c2s = (split.pair_sum_sq, *split.pair_sq)
+    # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity,
+    # one running sum from the right
+    c2s = _pair_table(t, 0)
     c_pair = [None, None] + [math.sqrt(x) for x in c2s[1:]]
-    c_suffix = [None, None] + [math.sqrt(reduce(add, c2s[i:], 0.0)) for i in range(1, m)]
+    suffix = list(accumulate(reversed(c2s[1:]), add))
+    c_suffix = [None, None] + [math.sqrt(x) for x in reversed(suffix)]
 
     c, k, b = params.c_pow, params.k, params.b_pow
     conditions = [
@@ -565,8 +552,8 @@ def check_tighter_three(
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
-    state = GWBlocks.from_state(state)
-    check = _tightened(state, partition, 2, params, measure_kind, three=True)
+    t, partition = _block_weights(state, partition.blocks)
+    check = _tightened(t, partition, 2, params, measure_kind, three=True)
     return _tighter_report(check, measure_kind, order)
 
 
@@ -585,8 +572,8 @@ def check_tighter_multi(
     weights h^(i-2); the second chain (pairs split_index+1..m-1 dominating k
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
-    state = GWBlocks.from_state(state)
-    check = _tightened(state, partition, split_index, params, measure_kind)
+    t, partition = _block_weights(state, partition.blocks)
+    check = _tightened(t, partition, split_index, params, measure_kind)
     return _tighter_report(check, measure_kind, order)
 
 
@@ -604,13 +591,14 @@ def run_mixture_suite(
     """
     if tighter is None:
         tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    first_three = Partition.of([{0}, {1}, {2}])
     checks = []
     for state in (GWBlocks.purification(spec), GWBlocks.of(spec, pure=False)):
         singles = Partition.singletons(state.layout.n_parties)
+        t, singles = _block_weights(state, singles.blocks)
+        t3, first_three = _block_weights(state, [{0}, {1}, {2}])
         checks += [
-            _power_relation("monogamy_sq", "ge", state, singles, 0, 2.0),
-            _tightened(state, first_three, 2, tighter, "concurrence", three=True),
+            _power_relation("monogamy_sq", "ge", t, singles, 0, 2.0),
+            _tightened(t3, first_three, 2, tighter, "concurrence", three=True),
         ]
     reports = at_orders([order], checks)
     for stage, report in zip(["purified"] * 2 + ["mixture"] * 2, reports):

@@ -347,21 +347,26 @@ class ConcurrenceSplit(NamedTuple):
     pair_sq: tuple[float, ...]
 
 
+def _pair_table(t: Sequence[float], s: int) -> tuple:
+    """``(C^2(s|rest), C^2(s, k)...)`` of the block weights ``t``: the pair
+    table ``(4 t_s) t_k`` over the other blocks k, after its sum added left
+    to right.  Every checker reads its squared concurrences from here."""
+    if not 0 <= s < len(t):
+        raise IndexError(f"block index {s} out of range")
+    if len(t) < 2:
+        raise ValueError("partition needs at least two blocks")
+    scale = 4.0 * t[s]
+    pair_sq = tuple(scale * x for x in t[:s] + t[s + 1 :])
+    return (reduce(add, pair_sq, 0.0), *pair_sq)
+
+
 def gw_one_to_rest_concurrence_sq(
     state: State | GWBlocks, partition: Partition, s: int
 ) -> ConcurrenceSplit:
     """C^2 = 4 t_S t_R of block s against the rest R, as the sum of the pair
     table 4 t_S t_K over the other blocks K, added left to right."""
-    state = GWBlocks.from_state(state)
-    partition.require_complete(state.layout)
-    if not 0 <= s < partition.n_blocks:
-        raise IndexError(f"block index {s} out of range")
-    if partition.n_blocks < 2:
-        raise ValueError("partition needs at least two blocks")
-    weights = [state.block_weight(block) for block in partition.blocks]
-    scale = 4.0 * weights[s]
-    pair_sq = tuple(scale * x for x in weights[:s] + weights[s + 1 :])
-    return ConcurrenceSplit(reduce(add, pair_sq, 0.0), pair_sq)
+    c2s = _pair_table(GWBlocks.from_state(state).merged(partition).weights, s)
+    return ConcurrenceSplit(c2s[0], c2s[1:])
 
 
 def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:

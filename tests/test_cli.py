@@ -288,8 +288,8 @@ def test_verify_non_finite_tightened_flags_exit_two(spec_file, tmp_path, capsys,
 
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     # verify runs on block weights, so neither grid compresses any local
-    # support, and the order-free closed forms (block weights and the
-    # one-to-rest pair tables) run once per job, whatever its number of orders
+    # support, and the order-free work (merging parties into block weights)
+    # runs once per job, whatever its number of orders
     calls = {}
 
     def counting(name, fn):
@@ -303,15 +303,13 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(
         gwlab.measures, "compress_local_support", counting("compress", compress)
     )
-    tables = counting("tables", gwlab.measures.gw_one_to_rest_concurrence_sq)
-    for module in (gwlab.measures, gwlab.inequalities, gwlab.games, gwlab.cli):
-        monkeypatch.setattr(module, "gw_one_to_rest_concurrence_sq", tables)
+    monkeypatch.setattr(GWBlocks, "merged", counting("merged", GWBlocks.merged))
     weight = counting("block_weight", GWBlocks.block_weight)
     monkeypatch.setattr(GWBlocks, "block_weight", weight)
     spec = gw_spec_to_json(GWSpec.qubit([0.5, 0.5, 0.5, 0.5], vacuum_weight=0.2))
     counts = []
     for grid in ("1.1:1.1:1", "0.83:1.30:0.05"):
-        calls.update(compress=0, tables=0, block_weight=0)
+        calls.update(compress=0, merged=0, block_weight=0)
         args = ["verify", "--spec", spec, "--alpha", grid, "--c-pow", "2"]
         args += ["--b-pow", "1", "--k", "2", "--out", str(tmp_path / "r.jsonl")]
         assert main(args) == 0
@@ -319,7 +317,7 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
     assert counts[0] == counts[1]
     assert counts[0]["compress"] == 0
-    assert counts[0]["tables"] > 0 and counts[0]["block_weight"] > 0
+    assert counts[0]["merged"] > 0 and counts[0]["block_weight"] > 0
 
 
 def test_verify_order_blocks_change_no_bit(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Every top-level import in ``src/gwlab`` has a reader, only
-``states.py`` tells block weights from dense states, and no module calls
-the builtin ``sum``.
+``states.py`` tells block weights from dense states, no module calls the
+builtin ``sum``, and the checkers read every squared concurrence from
+``measures._pair_table``.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -102,3 +103,24 @@ def test_no_builtin_sum():
         and node.func.id == "sum"
     ]
     assert found == [], f"builtin sum called at {found}"
+
+
+#: Public closed forms that give a squared concurrence without the checkers'
+#: pair table: a second formula, or a round trip through a Schmidt spectrum.
+OTHER_C2_SOURCES = ("cut_spectrum", "gw_one_to_rest_concurrence_sq",
+                    "gw_pairwise_concurrence")
+
+
+def test_checkers_read_c2_from_the_pair_table():
+    # every checker C^2 is (4 t_s) t_k of block weights, from one function
+    checkers = [p for p in SOURCES if p.stem in ("inequalities", "games", "cli")]
+    assert len(checkers) == 3
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in checkers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in OTHER_C2_SOURCES
+    ]
+    assert found == [], f"C^2 taken past measures._pair_table at {found}"

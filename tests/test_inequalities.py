@@ -23,7 +23,6 @@ from gwlab import (
     check_tighter_multi,
     check_tighter_three,
     check_upper_bound_bipartition,
-    cut_spectrum,
     f_alpha,
     h_coefficient,
     renyi_entropy,
@@ -361,34 +360,46 @@ def _c2(t, a, b):
 
 
 def test_merged_and_pair_block_bounds_fold_bit_for_bit(rng):
-    # rhs = 2 f(PQ) + sum_R f(PR) + sum_R f(QR), each sum left to right
+    # rhs = 2 f(PQ) + sum_R f(PR) + sum_R f(QR), each sum left to right, and
+    # lhs = f(sum_R 4 t_PQ t_R) with t_PQ summed over the parties of P and Q
     def pair_rhs(t, f):  # t: the block weights of P, Q, R1, R2, ...
         rest = range(2, len(t))
         return (2.0 * f(_c2(t, 0, 1)) + _left_sum(f(_c2(t, 0, r)) for r in rest)
                 + _left_sum(f(_c2(t, 1, r)) for r in rest))
 
-    for _ in range(20):
-        spec = random_gw_spec(rng, n_min=6, n_max=9)
-        psi = GWBlocks.of(spec)
-        order = float(rng.uniform(0.83, 1.3))
-        n_blocks = int(rng.integers(5, spec.n + 1))
-        blocks = random_complete_partition(rng, spec.n, n_blocks).blocks
+    def cut_c2(weights, blocks):
+        t = [math.fsum(weights[p] for p in blocks[0] | blocks[1])]
+        t += [math.fsum(weights[p] for p in b) for b in blocks[2:]]
+        return _left_sum(_c2(t, 0, r) for r in range(1, len(t)))
+
+    def cases():
+        # P = {0, 1}: here the fsum over P and Q is one ulp below t_P + t_Q
+        weights = (0.21584984358706985, 0.17413972888425444, 0.22940563086548488,
+                   0.14389989572471326, 0.2367049009384776)
+        yield GWBlocks(weights, PartyLayout((2,) * 5)), [{0, 1}, {2}, {3}, {4}], 1.1
+        for _ in range(20):
+            spec = random_gw_spec(rng, n_min=6, n_max=9)
+            n_blocks = int(rng.integers(5, spec.n + 1))
+            blocks = random_complete_partition(rng, spec.n, n_blocks).blocks
+            yield GWBlocks.of(spec), blocks, float(rng.uniform(0.83, 1.3))
+
+    for psi, blocks, order in cases():
+        blocks = [frozenset(b) for b in blocks]
 
         def f(x):
             return f_alpha(x, order)
 
         t = [math.fsum(psi.weights[p] for p in b) for b in blocks]
         report = check_merged_block_upper_bound(psi, *blocks[:2], blocks[2:], order)
-        cut_blocks = (blocks[0] | blocks[1], frozenset().union(*blocks[2:]))
-        spectrum = cut_spectrum(psi, cut_blocks)
-        cut = max(0.0, 2.0 * (1.0 - float((spectrum.coefficients**2).sum())))
+        cut = cut_c2(psi.weights, blocks)
         assert report.applicability == Applicability.APPLICABLE
         assert (report.lhs, report.rhs) == (f(cut), pair_rhs(t, f))
 
-        # without the last block the pair-block bound runs on a reduction
+        # without the last block the pair-block bound runs on a reduction,
+        # whose parties keep their weights
         t = t[:-1]
         report = check_upper_bound_bipartition(psi, *blocks[:2], blocks[2:-1], order)
-        cut = _left_sum(4.0 * (t[0] + t[1]) * t[r] for r in range(2, len(t)))
+        cut = cut_c2(psi.weights, blocks[:-1])
         assert report.applicability == Applicability.APPLICABLE
         assert (report.lhs, report.rhs) == (f(cut), pair_rhs(t, f))
 

@@ -196,7 +196,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     grid = alpha_grid(*DEFAULT_ALPHA_GRID)
     if fig_id == 1:
         # lower is the monogamy bound, upper the polygamy one, on E(0|12)
-        t, singles = _block_weights(psi, [{0}, {1}, {2}])
+        t, singles = _block_weights(psi, Partition.singletons(3))
         reports = at_orders(grid, [
             _power_relation("monogamy_sq", "ge", t, singles, 0, 2.0),
             _power_relation("polygamy", "le", t, singles, 0, 1.0),
@@ -207,7 +207,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         ]
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
-        blocks = featured.figure2_blocks()
+        blocks = Partition.of(featured.figure2_blocks())
         bound = _merged_cut_bound("merged_block_upper_bound", psi, blocks, True)
         rows = [
             tuple(map(_csv_num, (a, report.lhs, report.rhs)))
@@ -217,16 +217,12 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     else:
         exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
         rows = []
-        b = 0.0
-        idx = 0
-        while b <= 2.0 + 1e-12:
+        for b in (i * 0.02 for i in range(101)):
             t = b / 2.0
             exact = exact_c**b
             bound_k1 = c12**b + h_coefficient(1.0, t) * c13**b
             bound_k2 = c12**b + h_coefficient(2.0, t) * c13**b
             rows.append(tuple(map(_csv_num, (b, exact, bound_k1, bound_k2))))
-            idx += 1
-            b = idx * 0.02
         lines = _csv_lines(("b_pow", "exact", "bound_k1", "bound_k2"), rows)
     _write_lines(lines, out)
     return lines
@@ -237,8 +233,8 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec, psi, partition = _load_blocks(args)
-    t, partition = _block_weights(psi, partition.blocks)
-    blocks = list(partition.blocks)
+    t, partition = _block_weights(psi, partition)
+    blocks = partition.blocks
 
     alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
     grid = alpha_grid(*alpha, exclude_one=not args.include_one)
@@ -254,11 +250,11 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
         _power_relation(*power, t, partition, 0, args.mu),
     ]
     if len(blocks) >= 3:
-        t3, first_three = _block_weights(psi, blocks[:3])
+        t3, first_three = _block_weights(psi, Partition(blocks[:3]))
         checks += [
             _reoa_triangle(t3, first_three),
-            _merged_cut_bound("merged_block_upper_bound", psi, blocks, True),
-            _merged_cut_bound("pair_block_upper_bound", psi, blocks, False),
+            _merged_cut_bound("merged_block_upper_bound", psi, partition, True),
+            _merged_cut_bound("pair_block_upper_bound", psi, partition, False),
         ]
     d_alice = math.prod(psi.layout.dims[p] for p in blocks[0])
     checks.append(_monogamy_cap(t, partition, d_alice))

@@ -123,7 +123,7 @@ def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
         raise ValueError("the trace bound needs a pure state")
     if bipartition is None:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
-    c2 = min(_pair_table(psi.merged(Partition.of(bipartition)).weights, 0)[0], 1.0)
+    c2 = min(_pair_table(psi.merged(Partition.cut(bipartition)).weights, 0)[0], 1.0)
     tail = float(_lam_lo(c2))
     lam0 = 1.0 - tail
     lhs = 2.0 * math.sqrt(tail)
@@ -222,5 +222,5 @@ def _monogamy_cap(t: tuple, partition: Partition, d_alice: int) -> Prepared:
             params=params,
         )
 
-    params = {"d": d_alice, "partition": [sorted(b) for b in partition.blocks]}
+    params = {"d": d_alice, "partition": partition.sorted_blocks}
     return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate)

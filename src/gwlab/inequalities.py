@@ -72,8 +72,8 @@ __all__ = [
 
 #: Tolerance of every inequality evaluated through scalar closed forms.
 CLOSED_FORM_TOL = 1e-9
-#: Most f_alpha values ``at_orders`` holds per C^2 vector at once: a long
-#: vector takes fewer orders per block, so its table stays near 0.5 MB.
+#: Most f_alpha values ``at_orders`` holds per C^2 vector at once: the
+#: longest vector sets how many orders a block takes, so no table passes 0.5 MB.
 GRID_VALUES = 2**14
 #: Side conditions need at least this margin; borderline cases are reported
 #: as unmet with diagnostics rather than guessed.
@@ -160,29 +160,25 @@ def at_orders(
     grid: Iterable[OrderLike], checks: Sequence[Prepared]
 ) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
-    order.  Each distinct C^2 vector gets its f_alpha values for a block of
-    orders (the whole grid unless it is long) at once, shared by its readers."""
+    order.  Each distinct C^2 vector is found once, in a slot shared by its
+    readers, and gets one f_alpha table per block of orders: the whole grid
+    unless the longest vector makes ``GRID_VALUES`` too few for it."""
     orders = [_as_order(a) for a in grid]
     alphas = [order.alpha for order in orders]
-    blocks: dict[tuple, tuple[int, list]] = {}
-
-    def values(row: int, c2s: tuple) -> list:
-        start, rows = blocks.get(c2s, (0, ()))
-        if not start <= row < start + len(rows):
-            stop = row + max(1, GRID_VALUES // len(c2s))
-            start, rows = row, _f_alpha_grid(c2s, alphas[row:stop]).tolist()
-            blocks[c2s] = start, rows
-        return rows[row - start]
-
+    slots: dict[tuple, int] = {}
+    reads = [slots.setdefault(check.c2s, len(slots)) for check in checks]
+    step = max(1, GRID_VALUES // max([1, *map(len, slots)]))
     reports = []
-    for row, order in enumerate(orders):
-        for check in checks:
-            params = {"alpha": order.alpha, **check.params}
-            if check.window(order):
-                f = values(row, check.c2s) if check.c2s else ()
-                reports.append(check.evaluate(f, params))
-            else:
-                reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
+    for start in range(0, len(orders), step):
+        rows = slice(start, start + step)
+        tables = [_f_alpha_grid(c2s, alphas[rows]).tolist() for c2s in slots]
+        for row, order in enumerate(orders[rows]):
+            for check, slot in zip(checks, reads):
+                params = {"alpha": order.alpha, **check.params}
+                if check.window(order):
+                    reports.append(check.evaluate(tables[slot][row], params))
+                else:
+                    reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
     return reports
 
 
@@ -236,30 +232,26 @@ def h_coefficient(k: float, t: float) -> float:
 
 
 def _block_weights(
-    state: State | GWBlocks, blocks: Iterable[Iterable[int]]
+    state: State | GWBlocks, partition: Partition
 ) -> tuple[tuple[float, ...], Partition]:
-    """The weights t_B of the blocks and the blocks as a partition, renumbered
-    on the reduction to the parties they cover.
+    """The weights t_B of the partition's blocks, by one merge, and the
+    partition: the one given when it covers the state, else its blocks
+    renumbered on the reduction to the parties they cover.
 
     Checkers accept block families that cover only part of the state; the
     quantities they test live on the reduction to the covered parties.
     """
     state = GWBlocks.from_state(state)
-    blocks = [frozenset(int(p) for p in b) for b in blocks]
-    union = sorted(frozenset().union(*blocks))
+    union = sorted(partition.parties())
     if union != list(range(state.layout.n_parties)):
         state = state.restricted(union)
         remap = {p: i for i, p in enumerate(union)}
-        blocks = [{remap[p] for p in b} for b in blocks]
-    partition = Partition.of(blocks)
+        partition = Partition.of({remap[p] for p in b} for b in partition.blocks)
     return state.merged(partition).weights, partition
 
 
 def _partition_params(partition: Partition, s: int) -> dict:
-    return {
-        "partition": [sorted(b) for b in partition.blocks],
-        "s": int(s),
-    }
+    return {"partition": partition.sorted_blocks, "s": int(s)}
 
 
 def _fold(m: Sequence[float], mu: float, groups=((1.0, 1, None),)) -> tuple:
@@ -306,7 +298,7 @@ def check_monogamy_sq(
 ) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     return _power_relation("monogamy_sq", "ge", t, partition, s, 2.0).at(order)
 
 
@@ -321,7 +313,7 @@ def check_monogamy_power(
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 2.0):
         raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     return _power_relation("monogamy_power", "ge", t, partition, s, mu).at(order)
 
 
@@ -332,7 +324,7 @@ def check_polygamy(
     order: OrderLike,
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     return _power_relation("polygamy", "le", t, partition, s, 1.0).at(order)
 
 
@@ -347,30 +339,30 @@ def check_polygamy_power(
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     return _power_relation("polygamy_power", "le", t, partition, s, mu).at(order)
 
 
 def _merged_cut_bound(
-    name: str, state: State | GWBlocks, blocks: Iterable[Iterable[int]], pure: bool
+    name: str, state: State | GWBlocks, partition: Partition, pure: bool
 ) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
-    the blocks (P, Q, R...): the pairs are P's pair table and Q's without its
-    QP entry, and the cut's C^2 is the table of the merged block PQ, whose
-    weight sums the parties of P and Q, on the same reduction.  ``pure`` asks
-    for a pure state that the blocks cover."""
+    the blocks (P, Q, R...), merged once: the pairs are P's pair table and
+    Q's without its QP entry, and the cut's C^2 is the pair table of the
+    weights (t_PQ, t_R...), with t_PQ = ``block_weight(P | Q)`` exactly the
+    merged block's weight on any reduction.  ``pure`` asks for a pure state
+    that the blocks cover."""
     state = GWBlocks.from_state(state)
-    p, q, *rest = given = Partition.of(blocks).blocks
+    p, q, *rest = partition.blocks
     if not rest:
         raise ValueError("need at least one rest block")
-    t, partition = _block_weights(state, given)
+    t, partition = _block_weights(state, partition)
     if pure and not (state.pure and len(partition.parties()) == state.layout.n_parties):
         raise ValueError(f"{name} needs a pure state that its blocks cover")
-    # the merged block on the parties' own numbers, never the renumbered ones
-    cut_c2 = _pair_table(_block_weights(state, [p | q, *rest])[0], 0)[0]
+    cut_c2 = _pair_table((state.block_weight(p | q), *t[2:]), 0)[0]
     p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
-    params = {"blocks": [sorted(b) for b in partition.blocks]}
+    params = {"blocks": partition.sorted_blocks}
     return _relation(name, "le", params, (cut_c2, *p_c2, *q_c2), 1.0, groups)
 
 
@@ -387,7 +379,7 @@ def check_merged_block_upper_bound(
     The blocks must cover the state.  The cut's C^2 = 4 t_PQ t_R is the
     merged block's pair table, as in :func:`check_upper_bound_bipartition`;
     a state that is not pure is refused."""
-    blocks = [block_p, block_q, *rest_blocks]
+    blocks = Partition.of([block_p, block_q, *rest_blocks])
     return _merged_cut_bound("merged_block_upper_bound", psi, blocks, True).at(order)
 
 
@@ -403,7 +395,7 @@ def check_reoa_triangle(
     cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
     roof, only a lower bound on the assisted value.
     """
-    return _reoa_triangle(*_block_weights(state, partition.blocks)).at(order)
+    return _reoa_triangle(*_block_weights(state, partition)).at(order)
 
 
 def _reoa_triangle(t: tuple, partition: Partition) -> Prepared:
@@ -422,7 +414,7 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
-    blocks = [block_p1, block_p2, *q_blocks]
+    blocks = Partition.of([block_p1, block_p2, *q_blocks])
     return _merged_cut_bound("pair_block_upper_bound", state, blocks, False).at(order)
 
 
@@ -552,7 +544,7 @@ def check_tighter_three(
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     check = _tightened(t, partition, 2, params, measure_kind, three=True)
     return _tighter_report(check, measure_kind, order)
 
@@ -572,7 +564,7 @@ def check_tighter_multi(
     weights h^(i-2); the second chain (pairs split_index+1..m-1 dominating k
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
-    t, partition = _block_weights(state, partition.blocks)
+    t, partition = _block_weights(state, partition)
     check = _tightened(t, partition, split_index, params, measure_kind)
     return _tighter_report(check, measure_kind, order)
 
@@ -587,20 +579,23 @@ def run_mixture_suite(
     The mixture is verified through its (n+1)-party purification, which is a
     pure family member, and directly on the mixture (itself a valid
     reduction of that purification).  Both stages are block weights, the
-    ones :func:`purify_mixture` and :func:`mix_with_vacuum` build densely.
+    ones :func:`purify_mixture` and :func:`mix_with_vacuum` build densely;
+    their singletons weigh the parties' own weights.  The three-block
+    tightened check runs on a stage of at least three parties.
     """
     if tighter is None:
         tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    checks = []
-    for state in (GWBlocks.purification(spec), GWBlocks.of(spec, pure=False)):
-        singles = Partition.singletons(state.layout.n_parties)
-        t, singles = _block_weights(state, singles.blocks)
-        t3, first_three = _block_weights(state, [{0}, {1}, {2}])
-        checks += [
-            _power_relation("monogamy_sq", "ge", t, singles, 0, 2.0),
-            _tightened(t3, first_three, 2, tighter, "concurrence", three=True),
-        ]
+    checks, stages = [], []
+    for stage, state in (
+        ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
+    ):
+        t, n = state.weights, state.layout.n_parties
+        checks.append(_power_relation("monogamy_sq", "ge", t, Partition.singletons(n), 0, 2.0))
+        if n >= 3:
+            first_three = Partition.singletons(3)
+            checks.append(_tightened(t[:3], first_three, 2, tighter, "concurrence", three=True))
+        stages += [stage] * (len(checks) - len(stages))
     reports = at_orders([order], checks)
-    for stage, report in zip(["purified"] * 2 + ["mixture"] * 2, reports):
+    for stage, report in zip(stages, reports):
         report.params["stage"] = stage
     return reports

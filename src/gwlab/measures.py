@@ -292,10 +292,7 @@ def concurrence_two_qubit(rho: DensityOperator) -> MeasureValue:
 
 def negativity(state: State, bipartition) -> MeasureValue:
     """Trace norm of the partial transpose minus one, clamped at zero."""
-    part = Partition.of(bipartition)
-    if part.n_blocks != 2:
-        raise ValueError("negativity needs a two-block bipartition")
-    two_party = coarse_grain_state(state, part)
+    two_party = coarse_grain_state(state, Partition.cut(bipartition))
     if isinstance(two_party, PureState):
         two_party = two_party.density()
     value = trace_norm(partial_transpose(two_party, 0)) - 1.0
@@ -380,7 +377,7 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
     state = GWBlocks.from_state(state)
     if not state.pure:
         raise ValueError("a Schmidt spectrum needs a pure state")
-    t_a, t_b = state.merged(Partition.of(bipartition)).weights
+    t_a, t_b = state.merged(Partition.cut(bipartition)).weights
     c2 = min(4.0 * t_a * t_b, 1.0)
     minor = _lam_lo(c2)
     return SchmidtSpectrum([1.0 - minor, minor])
@@ -407,8 +404,5 @@ def cren_gw(state: State | GWBlocks, bipartition) -> MeasureValue:
     On this family CREN coincides with the pairwise concurrence, because all
     pure states in the optimal decompositions have Schmidt rank two.
     """
-    blocks = [frozenset(b) for b in bipartition]
-    if len(blocks) != 2:
-        raise ValueError("CREN needs a two-block bipartition")
-    value = gw_pairwise_concurrence(state, *blocks).value
+    value = gw_pairwise_concurrence(state, *Partition.cut(bipartition).blocks).value
     return MeasureValue(value, kind="cren", method="block_weights")

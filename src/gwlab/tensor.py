@@ -19,6 +19,7 @@ import math
 import os
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -266,7 +267,15 @@ class Partition:
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(frozenset(b) for b in blocks))
+        return cls(tuple(blocks))
+
+    @classmethod
+    def cut(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
+        """The partition of a bipartition, refused unless it has two blocks."""
+        partition = cls.of(blocks)
+        if partition.n_blocks != 2:
+            raise ValueError(f"a bipartition needs two blocks, got {partition.n_blocks}")
+        return partition
 
     @classmethod
     def singletons(cls, n_parties: int) -> "Partition":
@@ -276,13 +285,18 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def sorted_blocks(self) -> list[list[int]]:
+        """Each block's parties in ascending order, one list shared by every report."""
+        return [sorted(b) for b in self.blocks]
+
     def parties(self) -> frozenset[int]:
         return frozenset().union(*self.blocks)
 
     def require_complete(self, layout: PartyLayout) -> None:
         if self.parties() != frozenset(range(layout.n_parties)):
             raise ValueError(
-                f"partition {sorted(map(sorted, self.blocks))} does not cover "
+                f"partition {sorted(self.sorted_blocks)} does not cover "
                 f"all {layout.n_parties} parties"
             )
 
@@ -349,25 +363,13 @@ def trace_norm(matrix) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-def _normalized_bipartition(
-    layout: PartyLayout, bipartition: tuple[Iterable[int], Iterable[int]]
-) -> tuple[list[int], list[int]]:
-    side_a = sorted({int(p) for p in bipartition[0]})
-    side_b = sorted({int(p) for p in bipartition[1]})
-    if not side_a or not side_b:
-        raise ValueError("both sides of the bipartition must be nonempty")
-    if set(side_a) & set(side_b):
-        raise ValueError("bipartition blocks overlap")
-    if set(side_a) | set(side_b) != set(range(layout.n_parties)):
-        raise ValueError("bipartition must cover all parties")
-    return side_a, side_b
-
-
 def bipartition_matrix(
     psi: PureState, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> np.ndarray:
     """Amplitude matrix with rows indexing the first block, columns the second."""
-    side_a, side_b = _normalized_bipartition(psi.layout, bipartition)
+    cut = Partition.cut(bipartition)
+    cut.require_complete(psi.layout)
+    side_a, side_b = cut.sorted_blocks
     t = np.transpose(psi.tensor(), side_a + side_b)
     d_a = math.prod(psi.layout.dims[p] for p in side_a)
     return t.reshape(d_a, -1)

@@ -237,6 +237,19 @@ def test_blocks_validation_and_purity():
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {0, 1})
 
 
+def test_cut_of_three_blocks_is_refused():
+    # the trace bound used to read ({0}, {1}, {2}) as the cut {0} | {1, 2},
+    # and cut_spectrum failed on it with "too many values to unpack"
+    blocks = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
+    three = ({0}, {1}, {2})
+    with pytest.raises(ValueError, match="bipartition needs two blocks, got 3"):
+        check_trace_bound_renyi(blocks, 2.0, three)
+    with pytest.raises(ValueError, match="bipartition needs two blocks, got 3"):
+        cut_spectrum(blocks, three)
+    with pytest.raises(ValueError, match="bipartition needs two blocks, got 3"):
+        schmidt_spectrum(build_w_qubit([0.6, 0.64, 0.48]), three)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_from_state_matches_spec_weights(rng, d):
     # one encoding per state: a dense member and the weights built from its

@@ -320,6 +320,41 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     assert counts[0]["merged"] > 0 and counts[0]["block_weight"] > 0
 
 
+def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
+    # the job's partition, its first three blocks and the trace bound's cut
+    # are the only partitions built; one merge takes the job's weights, one
+    # the first three blocks', one each merged-cut bound's and one the cut's.
+    # A preparer that rebuilds the job's partition or merges twice fails this.
+    calls = {"partition": 0, "merged": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    init = counting("partition", gwlab.tensor.Partition.__post_init__)
+    monkeypatch.setattr(gwlab.tensor.Partition, "__post_init__", init)
+    monkeypatch.setattr(GWBlocks, "merged", counting("merged", GWBlocks.merged))
+    spec = gw_spec_to_json(GWSpec.qubit([0.5] * 4))
+    args = ["verify", "--spec", spec, "--partition", "0|1|2,3", "--alpha", "0.83:1.30:0.05"]
+    assert main(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
+    assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
+    assert calls["partition"] <= 3
+    assert calls["merged"] <= 5
+
+
+def test_verify_two_parties_with_vacuum(tmp_path):
+    # the mixture suite ran its three-block check on the two-party mixture
+    # and ended in an IndexError traceback with exit 1
+    spec = '{"n": 2, "d": 2, "amplitudes": [[0.6,0],[0.8,0]], "vacuum_weight": 0.3}'
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--spec", spec, "--alpha", "1.1:1.1:1", "--out", str(out)]) == 0
+    stages = [json.loads(line)["params"].get("stage") for line in out.read_text().splitlines()]
+    assert [s for s in stages if s] == ["purified", "purified", "mixture"]
+
+
 def test_verify_order_blocks_change_no_bit(monkeypatch, tmp_path):
     # a C^2 vector longer than GRID_VALUES / (grid size) is evaluated over
     # blocks of orders; blocks of one, two and three orders give the bytes

@@ -444,6 +444,19 @@ def test_mixture_suite_pure_limit():
     assert mixture.lhs == pytest.approx(purified.lhs, abs=1e-9)
 
 
+def test_mixture_suite_on_two_parties():
+    # the mixture of two parties has no three blocks, so only its
+    # three-party purification gets the tightened check; it used to raise
+    # IndexError on the mixture stage
+    reports = run_mixture_suite(GWSpec.qubit([0.6, 0.8], 0.3), 1.1)
+    assert [(r.name, r.params["stage"]) for r in reports] == [
+        ("monogamy_sq", "purified"),
+        ("tighter_three_concurrence", "purified"),
+        ("monogamy_sq", "mixture"),
+    ]
+    assert all(r.satisfied for r in reports)
+
+
 def test_mixture_suite_half_and_vacuum():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=0.5)
     for report in run_mixture_suite(spec, 2.0):

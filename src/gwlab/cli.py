@@ -31,10 +31,11 @@ from .games import (
 from .inequalities import (
     CSV_HEADER,
     Applicability,
-    InequalityReport,
+    Prepared,
     TighterParams,
     _block_weights,
     _csv_num,
+    _json_lines,
     _merged_cut_bound,
     _power_relation,
     _reoa_triangle,
@@ -218,17 +219,16 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
         rows = []
         for b in (i * 0.02 for i in range(101)):
-            t = b / 2.0
-            exact = exact_c**b
-            bound_k1 = c12**b + h_coefficient(1.0, t) * c13**b
-            bound_k2 = c12**b + h_coefficient(2.0, t) * c13**b
-            rows.append(tuple(map(_csv_num, (b, exact, bound_k1, bound_k2))))
+            bounds = [c12**b + h_coefficient(k, b / 2.0) * c13**b for k in (1.0, 2.0)]
+            rows.append(tuple(map(_csv_num, (b, exact_c**b, *bounds))))
         lines = _csv_lines(("b_pow", "exact", "bound_k1", "bound_k2"), rows)
     _write_lines(lines, out)
     return lines
 
 
-def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
+def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, list]:
+    """The job's prepared checks, their reports over the grid and the mixture
+    suite's reports."""
     tighter = _tighter(args)
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
@@ -242,7 +242,7 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
     # each checker does its order-free work once, here, in the stream's order;
-    # at_orders then makes each C^2 vector's f_alpha table once for the grid
+    # at_orders then evaluates the grid on one f_alpha table per block of orders
     power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
     checks = [
         _power_relation("monogamy_sq", "ge", t, partition, 0, 2.0),
@@ -250,7 +250,9 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
         _power_relation(*power, t, partition, 0, args.mu),
     ]
     if len(blocks) >= 3:
-        t3, first_three = _block_weights(psi, Partition(blocks[:3]))
+        t3, first_three = t, partition  # merged again only if the job has more
+        if len(blocks) > 3:
+            t3, first_three = _block_weights(psi, Partition(blocks[:3]))
         checks += [
             _reoa_triangle(t3, first_three),
             _merged_cut_bound("merged_block_upper_bound", psi, partition, True),
@@ -264,28 +266,24 @@ def _verify_reports(args: argparse.Namespace) -> list[InequalityReport]:
             checks.append(_tightened(t3, first_three, 2, tighter, kind, three=True))
         if len(blocks) >= 4:
             checks.append(_tightened(t, partition, 1, tighter, "concurrence"))
-    reports = at_orders(grid, checks)
+    reports, mixture = at_orders(grid, checks), []
     if spec.vacuum_weight > 0.0:
-        reports.extend(run_mixture_suite(spec, grid[len(grid) // 2], tighter))
-    return reports
+        mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter)
+    return checks, reports, mixture
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run every applicable checker over the grid; exit 0 only if no
-    applicable check failed."""
-    reports = _verify_reports(args)
+    applicable check failed.  JSONL encodes each check's params once."""
+    checks, reports, mixture = _verify_reports(args)
     if args.format == "csv":
-        rows = (",".join(report_to_csv_row(r)) for r in reports)
+        rows = (",".join(report_to_csv_row(r)) for r in reports + mixture)
         lines = itertools.chain([",".join(CSV_HEADER)], rows)
     else:
-        lines = map(report_to_json_line, reports)
+        lines = itertools.chain(_json_lines(reports, checks), map(report_to_json_line, mixture))
     _write_lines(lines, args.out)
-    failed = [
-        r
-        for r in reports
-        if r.applicability == Applicability.APPLICABLE and not r.satisfied
-    ]
-    return 1 if failed else 0
+    return int(any(r.applicability == Applicability.APPLICABLE and not r.satisfied
+                   for r in reports + mixture))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -330,16 +328,9 @@ def cmd_gamebounds(
     for n in n_list:
         for d in d_list:
             result = gap_bound(GameBoundInput(n=n, d=d))
-            rows.append(
-                (
-                    str(int(n)),
-                    str(int(d)),
-                    _csv_num(result.new_bound),
-                    _csv_num(result.reference_bound),
-                    str(result.tighter).lower(),
-                    str(LOG_BASE),
-                )
-            )
+            bounds = map(_csv_num, (result.new_bound, result.reference_bound))
+            tighter = str(result.tighter).lower()
+            rows.append((str(int(n)), str(int(d)), *bounds, tighter, str(LOG_BASE)))
     lines = _csv_lines(header, rows)
     _write_lines(lines, out)
     return lines

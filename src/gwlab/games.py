@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import (
-    CLOSED_FORM_TOL,
-    Applicability,
-    InequalityReport,
-    _MONOGAMY,
-    Prepared,
-    _applicable,
-    _fold,
-)
+from .inequalities import InequalityReport, _MONOGAMY, Prepared, _fold
 from .measures import FindingError, OrderLike, _as_order, _lam_lo, _pair_table, _renyi
 from .states import GWBlocks
 from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
@@ -125,13 +117,11 @@ def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
         bipartition = ({0}, set(range(1, psi.layout.n_parties)))
     c2 = min(_pair_table(psi.merged(Partition.cut(bipartition)).weights, 0)[0], 1.0)
     tail = float(_lam_lo(c2))
-    lam0 = 1.0 - tail
-    lhs = 2.0 * math.sqrt(tail)
+    lhs, in_window = 2.0 * math.sqrt(tail), {"lambda0": 1.0 - tail}
 
-    def evaluate(f, params):
-        rhs = 2.0 * math.sqrt(2.0 * f[0])
-        params["lambda0"] = lam0
-        return _applicable("trace_bound_renyi", lhs, rhs, "le", params)
+    def evaluate(block):
+        rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
+        return zip([lhs] * len(rhs), rhs.tolist(), (rhs - lhs).tolist(), [in_window] * len(rhs))
 
     return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, (c2,), evaluate)
 
@@ -208,19 +198,11 @@ def _monogamy_cap(t: tuple, partition: Partition, d_alice: int) -> Prepared:
     c2s = _pair_table(t, 0)
     cap = math.log2(d_alice) ** 2
 
-    def evaluate(f, params):
-        middle, lhs = _fold(f, 2.0)
-        params["middle"] = middle
-        slack = min(middle - lhs, cap - middle)
-        return InequalityReport(
-            name="monogamy_cap",
-            lhs=float(lhs),
-            rhs=float(cap),
-            slack=float(slack),
-            satisfied=bool(slack >= -CLOSED_FORM_TOL),
-            applicability=Applicability.APPLICABLE,
-            params=params,
-        )
+    def evaluate(block):
+        middle, lhs = _fold(block, 2.0)
+        slack = np.minimum(middle - lhs, cap - middle)
+        middles = [{"middle": m} for m in middle.tolist()]
+        return zip(lhs.tolist(), [cap] * len(block), slack.tolist(), middles)
 
     params = {"d": d_alice, "partition": partition.sorted_blocks}
     return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate)

@@ -3,7 +3,8 @@
 Every checker evaluates one inequality on the block weights of a GW-family
 state and returns an :class:`InequalityReport`: its :class:`Prepared` form,
 which holds the order-free work, evaluated by :func:`at_orders` over an
-order grid.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
+order grid as arrays, a block of orders at a time, with the reports built
+last.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
 state and takes the weights t_B of its blocks once, at entry, through
 :func:`_block_weights` (:meth:`GWBlocks.from_state`, then
 :meth:`GWBlocks.merged` on the reduction to the parties the blocks cover);
@@ -16,8 +17,9 @@ never swallowed.
 Most checkers are one relation, M(x_0)^mu against sum_g c_g sum_{k in g}
 M(x_k)^mu, on squared concurrences x = 4 t_A t_B and M = f_alpha.  Every x,
 a cut's included, comes from one pair table, ``measures._pair_table``.
-:func:`_fold` evaluates the relation, :func:`_relation` makes a checker of
-it, and the README lists each checker's x_0, groups and mu.
+:func:`_fold` evaluates the relation on every order of a block at once,
+adding each sum left to right with ``np.add.accumulate``; :func:`_relation`
+makes a checker of it, and the README lists each checker's x_0, groups and mu.
 """
 
 from __future__ import annotations
@@ -26,16 +28,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
-from itertools import accumulate, repeat
-from operator import add
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import accumulate, cycle
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .measures import (
     OrderLike,
     RenyiOrder,
     _as_order,
+    _checked_c2,
     _f_alpha_grid,
+    _lam_lo,
     _pair_table,
 )
 from .states import GWBlocks, GWSpec
@@ -73,7 +78,8 @@ __all__ = [
 #: Tolerance of every inequality evaluated through scalar closed forms.
 CLOSED_FORM_TOL = 1e-9
 #: Most f_alpha values ``at_orders`` holds per C^2 vector at once: the
-#: longest vector sets how many orders a block takes, so no table passes 0.5 MB.
+#: longest vector sets how many orders a block takes, so no vector's span of
+#: the block's table passes 0.5 MB.
 GRID_VALUES = 2**14
 #: Side conditions need at least this margin; borderline cases are reported
 #: as unmet with diagnostics rather than guessed.
@@ -105,48 +111,31 @@ class InequalityReport:
 
 
 def _applicable(
-    name: str,
-    lhs: float,
-    rhs: float,
-    direction: str,
-    params: dict,
+    name: str, lhs: float, rhs: float, direction: str, params: dict,
     tol: float = CLOSED_FORM_TOL,
 ) -> InequalityReport:
     slack = (lhs - rhs) if direction == "ge" else (rhs - lhs)
-    return InequalityReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        satisfied=bool(slack >= -tol),
-        applicability=Applicability.APPLICABLE,
-        params=params,
-    )
+    return InequalityReport(name, float(lhs), float(rhs), float(slack), bool(slack >= -tol),
+                            Applicability.APPLICABLE, params)
 
 
 def _skipped(name: str, why: Applicability, params: dict) -> InequalityReport:
-    return InequalityReport(
-        name=name,
-        lhs=None,
-        rhs=None,
-        slack=None,
-        satisfied=True,
-        applicability=why,
-        params=params,
-    )
+    return InequalityReport(name, None, None, None, True, why, params)
 
 
 class Prepared(NamedTuple):
     """A checker with its order-free work (validation, reductions, C^2
-    values) done.  Inside the order ``window`` its report is
-    ``evaluate(f, params)``, where ``f`` lists the f_alpha values of its
-    squared concurrences ``c2s`` at that order."""
+    values) done.  ``evaluate(block)`` takes the f_alpha values of ``c2s``,
+    one row per order of a block, and gives per order ``(lhs, rhs, slack,
+    extra)``: slack is None when a side condition is unmet, and ``extra`` the
+    params a report in the order ``window`` adds.  A check whose window is
+    None takes no order: it reports the same at every order, and records none."""
 
     name: str
-    window: Callable[[RenyiOrder], bool]
+    window: Optional[Callable[[RenyiOrder], bool]]
     params: dict
     c2s: tuple
-    evaluate: Callable[[list, dict], InequalityReport]
+    evaluate: Callable[[np.ndarray], Iterable[tuple]]
 
     def at(self, order: OrderLike) -> InequalityReport:
         return at_orders([order], [self])[0]
@@ -160,25 +149,37 @@ def at_orders(
     grid: Iterable[OrderLike], checks: Sequence[Prepared]
 ) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
-    order.  Each distinct C^2 vector is found once, in a slot shared by its
-    readers, and gets one f_alpha table per block of orders: the whole grid
-    unless the longest vector makes ``GRID_VALUES`` too few for it."""
-    orders = [_as_order(a) for a in grid]
-    alphas = [order.alpha for order in orders]
-    slots: dict[tuple, int] = {}
-    reads = [slots.setdefault(check.c2s, len(slots)) for check in checks]
-    step = max(1, GRID_VALUES // max([1, *map(len, slots)]))
-    reports = []
+    order.  Each distinct C^2 vector is found once, and its span of columns
+    is shared by its readers.  One f_alpha table per block of orders (the
+    whole grid unless the longest vector makes ``GRID_VALUES`` too few for
+    it) holds every span; each reader evaluates its span of a block at once,
+    and the reports are built last."""
+    orders, reports = [_as_order(a) for a in grid], []
+    vectors = list(dict.fromkeys(check.c2s for check in checks))
+    ends = list(accumulate(map(len, vectors), initial=0))
+    spans = {c2s: slice(a, b) for c2s, a, b in zip(vectors, ends, ends[1:])}
+    reads = [spans[check.c2s] for check in checks]
+    lo = _lam_lo(_checked_c2([x for c2s in vectors for x in c2s]))
+    step = max(1, GRID_VALUES // max([1, *map(len, vectors)]))
+    rows: list[list] = [[] for _ in checks]
     for start in range(0, len(orders), step):
-        rows = slice(start, start + step)
-        tables = [_f_alpha_grid(c2s, alphas[rows]).tolist() for c2s in slots]
-        for row, order in enumerate(orders[rows]):
-            for check, slot in zip(checks, reads):
-                params = {"alpha": order.alpha, **check.params}
-                if check.window(order):
-                    reports.append(check.evaluate(tables[slot][row], params))
-                else:
-                    reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
+        table = _f_alpha_grid(lo, [order.alpha for order in orders[start : start + step]])
+        for check, span, check_rows in zip(checks, reads, rows):
+            check_rows += check.evaluate(table[:, span])
+    for i, order in enumerate(orders):
+        for check, check_rows in zip(checks, rows):
+            params = ({"alpha": order.alpha, **check.params} if check.window
+                      else dict(check.params))
+            if check.window and not check.window(order):
+                reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
+                continue
+            lhs, rhs, slack, extra = check_rows[i]
+            params.update(extra)
+            reports.append(
+                _skipped(check.name, Applicability.CONDITION_UNMET, params) if slack is None
+                else InequalityReport(check.name, lhs, rhs, slack, slack >= -CLOSED_FORM_TOL,
+                                      Applicability.APPLICABLE, params)
+            )
     return reports
 
 
@@ -186,38 +187,61 @@ CSV_HEADER = ("name", "alpha", "mu", "k", "lhs", "rhs", "slack", "satisfied")
 
 
 def _csv_num(value) -> str:
-    if value is None:
-        return ""
-    return f"{float(value):.12g}"
+    return "" if value is None else f"{float(value):.12g}"
 
 
 def report_to_csv_row(report: InequalityReport) -> tuple[str, ...]:
-    return (
-        report.name,
-        _csv_num(report.params.get("alpha")),
-        _csv_num(report.params.get("mu")),
-        _csv_num(report.params.get("k")),
-        _csv_num(report.lhs),
-        _csv_num(report.rhs),
-        _csv_num(report.slack),
-        str(report.satisfied).lower(),
-    )
+    numbers = [report.params.get(key) for key in ("alpha", "mu", "k")]
+    numbers += [report.lhs, report.rhs, report.slack]
+    return (report.name, *map(_csv_num, numbers), str(report.satisfied).lower())
 
 
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
+def _json_value(value) -> str:
+    """``value`` as ``json`` writes it: a finite float by ``float.__repr__``,
+    anything else (NaN, Infinity, a string, a list...) as the encoder does."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return "null" if value is None else _JSON.encode(value)
+
+
+def _json_line(report: InequalityReport, params: str) -> str:
+    """The one JSONL formatter: the report as ``json.dumps(doc,
+    sort_keys=True)`` writes it, with its params already encoded."""
+    return (
+        f'{{"applicability": {encode_basestring_ascii(report.applicability.value)}, '
+        f'"lhs": {_json_value(report.lhs)}, "name": {encode_basestring_ascii(report.name)}, '
+        f'"params": {params}, "rhs": {_json_value(report.rhs)}, '
+        f'"satisfied": {"true" if report.satisfied else "false"}, '
+        f'"slack": {_json_value(report.slack)}}}'
+    )
+
+
 def report_to_json_line(report: InequalityReport) -> str:
-    doc = {
-        "name": report.name,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "satisfied": report.satisfied,
-        "applicability": report.applicability.value,
-        "params": report.params,
-    }
-    return _JSON.encode(doc)
+    return _json_line(report, _JSON.encode(report.params))
+
+
+def _json_lines(
+    reports: Iterable[InequalityReport], checks: Sequence[Prepared]
+) -> Iterator[str]:
+    """:func:`report_to_json_line` of each report of ``at_orders(grid,
+    checks)``, whose i-th holds the params of ``checks[i % len(checks)]`` and
+    the keys its order adds (alpha, middle...).  Per layout of keys, the
+    check's members are encoded once and an added key's on every line."""
+    layouts: list[dict] = [{} for _ in checks]
+    for report, check, known in zip(reports, cycle(checks), cycle(layouts)):
+        params, const = report.params, check.params
+        keys = tuple(params)
+        if keys not in known:
+            known[keys] = [
+                (f"{_json_value(key)}: {_json_value(const[key])}", None) if key in const
+                else (f"{_json_value(key)}: ", key) for key in sorted(keys)
+            ]
+        items = [text if key is None else text + _json_value(params[key])
+                 for text, key in known[keys]]
+        yield _json_line(report, "{" + ", ".join(items) + "}")
 
 
 def h_coefficient(k: float, t: float) -> float:
@@ -254,13 +278,18 @@ def _partition_params(partition: Partition, s: int) -> dict:
     return {"partition": partition.sorted_blocks, "s": int(s)}
 
 
-def _fold(m: Sequence[float], mu: float, groups=((1.0, 1, None),)) -> tuple:
+def _fold(block: np.ndarray, mu: float, groups=((1.0, 1, None),)) -> tuple:
     """``m[0]^mu`` and the sum over ``(coef, start, stop)`` groups of ``coef *
-    sum(v^mu for v in m[start:stop])``, added left to right on every Python."""
-    rhs = 0.0
+    sum(v^mu for v in m[start:stop])``, for every row m of a block (orders x
+    values; a 1-D block is one row).  Each sum adds its row left to right,
+    through ``np.add.accumulate``; ``np.add.reduce`` would add pairwise."""
+    powered = np.power(block, mu)
+    rhs = np.zeros(powered.shape[:-1])
     for coef, start, stop in groups:
-        rhs += coef * reduce(add, map(pow, m[start:stop], repeat(mu)), 0.0)
-    return m[0] ** mu, rhs
+        terms = powered[..., start:stop]
+        if terms.shape[-1]:
+            rhs = rhs + coef * np.add.accumulate(terms, axis=-1)[..., -1]
+    return powered[..., 0], rhs
 
 
 def _relation(
@@ -270,12 +299,14 @@ def _relation(
     """:func:`_fold` on f_alpha of ``c2s``, checked "ge" in the monogamy window
     and "le" in the polygamy one.  Reports in the window get the ``in_window``
     params, and are CONDITION_UNMET if ``unmet``."""
+    in_window = in_window or {}
 
-    def evaluate(f, rparams):
-        rparams.update(in_window or {})
+    def evaluate(block):
         if unmet:
-            return _skipped(name, Applicability.CONDITION_UNMET, rparams)
-        return _applicable(name, *_fold(f, mu, groups), direction, rparams)
+            return [(None, None, None, in_window)] * len(block)
+        lhs, rhs = _fold(block, mu, groups)
+        slack = lhs - rhs if direction == "ge" else rhs - lhs
+        return zip(lhs.tolist(), rhs.tolist(), slack.tolist(), [in_window] * len(block))
 
     window = _MONOGAMY if direction == "ge" else _POLYGAMY
     return Prepared(name, window, params, () if unmet else c2s, evaluate)
@@ -441,9 +472,8 @@ class TighterParams:
             raise ValueError(f"b_pow must lie in [0, c_pow], got {b}")
         if k < 1.0:
             raise ValueError(f"k must be >= 1, got {k}")
-        object.__setattr__(self, "c_pow", c)
-        object.__setattr__(self, "b_pow", b)
-        object.__setattr__(self, "k", k)
+        for name, value in (("c_pow", c), ("b_pow", b), ("k", k)):
+            object.__setattr__(self, name, value)
 
     @property
     def t(self) -> float:
@@ -467,7 +497,8 @@ def _tightened(
     Blocks are numbered 1..m with P1 distinguished.  ``conditions`` holds the
     chain, index and margin of every side condition in checking order; they
     are stated on the concurrence, which CREN equals on this family.  The
-    concurrence and CREN kinds take no order, so their report is made once."""
+    concurrence and CREN kinds take no order: their report is made once, on a
+    one-row block of concurrences."""
     m = partition.n_blocks
     if m < 3:
         raise ValueError("need at least three blocks")
@@ -492,7 +523,7 @@ def _tightened(
     # one running sum from the right
     c2s = _pair_table(t, 0)
     c_pair = [None, None] + [math.sqrt(x) for x in c2s[1:]]
-    suffix = list(accumulate(reversed(c2s[1:]), add))
+    suffix = list(accumulate(reversed(c2s[1:])))
     c_suffix = [None, None] + [math.sqrt(x) for x in reversed(suffix)]
 
     c, k, b = params.c_pow, params.k, params.b_pow
@@ -505,10 +536,8 @@ def _tightened(
         for j in range(n + 1, m)
     ]
     failed = [cond for cond in conditions if cond["margin"] < CONDITION_MARGIN]
-    if three:
-        in_window = {"condition_margin": float(conditions[0]["margin"])}
-    else:
-        in_window = {"failed_condition": failed[0]} if failed else {}
+    in_window = ({"condition_margin": float(conditions[0]["margin"])} if three
+                 else {"failed_condition": failed[0]} if failed else {})
 
     # weights h^(i-2) up to the split, h^n after it, h^(n-1) on the last pair
     groups = [(h ** (i - 2), i - 1, i) for i in range(2, n + 1)]
@@ -516,16 +545,14 @@ def _tightened(
     check = _relation(name, "ge", report_params, c2s, b, groups, in_window, bool(failed))
     if measure_kind == "renyi":
         return check
-    report = check.evaluate([math.sqrt(x) for x in c2s], report_params)
-    return Prepared(name, lambda order: True, {}, (), lambda *_: report)
+    row = list(check.evaluate(np.sqrt([c2s])))
+    return Prepared(name, None, report_params, (), lambda block: row * len(block))
 
 
 def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityReport:
-    if measure_kind != "renyi":
-        return check.evaluate()
-    if order is None:
+    if measure_kind == "renyi" and order is None:
         raise ValueError("renyi kind needs a Renyi order")
-    return check.at(order)
+    return check.at(order if measure_kind == "renyi" else 1.0)  # the others take none
 
 
 def check_tighter_three(

@@ -104,7 +104,7 @@ class RenyiOrder:
 
     def __post_init__(self):
         a = float(self.alpha)
-        if not np.isfinite(a) or a <= 0.0:
+        if not math.isfinite(a) or a <= 0.0:
             raise ValueError(f"Renyi order must be positive and finite, got {a}")
         object.__setattr__(self, "alpha", a)
 
@@ -215,18 +215,16 @@ def _f_alpha_array(x, order: OrderLike) -> np.ndarray:
     return _renyi(_lam_lo(x), _as_order(order).alpha)
 
 
-def _f_alpha_grid(x, alphas: Sequence[float]) -> np.ndarray:
-    """f_alpha of squared concurrences x (columns) at each order of alphas
-    (rows), one kernel call per band of orders.  Each row is bit-equal to
-    ``f_alpha`` at its order."""
-    lo = _lam_lo(_checked_c2(x))
+def _f_alpha_grid(lo: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+    """f_alpha (columns) of the squared concurrences whose smaller Schmidt
+    coefficients ``_lam_lo`` gives as ``lo``, at each order of alphas (rows),
+    one kernel call per band of orders.  Each row is bit-equal to ``f_alpha``
+    at its order."""
     column = np.array(alphas, dtype=float)[:, None]
-    bands: dict[int, list[int]] = {}
-    for i, a in enumerate(alphas):
-        bands.setdefault(_band(a), []).append(i)
+    bands = np.array([_band(a) for a in alphas])
     out = np.empty((len(alphas), lo.size))
-    for band, rows in bands.items():
-        out[rows] = _renyi(lo, column[rows], band)
+    for band in set(bands.tolist()):
+        out[bands == band] = _renyi(lo, column[bands == band], band)
     return out
 
 

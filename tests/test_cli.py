@@ -321,10 +321,10 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
 
 
 def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
-    # the job's partition, its first three blocks and the trace bound's cut
-    # are the only partitions built; one merge takes the job's weights, one
-    # the first three blocks', one each merged-cut bound's and one the cut's.
-    # A preparer that rebuilds the job's partition or merges twice fails this.
+    # the job's partition and the trace bound's cut are the only partitions
+    # built; one merge takes the job's weights, which are also its first three
+    # blocks', one each merged-cut bound's and one the cut's.  A preparer that
+    # rebuilds the job's partition or merges twice fails this.
     calls = {"partition": 0, "merged": 0}
 
     def counting(name, fn):
@@ -341,8 +341,8 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
     args = ["verify", "--spec", spec, "--partition", "0|1|2,3", "--alpha", "0.83:1.30:0.05"]
     assert main(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert calls["partition"] <= 3
-    assert calls["merged"] <= 5
+    assert calls["partition"] == 2
+    assert calls["merged"] == 4
 
 
 def test_verify_two_parties_with_vacuum(tmp_path):

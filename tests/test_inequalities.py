@@ -32,7 +32,13 @@ from gwlab import (
     schmidt_spectrum,
     superpose_with_vacuum,
 )
+import gwlab.inequalities
 from gwlab.featured import figure1_reduction, figure2_blocks, figure2_state, figure3_state
+from gwlab.inequalities import (
+    _block_weights, _fold, _merged_cut_bound, _power_relation, _reoa_triangle, _tightened,
+    at_orders,
+)
+from gwlab.games import _monogamy_cap, _trace_bound_renyi
 from conftest import random_complete_partition, random_gw_spec
 
 
@@ -423,13 +429,97 @@ def test_tighter_multi_renyi_folds_bit_for_bit(rng):
         report = check_tighter_multi(
             psi, Partition.singletons(m), n, params, "renyi", order
         )
-        pair = [None, None] + [f_alpha(_c2(t, 0, i - 1), order) for i in range(2, m + 1)]
-        lhs = f_alpha(_left_sum(_c2(t, 0, i) for i in range(1, m)), order) ** b
-        rhs = _left_sum(h ** (i - 2) * pair[i] ** b for i in range(2, n + 1))
-        rhs += h**n * _left_sum(pair[i] ** b for i in range(n + 1, m))
-        rhs += h ** (n - 1) * pair[m] ** b
+        # each M^b is taken as the fold takes it, by np.power
+        pair = [None, None] + [
+            np.power(f_alpha(_c2(t, 0, i - 1), order), b) for i in range(2, m + 1)
+        ]
+        lhs = np.power(f_alpha(_left_sum(_c2(t, 0, i) for i in range(1, m)), order), b)
+        rhs = _left_sum(h ** (i - 2) * pair[i] for i in range(2, n + 1))
+        rhs += h**n * _left_sum(pair[i] for i in range(n + 1, m))
+        rhs += h ** (n - 1) * pair[m]
         assert report.applicability == Applicability.APPLICABLE
         assert (report.lhs, report.rhs) == (lhs, rhs)
+
+
+#: Lengths of a fold's rows: every SIMD tail up to 16 lanes, and past 32 and 64.
+FOLD_LENGTHS = [*range(1, 18), 31, 33, 64, 65]
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
+def test_fold_rows_equal_one_row_calls(rng, mu):
+    # each row of a block folds to the bits of a 1-D call on that row alone,
+    # also when the block is a strided span of a wider table, as at_orders
+    # hands it over
+    for length in FOLD_LENGTHS:
+        k = max(2, length // 2)
+        for groups in (((1.0, 1, None),), ((2.0, 1, 2), (1.0, 2, k), (0.7, k, None))):
+            wide = rng.uniform(0.0, 1.0, size=(9, length + 5))
+            for block in (wide[:, :length].copy(), wide[:, 3 : 3 + length]):
+                lhs, rhs = _fold(block, mu, groups)
+                for row, l, r in zip(block, lhs, rhs):
+                    one = _fold(row.copy(), mu, groups)
+                    assert (float(one[0]), float(one[1])) == (l, r), (length, groups)
+                    # and each group's terms add left to right, not pairwise
+                    terms = np.power(row, mu).tolist()
+                    want = 0.0
+                    for coef, start, stop in groups:
+                        want += coef * _left_sum(terms[start:stop])
+                    assert r == want, (length, groups)
+
+
+def _report_values(reports):
+    return [(r.name, r.applicability, r.lhs, r.rhs, r.slack, r.params) for r in reports]
+
+
+def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
+    # with GRID_VALUES small the grid is evaluated a few orders at a time;
+    # every report keeps its bits
+    spec = random_gw_spec(rng, n_min=6, n_max=6, vacuum="always")
+    psi = GWBlocks.of(spec)
+    partition = random_complete_partition(rng, 6, 5)
+    t = psi.merged(partition).weights
+    t3, first_three = _block_weights(psi, Partition(partition.blocks[:3]))
+    tighter = TighterParams(c_pow=2.0, b_pow=1.3, k=1.1)
+    checks = [
+        _power_relation("monogamy_power", "ge", t, partition, 0, 3.0),
+        _power_relation("polygamy_power", "le", t, partition, 1, 0.5),
+        _reoa_triangle(t3, first_three),
+        _merged_cut_bound("pair_block_upper_bound", psi, partition, False),
+        _monogamy_cap(t, partition, 2),
+        _trace_bound_renyi(psi),
+        _tightened(t, partition, 2, tighter, "renyi"),
+        _tightened(t, partition, 1, tighter, "concurrence"),
+    ]
+    grid = [0.6 + 0.037 * i for i in range(25)]
+    whole = _report_values(at_orders(grid, checks))
+    for values in (1, 5, 13, 40):
+        monkeypatch.setattr(gwlab.inequalities, "GRID_VALUES", values)
+        assert _report_values(at_orders(grid, checks)) == whole, values
+
+
+#: Relative bound on a fold against the scalar closed forms, as a share of
+#: the sum of its terms: each power may round apart by an ulp, and each of
+#: at most a dozen additions by another.
+FOLD_TOL = 1e-14
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
+def test_fold_matches_scalar_closed_forms(rng, mu):
+    # f(C^2(s|rest))^mu against the left-to-right sum of f(C^2(s, k))^mu,
+    # from f_alpha and Python's pow
+    check = check_monogamy_power if mu >= 2.0 else check_polygamy_power
+    for _ in range(20):
+        spec = random_gw_spec(rng, n_min=3, n_max=9)
+        partition = random_complete_partition(rng, spec.n)
+        s = int(rng.integers(0, partition.n_blocks))
+        order = float(rng.uniform(0.83, 1.3))
+        report = check(GWBlocks.of(spec), partition, s, order, mu)
+        t = GWBlocks.of(spec).merged(partition).weights
+        pairs = [f_alpha(4.0 * t[s] * t[k], order) ** mu for k in range(len(t)) if k != s]
+        lhs = f_alpha(_left_sum(4.0 * t[s] * t[k] for k in range(len(t)) if k != s), order) ** mu
+        assert report.applicability == Applicability.APPLICABLE
+        assert abs(report.lhs - lhs) <= FOLD_TOL * lhs
+        assert abs(report.rhs - _left_sum(pairs)) <= FOLD_TOL * _left_sum(pairs)
 
 
 def test_mixture_suite_pure_limit():

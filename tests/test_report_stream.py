@@ -19,9 +19,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_doc
-from gwlab.cli import main
+from gwlab import Applicability, InequalityReport, report_to_json_line
+from gwlab.cli import _build_parser, _verify_reports, main
+from gwlab.inequalities import Prepared, _json_lines
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -95,3 +98,72 @@ def test_verify_csv_stream_bytes_unchanged(tmp_path, capsys):
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
 def test_oracle_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
+
+
+def test_verify_jsonl_stream_same_bytes_to_file_and_stdout(tmp_path, capsys):
+    stream = "report_stream_readme.jsonl"
+    out = tmp_path / stream
+    assert main(ARGS[stream] + ["--out", str(out)]) == 0
+    assert main(ARGS[stream]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _doc_line(report: InequalityReport) -> str:
+    doc = {"name": report.name, "lhs": report.lhs, "rhs": report.rhs,
+           "slack": report.slack, "satisfied": report.satisfied,
+           "applicability": report.applicability.value, "params": report.params}
+    return json.dumps(doc, sort_keys=True)
+
+
+def _assert_spliced_lines(reports, checks) -> None:
+    want = [_doc_line(r) for r in reports]
+    assert [report_to_json_line(r) for r in reports] == want
+    assert list(_json_lines(reports, checks)) == want
+
+
+@pytest.mark.parametrize(
+    "stream", sorted(s for s in ARGS if s.startswith("report") and s.endswith(".jsonl"))
+)
+def test_spliced_lines_of_pinned_streams_match_json(stream):
+    # the grid's lines splice each check's params, encoded once; the mixture
+    # suite's, some without alpha, are encoded whole
+    checks, reports, mixture = _verify_reports(_build_parser().parse_args(ARGS[stream]))
+    _assert_spliced_lines(reports, checks)
+    assert any("stage" in r.params for r in mixture) == (stream == "report_stream_mixture.jsonl")
+    assert [report_to_json_line(r) for r in mixture] == [_doc_line(r) for r in mixture]
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0, 2.0])
+)
+_scalars = st.one_of(_floats, st.integers(-(2**70), 2**70), st.booleans(), st.none(),
+                     st.text(max_size=6))
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+_condition = st.fixed_dictionaries(
+    {"chain": st.integers(1, 2), "index": st.integers(2, 9), "margin": _floats})
+_keys = st.one_of(st.sampled_from(["d", "mu", "partition", "s", "blocks", "k", "h"]),
+                  st.text(min_size=1, max_size=6))
+_added = st.fixed_dictionaries({}, optional={
+    "alpha": _floats, "middle": _floats, "lambda0": _floats, "condition_margin": _floats,
+    "failed_condition": _condition, "stage": st.sampled_from(["purified", "mixture"])})
+_sides = st.one_of(st.none(), _floats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    consts=st.lists(st.dictionaries(_keys, _values, max_size=5), min_size=1, max_size=3),
+    rows=st.lists(st.tuples(_added, _sides, _sides, _sides, st.booleans(),
+                            st.sampled_from(list(Applicability)), st.text(max_size=8)),
+                  min_size=1, max_size=12),
+)
+def test_spliced_lines_match_json(consts, rows):
+    # report i holds the params of check i % len(checks), as at_orders makes
+    # them, plus keys of its own; an int stays an int (d: 2) and a float a
+    # float (mu: 2.0), and NaN, Infinity and -0.0 are written as json does
+    checks = [Prepared(f"check{i}", None, const, (), None) for i, const in enumerate(consts)]
+    reports = []
+    for i, (added, lhs, rhs, slack, satisfied, why, name) in enumerate(rows):
+        const = consts[i % len(consts)]
+        params = {**const, **{k: v for k, v in added.items() if k not in const}}
+        reports.append(InequalityReport(name, lhs, rhs, slack, satisfied, why, params))
+    _assert_spliced_lines(reports, checks)

@@ -21,7 +21,6 @@ from .tensor import (
     compress_local_support,
     partial_trace,
     partial_transpose,
-    partition_permutation,
     schmidt_spectrum,
     trace_norm,
 )

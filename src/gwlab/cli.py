@@ -36,6 +36,7 @@ from .inequalities import (
     _block_weights,
     _csv_num,
     _json_lines,
+    _merged_cut,
     _merged_cut_bound,
     _power_relation,
     _reoa_triangle,
@@ -125,14 +126,16 @@ def alpha_grid(
     return values
 
 
-def parse_partition(text: str) -> Partition:
-    """Blocks separated by '|', members by ','  (e.g. "0|1,2|3")."""
-    blocks = []
-    for chunk in text.split("|"):
-        members = [m for m in chunk.split(",") if m.strip() != ""]
-        if not members:
-            raise ValueError(f"empty block in partition {text!r}")
-        blocks.append({int(m) for m in members})
+def parse_partition(text: str, n_parties: int) -> Partition:
+    """Blocks separated by '|', members by ','  (e.g. "0|1,2|3") of parties
+    0..n_parties-1; a party listed twice, in one block or two, is refused."""
+    blocks = [[m for m in chunk.split(",") if m.strip() != ""] for chunk in text.split("|")]
+    if not all(blocks):
+        raise ValueError(f"empty block in partition {text!r}")
+    blocks = [[int(m) for m in members] for members in blocks]
+    out = [p for members in blocks for p in members if not 0 <= p < n_parties]
+    if out:
+        raise ValueError(f"party {out[0]} out of range for {n_parties} parties")
     return Partition.of(blocks)
 
 
@@ -171,7 +174,7 @@ def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]
     spec = _load_spec(args.spec)
     psi = GWBlocks.of(spec)
     partition = (
-        parse_partition(args.partition) if args.partition
+        parse_partition(args.partition, spec.n) if args.partition
         else Partition.singletons(spec.n)
     )
     partition.require_complete(psi.layout)
@@ -198,9 +201,10 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     if fig_id == 1:
         # lower is the monogamy bound, upper the polygamy one, on E(0|12)
         t, singles = _block_weights(psi, Partition.singletons(3))
+        c2 = _pair_table(t, 0)
         reports = at_orders(grid, [
-            _power_relation("monogamy_sq", "ge", t, singles, 0, 2.0),
-            _power_relation("polygamy", "le", t, singles, 0, 1.0),
+            _power_relation("monogamy_sq", "ge", c2, singles, 0, 2.0),
+            _power_relation("polygamy", "le", c2, singles, 0, 1.0),
         ])
         rows = [
             tuple(map(_csv_num, (a, math.sqrt(sq.rhs), poly.lhs, poly.rhs)))
@@ -209,7 +213,8 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
     elif fig_id == 2:
         blocks = Partition.of(featured.figure2_blocks())
-        bound = _merged_cut_bound("merged_block_upper_bound", psi, blocks, True)
+        t, cut = blocks.block_sums(psi.weights), _merged_cut(psi, blocks)
+        bound = _merged_cut_bound("merged_block_upper_bound", t, cut, blocks)
         rows = [
             tuple(map(_csv_num, (a, report.lhs, report.rhs)))
             for a, report in zip(grid, at_orders(grid, [bound]))
@@ -233,8 +238,8 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, lis
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec, psi, partition = _load_blocks(args)
-    t, partition = _block_weights(psi, partition)
-    blocks = partition.blocks
+    merged = psi.merged(partition)
+    t, k = merged.weights, partition.n_blocks
 
     alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
     grid = alpha_grid(*alpha, exclude_one=not args.include_one)
@@ -244,28 +249,27 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, lis
     # each checker does its order-free work once, here, in the stream's order;
     # at_orders then evaluates the grid on one f_alpha table per block of orders
     power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
+    c2 = _pair_table(t, 0)
     checks = [
-        _power_relation("monogamy_sq", "ge", t, partition, 0, 2.0),
-        _power_relation("polygamy", "le", t, partition, 0, 1.0),
-        _power_relation(*power, t, partition, 0, args.mu),
+        _power_relation("monogamy_sq", "ge", c2, partition, 0, 2.0),
+        _power_relation("polygamy", "le", c2, partition, 0, 1.0),
+        _power_relation(*power, c2, partition, 0, args.mu),
     ]
-    if len(blocks) >= 3:
-        t3, first_three = t, partition  # merged again only if the job has more
-        if len(blocks) > 3:
-            t3, first_three = _block_weights(psi, Partition(blocks[:3]))
-        checks += [
-            _reoa_triangle(t3, first_three),
-            _merged_cut_bound("merged_block_upper_bound", psi, partition, True),
-            _merged_cut_bound("pair_block_upper_bound", psi, partition, False),
-        ]
-    d_alice = math.prod(psi.layout.dims[p] for p in blocks[0])
-    checks.append(_monogamy_cap(t, partition, d_alice))
-    checks.append(_trace_bound_renyi(psi, (blocks[0], set().union(*blocks[1:]))))
-    if tighter is not None and len(blocks) >= 3:
+    if k >= 3:
+        t3, first_three = t[:3], partition.relabelled([0, 1, 2] + [-1] * (k - 3)).covered()
+        # the two merged-cut bounds are one relation under two names
+        cut = _merged_cut(psi, partition)
+        bound = _merged_cut_bound("merged_block_upper_bound", t, cut, partition)
+        checks += [_reoa_triangle(t3, first_three), bound,
+                   bound._replace(name="pair_block_upper_bound")]
+    checks.append(_monogamy_cap(c2, partition, merged.layout.dims[0]))
+    checks.append(_trace_bound_renyi(psi, partition.relabelled([0] + [1] * (k - 1))))
+    if tighter is not None and k >= 3:
+        c3 = _pair_table(t3, 0)
         for kind in ("concurrence", "cren", "renyi"):
-            checks.append(_tightened(t3, first_three, 2, tighter, kind, three=True))
-        if len(blocks) >= 4:
-            checks.append(_tightened(t, partition, 1, tighter, "concurrence"))
+            checks.append(_tightened(c3, first_three, 2, tighter, kind, three=True))
+        if k >= 4:
+            checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
     reports, mixture = at_orders(grid, checks), []
     if spec.vacuum_weight > 0.0:
         mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter)

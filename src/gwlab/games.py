@@ -106,16 +106,20 @@ def check_trace_bound_renyi(
 
     The state must be pure, and its cut has Schmidt rank two.  The distance
     is 2 sqrt(1 - lambda_0), taken as the smaller Schmidt coefficient of the
-    cut's C^2 so that no cancellation enters, and E_alpha = f_alpha(C^2)."""
-    return _trace_bound_renyi(GWBlocks.from_state(psi), bipartition).at(order)
+    cut's C^2 so that no cancellation enters, and E_alpha = f_alpha(C^2).
+    The cut is party 0 against the rest unless ``bipartition`` names one."""
+    psi = GWBlocks.from_state(psi)
+    if bipartition is None:
+        bipartition = ({0}, range(1, psi.layout.n_parties))
+    return _trace_bound_renyi(psi, Partition.cut(bipartition)).at(order)
 
 
-def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
+def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
+    """The trace bound across ``cut``, two blocks that cover the state."""
     if not psi.pure:
         raise ValueError("the trace bound needs a pure state")
-    if bipartition is None:
-        bipartition = ({0}, set(range(1, psi.layout.n_parties)))
-    c2 = min(_pair_table(psi.merged(Partition.cut(bipartition)).weights, 0)[0], 1.0)
+    cut.require_complete(psi.layout)
+    c2 = min(_pair_table(cut.block_sums(psi.weights), 0)[0], 1.0)
     tail = float(_lam_lo(c2))
     lhs, in_window = 2.0 * math.sqrt(tail), {"lambda0": 1.0 - tail}
 
@@ -123,7 +127,7 @@ def _trace_bound_renyi(psi: GWBlocks, bipartition=None) -> Prepared:
         rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
         return zip([lhs] * len(rhs), rhs.tolist(), (rhs - lhs).tolist(), [in_window] * len(rhs))
 
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, (c2,), evaluate)
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate)
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
@@ -189,13 +193,13 @@ def check_monogamy_cap(
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
     merged = GWBlocks.from_state(state).merged(partition)
-    return _monogamy_cap(merged.weights, partition, merged.layout.dims[0]).at(order)
+    c2s = _pair_table(merged.weights, 0)
+    return _monogamy_cap(c2s, partition.covered(), merged.layout.dims[0]).at(order)
 
 
-def _monogamy_cap(t: tuple, partition: Partition, d_alice: int) -> Prepared:
-    """The cap on the blocks' weights ``t``; ``d_alice`` is the first block's
-    dimension."""
-    c2s = _pair_table(t, 0)
+def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepared:
+    """The cap on the first block's pair table ``c2s``; ``d_alice`` is that
+    block's dimension."""
     cap = math.log2(d_alice) ** 2
 
     def evaluate(block):

@@ -6,13 +6,16 @@ which holds the order-free work, evaluated by :func:`at_orders` over an
 order grid as arrays, a block of orders at a time, with the reports built
 last.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
 state and takes the weights t_B of its blocks once, at entry, through
-:func:`_block_weights` (:meth:`GWBlocks.from_state`, then
-:meth:`GWBlocks.merged` on the reduction to the parties the blocks cover);
-the preparers take those weights and the renumbered blocks.  Applicability
-(order windows and side conditions) is a first-class result state rather
-than an error, so grid sweeps produce complete report streams; genuine
-violations on applicable instances surface as ``satisfied=False`` and are
-never swallowed.
+:func:`_block_weights`: :meth:`GWBlocks.from_state`, then one
+:meth:`Partition.block_sums` over the label vector of the blocks, exact as
+``math.fsum`` per block.  The preparers take those weights, or a block's
+pair table of them, and the blocks renumbered on the reduction to the
+parties they cover; the merged-cut bounds take one more sum, over the
+relabelling that makes P and Q one block (:func:`_merged_cut`).
+Applicability (order windows and side conditions) is a first-class result
+state rather than an error, so grid sweeps produce complete report
+streams; genuine violations on applicable instances surface as
+``satisfied=False`` and are never swallowed.
 
 Most checkers are one relation, M(x_0)^mu against sum_g c_g sum_{k in g}
 M(x_k)^mu, on squared concurrences x = 4 t_A t_B and M = f_alpha.  Every x,
@@ -39,7 +42,7 @@ from .measures import (
     RenyiOrder,
     _as_order,
     _checked_c2,
-    _f_alpha_grid,
+    _f_alpha_tables,
     _lam_lo,
     _pair_table,
 )
@@ -92,7 +95,7 @@ class Applicability(str, Enum):
     CONDITION_UNMET = "CONDITION_UNMET"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     """Uniform checker output: lhs, rhs, signed slack and a verdict.
 
@@ -134,7 +137,7 @@ class Prepared(NamedTuple):
     name: str
     window: Optional[Callable[[RenyiOrder], bool]]
     params: dict
-    c2s: tuple
+    c2s: np.ndarray
     evaluate: Callable[[np.ndarray], Iterable[tuple]]
 
     def at(self, order: OrderLike) -> InequalityReport:
@@ -155,15 +158,15 @@ def at_orders(
     it) holds every span; each reader evaluates its span of a block at once,
     and the reports are built last."""
     orders, reports = [_as_order(a) for a in grid], []
-    vectors = list(dict.fromkeys(check.c2s for check in checks))
-    ends = list(accumulate(map(len, vectors), initial=0))
-    spans = {c2s: slice(a, b) for c2s, a, b in zip(vectors, ends, ends[1:])}
-    reads = [spans[check.c2s] for check in checks]
-    lo = _lam_lo(_checked_c2([x for c2s in vectors for x in c2s]))
-    step = max(1, GRID_VALUES // max([1, *map(len, vectors)]))
+    keys = [check.c2s.tobytes() for check in checks]
+    vectors = dict(zip(keys, (check.c2s for check in checks)))
+    ends = list(accumulate(map(len, vectors.values()), initial=0))
+    spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
+    reads = [spans[key] for key in keys]
+    lo = _lam_lo(_checked_c2(np.concatenate([np.empty(0), *vectors.values()])))
+    step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
     rows: list[list] = [[] for _ in checks]
-    for start in range(0, len(orders), step):
-        table = _f_alpha_grid(lo, [order.alpha for order in orders[start : start + step]])
+    for table in _f_alpha_tables(lo, [order.alpha for order in orders], step):
         for check, span, check_rows in zip(checks, reads, rows):
             check_rows += check.evaluate(table[:, span])
     for i, order in enumerate(orders):
@@ -257,21 +260,16 @@ def h_coefficient(k: float, t: float) -> float:
 
 def _block_weights(
     state: State | GWBlocks, partition: Partition
-) -> tuple[tuple[float, ...], Partition]:
-    """The weights t_B of the partition's blocks, by one merge, and the
-    partition: the one given when it covers the state, else its blocks
-    renumbered on the reduction to the parties they cover.
+) -> tuple[np.ndarray, Partition]:
+    """The weights t_B of the partition's blocks, by one block sum, and the
+    blocks on the reduction to the parties they cover, renumbered in
+    ascending order (:meth:`Partition.covered`).
 
     Checkers accept block families that cover only part of the state; the
-    quantities they test live on the reduction to the covered parties.
+    quantities they test live on the reduction to the covered parties, and
+    a block's weight is the same there.
     """
-    state = GWBlocks.from_state(state)
-    union = sorted(partition.parties())
-    if union != list(range(state.layout.n_parties)):
-        state = state.restricted(union)
-        remap = {p: i for i, p in enumerate(union)}
-        partition = Partition.of({remap[p] for p in b} for b in partition.blocks)
-    return state.merged(partition).weights, partition
+    return partition.block_sums(GWBlocks.from_state(state).weights), partition.covered()
 
 
 def _partition_params(partition: Partition, s: int) -> dict:
@@ -293,7 +291,7 @@ def _fold(block: np.ndarray, mu: float, groups=((1.0, 1, None),)) -> tuple:
 
 
 def _relation(
-    name: str, direction: str, params: dict, c2s: tuple, mu: float = 1.0,
+    name: str, direction: str, params: dict, c2s: np.ndarray, mu: float = 1.0,
     groups=((1.0, 1, None),), in_window: Optional[dict] = None, unmet: bool = False,
 ) -> Prepared:
     """:func:`_fold` on f_alpha of ``c2s``, checked "ge" in the monogamy window
@@ -309,16 +307,17 @@ def _relation(
         return zip(lhs.tolist(), rhs.tolist(), slack.tolist(), [in_window] * len(block))
 
     window = _MONOGAMY if direction == "ge" else _POLYGAMY
-    return Prepared(name, window, params, () if unmet else c2s, evaluate)
+    return Prepared(name, window, params, np.empty(0) if unmet else c2s, evaluate)
 
 
 def _power_relation(
-    name: str, direction: str, t: tuple, partition: Partition, s: int, mu
+    name: str, direction: str, c2s: np.ndarray, partition: Partition, s: int, mu
 ) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
-    blocks k; "ge" is checked in the monogamy window, "le" in the polygamy one."""
+    blocks k, on block s's pair table ``c2s``; "ge" is checked in the
+    monogamy window, "le" in the polygamy one."""
     params = {"mu": mu, **_partition_params(partition, s)}
-    return _relation(name, direction, params, _pair_table(t, s), mu)
+    return _relation(name, direction, params, c2s, mu)
 
 
 def check_monogamy_sq(
@@ -330,7 +329,7 @@ def check_monogamy_sq(
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
     t, partition = _block_weights(state, partition)
-    return _power_relation("monogamy_sq", "ge", t, partition, s, 2.0).at(order)
+    return _power_relation("monogamy_sq", "ge", _pair_table(t, s), partition, s, 2.0).at(order)
 
 
 def check_monogamy_power(
@@ -345,7 +344,7 @@ def check_monogamy_power(
     if not (math.isfinite(mu) and mu >= 2.0):
         raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
     t, partition = _block_weights(state, partition)
-    return _power_relation("monogamy_power", "ge", t, partition, s, mu).at(order)
+    return _power_relation("monogamy_power", "ge", _pair_table(t, s), partition, s, mu).at(order)
 
 
 def check_polygamy(
@@ -356,7 +355,7 @@ def check_polygamy(
 ) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
     t, partition = _block_weights(state, partition)
-    return _power_relation("polygamy", "le", t, partition, s, 1.0).at(order)
+    return _power_relation("polygamy", "le", _pair_table(t, s), partition, s, 1.0).at(order)
 
 
 def check_polygamy_power(
@@ -371,30 +370,27 @@ def check_polygamy_power(
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
     t, partition = _block_weights(state, partition)
-    return _power_relation("polygamy_power", "le", t, partition, s, mu).at(order)
+    return _power_relation("polygamy_power", "le", _pair_table(t, s), partition, s, mu).at(order)
 
 
-def _merged_cut_bound(
-    name: str, state: State | GWBlocks, partition: Partition, pure: bool
-) -> Prepared:
+def _merged_cut(state: GWBlocks, partition: Partition) -> np.ndarray:
+    """The weights (t_PQ, t_R...) of the blocks (P, Q, R...) with P and Q as
+    one: one block sum over that relabelling."""
+    return partition.relabelled([0, *range(partition.n_blocks - 1)]).block_sums(state.weights)
+
+
+def _merged_cut_bound(name: str, t: np.ndarray, cut: np.ndarray, partition: Partition) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
-    the blocks (P, Q, R...), merged once: the pairs are P's pair table and
-    Q's without its QP entry, and the cut's C^2 is the pair table of the
-    weights (t_PQ, t_R...), with t_PQ = ``block_weight(P | Q)`` exactly the
-    merged block's weight on any reduction.  ``pure`` asks for a pure state
-    that the blocks cover."""
-    state = GWBlocks.from_state(state)
-    p, q, *rest = partition.blocks
-    if not rest:
+    the blocks (P, Q, R...) of ``partition``, whose weights are ``t``: the
+    pairs are P's pair table and Q's without its QP entry, and the cut's C^2
+    is the pair table of the weights ``cut`` of :func:`_merged_cut`."""
+    if partition.n_blocks < 3:
         raise ValueError("need at least one rest block")
-    t, partition = _block_weights(state, partition)
-    if pure and not (state.pure and len(partition.parties()) == state.layout.n_parties):
-        raise ValueError(f"{name} needs a pure state that its blocks cover")
-    cut_c2 = _pair_table((state.block_weight(p | q), *t[2:]), 0)[0]
     p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
-    params = {"blocks": partition.sorted_blocks}
-    return _relation(name, "le", params, (cut_c2, *p_c2, *q_c2), 1.0, groups)
+    params = {"blocks": partition.covered().sorted_blocks}
+    c2s = np.concatenate([_pair_table(cut, 0)[:1], p_c2, q_c2])
+    return _relation(name, "le", params, c2s, 1.0, groups)
 
 
 def check_merged_block_upper_bound(
@@ -410,8 +406,11 @@ def check_merged_block_upper_bound(
     The blocks must cover the state.  The cut's C^2 = 4 t_PQ t_R is the
     merged block's pair table, as in :func:`check_upper_bound_bipartition`;
     a state that is not pure is refused."""
-    blocks = Partition.of([block_p, block_q, *rest_blocks])
-    return _merged_cut_bound("merged_block_upper_bound", psi, blocks, True).at(order)
+    blocks, psi = Partition.of([block_p, block_q, *rest_blocks]), GWBlocks.from_state(psi)
+    t, cut = blocks.block_sums(psi.weights), _merged_cut(psi, blocks)
+    if not (psi.pure and blocks.covers(psi.layout.n_parties)):
+        raise ValueError("merged_block_upper_bound needs a pure state that its blocks cover")
+    return _merged_cut_bound("merged_block_upper_bound", t, cut, blocks).at(order)
 
 
 def check_reoa_triangle(
@@ -429,10 +428,10 @@ def check_reoa_triangle(
     return _reoa_triangle(*_block_weights(state, partition)).at(order)
 
 
-def _reoa_triangle(t: tuple, partition: Partition) -> Prepared:
+def _reoa_triangle(t: np.ndarray, partition: Partition) -> Prepared:
     if partition.n_blocks != 3:
         raise ValueError("triangle bound needs exactly three blocks")
-    c2s = tuple(_pair_table(t, s)[0] for s in range(3))
+    c2s = np.array([_pair_table(t, s)[0] for s in range(3)])
     return _relation("reoa_triangle", "le", _partition_params(partition, 0), c2s)
 
 
@@ -445,8 +444,9 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
-    blocks = Partition.of([block_p1, block_p2, *q_blocks])
-    return _merged_cut_bound("pair_block_upper_bound", state, blocks, False).at(order)
+    blocks, state = Partition.of([block_p1, block_p2, *q_blocks]), GWBlocks.from_state(state)
+    t, cut = blocks.block_sums(state.weights), _merged_cut(state, blocks)
+    return _merged_cut_bound("pair_block_upper_bound", t, cut, blocks).at(order)
 
 
 @dataclass(frozen=True)
@@ -488,11 +488,12 @@ _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
 def _tightened(
-    t: tuple, partition: Partition, split_index, params: TighterParams, measure_kind,
+    c2s: np.ndarray, partition: Partition, split_index, params: TighterParams, measure_kind,
     three=False,
 ) -> Prepared:
-    """The multi-block tightened bound; ``three`` names it the three-block one
-    and records the margin of its one side condition.
+    """The multi-block tightened bound on P1's pair table ``c2s``; ``three``
+    names it the three-block one and records the margin of its one side
+    condition.
 
     Blocks are numbered 1..m with P1 distinguished.  ``conditions`` holds the
     chain, index and margin of every side condition in checking order; they
@@ -521,9 +522,9 @@ def _tightened(
     # by 1-based block numbers, c2s[i - 1] is C^2(P1, P_i), c_pair[i] is
     # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity,
     # one running sum from the right
-    c2s = _pair_table(t, 0)
-    c_pair = [None, None] + [math.sqrt(x) for x in c2s[1:]]
-    suffix = list(accumulate(reversed(c2s[1:])))
+    pair_c2 = c2s[1:].tolist()
+    c_pair = [None, None] + [math.sqrt(x) for x in pair_c2]
+    suffix = list(accumulate(reversed(pair_c2)))
     c_suffix = [None, None] + [math.sqrt(x) for x in reversed(suffix)]
 
     c, k, b = params.c_pow, params.k, params.b_pow
@@ -546,7 +547,7 @@ def _tightened(
     if measure_kind == "renyi":
         return check
     row = list(check.evaluate(np.sqrt([c2s])))
-    return Prepared(name, None, report_params, (), lambda block: row * len(block))
+    return Prepared(name, None, report_params, np.empty(0), lambda block: row * len(block))
 
 
 def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityReport:
@@ -572,7 +573,7 @@ def check_tighter_three(
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
     t, partition = _block_weights(state, partition)
-    check = _tightened(t, partition, 2, params, measure_kind, three=True)
+    check = _tightened(_pair_table(t, 0), partition, 2, params, measure_kind, three=True)
     return _tighter_report(check, measure_kind, order)
 
 
@@ -592,7 +593,7 @@ def check_tighter_multi(
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
     t, partition = _block_weights(state, partition)
-    check = _tightened(t, partition, split_index, params, measure_kind)
+    check = _tightened(_pair_table(t, 0), partition, split_index, params, measure_kind)
     return _tighter_report(check, measure_kind, order)
 
 
@@ -612,15 +613,16 @@ def run_mixture_suite(
     """
     if tighter is None:
         tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    checks, stages = [], []
+    checks, stages, first_three = [], [], Partition.singletons(3)
     for stage, state in (
         ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
     ):
         t, n = state.weights, state.layout.n_parties
-        checks.append(_power_relation("monogamy_sq", "ge", t, Partition.singletons(n), 0, 2.0))
+        c2 = _pair_table(t, 0)
+        checks.append(_power_relation("monogamy_sq", "ge", c2, Partition.singletons(n), 0, 2.0))
         if n >= 3:
-            first_three = Partition.singletons(3)
-            checks.append(_tightened(t[:3], first_three, 2, tighter, "concurrence", three=True))
+            c3 = _pair_table(t[:3], 0)
+            checks.append(_tightened(c3, first_three, 2, tighter, "concurrence", three=True))
         stages += [stage] * (len(checks) - len(stages))
     reports = at_orders([order], checks)
     for stage, report in zip(stages, reports):

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,23 +165,31 @@ def _renyi(lo, a, band: Optional[int] = None, minor=None) -> np.ndarray:
     eps / |1 - a| there), or (a log1p(-lo) + log1p(sum (lambda/(1-lo))^a)) /
     (1-a), which cannot underflow.  ``np.power`` keeps a 0-d call bit-equal
     to the same element of an array call."""
-    band = _band(a) if band is None else band
+    return _renyi_of(lo, minor)(a, band)
+
+
+def _renyi_of(lo, minor=None) -> Callable:
+    """:func:`_renyi` of these spectra as a function of the order (and its
+    band), with the arrays that no order changes made once."""
     hi, log_hi = 1.0 - lo, np.log1p(-lo)
+    lam = lo if minor is None else minor
 
-    def total(term):
-        return term(lo) if minor is None else term(minor).sum(axis=-1)
-
-    if band == 2:
-        return (a * log_hi + np.log1p(total(lambda lam: np.power(lam / hi, a)))) / (
-            (1.0 - a) * _LN2)
+    def total(terms):
+        return terms if minor is None else terms.sum(axis=-1)
 
     def log(lam):  # a zero coefficient contributes nothing
         return np.log(np.where(lam > 0.0, lam, 1.0))
 
-    if band == 0:
-        return (-total(lambda lam: lam * log(lam)) - hi * log_hi) / _LN2
-    excess = total(lambda lam: lam * np.expm1((a - 1.0) * log(lam)))
-    return np.log1p(excess + hi * np.expm1((a - 1.0) * log_hi)) / ((1.0 - a) * _LN2)
+    def renyi(a, band: Optional[int] = None):
+        band = _band(a) if band is None else band
+        if band == 2:
+            return (a * log_hi + np.log1p(total(np.power(lam / hi, a)))) / ((1.0 - a) * _LN2)
+        if band == 0:
+            return (-total(lam * log(lam)) - hi * log_hi) / _LN2
+        excess = total(lam * np.expm1((a - 1.0) * log(lam)))
+        return np.log1p(excess + hi * np.expm1((a - 1.0) * log_hi)) / ((1.0 - a) * _LN2)
+
+    return renyi
 
 
 def _lam_lo(x):
@@ -215,17 +221,22 @@ def _f_alpha_array(x, order: OrderLike) -> np.ndarray:
     return _renyi(_lam_lo(x), _as_order(order).alpha)
 
 
-def _f_alpha_grid(lo: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+def _f_alpha_tables(
+    lo: np.ndarray, alphas: Sequence[float], step: int
+) -> Iterator[np.ndarray]:
     """f_alpha (columns) of the squared concurrences whose smaller Schmidt
-    coefficients ``_lam_lo`` gives as ``lo``, at each order of alphas (rows),
-    one kernel call per band of orders.  Each row is bit-equal to ``f_alpha``
-    at its order."""
-    column = np.array(alphas, dtype=float)[:, None]
-    bands = np.array([_band(a) for a in alphas])
-    out = np.empty((len(alphas), lo.size))
-    for band in set(bands.tolist()):
-        out[bands == band] = _renyi(lo, column[bands == band], band)
-    return out
+    coefficients ``_lam_lo`` gives as ``lo``, at ``step`` orders of alphas
+    (rows) at a time, one kernel call per band of a table's orders; the
+    kernel's order-free arrays are made once.  Each row is bit-equal to
+    ``f_alpha`` at its order."""
+    renyi = _renyi_of(lo)
+    bands, column = np.array([_band(a) for a in alphas]), np.array(alphas, dtype=float)[:, None]
+    for start in range(0, len(alphas), step):
+        block_bands, block = bands[start : start + step], column[start : start + step]
+        out = np.empty((len(block), lo.size))
+        for band in set(block_bands.tolist()):
+            out[block_bands == band] = renyi(block[block_bands == band], band)
+        yield out
 
 
 def g_alpha(y: float, order: OrderLike) -> float:
@@ -306,14 +317,11 @@ def block_pair_reduction(
     local unitary.  A mixture has the same weights but lacks the sqrt(w)
     coherence, so a state that is not pure is refused."""
     state = GWBlocks.from_state(state)
-    block_a = frozenset(int(p) for p in block_a)
-    block_b = frozenset(int(p) for p in block_b)
-    if not block_a or not block_b or block_a & block_b:
-        raise ValueError("blocks must be nonempty and must not overlap")
+    pair = Partition.of([block_a, block_b])
     if not state.pure:
         raise ValueError("a block pair needs a pure state")
     w = state.vacuum_weight
-    t_a, t_b = state.block_weight(block_a), state.block_weight(block_b)
+    t_a, t_b = pair.block_sums(state.weights).tolist()
     phi = np.sqrt([w, t_b, t_a, 0.0])
     matrix = np.outer(phi, phi)
     matrix[0, 0] += max(0.0, 1.0 - w - t_a - t_b)
@@ -324,14 +332,9 @@ def gw_pairwise_concurrence(
     state: State | GWBlocks, block_s: Iterable[int], block_k: Iterable[int]
 ) -> MeasureValue:
     """Concurrence 2 sqrt(t_S t_K) between two blocks of a GW-family state."""
-    state = GWBlocks.from_state(state)
-    block_s, block_k = frozenset(block_s), frozenset(block_k)
-    if not block_s or not block_k:
-        raise ValueError("blocks must be nonempty")
-    if not block_s.isdisjoint(block_k):
-        raise ValueError("blocks overlap")
-    product = state.block_weight(block_s) * state.block_weight(block_k)
-    value = 2.0 * math.sqrt(product)
+    weights = GWBlocks.from_state(state).weights
+    t_s, t_k = Partition.of([block_s, block_k]).block_sums(weights).tolist()
+    value = 2.0 * math.sqrt(t_s * t_k)
     return MeasureValue(value, kind="concurrence", method="block_weights")
 
 
@@ -342,17 +345,18 @@ class ConcurrenceSplit(NamedTuple):
     pair_sq: tuple[float, ...]
 
 
-def _pair_table(t: Sequence[float], s: int) -> tuple:
+def _pair_table(t: Sequence[float], s: int) -> np.ndarray:
     """``(C^2(s|rest), C^2(s, k)...)`` of the block weights ``t``: the pair
     table ``(4 t_s) t_k`` over the other blocks k, after its sum added left
-    to right.  Every checker reads its squared concurrences from here."""
+    to right by ``np.add.accumulate``.  Every checker reads its squared
+    concurrences from here."""
+    t = np.asarray(t, dtype=float)
     if not 0 <= s < len(t):
         raise IndexError(f"block index {s} out of range")
     if len(t) < 2:
         raise ValueError("partition needs at least two blocks")
-    scale = 4.0 * t[s]
-    pair_sq = tuple(scale * x for x in t[:s] + t[s + 1 :])
-    return (reduce(add, pair_sq, 0.0), *pair_sq)
+    pair_sq = (4.0 * t[s]) * np.concatenate((t[:s], t[s + 1 :]))
+    return np.concatenate((np.add.accumulate(pair_sq)[-1:], pair_sq))
 
 
 def gw_one_to_rest_concurrence_sq(
@@ -360,8 +364,8 @@ def gw_one_to_rest_concurrence_sq(
 ) -> ConcurrenceSplit:
     """C^2 = 4 t_S t_R of block s against the rest R, as the sum of the pair
     table 4 t_S t_K over the other blocks K, added left to right."""
-    c2s = _pair_table(GWBlocks.from_state(state).merged(partition).weights, s)
-    return ConcurrenceSplit(c2s[0], c2s[1:])
+    c2s = _pair_table(partition.block_sums(GWBlocks.from_state(state).weights), s)
+    return ConcurrenceSplit(float(c2s[0]), tuple(c2s[1:].tolist()))
 
 
 def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
@@ -375,7 +379,9 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
     state = GWBlocks.from_state(state)
     if not state.pure:
         raise ValueError("a Schmidt spectrum needs a pure state")
-    t_a, t_b = state.merged(Partition.cut(bipartition)).weights
+    cut = Partition.cut(bipartition)
+    cut.require_complete(state.layout)
+    t_a, t_b = cut.block_sums(state.weights).tolist()
     c2 = min(4.0 * t_a * t_b, 1.0)
     minor = _lam_lo(c2)
     return SchmidtSpectrum([1.0 - minor, minor])

@@ -27,7 +27,6 @@ from .tensor import (
     PureState,
     SUPPORT_TOL,
     SubsystemLayout,
-    _validated_keep,
     coarse_grain,
     partial_trace,
     require_dense,
@@ -137,21 +136,21 @@ class GWBlocks:
     """A family member described by its excitation probabilities, with no
     dense array.
 
-    ``weights[k]`` is the probability t_k of the ket exciting party k and
-    ``vacuum_weight`` is the vacuum population w, so that the weights and w
-    sum to one.  Every closed form in :mod:`gwlab.measures` reads the t_k
-    only (Kim and Sanders, J. Phys. A 41, 495301 (2008)): C(S, K) =
-    2 sqrt(t_S t_K) and C^2(S | R) = 4 t_S t_R, with t_B the summed weight of
-    block B and R the other parties present.  Only a pure member's canonical
-    pair also reads w.
+    ``weights[k]`` (a read-only float array) is the probability t_k of the
+    ket exciting party k and ``vacuum_weight`` is the vacuum population w,
+    so that the weights and w sum to one.  Every closed form in
+    :mod:`gwlab.measures` reads the t_k only (Kim and Sanders, J. Phys. A
+    41, 495301 (2008)): C(S, K) = 2 sqrt(t_S t_K) and C^2(S | R) = 4 t_S t_R,
+    with t_B the summed weight of block B and R the other parties present.
+    Only a pure member's canonical pair also reads w.
 
     ``pure`` marks a vacuum superposition; a vacuum mixture with w > 0 and
     every reduction are not pure.  A reduction keeps the weights of the
     parties it keeps and counts the rest as vacuum, and merging blocks sums
-    them, so both stay GWBlocks.
+    them; :meth:`merged` does both, so both stay GWBlocks.
     """
 
-    weights: tuple[float, ...]
+    weights: np.ndarray
     layout: PartyLayout
     vacuum_weight: float = 0.0
     pure: bool = True
@@ -160,18 +159,19 @@ class GWBlocks:
     gw = True
 
     def __post_init__(self):
-        weights = tuple(float(x) for x in self.weights)
-        if len(weights) != self.layout.n_parties:
+        weights = np.array(self.weights, dtype=float)
+        if weights.shape != (self.layout.n_parties,):
             raise ValueError(
-                f"{len(weights)} weights for {self.layout.n_parties} parties"
+                f"{weights.size} weights for {self.layout.n_parties} parties"
             )
         w = float(self.vacuum_weight)
-        if not all(math.isfinite(x) and x >= 0.0 for x in weights + (w,)):
+        if not (0.0 <= w < math.inf and 0.0 <= weights.min() and weights.max() < math.inf):
             raise ValueError("weights and vacuum_weight must be finite and nonnegative")
         # a dense member may leave up to SUPPORT_TOL outside Hamming weight <= 1
-        total = math.fsum(weights + (w,))
+        total = math.fsum([*weights.tolist(), w])
         if abs(total - 1.0) > NORM_TOL + SUPPORT_TOL:
             raise ValueError(f"weights and vacuum_weight sum to {total}")
+        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vacuum_weight", w)
         object.__setattr__(self, "pure", bool(self.pure))
@@ -184,7 +184,7 @@ class GWBlocks:
         w = spec.vacuum_weight
         weights = (1.0 - w) * np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
         layout = PartyLayout((spec.d,) * spec.n)
-        return cls(tuple(weights.tolist()), layout, w, pure or w == 0.0)
+        return cls(weights, layout, w, pure or w == 0.0)
 
     @classmethod
     def from_state(cls, state) -> "GWBlocks":
@@ -221,38 +221,29 @@ class GWBlocks:
                 f"state has population {outside:.3e} outside Hamming weight <= 1; "
                 "it is not a generalized W-class member"
             )
-        return cls(tuple(excited), PartyLayout(dims), vacuum, pure)
+        return cls(excited, PartyLayout(dims), vacuum, pure)
 
     @classmethod
     def purification(cls, spec: GWSpec) -> "GWBlocks":
         """The pure member of :func:`purify_mixture`: the mixture's weights
         plus an ancilla party of weight w, with no vacuum."""
         mixture = cls.of(spec, pure=False)
-        weights = mixture.weights + (spec.vacuum_weight,)
+        weights = np.append(mixture.weights, spec.vacuum_weight)
         layout = PartyLayout(mixture.layout.dims + (spec.d,))
         return cls(weights, layout, 0.0, True)
 
-    def block_weight(self, parties) -> float:
-        """Summed weight t_B of the listed parties."""
-        values = [self.weights[p] for p in parties]  # IndexError past the end
-        if values and min(parties) < 0:
-            raise IndexError(f"negative party index in {sorted(parties)}")
-        return math.fsum(values)
-
-    def restricted(self, keep) -> "GWBlocks":
-        """The reduction to ``keep``, its parties renumbered in ascending
-        order; the parties traced out count as vacuum."""
-        keep_list = _validated_keep(self.layout, keep)
-        weights = tuple(self.weights[p] for p in keep_list)
-        layout = self.layout.restricted(keep_list)
-        vacuum = max(0.0, 1.0 - math.fsum(weights))
-        return GWBlocks(weights, layout, vacuum, pure=False)
-
     def merged(self, partition: Partition) -> "GWBlocks":
-        """One party per block of a complete partition, weighing t_B."""
-        layout = coarse_grain(self.layout, partition)
-        weights = tuple(self.block_weight(b) for b in partition.blocks)
-        return GWBlocks(weights, layout, self.vacuum_weight, self.pure)
+        """One party per block of ``partition``, weighing t_B.  The parties
+        in no block are traced out and count as vacuum: w = 1 - the fsum of
+        the weights kept, and the reduction is not pure."""
+        weights = partition.block_sums(self.weights)
+        if partition.covers(self.layout.n_parties):
+            layout = coarse_grain(self.layout, partition)
+            return GWBlocks(weights, layout, self.vacuum_weight, self.pure)
+        keep = np.flatnonzero(partition.labels >= 0)
+        layout = coarse_grain(self.layout.restricted(keep.tolist()), partition.covered())
+        vacuum = max(0.0, 1.0 - math.fsum(self.weights[keep].tolist()))
+        return GWBlocks(weights, layout, vacuum, pure=False)
 
 
 def _weight_one_vector(n: int, d: int, table: np.ndarray) -> np.ndarray:
@@ -328,7 +319,7 @@ def reduce_to_parties(psi: PureState | DensityOperator, subset) -> DensityOperat
     """Reduced density matrix of a dense GW-tagged state on ``subset``,
     keeping the tag: reductions of family members stay in the family, so
     closed-form measures remain valid on the result.  Block weights reduce
-    through :meth:`GWBlocks.restricted`.
+    through :meth:`GWBlocks.merged`.
     """
     if not psi.gw:
         raise ValueError("reduce_to_parties needs a GW-tagged state")

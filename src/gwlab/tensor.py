@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import os
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -109,10 +110,10 @@ class PartyLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         if not dims:
             raise ValueError("layout needs at least one party")
-        if any(d < 2 for d in dims):
+        if min(dims) < 2:
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
         object.__setattr__(self, "dims", dims)
 
@@ -246,28 +247,47 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint grouping of party indices into blocks."""
+    """Disjoint nonempty blocks of party indices, held as a label vector:
+    ``labels[p]`` is the block of party p, numbered from 0; -1, or a place
+    past the vector's end, marks a party in no block."""
 
-    blocks: tuple[frozenset[int], ...]
+    labels: np.ndarray
+    n_blocks: int = field(init=False)
 
     def __post_init__(self):
-        blocks = tuple(frozenset(int(p) for p in block) for block in self.blocks)
-        if not blocks:
-            raise ValueError("partition needs at least one block")
-        if any(not block for block in blocks):
+        labels = np.array(self.labels, dtype=np.intp).reshape(-1)
+        sizes = np.bincount(labels + 1, minlength=2)  # parties in no block, in block 0...
+        if np.count_nonzero(sizes[1:]) < sizes.size - 1:
             raise ValueError("partition blocks must be nonempty")
-        seen: set[int] = set()
-        for block in blocks:
-            if seen & block:
-                raise ValueError("partition blocks overlap")
-            seen |= block
-        object.__setattr__(self, "blocks", blocks)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n_blocks", sizes.size - 1)
+        object.__setattr__(self, "_sizes", sizes)
+        # block b's parties, ascending, are _members[_offsets[b] : _offsets[b + 1]]
+        object.__setattr__(self, "_members", labels.argsort(kind="stable")[sizes[0] :])
+        object.__setattr__(self, "_offsets", list(accumulate(sizes[1:].tolist(), initial=0)))
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(blocks))
+        """The partition whose block i holds the parties listed i-th."""
+        members = [[int(p) for p in block] for block in blocks]
+        if not members:
+            raise ValueError("partition needs at least one block")
+        if not all(members):
+            raise ValueError("partition blocks must be nonempty")
+        parties = [p for block in members for p in block]
+        if min(parties) < 0:
+            raise ValueError(f"party index {min(parties)} is negative")
+        if len(set(parties)) < len(parties):
+            party = np.bincount(parties).argmax()
+            raise ValueError(f"partition blocks overlap: party {party} is listed more than once")
+        labels = [-1] * (max(parties) + 1)
+        for b, block in enumerate(members):
+            for p in block:
+                labels[p] = b
+        return cls(labels)
 
     @classmethod
     def cut(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -279,22 +299,52 @@ class Partition:
 
     @classmethod
     def singletons(cls, n_parties: int) -> "Partition":
-        return cls.of([{p} for p in range(n_parties)])
+        return cls(np.arange(n_parties))
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def relabelled(self, mapping: Sequence[int]) -> "Partition":
+        """Block b's parties in block ``mapping[b]`` (-1: in no block)."""
+        return type(self)(np.array([*mapping, -1])[self.labels])  # label -1 reads the last
+
+    def covered(self) -> "Partition":
+        """The blocks on the reduction to the parties they hold, which are
+        renumbered in ascending order."""
+        return type(self)(self.labels[self.labels >= 0]) if self._sizes[0] else self
+
+    def covers(self, n_parties: int) -> bool:
+        """Whether the blocks hold parties 0..n_parties-1 and no other."""
+        return self.labels.size == n_parties and not self._sizes[0]
 
     @cached_property
     def sorted_blocks(self) -> list[list[int]]:
         """Each block's parties in ascending order, one list shared by every report."""
-        return [sorted(b) for b in self.blocks]
+        flat, offsets = self._members.tolist(), self._offsets
+        return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.sorted_blocks))
 
     def parties(self) -> frozenset[int]:
-        return frozenset().union(*self.blocks)
+        return frozenset(self._members.tolist())
+
+    def block_sums(self, values) -> np.ndarray:
+        """Each block's sum of ``values[p]`` over its parties p, exact as
+        ``math.fsum``: a one-party block's is its value, through
+        ``np.bincount``, and a larger block's its ``math.fsum``.  ``values``
+        holds one entry per party; a block holding a party past its end
+        raises IndexError."""
+        values, labels = np.asarray(values, dtype=float), self.labels
+        if values.size < labels.size:
+            raise IndexError(f"party {labels.size - 1} out of range for {values.size} parties")
+        # bin 0 gathers the parties in no block
+        sums = np.bincount(labels + 1, values[: labels.size], self.n_blocks + 1)[1:]
+        grouped, offsets = values[self._members].tolist(), self._offsets
+        for b in (self._sizes[1:] > 1).nonzero()[0].tolist():
+            sums[b] = math.fsum(grouped[offsets[b] : offsets[b + 1]])
+        return sums
 
     def require_complete(self, layout: PartyLayout) -> None:
-        if self.parties() != frozenset(range(layout.n_parties)):
+        if not self.covers(layout.n_parties):
             raise ValueError(
                 f"partition {sorted(self.sorted_blocks)} does not cover "
                 f"all {layout.n_parties} parties"
@@ -383,30 +433,21 @@ def schmidt_spectrum(
     return SchmidtSpectrum(np.linalg.svd(mat, compute_uv=False) ** 2)
 
 
-def partition_permutation(partition: Partition) -> tuple[int, ...]:
-    """Party order after coarse-graining: blocks in order, members ascending."""
-    return tuple(p for block in partition.blocks for p in sorted(block))
-
-
 def coarse_grain(layout: PartyLayout, partition: Partition) -> PartyLayout:
     """Layout with one party per block, dimension the product over members."""
     partition.require_complete(layout)
-    return type(layout)(
-        tuple(
-            math.prod(layout.dims[p] for p in sorted(block))
-            for block in partition.blocks
-        )
-    )
+    dims = np.array(layout.dims, dtype=object)[partition._members]
+    return type(layout)(tuple(np.multiply.reduceat(dims, partition._offsets[:-1]).tolist()))
 
 
 def coarse_grain_state(state: State, partition: Partition) -> State:
     """Reindex ``state`` so each partition block becomes a single party.
 
-    The amplitude data is unchanged up to the index permutation returned by
-    :func:`partition_permutation`.
+    The amplitude data is unchanged up to the permutation of the parties
+    that puts the blocks in order, each block's parties ascending.
     """
     new_layout = coarse_grain(state.layout, partition)
-    perm = partition_permutation(partition)
+    perm = partition._members.tolist()
     n = state.layout.n_parties
     if isinstance(state, PureState):
         t = np.transpose(state.tensor(), perm)

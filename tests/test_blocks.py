@@ -178,7 +178,7 @@ def test_restriction_and_merging_match_dense(rng):
         keep = sorted(rng.choice(spec.n, size=3, replace=False).tolist())
         pair = ({0}, {1, 2})
         want = concurrence_two_qubit(dense_block_pair(partial_trace(psi, keep), *pair))
-        reduced = blocks.restricted(keep)
+        reduced = blocks.merged(Partition.of([p] for p in keep))
         assert not reduced.pure and reduced.layout.n_parties == 3
         assert gw_pairwise_concurrence(reduced, *pair).value == pytest.approx(
             want.value, abs=1e-12
@@ -193,6 +193,36 @@ def test_restriction_and_merging_match_dense(rng):
         cut = (partition.blocks[0], partition.parties() - partition.blocks[0])
         direct = concurrence_pure(psi, cut).value ** 2
         assert split.pair_sum_sq == pytest.approx(direct, abs=1e-12)
+
+
+def test_block_sums_are_exact_and_reductions_count_the_rest_as_vacuum(rng):
+    # every block weight is one block sum over the label vector, bit for bit
+    # the fsum of its parties' weights; a partition with blocks dropped gives
+    # the reduction to the parties it keeps, with the rest counted as vacuum
+    for _ in range(60):
+        spec = random_gw_spec(rng, n_min=2, n_max=9, d=int(rng.integers(2, 4)))
+        blocks = GWBlocks.of(spec)
+        complete = random_complete_partition(rng, spec.n)
+        kept = [b for b in complete.blocks if rng.uniform() < 0.6] or [complete.blocks[-1]]
+        # values spread over forty decades, so that adding in any order but
+        # fsum's would round differently
+        values = rng.uniform(size=spec.n) * 10.0 ** rng.integers(-20, 20, size=spec.n)
+        for partition in (complete, Partition.of(kept)):
+            assert partition.sorted_blocks == [sorted(b) for b in partition.blocks]
+            assert all(type(p) is int for b in partition.sorted_blocks for p in b)
+            for vector in (blocks.weights, values):
+                want = [math.fsum(vector[p] for p in b).hex() for b in partition.blocks]
+                assert [x.hex() for x in partition.block_sums(vector).tolist()] == want
+            merged = blocks.merged(partition)
+            assert merged.weights.tolist() == partition.block_sums(blocks.weights).tolist()
+            assert merged.layout.dims == tuple(spec.d ** len(b) for b in partition.blocks)
+            if partition.covers(spec.n):
+                assert merged.vacuum_weight == blocks.vacuum_weight
+                assert merged.pure == blocks.pure
+                continue
+            kept_weights = [blocks.weights[p] for p in sorted(partition.parties())]
+            assert merged.vacuum_weight == max(0.0, 1.0 - math.fsum(kept_weights))
+            assert not merged.pure
 
 
 def test_cut_spectrum_is_exact_for_weak_cuts():
@@ -229,10 +259,12 @@ def test_blocks_validation_and_purity():
     three = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
     with pytest.raises(ValueError, match="pure state"):
         check_merged_block_upper_bound(
-            three.restricted({0, 1, 2}), {0}, {1}, [{2}], 1.1
+            GWBlocks(three.weights, three.layout, pure=False), {0}, {1}, [{2}], 1.1
         )
-    with pytest.raises(IndexError):
-        GWBlocks.of(spec).block_weight({-1})
+    with pytest.raises(IndexError, match="party 2 out of range"):
+        gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {2})
+    with pytest.raises(ValueError, match="negative"):
+        gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {-1})
     with pytest.raises(ValueError, match="overlap"):
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {0, 1})
 
@@ -262,7 +294,7 @@ def test_from_state_matches_spec_weights(rng, d):
             (psi, GWBlocks.of(spec)),
             (mix_with_vacuum(spec), GWBlocks.of(spec, pure=False)),
             (_dense_purification(spec), GWBlocks.purification(spec)),
-            (partial_trace(psi, keep), GWBlocks.of(spec).restricted(keep)),
+            (partial_trace(psi, keep), GWBlocks.of(spec).merged(Partition.of([p] for p in keep))),
         ]
         for dense, want in cases:
             got = GWBlocks.from_state(dense)

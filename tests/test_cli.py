@@ -56,10 +56,10 @@ def test_alpha_grid_excludes_one():
 
 
 def test_parse_partition():
-    p = parse_partition("0|1,2|3")
+    p = parse_partition("0|1,2|3", 4)
     assert [sorted(b) for b in p.blocks] == [[0], [1, 2], [3]]
     with pytest.raises(ValueError):
-        parse_partition("0||2")
+        parse_partition("0||2", 3)
 
 
 def test_figure1_rows_ordered(tmp_path):
@@ -288,7 +288,7 @@ def test_verify_non_finite_tightened_flags_exit_two(spec_file, tmp_path, capsys,
 
 def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     # verify runs on block weights, so neither grid compresses any local
-    # support, and the order-free work (merging parties into block weights)
+    # support, and the order-free work (block sums of the parties' weights)
     # runs once per job, whatever its number of orders
     calls = {}
 
@@ -303,13 +303,12 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(
         gwlab.measures, "compress_local_support", counting("compress", compress)
     )
-    monkeypatch.setattr(GWBlocks, "merged", counting("merged", GWBlocks.merged))
-    weight = counting("block_weight", GWBlocks.block_weight)
-    monkeypatch.setattr(GWBlocks, "block_weight", weight)
+    sums = counting("block_sums", gwlab.tensor.Partition.block_sums)
+    monkeypatch.setattr(gwlab.tensor.Partition, "block_sums", sums)
     spec = gw_spec_to_json(GWSpec.qubit([0.5, 0.5, 0.5, 0.5], vacuum_weight=0.2))
     counts = []
     for grid in ("1.1:1.1:1", "0.83:1.30:0.05"):
-        calls.update(compress=0, merged=0, block_weight=0)
+        calls.update(compress=0, block_sums=0)
         args = ["verify", "--spec", spec, "--alpha", grid, "--c-pow", "2"]
         args += ["--b-pow", "1", "--k", "2", "--out", str(tmp_path / "r.jsonl")]
         assert main(args) == 0
@@ -317,15 +316,18 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
     assert counts[0] == counts[1]
     assert counts[0]["compress"] == 0
-    assert counts[0]["merged"] > 0 and counts[0]["block_weight"] > 0
+    assert counts[0]["block_sums"] > 0
 
 
 def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
-    # the job's partition and the trace bound's cut are the only partitions
-    # built; one merge takes the job's weights, which are also its first three
-    # blocks', one each merged-cut bound's and one the cut's.  A preparer that
-    # rebuilds the job's partition or merges twice fails this.
-    calls = {"partition": 0, "merged": 0}
+    # the job's partition is parsed once, and every block weight comes from
+    # one block sum over the job's labels or a relabelling of them: the job's
+    # blocks (whose first three are the first three blocks' weights), the
+    # merged-cut bounds' cut (P and Q as one block, shared by both bounds) and
+    # the trace bound's cut.  The first three blocks are one more relabelling,
+    # for their params.  A preparer that parses the partition again, or sums
+    # twice, fails this.
+    calls = {"of": 0, "partition": 0, "block_sums": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -334,15 +336,16 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
 
         return counted
 
-    init = counting("partition", gwlab.tensor.Partition.__post_init__)
-    monkeypatch.setattr(gwlab.tensor.Partition, "__post_init__", init)
-    monkeypatch.setattr(GWBlocks, "merged", counting("merged", GWBlocks.merged))
+    partition = gwlab.tensor.Partition
+    monkeypatch.setattr(partition, "of", classmethod(counting("of", partition.of.__func__)))
+    init = counting("partition", partition.__post_init__)
+    monkeypatch.setattr(partition, "__post_init__", init)
+    monkeypatch.setattr(partition, "block_sums", counting("block_sums", partition.block_sums))
     spec = gw_spec_to_json(GWSpec.qubit([0.5] * 4))
     args = ["verify", "--spec", spec, "--partition", "0|1|2,3", "--alpha", "0.83:1.30:0.05"]
     assert main(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert calls["partition"] == 2
-    assert calls["merged"] == 4
+    assert calls == {"of": 1, "partition": 4, "block_sums": 3}
 
 
 def test_verify_two_parties_with_vacuum(tmp_path):
@@ -381,6 +384,27 @@ def test_verify_single_block_exit_two(spec_file, tmp_path, capsys):
     assert main(args + ["--alpha", "0.5:0.7:0.1"]) == 2
     assert main(args) == 2
     assert "partition needs at least two blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "partition,why",
+    [("0||1,2,3", "empty block in partition"),
+     ("0|1,1|2|3", "overlap: party 1 is listed more than once"),
+     ("0,1|1,2|3", "overlap: party 1 is listed more than once"),
+     ("0|1|2", "does not cover all 4 parties"),
+     ("0|1|2|3,7", "party 7 out of range for 4 parties"),
+     ("-1|0|1|2,3", "party -1 out of range for 4 parties"),
+     ("0|1,a|2|3", "invalid literal for int() with base 10: 'a'")],
+)
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_malformed_partition_exit_two(spec_file, tmp_path, capsys, command, partition, why):
+    # a party listed twice in one block used to run as if listed once
+    out = tmp_path / "r.jsonl"
+    args = [command, "--spec", spec_file, f"--partition={partition}", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err and "Traceback" not in err
     assert not out.exists()
 
 

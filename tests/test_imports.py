@@ -94,7 +94,8 @@ def test_only_states_branches_on_block_weights():
 def test_no_builtin_sum():
     # CPython 3.12 made the builtin sum of floats compensated, so a result
     # summed by it would depend on the interpreter; sums add left to right
-    # with functools.reduce(operator.add, ..., 0.0) instead
+    # with np.add.accumulate or functools.reduce(operator.add, ..., 0.0)
+    # instead
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

@@ -35,10 +35,11 @@ from gwlab import (
 import gwlab.inequalities
 from gwlab.featured import figure1_reduction, figure2_blocks, figure2_state, figure3_state
 from gwlab.inequalities import (
-    _block_weights, _fold, _merged_cut_bound, _power_relation, _reoa_triangle, _tightened,
-    at_orders,
+    _block_weights, _fold, _merged_cut, _merged_cut_bound, _power_relation, _reoa_triangle,
+    _tightened, at_orders,
 )
 from gwlab.games import _monogamy_cap, _trace_bound_renyi
+from gwlab.measures import _pair_table
 from conftest import random_complete_partition, random_gw_spec
 
 
@@ -478,17 +479,17 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
     psi = GWBlocks.of(spec)
     partition = random_complete_partition(rng, 6, 5)
     t = psi.merged(partition).weights
-    t3, first_three = _block_weights(psi, Partition(partition.blocks[:3]))
+    t3, first_three = _block_weights(psi, Partition.of(partition.blocks[:3]))
     tighter = TighterParams(c_pow=2.0, b_pow=1.3, k=1.1)
     checks = [
-        _power_relation("monogamy_power", "ge", t, partition, 0, 3.0),
-        _power_relation("polygamy_power", "le", t, partition, 1, 0.5),
+        _power_relation("monogamy_power", "ge", _pair_table(t, 0), partition, 0, 3.0),
+        _power_relation("polygamy_power", "le", _pair_table(t, 1), partition, 1, 0.5),
         _reoa_triangle(t3, first_three),
-        _merged_cut_bound("pair_block_upper_bound", psi, partition, False),
-        _monogamy_cap(t, partition, 2),
-        _trace_bound_renyi(psi),
-        _tightened(t, partition, 2, tighter, "renyi"),
-        _tightened(t, partition, 1, tighter, "concurrence"),
+        _merged_cut_bound("pair_block_upper_bound", t, _merged_cut(psi, partition), partition),
+        _monogamy_cap(_pair_table(t, 0), partition, 2),
+        _trace_bound_renyi(psi, Partition.cut(({0}, range(1, 6)))),
+        _tightened(_pair_table(t, 0), partition, 2, tighter, "renyi"),
+        _tightened(_pair_table(t, 0), partition, 1, tighter, "concurrence"),
     ]
     grid = [0.6 + 0.037 * i for i in range(25)]
     whole = _report_values(at_orders(grid, checks))

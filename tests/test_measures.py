@@ -37,7 +37,7 @@ from gwlab import (
     renyi_entropy,
     superpose_with_vacuum,
 )
-from gwlab.measures import _f_alpha_array, _f_alpha_grid, _lam_lo
+from gwlab.measures import _f_alpha_array, _f_alpha_tables, _lam_lo
 from gwlab.featured import (
     FIG1_AMPLITUDES,
     FIG2_AMPLITUDES,
@@ -132,14 +132,16 @@ def test_f_alpha_array_matches_scalar():
 
 
 def test_f_alpha_grid_rows_match_scalar():
-    # the grid groups the orders by branch and evaluates each group in one
-    # call; its rows come back in the grid's order, bit-equal to f_alpha
+    # a table groups its orders by branch and evaluates each group in one
+    # call; its rows come back in the grid's order, bit-equal to f_alpha,
+    # whether the tables hold the whole grid or a few orders each
     grid = [1.2, 1.0, 0.9, 1.0 + 2e-6, 5000.0, 1.0 - 3e-7, 1.0005, 0.83, 2.0]
-    table = _f_alpha_grid(_lam_lo(np.array(BRANCH_XS)), grid)
-    assert table.shape == (len(grid), len(BRANCH_XS))
-    for a, row in zip(grid, table):
-        assert row.tolist() == [f_alpha(x, a) for x in BRANCH_XS], a
-    single = _f_alpha_grid(_lam_lo(np.array([0.3])), grid)
+    for step in (len(grid), 4, 1):
+        table = np.vstack(list(_f_alpha_tables(_lam_lo(np.array(BRANCH_XS)), grid, step)))
+        assert table.shape == (len(grid), len(BRANCH_XS))
+        for a, row in zip(grid, table):
+            assert row.tolist() == [f_alpha(x, a) for x in BRANCH_XS], a
+    single = next(_f_alpha_tables(_lam_lo(np.array([0.3])), grid, len(grid)))
     assert single[:, 0].tolist() == [f_alpha(0.3, a) for a in grid]
 
 

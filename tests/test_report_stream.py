@@ -15,7 +15,9 @@ grid.  A deliberate output change re-records a stream by running the
 CHANGES.md.
 """
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,22 @@ def test_verify_csv_stream_bytes_unchanged(tmp_path, capsys):
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
 def test_oracle_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
+
+
+#: SHA-256 of the CSV stream of ``verify`` on 5 * 10^4 singleton qubits of
+#: equal weight with vacuum weight 0.2 over the orders 0.9, 1.1 and 1.2,
+#: recorded while blocks were still sets of parties.
+LARGE_CSV_SHA256 = "03e55df405c1a84064e88b2438f577fca553b5f9c662d8ed66bf8322ce9f6099"
+
+
+def test_large_singleton_csv_stream_bytes_unchanged(tmp_path):
+    n = 5 * 10**4
+    spec = {"n": n, "d": 2, "amplitudes": [[1 / math.sqrt(n), 0.0]] * n, "vacuum_weight": 0.2}
+    path, out = tmp_path / "spec.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(spec))
+    args = ["verify", "--spec", str(path), "--alpha", "0.9:1.2:0.1", "--format", "csv"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_CSV_SHA256
 
 
 def test_verify_jsonl_stream_same_bytes_to_file_and_stdout(tmp_path, capsys):

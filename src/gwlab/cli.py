@@ -31,11 +31,10 @@ from .games import (
 from .inequalities import (
     CSV_HEADER,
     Applicability,
-    Prepared,
     TighterParams,
     _block_weights,
     _csv_num,
-    _json_lines,
+    _grid_lines,
     _merged_cut,
     _merged_cut_bound,
     _power_relation,
@@ -231,9 +230,9 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     return lines
 
 
-def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, list]:
-    """The job's prepared checks, their reports over the grid and the mixture
-    suite's reports."""
+def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterParams], list, list]:
+    """The job's spec, tightened-bound exponents, order grid and prepared
+    checks."""
     tighter = _tighter(args)
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
@@ -247,7 +246,7 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, lis
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
     # each checker does its order-free work once, here, in the stream's order;
-    # at_orders then evaluates the grid on one f_alpha table per block of orders
+    # the grid is then evaluated on one f_alpha table per block of orders
     power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
     c2 = _pair_table(t, 0)
     checks = [
@@ -270,34 +269,38 @@ def _verify_reports(args: argparse.Namespace) -> tuple[list[Prepared], list, lis
             checks.append(_tightened(c3, first_three, 2, tighter, kind, three=True))
         if k >= 4:
             checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
-    reports, mixture = at_orders(grid, checks), []
-    if spec.vacuum_weight > 0.0:
-        mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter)
-    return checks, reports, mixture
+    return spec, tighter, grid, checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run every applicable checker over the grid; exit 0 only if no
-    applicable check failed.  JSONL encodes each check's params once."""
-    checks, reports, mixture = _verify_reports(args)
-    if args.format == "csv":
-        rows = (",".join(report_to_csv_row(r)) for r in reports + mixture)
-        lines = itertools.chain([",".join(CSV_HEADER)], rows)
+    applicable check failed.  The grid's rows are evaluated once and its
+    lines encoded from them, with the bytes of its reports (no report is
+    built); the mixture suite's reports, made after the grid's rows, are
+    encoded whole."""
+    spec, tighter, grid, checks = _verify_checks(args)
+    csv = args.format == "csv"
+    failed, lines = _grid_lines(grid, checks, csv)
+    mixture = []
+    if spec.vacuum_weight > 0.0:
+        mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter)
+    if csv:
+        rows = (",".join(report_to_csv_row(r)) for r in mixture)
+        lines = itertools.chain([",".join(CSV_HEADER)], lines, rows)
     else:
-        lines = itertools.chain(_json_lines(reports, checks), map(report_to_json_line, mixture))
+        lines = itertools.chain(lines, map(report_to_json_line, mixture))
     _write_lines(lines, args.out)
-    return int(any(r.applicability == Applicability.APPLICABLE and not r.satisfied
-                   for r in reports + mixture))
+    return int(failed or any(r.applicability == Applicability.APPLICABLE and not r.satisfied
+                             for r in mixture))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Convex-roof estimates plus agreement reports, one JSON object per line.
 
     Every block pair of the state's block weights, and each order on the
-    first two blocks, is one target of ``oracle_reports``, which builds each
-    pair's canonical qubit pair through ``block_pair_reduction`` and runs
-    all the roofs in lockstep.  A job of more than ``MAX_ORACLE_TARGETS``
-    targets is refused before any pair is listed."""
+    first two blocks, is one target of ``oracle_reports``, which sums each
+    pair's blocks once and runs all the roofs in lockstep.  A job of more
+    than ``MAX_ORACLE_TARGETS`` targets is refused before any pair is listed."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _env_seed() if args.seed is None else args.seed

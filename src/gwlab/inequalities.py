@@ -1,11 +1,14 @@
 """Monogamy, polygamy, upper-bound and tightened-bound checkers.
 
 Every checker evaluates one inequality on the block weights of a GW-family
-state and returns an :class:`InequalityReport`: its :class:`Prepared` form,
-which holds the order-free work, evaluated by :func:`at_orders` over an
-order grid as arrays, a block of orders at a time, with the reports built
-last.  A public checker takes a :class:`GWBlocks` or a GW-tagged dense
-state and takes the weights t_B of its blocks once, at entry, through
+state and returns an :class:`InequalityReport`.  Its :class:`Prepared` form
+holds the order-free work; :func:`_grid` evaluates it over an order grid as
+arrays, a block of orders at a time, into rows (lhs, rhs, slack and the keys
+an order adds) and their verdicts, once.  :func:`at_orders` builds reports
+from the rows for the library API; ``verify`` encodes its lines from the
+same rows (:func:`_grid_lines`), with the bytes of those reports' lines and
+no report built.  A public checker takes a :class:`GWBlocks` or a GW-tagged
+dense state and takes the weights t_B of its blocks once, at entry, through
 :func:`_block_weights`: :meth:`GWBlocks.from_state`, then one
 :meth:`Partition.block_sums` over the label vector of the blocks, exact as
 ``math.fsum`` per block.  The preparers take those weights, or a block's
@@ -31,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, cycle
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -113,26 +116,13 @@ class InequalityReport:
     params: dict = field(default_factory=dict)
 
 
-def _applicable(
-    name: str, lhs: float, rhs: float, direction: str, params: dict,
-    tol: float = CLOSED_FORM_TOL,
-) -> InequalityReport:
-    slack = (lhs - rhs) if direction == "ge" else (rhs - lhs)
-    return InequalityReport(name, float(lhs), float(rhs), float(slack), bool(slack >= -tol),
-                            Applicability.APPLICABLE, params)
-
-
-def _skipped(name: str, why: Applicability, params: dict) -> InequalityReport:
-    return InequalityReport(name, None, None, None, True, why, params)
-
-
 class Prepared(NamedTuple):
     """A checker with its order-free work (validation, reductions, C^2
     values) done.  ``evaluate(block)`` takes the f_alpha values of ``c2s``,
     one row per order of a block, and gives per order ``(lhs, rhs, slack,
     extra)``: slack is None when a side condition is unmet, and ``extra`` the
-    params a report in the order ``window`` adds.  A check whose window is
-    None takes no order: it reports the same at every order, and records none."""
+    (new, not alpha, mu or k) params a report in the order ``window`` adds.
+    A check whose window is None takes no order and records none."""
 
     name: str
     window: Optional[Callable[[RenyiOrder], bool]]
@@ -146,18 +136,20 @@ class Prepared(NamedTuple):
 
 _MONOGAMY = RenyiOrder.supports_monogamy.fget
 _POLYGAMY = RenyiOrder.supports_polygamy.fget
+#: A row's verdict code, and by code its report's verdict and applicability.
+_HELD, _FAILED, _UNMET, _OUT = range(4)
+_VERDICTS = ((True, Applicability.APPLICABLE), (False, Applicability.APPLICABLE),
+             (True, Applicability.CONDITION_UNMET), (True, Applicability.OUT_OF_WINDOW))
 
 
-def at_orders(
-    grid: Iterable[OrderLike], checks: Sequence[Prepared]
-) -> list[InequalityReport]:
-    """The reports of prepared checkers at every order of the grid, order by
-    order.  Each distinct C^2 vector is found once, and its span of columns
-    is shared by its readers.  One f_alpha table per block of orders (the
-    whole grid unless the longest vector makes ``GRID_VALUES`` too few for
-    it) holds every span; each reader evaluates its span of a block at once,
-    and the reports are built last."""
-    orders, reports = [_as_order(a) for a in grid], []
+def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, list, list]:
+    """The grid's orders, and per check its verdict codes and its rows
+    ``(lhs, rhs, slack, extra)`` at every order.  One f_alpha table per block
+    of orders (the whole grid unless the longest C^2 vector makes
+    ``GRID_VALUES`` too few) holds each distinct vector once.  The codes are
+    the one verdict rule: out of window, unmet where the slack is None, else
+    satisfied when ``slack >= -CLOSED_FORM_TOL``."""
+    orders = [_as_order(a) for a in grid]
     keys = [check.c2s.tobytes() for check in checks]
     vectors = dict(zip(keys, (check.c2s for check in checks)))
     ends = list(accumulate(map(len, vectors.values()), initial=0))
@@ -169,20 +161,27 @@ def at_orders(
     for table in _f_alpha_tables(lo, [order.alpha for order in orders], step):
         for check, span, check_rows in zip(checks, reads, rows):
             check_rows += check.evaluate(table[:, span])
+    codes = [[_OUT if not inside else _UNMET if slack is None
+              else _HELD if slack >= -CLOSED_FORM_TOL else _FAILED
+              for inside, (_, _, slack, _) in zip(
+                  map(c.window, orders) if c.window else repeat(True), check_rows)]
+             for c, check_rows in zip(checks, rows)]
+    return orders, codes, rows
+
+
+def at_orders(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> list[InequalityReport]:
+    """The reports of prepared checkers at every order of the grid, order by
+    order; ``verify`` writes their lines from the rows (:func:`_grid_lines`)."""
+    orders, codes, rows = _grid(grid, checks)
+    reports = []
     for i, order in enumerate(orders):
-        for check, check_rows in zip(checks, rows):
-            params = ({"alpha": order.alpha, **check.params} if check.window
-                      else dict(check.params))
-            if check.window and not check.window(order):
-                reports.append(_skipped(check.name, Applicability.OUT_OF_WINDOW, params))
-                continue
-            lhs, rhs, slack, extra = check_rows[i]
-            params.update(extra)
-            reports.append(
-                _skipped(check.name, Applicability.CONDITION_UNMET, params) if slack is None
-                else InequalityReport(check.name, lhs, rhs, slack, slack >= -CLOSED_FORM_TOL,
-                                      Applicability.APPLICABLE, params)
-            )
+        for check, check_codes, check_rows in zip(checks, codes, rows):
+            (lhs, rhs, slack, extra), code = check_rows[i], check_codes[i]
+            params = {"alpha": order.alpha, **check.params} if check.window else dict(check.params)
+            if code != _OUT:
+                params.update(extra)
+            sides = (lhs, rhs, slack) if code <= _FAILED else (None, None, None)
+            reports.append(InequalityReport(check.name, *sides, *_VERDICTS[code], params))
     return reports
 
 
@@ -193,10 +192,15 @@ def _csv_num(value) -> str:
     return "" if value is None else f"{float(value):.12g}"
 
 
+def _csv_row(name: str, alpha, mu, k, lhs, rhs, slack, satisfied: bool) -> tuple[str, ...]:
+    """The one CSV formatter: a report's fields, numbers by :func:`_csv_num`."""
+    return (name, alpha, mu, k, lhs, rhs, slack, "true" if satisfied else "false")
+
+
 def report_to_csv_row(report: InequalityReport) -> tuple[str, ...]:
-    numbers = [report.params.get(key) for key in ("alpha", "mu", "k")]
+    numbers = [report.params.get(key) for key in CSV_HEADER[1:4]]
     numbers += [report.lhs, report.rhs, report.slack]
-    return (report.name, *map(_csv_num, numbers), str(report.satisfied).lower())
+    return _csv_row(report.name, *map(_csv_num, numbers), report.satisfied)
 
 
 _JSON = json.JSONEncoder(sort_keys=True)
@@ -210,41 +214,79 @@ def _json_value(value) -> str:
     return "null" if value is None else _JSON.encode(value)
 
 
-def _json_line(report: InequalityReport, params: str) -> str:
-    """The one JSONL formatter: the report as ``json.dumps(doc,
-    sort_keys=True)`` writes it, with its params already encoded."""
-    return (
-        f'{{"applicability": {encode_basestring_ascii(report.applicability.value)}, '
-        f'"lhs": {_json_value(report.lhs)}, "name": {encode_basestring_ascii(report.name)}, '
-        f'"params": {params}, "rhs": {_json_value(report.rhs)}, '
-        f'"satisfied": {"true" if report.satisfied else "false"}, '
-        f'"slack": {_json_value(report.slack)}}}'
-    )
+def _json_line(why: Applicability, name: str, params: str, satisfied: bool,
+               lhs: str, rhs: str, slack: str) -> str:
+    """The one JSONL formatter: a report's fields, all but the tag and verdict
+    encoded, as ``json.dumps(doc, sort_keys=True)`` writes them."""
+    return (f'{{"applicability": "{why.value}", "lhs": {lhs}, "name": {name}, '
+            f'"params": {params}, "rhs": {rhs}, '
+            f'"satisfied": {"true" if satisfied else "false"}, "slack": {slack}}}')
 
 
 def report_to_json_line(report: InequalityReport) -> str:
-    return _json_line(report, _JSON.encode(report.params))
+    r = report
+    return _json_line(r.applicability, encode_basestring_ascii(r.name), _JSON.encode(r.params),
+                      r.satisfied, *map(_json_value, (r.lhs, r.rhs, r.slack)))
 
 
-def _json_lines(
-    reports: Iterable[InequalityReport], checks: Sequence[Prepared]
-) -> Iterator[str]:
-    """:func:`report_to_json_line` of each report of ``at_orders(grid,
-    checks)``, whose i-th holds the params of ``checks[i % len(checks)]`` and
-    the keys its order adds (alpha, middle...).  Per layout of keys, the
-    check's members are encoded once and an added key's on every line."""
-    layouts: list[dict] = [{} for _ in checks]
-    for report, check, known in zip(reports, cycle(checks), cycle(layouts)):
-        params, const = report.params, check.params
-        keys = tuple(params)
-        if keys not in known:
-            known[keys] = [
-                (f"{_json_value(key)}: {_json_value(const[key])}", None) if key in const
-                else (f"{_json_value(key)}: ", key) for key in sorted(keys)
-            ]
-        items = [text if key is None else text + _json_value(params[key])
-                 for text, key in known[keys]]
-        yield _json_line(report, "{" + ", ".join(items) + "}")
+def _line_format(check: Prepared, code: int, added: tuple, csv: bool) -> tuple:
+    """The line of ``check`` with verdict ``code`` and the order's keys
+    ``added``, by the one formatter, as a format of {0}-{2} lhs, rhs and
+    slack, {3} alpha, {4}... the values of ``added`` and then the constant
+    texts it returns with it, encoded here once.  The format holds only
+    slots, so no long text (a partition) is parsed again on every line."""
+    n, encode = 4 + len(added), _csv_num if csv else _json_value
+    # a NUL marks slot i, or n for the name: json escapes every control
+    # character, and a CSV line holds only numbers and the verdict besides
+    marks = [f"\0{i}\0" for i in range(n + 1)]
+    sides = marks[:3] if code <= _FAILED else [encode(None)] * 3
+    fields = {"alpha": marks[3]} if check.window else {}
+    satisfied, why = _VERDICTS[code]
+    if csv:
+        fields.update((key, _csv_num(value)) for key, value in check.params.items()
+                      if key in CSV_HEADER[1:4])
+        numbers = [fields.get(key, "") for key in CSV_HEADER[1:4]]
+        line = ",".join(_csv_row(marks[n], *numbers, *sides, satisfied))
+    else:
+        fields.update((key, _json_value(value)) for key, value in check.params.items())
+        fields.update(zip(added, marks[4:n]))
+        params = ", ".join(f"{_json_value(key)}: {fields[key]}" for key in sorted(fields))
+        line = _json_line(why, marks[n], "{" + params + "}", satisfied, *sides)
+    chunks = line.split("\0")
+    texts = [check.name if csv else encode_basestring_ascii(check.name), *chunks[::2]]
+    chunks[::2] = [f"{{{i}}}" for i in range(n + 1, n + len(texts))]
+    chunks[1::2] = [f"{{{i}}}" for i in chunks[1::2]]
+    return "".join(chunks).format, texts
+
+
+def _column(check: Prepared, codes: list, rows: list, alphas: list, csv: bool) -> Iterator[str]:
+    """The lines of ``check`` at orders whose alpha is ``alphas``: a side of
+    finite floats is encoded as a column, and an added dict once per run of
+    rows that share it."""
+    formats, last, keys, values = {}, None, (), []
+    lhs, rhs, slack, extras = zip(*rows)
+    sides = [map("{:.12g}".format if csv else float.__repr__, side)
+             if set(map(type, side)) <= {float} and all(map(math.isfinite, side))
+             else map(_csv_num if csv else _json_value, side) for side in (lhs, rhs, slack)]
+    for alpha, code, lhs, rhs, slack, extra in zip(alphas, codes, *sides, extras):
+        if extra is not last and not csv:
+            last, keys, values = extra, tuple(extra), list(map(_json_value, extra.values()))
+        added, own = ((), ()) if csv or code == _OUT else (keys, values)
+        line = formats.get((code, added))
+        if line is None:
+            line = formats[code, added] = _line_format(check, code, added, csv)
+        yield line[0](lhs, rhs, slack, alpha, *own, *line[1])
+
+
+def _grid_lines(grid: Iterable[OrderLike], checks: Sequence[Prepared],
+                csv: bool = False) -> tuple[bool, Iterator[str]]:
+    """Whether an applicable report of ``at_orders(grid, checks)`` fails, and
+    the bytes of :func:`report_to_json_line` (or :func:`report_to_csv_row`)
+    of each, written from the rows, each order's alpha encoded once."""
+    orders, codes, rows = _grid(grid, checks)
+    alphas = [(_csv_num if csv else _json_value)(order.alpha) for order in orders]
+    columns = [_column(*column, alphas, csv) for column in zip(checks, codes, rows)]
+    return any(_FAILED in c for c in codes), chain.from_iterable(zip(*columns))
 
 
 def h_coefficient(k: float, t: float) -> float:

@@ -318,14 +318,19 @@ def block_pair_reduction(
     coherence, so a state that is not pure is refused."""
     state = GWBlocks.from_state(state)
     pair = Partition.of([block_a, block_b])
+    return _block_pair(state, *pair.block_sums(state.weights).tolist())[1]
+
+
+def _block_pair(state: GWBlocks, t_a: float, t_b: float) -> tuple[float, DensityOperator]:
+    """The concurrence 2 sqrt(t_a t_b) of two blocks of ``state`` that weigh
+    t_a and t_b, and their canonical qubit pair (:func:`block_pair_reduction`)."""
     if not state.pure:
         raise ValueError("a block pair needs a pure state")
     w = state.vacuum_weight
-    t_a, t_b = pair.block_sums(state.weights).tolist()
     phi = np.sqrt([w, t_b, t_a, 0.0])
     matrix = np.outer(phi, phi)
     matrix[0, 0] += max(0.0, 1.0 - w - t_a - t_b)
-    return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
+    return 2.0 * math.sqrt(t_a * t_b), DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
 
 
 def gw_pairwise_concurrence(

@@ -34,19 +34,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .inequalities import Applicability, InequalityReport, _applicable, _skipped
-from .measures import (
-    OrderLike,
-    _as_order,
-    _f_alpha_array,
-    block_pair_reduction,
-    f_alpha,
-    gw_pairwise_concurrence,
-)
+from .inequalities import Applicability, InequalityReport
+from .measures import OrderLike, _as_order, _block_pair, _f_alpha_array, f_alpha
 from .states import GWBlocks
-from .tensor import DensityOperator, SUPPORT_TOL, State
+from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
-# unused here; kept only as a bench/tracer.py seed import site (ROADMAP item 1)
+# unused here; kept only as bench/tracer.py seed import sites (ROADMAP item 1)
+from .measures import block_pair_reduction, gw_pairwise_concurrence  # noqa: F401
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -326,8 +320,10 @@ def _compare(concurrence, pair, order, estimate, params) -> InequalityReport:
     if order is not None:
         params["max_side_checked"] = max_side
     if not estimate.converged:
-        return _skipped(name, Applicability.CONDITION_UNMET, params)
-    return _applicable(name, max(deviations), AGREEMENT_TOL, "le", params, tol=0.0)
+        return InequalityReport(name, None, None, None, True, Applicability.CONDITION_UNMET, params)
+    lhs = float(max(deviations))
+    return InequalityReport(name, lhs, AGREEMENT_TOL, AGREEMENT_TOL - lhs, lhs <= AGREEMENT_TOL,
+                            Applicability.APPLICABLE, params)
 
 
 def oracle_reports(
@@ -341,11 +337,11 @@ def oracle_reports(
 
     The state, a pure GWBlocks or a GW-tagged dense pure state, becomes
     block weights at entry.  Each pair of blocks (by default party 0 and the
-    rest) becomes its canonical qubit pair through ``block_pair_reduction``
-    once, however many targets name it.  Every target is checked before any
-    pair is built or roof runs; orders outside the convexity threshold are
-    reported OUT_OF_WINDOW without a roof, and the roofs of the others run
-    in lockstep."""
+    rest) is summed once, however many targets name it, and its weights give
+    its concurrence and canonical qubit pair (``measures._block_pair``).
+    Every target is checked before any pair is built or roof runs; orders
+    outside the convexity threshold are reported OUT_OF_WINDOW without a
+    roof, and the roofs of the others run in lockstep."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
     orders = [None if order is None else _as_order(order) for _, order in targets]
@@ -357,15 +353,14 @@ def oracle_reports(
         if order is not None:
             params["alpha"] = order.alpha
             if not order.supports_monogamy:
-                reports[i] = _skipped("e_alpha_formula", Applicability.OUT_OF_WINDOW, params)
+                reports[i] = InequalityReport("e_alpha_formula", None, None, None, True,
+                                              Applicability.OUT_OF_WINDOW, params)
                 continue
         block_a, block_b = blocks or ({0}, set(range(1, state.layout.n_parties)))
         key = (frozenset(block_a), frozenset(block_b))
         if key not in pairs:
-            pairs[key] = (
-                gw_pairwise_concurrence(state, block_a, block_b).value,
-                block_pair_reduction(state, block_a, block_b),
-            )
+            t_a, t_b = Partition.of([block_a, block_b]).block_sums(state.weights).tolist()
+            pairs[key] = _block_pair(state, t_a, t_b)
         pending.append((i, order, params, *pairs[key]))
     estimates = _roof_estimates(
         [(pair, "concurrence" if order is None else "renyi_ent", order)

@@ -174,6 +174,46 @@ def test_verify_csv_projection(spec_file, tmp_path):
     assert lines[0] == "name,alpha,mu,k,lhs,rhs,slack,satisfied"
 
 
+def _flip_monogamy_sq(monkeypatch):
+    # monogamy_sq run "le": it fails at every order of its (polygamy) window
+    relation = gwlab.cli._power_relation
+
+    def flipped(name, direction, *rest):
+        return relation(name, "le" if name == "monogamy_sq" else direction, *rest)
+
+    monkeypatch.setattr(gwlab.cli, "_power_relation", flipped)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_verify_exits_one_on_violation(spec_file, tmp_path, monkeypatch, fmt):
+    args = ["verify", "--spec", spec_file, "--partition", "0|1,2|3", "--c-pow", "2",
+            "--b-pow", "1", "--k", "2", "--format", fmt]
+    grid = ["--alpha", "0.6:1.6:0.05"]
+    passing, failing = tmp_path / f"pass.{fmt}", tmp_path / f"fail.{fmt}"
+    # out-of-window and condition-unmet lines are written, and exit 0
+    assert main(args + grid + ["--out", str(passing)]) == 0
+    if fmt == "jsonl":
+        tags = {json.loads(line)["applicability"] for line in passing.read_text().splitlines()}
+        assert tags == {"APPLICABLE", "OUT_OF_WINDOW", "CONDITION_UNMET"}
+    _flip_monogamy_sq(monkeypatch)
+    assert main(args + grid + ["--out", str(failing)]) == 1
+    lines = failing.read_text().splitlines()
+    assert len(lines) == len(passing.read_text().splitlines())
+    if fmt == "jsonl":
+        docs = [json.loads(line) for line in lines if '"name": "monogamy_sq"' in line]
+        failed = [doc for doc in docs if not doc["satisfied"]]
+        assert failed and all(doc["applicability"] == "APPLICABLE" for doc in failed)
+        assert all('"satisfied": false' in line for line in lines
+                   if '"name": "monogamy_sq"' in line and '"APPLICABLE"' in line)
+    else:
+        rows = [row.split(",") for row in lines[1:] if row.startswith("monogamy_sq,")]
+        failed = [row for row in rows if row[-1] == "false"]
+        assert failed and all(row[4] != "" for row in failed)
+        assert all(row[-1] == "false" for row in rows if row[4] != "")
+    # past the polygamy window the flipped check is out of window: exit 0
+    assert main(args + ["--alpha", "1.35:1.6:0.05", "--out", str(failing)]) == 0
+
+
 def test_verify_inline_spec(tmp_path):
     spec = gw_spec_to_json(GWSpec.qubit([0.6, 0.8]))
     out = tmp_path / "r.jsonl"

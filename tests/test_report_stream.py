@@ -20,13 +20,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_doc
-from gwlab import Applicability, InequalityReport, report_to_json_line
-from gwlab.cli import _build_parser, _verify_reports, main
-from gwlab.inequalities import Prepared, _json_lines
+from gwlab import (
+    Applicability, InequalityReport, report_to_csv_row, report_to_json_line, run_mixture_suite,
+)
+from gwlab.cli import _build_parser, _verify_checks, main
+from gwlab.inequalities import Prepared, _grid_lines, at_orders
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -133,20 +136,31 @@ def _doc_line(report: InequalityReport) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _assert_spliced_lines(reports, checks) -> None:
+def _assert_grid_lines(grid, checks) -> None:
+    # the grid writer encodes each order's alpha and each check's constant
+    # fields once, and builds no report; its lines must be those of the
+    # reports at_orders builds from the same rows, in both formats
+    reports = at_orders(grid, checks)
     want = [_doc_line(r) for r in reports]
     assert [report_to_json_line(r) for r in reports] == want
-    assert list(_json_lines(reports, checks)) == want
+    failed, lines = _grid_lines(grid, checks)
+    assert list(lines) == want
+    failed_csv, rows = _grid_lines(grid, checks, csv=True)
+    assert list(rows) == [",".join(report_to_csv_row(r)) for r in reports]
+    violated = any(r.applicability == Applicability.APPLICABLE and not r.satisfied
+                   for r in reports)
+    assert failed == failed_csv == violated
 
 
 @pytest.mark.parametrize(
     "stream", sorted(s for s in ARGS if s.startswith("report") and s.endswith(".jsonl"))
 )
 def test_spliced_lines_of_pinned_streams_match_json(stream):
-    # the grid's lines splice each check's params, encoded once; the mixture
-    # suite's, some without alpha, are encoded whole
-    checks, reports, mixture = _verify_reports(_build_parser().parse_args(ARGS[stream]))
-    _assert_spliced_lines(reports, checks)
+    # the grid's lines come from its rows; the mixture suite's, some
+    # without alpha, from its reports
+    spec, tighter, grid, checks = _verify_checks(_build_parser().parse_args(ARGS[stream]))
+    _assert_grid_lines(grid, checks)
+    mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter) if spec.vacuum_weight else []
     assert any("stage" in r.params for r in mixture) == (stream == "report_stream_mixture.jsonl")
     assert [report_to_json_line(r) for r in mixture] == [_doc_line(r) for r in mixture]
 
@@ -154,34 +168,57 @@ def test_spliced_lines_of_pinned_streams_match_json(stream):
 _floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0, 2.0])
 )
-_scalars = st.one_of(_floats, st.integers(-(2**70), 2**70), st.booleans(), st.none(),
-                     st.text(max_size=6))
+_numbers = st.one_of(_floats, st.integers(-(2**70), 2**70), st.booleans(), st.none())
+_scalars = st.one_of(_numbers, st.text(max_size=6))
 _values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
 _condition = st.fixed_dictionaries(
     {"chain": st.integers(1, 2), "index": st.integers(2, 9), "margin": _floats})
-_keys = st.one_of(st.sampled_from(["d", "mu", "partition", "s", "blocks", "k", "h"]),
-                  st.text(min_size=1, max_size=6))
+#: An order adds keys of its own, never alpha, mu or k nor a key of its check.
+_ADDED = ("middle", "lambda0", "condition_margin", "failed_condition", "stage")
+_keys = st.one_of(st.sampled_from(["d", "partition", "s", "blocks", "h", "measure"]),
+                  st.text(min_size=1, max_size=6)).filter(lambda key: key not in _ADDED)
+#: CSV reads alpha, mu and k from the params, so the check's are numbers.
+_consts = st.tuples(
+    st.dictionaries(_keys.filter(lambda key: key not in ("alpha", "mu", "k")), _values,
+                    max_size=4),
+    st.fixed_dictionaries({}, optional={"alpha": _numbers, "mu": _numbers, "k": _numbers}),
+).map(lambda parts: {**parts[0], **parts[1]})
 _added = st.fixed_dictionaries({}, optional={
-    "alpha": _floats, "middle": _floats, "lambda0": _floats, "condition_margin": _floats,
+    "middle": _floats, "lambda0": _floats, "condition_margin": _floats,
     "failed_condition": _condition, "stage": st.sampled_from(["purified", "mixture"])})
 _sides = st.one_of(st.none(), _floats)
+_orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), min_size=1,
+                   max_size=6)
+
+
+@st.composite
+def _checks(draw, n_orders):
+    # rows of sides None, NaN, +-Infinity and -0.0 (in some checks floats
+    # only, as a grid's columns are), whose added keys come from a pool, so
+    # rows share one dict as the preparers' rows do; the window, if any,
+    # rejects the orders below a cut
+    pool = draw(st.lists(_added, min_size=1, max_size=3))
+    sides = draw(st.sampled_from([_sides, _floats]))
+    rows = draw(st.lists(
+        st.tuples(sides, sides, sides, st.sampled_from(pool)),
+        min_size=n_orders, max_size=n_orders))
+    cut = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.9, 1.2, 10.0])))
+    window = None if cut is None else (lambda order: order.alpha >= cut)
+    name = draw(st.text(max_size=8))
+    return Prepared(name, window, draw(_consts), np.empty(0), lambda block: rows[:len(block)])
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    consts=st.lists(st.dictionaries(_keys, _values, max_size=5), min_size=1, max_size=3),
-    rows=st.lists(st.tuples(_added, _sides, _sides, _sides, st.booleans(),
-                            st.sampled_from(list(Applicability)), st.text(max_size=8)),
-                  min_size=1, max_size=12),
-)
-def test_spliced_lines_match_json(consts, rows):
-    # report i holds the params of check i % len(checks), as at_orders makes
-    # them, plus keys of its own; an int stays an int (d: 2) and a float a
-    # float (mu: 2.0), and NaN, Infinity and -0.0 are written as json does
-    checks = [Prepared(f"check{i}", None, const, (), None) for i, const in enumerate(consts)]
-    reports = []
-    for i, (added, lhs, rhs, slack, satisfied, why, name) in enumerate(rows):
-        const = consts[i % len(consts)]
-        params = {**const, **{k: v for k, v in added.items() if k not in const}}
-        reports.append(InequalityReport(name, lhs, rhs, slack, satisfied, why, params))
-    _assert_spliced_lines(reports, checks)
+@given(data=st.data(), grid=_orders)
+def test_spliced_lines_match_json(data, grid):
+    # an int stays an int (d: 2) and a float a float (mu: 2.0), and NaN,
+    # Infinity and -0.0 are written as json writes them; the verdict comes
+    # from the row's slack and the order's window, as in at_orders
+    checks = data.draw(st.lists(_checks(len(grid)), min_size=1, max_size=3))
+    _assert_grid_lines(grid, checks)
+    # any report, whatever its tag, verdict and sides, is written as json does
+    reports = data.draw(st.lists(st.builds(
+        InequalityReport, st.text(max_size=8), _sides, _sides, _sides, st.booleans(),
+        st.sampled_from(list(Applicability)), st.dictionaries(_keys, _values, max_size=5),
+    ), max_size=4))
+    assert [report_to_json_line(r) for r in reports] == [_doc_line(r) for r in reports]

@@ -30,21 +30,19 @@ from .games import (
 )
 from .inequalities import (
     CSV_HEADER,
-    Applicability,
     TighterParams,
     _block_weights,
     _csv_num,
     _grid_lines,
     _merged_cut,
     _merged_cut_bound,
+    _mixture_checks,
     _power_relation,
     _reoa_triangle,
     _tightened,
     at_orders,
     h_coefficient,
-    report_to_csv_row,
     report_to_json_line,
-    run_mixture_suite,
 )
 from .measures import _as_order, _pair_table
 from .roof import oracle_reports
@@ -56,7 +54,7 @@ from .games import check_monogamy_cap, check_trace_bound_renyi  # noqa: F401
 from .inequalities import (  # noqa: F401
     check_merged_block_upper_bound, check_monogamy_power, check_monogamy_sq,
     check_polygamy, check_polygamy_power, check_reoa_triangle, check_tighter_multi,
-    check_tighter_three, check_upper_bound_bipartition,
+    check_tighter_three, check_upper_bound_bipartition, report_to_csv_row, run_mixture_suite,
 )
 from .measures import (  # noqa: F401
     f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence,
@@ -273,25 +271,19 @@ def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterPa
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run every applicable checker over the grid; exit 0 only if no
-    applicable check failed.  The grid's rows are evaluated once and its
-    lines encoded from them, with the bytes of its reports (no report is
-    built); the mixture suite's reports, made after the grid's rows, are
-    encoded whole."""
+    """Run every applicable checker over the grid, then, on a spec with a
+    vacuum weight, the mixture suite at the grid's middle order; exit 0 only
+    if no applicable check failed.  Both are evaluated once as columns, and
+    one writer encodes every line from them with the bytes of its report
+    (no report is built)."""
     spec, tighter, grid, checks = _verify_checks(args)
     csv = args.format == "csv"
     failed, lines = _grid_lines(grid, checks, csv)
-    mixture = []
     if spec.vacuum_weight > 0.0:
-        mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter)
-    if csv:
-        rows = (",".join(report_to_csv_row(r)) for r in mixture)
-        lines = itertools.chain([",".join(CSV_HEADER)], lines, rows)
-    else:
-        lines = itertools.chain(lines, map(report_to_json_line, mixture))
-    _write_lines(lines, args.out)
-    return int(failed or any(r.applicability == Applicability.APPLICABLE and not r.satisfied
-                             for r in mixture))
+        mixed, more = _grid_lines([grid[len(grid) // 2]], _mixture_checks(spec, tighter), csv)
+        failed, lines = failed or mixed, itertools.chain(lines, more)
+    _write_lines(itertools.chain([",".join(CSV_HEADER)], lines) if csv else lines, args.out)
+    return int(failed)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

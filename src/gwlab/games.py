@@ -121,13 +121,14 @@ def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
     cut.require_complete(psi.layout)
     c2 = min(_pair_table(cut.block_sums(psi.weights), 0)[0], 1.0)
     tail = float(_lam_lo(c2))
-    lhs, in_window = 2.0 * math.sqrt(tail), {"lambda0": 1.0 - tail}
+    lhs = 2.0 * math.sqrt(tail)
 
     def evaluate(block):
         rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
-        return zip([lhs] * len(rhs), rhs.tolist(), (rhs - lhs).tolist(), [in_window] * len(rhs))
+        return np.full(len(rhs), lhs), rhs, rhs - lhs
 
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate)
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate,
+                    in_window={"lambda0": 1.0 - tail})
 
 
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
@@ -204,9 +205,7 @@ def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepar
 
     def evaluate(block):
         middle, lhs = _fold(block, 2.0)
-        slack = np.minimum(middle - lhs, cap - middle)
-        middles = [{"middle": m} for m in middle.tolist()]
-        return zip(lhs.tolist(), [cap] * len(block), slack.tolist(), middles)
+        return lhs, np.full(len(block), cap), np.minimum(middle - lhs, cap - middle), middle
 
     params = {"d": d_alice, "partition": partition.sorted_blocks}
-    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate)
+    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate, added=("middle",))

@@ -2,23 +2,23 @@
 
 Every checker evaluates one inequality on the block weights of a GW-family
 state and returns an :class:`InequalityReport`.  Its :class:`Prepared` form
-holds the order-free work; :func:`_grid` evaluates it over an order grid as
-arrays, a block of orders at a time, into rows (lhs, rhs, slack and the keys
-an order adds) and their verdicts, once.  :func:`at_orders` builds reports
-from the rows for the library API; ``verify`` encodes its lines from the
-same rows (:func:`_grid_lines`), with the bytes of those reports' lines and
-no report built.  A public checker takes a :class:`GWBlocks` or a GW-tagged
+holds the order-free work and the params its reports carry; :func:`_grid`
+evaluates it over an order grid as arrays, into columns (lhs, rhs, slack and
+the keys an order adds) and one verdict code per order, once.
+:func:`at_orders` builds reports from the columns; :func:`_grid_lines`
+writes every line ``verify`` prints from them, with the bytes of those
+reports' lines.  A public checker takes a :class:`GWBlocks` or a GW-tagged
 dense state and takes the weights t_B of its blocks once, at entry, through
 :func:`_block_weights`: :meth:`GWBlocks.from_state`, then one
-:meth:`Partition.block_sums` over the label vector of the blocks, exact as
+:meth:`Partition.block_sums` over the blocks' label vector, exact as
 ``math.fsum`` per block.  The preparers take those weights, or a block's
 pair table of them, and the blocks renumbered on the reduction to the
-parties they cover; the merged-cut bounds take one more sum, over the
+parties they cover; the merged-cut bounds sum once more, over the
 relabelling that makes P and Q one block (:func:`_merged_cut`).
-Applicability (order windows and side conditions) is a first-class result
-state rather than an error, so grid sweeps produce complete report
-streams; genuine violations on applicable instances surface as
-``satisfied=False`` and are never swallowed.
+Applicability (order windows, and side conditions decided at prepare time)
+is a first-class result state rather than an error, so grid sweeps produce
+complete report streams; genuine violations on applicable instances surface
+as ``satisfied=False`` and are never swallowed.
 
 Most checkers are one relation, M(x_0)^mu against sum_g c_g sum_{k in g}
 M(x_k)^mu, on squared concurrences x = 4 t_A t_B and M = f_alpha.  Every x,
@@ -34,7 +34,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from functools import partial
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -119,16 +120,18 @@ class InequalityReport:
 class Prepared(NamedTuple):
     """A checker with its order-free work (validation, reductions, C^2
     values) done.  ``evaluate(block)`` takes the f_alpha values of ``c2s``,
-    one row per order of a block, and gives per order ``(lhs, rhs, slack,
-    extra)``: slack is None when a side condition is unmet, and ``extra`` the
-    (new, not alpha, mu or k) params a report in the order ``window`` adds.
-    A check whose window is None takes no order and records none."""
+    one row per order of a block, and gives columns over those orders: lhs,
+    rhs, slack and one per ``added`` key.  A report in the order ``window``
+    adds ``in_window``, and those keys unless ``evaluate`` is None (then it is
+    CONDITION_UNMET).  A check whose window is None takes no order and records none."""
 
     name: str
     window: Optional[Callable[[RenyiOrder], bool]]
     params: dict
     c2s: np.ndarray
-    evaluate: Callable[[np.ndarray], Iterable[tuple]]
+    evaluate: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]]
+    in_window: dict = {}
+    added: tuple = ()
 
     def at(self, order: OrderLike) -> InequalityReport:
         return at_orders([order], [self])[0]
@@ -136,52 +139,57 @@ class Prepared(NamedTuple):
 
 _MONOGAMY = RenyiOrder.supports_monogamy.fget
 _POLYGAMY = RenyiOrder.supports_polygamy.fget
-#: A row's verdict code, and by code its report's verdict and applicability.
+#: An order's verdict code, and by code its report's verdict and applicability.
 _HELD, _FAILED, _UNMET, _OUT = range(4)
 _VERDICTS = ((True, Applicability.APPLICABLE), (False, Applicability.APPLICABLE),
              (True, Applicability.CONDITION_UNMET), (True, Applicability.OUT_OF_WINDOW))
 
 
 def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, list, list]:
-    """The grid's orders, and per check its verdict codes and its rows
-    ``(lhs, rhs, slack, extra)`` at every order.  One f_alpha table per block
-    of orders (the whole grid unless the longest C^2 vector makes
-    ``GRID_VALUES`` too few) holds each distinct vector once.  The codes are
-    the one verdict rule: out of window, unmet where the slack is None, else
-    satisfied when ``slack >= -CLOSED_FORM_TOL``."""
+    """The grid's orders, and per check its verdict codes and its columns.
+    One f_alpha table per block of orders (the whole grid unless the longest
+    C^2 vector makes ``GRID_VALUES`` too few) holds each distinct vector
+    once; a check's blocks are joined once.  The codes are the one verdict
+    rule: out of window, unmet where there are no columns, else satisfied
+    when ``slack >= -CLOSED_FORM_TOL``."""
     orders = [_as_order(a) for a in grid]
     keys = [check.c2s.tobytes() for check in checks]
     vectors = dict(zip(keys, (check.c2s for check in checks)))
     ends = list(accumulate(map(len, vectors.values()), initial=0))
     spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
-    reads = [spans[key] for key in keys]
+    reads = [spans[key] for key in keys]  # a long key is compared once, not per block
     lo = _lam_lo(_checked_c2(np.concatenate([np.empty(0), *vectors.values()])))
     step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
-    rows: list[list] = [[] for _ in checks]
+    blocks: list[list] = [[] for _ in checks]
     for table in _f_alpha_tables(lo, [order.alpha for order in orders], step):
-        for check, span, check_rows in zip(checks, reads, rows):
-            check_rows += check.evaluate(table[:, span])
-    codes = [[_OUT if not inside else _UNMET if slack is None
-              else _HELD if slack >= -CLOSED_FORM_TOL else _FAILED
-              for inside, (_, _, slack, _) in zip(
-                  map(c.window, orders) if c.window else repeat(True), check_rows)]
-             for c, check_rows in zip(checks, rows)]
-    return orders, codes, rows
+        for check, span, check_blocks in zip(checks, reads, blocks):
+            if check.evaluate:  # as lists at once: a column may be a view of big powers
+                check_blocks.append([c.tolist() for c in check.evaluate(table[:, span])])
+    columns = [[list(chain.from_iterable(parts)) for parts in zip(*check_blocks)]
+               for check_blocks in blocks]
+    codes = []
+    for check, check_columns in zip(checks, columns):
+        inside = map(check.window, orders) if check.window else [True] * len(orders)
+        verdicts = ([_HELD if slack >= -CLOSED_FORM_TOL else _FAILED for slack in check_columns[2]]
+                    if check_columns else [_UNMET] * len(orders))
+        codes.append([code if ok else _OUT for ok, code in zip(inside, verdicts)])
+    return orders, codes, columns
 
 
 def at_orders(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
-    order; ``verify`` writes their lines from the rows (:func:`_grid_lines`)."""
-    orders, codes, rows = _grid(grid, checks)
+    order; ``verify`` writes their lines from the columns (:func:`_grid_lines`)."""
+    orders, codes, columns = _grid(grid, checks)
     reports = []
     for i, order in enumerate(orders):
-        for check, check_codes, check_rows in zip(checks, codes, rows):
-            (lhs, rhs, slack, extra), code = check_rows[i], check_codes[i]
+        for check, check_codes, check_columns in zip(checks, codes, columns):
+            code = check_codes[i]
             params = {"alpha": order.alpha, **check.params} if check.window else dict(check.params)
             if code != _OUT:
-                params.update(extra)
-            sides = (lhs, rhs, slack) if code <= _FAILED else (None, None, None)
-            reports.append(InequalityReport(check.name, *sides, *_VERDICTS[code], params))
+                params.update(check.in_window)
+            numbers = [column[i] for column in check_columns] if code <= _FAILED else [None] * 3
+            params.update(zip(check.added, numbers[3:]))
+            reports.append(InequalityReport(check.name, *numbers[:3], *_VERDICTS[code], params))
     return reports
 
 
@@ -229,64 +237,57 @@ def report_to_json_line(report: InequalityReport) -> str:
                       r.satisfied, *map(_json_value, (r.lhs, r.rhs, r.slack)))
 
 
-def _line_format(check: Prepared, code: int, added: tuple, csv: bool) -> tuple:
-    """The line of ``check`` with verdict ``code`` and the order's keys
-    ``added``, by the one formatter, as a format of {0}-{2} lhs, rhs and
-    slack, {3} alpha, {4}... the values of ``added`` and then the constant
-    texts it returns with it, encoded here once.  The format holds only
-    slots, so no long text (a partition) is parsed again on every line."""
-    n, encode = 4 + len(added), _csv_num if csv else _json_value
-    # a NUL marks slot i, or n for the name: json escapes every control
+def _line_format(check: Prepared, code: int, csv: bool) -> Callable[..., str]:
+    """The line of ``check`` with verdict ``code`` by the one formatter, as a
+    function of the encoded alpha, lhs, rhs, slack and added values.  Its
+    name and constant texts are encoded here once and bound first, as
+    arguments: the format holds only slots, so no long text (a partition) is
+    parsed again on every line, and it ignores the values it does not print."""
+    # a NUL marks value slot i, or n for the name: json escapes every control
     # character, and a CSV line holds only numbers and the verdict besides
-    marks = [f"\0{i}\0" for i in range(n + 1)]
-    sides = marks[:3] if code <= _FAILED else [encode(None)] * 3
-    fields = {"alpha": marks[3]} if check.window else {}
+    marks = [f"\0{i}\0" for i in range(4 + len(check.added))]
+    sides = marks[1:4] if code <= _FAILED else ["" if csv else "null"] * 3
+    fields = {"alpha": marks[0]} if check.window else {}
     satisfied, why = _VERDICTS[code]
+    constants = {**check.params, **(check.in_window if code != _OUT else {})}
     if csv:
-        fields.update((key, _csv_num(value)) for key, value in check.params.items()
-                      if key in CSV_HEADER[1:4])
-        numbers = [fields.get(key, "") for key in CSV_HEADER[1:4]]
-        line = ",".join(_csv_row(marks[n], *numbers, *sides, satisfied))
+        numbers = [_csv_num(constants[key]) if key in constants else fields.get(key, "")
+                   for key in CSV_HEADER[1:4]]
+        line = ",".join(_csv_row("\0n\0", *numbers, *sides, satisfied))
     else:
-        fields.update((key, _json_value(value)) for key, value in check.params.items())
-        fields.update(zip(added, marks[4:n]))
-        params = ", ".join(f"{_json_value(key)}: {fields[key]}" for key in sorted(fields))
-        line = _json_line(why, marks[n], "{" + params + "}", satisfied, *sides)
+        fields.update((key, _json_value(value)) for key, value in constants.items())
+        if code <= _FAILED:
+            fields.update(zip(check.added, marks[4:]))
+        params = ", ".join(f"{encode_basestring_ascii(key)}: {fields[key]}"
+                           for key in sorted(fields))
+        line = _json_line(why, "\0n\0", "{" + params + "}", satisfied, *sides)
     chunks = line.split("\0")
     texts = [check.name if csv else encode_basestring_ascii(check.name), *chunks[::2]]
-    chunks[::2] = [f"{{{i}}}" for i in range(n + 1, n + len(texts))]
-    chunks[1::2] = [f"{{{i}}}" for i in chunks[1::2]]
-    return "".join(chunks).format, texts
+    chunks[::2] = [f"{{{i}}}" for i in range(1, len(texts))]
+    chunks[1::2] = ["{0}" if i == "n" else f"{{{len(texts) + int(i)}}}" for i in chunks[1::2]]
+    return partial("".join(chunks).format, *texts)
 
 
-def _column(check: Prepared, codes: list, rows: list, alphas: list, csv: bool) -> Iterator[str]:
-    """The lines of ``check`` at orders whose alpha is ``alphas``: a side of
-    finite floats is encoded as a column, and an added dict once per run of
-    rows that share it."""
-    formats, last, keys, values = {}, None, (), []
-    lhs, rhs, slack, extras = zip(*rows)
-    sides = [map("{:.12g}".format if csv else float.__repr__, side)
-             if set(map(type, side)) <= {float} and all(map(math.isfinite, side))
-             else map(_csv_num if csv else _json_value, side) for side in (lhs, rhs, slack)]
-    for alpha, code, lhs, rhs, slack, extra in zip(alphas, codes, *sides, extras):
-        if extra is not last and not csv:
-            last, keys, values = extra, tuple(extra), list(map(_json_value, extra.values()))
-        added, own = ((), ()) if csv or code == _OUT else (keys, values)
-        line = formats.get((code, added))
-        if line is None:
-            line = formats[code, added] = _line_format(check, code, added, csv)
-        yield line[0](lhs, rhs, slack, alpha, *own, *line[1])
+def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
+    """The lines of ``check`` at orders whose alpha is ``alphas``, each
+    column encoded at once: a CSV number or a finite float by its format,
+    any other value as json writes it."""
+    formats = {code: _line_format(check, code, csv) for code in set(codes)}
+    values = [map("{:.12g}".format if csv else float.__repr__ if all(map(math.isfinite, column))
+                  else _json_value, column) for column in columns[:3 if csv else None]]
+    for code, *line in zip(codes, alphas, *values):
+        yield formats[code](*line)
 
 
 def _grid_lines(grid: Iterable[OrderLike], checks: Sequence[Prepared],
                 csv: bool = False) -> tuple[bool, Iterator[str]]:
     """Whether an applicable report of ``at_orders(grid, checks)`` fails, and
     the bytes of :func:`report_to_json_line` (or :func:`report_to_csv_row`)
-    of each, written from the rows, each order's alpha encoded once."""
-    orders, codes, rows = _grid(grid, checks)
+    of each, written from the columns, each order's alpha encoded once."""
+    orders, codes, columns = _grid(grid, checks)
     alphas = [(_csv_num if csv else _json_value)(order.alpha) for order in orders]
-    columns = [_column(*column, alphas, csv) for column in zip(checks, codes, rows)]
-    return any(_FAILED in c for c in codes), chain.from_iterable(zip(*columns))
+    lines = [_column(*column, alphas, csv) for column in zip(checks, codes, columns)]
+    return any(_FAILED in c for c in codes), chain.from_iterable(zip(*lines))
 
 
 def h_coefficient(k: float, t: float) -> float:
@@ -332,24 +333,16 @@ def _fold(block: np.ndarray, mu: float, groups=((1.0, 1, None),)) -> tuple:
     return powered[..., 0], rhs
 
 
-def _relation(
-    name: str, direction: str, params: dict, c2s: np.ndarray, mu: float = 1.0,
-    groups=((1.0, 1, None),), in_window: Optional[dict] = None, unmet: bool = False,
-) -> Prepared:
+def _relation(name: str, direction: str, params: dict, c2s: np.ndarray, mu: float = 1.0,
+              groups=((1.0, 1, None),)) -> Prepared:
     """:func:`_fold` on f_alpha of ``c2s``, checked "ge" in the monogamy window
-    and "le" in the polygamy one.  Reports in the window get the ``in_window``
-    params, and are CONDITION_UNMET if ``unmet``."""
-    in_window = in_window or {}
+    and "le" in the polygamy one."""
 
     def evaluate(block):
-        if unmet:
-            return [(None, None, None, in_window)] * len(block)
         lhs, rhs = _fold(block, mu, groups)
-        slack = lhs - rhs if direction == "ge" else rhs - lhs
-        return zip(lhs.tolist(), rhs.tolist(), slack.tolist(), [in_window] * len(block))
+        return lhs, rhs, lhs - rhs if direction == "ge" else rhs - lhs
 
-    window = _MONOGAMY if direction == "ge" else _POLYGAMY
-    return Prepared(name, window, params, np.empty(0) if unmet else c2s, evaluate)
+    return Prepared(name, _MONOGAMY if direction == "ge" else _POLYGAMY, params, c2s, evaluate)
 
 
 def _power_relation(
@@ -585,11 +578,13 @@ def _tightened(
     # weights h^(i-2) up to the split, h^n after it, h^(n-1) on the last pair
     groups = [(h ** (i - 2), i - 1, i) for i in range(2, n + 1)]
     groups += [(h**n, n, m - 1), (h ** (n - 1), m - 1, m)]
-    check = _relation(name, "ge", report_params, c2s, b, groups, in_window, bool(failed))
-    if measure_kind == "renyi":
-        return check
-    row = list(check.evaluate(np.sqrt([c2s])))
-    return Prepared(name, None, report_params, np.empty(0), lambda block: row * len(block))
+    check = _relation(name, "ge", report_params, c2s, b, groups)._replace(in_window=in_window)
+    if failed:
+        check = check._replace(evaluate=None)
+    elif measure_kind != "renyi":
+        once = check.evaluate(np.sqrt([c2s]))
+        check = check._replace(evaluate=lambda block: [np.repeat(x, len(block)) for x in once])
+    return check if measure_kind == "renyi" else check._replace(window=None, c2s=np.empty(0))
 
 
 def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityReport:
@@ -639,6 +634,26 @@ def check_tighter_multi(
     return _tighter_report(check, measure_kind, order)
 
 
+def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> list[Prepared]:
+    """The checks of :func:`run_mixture_suite`, each with its ``stage`` in
+    its params."""
+    if tighter is None:
+        tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
+    checks, first_three = [], Partition.singletons(3)
+    for stage, state in (
+        ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
+    ):
+        t, n = state.weights, state.layout.n_parties
+        c2 = _pair_table(t, 0)
+        stage_checks = [_power_relation("monogamy_sq", "ge", c2, Partition.singletons(n), 0, 2.0)]
+        if n >= 3:
+            c3 = _pair_table(t[:3], 0)
+            stage_checks.append(_tightened(c3, first_three, 2, tighter, "concurrence", three=True))
+        checks += [check._replace(params={**check.params, "stage": stage})
+                   for check in stage_checks]
+    return checks
+
+
 def run_mixture_suite(
     spec: GWSpec,
     order: OrderLike = 2.0,
@@ -653,20 +668,4 @@ def run_mixture_suite(
     their singletons weigh the parties' own weights.  The three-block
     tightened check runs on a stage of at least three parties.
     """
-    if tighter is None:
-        tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    checks, stages, first_three = [], [], Partition.singletons(3)
-    for stage, state in (
-        ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
-    ):
-        t, n = state.weights, state.layout.n_parties
-        c2 = _pair_table(t, 0)
-        checks.append(_power_relation("monogamy_sq", "ge", c2, Partition.singletons(n), 0, 2.0))
-        if n >= 3:
-            c3 = _pair_table(t[:3], 0)
-            checks.append(_tightened(c3, first_three, 2, tighter, "concurrence", three=True))
-        stages += [stage] * (len(checks) - len(stages))
-    reports = at_orders([order], checks)
-    for stage, report in zip(stages, reports):
-        report.params["stage"] = stage
-    return reports
+    return at_orders([order], _mixture_checks(spec, tighter))

@@ -189,7 +189,9 @@ def _renyi_of(lo, minor=None) -> Callable:
         excess = total(lam * np.expm1((a - 1.0) * log(lam)))
         return np.log1p(excess + hi * np.expm1((a - 1.0) * log_hi)) / ((1.0 - a) * _LN2)
 
-    return renyi
+    # above order 1 a zero entropy is 0.0 / (1 - a) = -0.0; adding 0.0 makes
+    # it 0.0 and leaves every other value as it is
+    return lambda a, band=None: renyi(a, band) + 0.0
 
 
 def _lam_lo(x):

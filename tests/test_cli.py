@@ -174,14 +174,15 @@ def test_verify_csv_projection(spec_file, tmp_path):
     assert lines[0] == "name,alpha,mu,k,lhs,rhs,slack,satisfied"
 
 
-def _flip_monogamy_sq(monkeypatch):
-    # monogamy_sq run "le": it fails at every order of its (polygamy) window
-    relation = gwlab.cli._power_relation
+def _flip_monogamy_sq(monkeypatch, module=gwlab.cli):
+    # monogamy_sq run "le": it fails at every order of its (polygamy) window;
+    # in gwlab.cli for the grid, in gwlab.inequalities for the mixture suite
+    relation = module._power_relation
 
     def flipped(name, direction, *rest):
         return relation(name, "le" if name == "monogamy_sq" else direction, *rest)
 
-    monkeypatch.setattr(gwlab.cli, "_power_relation", flipped)
+    monkeypatch.setattr(module, "_power_relation", flipped)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -212,6 +213,46 @@ def test_verify_exits_one_on_violation(spec_file, tmp_path, monkeypatch, fmt):
         assert all(row[-1] == "false" for row in rows if row[4] != "")
     # past the polygamy window the flipped check is out of window: exit 0
     assert main(args + ["--alpha", "1.35:1.6:0.05", "--out", str(failing)]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_verify_exits_one_on_mixture_violation(tmp_path, monkeypatch, fmt):
+    # the mixture suite's verdicts set the exit code as the grid's do; its
+    # middle order (1.0629) lies in the polygamy window
+    spec = gw_spec_to_json(GWSpec.qubit([0.6, 0.48, 0.64], 0.3))
+    args = ["verify", "--spec", spec, "--format", fmt]
+    passing, failing = tmp_path / f"pass.{fmt}", tmp_path / f"fail.{fmt}"
+    assert main(args + ["--out", str(passing)]) == 0
+    _flip_monogamy_sq(monkeypatch, gwlab.inequalities)
+    assert main(args + ["--out", str(failing)]) == 1
+    before, after = passing.read_text().splitlines(), failing.read_text().splitlines()
+    assert len(after) == len(before)
+    changed = [i for i, (b, a) in enumerate(zip(before, after)) if b != a]
+    # only the mixture suite's monogamy_sq lines, last in the stream, move
+    assert changed and min(changed) >= len(after) - 4
+    if fmt == "jsonl":
+        docs = [json.loads(after[i]) for i in changed]
+        assert all(doc["name"] == "monogamy_sq" and "stage" in doc["params"] for doc in docs)
+        assert not any(doc["satisfied"] for doc in docs)
+    else:
+        assert all(after[i].startswith("monogamy_sq,") for i in changed)
+        assert all(after[i].endswith(",false") for i in changed)
+
+
+def test_verify_writes_no_negative_zero(tmp_path):
+    # a product state's entanglement is zero at every order, also above
+    # order 1, where 0.0 / (1 - a) is -0.0; no line writes a negative zero
+    spec = '{"n":2,"d":2,"amplitudes":[[1,0],[0,0]],"vacuum_weight":0.5}'
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"r.{fmt}"
+        assert main(["verify", "--spec", spec, "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            rows = text.splitlines()
+            assert "trace_bound_renyi,1.2979,,,0,0,0,true" in rows
+            assert not any("-0" in row.split(",") for row in rows)
+        else:
+            assert "-0.0," not in text and "-0.0}" not in text
 
 
 def test_verify_inline_spec(tmp_path):

@@ -131,6 +131,15 @@ def test_f_alpha_array_matches_scalar():
             assert value == f_alpha(x, a), (x, a)
 
 
+def test_zero_entropy_is_positive_zero():
+    # above order 1 a zero entropy is 0.0 / (1 - a), which is -0.0 unless the
+    # kernel adds 0.0, and CSV would write it as "-0"
+    for a in BRANCH_ORDERS:
+        assert math.copysign(1.0, f_alpha(0.0, a)) == 1.0, a
+        assert not np.signbit(_f_alpha_array(np.zeros(3), a)).any(), a
+        assert math.copysign(1.0, renyi_entropy(SchmidtSpectrum([1.0]), a).value) == 1.0, a
+
+
 def test_f_alpha_grid_rows_match_scalar():
     # a table groups its orders by branch and evaluates each group in one
     # call; its rows come back in the grid's order, bit-equal to f_alpha,

@@ -8,9 +8,11 @@ applicable satisfied.  No applicable unsatisfied oracle report is pinned:
 none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number
-agrees within 1e-12.  The CSV stream is pinned byte for byte, as the
-project's "same behaviour" asks of CSV output; it runs the default order
-grid.  A deliberate output change re-records a stream by running the
+agrees within 1e-12.  The CSV streams are pinned byte for byte, as the
+project's "same behaviour" asks of CSV output.  The README one runs the
+default order grid; the mixture one runs the mixture stream's arguments in
+CSV and was recorded before the mixture suite's lines came from the grid's
+writer.  A deliberate output change re-records a stream by running the
 ``ARGS`` below with ``--out tests/data/<file>`` and is written up in
 CHANGES.md.
 """
@@ -18,6 +20,7 @@ CHANGES.md.
 import hashlib
 import json
 import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +28,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_doc
-from gwlab import (
-    Applicability, InequalityReport, report_to_csv_row, report_to_json_line, run_mixture_suite,
-)
+from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
 from gwlab.cli import _build_parser, _verify_checks, main
-from gwlab.inequalities import Prepared, _grid_lines, at_orders
+from gwlab.inequalities import (
+    CLOSED_FORM_TOL, Prepared, _grid_lines, _mixture_checks, at_orders,
+)
+from gwlab.measures import _as_order
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -62,6 +66,10 @@ ARGS = {
         "verify", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4", *TIGHTER,
         "--mu", "0.5", "--format", "jsonl",
     ],
+    "report_stream_mixture.csv": [
+        "verify", "--spec", MIXTURE_SPEC, "--partition", "0|2,3|1|4", *TIGHTER,
+        "--mu", "0.5", "--format", "csv",
+    ],
     "oracle_stream_readme.jsonl": [
         "oracle", "--spec", README_SPEC, "--partition", "0|1,2|3",
         "--trials", "1000", "--seed", "7", "--alpha", "0.7,0.9,1.1,1.25,1.5",
@@ -90,14 +98,22 @@ def test_verify_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
 
 
-def test_verify_csv_stream_bytes_unchanged(tmp_path, capsys):
+def _assert_csv_stream_bytes_unchanged(stream, tmp_path, capsys) -> None:
     # the same bytes whether the lines go to a file or to stdout
-    stream = "report_stream_readme.csv"
     out = tmp_path / stream
     assert main(ARGS[stream] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / stream).read_bytes()
     assert main(ARGS[stream]) == 0
     assert capsys.readouterr().out == (DATA / stream).read_text()
+
+
+def test_verify_csv_stream_bytes_unchanged(tmp_path, capsys):
+    _assert_csv_stream_bytes_unchanged("report_stream_readme.csv", tmp_path, capsys)
+
+
+def test_verify_mixture_csv_stream_bytes_unchanged(tmp_path, capsys):
+    # the mixture suite's lines, last in the stream, come from the grid's writer
+    _assert_csv_stream_bytes_unchanged("report_stream_mixture.csv", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
@@ -139,7 +155,7 @@ def _doc_line(report: InequalityReport) -> str:
 def _assert_grid_lines(grid, checks) -> None:
     # the grid writer encodes each order's alpha and each check's constant
     # fields once, and builds no report; its lines must be those of the
-    # reports at_orders builds from the same rows, in both formats
+    # reports at_orders builds from the same columns, in both formats
     reports = at_orders(grid, checks)
     want = [_doc_line(r) for r in reports]
     assert [report_to_json_line(r) for r in reports] == want
@@ -147,22 +163,30 @@ def _assert_grid_lines(grid, checks) -> None:
     assert list(lines) == want
     failed_csv, rows = _grid_lines(grid, checks, csv=True)
     assert list(rows) == [",".join(report_to_csv_row(r)) for r in reports]
-    violated = any(r.applicability == Applicability.APPLICABLE and not r.satisfied
-                   for r in reports)
-    assert failed == failed_csv == violated
+    # the one verdict rule: out of the check's window, else unmet when it has
+    # no evaluator, else satisfied by the slack
+    for report, (order, check) in zip(reports, product(map(_as_order, grid), checks)):
+        out = check.window is not None and not check.window(order)
+        assert (report.applicability == Applicability.OUT_OF_WINDOW) == out
+        unmet = not out and check.evaluate is None
+        assert (report.applicability == Applicability.CONDITION_UNMET) == unmet
+    applicable = [r for r in reports if r.applicability == Applicability.APPLICABLE]
+    assert all(r.satisfied == (r.slack >= -CLOSED_FORM_TOL) for r in applicable)
+    assert failed == failed_csv == (not all(r.satisfied for r in applicable))
 
 
 @pytest.mark.parametrize(
     "stream", sorted(s for s in ARGS if s.startswith("report") and s.endswith(".jsonl"))
 )
 def test_spliced_lines_of_pinned_streams_match_json(stream):
-    # the grid's lines come from its rows; the mixture suite's, some
-    # without alpha, from its reports
+    # the grid's lines, and the mixture suite's at the grid's middle order
+    # (some without alpha), come from the one writer
     spec, tighter, grid, checks = _verify_checks(_build_parser().parse_args(ARGS[stream]))
     _assert_grid_lines(grid, checks)
-    mixture = run_mixture_suite(spec, grid[len(grid) // 2], tighter) if spec.vacuum_weight else []
-    assert any("stage" in r.params for r in mixture) == (stream == "report_stream_mixture.jsonl")
-    assert [report_to_json_line(r) for r in mixture] == [_doc_line(r) for r in mixture]
+    mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
+    assert all("stage" in c.params for c in mixture)
+    assert bool(mixture) == (stream == "report_stream_mixture.jsonl")
+    _assert_grid_lines([grid[len(grid) // 2]], mixture)
 
 
 _floats = st.one_of(
@@ -173,19 +197,20 @@ _scalars = st.one_of(_numbers, st.text(max_size=6))
 _values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
 _condition = st.fixed_dictionaries(
     {"chain": st.integers(1, 2), "index": st.integers(2, 9), "margin": _floats})
-#: An order adds keys of its own, never alpha, mu or k nor a key of its check.
-_ADDED = ("middle", "lambda0", "condition_margin", "failed_condition", "stage")
-_keys = st.one_of(st.sampled_from(["d", "partition", "s", "blocks", "h", "measure"]),
-                  st.text(min_size=1, max_size=6)).filter(lambda key: key not in _ADDED)
+#: The keys a report adds in its window; never alpha, mu or k nor a key of
+#: its check's params.
+_WINDOW_KEYS = ("middle", "spread", "lambda0", "condition_margin", "failed_condition")
+_keys = st.one_of(st.sampled_from(["d", "partition", "s", "blocks", "h", "measure", "stage"]),
+                  st.text(min_size=1, max_size=6)).filter(lambda key: key not in _WINDOW_KEYS)
 #: CSV reads alpha, mu and k from the params, so the check's are numbers.
 _consts = st.tuples(
     st.dictionaries(_keys.filter(lambda key: key not in ("alpha", "mu", "k")), _values,
                     max_size=4),
     st.fixed_dictionaries({}, optional={"alpha": _numbers, "mu": _numbers, "k": _numbers}),
 ).map(lambda parts: {**parts[0], **parts[1]})
-_added = st.fixed_dictionaries({}, optional={
-    "middle": _floats, "lambda0": _floats, "condition_margin": _floats,
-    "failed_condition": _condition, "stage": st.sampled_from(["purified", "mixture"])})
+_in_window = st.fixed_dictionaries({}, optional={
+    "lambda0": _floats, "condition_margin": _floats, "failed_condition": _condition})
+_added = st.lists(st.sampled_from(["middle", "spread"]), unique=True, max_size=2).map(tuple)
 _sides = st.one_of(st.none(), _floats)
 _orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), min_size=1,
                    max_size=6)
@@ -193,19 +218,18 @@ _orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), min
 
 @st.composite
 def _checks(draw, n_orders):
-    # rows of sides None, NaN, +-Infinity and -0.0 (in some checks floats
-    # only, as a grid's columns are), whose added keys come from a pool, so
-    # rows share one dict as the preparers' rows do; the window, if any,
-    # rejects the orders below a cut
-    pool = draw(st.lists(_added, min_size=1, max_size=3))
-    sides = draw(st.sampled_from([_sides, _floats]))
-    rows = draw(st.lists(
-        st.tuples(sides, sides, sides, st.sampled_from(pool)),
-        min_size=n_orders, max_size=n_orders))
+    # float columns (lhs, rhs, slack and one per added key) that hold NaN,
+    # +-Infinity and -0.0, or no evaluator at all, as for an unmet side
+    # condition; constant in-window params; the window, if any, rejects the
+    # orders below a cut
+    added, in_window = draw(_added), draw(_in_window)
+    columns = draw(st.lists(st.lists(_floats, min_size=n_orders, max_size=n_orders),
+                            min_size=3 + len(added), max_size=3 + len(added)))
+    evaluate = draw(st.sampled_from([None, lambda block: [np.array(c) for c in columns]]))
     cut = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.9, 1.2, 10.0])))
     window = None if cut is None else (lambda order: order.alpha >= cut)
     name = draw(st.text(max_size=8))
-    return Prepared(name, window, draw(_consts), np.empty(0), lambda block: rows[:len(block)])
+    return Prepared(name, window, draw(_consts), np.empty(0), evaluate, in_window, added)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,7 +237,7 @@ def _checks(draw, n_orders):
 def test_spliced_lines_match_json(data, grid):
     # an int stays an int (d: 2) and a float a float (mu: 2.0), and NaN,
     # Infinity and -0.0 are written as json writes them; the verdict comes
-    # from the row's slack and the order's window, as in at_orders
+    # from the slack column and the order's window, as in at_orders
     checks = data.draw(st.lists(_checks(len(grid)), min_size=1, max_size=3))
     _assert_grid_lines(grid, checks)
     # any report, whatever its tag, verdict and sides, is written as json does

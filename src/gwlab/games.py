@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import InequalityReport, _MONOGAMY, Prepared, _fold
-from .measures import FindingError, OrderLike, _as_order, _lam_lo, _pair_table, _renyi
+from .measures import FindingError, OrderLike, _as_order, _lam_lo, _pair_table, _renyi_of
 from .states import GWBlocks
 from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
 
@@ -150,7 +150,7 @@ def game_gap_fn(lambda0: float, order: OrderLike) -> float:
 
 def _gap(lam, a: float):
     """The gap function elementwise on lambda0 values ``lam`` at order a."""
-    return (a - 1.0) * (2.0 * _renyi(np.minimum(lam, 1.0 - lam), a) - (1.0 - lam))
+    return (a - 1.0) * (2.0 * _renyi_of(np.minimum(lam, 1.0 - lam))(a) - (1.0 - lam))
 
 
 def game_gap_grid_min(

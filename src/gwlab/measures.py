@@ -155,22 +155,18 @@ def _band(alpha: float) -> int:
     return 0 if gap < VON_NEUMANN_BAND else 1 if gap < EXPM1_BAND else 2
 
 
-def _renyi(lo, a, band: Optional[int] = None, minor=None) -> np.ndarray:
-    """Renyi entropy in bits of spectra whose largest coefficient is 1 - lo.
+def _renyi_of(lo, minor=None) -> Callable:
+    """Renyi entropy in bits of spectra whose largest coefficient is 1 - lo,
+    as a function of the order, with the arrays that no order changes made
+    once.
 
     ``minor`` holds the other coefficients along its last axis (by default
-    ``lo``: rank 2).  ``a`` is an order, or a column of orders in one
-    ``band``, which picks the branch: the von Neumann limit,
+    ``lo``: rank 2).  The order ``a`` is one order, or a column of orders in
+    one ``band``, which picks the branch: the von Neumann limit,
     log1p(sum lambda expm1((a-1) ln lambda)) (the plain quotient loses about
     eps / |1 - a| there), or (a log1p(-lo) + log1p(sum (lambda/(1-lo))^a)) /
     (1-a), which cannot underflow.  ``np.power`` keeps a 0-d call bit-equal
     to the same element of an array call."""
-    return _renyi_of(lo, minor)(a, band)
-
-
-def _renyi_of(lo, minor=None) -> Callable:
-    """:func:`_renyi` of these spectra as a function of the order (and its
-    band), with the arrays that no order changes made once."""
     hi, log_hi = 1.0 - lo, np.log1p(-lo)
     lam = lo if minor is None else minor
 
@@ -220,7 +216,7 @@ def f_alpha(x: float, order: OrderLike) -> float:
 
 def _f_alpha_array(x, order: OrderLike) -> np.ndarray:
     """f_alpha elementwise on squared concurrences already in [0, 1]."""
-    return _renyi(_lam_lo(x), _as_order(order).alpha)
+    return _renyi_of(_lam_lo(x))(_as_order(order).alpha)
 
 
 def _f_alpha_tables(
@@ -262,7 +258,7 @@ def renyi_entropy(
     else:
         raise TypeError(f"expected SchmidtSpectrum or DensityOperator, got {type(spectrum)}")
     minor = np.sort(lams[lams > 1e-15])[:-1]
-    value = float(_renyi(minor.sum(), _as_order(order).alpha, minor=minor))
+    value = float(_renyi_of(minor.sum(), minor)(_as_order(order).alpha))
     return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
 
 
@@ -313,26 +309,24 @@ def negativity(state: State, bipartition) -> MeasureValue:
 def block_pair_reduction(
     state: State | GWBlocks, block_a: Iterable[int], block_b: Iterable[int]
 ) -> DensityOperator:
-    """The canonical qubit pair of two blocks of a pure family member, block
-    a first: |phi><phi| + (1-w-t_a-t_b)|00><00|, phi = sqrt(w)|00> +
-    sqrt(t_b)|01> + sqrt(t_a)|10>.  It is the compressed dense pair up to a
+    """The canonical qubit pair (:func:`_canonical_pair`) of two blocks of a
+    pure family member, block a first: the compressed dense pair up to a
     local unitary.  A mixture has the same weights but lacks the sqrt(w)
     coherence, so a state that is not pure is refused."""
     state = GWBlocks.from_state(state)
-    pair = Partition.of([block_a, block_b])
-    return _block_pair(state, *pair.block_sums(state.weights).tolist())[1]
-
-
-def _block_pair(state: GWBlocks, t_a: float, t_b: float) -> tuple[float, DensityOperator]:
-    """The concurrence 2 sqrt(t_a t_b) of two blocks of ``state`` that weigh
-    t_a and t_b, and their canonical qubit pair (:func:`block_pair_reduction`)."""
+    t_a, t_b = Partition.of([block_a, block_b]).block_sums(state.weights).tolist()
     if not state.pure:
         raise ValueError("a block pair needs a pure state")
-    w = state.vacuum_weight
-    phi = np.sqrt([w, t_b, t_a, 0.0])
-    matrix = np.outer(phi, phi)
-    matrix[0, 0] += max(0.0, 1.0 - w - t_a - t_b)
-    return 2.0 * math.sqrt(t_a * t_b), DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
+    phi, r = _canonical_pair(state.vacuum_weight, t_a, t_b)
+    matrix = np.outer(phi, phi) + np.diag([r, 0.0, 0.0, 0.0])
+    return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
+
+
+def _canonical_pair(w: float, t_a: float, t_b: float) -> tuple[np.ndarray, float]:
+    """phi = sqrt(w)|00> + sqrt(t_b)|01> + sqrt(t_a)|10> and r = 1-w-t_a-t_b
+    (at least 0): two blocks of a pure member with vacuum weight w, weighing
+    t_a and t_b, reduce to |phi><phi| + r|00><00|."""
+    return np.sqrt([w, t_b, t_a, 0.0]), max(0.0, 1.0 - w - t_a - t_b)
 
 
 def gw_pairwise_concurrence(

@@ -1,10 +1,10 @@
 """Stochastic convex-roof estimation over pure-state decompositions.
 
 The estimator takes two-qubit states only: the paper's closed forms are
-stated for the two-qubit reduction of a generalized W-class state, and
-``block_pair_reduction`` turns every pair of blocks into one.  Every
-m-element decomposition of a rank-r density operator arises from an
-m x r isometry applied to its eigen-ensemble, so the optimizer explores the
+stated for the two-qubit reduction of a generalized W-class state.  Every
+m-element decomposition of a rank-r state arises from an m x r isometry
+applied to any r rows that decompose it (Hughston, Jozsa and Wootters), such
+as a family pair's rows phi and sqrt(r)|00>, so the optimizer explores the
 isometry manifold: Haar-random draws interleaved with random-rotation
 refinement of the incumbent best decompositions.  Minima over sampled
 decompositions upper-bound the true convex roof; maxima lower-bound the
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .inequalities import Applicability, InequalityReport
-from .measures import OrderLike, _as_order, _block_pair, _f_alpha_array, f_alpha
+from .measures import OrderLike, _as_order, _canonical_pair, _f_alpha_array, _lam_lo, f_alpha
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
@@ -151,20 +151,33 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     """Rows are the sub-normalized eigen-ensemble vectors sqrt(l_i) v_i."""
     evals, evecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    keep = evals > SUPPORT_TOL
-    return (evecs[:, order][:, keep] * np.sqrt(evals[keep])).T
+    keep = order[evals[order] > SUPPORT_TOL]
+    return (evecs[:, keep] * np.sqrt(evals[keep])).T
+
+
+def _pair_rows(w: float, t_a: float, t_b: float) -> np.ndarray:
+    """Rows phi and sqrt(r)|00> of the canonical pair of blocks weighing t_a and
+    t_b, or its top eigen-row alone when, as ``_eigen_ensemble`` decides, its
+    smaller eigenvalue lo is at most ``SUPPORT_TOL``."""
+    phi, r = _canonical_pair(w, t_a, t_b)
+    lo = _lam_lo(min(4.0 * r * (t_a + t_b), 1.0))
+    if lo > SUPPORT_TOL:
+        return np.array([phi, [math.sqrt(r), 0.0, 0.0, 0.0]])
+    # that row squared is (w+r-lo, (1-q) t_b, (1-q) t_a, 0) (1-lo)/(1-2lo), q = lo/(t_a+t_b)
+    q = 2.0 * r / (1.0 + math.sqrt(1.0 - 4.0 * r * (t_a + t_b)))
+    top = np.maximum(0.0, [w + r - lo, (1.0 - q) * t_b, (1.0 - q) * t_a, 0.0])
+    return np.sqrt(top * (1.0 - lo) / (1.0 - 2.0 * lo))[None]
 
 
 class _Group:
     """Up to ``GROUP_RUNS`` roof runs of one isometry shape as one stack:
-    eigen-ensembles, incumbent minimizing and maximizing isometries with
+    their rows, incumbent minimizing and maximizing isometries with
     their values, and the last trial that improved either by more than
     ``PLATEAU_TOL``.  Concurrence runs come first, then the Renyi runs."""
 
     def __init__(self, runs: list):
         self.targets = [i for i, _, _ in runs]
-        self.ensembles = np.stack([e for _, e, _ in runs])
+        self.ensembles = np.array([e for _, e, _ in runs], dtype=complex)
         size, r = self.ensembles.shape[:2]
         self.shape = (r + 2, r)
         self.best_min, self.best_max = np.full(size, math.inf), np.full(size, -math.inf)
@@ -228,29 +241,15 @@ def _check_run(trials: int, seed: int) -> None:
 
 
 def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
-    """One estimate per (rho, measure_kind, order) target, every run on the
-    same seed and trial count.
+    """One estimate per (rows, order) target: the concurrence roof when the
+    order is None, else the f_alpha(C^2) roof, of the state the rows
+    decompose.  Every run takes the seed and trial count the callers checked.
 
-    Every target is checked before the first eigen-decomposition, and each
-    distinct rho is decomposed once.  The runs advance one generation at a
-    time in ``_Group`` stacks; draws are made once per chunk of
-    ``DRAW_CHUNK`` generations and shape and discarded after it, so memory
-    does not grow with the trial count."""
-    _check_run(trials, seed)
-    for rho, measure_kind, order in targets:
-        if rho.layout.dims != (2, 2):
-            raise ValueError(
-                f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}"
-            )
-        if measure_kind not in _MEASURE_KINDS:
-            raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-        if measure_kind == "renyi_ent" and order is None:
-            raise ValueError("renyi_ent needs a Renyi order")
-    ensembles = {id(rho): rho for rho, _, _ in targets}
-    ensembles = {key: _eigen_ensemble(rho) for key, rho in ensembles.items()}
-    runs = [(i, ensembles[id(rho)], order if kind == "renyi_ent" else None)
-            for i, (rho, kind, order) in enumerate(targets)]
-    runs.sort(key=lambda run: (len(run[1]), run[2] is not None))
+    The runs advance one generation at a time in ``_Group`` stacks; draws
+    are made once per chunk of ``DRAW_CHUNK`` generations and shape and
+    discarded after it, so memory does not grow with the trial count."""
+    runs = sorted(((i, rows, order) for i, (rows, order) in enumerate(targets)),
+                  key=lambda run: (len(run[1]), run[2] is not None))
     groups = []
     for _, same in groupby(runs, key=lambda run: len(run[1])):
         same = list(same)
@@ -291,22 +290,30 @@ def convex_roof_bounds(
     ``PLATEAU_TOL`` during the last quarter of the trials (and the run was
     long enough to judge).  Each decomposition has rank + 2 elements.
     """
-    order_obj = _as_order(order) if order is not None else None
-    return _roof_estimates([(rho, measure_kind, order_obj)], trials, seed)[0]
+    _check_run(trials, seed)
+    if measure_kind not in _MEASURE_KINDS:
+        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
+    if measure_kind == "renyi_ent" and order is None:
+        raise ValueError("renyi_ent needs a Renyi order")
+    order = None if order is None else _as_order(order)
+    if rho.layout.dims != (2, 2):
+        raise ValueError(f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}")
+    target = (_eigen_ensemble(rho), order if measure_kind == "renyi_ent" else None)
+    return _roof_estimates([target], trials, seed)[0]
 
 
-def _compare(concurrence, pair, order, estimate, params) -> InequalityReport:
+def _compare(concurrence, rows, order, estimate, params) -> InequalityReport:
     """Compare a roof estimate's min and max with the closed form: the
     concurrence C (``c_equals_ca``), or f_alpha(C^2) when an order is given
     (``e_alpha_formula``).
 
     The max side is compared for the concurrence, and for the Renyi form
-    only inside the concavity window or on a pure pair.  A non-converged
-    run is reported as CONDITION_UNMET (with the numbers attached), not as
-    a violation."""
+    only inside the concavity window or on a pure pair (a single row).  A
+    non-converged run is reported as CONDITION_UNMET (with the numbers
+    attached), not as a violation."""
     name = "c_equals_ca" if order is None else "e_alpha_formula"
     closed = concurrence if order is None else f_alpha(concurrence**2, order)
-    max_side = order is None or order.supports_polygamy or pair.rank() == 1
+    max_side = order is None or order.supports_polygamy or len(rows) == 1
     deviations = [abs(estimate.min_estimate - closed)]
     if max_side:
         deviations.append(abs(estimate.max_estimate - closed))
@@ -338,13 +345,15 @@ def oracle_reports(
     The state, a pure GWBlocks or a GW-tagged dense pure state, becomes
     block weights at entry.  Each pair of blocks (by default party 0 and the
     rest) is summed once, however many targets name it, and its weights give
-    its concurrence and canonical qubit pair (``measures._block_pair``).
-    Every target is checked before any pair is built or roof runs; orders
-    outside the convexity threshold are reported OUT_OF_WINDOW without a
-    roof, and the roofs of the others run in lockstep."""
+    its concurrence and the rows of its canonical qubit pair (``_pair_rows``).
+    Every target, and then that the state is pure, is checked before any
+    pair is built or roof runs; orders outside the convexity threshold are
+    reported OUT_OF_WINDOW without a roof, and the others run in lockstep."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
     orders = [None if order is None else _as_order(order) for _, order in targets]
+    if not state.pure:
+        raise ValueError("the oracle needs a pure state")
     reports: list = [None] * len(targets)
     pairs: dict = {}
     pending = []
@@ -360,16 +369,12 @@ def oracle_reports(
         key = (frozenset(block_a), frozenset(block_b))
         if key not in pairs:
             t_a, t_b = Partition.of([block_a, block_b]).block_sums(state.weights).tolist()
-            pairs[key] = _block_pair(state, t_a, t_b)
+            pairs[key] = 2.0 * math.sqrt(t_a * t_b), _pair_rows(state.vacuum_weight, t_a, t_b)
         pending.append((i, order, params, *pairs[key]))
-    estimates = _roof_estimates(
-        [(pair, "concurrence" if order is None else "renyi_ent", order)
-         for _, order, _, _, pair in pending],
-        trials,
-        seed,
-    )
-    for (i, order, params, concurrence, pair), estimate in zip(pending, estimates):
-        reports[i] = _compare(concurrence, pair, order, estimate, params)
+    estimates = _roof_estimates([(rows, order) for _, order, _, _, rows in pending],
+                                trials, seed)
+    for (i, order, params, concurrence, rows), estimate in zip(pending, estimates):
+        reports[i] = _compare(concurrence, rows, order, estimate, params)
     return reports
 
 

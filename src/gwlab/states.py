@@ -351,7 +351,7 @@ def gw_spec_from_json(text: str) -> GWSpec:
         flat = np.array(
             [complex(float(re), float(im)) for re, im in pairs], dtype=complex
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed GW spec document: {exc}") from exc
     if n < 2 or d < 2 or flat.size != n * (d - 1):
         raise ValueError(

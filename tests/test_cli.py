@@ -262,7 +262,7 @@ def test_verify_inline_spec(tmp_path):
     assert code == 0
 
 
-def test_verify_malformed_spec_exit_two(tmp_path):
+def test_verify_malformed_spec_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
         '{"n": 4, "d": 2, "amplitudes": [[0.9, 0], [0.5, 0], [0.4, 0], [0.3, 0]],'
@@ -274,6 +274,13 @@ def test_verify_malformed_spec_exit_two(tmp_path):
     # amplitude entries that are not [re, im] pairs
     unpaired = '{"n": 2, "d": 2, "amplitudes": [1.0, 0.0], "vacuum_weight": 0.0}'
     assert main(["verify", "--spec", unpaired]) == 2
+    # 1e400 parses as an infinite float, which int() cannot convert
+    for n, d in (("1e400", "2"), ("2", "1e400"), ("-1e400", "2")):
+        huge = f'{{"n":{n},"d":{d},"amplitudes":[[1,0],[0,0]],"vacuum_weight":0.0}}'
+        for command in ("verify", "oracle"):
+            capsys.readouterr()
+            assert main([command, "--spec", huge]) == 2
+            assert "malformed GW spec document" in capsys.readouterr().err
 
 
 #: Each rejected order grid and the reason its error names.
@@ -644,16 +651,24 @@ def test_oracle_many_stacks_equal_solo_runs(tmp_path):
         assert lines[k] == _solo_line(psi, pairs[k], None, 100, 9), k
 
 
-def test_oracle_decomposes_each_pair_once(spec_file, tmp_path, monkeypatch):
-    # README spec: three pairs, and both orders reuse the first one
+def test_oracle_runs_no_eigendecomposition(spec_file, tmp_path, monkeypatch):
+    # README spec: three pairs, and both orders reuse the first one; each
+    # pair's rows come from its block weights, with no dense pair built and
+    # no eigendecomposition made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense pair or an eigendecomposition on the oracle path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(gwlab.tensor.DensityOperator, "__post_init__", refuse)
     calls = []
-    real = gwlab.roof._eigen_ensemble
+    real = gwlab.roof._pair_rows
 
-    def count(rho):
-        calls.append(rho)
-        return real(rho)
+    def count(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(gwlab.roof, "_eigen_ensemble", count)
+    monkeypatch.setattr(gwlab.roof, "_pair_rows", count)
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "100"]
     assert main(args + ["--alpha", "0.9,1.1", "--out", str(tmp_path / "o.jsonl")]) == 0
     assert len(calls) == 3

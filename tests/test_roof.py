@@ -14,6 +14,7 @@ from gwlab import (
     DensityOperator,
     GWBlocks,
     GWSpec,
+    PartyLayout,
     PureState,
     SubsystemLayout,
     block_pair_reduction,
@@ -37,8 +38,10 @@ from gwlab.roof import (
     GENERATION,
     _draw_chunk,
     _eigen_ensemble,
+    _pair_rows,
     oracle_reports,
 )
+from gwlab.tensor import SUPPORT_TOL
 from conftest import dense_block_pair, rand_unit, random_gw_spec
 
 #: The blocks of ``_figure1_pair``, for the roof run on the pure state.
@@ -78,6 +81,45 @@ def test_haar_rows_match_full_qr(g):
         used = (t % EXPLORE_CYCLE == 0) | (g == 0)
         np.testing.assert_array_equal(haar[used], full[: t.size][used])
         assert np.isnan(haar[~used]).all()
+
+
+def _near_support_tol(factor):
+    """A triple whose pair has smaller eigenvalue factor * SUPPORT_TOL: the
+    eigenvalues lo and 1 - lo multiply to r (t_a + t_b)."""
+    lo, t_a, t_b = factor * SUPPORT_TOL, 0.2, 0.4
+    r = lo * (1.0 - lo) / (t_a + t_b)
+    return 1.0 - t_a - t_b - r, t_a, t_b
+
+
+#: (w, t_a, t_b): r = 1 - w - t_a - t_b = 0 at w = 0 and at w > 0; t_a = 0;
+#: t_a = t_b = 0; w = 0 with r > 0; a generic triple; w = 0 with r and
+#: t_a + t_b near 0.5, where 4 r (t_a + t_b) rounds above 1; the smaller
+#: eigenvalue on either side of SUPPORT_TOL, which decides the row count.
+PAIR_TRIPLES = [(0.0, 0.3, 0.7), (0.2, 0.3, 0.5), (0.2, 0.0, 0.5), (0.3, 0.0, 0.0),
+                (0.0, 0.3, 0.2), (0.1, 0.2, 0.3),
+                (0.0, 0.43088240841168696, 0.06911759158831321),
+                _near_support_tol(0.5), _near_support_tol(2.0)]
+
+
+@pytest.mark.parametrize("w, t_a, t_b", PAIR_TRIPLES)
+def test_pair_rows_are_a_unitary_image_of_the_eigen_ensemble(w, t_a, t_b):
+    # the oracle's rows and the eigen-ensemble of the same pair have one row
+    # count, so one isometry shape, and differ by a unitary (Hughston, Jozsa
+    # and Wootters): Haar draws applied to either have one law
+    weights = [t_a, t_b, max(0.0, 1.0 - w - t_a - t_b)]
+    pair = block_pair_reduction(GWBlocks(weights, PartyLayout((2, 2, 2)), w), {0}, {1})
+    rows, eigen = _pair_rows(w, t_a, t_b), _eigen_ensemble(pair)
+    assert rows.shape == eigen.shape
+    if len(rows) == 2:
+        assert np.abs(rows.T @ rows.conj() - pair.matrix).max() <= 1e-12
+    # eigh finds the smallest kept eigenvalue lo and its eigenvector to a few
+    # ulps of the matrix, so that row of the eigen-ensemble, and U, carry
+    # errors of up to about eps / lo: 1e-6 just above SUPPORT_TOL
+    lo = pair.eigenvalues()[len(rows) - 1]
+    tol = 1e-12 + 4.0 * np.finfo(float).eps / lo
+    u = eigen @ np.linalg.pinv(rows)
+    np.testing.assert_allclose(u @ rows, eigen, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(len(rows)), rtol=0.0, atol=tol)
 
 
 def test_pure_state_has_unique_decomposition(bell_state):
@@ -159,7 +201,8 @@ def test_oracle_reports_check_every_target_first(monkeypatch, targets, trials, m
     def refuse(*args):
         raise AssertionError("a reduction or roof ran before every target was checked")
 
-    for name in ("block_pair_reduction", "gw_pairwise_concurrence", "_eigen_ensemble"):
+    for name in ("block_pair_reduction", "gw_pairwise_concurrence", "_eigen_ensemble",
+                 "_pair_rows"):
         monkeypatch.setattr(gwlab.roof, name, refuse)
     with pytest.raises(ValueError, match=message):
         oracle_reports(rho, targets, trials=trials, seed=3)

@@ -287,12 +287,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    """Convex-roof estimates plus agreement reports, one JSON object per line.
-
-    Every block pair of the state's block weights, and each order on the
-    first two blocks, is one target of ``oracle_reports``, which sums each
-    pair's blocks once and runs all the roofs in lockstep.  A job of more
-    than ``MAX_ORACLE_TARGETS`` targets is refused before any pair is listed."""
+    """``oracle_reports`` on every block pair and each order on the first
+    two, one JSON line per report; a job of more than ``MAX_ORACLE_TARGETS``
+    targets is refused before any roof runs."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _env_seed() if args.seed is None else args.seed
@@ -300,20 +297,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     _, psi, partition = _load_blocks(args)
     k = partition.n_blocks
-    if k < 2:
-        raise ValueError("partition needs at least two blocks")
     orders = [_as_order(float(a)) for a in args.alpha.split(",")] if args.alpha else []
     if k * (k - 1) // 2 + len(orders) > MAX_ORACLE_TARGETS:
         raise ValueError(
             f"{k} blocks and {len(orders)} orders make more than "
             f"MAX_ORACLE_TARGETS = {MAX_ORACLE_TARGETS} oracle targets"
         )
-    blocks = list(partition.blocks)
-    pairs = [(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
-    targets = [(pair, None) for pair in pairs] + [(pairs[0], a) for a in orders]
-    reports = oracle_reports(psi, targets, trials=args.trials, seed=seed)
-    for (a, b), report in zip(pairs, reports):
-        report.params["pair"] = [sorted(a), sorted(b)]
+    reports = oracle_reports(psi, partition, orders, trials=args.trials, seed=seed)
     _write_lines(map(report_to_json_line, reports), args.out)
     return 0
 

@@ -10,16 +10,17 @@ refinement of the incumbent best decompositions.  Minima over sampled
 decompositions upper-bound the true convex roof; maxima lower-bound the
 assisted value.
 
-Trials run in generations of ``GENERATION`` candidates that are averaged
-as one batch.  All randomness of generation g derives from the (seed, g)
-pair and is drawn in fixed shapes however many trials remain, and
-refinement uses only incumbents of earlier generations, so runs are
-reproducible and a longer run extends a shorter one.  The runs of one call
-share their seed and advance in lockstep.  Draws are made per chunk of
-``DRAW_CHUNK`` generations and isometry shape, still one stream per
-generation, with one QR over the chunk, so memory is bounded per chunk.
-The runs of a shape step through each generation as stacked arrays of at
-most ``GROUP_RUNS`` runs, one matrix product each.
+Trials run in generations of ``GENERATION`` candidates averaged as one
+batch.  Generation g draws all its randomness from the (seed, g) pair in
+fixed shapes, and refinement uses only incumbents of earlier generations,
+so runs are reproducible and a longer run extends a shorter one.  The runs
+of one call share their seed and advance in lockstep, each for its own
+trial count.  Draws are made per chunk of ``DRAW_CHUNK`` generations and
+isometry shape, with one QR over the chunk, and the runs of a shape,
+measure and trial count step as stacks of at most ``GROUP_RUNS`` runs.  On
+a family pair every decomposition averages its concurrence to C exactly
+(sum_k p_k C_k = C), so the oracle runs each concurrence target for one
+generation only.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -170,23 +171,24 @@ def _pair_rows(w: float, t_a: float, t_b: float) -> np.ndarray:
 
 
 class _Group:
-    """Up to ``GROUP_RUNS`` roof runs of one isometry shape as one stack:
-    their rows, incumbent minimizing and maximizing isometries with
-    their values, and the last trial that improved either by more than
-    ``PLATEAU_TOL``.  Concurrence runs come first, then the Renyi runs."""
+    """Up to ``GROUP_RUNS`` roof runs of one isometry shape, one measure and
+    one trial count as one stack: their rows, incumbent minimizing and
+    maximizing isometries with their values, and the last trial that
+    improved either by more than ``PLATEAU_TOL``.  ``parts``, each order
+    with the mask of its runs, is empty for concurrence runs."""
 
     def __init__(self, runs: list):
-        self.targets = [i for i, _, _ in runs]
-        self.ensembles = np.array([e for _, e, _ in runs], dtype=complex)
+        self.targets = [i for i, _, _, _ in runs]
+        self.trials = runs[0][3]
+        self.ensembles = np.array([e for _, e, _, _ in runs], dtype=complex)
         size, r = self.ensembles.shape[:2]
         self.shape = (r + 2, r)
         self.best_min, self.best_max = np.full(size, math.inf), np.full(size, -math.inf)
         self.iso_min = np.full((size, r + 2, r), np.nan, complex)
         self.iso_max = self.iso_min.copy()
         self.last_improve = np.zeros(size, dtype=int)
-        alphas = np.array([order.alpha for _, _, order in runs if order is not None])
-        self.conc = len(runs) - alphas.size
-        self.parts = [(alpha, alphas == alpha) for alpha in dict.fromkeys(alphas.tolist())]
+        alphas = [order.alpha for _, _, order, _ in runs if order is not None]
+        self.parts = [(alpha, np.array(alphas) == alpha) for alpha in dict.fromkeys(alphas)]
 
     def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
         """Evaluate trials t: the Haar draws, with the refining rows of
@@ -208,15 +210,16 @@ class _Group:
         # a pure two-qubit component has concurrence (and negativity, so this
         # is the CREN roof too) 2|det| of its amplitudes, Renyi value f_alpha(C^2)
         dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
-        values = np.empty(dets.shape[:2])
-        values[: self.conc] = 2.0 * dets[: self.conc].sum(axis=-1)
-        mixed, dets = rows[self.conc :].reshape(-1, m, 4), dets[self.conc :]
-        weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
-        live = weights > 1e-14
-        c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
-        for alpha, part in self.parts:
-            c2[part] = _f_alpha_array(c2[part], alpha)
-        values[self.conc :] = np.where(live, weights * c2, 0.0).sum(axis=-1)
+        if not self.parts:
+            values = 2.0 * dets.sum(axis=-1)
+        else:
+            mixed = rows.reshape(-1, m, 4)
+            weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
+            live = weights > 1e-14
+            c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
+            for alpha, part in self.parts:
+                c2[part] = _f_alpha_array(c2[part], alpha)
+            values = np.where(live, weights * c2, 0.0).sum(axis=-1)
         # the best values before each trial, this generation's earlier ones too
         low, high = (np.concatenate((best[:, None], values[:, :-1]), axis=1)
                      for best in (self.best_min, self.best_max))
@@ -240,36 +243,37 @@ def _check_run(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def _roof_estimates(targets, trials: int, seed: int) -> list[RoofEstimate]:
-    """One estimate per (rows, order) target: the concurrence roof when the
-    order is None, else the f_alpha(C^2) roof, of the state the rows
-    decompose.  Every run takes the seed and trial count the callers checked.
+def _roof_estimates(targets, seed: int) -> list[RoofEstimate]:
+    """One estimate per (rows, order, trials) target: the concurrence roof
+    when the order is None, else the f_alpha(C^2) roof, of the state the rows
+    decompose, over the first trials of the seed the callers checked.  Each
+    trial count is the call's largest or a multiple of ``GENERATION``.  Draws
+    are made once per chunk of ``DRAW_CHUNK`` generations and shape, up to
+    the shape's longest run, and discarded after it."""
+    def kind(run):
+        return len(run[1]), run[2] is not None, run[3]
 
-    The runs advance one generation at a time in ``_Group`` stacks; draws
-    are made once per chunk of ``DRAW_CHUNK`` generations and shape and
-    discarded after it, so memory does not grow with the trial count."""
-    runs = sorted(((i, rows, order) for i, (rows, order) in enumerate(targets)),
-                  key=lambda run: (len(run[1]), run[2] is not None))
-    groups = []
-    for _, same in groupby(runs, key=lambda run: len(run[1])):
+    groups, stops = [], {}
+    for _, same in groupby(sorted(((i, *target) for i, target in enumerate(targets)),
+                                  key=kind), key=kind):
         same = list(same)
         groups += [_Group(same[k : k + GROUP_RUNS]) for k in range(0, len(same), GROUP_RUNS)]
-    shapes = dict.fromkeys(group.shape for group in groups)
+        stops[groups[-1].shape] = max(stops.get(groups[-1].shape, 0), groups[-1].trials)
     span = DRAW_CHUNK * GENERATION
-    for start in range(0, trials, span):
-        chunks = {shape: _draw_chunk(seed, start, min(trials, start + span), *shape)
-                  for shape in shapes}
-        for group in groups:
-            for generation in chunks[group.shape]:
+    for start in range(0, max(stops.values()), span):
+        chunks = {shape: _draw_chunk(seed, start, min(stop, start + span), *shape)
+                  for shape, stop in stops.items() if stop > start}
+        for group in (group for group in groups if group.trials > start):
+            for generation in chunks[group.shape][: -((start - group.trials) // GENERATION)]:
                 group.step(*generation)
-    limit = math.floor(0.75 * trials)
-    found = np.empty((len(targets), 3))
+    found: list = [None] * len(targets)
     for group in groups:
-        best = (group.best_min, group.best_max, group.last_improve)
-        found[group.targets] = np.transpose(best)
-    plateau = trials >= MIN_PLATEAU_TRIALS
-    return [RoofEstimate(low, high, trials, int(seed), plateau and last < limit)
-            for low, high, last in found.tolist()]
+        # converged: no improvement in the last quarter of enough trials
+        limit, plateau = math.floor(0.75 * group.trials), group.trials >= MIN_PLATEAU_TRIALS
+        for i, low, high, last in zip(group.targets, group.best_min.tolist(),
+                                      group.best_max.tolist(), group.last_improve.tolist()):
+            found[i] = RoofEstimate(low, high, group.trials, int(seed), plateau and last < limit)
+    return found
 
 
 def convex_roof_bounds(
@@ -298,35 +302,29 @@ def convex_roof_bounds(
     order = None if order is None else _as_order(order)
     if rho.layout.dims != (2, 2):
         raise ValueError(f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}")
-    target = (_eigen_ensemble(rho), order if measure_kind == "renyi_ent" else None)
-    return _roof_estimates([target], trials, seed)[0]
+    target = (_eigen_ensemble(rho), order if measure_kind == "renyi_ent" else None, trials)
+    return _roof_estimates([target], seed)[0]
 
 
-def _compare(concurrence, rows, order, estimate, params) -> InequalityReport:
+def _compare(concurrence, rows, order, estimate) -> InequalityReport:
     """Compare a roof estimate's min and max with the closed form: the
     concurrence C (``c_equals_ca``), or f_alpha(C^2) when an order is given
-    (``e_alpha_formula``).
-
-    The max side is compared for the concurrence, and for the Renyi form
-    only inside the concavity window or on a pure pair (a single row).  A
-    non-converged run is reported as CONDITION_UNMET (with the numbers
-    attached), not as a violation."""
+    (``e_alpha_formula``).  The max side is compared for the concurrence, and
+    for the Renyi form only inside the concavity window or on a pure pair (a
+    single row).  A concurrence run has converged when its min and max agree
+    within ``PLATEAU_TOL``, a Renyi run on a plateau; a non-converged run is
+    reported as CONDITION_UNMET (with the numbers attached)."""
     name = "c_equals_ca" if order is None else "e_alpha_formula"
     closed = concurrence if order is None else f_alpha(concurrence**2, order)
     max_side = order is None or order.supports_polygamy or len(rows) == 1
-    deviations = [abs(estimate.min_estimate - closed)]
-    if max_side:
-        deviations.append(abs(estimate.max_estimate - closed))
-        deviations.append(abs(estimate.min_estimate - estimate.max_estimate))
-    params.update(
-        closed_form=closed,
-        roof_min=estimate.min_estimate,
-        roof_max=estimate.max_estimate,
-        converged=estimate.converged,
-    )
+    low, high = estimate.min_estimate, estimate.max_estimate
+    converged = estimate.converged if order is not None else high - low <= PLATEAU_TOL
+    deviations = [abs(low - closed)] + ([abs(high - closed), abs(low - high)] if max_side else [])
+    params: dict = {"trials": estimate.trials, "seed": estimate.seed}
     if order is not None:
-        params["max_side_checked"] = max_side
-    if not estimate.converged:
+        params.update(alpha=order.alpha, max_side_checked=max_side)
+    params.update(closed_form=closed, roof_min=low, roof_max=high, converged=converged)
+    if not converged:
         return InequalityReport(name, None, None, None, True, Applicability.CONDITION_UNMET, params)
     lhs = float(max(deviations))
     return InequalityReport(name, lhs, AGREEMENT_TOL, AGREEMENT_TOL - lhs, lhs <= AGREEMENT_TOL,
@@ -335,46 +333,52 @@ def _compare(concurrence, rows, order, estimate, params) -> InequalityReport:
 
 def oracle_reports(
     state: State | GWBlocks,
-    targets: Sequence[tuple],
+    partition: Partition,
+    orders: Sequence[OrderLike] = (),
     trials: int = 20000,
     seed: int = 0,
 ) -> list[InequalityReport]:
-    """One agreement report per ``(blocks, order)`` target: ``c_equals_ca``
-    when the order is None, else ``e_alpha_formula`` at that order.
+    """One ``c_equals_ca`` report per pair of the partition's blocks, pairs
+    (0, 1), (0, 2), ..., (1, 2), ..., then one ``e_alpha_formula`` report per
+    order on blocks 0 and 1.
 
-    The state, a pure GWBlocks or a GW-tagged dense pure state, becomes
-    block weights at entry.  Each pair of blocks (by default party 0 and the
-    rest) is summed once, however many targets name it, and its weights give
-    its concurrence and the rows of its canonical qubit pair (``_pair_rows``).
-    Every target, and then that the state is pure, is checked before any
-    pair is built or roof runs; orders outside the convexity threshold are
-    reported OUT_OF_WINDOW without a roof, and the others run in lockstep."""
+    The state (a pure GWBlocks or GW-tagged dense pure state) becomes block
+    weights.  The orders, the block count (two or more) and the purity are
+    checked first; one ``block_sums`` then gives every block's weight.  Each
+    distinct ordered weight pair gives its C and rows (``_pair_rows``) once,
+    and each distinct target one roof run.  A concurrence run takes
+    min(trials, ``GENERATION``) trials, which its line records; a Renyi run
+    every trial, and an order outside the convexity threshold is
+    OUT_OF_WINDOW with no roof."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
-    orders = [None if order is None else _as_order(order) for _, order in targets]
+    orders = [_as_order(order) for order in orders]
+    if partition.n_blocks < 2:
+        raise ValueError("partition needs at least two blocks")
     if not state.pure:
         raise ValueError("the oracle needs a pure state")
-    reports: list = [None] * len(targets)
-    pairs: dict = {}
-    pending = []
-    for i, ((blocks, _), order) in enumerate(zip(targets, orders)):
-        params: dict = {"trials": trials, "seed": int(seed)}
-        if order is not None:
-            params["alpha"] = order.alpha
-            if not order.supports_monogamy:
-                reports[i] = InequalityReport("e_alpha_formula", None, None, None, True,
-                                              Applicability.OUT_OF_WINDOW, params)
-                continue
-        block_a, block_b = blocks or ({0}, set(range(1, state.layout.n_parties)))
-        key = (frozenset(block_a), frozenset(block_b))
-        if key not in pairs:
-            t_a, t_b = Partition.of([block_a, block_b]).block_sums(state.weights).tolist()
-            pairs[key] = 2.0 * math.sqrt(t_a * t_b), _pair_rows(state.vacuum_weight, t_a, t_b)
-        pending.append((i, order, params, *pairs[key]))
-    estimates = _roof_estimates([(rows, order) for _, order, _, _, rows in pending],
-                                trials, seed)
-    for (i, order, params, concurrence, rows), estimate in zip(pending, estimates):
-        reports[i] = _compare(concurrence, rows, order, estimate, params)
+    t = partition.block_sums(state.weights)
+    a, b = np.triu_indices(partition.n_blocks, 1)
+    weights, pair_of = np.unique(np.stack((t[a], t[b]), axis=1), axis=0, return_inverse=True)
+    weights, pair_of = weights.tolist(), pair_of.reshape(-1).tolist()
+    rows = [_pair_rows(state.vacuum_weight, t_a, t_b) for t_a, t_b in weights]
+    concurrences = [2.0 * math.sqrt(t_a * t_b) for t_a, t_b in weights]
+    first = pair_of[0]
+    windowed = {order.alpha: order for order in orders if order.supports_monogamy}
+    estimates = _roof_estimates([(r, None, min(trials, GENERATION)) for r in rows] + [
+        (rows[first], order, trials) for order in windowed.values()], seed)
+    found = dict(zip(windowed, estimates[len(rows) :]))
+    blocks, reports = partition.sorted_blocks, []
+    for p, i, j in zip(pair_of, a.tolist(), b.tolist()):
+        reports.append(_compare(concurrences[p], rows[p], None, estimates[p]))
+        reports[-1].params["pair"] = [blocks[i], blocks[j]]
+    for order in orders:
+        if order.alpha in found:
+            reports.append(_compare(concurrences[first], rows[first], order, found[order.alpha]))
+        else:
+            params = {"trials": trials, "seed": int(seed), "alpha": order.alpha}
+            reports.append(InequalityReport("e_alpha_formula", None, None, None, True,
+                                            Applicability.OUT_OF_WINDOW, params))
     return reports
 
 
@@ -383,7 +387,9 @@ def verify_c_equals_ca(
 ) -> InequalityReport:
     """Check that the min and max decomposition averages of the concurrence
     pinch together onto the two-qubit closed form."""
-    return oracle_reports(state, [(blocks, None)], trials, seed)[0]
+    state = GWBlocks.from_state(state)
+    blocks = blocks or ({0}, range(1, state.layout.n_parties))
+    return oracle_reports(state, Partition.of(blocks), (), trials, seed)[0]
 
 
 def verify_e_alpha_formula(
@@ -402,4 +408,6 @@ def verify_e_alpha_formula(
     f_alpha(C^2) is the minimum over decompositions and the maximizing ones
     exceed it.
     """
-    return oracle_reports(state, [(blocks, order)], trials, seed)[0]
+    state = GWBlocks.from_state(state)
+    blocks = blocks or ({0}, range(1, state.layout.n_parties))
+    return oracle_reports(state, Partition.of(blocks), [order], trials, seed)[-1]

@@ -341,13 +341,25 @@ def gw_spec_to_json(spec: GWSpec) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_number(value, integral: bool = False) -> float | int:
+    """A number of the spec document: a JSON int or float, never a bool or a
+    string.  A count must be integral, so 2.0 reads as 2 and 2.9 is refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    if integral and type(value) is float and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integral count")
+    return int(value) if integral else float(value)
+
+
 def gw_spec_from_json(text: str) -> GWSpec:
     doc = json.loads(text)
     try:
-        n = int(doc["n"])
-        d = int(doc["d"])
+        n = _json_number(doc["n"], integral=True)
+        d = _json_number(doc["d"], integral=True)
         pairs = doc["amplitudes"]
-        w = float(doc["vacuum_weight"])
+        w = _json_number(doc["vacuum_weight"])
+        if not {type(x) for pair in pairs for x in pair} <= {int, float}:
+            raise TypeError("an amplitude entry is not a JSON number")
         flat = np.array(
             [complex(float(re), float(im)) for re, im in pairs], dtype=complex
         )

@@ -274,13 +274,24 @@ def test_verify_malformed_spec_exit_two(tmp_path, capsys):
     # amplitude entries that are not [re, im] pairs
     unpaired = '{"n": 2, "d": 2, "amplitudes": [1.0, 0.0], "vacuum_weight": 0.0}'
     assert main(["verify", "--spec", unpaired]) == 2
-    # 1e400 parses as an infinite float, which int() cannot convert
-    for n, d in (("1e400", "2"), ("2", "1e400"), ("-1e400", "2")):
-        huge = f'{{"n":{n},"d":{d},"amplitudes":[[1,0],[0,0]],"vacuum_weight":0.0}}'
+    # 1e400 parses as an infinite float, which no party count equals; a
+    # count that is not integral, a bool or a string, and a bool or a string
+    # for an amplitude or the vacuum weight, are no JSON numbers of the spec
+    fields = [("1e400", "2", "[1,0]", "0.0"), ("2", "1e400", "[1,0]", "0.0"),
+              ("-1e400", "2", "[1,0]", "0.0"), ("2.9", "2", "[1,0]", "0.0"),
+              ('"2"', "2", "[1,0]", "0.0"), ("true", "2", "[1,0]", "0.0"),
+              ("2", '"2"', "[1,0]", "0.0"), ("2", "2.5", "[1,0]", "0.0"),
+              ("2", "2", "[1,0]", '"0.1"'), ("2", "2", "[true,0]", "0.0"),
+              ("2", "2", '[1,"0"]', "0.0"), ("2", "2", "[1,0]", "false")]
+    for n, d, first, w in fields:
+        spec = f'{{"n":{n},"d":{d},"amplitudes":[{first},[0,0]],"vacuum_weight":{w}}}'
         for command in ("verify", "oracle"):
             capsys.readouterr()
-            assert main([command, "--spec", huge]) == 2
-            assert "malformed GW spec document" in capsys.readouterr().err
+            assert main([command, "--spec", spec]) == 2, spec
+            assert "malformed GW spec document" in capsys.readouterr().err, spec
+    # an integral float is a count: 2.0 parties are 2
+    spec = '{"n":2.0,"d":2.0,"amplitudes":[[1,0],[0,0]],"vacuum_weight":0}'
+    assert main(["verify", "--spec", spec, "--alpha", "1.1:1.1:1"]) == 0
 
 
 #: Each rejected order grid and the reason its error names.
@@ -566,18 +577,19 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
     calls = []
     real = gwlab.cli.oracle_reports
 
-    def spy(state, targets, **kwargs):
-        calls.append((state, targets))
-        return real(state, targets, **kwargs)
+    def spy(state, partition, orders, **kwargs):
+        calls.append((state, partition, orders))
+        return real(state, partition, orders, **kwargs)
 
     monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
     monkeypatch.setattr(gwlab.cli, "oracle_reports", spy)
     assert main(args + ["--out", str(b)]) == 0
     assert b.read_bytes() == a.read_bytes()
     assert len(b.read_text().splitlines()) == 5
-    [(state, targets)] = calls
+    [(state, partition, orders)] = calls
     assert isinstance(state, GWBlocks) and state.layout.n_parties == 4
-    assert [order and order.alpha for _, order in targets] == [None] * 3 + [0.9, 1.1]
+    assert partition.sorted_blocks == [[0], [1, 2], [3]]
+    assert [order.alpha for order in orders] == [0.9, 1.1]
 
 
 def _oracle_lines(tmp_path, spec, partition, orders, trials, seed):
@@ -596,7 +608,6 @@ def _solo_line(psi, pair, order, trials, seed):
     """The oracle line of one target, run alone."""
     if order is None:
         report = verify_c_equals_ca(psi, trials=trials, seed=seed, blocks=pair)
-        report.params["pair"] = [sorted(pair[0]), sorted(pair[1])]
     else:
         report = verify_e_alpha_formula(psi, order, trials=trials, seed=seed, blocks=pair)
     return report_to_json_line(report)
@@ -649,6 +660,31 @@ def test_oracle_many_stacks_equal_solo_runs(tmp_path):
     lines, psi = _oracle_lines(tmp_path, spec, "|".join(map(str, range(n))), (), 100, 9)
     for k in (0, len(pairs) // 2, len(pairs) - 1):
         assert lines[k] == _solo_line(psi, pairs[k], None, 100, 9), k
+
+
+def test_oracle_runs_each_distinct_target_once(tmp_path, monkeypatch):
+    # 30 singleton qubits of equal weight make 435 pairs of one weight pair:
+    # one concurrence run, and one run per order, each line still byte for
+    # byte its solo run
+    n = 30
+    spec = GWSpec.qubit(np.full(n, math.sqrt(1 / n)), vacuum_weight=0.2)
+    runs = []
+    real = gwlab.roof._roof_estimates
+
+    def count(targets, seed):
+        runs.append([(len(rows), order and order.alpha, trials) for rows, order, trials in targets])
+        return real(targets, seed)
+
+    monkeypatch.setattr(gwlab.roof, "_roof_estimates", count)
+    orders = (1.1, 1.2)
+    lines, psi = _oracle_lines(tmp_path, spec, "|".join(map(str, range(n))), orders, 300, 9)
+    assert runs[0] == [(2, None, gwlab.roof.GENERATION), (2, 1.1, 300), (2, 1.2, 300)]
+    monkeypatch.undo()
+    pairs = [({i}, {j}) for i in range(n) for j in range(i + 1, n)]
+    targets = [(pair, None) for pair in pairs] + [(pairs[0], order) for order in orders]
+    assert len(lines) == len(targets)
+    for line, (pair, order) in zip(lines, targets):
+        assert line == _solo_line(psi, pair, order, 300, 9), (pair, order)
 
 
 def test_oracle_runs_no_eigendecomposition(spec_file, tmp_path, monkeypatch):
@@ -753,11 +789,25 @@ def test_oracle_single_block_exit_two(spec_file, capsys):
 
 
 def test_oracle_low_trials_unconverged(spec_file, tmp_path):
+    # 10 trials never certify a Renyi plateau; a concurrence run converges
+    # when its min and max agree within PLATEAU_TOL, as every decomposition
+    # of a family pair averages to C
     out = tmp_path / "r.jsonl"
-    main(["oracle", "--spec", spec_file, "--trials", "10", "--seed", "1", "--out", str(out)])
+    args = ["oracle", "--spec", spec_file, "--trials", "10", "--seed", "1", "--alpha", "1.1"]
+    assert main(args + ["--out", str(out)]) == 0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
-    assert all(not r["params"]["converged"] for r in reports)
-    assert all(r["applicability"] == "CONDITION_UNMET" for r in reports)
+    renyi = [r for r in reports if r["name"] == "e_alpha_formula"]
+    pairs = [r for r in reports if r["name"] == "c_equals_ca"]
+    assert len(renyi) == 1 and len(pairs) == 6
+    assert all(not r["params"]["converged"] for r in renyi)
+    assert all(r["applicability"] == "CONDITION_UNMET" for r in renyi)
+    for r in pairs:
+        params = r["params"]
+        assert params["trials"] == 10
+        spread = params["roof_max"] - params["roof_min"]
+        assert params["converged"] == (spread <= gwlab.roof.PLATEAU_TOL)
+        assert r["applicability"] == ("APPLICABLE" if params["converged"] else "CONDITION_UNMET")
+    assert all(r["params"]["converged"] for r in pairs)
 
 
 def test_gamebounds_table(tmp_path):

@@ -1,13 +1,12 @@
 """Pinned ``gwlab verify`` and ``gwlab oracle`` report streams.
 
 The expected verify streams in ``tests/data`` were recorded before the
-checkers were merged into one implementation per inequality shape.  The
-README oracle stream was recorded when the roof began drawing its trials in
-generations.  The mixture one was recorded again when the oracle began
-starting each pair's roof from the rows its block weights give, in place of
-the eigen-ensemble of a dense pair: that moves the pairing of draws to
-decompositions, and with it the sampled numbers of a pair that has vacuum
-weight.  The oracle streams carry the tags out of window, condition unmet and
+checkers were merged into one implementation per inequality shape.  Both
+oracle streams were recorded again when each concurrence run began taking
+one generation (64 trials): every decomposition of a family pair averages
+to C, so its line's trials fell to 64 and its roof numbers moved in the
+last bits.  Their Renyi lines are those of the oracle that starts each
+pair's roof from the rows its block weights give.  The oracle streams carry the tags out of window, condition unmet and
 applicable satisfied.  No applicable unsatisfied oracle report is pinned:
 none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps

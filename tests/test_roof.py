@@ -1,5 +1,6 @@
 """Convex-roof oracle: sampling, estimation and closed-form agreement."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -36,12 +37,13 @@ from gwlab.roof import (
     AGREEMENT_TOL,
     EXPLORE_CYCLE,
     GENERATION,
+    PLATEAU_TOL,
     _draw_chunk,
     _eigen_ensemble,
     _pair_rows,
     oracle_reports,
 )
-from gwlab.tensor import SUPPORT_TOL
+from gwlab.tensor import SUPPORT_TOL, Partition
 from conftest import dense_block_pair, rand_unit, random_gw_spec
 
 #: The blocks of ``_figure1_pair``, for the roof run on the pure state.
@@ -188,14 +190,14 @@ def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, messag
 
 
 @pytest.mark.parametrize(
-    "targets, trials, message",
+    "orders, trials, message",
     [
-        ([(None, None), (None, 1.1)], 0, "trials must be >= 1"),
-        ([(None, None), (None, 1.1), (None, -2.0)], 10, "order must be positive"),
+        ([1.1], 0, "trials must be >= 1"),
+        ([1.1, -2.0], 10, "order must be positive"),
     ],
     ids=["trials-zero", "last-order-bad"],
 )
-def test_oracle_reports_check_every_target_first(monkeypatch, targets, trials, message):
+def test_oracle_reports_check_every_target_first(monkeypatch, orders, trials, message):
     rho = _figure1_pair()
 
     def refuse(*args):
@@ -205,7 +207,7 @@ def test_oracle_reports_check_every_target_first(monkeypatch, targets, trials, m
                  "_pair_rows"):
         monkeypatch.setattr(gwlab.roof, name, refuse)
     with pytest.raises(ValueError, match=message):
-        oracle_reports(rho, targets, trials=trials, seed=3)
+        oracle_reports(rho, Partition.of(FIGURE1_PAIR), orders, trials=trials, seed=3)
 
 
 def test_every_exported_name_resolves():
@@ -367,25 +369,75 @@ def test_assisted_average_exceeds_closed_form_exactly():
 
 
 def test_unconverged_runs_are_flagged():
-    # too few trials can never certify a plateau
-    report = verify_c_equals_ca(figure1_state(), trials=10, seed=1, blocks=FIGURE1_PAIR)
+    # too few trials can never certify a Renyi plateau; a concurrence run
+    # takes one generation, and every decomposition of a family pair averages
+    # to C, so its min and max agree and it has converged
+    psi = figure1_state()
+    report = verify_e_alpha_formula(psi, 1.1, trials=10, seed=1, blocks=FIGURE1_PAIR)
     assert not report.params["converged"]
     assert report.applicability == Applicability.CONDITION_UNMET
+    report = verify_c_equals_ca(psi, trials=10, seed=1, blocks=FIGURE1_PAIR)
+    params = report.params
+    assert params["trials"] == 10
+    assert params["converged"] and params["roof_max"] - params["roof_min"] <= PLATEAU_TOL
+    assert report.applicability == Applicability.APPLICABLE
+    report = verify_c_equals_ca(psi, trials=1000, seed=1, blocks=FIGURE1_PAIR)
+    assert report.params["trials"] == GENERATION and report.params["converged"]
+
+
+def test_concurrence_spread_beyond_plateau_tol_is_unconverged(monkeypatch):
+    # a concurrence run whose min and max differ by more than PLATEAU_TOL
+    # broke the identity sum_k p_k C_k = C: it is reported, not certified
+    real = gwlab.roof._roof_estimates
+
+    def spread(targets, seed):
+        return [dataclasses.replace(e, max_estimate=e.min_estimate + 2.0 * PLATEAU_TOL)
+                for e in real(targets, seed)]
+
+    monkeypatch.setattr(gwlab.roof, "_roof_estimates", spread)
+    report = verify_c_equals_ca(figure1_state(), trials=100, seed=1, blocks=FIGURE1_PAIR)
+    assert not report.params["converged"]
+    assert report.applicability == Applicability.CONDITION_UNMET
+    assert report.lhs is None and report.satisfied
+
+
+def test_oracle_sums_blocks_once_and_builds_no_pair_partition(monkeypatch):
+    # every block weight comes from one block_sums over the job's partition,
+    # and the pairs come by index, with no partition built per pair
+    n = 12
+    amplitudes = np.random.default_rng(2).uniform(0.5, 1.0, n)
+    state = GWBlocks.of(GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), 0.2))
+    partition = Partition.singletons(n)
+    sums, built = [], []
+    real_sums, real_of = Partition.block_sums, Partition.of.__func__
+    monkeypatch.setattr(Partition, "block_sums",
+                        lambda self, values: sums.append(self) or real_sums(self, values))
+    monkeypatch.setattr(Partition, "of",
+                        classmethod(lambda cls, blocks: built.append(1) or real_of(cls, blocks)))
+    reports = oracle_reports(state, partition, [1.1], trials=100, seed=2)
+    assert len(reports) == n * (n - 1) // 2 + 1
+    assert sums == [partition] and built == []
 
 
 def test_oracle_memory_per_target_stays_bounded():
-    # 100 singleton blocks give 4950 concurrence runs of one shape; they step
-    # in stacks of GROUP_RUNS, so a generation's temporaries do not grow with
-    # the target count.  On these inputs, stepping one run at a time peaked
-    # at about 11.2 KB per target and the stacks at about 5.2 KB.
+    # 100 singleton blocks of seeded distinct weights give 4950 distinct
+    # concurrence runs of one shape; they step in stacks of GROUP_RUNS, so a
+    # generation's temporaries do not grow with the target count.  Stepping
+    # one run at a time once peaked at about 11.2 KB per target; these runs
+    # of one generation peak at about 2.7 KB.
     n = 100
-    state = GWBlocks.of(GWSpec.qubit(np.full(n, math.sqrt(1 / n)), vacuum_weight=0.2))
-    targets = [(({i}, {j}), None) for i in range(n) for j in range(i + 1, n)]
+    amplitudes = np.random.default_rng(6).uniform(0.5, 1.0, n)
+    state = GWBlocks.of(GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), 0.2))
+    calls = []
+    real = gwlab.roof._roof_estimates
     tracemalloc.start()
     try:
-        reports = oracle_reports(state, targets, trials=128, seed=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gwlab.roof, "_roof_estimates",
+                          lambda targets, seed: calls.append(len(targets)) or real(targets, seed))
+            reports = oracle_reports(state, Partition.singletons(n), trials=128, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(reports) == 4950
-    assert peak / len(targets) <= 10.6e3
+    assert len(reports) == 4950 and calls == [4950]
+    assert peak / len(reports) <= 10.6e3

@@ -33,6 +33,7 @@ from .inequalities import (
     TighterParams,
     _block_weights,
     _csv_num,
+    _grid,
     _grid_lines,
     _merged_cut,
     _merged_cut_bound,
@@ -40,7 +41,6 @@ from .inequalities import (
     _power_relation,
     _reoa_triangle,
     _tightened,
-    at_orders,
     h_coefficient,
     report_to_json_line,
 )
@@ -185,45 +185,35 @@ def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
         file.writelines(line + "\n" for line in lines)
 
 
-def _csv_lines(header: Sequence[str], rows: list[Sequence[str]]) -> list[str]:
-    return [",".join(header)] + [",".join(row) for row in rows]
-
-
 def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     """Emit the dataset behind one bundled figure as CSV lines.
 
-    Every column is a closed form, so the figures run on block weights."""
+    Every column is a closed form, so the figures run on block weights.
+    Figures 1 and 2 read the columns of :func:`_grid` and build no report;
+    the default grid lies in both windows."""
     psi = GWBlocks.of(featured.figure_spec(fig_id))
     grid = alpha_grid(*DEFAULT_ALPHA_GRID)
     if fig_id == 1:
         # lower is the monogamy bound, upper the polygamy one, on E(0|12)
         t, singles = _block_weights(psi, Partition.singletons(3))
         c2 = _pair_table(t, 0)
-        reports = at_orders(grid, [
-            _power_relation("monogamy_sq", "ge", c2, singles, 0, 2.0),
-            _power_relation("polygamy", "le", c2, singles, 0, 1.0),
-        ])
-        rows = [
-            tuple(map(_csv_num, (a, math.sqrt(sq.rhs), poly.lhs, poly.rhs)))
-            for a, sq, poly in zip(grid, reports[::2], reports[1::2])
-        ]
-        lines = _csv_lines(("alpha", "lower", "e_mid", "upper"), rows)
+        _, _, (sq, poly) = _grid(grid, [_power_relation("monogamy_sq", "ge", c2, singles, 0, 2.0),
+                                        _power_relation("polygamy", "le", c2, singles, 0, 1.0)])
+        header = ("alpha", "lower", "e_mid", "upper")
+        rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:
         blocks = Partition.of(featured.figure2_blocks())
         t, cut = blocks.block_sums(psi.weights), _merged_cut(psi, blocks)
         bound = _merged_cut_bound("merged_block_upper_bound", t, cut, blocks)
-        rows = [
-            tuple(map(_csv_num, (a, report.lhs, report.rhs)))
-            for a, report in zip(grid, at_orders(grid, [bound]))
-        ]
-        lines = _csv_lines(("alpha", "lhs", "upper_bound"), rows)
+        _, _, [(lhs, rhs, _)] = _grid(grid, [bound])
+        header, rows = ("alpha", "lhs", "upper_bound"), zip(grid, lhs, rhs)
     else:
         exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
-        rows = []
+        header, rows = ("b_pow", "exact", "bound_k1", "bound_k2"), []
         for b in (i * 0.02 for i in range(101)):
             bounds = [c12**b + h_coefficient(k, b / 2.0) * c13**b for k in (1.0, 2.0)]
-            rows.append(tuple(map(_csv_num, (b, exact_c**b, *bounds))))
-        lines = _csv_lines(("b_pow", "exact", "bound_k1", "bound_k2"), rows)
+            rows.append((b, exact_c**b, *bounds))
+    lines = [",".join(header)] + [",".join(map(_csv_num, row)) for row in rows]
     _write_lines(lines, out)
     return lines
 
@@ -274,8 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run every applicable checker over the grid, then, on a spec with a
     vacuum weight, the mixture suite at the grid's middle order; exit 0 only
     if no applicable check failed.  Both are evaluated once as columns, and
-    one writer encodes every line from them with the bytes of its report
-    (no report is built)."""
+    one writer makes every line from them, one ``%`` template per check and
+    verdict, with the bytes of its report (no report is built)."""
     spec, tighter, grid, checks = _verify_checks(args)
     csv = args.format == "csv"
     failed, lines = _grid_lines(grid, checks, csv)
@@ -320,7 +310,7 @@ def cmd_gamebounds(
             bounds = map(_csv_num, (result.new_bound, result.reference_bound))
             tighter = str(result.tighter).lower()
             rows.append((str(int(n)), str(int(d)), *bounds, tighter, str(LOG_BASE)))
-    lines = _csv_lines(header, rows)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
     _write_lines(lines, out)
     return lines
 

@@ -34,8 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -149,30 +148,31 @@ def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, 
     """The grid's orders, and per check its verdict codes and its columns.
     One f_alpha table per block of orders (the whole grid unless the longest
     C^2 vector makes ``GRID_VALUES`` too few) holds each distinct vector
-    once; a check's blocks are joined once.  The codes are the one verdict
-    rule: out of window, unmet where there are no columns, else satisfied
-    when ``slack >= -CLOSED_FORM_TOL``."""
+    once; each relation on a vector is evaluated once, and each window
+    applied once.  The codes are the one verdict rule: out of window, unmet
+    where there are no columns, else satisfied when ``slack >= -CLOSED_FORM_TOL``."""
     orders = [_as_order(a) for a in grid]
     keys = [check.c2s.tobytes() for check in checks]
     vectors = dict(zip(keys, (check.c2s for check in checks)))
     ends = list(accumulate(map(len, vectors.values()), initial=0))
     spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
-    reads = [spans[key] for key in keys]  # a long key is compared once, not per block
+    # a long key is compared once, not per block
+    reads = {(c.evaluate, key): spans[key] for c, key in zip(checks, keys) if c.evaluate}
     lo = _lam_lo(_checked_c2(np.concatenate([np.empty(0), *vectors.values()])))
     step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
-    blocks: list[list] = [[] for _ in checks]
-    for table in _f_alpha_tables(lo, [order.alpha for order in orders], step):
-        for check, span, check_blocks in zip(checks, reads, blocks):
-            if check.evaluate:  # as lists at once: a column may be a view of big powers
-                check_blocks.append([c.tolist() for c in check.evaluate(table[:, span])])
-    columns = [[list(chain.from_iterable(parts)) for parts in zip(*check_blocks)]
-               for check_blocks in blocks]
+    # as lists at once: a column may be a view of big powers
+    blocks = [[[c.tolist() for c in read[0](table[:, span])] for read, span in reads.items()]
+              for table in _f_alpha_tables(lo, [order.alpha for order in orders], step)]
+    joined = {read: [list(chain.from_iterable(parts)) for parts in zip(*read_blocks)]
+              for read, read_blocks in zip(reads, zip(*blocks))}
+    columns = [joined.get((check.evaluate, key), []) for check, key in zip(checks, keys)]
+    windows = {check.window for check in checks}
+    inside = {w: list(map(w, orders)) if w else [True] * len(orders) for w in windows}
     codes = []
     for check, check_columns in zip(checks, columns):
-        inside = map(check.window, orders) if check.window else [True] * len(orders)
         verdicts = ([_HELD if slack >= -CLOSED_FORM_TOL else _FAILED for slack in check_columns[2]]
                     if check_columns else [_UNMET] * len(orders))
-        codes.append([code if ok else _OUT for ok, code in zip(inside, verdicts)])
+        codes.append([code if ok else _OUT for ok, code in zip(inside[check.window], verdicts)])
     return orders, codes, columns
 
 
@@ -237,53 +237,59 @@ def report_to_json_line(report: InequalityReport) -> str:
                       r.satisfied, *map(_json_value, (r.lhs, r.rhs, r.slack)))
 
 
-def _line_format(check: Prepared, code: int, csv: bool) -> Callable[..., str]:
-    """The line of ``check`` with verdict ``code`` by the one formatter, as a
-    function of the encoded alpha, lhs, rhs, slack and added values.  Its
-    name and constant texts are encoded here once and bound first, as
-    arguments: the format holds only slots, so no long text (a partition) is
-    parsed again on every line, and it ignores the values it does not print."""
-    # a NUL marks value slot i, or n for the name: json escapes every control
-    # character, and a CSV line holds only numbers and the verdict besides
-    marks = [f"\0{i}\0" for i in range(4 + len(check.added))]
-    sides = marks[1:4] if code <= _FAILED else ["" if csv else "null"] * 3
-    fields = {"alpha": marks[0]} if check.window else {}
+def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
+                 row: Optional[list] = None) -> tuple[str, list]:
+    """The line of ``check`` with verdict ``code`` as one ``%`` template, and
+    its row: the value slots (0 alpha, 1-3 lhs, rhs, slack, then the added
+    keys) in the order the template takes them, by default the slots it
+    prints, then alpha if it does not print it.  The name and constants are
+    literal text with ``%`` doubled; a printed slot i is ``specs[i]`` and any
+    other ``%.0s``, which prints nothing."""
     satisfied, why = _VERDICTS[code]
     constants = {**check.params, **(check.in_window if code != _OUT else {})}
+    slots = {"alpha": 0} if check.window and "alpha" not in constants else {}
+    sides = [1, 2, 3] if code <= _FAILED else []
+    slots.update(zip(check.added, count(4)) if sides else ())
+    fields = {**constants, **slots}
+    keys = CSV_HEADER[1:4] if csv else sorted(fields)
+    ordered = [slots[key] for key in keys if key in slots]
+    printed = ordered + sides if csv else sides[:1] + ordered + sides[1:]
+    texts = [specs[i] for i in sides] or ["" if csv else "null"] * 3
+    name = (check.name if csv else encode_basestring_ascii(check.name)).replace("%", "%%")
     if csv:
-        numbers = [_csv_num(constants[key]) if key in constants else fields.get(key, "")
-                   for key in CSV_HEADER[1:4]]
-        line = ",".join(_csv_row("\0n\0", *numbers, *sides, satisfied))
-    else:
-        fields.update((key, _json_value(value)) for key, value in constants.items())
-        if code <= _FAILED:
-            fields.update(zip(check.added, marks[4:]))
-        params = ", ".join(f"{encode_basestring_ascii(key)}: {fields[key]}"
-                           for key in sorted(fields))
-        line = _json_line(why, "\0n\0", "{" + params + "}", satisfied, *sides)
-    chunks = line.split("\0")
-    texts = [check.name if csv else encode_basestring_ascii(check.name), *chunks[::2]]
-    chunks[::2] = [f"{{{i}}}" for i in range(1, len(texts))]
-    chunks[1::2] = ["{0}" if i == "n" else f"{{{len(texts) + int(i)}}}" for i in chunks[1::2]]
-    return partial("".join(chunks).format, *texts)
+        numbers = [specs[slots[k]] if k in slots else _csv_num(fields.get(k)) for k in keys]
+        line = ",".join(_csv_row(name, *numbers, *texts, satisfied))
+    else:  # one encoding of each run of constant keys between the slots
+        params = ", ".join(
+            ", ".join(f"{encode_basestring_ascii(key).replace('%', '%%')}: {specs[slots[key]]}"
+                      for key in run) if slot
+            else _JSON.encode({key: fields[key] for key in run})[1:-1].replace("%", "%%")
+            for slot, run in groupby(keys, slots.__contains__))
+        line = _json_line(why, name, "{" + params + "}", satisfied, *texts)
+    row = row or printed + [0] * (0 not in printed)
+    skip = row.index(printed[0]) if printed else 0
+    return "%.0s" * skip + line + "%.0s" * (len(row) - skip - len(printed)), row
 
 
 def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
-    """The lines of ``check`` at orders whose alpha is ``alphas``, each
-    column encoded at once: a CSV number or a finite float by its format,
-    any other value as json writes it."""
-    formats = {code: _line_format(check, code, csv) for code in set(codes)}
-    values = [map("{:.12g}".format if csv else float.__repr__ if all(map(math.isfinite, column))
-                  else _json_value, column) for column in columns[:3 if csv else None]]
-    for code, *line in zip(codes, alphas, *values):
-        yield formats[code](*line)
+    """The lines of ``check`` at orders whose alpha is ``alphas``: its
+    templates applied to its zipped columns, a CSV number by ``%.12g`` and a
+    finite JSONL column by ``%r`` (others as json writes them)."""
+    specs = ["%s"] + ["%.12g" if csv else "%r" if all(map(math.isfinite, column)) else "%s"
+                      for column in columns]
+    values = [alphas] + [column if spec != "%s" else map(_json_value, column)
+                         for column, spec in zip(columns, specs[1:])]
+    formats, row = {}, None
+    for code in sorted(set(codes)):  # the first code's line sets the row
+        formats[code], row = _line_format(check, code, csv, specs, row)
+    return map(str.__mod__, map(formats.__getitem__, codes), zip(*[values[i] for i in row or ()]))
 
 
 def _grid_lines(grid: Iterable[OrderLike], checks: Sequence[Prepared],
                 csv: bool = False) -> tuple[bool, Iterator[str]]:
     """Whether an applicable report of ``at_orders(grid, checks)`` fails, and
     the bytes of :func:`report_to_json_line` (or :func:`report_to_csv_row`)
-    of each, written from the columns, each order's alpha encoded once."""
+    of each, made lazily from the columns, each order's alpha encoded once."""
     orders, codes, columns = _grid(grid, checks)
     alphas = [(_csv_num if csv else _json_value)(order.alpha) for order in orders]
     lines = [_column(*column, alphas, csv) for column in zip(checks, codes, columns)]

@@ -365,7 +365,9 @@ def gw_spec_from_json(text: str) -> GWSpec:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed GW spec document: {exc}") from exc
-    if n < 2 or d < 2 or flat.size != n * (d - 1):
+    if n < 2 or d < 2:
+        raise ValueError(f"a GW spec needs n >= 2 parties and d >= 2 levels, got n={n}, d={d}")
+    if flat.size != n * (d - 1):
         raise ValueError(
             f"amplitude list of length {flat.size} does not match n={n}, d={d}"
         )

@@ -111,8 +111,14 @@ def test_figure_matches_golden_without_dense_state(fig_id, monkeypatch, tmp_path
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} built")
 
+    def no_reports(grid, checks):
+        raise AssertionError("reports built")
+
     monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
     monkeypatch.setattr(gwlab.tensor.DensityOperator, "__post_init__", refuse)
+    # figures 1 and 2 read the grid's columns and build no report
+    monkeypatch.setattr(gwlab.cli, "at_orders", no_reports, raising=False)
+    monkeypatch.setattr(gwlab.inequalities, "at_orders", no_reports)
     out = tmp_path / f"figure{fig_id}.csv"
     assert main(["figure", str(fig_id), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"figure{fig_id}.csv").read_bytes()
@@ -289,6 +295,14 @@ def test_verify_malformed_spec_exit_two(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--spec", spec]) == 2, spec
             assert "malformed GW spec document" in capsys.readouterr().err, spec
+    # too few parties or levels is named as such, also when the amplitudes match
+    for n, d, amplitudes in ((1, 2, "[[1,0]]"), (2, 1, "[]"), (1, 1, "[]")):
+        spec = f'{{"n":{n},"d":{d},"amplitudes":{amplitudes},"vacuum_weight":0}}'
+        for command in ("verify", "oracle"):
+            capsys.readouterr()
+            assert main([command, "--spec", spec]) == 2, spec
+            err = capsys.readouterr().err
+            assert "needs n >= 2 parties and d >= 2 levels" in err and "match" not in err, spec
     # an integral float is a count: 2.0 parties are 2
     spec = '{"n":2.0,"d":2.0,"amplitudes":[[1,0],[0,0]],"vacuum_weight":0}'
     assert main(["verify", "--spec", spec, "--alpha", "1.1:1.1:1"]) == 0

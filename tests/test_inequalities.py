@@ -35,8 +35,8 @@ from gwlab import (
 import gwlab.inequalities
 from gwlab.featured import figure1_reduction, figure2_blocks, figure2_state, figure3_state
 from gwlab.inequalities import (
-    _block_weights, _fold, _merged_cut, _merged_cut_bound, _power_relation, _reoa_triangle,
-    _tightened, at_orders,
+    _HELD, _OUT, Prepared, _block_weights, _fold, _grid, _merged_cut, _merged_cut_bound,
+    _power_relation, _reoa_triangle, _tightened, at_orders,
 )
 from gwlab.games import _monogamy_cap, _trace_bound_renyi
 from gwlab.measures import _pair_table
@@ -496,6 +496,34 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
     for values in (1, 5, 13, 40):
         monkeypatch.setattr(gwlab.inequalities, "GRID_VALUES", values)
         assert _report_values(at_orders(grid, checks)) == whole, values
+
+
+def test_grid_evaluates_each_relation_and_window_once(monkeypatch):
+    # checks that share an evaluator and a vector, as the two merged-cut
+    # bounds do, are evaluated once per block and share their columns; a
+    # window that checks share is applied once per order
+    evaluated, windowed = [], []
+
+    def evaluate(block):
+        evaluated.append(len(block))
+        return block[:, 0], block[:, 1], block[:, 0] - block[:, 1]
+
+    def window(order):
+        windowed.append(order.alpha)
+        return order.alpha > 1.0
+
+    first = Prepared("first", window, {}, np.array([0.3, 0.2]), evaluate)
+    checks = [first, first._replace(name="second"), first._replace(c2s=np.array([0.5, 0.1]))]
+    grid = [0.9, 1.1, 1.2]
+    for values, blocks in ((100, 1), (2, 3)):  # the whole grid, then one order per block
+        monkeypatch.setattr(gwlab.inequalities, "GRID_VALUES", values)
+        evaluated.clear()
+        windowed.clear()
+        _, codes, columns = _grid(grid, checks)
+        assert len(evaluated) == 2 * blocks and sum(evaluated) == 2 * len(grid)
+        assert windowed == grid
+        assert columns[0] is columns[1] and columns[0] != columns[2]
+        assert codes[0] == codes[1] == [_OUT, _HELD, _HELD]
 
 
 #: Relative bound on a fold against the scalar closed forms, as a share of

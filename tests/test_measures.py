@@ -37,7 +37,7 @@ from gwlab import (
     renyi_entropy,
     superpose_with_vacuum,
 )
-from gwlab.measures import _f_alpha_array, _f_alpha_tables, _lam_lo
+from gwlab.measures import _band, _f_alpha_array, _f_alpha_tables, _lam_lo
 from gwlab.featured import (
     FIG1_AMPLITUDES,
     FIG2_AMPLITUDES,
@@ -152,6 +152,25 @@ def test_f_alpha_grid_rows_match_scalar():
             assert row.tolist() == [f_alpha(x, a) for x in BRANCH_XS], a
     single = next(_f_alpha_tables(_lam_lo(np.array([0.3])), grid, len(grid)))
     assert single[:, 0].tolist() == [f_alpha(0.3, a) for a in grid]
+
+
+def test_f_alpha_tables_are_position_independent():
+    # a value's f_alpha does not depend on where it sits in a table or on its
+    # neighbours: one table of the distinct values of many vectors, gathered
+    # back by index, equals each vector's own table bit for bit, on lengths
+    # that end in every SIMD tail and at orders in each kernel band
+    rng = np.random.default_rng(9)
+    lengths = [*range(1, 18), 31, 33, 64, 65]
+    vectors = [rng.uniform(0.0, 1.0, size) for size in lengths]
+    vectors[4][:2] = vectors[20][:2] = (0.0, 1.0)  # the domain's ends, and shared values
+    grid = [0.83, 1.2, 2.0, 1.0005, 1.0 - 4e-4, 1.0 - 3e-7, 1.0, 1.0 + 5e-7]
+    assert {_band(a) for a in grid} == {0, 1, 2}
+    values, inverse = np.unique(np.concatenate(vectors), return_inverse=True)
+    table = next(_f_alpha_tables(_lam_lo(values), grid, len(grid)))
+    ends = np.cumsum([0, *lengths])
+    for vector, start, stop in zip(vectors, ends, ends[1:]):
+        direct = next(_f_alpha_tables(_lam_lo(vector), grid, len(grid)))
+        assert table[:, inverse[start:stop]].tobytes() == direct.tobytes(), len(vector)
 
 
 def _f_alpha_exact(x: float, a: float):

@@ -34,7 +34,7 @@ from conftest import assert_same_doc
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
 from gwlab.cli import _build_parser, _verify_checks, main
 from gwlab.inequalities import (
-    CLOSED_FORM_TOL, Prepared, _grid_lines, _mixture_checks, at_orders,
+    CLOSED_FORM_TOL, Prepared, _csv_num, _grid_lines, _json_value, _mixture_checks, at_orders,
 )
 from gwlab.measures import _as_order
 
@@ -192,19 +192,33 @@ def test_spliced_lines_of_pinned_streams_match_json(stream):
     _assert_grid_lines([grid[len(grid) // 2]], mixture)
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1e22]),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+def test_value_slots_write_the_encoders_bytes(x):
+    # a line's template formats a finite value itself: a CSV number by %.12g
+    # and a JSONL column by %r, with the bytes of the encoders of a report
+    assert "%.12g" % x == _csv_num(x)
+    assert "%r" % x == _json_value(x) == json.dumps(x)
+
+
+#: Text a line's template could misread: % directives, format fields, NUL.
+_FORMAT_TEXT = ["%", "%%", "%s", "{0}", "}", "\0"]
+_texts = st.one_of(st.text(max_size=6), st.lists(
+    st.one_of(st.sampled_from(_FORMAT_TEXT), st.text(max_size=2)), max_size=3).map("".join))
 _floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0, 2.0])
 )
 _numbers = st.one_of(_floats, st.integers(-(2**70), 2**70), st.booleans(), st.none())
-_scalars = st.one_of(_numbers, st.text(max_size=6))
+_scalars = st.one_of(_numbers, _texts)
 _values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
 _condition = st.fixed_dictionaries(
     {"chain": st.integers(1, 2), "index": st.integers(2, 9), "margin": _floats})
 #: The keys a report adds in its window; never alpha, mu or k nor a key of
 #: its check's params.
-_WINDOW_KEYS = ("middle", "spread", "lambda0", "condition_margin", "failed_condition")
+_WINDOW_KEYS = ("middle", "%s{0}", "lambda0", "condition_margin", "failed_condition")
 _keys = st.one_of(st.sampled_from(["d", "partition", "s", "blocks", "h", "measure", "stage"]),
-                  st.text(min_size=1, max_size=6)).filter(lambda key: key not in _WINDOW_KEYS)
+                  _texts.filter(bool)).filter(lambda key: key not in _WINDOW_KEYS)
 #: CSV reads alpha, mu and k from the params, so the check's are numbers.
 _consts = st.tuples(
     st.dictionaries(_keys.filter(lambda key: key not in ("alpha", "mu", "k")), _values,
@@ -213,10 +227,10 @@ _consts = st.tuples(
 ).map(lambda parts: {**parts[0], **parts[1]})
 _in_window = st.fixed_dictionaries({}, optional={
     "lambda0": _floats, "condition_margin": _floats, "failed_condition": _condition})
-_added = st.lists(st.sampled_from(["middle", "spread"]), unique=True, max_size=2).map(tuple)
+_added = st.lists(st.sampled_from(["middle", "%s{0}"]), unique=True, max_size=2).map(tuple)
 _sides = st.one_of(st.none(), _floats)
-_orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), min_size=1,
-                   max_size=6)
+#: An empty grid writes no line.
+_orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), max_size=6)
 
 
 @st.composite
@@ -231,7 +245,7 @@ def _checks(draw, n_orders):
     evaluate = draw(st.sampled_from([None, lambda block: [np.array(c) for c in columns]]))
     cut = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.9, 1.2, 10.0])))
     window = None if cut is None else (lambda order: order.alpha >= cut)
-    name = draw(st.text(max_size=8))
+    name = draw(_texts)
     return Prepared(name, window, draw(_consts), np.empty(0), evaluate, in_window, added)
 
 
@@ -245,7 +259,7 @@ def test_spliced_lines_match_json(data, grid):
     _assert_grid_lines(grid, checks)
     # any report, whatever its tag, verdict and sides, is written as json does
     reports = data.draw(st.lists(st.builds(
-        InequalityReport, st.text(max_size=8), _sides, _sides, _sides, st.booleans(),
+        InequalityReport, _texts, _sides, _sides, _sides, st.booleans(),
         st.sampled_from(list(Applicability)), st.dictionaries(_keys, _values, max_size=5),
     ), max_size=4))
     assert [report_to_json_line(r) for r in reports] == [_doc_line(r) for r in reports]

@@ -64,6 +64,7 @@ from .inequalities import (
     Applicability,
     InequalityReport,
     TighterParams,
+    at_orders,
     check_merged_block_upper_bound,
     check_monogamy_power,
     check_monogamy_sq,
@@ -74,6 +75,7 @@ from .inequalities import (
     check_tighter_three,
     check_upper_bound_bipartition,
     h_coefficient,
+    prepare_checks,
     report_to_csv_row,
     report_to_json_line,
     run_mixture_suite,

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``figure`` regenerates the bundled figure datasets as CSV,
-``verify`` sweeps every applicable inequality checker over a Renyi-order
-grid, ``oracle`` runs the convex-roof estimator against the closed forms,
-and ``gamebounds`` tabulates the game gap bounds.  Output is plain CSV or
-JSON lines with a fixed numeric format, so identical configurations (and
-seeds) produce byte-identical files.
+``verify`` parses its flags, grid and spec and sweeps the checks of
+``inequalities.prepare_checks`` over the grid, ``oracle`` runs the
+convex-roof estimator against the closed forms, and ``gamebounds``
+tabulates the game gap bounds.  Output is plain CSV or JSON lines with a
+fixed numeric format, so identical configurations (and seeds) produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import featured
-from .games import (
-    LOG_BASE,
-    GameBoundInput,
-    _monogamy_cap,
-    _trace_bound_renyi,
-    gap_bound,
-)
+from .games import LOG_BASE, GameBoundInput, gap_bound
 from .inequalities import (
     CSV_HEADER,
     TighterParams,
@@ -35,16 +30,13 @@ from .inequalities import (
     _csv_num,
     _grid,
     _grid_lines,
-    _merged_cut,
-    _merged_cut_bound,
     _mixture_checks,
     _power_relation,
-    _reoa_triangle,
-    _tightened,
     h_coefficient,
+    prepare_checks,
     report_to_json_line,
 )
-from .measures import _as_order, _pair_table
+from .measures import RenyiOrder, _pair_table
 from .roof import oracle_reports
 from .states import GWBlocks, GWSpec, gw_spec_from_json
 from .tensor import Partition
@@ -140,8 +132,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    return start, stop, step
+    return tuple(map(float, parts))
 
 
 def _tighter(args: argparse.Namespace) -> Optional[TighterParams]:
@@ -202,10 +193,9 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         header = ("alpha", "lower", "e_mid", "upper")
         rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:
-        blocks = Partition.of(featured.figure2_blocks())
-        t, cut = blocks.block_sums(psi.weights), _merged_cut(psi, blocks)
-        bound = _merged_cut_bound("merged_block_upper_bound", t, cut, blocks)
-        _, _, [(lhs, rhs, _)] = _grid(grid, [bound])
+        checks = prepare_checks(psi, Partition.of(featured.figure2_blocks()))
+        bound = [check for check in checks if check.name == "merged_block_upper_bound"]
+        _, _, [(lhs, rhs, _)] = _grid(grid, bound)
         header, rows = ("alpha", "lhs", "upper_bound"), zip(grid, lhs, rhs)
     else:
         exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
@@ -219,44 +209,26 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
 
 
 def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterParams], list, list]:
-    """The job's spec, tightened-bound exponents, order grid and prepared
-    checks."""
+    """The job's spec, tightened-bound exponents, order grid and the checks
+    of :func:`prepare_checks`, each with its order-free work done once."""
     tighter = _tighter(args)
     if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
         raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec, psi, partition = _load_blocks(args)
-    merged = psi.merged(partition)
-    t, k = merged.weights, partition.n_blocks
-
     alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
     grid = alpha_grid(*alpha, exclude_one=not args.include_one)
     if not grid:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
-    # each checker does its order-free work once, here, in the stream's order;
-    # the grid is then evaluated on one f_alpha table per block of orders
-    power = ("monogamy_power", "ge") if args.mu >= 2.0 else ("polygamy_power", "le")
-    c2 = _pair_table(t, 0)
-    checks = [
-        _power_relation("monogamy_sq", "ge", c2, partition, 0, 2.0),
-        _power_relation("polygamy", "le", c2, partition, 0, 1.0),
-        _power_relation(*power, c2, partition, 0, args.mu),
-    ]
-    if k >= 3:
-        t3, first_three = t[:3], partition.relabelled([0, 1, 2] + [-1] * (k - 3)).covered()
-        # the two merged-cut bounds are one relation under two names
-        cut = _merged_cut(psi, partition)
-        bound = _merged_cut_bound("merged_block_upper_bound", t, cut, partition)
-        checks += [_reoa_triangle(t3, first_three), bound,
-                   bound._replace(name="pair_block_upper_bound")]
-    checks.append(_monogamy_cap(c2, partition, merged.layout.dims[0]))
-    checks.append(_trace_bound_renyi(psi, partition.relabelled([0] + [1] * (k - 1))))
-    if tighter is not None and k >= 3:
-        c3 = _pair_table(t3, 0)
-        for kind in ("concurrence", "cren", "renyi"):
-            checks.append(_tightened(c3, first_three, 2, tighter, kind, three=True))
-        if k >= 4:
-            checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
+    checks = prepare_checks(psi, partition, args.mu, tighter)
+    size = len(partition.sorted_blocks[0])
+    try:  # a JSONL line prints monogamy_cap's d, block 0's dimension
+        if args.format == "jsonl":
+            str(spec.d**size)
+    except ValueError:
+        raise ValueError(f"block 0's dimension d = {spec.d}**{size} has more than "
+                         f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} "
+                         "digits, too many for a JSONL line; CSV does not print d") from None
     return spec, tighter, grid, checks
 
 
@@ -287,7 +259,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     _, psi, partition = _load_blocks(args)
     k = partition.n_blocks
-    orders = [_as_order(float(a)) for a in args.alpha.split(",")] if args.alpha else []
+    orders = [RenyiOrder(float(a)) for a in args.alpha.split(",")] if args.alpha else []
     if k * (k - 1) // 2 + len(orders) > MAX_ORACLE_TARGETS:
         raise ValueError(
             f"{k} blocks and {len(orders)} orders make more than "

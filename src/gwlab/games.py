@@ -4,7 +4,8 @@ Only the bound arithmetic and the verifiable ingredients feeding it are
 implemented: the trace distance from a bipartite pure state to its nearest
 aligned product state, the monogamy-derived cap on summed squared Renyi
 entanglements, and the final averaged-game gap bound with its comparison
-value.  Optimizing the actual game values over POVMs is out of scope.
+value.  Optimizing the actual game values over POVMs is out of scope.  The
+cap and the trace bound are prepared in ``inequalities``, for its suite.
 
 All logarithms are base 2; the emitted tables record that base.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import InequalityReport, _MONOGAMY, Prepared, _fold
-from .measures import FindingError, OrderLike, _as_order, _lam_lo, _pair_table, _renyi_of
+from .inequalities import InequalityReport, _monogamy_cap, _trace_bound_renyi
+from .measures import FindingError, OrderLike, _as_order, _pair_table, _renyi_of
 from .states import GWBlocks
 from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
 
@@ -114,23 +115,6 @@ def check_trace_bound_renyi(
     return _trace_bound_renyi(psi, Partition.cut(bipartition)).at(order)
 
 
-def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
-    """The trace bound across ``cut``, two blocks that cover the state."""
-    if not psi.pure:
-        raise ValueError("the trace bound needs a pure state")
-    cut.require_complete(psi.layout)
-    c2 = min(_pair_table(cut.block_sums(psi.weights), 0)[0], 1.0)
-    tail = float(_lam_lo(c2))
-    lhs = 2.0 * math.sqrt(tail)
-
-    def evaluate(block):
-        rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
-        return np.full(len(rhs), lhs), rhs, rhs - lhs
-
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate,
-                    in_window={"lambda0": 1.0 - tail})
-
-
 def game_gap_fn(lambda0: float, order: OrderLike) -> float:
     """-2 log2[l^a + (1-l)^a] - (1-l)(a-1) = (a-1) (2 E_a - (1-l)), with E_a
     the Renyi entropy of (l, 1-l): the scalar behind the pure-state trace bound.
@@ -196,16 +180,3 @@ def check_monogamy_cap(
     merged = GWBlocks.from_state(state).merged(partition)
     c2s = _pair_table(merged.weights, 0)
     return _monogamy_cap(c2s, partition.covered(), merged.layout.dims[0]).at(order)
-
-
-def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepared:
-    """The cap on the first block's pair table ``c2s``; ``d_alice`` is that
-    block's dimension."""
-    cap = math.log2(d_alice) ** 2
-
-    def evaluate(block):
-        middle, lhs = _fold(block, 2.0)
-        return lhs, np.full(len(block), cap), np.minimum(middle - lhs, cap - middle), middle
-
-    params = {"d": d_alice, "partition": partition.sorted_blocks}
-    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate, added=("middle",))

@@ -5,16 +5,15 @@ state and returns an :class:`InequalityReport`.  Its :class:`Prepared` form
 holds the order-free work and the params its reports carry; :func:`_grid`
 evaluates it over an order grid as arrays, into columns (lhs, rhs, slack and
 the keys an order adds) and one verdict code per order, once.
-:func:`at_orders` builds reports from the columns; :func:`_grid_lines`
-writes every line ``verify`` prints from them, with the bytes of those
-reports' lines.  A public checker takes a :class:`GWBlocks` or a GW-tagged
-dense state and takes the weights t_B of its blocks once, at entry, through
-:func:`_block_weights`: :meth:`GWBlocks.from_state`, then one
-:meth:`Partition.block_sums` over the blocks' label vector, exact as
-``math.fsum`` per block.  The preparers take those weights, or a block's
-pair table of them, and the blocks renumbered on the reduction to the
-parties they cover; the merged-cut bounds sum once more, over the
-relabelling that makes P and Q one block (:func:`_merged_cut`).
+:func:`prepare_checks` builds ``verify``'s suite, the games section's cap
+and trace bound included; :func:`at_orders` builds reports from the
+columns, and :func:`_grid_lines` writes every line ``verify`` prints from
+them, with the bytes of those reports' lines.  A public checker takes a
+:class:`GWBlocks` or a GW-tagged dense state and takes the weights t_B of
+its blocks once, at entry (:func:`_block_weights`): one
+:meth:`Partition.block_sums`, exact as ``math.fsum`` per block.  The
+preparers take those weights, or a block's pair table of them, and the
+blocks renumbered on the reduction to the parties they cover.
 Applicability (order windows, and side conditions decided at prepare time)
 is a first-class result state rather than an error, so grid sweeps produce
 complete report streams; genuine violations on applicable instances surface
@@ -65,6 +64,7 @@ __all__ = [
     "TighterParams",
     "CLOSED_FORM_TOL",
     "at_orders",
+    "prepare_checks",
     "h_coefficient",
     "check_monogamy_sq",
     "check_monogamy_power",
@@ -148,16 +148,14 @@ def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, 
     """The grid's orders, and per check its verdict codes and its columns.
     One f_alpha table per block of orders (the whole grid unless the longest
     C^2 vector makes ``GRID_VALUES`` too few) holds each distinct vector
-    once; each relation on a vector is evaluated once, and each window
+    object once; each relation on a vector is evaluated once, and each window
     applied once.  The codes are the one verdict rule: out of window, unmet
     where there are no columns, else satisfied when ``slack >= -CLOSED_FORM_TOL``."""
     orders = [_as_order(a) for a in grid]
-    keys = [check.c2s.tobytes() for check in checks]
-    vectors = dict(zip(keys, (check.c2s for check in checks)))
+    vectors = {id(check.c2s): check.c2s for check in checks}  # a shared vector is one array
     ends = list(accumulate(map(len, vectors.values()), initial=0))
     spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
-    # a long key is compared once, not per block
-    reads = {(c.evaluate, key): spans[key] for c, key in zip(checks, keys) if c.evaluate}
+    reads = {(c.evaluate, id(c.c2s)): spans[id(c.c2s)] for c in checks if c.evaluate}
     lo = _lam_lo(_checked_c2(np.concatenate([np.empty(0), *vectors.values()])))
     step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
     # as lists at once: a column may be a view of big powers
@@ -165,7 +163,7 @@ def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, 
               for table in _f_alpha_tables(lo, [order.alpha for order in orders], step)]
     joined = {read: [list(chain.from_iterable(parts)) for parts in zip(*read_blocks)]
               for read, read_blocks in zip(reads, zip(*blocks))}
-    columns = [joined.get((check.evaluate, key), []) for check, key in zip(checks, keys)]
+    columns = [joined.get((check.evaluate, id(check.c2s)), []) for check in checks]
     windows = {check.window for check in checks}
     inside = {w: list(map(w, orders)) if w else [True] * len(orders) for w in windows}
     codes = []
@@ -414,19 +412,15 @@ def check_polygamy_power(
     return _power_relation("polygamy_power", "le", _pair_table(t, s), partition, s, mu).at(order)
 
 
-def _merged_cut(state: GWBlocks, partition: Partition) -> np.ndarray:
-    """The weights (t_PQ, t_R...) of the blocks (P, Q, R...) with P and Q as
-    one: one block sum over that relabelling."""
-    return partition.relabelled([0, *range(partition.n_blocks - 1)]).block_sums(state.weights)
-
-
-def _merged_cut_bound(name: str, t: np.ndarray, cut: np.ndarray, partition: Partition) -> Prepared:
+def _merged_cut_bound(name: str, psi: GWBlocks, t: np.ndarray, partition: Partition) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
-    the blocks (P, Q, R...) of ``partition``, whose weights are ``t``: the
-    pairs are P's pair table and Q's without its QP entry, and the cut's C^2
-    is the pair table of the weights ``cut`` of :func:`_merged_cut`."""
+    the blocks (P, Q, R...) of ``partition``, whose weights in ``psi`` are
+    ``t``: the pairs are P's pair table and Q's without its QP entry, and the
+    cut's C^2 is the pair table of the weights (t_PQ, t_R...), one block sum
+    over the relabelling that makes P and Q one block."""
     if partition.n_blocks < 3:
         raise ValueError("need at least one rest block")
+    cut = partition.relabelled([0, *range(partition.n_blocks - 1)]).block_sums(psi.weights)
     p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
     params = {"blocks": partition.covered().sorted_blocks}
@@ -448,10 +442,10 @@ def check_merged_block_upper_bound(
     merged block's pair table, as in :func:`check_upper_bound_bipartition`;
     a state that is not pure is refused."""
     blocks, psi = Partition.of([block_p, block_q, *rest_blocks]), GWBlocks.from_state(psi)
-    t, cut = blocks.block_sums(psi.weights), _merged_cut(psi, blocks)
+    t = blocks.block_sums(psi.weights)
     if not (psi.pure and blocks.covers(psi.layout.n_parties)):
         raise ValueError("merged_block_upper_bound needs a pure state that its blocks cover")
-    return _merged_cut_bound("merged_block_upper_bound", t, cut, blocks).at(order)
+    return _merged_cut_bound("merged_block_upper_bound", psi, t, blocks).at(order)
 
 
 def check_reoa_triangle(
@@ -486,8 +480,8 @@ def check_upper_bound_bipartition(
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
     blocks, state = Partition.of([block_p1, block_p2, *q_blocks]), GWBlocks.from_state(state)
-    t, cut = blocks.block_sums(state.weights), _merged_cut(state, blocks)
-    return _merged_cut_bound("pair_block_upper_bound", t, cut, blocks).at(order)
+    t = blocks.block_sums(state.weights)
+    return _merged_cut_bound("pair_block_upper_bound", state, t, blocks).at(order)
 
 
 @dataclass(frozen=True)
@@ -550,16 +544,9 @@ def _tightened(
     if measure_kind not in _TIGHTER_KINDS:
         raise ValueError(f"measure_kind must be one of {_TIGHTER_KINDS}")
     name = f"tighter_{'three' if three else 'multi'}_{measure_kind}"
-    h = params.h
-    report_params = {
-        "measure": measure_kind,
-        "c_pow": params.c_pow,
-        "b_pow": params.b_pow,
-        "k": params.k,
-        "h": h,
-        **_partition_params(partition, 0),
-        **({} if three else {"split_index": n}),
-    }
+    c, k, b, h = params.c_pow, params.k, params.b_pow, params.h
+    report_params = {"measure": measure_kind, "c_pow": c, "b_pow": b, "k": k, "h": h,
+                     **_partition_params(partition, 0), **({} if three else {"split_index": n})}
     # by 1-based block numbers, c2s[i - 1] is C^2(P1, P_i), c_pair[i] is
     # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity,
     # one running sum from the right
@@ -568,7 +555,6 @@ def _tightened(
     suffix = list(accumulate(reversed(pair_c2)))
     c_suffix = [None, None] + [math.sqrt(x) for x in reversed(suffix)]
 
-    c, k, b = params.c_pow, params.k, params.b_pow
     conditions = [
         {"chain": 1, "index": i, "margin": c_suffix[i + 1] ** c - k * c_pair[i] ** c}
         for i in range(2, n + 1)
@@ -640,11 +626,80 @@ def check_tighter_multi(
     return _tighter_report(check, measure_kind, order)
 
 
+def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepared:
+    """The games section's monogamy cap on the first block's pair table
+    ``c2s``; ``d_alice`` is that block's dimension."""
+    cap = math.log2(d_alice) ** 2
+
+    def evaluate(block):
+        middle, lhs = _fold(block, 2.0)
+        return lhs, np.full(len(block), cap), np.minimum(middle - lhs, cap - middle), middle
+
+    params = {"d": d_alice, "partition": partition.sorted_blocks}
+    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate, added=("middle",))
+
+
+def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
+    """The games section's trace bound across ``cut``, two blocks that cover
+    the state."""
+    if not psi.pure:
+        raise ValueError("the trace bound needs a pure state")
+    cut.require_complete(psi.layout)
+    c2 = min(_pair_table(cut.block_sums(psi.weights), 0)[0], 1.0)
+    tail = float(_lam_lo(c2))
+    lhs = 2.0 * math.sqrt(tail)
+
+    def evaluate(block):
+        rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
+        return np.full(len(rhs), lhs), rhs, rhs - lhs
+
+    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate,
+                    in_window={"lambda0": 1.0 - tail})
+
+
+def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.0,
+                   tighter: Optional[TighterParams] = None) -> list[Prepared]:
+    """``verify``'s checks of a pure state on a partition that covers it, in
+    its stream order, with their order-free work done (the README lists
+    them); :func:`at_orders` gives their reports.  ``mu`` is the power of
+    the power monogamy (mu >= 2) or polygamy (0 < mu <= 1) relation."""
+    mu = float(mu)
+    if not (math.isfinite(mu) and (0.0 < mu <= 1.0 or mu >= 2.0)):
+        raise ValueError(f"mu must lie in (0, 1] or [2, inf), got {mu}")
+    psi = GWBlocks.from_state(state)
+    partition.require_complete(psi.layout)  # the trace bound refuses a mixed state
+    merged = psi.merged(partition)
+    t, k = merged.weights, partition.n_blocks
+    power = ("monogamy_power", "ge") if mu >= 2.0 else ("polygamy_power", "le")
+    c2 = _pair_table(t, 0)  # one array for every check on block 0's pairs
+    checks = [
+        _power_relation("monogamy_sq", "ge", c2, partition, 0, 2.0),
+        _power_relation("polygamy", "le", c2, partition, 0, 1.0),
+        _power_relation(*power, c2, partition, 0, mu),
+    ]
+    if k >= 3:
+        t3, first_three = t[:3], partition.relabelled([0, 1, 2] + [-1] * (k - 3)).covered()
+        # the two merged-cut bounds are one relation under two names
+        bound = _merged_cut_bound("merged_block_upper_bound", psi, t, partition)
+        checks += [_reoa_triangle(t3, first_three), bound,
+                   bound._replace(name="pair_block_upper_bound")]
+    checks.append(_monogamy_cap(c2, partition, merged.layout.dims[0]))
+    checks.append(_trace_bound_renyi(psi, partition.relabelled([0] + [1] * (k - 1))))
+    if tighter is not None and k >= 3:
+        c3 = _pair_table(t3, 0)
+        # CREN equals the concurrence on this family: one check, two names
+        conc = _tightened(c3, first_three, 2, tighter, "concurrence", three=True)
+        cren = conc._replace(name="tighter_three_cren", params={**conc.params, "measure": "cren"})
+        checks += [conc, cren, _tightened(c3, first_three, 2, tighter, "renyi", three=True)]
+        if k >= 4:
+            checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
+    return checks
+
+
 def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> list[Prepared]:
     """The checks of :func:`run_mixture_suite`, each with its ``stage`` in
     its params."""
-    if tighter is None:
-        tighter = TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
+    tighter = tighter or TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
     checks, first_three = [], Partition.singletons(3)
     for stage, state in (
         ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))

@@ -17,6 +17,7 @@ from gwlab import (
     PurificationSpec,
     SubsystemLayout,
     TighterParams,
+    at_orders,
     block_pair_reduction,
     build_w_qubit,
     check_merged_block_upper_bound,
@@ -39,6 +40,7 @@ from gwlab import (
     gw_pairwise_concurrence,
     mix_with_vacuum,
     partial_trace,
+    prepare_checks,
     purify_mixture,
     renyi_entanglement_gw,
     report_to_json_line,
@@ -72,12 +74,16 @@ def _verify_checks(state, partition, order, mu):
         reports.append(check_monogamy_power(state, partition, 0, order, mu))
     else:
         reports.append(check_polygamy_power(state, partition, 0, order, mu))
+    first_three = Partition.of(blocks[:3])
     if len(blocks) >= 3:
         p, q, rest = blocks[0], blocks[1], blocks[2:]
-        first_three = Partition.of(blocks[:3])
         reports.append(check_reoa_triangle(state, first_three, order))
         reports.append(check_merged_block_upper_bound(state, p, q, rest, order))
         reports.append(check_upper_bound_bipartition(state, p, q, rest, order))
+    reports.append(check_monogamy_cap(state, partition, order))
+    rest = set().union(*blocks[1:])
+    reports.append(check_trace_bound_renyi(state, order, (blocks[0], rest)))
+    if len(blocks) >= 3:
         for kind in ("concurrence", "cren"):
             reports.append(check_tighter_three(state, first_three, TIGHTER, kind))
         reports.append(
@@ -85,9 +91,6 @@ def _verify_checks(state, partition, order, mu):
         )
     if len(blocks) >= 4:
         reports.append(check_tighter_multi(state, partition, 1, TIGHTER))
-    reports.append(check_monogamy_cap(state, partition, order))
-    rest = set().union(*blocks[1:])
-    reports.append(check_trace_bound_renyi(state, order, (blocks[0], rest)))
     return reports
 
 
@@ -135,10 +138,12 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         dense, blocks = superpose_with_vacuum(spec), GWBlocks.of(spec)
         mu = (2.0, 3.0, 0.5)[trial]
         for order in ORDERS:
-            _assert_same_reports(
-                _verify_checks(blocks, partition, order, mu),
-                _verify_checks(dense, partition, order, mu),
-            )
+            want = _verify_checks(blocks, partition, order, mu)
+            _assert_same_reports(want, _verify_checks(dense, partition, order, mu))
+            # prepare_checks, verify's whole suite, against the public checkers
+            for state in (blocks, dense):
+                got = at_orders([order], prepare_checks(state, partition, mu, TIGHTER))
+                _assert_same_reports(got, want)
         _assert_same_reports(
             run_mixture_suite(spec, 1.1), _dense_mixture_suite(spec, 1.1)
         )

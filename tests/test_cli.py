@@ -180,15 +180,27 @@ def test_verify_csv_projection(spec_file, tmp_path):
     assert lines[0] == "name,alpha,mu,k,lhs,rhs,slack,satisfied"
 
 
-def _flip_monogamy_sq(monkeypatch, module=gwlab.cli):
+def _flip_monogamy_sq(monkeypatch):
     # monogamy_sq run "le": it fails at every order of its (polygamy) window;
-    # in gwlab.cli for the grid, in gwlab.inequalities for the mixture suite
-    relation = module._power_relation
+    # prepare_checks and the mixture suite both build it in gwlab.inequalities
+    relation = gwlab.inequalities._power_relation
 
     def flipped(name, direction, *rest):
         return relation(name, "le" if name == "monogamy_sq" else direction, *rest)
 
-    monkeypatch.setattr(module, "_power_relation", flipped)
+    monkeypatch.setattr(gwlab.inequalities, "_power_relation", flipped)
+
+
+def _flip_mixture_monogamy_sq(monkeypatch):
+    # the flip above, only while cli builds the mixture suite's checks
+    mixture_checks = gwlab.cli._mixture_checks
+
+    def flipped(*args):
+        with monkeypatch.context() as patch:
+            _flip_monogamy_sq(patch)
+            return mixture_checks(*args)
+
+    monkeypatch.setattr(gwlab.cli, "_mixture_checks", flipped)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -229,7 +241,7 @@ def test_verify_exits_one_on_mixture_violation(tmp_path, monkeypatch, fmt):
     args = ["verify", "--spec", spec, "--format", fmt]
     passing, failing = tmp_path / f"pass.{fmt}", tmp_path / f"fail.{fmt}"
     assert main(args + ["--out", str(passing)]) == 0
-    _flip_monogamy_sq(monkeypatch, gwlab.inequalities)
+    _flip_mixture_monogamy_sq(monkeypatch)
     assert main(args + ["--out", str(failing)]) == 1
     before, after = passing.read_text().splitlines(), failing.read_text().splitlines()
     assert len(after) == len(before)
@@ -530,6 +542,38 @@ def test_verify_mu_outside_domain_exit_two(spec_file, tmp_path, capsys, mu):
     err = capsys.readouterr().err
     assert err.startswith("error: --mu must lie in (0, 1] or [2, inf), got ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_verify_block_dimension_past_int_digit_limit(tmp_path, capsys, fmt):
+    # a JSONL line prints monogamy_cap's d, block 0's dimension 2**m; past
+    # sys.get_int_max_str_digits() digits no line could hold it, and json
+    # could not read it back, so the job is refused before any line is
+    # written; CSV prints no d and runs
+    limit = sys.get_int_max_str_digits()
+    m = math.ceil(limit / math.log10(2))  # the fewest qubits whose 2**m passes the limit
+    assert len(str(2 ** (m - 1))) == limit
+    n = m + 15
+    spec = gw_spec_to_json(GWSpec.qubit(np.full(n, 1.0 / math.sqrt(n))))
+    for size, code in ((m, 2 if fmt == "jsonl" else 0), (m - 1, 0)):
+        parts = [",".join(map(str, range(size))), ",".join(map(str, range(size, n)))]
+        out = tmp_path / f"r{size}.{fmt}"
+        argv = ["verify", "--spec", spec, "--partition", "|".join(parts),
+                "--alpha", "1.2:1.2:1", "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == code
+        assert main(argv) == code
+        written, err = capsys.readouterr()
+        if code == 2:
+            assert written == "" and not out.exists()
+            assert err == (f"error: block 0's dimension d = 2**{m} has more than "
+                           f"sys.get_int_max_str_digits() = {limit} digits, too many "
+                           "for a JSONL line; CSV does not print d\n") * 2
+        else:
+            assert err == "" and written == out.read_text()
+            if fmt == "jsonl":
+                caps = [json.loads(line) for line in written.splitlines()
+                        if '"monogamy_cap"' in line]
+                assert [doc["params"]["d"] for doc in caps] == [2**size]
 
 
 def test_verify_determinism(spec_file, tmp_path):

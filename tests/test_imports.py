@@ -125,3 +125,39 @@ def test_checkers_read_c2_from_the_pair_table():
         in OTHER_C2_SOURCES
     ]
     assert found == [], f"C^2 taken past measures._pair_table at {found}"
+
+
+#: Names of the checker internals: only ``inequalities.py`` builds checks.
+CHECK_INTERNALS = ("Prepared", "_fold", "_relation")
+#: Preparers of verify's suite that ``cli`` leaves to ``prepare_checks``.
+SUITE_PREPARERS = ("_reoa_triangle", "_tightened", "_monogamy_cap", "_trace_bound_renyi")
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name a module imports, reads, binds or takes as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_only_inequalities_builds_checks():
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        if path.name != "inequalities.py"
+        for name in sorted(_names(ast.parse(path.read_text())) & set(CHECK_INTERNALS))
+    ]
+    assert found == [], f"checker internals named outside inequalities.py: {found}"
+    cli = ast.parse((ROOT / "src" / "gwlab" / "cli.py").read_text())
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+    }
+    assert called & set(SUITE_PREPARERS) == set(), "cli builds part of verify's suite itself"

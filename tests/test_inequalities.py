@@ -35,10 +35,9 @@ from gwlab import (
 import gwlab.inequalities
 from gwlab.featured import figure1_reduction, figure2_blocks, figure2_state, figure3_state
 from gwlab.inequalities import (
-    _HELD, _OUT, Prepared, _block_weights, _fold, _grid, _merged_cut, _merged_cut_bound,
-    _power_relation, _reoa_triangle, _tightened, at_orders,
+    _HELD, _OUT, Prepared, _block_weights, _fold, _grid, _merged_cut_bound, _monogamy_cap,
+    _power_relation, _reoa_triangle, _tightened, _trace_bound_renyi, at_orders,
 )
-from gwlab.games import _monogamy_cap, _trace_bound_renyi
 from gwlab.measures import _pair_table
 from conftest import random_complete_partition, random_gw_spec
 
@@ -485,7 +484,7 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
         _power_relation("monogamy_power", "ge", _pair_table(t, 0), partition, 0, 3.0),
         _power_relation("polygamy_power", "le", _pair_table(t, 1), partition, 1, 0.5),
         _reoa_triangle(t3, first_three),
-        _merged_cut_bound("pair_block_upper_bound", t, _merged_cut(psi, partition), partition),
+        _merged_cut_bound("pair_block_upper_bound", psi, t, partition),
         _monogamy_cap(_pair_table(t, 0), partition, 2),
         _trace_bound_renyi(psi, Partition.cut(({0}, range(1, 6)))),
         _tightened(_pair_table(t, 0), partition, 2, tighter, "renyi"),

@@ -322,11 +322,13 @@ def block_pair_reduction(
     return DensityOperator(matrix, SubsystemLayout((2, 2)), gw=True)
 
 
-def _canonical_pair(w: float, t_a: float, t_b: float) -> tuple[np.ndarray, float]:
+def _canonical_pair(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
     """phi = sqrt(w)|00> + sqrt(t_b)|01> + sqrt(t_a)|10> and r = 1-w-t_a-t_b
     (at least 0): two blocks of a pure member with vacuum weight w, weighing
-    t_a and t_b, reduce to |phi><phi| + r|00><00|."""
-    return np.sqrt([w, t_b, t_a, 0.0]), max(0.0, 1.0 - w - t_a - t_b)
+    t_a and t_b, reduce to |phi><phi| + r|00><00|.  Elementwise on arrays of
+    t_a and t_b: phi gains a last axis of length 4."""
+    phi = np.sqrt(np.stack(np.broadcast_arrays(w, t_b, t_a, 0.0), axis=-1))
+    return phi, np.maximum(0.0, 1.0 - w - t_a - t_b)
 
 
 def gw_pairwise_concurrence(

@@ -15,12 +15,13 @@ batch.  Generation g draws all its randomness from the (seed, g) pair in
 fixed shapes, and refinement uses only incumbents of earlier generations,
 so runs are reproducible and a longer run extends a shorter one.  The runs
 of one call share their seed and advance in lockstep, each for its own
-trial count.  Draws are made per chunk of ``DRAW_CHUNK`` generations and
-isometry shape, with one QR over the chunk, and the runs of a shape,
-measure and trial count step as stacks of at most ``GROUP_RUNS`` runs.  On
-a family pair every decomposition averages its concurrence to C exactly
-(sum_k p_k C_k = C), so the oracle runs each concurrence target for one
-generation only.
+trial count.  The runs of one call have one row count, so one isometry
+shape: draws are made per chunk of ``DRAW_CHUNK`` generations, with one QR
+over the chunk, and the runs of a measure and trial count step as stacks of
+at most ``GROUP_RUNS`` runs.  Every family pair has the same two rows, so
+the oracle draws one shape.  On it every decomposition averages its
+concurrence to C exactly (sum_k p_k C_k = C), so the oracle runs each
+concurrence target for one generation only.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -72,12 +73,15 @@ REFINE_FLOOR = 1e-3
 #: Trials drawn, orthonormalised and averaged as one batch.  Incumbents
 #: change only between generations.
 GENERATION = 64
-#: Runs of one isometry shape advance in stacks of at most this many, so a
-#: generation's temporaries do not grow with the number of targets.
+#: Runs advance in stacks of at most this many, so a generation's
+#: temporaries do not grow with the number of targets.
 GROUP_RUNS = 256
-#: Generations drawn and orthonormalised together, once per isometry shape,
-#: so a chunk's arrays do not grow with the trial count.
+#: Generations drawn and orthonormalised together, so a chunk's arrays do
+#: not grow with the trial count.
 DRAW_CHUNK = 16
+#: Most roof targets (block pairs plus orders) an oracle job may ask for; a
+#: target holds about 4 KB, and a larger job is refused before any is built.
+MAX_ORACLE_TARGETS = 10**5
 
 _MEASURE_KINDS = ("concurrence", "renyi_ent")
 
@@ -156,25 +160,22 @@ def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
     return (evecs[:, keep] * np.sqrt(evals[keep])).T
 
 
-def _pair_rows(w: float, t_a: float, t_b: float) -> np.ndarray:
-    """Rows phi and sqrt(r)|00> of the canonical pair of blocks weighing t_a and
-    t_b, or its top eigen-row alone when, as ``_eigen_ensemble`` decides, its
-    smaller eigenvalue lo is at most ``SUPPORT_TOL``."""
+def _pair_rows(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
+    """Rows phi and sqrt(r)|00> of the canonical pairs of blocks weighing t_a
+    and t_b, elementwise as a (..., 2, 4) table, and whether each pair is
+    pure as ``_eigen_ensemble`` decides: its smaller eigenvalue is at most
+    ``SUPPORT_TOL``.  Not r == 0: rounding leaves r above 0 on some covers."""
     phi, r = _canonical_pair(w, t_a, t_b)
-    lo = _lam_lo(min(4.0 * r * (t_a + t_b), 1.0))
-    if lo > SUPPORT_TOL:
-        return np.array([phi, [math.sqrt(r), 0.0, 0.0, 0.0]])
-    # that row squared is (w+r-lo, (1-q) t_b, (1-q) t_a, 0) (1-lo)/(1-2lo), q = lo/(t_a+t_b)
-    q = 2.0 * r / (1.0 + math.sqrt(1.0 - 4.0 * r * (t_a + t_b)))
-    top = np.maximum(0.0, [w + r - lo, (1.0 - q) * t_b, (1.0 - q) * t_a, 0.0])
-    return np.sqrt(top * (1.0 - lo) / (1.0 - 2.0 * lo))[None]
+    rows = np.zeros((*phi.shape[:-1], 2, 4))
+    rows[..., 0, :], rows[..., 1, 0] = phi, np.sqrt(r)
+    return rows, _lam_lo(np.minimum(4.0 * r * (t_a + t_b), 1.0)) <= SUPPORT_TOL
 
 
 class _Group:
-    """Up to ``GROUP_RUNS`` roof runs of one isometry shape, one measure and
-    one trial count as one stack: their rows, incumbent minimizing and
-    maximizing isometries with their values, and the last trial that
-    improved either by more than ``PLATEAU_TOL``.  ``parts``, each order
+    """Up to ``GROUP_RUNS`` roof runs of one measure and one trial count as
+    one stack: their rows, incumbent minimizing and maximizing isometries
+    with their values, and the last trial that improved either by more than
+    ``PLATEAU_TOL``.  ``parts``, each order
     with the mask of its runs, is empty for concurrence runs."""
 
     def __init__(self, runs: list):
@@ -246,25 +247,24 @@ def _check_run(trials: int, seed: int) -> None:
 def _roof_estimates(targets, seed: int) -> list[RoofEstimate]:
     """One estimate per (rows, order, trials) target: the concurrence roof
     when the order is None, else the f_alpha(C^2) roof, of the state the rows
-    decompose, over the first trials of the seed the callers checked.  Each
-    trial count is the call's largest or a multiple of ``GENERATION``.  Draws
-    are made once per chunk of ``DRAW_CHUNK`` generations and shape, up to
-    the shape's longest run, and discarded after it."""
+    decompose, over the first trials of the seed the callers checked.  Every
+    target has the same row count, so one isometry shape, and each trial
+    count is the call's largest or a multiple of ``GENERATION``.  Runs group
+    by measure and trial count; one chunk of ``DRAW_CHUNK`` generations is
+    drawn per span, up to the longest run, and discarded after it."""
     def kind(run):
-        return len(run[1]), run[2] is not None, run[3]
+        return run[2] is not None, run[3]
 
-    groups, stops = [], {}
+    groups = []
     for _, same in groupby(sorted(((i, *target) for i, target in enumerate(targets)),
                                   key=kind), key=kind):
         same = list(same)
         groups += [_Group(same[k : k + GROUP_RUNS]) for k in range(0, len(same), GROUP_RUNS)]
-        stops[groups[-1].shape] = max(stops.get(groups[-1].shape, 0), groups[-1].trials)
-    span = DRAW_CHUNK * GENERATION
-    for start in range(0, max(stops.values()), span):
-        chunks = {shape: _draw_chunk(seed, start, min(stop, start + span), *shape)
-                  for shape, stop in stops.items() if stop > start}
+    stop, span = max(group.trials for group in groups), DRAW_CHUNK * GENERATION
+    for start in range(0, stop, span):
+        chunk = _draw_chunk(seed, start, min(stop, start + span), *groups[0].shape)
         for group in (group for group in groups if group.trials > start):
-            for generation in chunks[group.shape][: -((start - group.trials) // GENERATION)]:
+            for generation in chunk[: -((start - group.trials) // GENERATION)]:
                 group.step(*generation)
     found: list = [None] * len(targets)
     for group in groups:
@@ -306,17 +306,17 @@ def convex_roof_bounds(
     return _roof_estimates([target], seed)[0]
 
 
-def _compare(concurrence, rows, order, estimate) -> InequalityReport:
+def _compare(concurrence, pure, order, estimate) -> InequalityReport:
     """Compare a roof estimate's min and max with the closed form: the
     concurrence C (``c_equals_ca``), or f_alpha(C^2) when an order is given
     (``e_alpha_formula``).  The max side is compared for the concurrence, and
-    for the Renyi form only inside the concavity window or on a pure pair (a
-    single row).  A concurrence run has converged when its min and max agree
-    within ``PLATEAU_TOL``, a Renyi run on a plateau; a non-converged run is
+    for the Renyi form only inside the concavity window or on a pure pair.
+    A concurrence run has converged when its min and max agree within
+    ``PLATEAU_TOL``, a Renyi run on a plateau; a non-converged run is
     reported as CONDITION_UNMET (with the numbers attached)."""
     name = "c_equals_ca" if order is None else "e_alpha_formula"
     closed = concurrence if order is None else f_alpha(concurrence**2, order)
-    max_side = order is None or order.supports_polygamy or len(rows) == 1
+    max_side = order is None or order.supports_polygamy or pure
     low, high = estimate.min_estimate, estimate.max_estimate
     converged = estimate.converged if order is not None else high - low <= PLATEAU_TOL
     deviations = [abs(low - closed)] + ([abs(high - closed), abs(low - high)] if max_side else [])
@@ -343,26 +343,32 @@ def oracle_reports(
     order on blocks 0 and 1.
 
     The state (a pure GWBlocks or GW-tagged dense pure state) becomes block
-    weights.  The orders, the block count (two or more) and the purity are
-    checked first; one ``block_sums`` then gives every block's weight.  Each
-    distinct ordered weight pair gives its C and rows (``_pair_rows``) once,
-    and each distinct target one roof run.  A concurrence run takes
-    min(trials, ``GENERATION``) trials, which its line records; a Renyi run
-    every trial, and an order outside the convexity threshold is
-    OUT_OF_WINDOW with no roof."""
+    weights.  The orders, the block count (two or more), the target count
+    (at most ``MAX_ORACLE_TARGETS`` pairs plus orders) and the purity are
+    checked first; one ``block_sums`` then gives every block's weight.  One
+    ``_pair_rows`` call gives the rows of every distinct ordered weight pair,
+    each pair's C is taken once, and each distinct target gets one roof run.
+    A concurrence run takes min(trials, ``GENERATION``) trials, which its
+    line records; a Renyi run every trial, and an order outside the
+    convexity threshold is OUT_OF_WINDOW with no roof."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
     orders = [_as_order(order) for order in orders]
-    if partition.n_blocks < 2:
+    k = partition.n_blocks
+    if k < 2:
         raise ValueError("partition needs at least two blocks")
+    if k * (k - 1) // 2 + len(orders) > MAX_ORACLE_TARGETS:
+        raise ValueError(f"{k} blocks and {len(orders)} orders make more than "
+                         f"MAX_ORACLE_TARGETS = {MAX_ORACLE_TARGETS} oracle targets")
     if not state.pure:
         raise ValueError("the oracle needs a pure state")
     t = partition.block_sums(state.weights)
-    a, b = np.triu_indices(partition.n_blocks, 1)
+    a, b = np.triu_indices(k, 1)
     weights, pair_of = np.unique(np.stack((t[a], t[b]), axis=1), axis=0, return_inverse=True)
-    weights, pair_of = weights.tolist(), pair_of.reshape(-1).tolist()
-    rows = [_pair_rows(state.vacuum_weight, t_a, t_b) for t_a, t_b in weights]
-    concurrences = [2.0 * math.sqrt(t_a * t_b) for t_a, t_b in weights]
+    t_a, t_b = weights.T
+    rows, pure = _pair_rows(state.vacuum_weight, t_a, t_b)
+    concurrences = (2.0 * np.sqrt(t_a * t_b)).tolist()
+    pair_of, pure = pair_of.reshape(-1).tolist(), pure.tolist()
     first = pair_of[0]
     windowed = {order.alpha: order for order in orders if order.supports_monogamy}
     estimates = _roof_estimates([(r, None, min(trials, GENERATION)) for r in rows] + [
@@ -370,11 +376,11 @@ def oracle_reports(
     found = dict(zip(windowed, estimates[len(rows) :]))
     blocks, reports = partition.sorted_blocks, []
     for p, i, j in zip(pair_of, a.tolist(), b.tolist()):
-        reports.append(_compare(concurrences[p], rows[p], None, estimates[p]))
+        reports.append(_compare(concurrences[p], pure[p], None, estimates[p]))
         reports[-1].params["pair"] = [blocks[i], blocks[j]]
     for order in orders:
         if order.alpha in found:
-            reports.append(_compare(concurrences[first], rows[first], order, found[order.alpha]))
+            reports.append(_compare(concurrences[first], pure[first], order, found[order.alpha]))
         else:
             params = {"trials": trials, "seed": int(seed), "alpha": order.alpha}
             reports.append(InequalityReport("e_alpha_formula", None, None, None, True,

@@ -352,8 +352,8 @@ def _json_number(value, integral: bool = False) -> float | int:
 
 
 def gw_spec_from_json(text: str) -> GWSpec:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n = _json_number(doc["n"], integral=True)
         d = _json_number(doc["d"], integral=True)
         pairs = doc["amplitudes"]
@@ -363,7 +363,8 @@ def gw_spec_from_json(text: str) -> GWSpec:
         flat = np.array(
             [complex(float(re), float(im)) for re, im in pairs], dtype=complex
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # a RecursionError is a spec nested deeper than the decoder recurses
         raise ValueError(f"malformed GW spec document: {exc}") from exc
     if n < 2 or d < 2:
         raise ValueError(f"a GW spec needs n >= 2 parties and d >= 2 levels, got n={n}, d={d}")

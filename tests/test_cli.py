@@ -307,6 +307,16 @@ def test_verify_malformed_spec_exit_two(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--spec", spec]) == 2, spec
             assert "malformed GW spec document" in capsys.readouterr().err, spec
+    # a spec nested deeper than the JSON decoder recurses, and text that is
+    # not JSON, are malformed documents too, not a traceback with exit 1
+    nested = "[" * 1000 + "]" * 1000
+    deep = f'{{"n":{nested},"d":2,"amplitudes":[[1,0],[0,0]],"vacuum_weight":0}}'
+    for spec in (deep, '{"n": 2,'):
+        for command in ("verify", "oracle"):
+            capsys.readouterr()
+            assert main([command, "--spec", spec]) == 2, spec[:20]
+            err = capsys.readouterr().err
+            assert "malformed GW spec document" in err and "Traceback" not in err, spec[:20]
     # too few parties or levels is named as such, also when the amplitudes match
     for n, d, amplitudes in ((1, 2, "[[1,0]]"), (2, 1, "[]"), (1, 1, "[]")):
         spec = f'{{"n":{n},"d":{d},"amplitudes":{amplitudes},"vacuum_weight":0}}'
@@ -672,9 +682,10 @@ def _solo_line(psi, pair, order, trials, seed):
 
 
 def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
-    # party 1 carries no excitation, so the pair {0} | {2, 3} is pure: rank 1,
-    # isometries of shape (3, 1) beside the (4, 2) of the two mixed pairs;
-    # the orders run on the mixed pair {0} | {1}, and 0.5 is out of window
+    # party 1 carries no excitation, so the pair {0} | {2, 3} is pure; its
+    # rows are phi and a zero row, so it shares the isometry shape (4, 2) of
+    # the two mixed pairs; the orders run on the mixed pair {0} | {1}, and
+    # 0.5 is out of window
     spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
     shapes = set()
     real = gwlab.roof._draw_chunk
@@ -685,7 +696,7 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gwlab.roof, "_draw_chunk", record)
     lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 300, 5)
-    assert shapes == {(4, 2), (3, 1)}
+    assert shapes == {(4, 2)}
     a, b, c = {0}, {1}, {2, 3}
     targets = [((a, b), None), ((a, c), None), ((b, c), None), ((a, b), 1.1), ((a, b), 0.5)]
     assert lines == [_solo_line(psi, pair, order, 300, 5) for pair, order in targets]
@@ -746,9 +757,9 @@ def test_oracle_runs_each_distinct_target_once(tmp_path, monkeypatch):
 
 
 def test_oracle_runs_no_eigendecomposition(spec_file, tmp_path, monkeypatch):
-    # README spec: three pairs, and both orders reuse the first one; each
-    # pair's rows come from its block weights, with no dense pair built and
-    # no eigendecomposition made
+    # README spec: three pairs, and both orders reuse the first one; one call
+    # builds the rows of the three distinct pairs from their block weights,
+    # with no dense pair built and no eigendecomposition made
     def refuse(*args, **kwargs):
         raise AssertionError("a dense pair or an eigendecomposition on the oracle path")
 
@@ -765,7 +776,8 @@ def test_oracle_runs_no_eigendecomposition(spec_file, tmp_path, monkeypatch):
     monkeypatch.setattr(gwlab.roof, "_pair_rows", count)
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", "100"]
     assert main(args + ["--alpha", "0.9,1.1", "--out", str(tmp_path / "o.jsonl")]) == 0
-    assert len(calls) == 3
+    [(w, t_a, t_b)] = calls
+    assert len(t_a) == len(t_b) == 3
 
 
 def test_large_order_values_stay_finite(spec_file, tmp_path):
@@ -810,8 +822,8 @@ def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkey
 
 def test_oracle_chunking_changes_no_bit(tmp_path, monkeypatch):
     # 2100 trials are 33 generations: three chunks, the last one a single
-    # generation cut short, for both shapes (4, 2) and (3, 1) of the lockstep
-    # spec above
+    # generation cut short, on the lockstep spec above, whose pure and mixed
+    # pairs both draw the shape (4, 2)
     spec = GWSpec.qubit(np.array([0.6, 0.0, 0.64, 0.48]))
     assert -(-2100 // gwlab.roof.GENERATION) == 2 * gwlab.roof.DRAW_CHUNK + 1
     lines, _ = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 2100, 5)

@@ -96,7 +96,7 @@ def _near_support_tol(factor):
 #: (w, t_a, t_b): r = 1 - w - t_a - t_b = 0 at w = 0 and at w > 0; t_a = 0;
 #: t_a = t_b = 0; w = 0 with r > 0; a generic triple; w = 0 with r and
 #: t_a + t_b near 0.5, where 4 r (t_a + t_b) rounds above 1; the smaller
-#: eigenvalue on either side of SUPPORT_TOL, which decides the row count.
+#: eigenvalue on either side of SUPPORT_TOL, which decides purity.
 PAIR_TRIPLES = [(0.0, 0.3, 0.7), (0.2, 0.3, 0.5), (0.2, 0.0, 0.5), (0.3, 0.0, 0.0),
                 (0.0, 0.3, 0.2), (0.1, 0.2, 0.3),
                 (0.0, 0.43088240841168696, 0.06911759158831321),
@@ -105,15 +105,18 @@ PAIR_TRIPLES = [(0.0, 0.3, 0.7), (0.2, 0.3, 0.5), (0.2, 0.0, 0.5), (0.3, 0.0, 0.
 
 @pytest.mark.parametrize("w, t_a, t_b", PAIR_TRIPLES)
 def test_pair_rows_are_a_unitary_image_of_the_eigen_ensemble(w, t_a, t_b):
-    # the oracle's rows and the eigen-ensemble of the same pair have one row
-    # count, so one isometry shape, and differ by a unitary (Hughston, Jozsa
-    # and Wootters): Haar draws applied to either have one law
+    # the oracle's two rows decompose every pair, and the pair is pure when
+    # its eigen-ensemble has one row; where that ensemble has two, both have
+    # one isometry shape and differ by a unitary (Hughston, Jozsa and
+    # Wootters): Haar draws applied to either have one law
     weights = [t_a, t_b, max(0.0, 1.0 - w - t_a - t_b)]
     pair = block_pair_reduction(GWBlocks(weights, PartyLayout((2, 2, 2)), w), {0}, {1})
-    rows, eigen = _pair_rows(w, t_a, t_b), _eigen_ensemble(pair)
+    (rows, pure), eigen = _pair_rows(w, t_a, t_b), _eigen_ensemble(pair)
+    assert rows.shape == (2, 4) and pure == (len(eigen) == 1)
+    assert np.abs(rows.T @ rows.conj() - pair.matrix).max() <= 1e-12
+    if pure:
+        return
     assert rows.shape == eigen.shape
-    if len(rows) == 2:
-        assert np.abs(rows.T @ rows.conj() - pair.matrix).max() <= 1e-12
     # eigh finds the smallest kept eigenvalue lo and its eigenvector to a few
     # ulps of the matrix, so that row of the eigen-ensemble, and U, carry
     # errors of up to about eps / lo: 1e-6 just above SUPPORT_TOL
@@ -190,24 +193,31 @@ def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, messag
 
 
 @pytest.mark.parametrize(
-    "orders, trials, message",
+    "parties, orders, trials, message",
     [
-        ([1.1], 0, "trials must be >= 1"),
-        ([1.1, -2.0], 10, "order must be positive"),
+        (None, [1.1], 0, "trials must be >= 1"),
+        (None, [1.1, -2.0], 10, "order must be positive"),
+        # about 2e6 singleton pairs: the budget is checked before any is built
+        (2000, [], 10, "MAX_ORACLE_TARGETS = 100000 oracle targets"),
     ],
-    ids=["trials-zero", "last-order-bad"],
+    ids=["trials-zero", "last-order-bad", "too-many-targets"],
 )
-def test_oracle_reports_check_every_target_first(monkeypatch, orders, trials, message):
-    rho = _figure1_pair()
+def test_oracle_reports_check_every_target_first(monkeypatch, parties, orders, trials, message):
+    if parties is None:
+        state, partition = _figure1_pair(), Partition.of(FIGURE1_PAIR)
+    else:
+        spec = GWSpec.qubit(np.full(parties, 1.0 / math.sqrt(parties)), 0.2)
+        state, partition = GWBlocks.of(spec), Partition.singletons(parties)
 
     def refuse(*args):
         raise AssertionError("a reduction or roof ran before every target was checked")
 
     for name in ("block_pair_reduction", "gw_pairwise_concurrence", "_eigen_ensemble",
-                 "_pair_rows"):
+                 "_pair_rows", "_roof_estimates"):
         monkeypatch.setattr(gwlab.roof, name, refuse)
+    monkeypatch.setattr(Partition, "block_sums", refuse)
     with pytest.raises(ValueError, match=message):
-        oracle_reports(rho, Partition.of(FIGURE1_PAIR), orders, trials=trials, seed=3)
+        oracle_reports(state, partition, orders, trials=trials, seed=3)
 
 
 def test_every_exported_name_resolves():
@@ -383,6 +393,25 @@ def test_unconverged_runs_are_flagged():
     assert report.applicability == Applicability.APPLICABLE
     report = verify_c_equals_ca(psi, trials=1000, seed=1, blocks=FIGURE1_PAIR)
     assert report.params["trials"] == GENERATION and report.params["converged"]
+
+
+def test_two_block_cover_is_pure_despite_rounding():
+    # the two blocks hold every party, so r = 1 - w - t_a - t_b is 0, but it
+    # rounds to about 1e-16: the pair is still pure by the eigen-ensemble's
+    # rule, every decomposition gives the closed form, and the max side is
+    # checked outside the concavity window (order 1.5) too
+    amplitudes = np.random.default_rng(11).uniform(0.5, 1.0, 3)
+    state = GWBlocks.of(GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), 0.2))
+    partition = Partition.of([{0}, {1, 2}])
+    t_a, t_b = partition.block_sums(state.weights).tolist()
+    assert 1.0 - state.vacuum_weight - t_a - t_b > 0.0
+    reports = oracle_reports(state, partition, [0.9, 1.2, 1.5], trials=300, seed=4)
+    assert [report.name for report in reports] == ["c_equals_ca"] + ["e_alpha_formula"] * 3
+    for report in reports:
+        params = report.params
+        assert abs(params["roof_min"] - params["closed_form"]) <= 1e-12
+        assert abs(params["roof_max"] - params["closed_form"]) <= 1e-12
+    assert reports[-1].params["alpha"] == 1.5 and reports[-1].params["max_side_checked"]
 
 
 def test_concurrence_spread_beyond_plateau_tol_is_unconverged(monkeypatch):

@@ -36,7 +36,7 @@ from .inequalities import (
     prepare_checks,
     report_to_json_line,
 )
-from .measures import RenyiOrder, _pair_table
+from .measures import _pair_table
 from .roof import oracle_reports
 from .states import GWBlocks, GWSpec, gw_spec_from_json
 from .tensor import Partition
@@ -68,7 +68,8 @@ __all__ = [
 DEFAULT_SEED = 271828
 
 #: Default Renyi-order grid: the closed interval where every closed form in
-#: this package applies, sampled at 0.005 with the order-1 point excluded.
+#: this package applies, sampled at 0.005.  No order lies within 1e-9 of 1
+#: (0.9979 and 1.0029 are nearest), so ``--include-one`` changes nothing on it.
 DEFAULT_ALPHA_GRID = (0.8229, 1.3027, 0.005)
 
 #: Most orders a grid may ask for; the default grid has 96.  A larger grid
@@ -158,7 +159,7 @@ def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]
     spec = _load_spec(args.spec)
     psi = GWBlocks.of(spec)
     partition = (
-        parse_partition(args.partition, spec.n) if args.partition
+        parse_partition(args.partition, spec.n) if args.partition is not None
         else Partition.singletons(spec.n)
     )
     partition.require_complete(psi.layout)
@@ -208,24 +209,13 @@ def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterPa
     """The job's spec, tightened-bound exponents, order grid and the checks
     of :func:`prepare_checks`, each with its order-free work done once."""
     tighter = _tighter(args)
-    if not (math.isfinite(args.mu) and (0.0 < args.mu <= 1.0 or args.mu >= 2.0)):
-        raise ValueError(f"--mu must lie in (0, 1] or [2, inf), got {args.mu}")
     spec, psi, partition = _load_blocks(args)
-    alpha = _parse_grid(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID
+    alpha = DEFAULT_ALPHA_GRID if args.alpha is None else _parse_grid(args.alpha)
     grid = alpha_grid(*alpha, exclude_one=not args.include_one)
     if not grid:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
-    checks = prepare_checks(psi, partition, args.mu, tighter)
-    size = len(partition.sorted_blocks[0])
-    try:  # a JSONL line prints monogamy_cap's d, block 0's dimension
-        if args.format == "jsonl":
-            str(spec.d**size)
-    except ValueError:
-        raise ValueError(f"block 0's dimension d = {spec.d}**{size} has more than "
-                         f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} "
-                         "digits, too many for a JSONL line; CSV does not print d") from None
-    return spec, tighter, grid, checks
+    return spec, tighter, grid, prepare_checks(psi, partition, args.mu, tighter)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -246,15 +236,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     """``oracle_reports`` on every block pair and each order on the first
-    two, one JSON line per report; a job of more than
-    ``roof.MAX_ORACLE_TARGETS`` targets is refused before any roof runs."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    two, one JSON line per report; that call refuses a bad trial count,
+    seed or order, and a job of more than ``roof.MAX_ORACLE_TARGETS``
+    targets, before any roof runs."""
     seed = _env_seed() if args.seed is None else args.seed
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
     _, psi, partition = _load_blocks(args)
-    orders = [RenyiOrder(float(a)) for a in args.alpha.split(",")] if args.alpha else []
+    orders = [] if args.alpha is None else [float(a) for a in args.alpha.split(",")]
     reports = oracle_reports(psi, partition, orders, trials=args.trials, seed=seed)
     _write_lines(map(report_to_json_line, reports), args.out)
     return 0
@@ -277,8 +264,12 @@ def cmd_gamebounds(
     return lines
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma list, refused when it holds none."""
+    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one integer, got {text!r}")
+    return values
 
 
 @functools.cache
@@ -351,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "figure":
             cmd_figure(args.fig_id, args.out)
         else:
-            cmd_gamebounds(_int_list(args.n), _int_list(args.d), args.out)
+            cmd_gamebounds(_int_list("--n", args.n), _int_list("--d", args.d), args.out)
         return 0
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, count, groupby
@@ -220,6 +221,24 @@ def _json_value(value) -> str:
     return "null" if value is None else _JSON.encode(value)
 
 
+def _json_params(name: str, params: dict) -> str:
+    """``params`` as ``json`` writes them, for a line of report ``name``; an
+    int with more digits than ``sys.get_int_max_str_digits()`` (a wide
+    ``monogamy_cap``'s ``d``) has no text, so it is refused by its key."""
+    try:
+        return _JSON.encode(params)
+    except ValueError:
+        for key, value in params.items():
+            try:
+                _JSON.encode(value)
+            except ValueError:
+                raise ValueError(
+                    f"{name} param {key!r} has more than sys.get_int_max_str_digits() = "
+                    f"{sys.get_int_max_str_digits()} digits, too many for a JSON line"
+                ) from None
+        raise
+
+
 def _json_line(why: Applicability, name: str, params: str, satisfied: bool,
                lhs: str, rhs: str, slack: str) -> str:
     """The one JSONL formatter: a report's fields, all but the tag and verdict
@@ -231,7 +250,8 @@ def _json_line(why: Applicability, name: str, params: str, satisfied: bool,
 
 def report_to_json_line(report: InequalityReport) -> str:
     r = report
-    return _json_line(r.applicability, encode_basestring_ascii(r.name), _JSON.encode(r.params),
+    params = _json_params(r.name, r.params)
+    return _json_line(r.applicability, encode_basestring_ascii(r.name), params,
                       r.satisfied, *map(_json_value, (r.lhs, r.rhs, r.slack)))
 
 
@@ -261,7 +281,7 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
         params = ", ".join(
             ", ".join(f"{encode_basestring_ascii(key).replace('%', '%%')}: {specs[slots[key]]}"
                       for key in run) if slot
-            else _JSON.encode({key: fields[key] for key in run})[1:-1].replace("%", "%%")
+            else _json_params(check.name, {k: fields[k] for k in run})[1:-1].replace("%", "%%")
             for slot, run in groupby(keys, slots.__contains__))
         line = _json_line(why, name, "{" + params + "}", satisfied, *texts)
     row = row or printed + [0] * (0 not in printed)

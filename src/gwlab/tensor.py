@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -50,8 +49,6 @@ _BUILD_COPIES = 4
 #: Arrays below this size are not checked against the memory limits: reading
 #: the limits costs more than such an allocation.
 _GUARD_MIN_BYTES = 2**24
-
-_AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 def _proc_text(path: str) -> str:
@@ -371,22 +368,15 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityOperator:
     rest = [p for p in range(layout.n_parties) if p not in keep_list]
     d_keep = math.prod(layout.dims[p] for p in keep_list)
     require_dense(d_keep, square=True)
+    order = keep_list + rest
 
     if isinstance(state, PureState):
-        t = np.transpose(state.tensor(), keep_list + rest)
-        mat = t.reshape(d_keep, -1)
+        mat = np.transpose(state.tensor(), order).reshape(d_keep, -1)
         rho = mat @ mat.conj().T
-    else:
-        n = layout.n_parties
-        if 2 * n > len(_AXIS_LETTERS):
-            raise ValueError("too many parties for dense partial trace")
-        ket = list(_AXIS_LETTERS[:n])
-        bra = list(_AXIS_LETTERS[n : 2 * n])
-        for p in rest:
-            bra[p] = ket[p]
-        out = "".join(ket[p] for p in keep_list) + "".join(bra[p] for p in keep_list)
-        rho = np.einsum("".join(ket) + "".join(bra) + "->" + out, state.tensor())
-        rho = rho.reshape(d_keep, d_keep)
+    else:  # kets then bras, each kept parties first; trace the rest's ket against its bra
+        n, d_rest = layout.n_parties, layout.total_dim // d_keep
+        t = np.transpose(state.tensor(), order + [n + p for p in order])
+        rho = np.trace(t.reshape(d_keep, d_rest, d_keep, d_rest), axis1=1, axis2=3)
 
     return DensityOperator(rho, layout.restricted(keep_list), gw=state.gw)
 
@@ -506,29 +496,24 @@ def _support_basis(rho_local: np.ndarray) -> np.ndarray:
 
 
 def _apply_local_maps(state: State, maps: list[np.ndarray]) -> State:
-    n = state.layout.n_parties
-    new_dims = tuple(v.shape[0] for v in maps)
-    if isinstance(state, PureState):
-        t = state.tensor()
-        for k, v in enumerate(maps):
-            t = np.moveaxis(np.tensordot(v, t, axes=(1, k)), 0, k)
-        vec = t.reshape(-1)
-        lost = abs(1.0 - float(np.linalg.norm(vec)) ** 2)
-        if lost > 1e-8:
-            raise RuntimeError(f"compression discarded weight {lost:.3e}")
-        vec = vec / np.linalg.norm(vec)
-        return PureState(vec, SubsystemLayout(new_dims), gw=state.gw)
+    """Apply party k's map to axis k: a ket's, and for a density operator
+    also the bra's (axis n + k), by the conjugate map."""
+    n, dense = state.layout.n_parties, isinstance(state, DensityOperator)
+    layout = SubsystemLayout(tuple(v.shape[0] for v in maps))
+    axes = [(k, v) for k, v in enumerate(maps)]
+    if dense:
+        axes = [pair for k, v in axes for pair in ((k, v), (n + k, v.conj()))]
     t = state.tensor()
-    for k, v in enumerate(maps):
-        t = np.moveaxis(np.tensordot(v, t, axes=(1, k)), 0, k)
-        t = np.moveaxis(np.tensordot(v.conj(), t, axes=(1, n + k)), 0, n + k)
-    d = math.prod(new_dims)
-    mat = t.reshape(d, d)
-    lost = abs(1.0 - float(np.real(np.trace(mat))))
+    for axis, v in axes:
+        t = np.moveaxis(np.tensordot(v, t, axes=(1, axis)), 0, axis)
+    d = layout.total_dim
+    # the weight kept is the trace, or the squared norm of the amplitudes
+    flat = t.reshape(d, d) if dense else t.reshape(-1)
+    scale = float(np.real(np.trace(flat))) if dense else float(np.linalg.norm(flat))
+    lost = abs(1.0 - (scale if dense else scale**2))
     if lost > 1e-8:
         raise RuntimeError(f"compression discarded weight {lost:.3e}")
-    mat = mat / np.real(np.trace(mat))
-    return DensityOperator(mat, SubsystemLayout(new_dims), gw=state.gw)
+    return type(state)(flat / scale, layout, gw=state.gw)
 
 
 def compress_local_support(state: State) -> tuple[State, SubsystemLayout]:

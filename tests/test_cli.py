@@ -22,13 +22,19 @@ import gwlab.tensor
 from gwlab import (
     GWBlocks,
     GWSpec,
+    Partition,
+    at_orders,
     gw_spec_from_json,
     gw_spec_to_json,
+    oracle_reports,
+    prepare_checks,
     report_to_json_line,
     verify_c_equals_ca,
     verify_e_alpha_formula,
 )
-from gwlab.cli import alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition
+from gwlab.cli import (
+    DEFAULT_ALPHA_GRID, alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition,
+)
 from gwlab.featured import FIG1_AMPLITUDES
 
 
@@ -53,6 +59,16 @@ def test_alpha_grid_excludes_one():
     assert len(full) == 96
     assert full[0] == pytest.approx(0.8229)
     assert full[-1] <= 1.3027 + 1e-12
+
+
+def test_default_grid_holds_no_order_near_one():
+    # the default grid passes order 1 at 0.0021, so --include-one changes
+    # nothing on it; on 0.83:1.30:0.01 it adds the order-1 point
+    grid = alpha_grid(*DEFAULT_ALPHA_GRID)
+    assert grid == alpha_grid(*DEFAULT_ALPHA_GRID, exclude_one=False)
+    assert min(abs(v - 1.0) for v in grid) > 2e-3
+    assert len(alpha_grid(0.83, 1.30, 0.01, exclude_one=False)) == 48
+    assert len(alpha_grid(0.83, 1.30, 0.01)) == 47
 
 
 def test_parse_partition():
@@ -550,7 +566,75 @@ def test_verify_mu_outside_domain_exit_two(spec_file, tmp_path, capsys, mu):
     out = tmp_path / "r.jsonl"
     assert main(["verify", "--spec", spec_file, "--mu", mu, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --mu must lie in (0, 1] or [2, inf), got ")
+    assert err.startswith("error: mu must lie in (0, 1] or [2, inf), got ")
+    assert not out.exists()
+
+
+def _refuse_roof(*args, **kwargs):
+    raise AssertionError("a roof ran")
+
+
+@pytest.mark.parametrize(
+    "command, flags, call, wide",
+    [
+        ("verify", ["--mu", "1.5"], lambda psi, p: prepare_checks(psi, p, 1.5), False),
+        ("verify", ["--mu", "nan"], lambda psi, p: prepare_checks(psi, p, math.nan), False),
+        ("verify", ["--mu", "inf"], lambda psi, p: prepare_checks(psi, p, math.inf), False),
+        ("oracle", ["--trials", "0"], lambda psi, p: oracle_reports(psi, p, trials=0), False),
+        ("oracle", ["--seed", "-1"], lambda psi, p: oracle_reports(psi, p, seed=-1), False),
+        ("oracle", ["--alpha=-1"], lambda psi, p: oracle_reports(psi, p, [-1.0]), False),
+        ("verify", ["--alpha", "1.2:1.2:1"],
+         lambda psi, p: list(map(report_to_json_line, at_orders([1.2], prepare_checks(psi, p)))),
+         True),
+    ],
+    ids=["mu-1.5", "mu-nan", "mu-inf", "trials-zero", "seed-negative", "order-negative",
+         "block-0-past-digit-limit"],
+)
+def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, flags, call, wide):
+    # each rule is checked once, by the library code that uses the value:
+    # the CLI prints the library's message, exits 2, runs no roof and writes
+    # no file; a wide spec's block 0 is one qubit past the digit limit
+    if wide:
+        m = math.ceil(sys.get_int_max_str_digits() / math.log10(2))
+        spec = GWSpec.qubit(np.full(m + 1, 1.0 / math.sqrt(m + 1)))
+        partition = Partition.of([range(m), [m]])
+    else:
+        spec = GWSpec.qubit(FIG1_AMPLITUDES)
+        partition = Partition.singletons(spec.n)
+    monkeypatch.setattr(gwlab.roof, "_pair_rows", _refuse_roof)
+    monkeypatch.setattr(gwlab.roof, "_roof_estimates", _refuse_roof)
+    monkeypatch.delenv("GWLAB_SEED", raising=False)
+    with pytest.raises(ValueError) as refused:
+        call(GWBlocks.of(spec), partition)
+    out = tmp_path / "r.jsonl"
+    argv = [command, "--spec", gw_spec_to_json(spec), "--out", str(out), *flags,
+            "--partition", "|".join(",".join(map(str, b)) for b in partition.sorted_blocks)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["verify", "--partition", ""], "empty block in partition ''"),
+        (["oracle", "--partition", ""], "empty block in partition ''"),
+        (["verify", "--alpha", ""], "grid must be start:stop:step, got ''"),
+        (["oracle", "--alpha", ""], "could not convert string to float: ''"),
+        (["gamebounds", "--n", ""], "--n needs at least one integer, got ''"),
+        (["gamebounds", "--d", ""], "--d needs at least one integer, got ''"),
+        (["gamebounds", "--n", ","], "--n needs at least one integer, got ','"),
+    ],
+    ids=["verify-partition", "oracle-partition", "verify-alpha", "oracle-alpha",
+         "gamebounds-n", "gamebounds-d", "gamebounds-n-comma"],
+)
+def test_empty_flag_value_exit_two(spec_file, tmp_path, capsys, argv, why):
+    # an empty value used to run as if the flag were absent (default blocks,
+    # the default grid, no order) or to print a table with no rows
+    out = tmp_path / "r.out"
+    spec = [] if argv[0] == "gamebounds" else ["--spec", spec_file]
+    assert main([*argv, *spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {why}\n"
     assert not out.exists()
 
 
@@ -575,9 +659,9 @@ def test_verify_block_dimension_past_int_digit_limit(tmp_path, capsys, fmt):
         written, err = capsys.readouterr()
         if code == 2:
             assert written == "" and not out.exists()
-            assert err == (f"error: block 0's dimension d = 2**{m} has more than "
+            assert err == ("error: monogamy_cap param 'd' has more than "
                            f"sys.get_int_max_str_digits() = {limit} digits, too many "
-                           "for a JSONL line; CSV does not print d\n") * 2
+                           "for a JSON line\n") * 2
         else:
             assert err == "" and written == out.read_text()
             if fmt == "jsonl":
@@ -657,7 +741,7 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
     [(state, partition, orders)] = calls
     assert isinstance(state, GWBlocks) and state.layout.n_parties == 4
     assert partition.sorted_blocks == [[0], [1, 2], [3]]
-    assert [order.alpha for order in orders] == [0.9, 1.1]
+    assert orders == [0.9, 1.1]
 
 
 def _oracle_lines(tmp_path, spec, partition, orders, trials, seed):
@@ -914,27 +998,33 @@ def test_oracle_checks_orders_before_any_roof(spec_file, monkeypatch, capsys):
     def roof(*args, **kwargs):
         raise AssertionError("a roof ran before the orders were checked")
 
-    monkeypatch.setattr(gwlab.cli, "oracle_reports", roof)
+    monkeypatch.setattr(gwlab.roof, "_pair_rows", roof)
+    monkeypatch.setattr(gwlab.roof, "_roof_estimates", roof)
     args = ["oracle", "--spec", spec_file, "--trials", "10", "--alpha", "0.9,-1"]
     assert main(args) == 2
     assert "Renyi order must be positive" in capsys.readouterr().err
 
 
+_ROOF = [(gwlab.roof, "_pair_rows"), (gwlab.roof, "_roof_estimates")]
+
+
 @pytest.mark.parametrize(
-    "extra, env_seed, message",
+    "extra, env_seed, message, spied",
     [
-        (["--trials", "0"], None, "--trials must be at least 1"),
-        (["--seed", "-1"], None, "--seed must be non-negative"),
-        ([], "seven", "GWLAB_SEED must be a non-negative integer"),
-        ([], "-3", "GWLAB_SEED must be a non-negative integer"),
+        (["--trials", "0"], None, "trials must be >= 1", _ROOF),
+        (["--seed", "-1"], None, "seed must be non-negative", _ROOF),
+        ([], "seven", "GWLAB_SEED must be a non-negative integer",
+         [(gwlab.cli, "oracle_reports")]),
+        ([], "-3", "GWLAB_SEED must be a non-negative integer", [(gwlab.cli, "oracle_reports")]),
     ],
     ids=["trials-zero", "seed-negative", "env-seed-not-int", "env-seed-negative"],
 )
 def test_oracle_checks_trials_and_seed_before_any_roof(
-    spec_file, monkeypatch, capsys, extra, env_seed, message
+    spec_file, monkeypatch, capsys, extra, env_seed, message, spied
 ):
     calls = []
-    monkeypatch.setattr(gwlab.cli, "oracle_reports", lambda *a, **k: calls.append(a))
+    for module, name in spied:
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
     if env_seed is None:
         monkeypatch.delenv("GWLAB_SEED", raising=False)
     else:

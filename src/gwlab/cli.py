@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -34,10 +35,9 @@ from .inequalities import (
     _power_relation,
     h_coefficient,
     prepare_checks,
-    report_to_json_line,
 )
 from .measures import _pair_table
-from .roof import oracle_reports
+from .roof import oracle_lines
 from .states import GWBlocks, GWSpec, gw_spec_from_json
 from .tensor import Partition
 
@@ -46,7 +46,8 @@ from .games import check_monogamy_cap, check_trace_bound_renyi  # noqa: F401
 from .inequalities import (  # noqa: F401
     check_merged_block_upper_bound, check_monogamy_power, check_monogamy_sq,
     check_polygamy, check_polygamy_power, check_reoa_triangle, check_tighter_multi,
-    check_tighter_three, check_upper_bound_bipartition, report_to_csv_row, run_mixture_suite,
+    check_tighter_three, check_upper_bound_bipartition, report_to_csv_row, report_to_json_line,
+    run_mixture_suite,
 )
 from .measures import (  # noqa: F401
     f_alpha, gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence,
@@ -112,13 +113,23 @@ def alpha_grid(
     return values
 
 
+@contextlib.contextmanager
+def _converting(flag: str):
+    """Name ``flag`` in front of the refusal of a conversion of its value."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def parse_partition(text: str, n_parties: int) -> Partition:
     """Blocks separated by '|', members by ','  (e.g. "0|1,2|3") of parties
     0..n_parties-1; a party listed twice, in one block or two, is refused."""
     blocks = [[m for m in chunk.split(",") if m.strip() != ""] for chunk in text.split("|")]
     if not all(blocks):
         raise ValueError(f"empty block in partition {text!r}")
-    blocks = [[int(m) for m in members] for members in blocks]
+    with _converting("--partition"):
+        blocks = [[int(m) for m in members] for members in blocks]
     out = [p for members in blocks for p in members if not 0 <= p < n_parties]
     if out:
         raise ValueError(f"party {out[0]} out of range for {n_parties} parties")
@@ -129,7 +140,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
-    return tuple(map(float, parts))
+    with _converting("--alpha"):
+        return tuple(map(float, parts))
 
 
 def _tighter(args: argparse.Namespace) -> Optional[TighterParams]:
@@ -235,15 +247,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    """``oracle_reports`` on every block pair and each order on the first
-    two, one JSON line per report; that call refuses a bad trial count,
-    seed or order, and a job of more than ``roof.MAX_ORACLE_TARGETS``
-    targets, before any roof runs."""
+    """The lines of ``oracle_lines``, one per report of ``oracle_reports`` on
+    every block pair and each order on the first two.  That call refuses a
+    bad trial count, seed or order, and more than ``roof.MAX_ORACLE_TARGETS``
+    targets, before any roof runs.  Exits 0 whatever the verdicts."""
     seed = _env_seed() if args.seed is None else args.seed
     _, psi, partition = _load_blocks(args)
-    orders = [] if args.alpha is None else [float(a) for a in args.alpha.split(",")]
-    reports = oracle_reports(psi, partition, orders, trials=args.trials, seed=seed)
-    _write_lines(map(report_to_json_line, reports), args.out)
+    with _converting("--alpha"):
+        orders = [] if args.alpha is None else [float(a) for a in args.alpha.split(",")]
+    _write_lines(oracle_lines(psi, partition, orders, trials=args.trials, seed=seed), args.out)
     return 0
 
 
@@ -266,7 +278,8 @@ def cmd_gamebounds(
 
 def _int_list(flag: str, text: str) -> list[int]:
     """The integers of a comma list, refused when it holds none."""
-    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    with _converting(flag):
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValueError(f"{flag} needs at least one integer, got {text!r}")
     return values
@@ -347,6 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:  # a fault of the program, never a verdict: exit 1 means a violation
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ state and returns an :class:`InequalityReport`.  Its :class:`Prepared` form
 holds the order-free work and the params its reports carry; :func:`_grid`
 evaluates it over an order grid as arrays, into columns (lhs, rhs, slack and
 the keys an order adds) and one verdict code per order, once.
-:func:`prepare_checks` builds ``verify``'s suite, the games section's cap
-and trace bound included; :func:`at_orders` builds reports from the
-columns, and :func:`_grid_lines` writes every line ``verify`` prints from
-them, with the bytes of those reports' lines.  A public checker takes a
+:func:`prepare_checks` builds ``verify``'s suite (the games section's cap
+and trace bound too), :func:`_oracle_checks` the oracle's two, whose columns
+``roof`` evaluates.  From any check's columns and codes :func:`_reports`
+builds its reports and :func:`_column` their lines.  A public checker takes a
 :class:`GWBlocks` or a GW-tagged dense state and takes the weights t_B of
 its blocks once, at entry (:func:`_block_weights`): one
 :meth:`Partition.block_sums`, exact as ``math.fsum`` per block.  The
@@ -175,21 +175,24 @@ def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, 
     return orders, codes, columns
 
 
+def _reports(check: Prepared, codes: list, columns: list, alphas: list) -> Iterator:
+    """The reports of ``check``'s rows from their verdict codes, its columns
+    and each row's alpha, as :func:`_line_format` prints them."""
+    for i, (code, alpha) in enumerate(zip(codes, alphas)):
+        params = {"alpha": alpha, **check.params} if check.window else dict(check.params)
+        if code != _OUT:
+            params.update(check.in_window)
+            params.update(zip(check.added, [column[i] for column in columns[3:]]))
+        numbers = [column[i] for column in columns[:3]] if code <= _FAILED else [None] * 3
+        yield InequalityReport(check.name, *numbers, *_VERDICTS[code], params)
+
+
 def at_orders(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
     order; ``verify`` writes their lines from the columns (:func:`_grid_lines`)."""
     orders, codes, columns = _grid(grid, checks)
-    reports = []
-    for i, order in enumerate(orders):
-        for check, check_codes, check_columns in zip(checks, codes, columns):
-            code = check_codes[i]
-            params = {"alpha": order.alpha, **check.params} if check.window else dict(check.params)
-            if code != _OUT:
-                params.update(check.in_window)
-            numbers = [column[i] for column in check_columns] if code <= _FAILED else [None] * 3
-            params.update(zip(check.added, numbers[3:]))
-            reports.append(InequalityReport(check.name, *numbers[:3], *_VERDICTS[code], params))
-    return reports
+    alphas = [[order.alpha for order in orders]] * len(checks)
+    return list(chain.from_iterable(zip(*map(_reports, checks, codes, columns, alphas))))
 
 
 CSV_HEADER = ("name", "alpha", "mu", "k", "lhs", "rhs", "slack", "satisfied")
@@ -218,7 +221,9 @@ def _json_value(value) -> str:
     anything else (NaN, Infinity, a string, a list...) as the encoder does."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    return "null" if value is None else _JSON.encode(value)
+    if isinstance(value, bool) or value is None:
+        return "null" if value is None else "true" if value else "false"
+    return _JSON.encode(value)
 
 
 def _json_params(name: str, params: dict) -> str:
@@ -260,14 +265,15 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
     """The line of ``check`` with verdict ``code`` as one ``%`` template, and
     its row: the value slots (0 alpha, 1-3 lhs, rhs, slack, then the added
     keys) in the order the template takes them, by default the slots it
-    prints, then alpha if it does not print it.  The name and constants are
-    literal text with ``%`` doubled; a printed slot i is ``specs[i]`` and any
-    other ``%.0s``, which prints nothing."""
+    prints, then alpha if unprinted.  A check with columns (more ``specs``)
+    prints its added keys in the window, and lhs, rhs and slack where
+    applicable.  Names and constants are literal text with ``%`` doubled; a
+    printed slot i is ``specs[i]`` and any other ``%.0s``."""
     satisfied, why = _VERDICTS[code]
     constants = {**check.params, **(check.in_window if code != _OUT else {})}
     slots = {"alpha": 0} if check.window and "alpha" not in constants else {}
     sides = [1, 2, 3] if code <= _FAILED else []
-    slots.update(zip(check.added, count(4)) if sides else ())
+    slots.update(zip(check.added, count(4)) if code != _OUT and len(specs) > 1 else ())
     fields = {**constants, **slots}
     keys = CSV_HEADER[1:4] if csv else sorted(fields)
     ordered = [slots[key] for key in keys if key in slots]
@@ -290,11 +296,12 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
 
 
 def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
-    """The lines of ``check`` at orders whose alpha is ``alphas``: its
-    templates applied to its zipped columns, a CSV number by ``%.12g`` and a
-    finite JSONL column by ``%r`` (others as json writes them)."""
-    specs = ["%s"] + ["%.12g" if csv else "%r" if all(map(math.isfinite, column)) else "%s"
-                      for column in columns]
+    """The lines of ``check``'s rows, with verdicts ``codes`` and encoded
+    ``alphas``: its templates applied to its zipped columns, a CSV number by
+    ``%.12g`` and a JSONL column by ``%r`` if it holds only finite floats,
+    else each value as json writes it (a bool as ``true``)."""
+    specs = ["%s"] + ["%.12g" if csv else "%r" if set(map(type, column)) == {float}
+                      and all(map(math.isfinite, column)) else "%s" for column in columns]
     values = [alphas] + [column if spec != "%s" else map(_json_value, column)
                          for column, spec in zip(columns, specs[1:])]
     formats, row = {}, None
@@ -379,25 +386,16 @@ def _power_relation(
     return _relation(name, direction, params, c2s, mu)
 
 
-def check_monogamy_sq(
-    state: State | GWBlocks,
-    partition: Partition,
-    s: int,
-    order: OrderLike,
-) -> InequalityReport:
+def check_monogamy_sq(state: State | GWBlocks, partition: Partition, s: int,
+                      order: OrderLike) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
     t, partition = _block_weights(state, partition)
     return _power_relation("monogamy_sq", "ge", _pair_table(t, s), partition, s, 2.0).at(order)
 
 
-def check_monogamy_power(
-    state: State | GWBlocks,
-    partition: Partition,
-    s: int,
-    order: OrderLike,
-    mu: float,
-) -> InequalityReport:
+def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, order: OrderLike,
+                         mu: float) -> InequalityReport:
     """mu-th power monogamy for finite mu >= 2."""
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 2.0):
@@ -406,24 +404,15 @@ def check_monogamy_power(
     return _power_relation("monogamy_power", "ge", _pair_table(t, s), partition, s, mu).at(order)
 
 
-def check_polygamy(
-    state: State | GWBlocks,
-    partition: Partition,
-    s: int,
-    order: OrderLike,
-) -> InequalityReport:
+def check_polygamy(state: State | GWBlocks, partition: Partition, s: int,
+                   order: OrderLike) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
     t, partition = _block_weights(state, partition)
     return _power_relation("polygamy", "le", _pair_table(t, s), partition, s, 1.0).at(order)
 
 
-def check_polygamy_power(
-    state: State | GWBlocks,
-    partition: Partition,
-    s: int,
-    order: OrderLike,
-    mu: float,
-) -> InequalityReport:
+def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, order: OrderLike,
+                         mu: float) -> InequalityReport:
     """mu-th power polygamy for 0 < mu <= 1."""
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
@@ -605,13 +594,9 @@ def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityRepo
     return check.at(order if measure_kind == "renyi" else 1.0)  # the others take none
 
 
-def check_tighter_three(
-    state: State | GWBlocks,
-    partition: Partition,
-    params: TighterParams,
-    measure_kind: str = "concurrence",
-    order: Optional[OrderLike] = None,
-) -> InequalityReport:
+def check_tighter_three(state: State | GWBlocks, partition: Partition, params: TighterParams,
+                        measure_kind: str = "concurrence",
+                        order: Optional[OrderLike] = None) -> InequalityReport:
     """Tightened three-block bound: when the P1P3 term dominates k times the
     P1P2 term (in c_pow powers), the one-to-rest value dominates
     M(P1P2)^b + h * M(P1P3)^b.
@@ -626,14 +611,9 @@ def check_tighter_three(
     return _tighter_report(check, measure_kind, order)
 
 
-def check_tighter_multi(
-    state: State | GWBlocks,
-    partition: Partition,
-    split_index: int,
-    params: TighterParams,
-    measure_kind: str = "concurrence",
-    order: Optional[OrderLike] = None,
-) -> InequalityReport:
+def check_tighter_multi(state: State | GWBlocks, partition: Partition, split_index: int,
+                        params: TighterParams, measure_kind: str = "concurrence",
+                        order: Optional[OrderLike] = None) -> InequalityReport:
     """Tightened multi-block bound with geometric h weights.
 
     Blocks are numbered 1..m with P1 distinguished.  The first condition
@@ -714,6 +694,16 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
         if k >= 4:
             checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
     return checks
+
+
+def _oracle_checks(pair_trials: int, trials: int, seed: int) -> tuple[Prepared, Prepared]:
+    """The oracle's checks, one row per block pair and one per order; ``roof``
+    evaluates their columns and codes from its runs (``oracle_reports``)."""
+    added, none = ("closed_form", "roof_min", "roof_max", "converged"), np.empty(0)
+    return (Prepared("c_equals_ca", None, {"trials": pair_trials, "seed": seed}, none, None,
+                     added=(*added, "pair")),
+            Prepared("e_alpha_formula", _MONOGAMY, {"trials": trials, "seed": seed}, none, None,
+                     added=(*added, "max_side_checked")))
 
 
 def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> list[Prepared]:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Optional, Sequence
+from itertools import chain, groupby
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .inequalities import Applicability, InequalityReport
+from .inequalities import _FAILED, _HELD, _OUT, _UNMET, InequalityReport, _column, _json_value
+from .inequalities import _oracle_checks, _reports
 from .measures import OrderLike, _as_order, _canonical_pair, _f_alpha_array, _lam_lo, f_alpha
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
@@ -49,6 +50,7 @@ __all__ = [
     "RoofEstimate",
     "AGREEMENT_TOL",
     "convex_roof_bounds",
+    "oracle_lines",
     "oracle_reports",
     "verify_c_equals_ca",
     "verify_e_alpha_formula",
@@ -239,7 +241,7 @@ class _Group:
 
 def _check_run(trials: int, seed: int) -> None:
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
@@ -276,13 +278,8 @@ def _roof_estimates(targets, seed: int) -> list[RoofEstimate]:
     return found
 
 
-def convex_roof_bounds(
-    rho: DensityOperator,
-    measure_kind: str,
-    trials: int = 20000,
-    seed: int = 0,
-    order: Optional[OrderLike] = None,
-) -> RoofEstimate:
+def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20000, seed: int = 0,
+                       order: Optional[OrderLike] = None) -> RoofEstimate:
     """Estimate min and max decomposition averages of a pure-state measure
     on a two-qubit state.
 
@@ -306,51 +303,8 @@ def convex_roof_bounds(
     return _roof_estimates([target], seed)[0]
 
 
-def _compare(concurrence, pure, order, estimate) -> InequalityReport:
-    """Compare a roof estimate's min and max with the closed form: the
-    concurrence C (``c_equals_ca``), or f_alpha(C^2) when an order is given
-    (``e_alpha_formula``).  The max side is compared for the concurrence, and
-    for the Renyi form only inside the concavity window or on a pure pair.
-    A concurrence run has converged when its min and max agree within
-    ``PLATEAU_TOL``, a Renyi run on a plateau; a non-converged run is
-    reported as CONDITION_UNMET (with the numbers attached)."""
-    name = "c_equals_ca" if order is None else "e_alpha_formula"
-    closed = concurrence if order is None else f_alpha(concurrence**2, order)
-    max_side = order is None or order.supports_polygamy or pure
-    low, high = estimate.min_estimate, estimate.max_estimate
-    converged = estimate.converged if order is not None else high - low <= PLATEAU_TOL
-    deviations = [abs(low - closed)] + ([abs(high - closed), abs(low - high)] if max_side else [])
-    params: dict = {"trials": estimate.trials, "seed": estimate.seed}
-    if order is not None:
-        params.update(alpha=order.alpha, max_side_checked=max_side)
-    params.update(closed_form=closed, roof_min=low, roof_max=high, converged=converged)
-    if not converged:
-        return InequalityReport(name, None, None, None, True, Applicability.CONDITION_UNMET, params)
-    lhs = float(max(deviations))
-    return InequalityReport(name, lhs, AGREEMENT_TOL, AGREEMENT_TOL - lhs, lhs <= AGREEMENT_TOL,
-                            Applicability.APPLICABLE, params)
-
-
-def oracle_reports(
-    state: State | GWBlocks,
-    partition: Partition,
-    orders: Sequence[OrderLike] = (),
-    trials: int = 20000,
-    seed: int = 0,
-) -> list[InequalityReport]:
-    """One ``c_equals_ca`` report per pair of the partition's blocks, pairs
-    (0, 1), (0, 2), ..., (1, 2), ..., then one ``e_alpha_formula`` report per
-    order on blocks 0 and 1.
-
-    The state (a pure GWBlocks or GW-tagged dense pure state) becomes block
-    weights.  The orders, the block count (two or more), the target count
-    (at most ``MAX_ORACLE_TARGETS`` pairs plus orders) and the purity are
-    checked first; one ``block_sums`` then gives every block's weight.  One
-    ``_pair_rows`` call gives the rows of every distinct ordered weight pair,
-    each pair's C is taken once, and each distinct target gets one roof run.
-    A concurrence run takes min(trials, ``GENERATION``) trials, which its
-    line records; a Renyi run every trial, and an order outside the
-    convexity threshold is OUT_OF_WINDOW with no roof."""
+def _oracle_tables(state, partition: Partition, orders, trials: int, seed: int) -> list:
+    """Each ``_oracle_checks`` check, its codes, columns and rows' alphas."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
     orders = [_as_order(order) for order in orders]
@@ -364,28 +318,73 @@ def oracle_reports(
         raise ValueError("the oracle needs a pure state")
     t = partition.block_sums(state.weights)
     a, b = np.triu_indices(k, 1)
-    weights, pair_of = np.unique(np.stack((t[a], t[b]), axis=1), axis=0, return_inverse=True)
-    t_a, t_b = weights.T
+    distinct: dict = {}  # each distinct ordered weight pair, in order of first appearance
+    pair_of = np.array([distinct.setdefault(w, len(distinct))
+                        for w in zip(t[a].tolist(), t[b].tolist())])
+    t_a, t_b = np.array(list(distinct)).T
     rows, pure = _pair_rows(state.vacuum_weight, t_a, t_b)
-    concurrences = (2.0 * np.sqrt(t_a * t_b)).tolist()
-    pair_of, pure = pair_of.reshape(-1).tolist(), pure.tolist()
-    first = pair_of[0]
+    concurrences = 2.0 * np.sqrt(t_a * t_b)
+    first, size = pair_of[0], len(pair_of)
     windowed = {order.alpha: order for order in orders if order.supports_monogamy}
     estimates = _roof_estimates([(r, None, min(trials, GENERATION)) for r in rows] + [
         (rows[first], order, trials) for order in windowed.values()], seed)
-    found = dict(zip(windowed, estimates[len(rows) :]))
-    blocks, reports = partition.sorted_blocks, []
-    for p, i, j in zip(pair_of, a.tolist(), b.tolist()):
-        reports.append(_compare(concurrences[p], pure[p], None, estimates[p]))
-        reports[-1].params["pair"] = [blocks[i], blocks[j]]
-    for order in orders:
-        if order.alpha in found:
-            reports.append(_compare(concurrences[first], pure[first], order, found[order.alpha]))
-        else:
-            params = {"trials": trials, "seed": int(seed), "alpha": order.alpha}
-            reports.append(InequalityReport("e_alpha_formula", None, None, None, True,
-                                            Applicability.OUT_OF_WINDOW, params))
-    return reports
+    # one row per pair, then one per order: the index of its run, or -1, a
+    # last run of NaNs, outside the window
+    found = {alpha: len(rows) + i for i, alpha in enumerate(windowed)}
+    run = np.concatenate([pair_of, [found.get(order.alpha, -1) for order in orders]]).astype(int)
+    low, high, plateau = np.array([(e.min_estimate, e.max_estimate, e.converged)
+                                   for e in estimates] + [(math.nan, math.nan, 0.0)]).T
+    plateau[: len(rows)] = high[: len(rows)] - low[: len(rows)] <= PLATEAU_TOL
+    low, high, converged = low[run], high[run], plateau[run] == 1.0
+    closed = np.concatenate([concurrences[pair_of], [f_alpha(
+        float(concurrences[first]) ** 2, o) if o.alpha in found else math.nan for o in orders]])
+    max_side = np.array([True] * size + [o.supports_polygamy or pure[first] for o in orders])
+    deviation = np.abs(low - closed)
+    deviation = np.where(max_side, np.maximum(
+        np.maximum(deviation, np.abs(high - closed)), np.abs(low - high)), deviation)
+    verdicts = np.where(converged, np.where(deviation <= AGREEMENT_TOL, _HELD, _FAILED), _UNMET)
+    columns = [np.where(run >= 0, verdicts, _OUT), deviation, np.full(len(run), AGREEMENT_TOL),
+               AGREEMENT_TOL - deviation, closed, low, high, converged, max_side]
+    (pair_codes, *pairs), (order_codes, *renyi) = zip(*[(c[:size], c[size:])
+                                                        for c in map(np.ndarray.tolist, columns)])
+    blocks = partition.sorted_blocks
+    pairs[-1] = [[blocks[i], blocks[j]] for i, j in zip(a.tolist(), b.tolist())]
+    checks = _oracle_checks(min(trials, GENERATION), trials, int(seed))
+    return [(checks[0], pair_codes, pairs, [None] * size),
+            (checks[1], order_codes, renyi, [order.alpha for order in orders])]
+
+
+def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequence[OrderLike] = (),
+                   trials: int = 20000, seed: int = 0) -> list[InequalityReport]:
+    """One ``c_equals_ca`` report per pair of the partition's blocks, pairs
+    (0, 1), (0, 2), ..., (1, 2), ..., then one ``e_alpha_formula`` report per
+    order on blocks 0 and 1.
+
+    The state (a pure GWBlocks or GW-tagged dense pure state) becomes block
+    weights.  The orders, the block count (two or more), the target count
+    (at most ``MAX_ORACLE_TARGETS`` pairs plus orders) and the purity are
+    checked first; one ``block_sums`` then gives every block's weight.  One
+    ``_pair_rows`` call gives the rows of every distinct ordered weight pair,
+    and each distinct target one roof run: a concurrence run min(trials,
+    ``GENERATION``) trials, a Renyi run every trial, and none an order outside
+    the convexity threshold (OUT_OF_WINDOW).  All reports are judged at once,
+    as columns: the roof's min against C or f_alpha(C^2), and its max too
+    for C, and for f_alpha(C^2) in the concavity window or on a pure pair.
+    A run that has not converged (a concurrence run's min and max differ by
+    more than ``PLATEAU_TOL``, a Renyi run is off its plateau) is
+    CONDITION_UNMET."""
+    tables = _oracle_tables(state, partition, orders, trials, seed)
+    return [report for table in tables for report in _reports(*table)]
+
+
+def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence[OrderLike] = (),
+                 trials: int = 20000, seed: int = 0) -> Iterator[str]:
+    """The JSON line of each report of :func:`oracle_reports`, with the bytes
+    of ``report_to_json_line``, written lazily from the same columns by
+    ``verify``'s writer; every check and roof runs before this returns."""
+    tables = _oracle_tables(state, partition, orders, trials, seed)
+    return chain.from_iterable([_column(check, codes, columns, list(map(_json_value, alphas)),
+                                        False) for check, codes, columns, alphas in tables])
 
 
 def verify_c_equals_ca(
@@ -398,13 +397,8 @@ def verify_c_equals_ca(
     return oracle_reports(state, Partition.of(blocks), (), trials, seed)[0]
 
 
-def verify_e_alpha_formula(
-    state: State | GWBlocks,
-    order: OrderLike,
-    trials: int = 20000,
-    seed: int = 0,
-    blocks=None,
-) -> InequalityReport:
+def verify_e_alpha_formula(state: State | GWBlocks, order: OrderLike, trials: int = 20000,
+                           seed: int = 0, blocks=None) -> InequalityReport:
     """Check the Renyi closed form f_alpha(C^2) against decomposition averages.
 
     The min side needs the convexity threshold; the max side additionally

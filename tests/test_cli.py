@@ -556,6 +556,8 @@ def test_malformed_partition_exit_two(spec_file, tmp_path, capsys, command, part
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and why in err and "Traceback" not in err
+    if why.startswith("invalid literal"):  # a conversion error names its flag
+        assert err == f"error: --partition: {why}\n"
     assert not out.exists()
 
 
@@ -575,25 +577,32 @@ def _refuse_roof(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "command, flags, call, wide",
+    "command, flags, call, wide, named",
     [
-        ("verify", ["--mu", "1.5"], lambda psi, p: prepare_checks(psi, p, 1.5), False),
-        ("verify", ["--mu", "nan"], lambda psi, p: prepare_checks(psi, p, math.nan), False),
-        ("verify", ["--mu", "inf"], lambda psi, p: prepare_checks(psi, p, math.inf), False),
-        ("oracle", ["--trials", "0"], lambda psi, p: oracle_reports(psi, p, trials=0), False),
-        ("oracle", ["--seed", "-1"], lambda psi, p: oracle_reports(psi, p, seed=-1), False),
-        ("oracle", ["--alpha=-1"], lambda psi, p: oracle_reports(psi, p, [-1.0]), False),
+        ("verify", ["--mu", "1.5"], lambda psi, p: prepare_checks(psi, p, 1.5), False, "got 1.5"),
+        ("verify", ["--mu", "nan"], lambda psi, p: prepare_checks(psi, p, math.nan), False,
+         "got nan"),
+        ("verify", ["--mu", "inf"], lambda psi, p: prepare_checks(psi, p, math.inf), False,
+         "got inf"),
+        ("oracle", ["--trials", "0"], lambda psi, p: oracle_reports(psi, p, trials=0), False,
+         "got 0"),
+        ("oracle", ["--seed", "-1"], lambda psi, p: oracle_reports(psi, p, seed=-1), False,
+         "got -1"),
+        ("oracle", ["--alpha=-1"], lambda psi, p: oracle_reports(psi, p, [-1.0]), False,
+         "got -1.0"),
         ("verify", ["--alpha", "1.2:1.2:1"],
          lambda psi, p: list(map(report_to_json_line, at_orders([1.2], prepare_checks(psi, p)))),
-         True),
+         True, "param 'd'"),
     ],
     ids=["mu-1.5", "mu-nan", "mu-inf", "trials-zero", "seed-negative", "order-negative",
          "block-0-past-digit-limit"],
 )
-def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, flags, call, wide):
+def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, flags, call, wide,
+                                      named):
     # each rule is checked once, by the library code that uses the value:
-    # the CLI prints the library's message, exits 2, runs no roof and writes
-    # no file; a wide spec's block 0 is one qubit past the digit limit
+    # the CLI prints the library's message, which names the value it
+    # refuses, exits 2, runs no roof and writes no file; a wide spec's
+    # block 0 is one qubit past the digit limit
     if wide:
         m = math.ceil(sys.get_int_max_str_digits() / math.log10(2))
         spec = GWSpec.qubit(np.full(m + 1, 1.0 / math.sqrt(m + 1)))
@@ -606,6 +615,7 @@ def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, fl
     monkeypatch.delenv("GWLAB_SEED", raising=False)
     with pytest.raises(ValueError) as refused:
         call(GWBlocks.of(spec), partition)
+    assert named in str(refused.value)
     out = tmp_path / "r.jsonl"
     argv = [command, "--spec", gw_spec_to_json(spec), "--out", str(out), *flags,
             "--partition", "|".join(",".join(map(str, b)) for b in partition.sorted_blocks)]
@@ -620,7 +630,7 @@ def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, fl
         (["verify", "--partition", ""], "empty block in partition ''"),
         (["oracle", "--partition", ""], "empty block in partition ''"),
         (["verify", "--alpha", ""], "grid must be start:stop:step, got ''"),
-        (["oracle", "--alpha", ""], "could not convert string to float: ''"),
+        (["oracle", "--alpha", ""], "--alpha: could not convert string to float: ''"),
         (["gamebounds", "--n", ""], "--n needs at least one integer, got ''"),
         (["gamebounds", "--d", ""], "--d needs at least one integer, got ''"),
         (["gamebounds", "--n", ","], "--n needs at least one integer, got ','"),
@@ -636,6 +646,42 @@ def test_empty_flag_value_exit_two(spec_file, tmp_path, capsys, argv, why):
     assert main([*argv, *spec, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {why}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["oracle", "--alpha", "0.9,abc"], "--alpha: could not convert string to float: 'abc'"),
+        (["verify", "--alpha", "1:2:x"], "--alpha: could not convert string to float: 'x'"),
+        (["gamebounds", "--n", "1,x"], "--n: invalid literal for int() with base 10: 'x'"),
+        (["gamebounds", "--d", "2,y"], "--d: invalid literal for int() with base 10: 'y'"),
+    ],
+    ids=["oracle-alpha", "verify-alpha", "gamebounds-n", "gamebounds-d"],
+)
+def test_conversion_errors_name_their_flag(spec_file, tmp_path, capsys, argv, why):
+    # a value that is not a number used to print Python's conversion error
+    # alone, with no word of which flag held it
+    out = tmp_path / "r.out"
+    spec = [] if argv[0] == "gamebounds" else ["--spec", spec_file]
+    assert main([*argv, *spec, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_internal_fault_exits_three(spec_file, tmp_path, monkeypatch, capsys, command):
+    # a fault of the program prints its traceback and exits 3: it used to
+    # leave main as an exception, which the interpreter turns into exit 1,
+    # the code of a violation
+    def fault(*args, **kwargs):
+        raise RuntimeError("an internal fault")
+
+    monkeypatch.setattr(gwlab.cli, "_write_lines", fault)
+    trials = ["--trials", "10"] if command == "oracle" else []
+    assert main([command, "--spec", spec_file, *trials]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" in err
+    assert err.rstrip().endswith("RuntimeError: an internal fault")
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -716,7 +762,7 @@ def test_oracle_reports_and_determinism(spec_file, tmp_path):
 
 
 def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
-    # one oracle_reports call gets the state's block weights and every
+    # one oracle_lines call gets the state's block weights and every
     # target; it builds each block pair itself, and no dense state is built
     args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3"]
     args += ["--trials", "300", "--seed", "7", "--alpha", "0.9,1.1"]
@@ -727,14 +773,14 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
         raise AssertionError("a dense state was built")
 
     calls = []
-    real = gwlab.cli.oracle_reports
+    real = gwlab.cli.oracle_lines
 
     def spy(state, partition, orders, **kwargs):
         calls.append((state, partition, orders))
         return real(state, partition, orders, **kwargs)
 
     monkeypatch.setattr(gwlab.tensor.PureState, "__post_init__", refuse)
-    monkeypatch.setattr(gwlab.cli, "oracle_reports", spy)
+    monkeypatch.setattr(gwlab.cli, "oracle_lines", spy)
     assert main(args + ["--out", str(b)]) == 0
     assert b.read_bytes() == a.read_bytes()
     assert len(b.read_text().splitlines()) == 5
@@ -1011,11 +1057,11 @@ _ROOF = [(gwlab.roof, "_pair_rows"), (gwlab.roof, "_roof_estimates")]
 @pytest.mark.parametrize(
     "extra, env_seed, message, spied",
     [
-        (["--trials", "0"], None, "trials must be >= 1", _ROOF),
+        (["--trials", "0"], None, "trials must be >= 1, got 0", _ROOF),
         (["--seed", "-1"], None, "seed must be non-negative", _ROOF),
         ([], "seven", "GWLAB_SEED must be a non-negative integer",
-         [(gwlab.cli, "oracle_reports")]),
-        ([], "-3", "GWLAB_SEED must be a non-negative integer", [(gwlab.cli, "oracle_reports")]),
+         [(gwlab.cli, "oracle_lines")]),
+        ([], "-3", "GWLAB_SEED must be a non-negative integer", [(gwlab.cli, "oracle_lines")]),
     ],
     ids=["trials-zero", "seed-negative", "env-seed-not-int", "env-seed-negative"],
 )

@@ -12,7 +12,8 @@ none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps
 its name, applicability tag, verdict and params keys, and every number
 agrees within 1e-12.  The CSV streams are pinned byte for byte, as the
-project's "same behaviour" asks of CSV output.  The README one runs the
+project's "same behaviour" asks of CSV output, and so are the oracle
+streams, whose lines come from the writer that prints verify's.  The README one runs the
 default order grid; the mixture one runs the mixture stream's arguments in
 CSV and was recorded before the mixture suite's lines came from the grid's
 writer.  A deliberate output change re-records a stream by running the
@@ -32,11 +33,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_doc
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
-from gwlab.cli import _build_parser, _verify_checks, main
+from gwlab.cli import _build_parser, _verify_checks, main, parse_partition
 from gwlab.inequalities import (
     CLOSED_FORM_TOL, Prepared, _csv_num, _grid_lines, _json_value, _mixture_checks, at_orders,
 )
 from gwlab.measures import _as_order
+from gwlab.roof import oracle_reports
+from gwlab.states import GWBlocks, gw_spec_from_json
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -122,6 +125,51 @@ def test_verify_mixture_csv_stream_bytes_unchanged(tmp_path, capsys):
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
 def test_oracle_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
+    # and byte for byte: the oracle's lines come from verify's writer
+    assert (tmp_path / stream).read_bytes() == (DATA / stream).read_bytes()
+
+
+#: The spec and blocks of an oracle job whose Renyi line at order 0.9 is
+#: applicable and unsatisfied: the maximizing decompositions exceed the
+#: closed form on the mixed pair (README, "The assisted side").
+FAILING_ORACLE_SPEC = (
+    '{"amplitudes": [[0.1505909296969551, -0.021217807112788534], '
+    '[-0.03841691343668695, 0.6519171389849093], [-0.3440927652106678, 0.2707318439212349], '
+    '[0.18389939818599607, 0.23898025254001726], [0.3007156507569763, -0.42112272138094214]], '
+    '"d": 2, "n": 5, "vacuum_weight": 0.2}'
+)
+
+
+@pytest.mark.parametrize(
+    "spec, partition, orders, trials, seed, tags",
+    [
+        # pairs applicable, 0.5 out of the window, 0.9 applicable and
+        # unsatisfied, 1.2 short of a plateau
+        (FAILING_ORACLE_SPEC, "1,3|2|0|4", [0.5, 0.9, 1.2], 1000, 995147860,
+         {("c_equals_ca", "APPLICABLE", True), ("e_alpha_formula", "OUT_OF_WINDOW", True),
+          ("e_alpha_formula", "APPLICABLE", False), ("e_alpha_formula", "CONDITION_UNMET", True)}),
+        # a pure pair (two blocks cover a vacuum-free state) whose Renyi runs
+        # are too short to converge
+        (README_SPEC, "0|1,2,3", [0.9, 1.5], 10, 3,
+         {("c_equals_ca", "APPLICABLE", True), ("e_alpha_formula", "CONDITION_UNMET", True)}),
+    ],
+    ids=["failing-and-out-of-window", "pure-pair-unconverged"],
+)
+def test_oracle_lines_are_the_reports_lines(tmp_path, spec, partition, orders, trials, seed,
+                                            tags):
+    # every line gwlab oracle writes is report_to_json_line of the matching
+    # report of oracle_reports, though no report is built to write it
+    out = tmp_path / "o.jsonl"
+    argv = ["oracle", "--spec", spec, "--partition", partition, "--trials", str(trials),
+            "--seed", str(seed), "--alpha", ",".join(map(str, orders)), "--out", str(out)]
+    assert main(argv) == 0
+    spec = gw_spec_from_json(spec)
+    reports = oracle_reports(GWBlocks.of(spec), parse_partition(partition, spec.n), orders,
+                             trials=trials, seed=seed)
+    assert out.read_text().splitlines() == [report_to_json_line(r) for r in reports]
+    assert {(r.name, r.applicability.value, r.satisfied) for r in reports} == tags
+    if partition == "0|1,2,3":
+        assert all(r.params["max_side_checked"] for r in reports[1:])
 
 
 #: SHA-256 of the CSV stream of ``verify`` on 5 * 10^4 singleton qubits of

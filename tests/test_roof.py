@@ -171,7 +171,7 @@ def test_roof_rejects_qutrit_pair():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"measure_kind": "concurrence", "trials": 0}, "trials must be >= 1"),
+        ({"measure_kind": "concurrence", "trials": 0}, "trials must be >= 1, got 0"),
         ({"measure_kind": "concurrence", "seed": -1}, "seed must be non-negative"),
         ({"measure_kind": "negativity"}, "measure_kind must be one of"),
         ({"measure_kind": "renyi_ent"}, "renyi_ent needs a Renyi order"),
@@ -195,7 +195,7 @@ def test_roof_checks_arguments_before_linear_algebra(monkeypatch, kwargs, messag
 @pytest.mark.parametrize(
     "parties, orders, trials, message",
     [
-        (None, [1.1], 0, "trials must be >= 1"),
+        (None, [1.1], 0, "trials must be >= 1, got 0"),
         (None, [1.1, -2.0], 10, "order must be positive"),
         # about 2e6 singleton pairs: the budget is checked before any is built
         (2000, [], 10, "MAX_ORACLE_TARGETS = 100000 oracle targets"),

@@ -298,12 +298,13 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
 def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
     """The lines of ``check``'s rows, with verdicts ``codes`` and encoded
     ``alphas``: its templates applied to its zipped columns, a CSV number by
-    ``%.12g`` and a JSONL column by ``%r`` if it holds only finite floats,
-    else each value as json writes it (a bool as ``true``)."""
+    ``%.12g`` and a JSONL column by ``%r`` if it holds only finite floats, as
+    it is if it holds only str (JSON text already), else each value as json
+    writes it (a bool as ``true``)."""
     specs = ["%s"] + ["%.12g" if csv else "%r" if set(map(type, column)) == {float}
                       and all(map(math.isfinite, column)) else "%s" for column in columns]
-    values = [alphas] + [column if spec != "%s" else map(_json_value, column)
-                         for column, spec in zip(columns, specs[1:])]
+    values = [alphas] + [column if spec != "%s" or set(map(type, column)) == {str}
+                         else map(_json_value, column) for column, spec in zip(columns, specs[1:])]
     formats, row = {}, None
     for code in sorted(set(codes)):  # the first code's line sets the row
         formats[code], row = _line_format(check, code, csv, specs, row)

@@ -14,14 +14,14 @@ Trials run in generations of ``GENERATION`` candidates averaged as one
 batch.  Generation g draws all its randomness from the (seed, g) pair in
 fixed shapes, and refinement uses only incumbents of earlier generations,
 so runs are reproducible and a longer run extends a shorter one.  The runs
-of one call share their seed and advance in lockstep, each for its own
-trial count.  The runs of one call have one row count, so one isometry
-shape: draws are made per chunk of ``DRAW_CHUNK`` generations, with one QR
-over the chunk, and the runs of a measure and trial count step as stacks of
-at most ``GROUP_RUNS`` runs.  Every family pair has the same two rows, so
-the oracle draws one shape.  On it every decomposition averages its
-concurrence to C exactly (sum_k p_k C_k = C), so the oracle runs each
-concurrence target for one generation only.
+of one call share their seed and row count (every family pair has the same
+two rows), so one isometry shape, drawn per chunk of ``DRAW_CHUNK``
+generations with one QR over the chunk.  Runs of a measure and trial count
+advance in lockstep as stacks of at most ``GROUP_RUNS``, one step per
+generation: both incumbent sides in one array, one Renyi kernel call per
+band of orders, no per-run copy of the Haar draws when no run refines.  As
+sum_k p_k C_k = C on every decomposition, the oracle runs each concurrence
+target for one generation only.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .inequalities import _FAILED, _HELD, _OUT, _UNMET, InequalityReport, _column, _json_value
 from .inequalities import _oracle_checks, _reports
-from .measures import OrderLike, _as_order, _canonical_pair, _f_alpha_array, _lam_lo, f_alpha
+from .measures import OrderLike, _as_order, _band, _canonical_pair, _lam_lo, _renyi_of, f_alpha
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
@@ -175,10 +175,9 @@ def _pair_rows(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
 
 class _Group:
     """Up to ``GROUP_RUNS`` roof runs of one measure and one trial count as
-    one stack: their rows, incumbent minimizing and maximizing isometries
-    with their values, and the last trial that improved either by more than
-    ``PLATEAU_TOL``.  ``parts``, each order
-    with the mask of its runs, is empty for concurrence runs."""
+    one stack: rows, incumbent minimizing and maximizing isometries (runs, 2,
+    m, r) with values (min, -max), the last trial that improved either by more
+    than ``PLATEAU_TOL``, and ``bands``: each kernel band's runs and orders."""
 
     def __init__(self, runs: list):
         self.targets = [i for i, _, _, _ in runs]
@@ -186,57 +185,57 @@ class _Group:
         self.ensembles = np.array([e for _, e, _, _ in runs], dtype=complex)
         size, r = self.ensembles.shape[:2]
         self.shape = (r + 2, r)
-        self.best_min, self.best_max = np.full(size, math.inf), np.full(size, -math.inf)
-        self.iso_min = np.full((size, r + 2, r), np.nan, complex)
-        self.iso_max = self.iso_min.copy()
+        self.best = np.full((size, 2), math.inf)
+        self.iso = np.full((size, 2, r + 2, r), np.nan, complex)
         self.last_improve = np.zeros(size, dtype=int)
-        alphas = [order.alpha for _, _, order, _ in runs if order is not None]
-        self.parts = [(alpha, np.array(alphas) == alpha) for alpha in dict.fromkeys(alphas)]
+        alphas = np.array([order.alpha for _, _, order, _ in runs if order is not None])
+        bands = np.array([_band(alpha) for alpha in alphas.tolist()])
+        self.bands = [(band, slice(None) if (bands == band).all() else bands == band,
+                       alphas[bands == band][:, None, None]) for band in set(bands.tolist())]
 
     def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
         """Evaluate trials t: the Haar draws, with the refining rows of
-        ``moves`` rotating the incumbents instead."""
-        runs = np.arange(len(self.targets))
+        ``moves`` rotating the incumbents instead.  Both sides are minima, the
+        maximizer's of negated values (exact: the same tests and first indices)."""
+        size = len(self.targets)
         refine, even, row_k, row_l, c, s_phase, s_conj = moves
-        bases = np.where(even[:, None, None], self.iso_min[:, None], self.iso_max[:, None])
-        # a unitary mix of rows k and l keeps the columns orthonormal
-        j = np.arange(refine.size)
-        a, b = bases[:, j, row_k], bases[:, j, row_l]
-        bases[:, j, row_k] = c * a - s_phase * b
-        bases[:, j, row_l] = s_conj * a + c * b
-        candidates = np.broadcast_to(haar, (runs.size, *haar.shape)).copy()
-        candidates[:, refine] = bases
+        if refine.size:  # runs read their own incumbents: one copy per run
+            candidates = np.empty((size, *haar.shape), complex)
+            candidates[:] = haar
+            candidates[:, refine] = self.iso[:, (~even).view(np.int8)]  # even: the minimizer
+            # a unitary mix of rows k and l keeps the columns orthonormal
+            a, b = candidates[:, refine, row_k], candidates[:, refine, row_l]
+            candidates[:, refine, row_k], candidates[:, refine, row_l] = (
+                c * a - s_phase * b, s_conj * a + c * b)
+        else:
+            candidates = np.broadcast_to(haar, (size, *haar.shape))
         m, r = self.shape
         # per run, one 2-D product over every component row of the generation
-        rows = (candidates.reshape(runs.size, -1, r) @ self.ensembles).reshape(
-            runs.size, -1, m, 4)
+        rows = (candidates.reshape(size, -1, r) @ self.ensembles).reshape(size, -1, m, 4)
         # a pure two-qubit component has concurrence (and negativity, so this
         # is the CREN roof too) 2|det| of its amplitudes, Renyi value f_alpha(C^2)
         dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
-        if not self.parts:
+        if not self.bands:
             values = 2.0 * dets.sum(axis=-1)
         else:
             mixed = rows.reshape(-1, m, 4)
             weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
             live = weights > 1e-14
-            c2 = np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2)
-            for alpha, part in self.parts:
-                c2[part] = _f_alpha_array(c2[part], alpha)
-            values = np.where(live, weights * c2, 0.0).sum(axis=-1)
-        # the best values before each trial, this generation's earlier ones too
-        low, high = (np.concatenate((best[:, None], values[:, :-1]), axis=1)
-                     for best in (self.best_min, self.best_max))
-        improved = (values < np.minimum.accumulate(low, axis=1) - PLATEAU_TOL) | (
-            values > np.maximum.accumulate(high, axis=1) + PLATEAU_TOL)
-        last = t[::-1][np.argmax(improved[:, ::-1], axis=1)]
-        self.last_improve = np.where(improved.any(axis=1), last, self.last_improve)
-        for best, iso, pick, beats in (
-            (self.best_min, self.iso_min, values.argmin(axis=1), np.less),
-            (self.best_max, self.iso_max, values.argmax(axis=1), np.greater),
-        ):
-            better = beats(values[runs, pick], best)
-            best[better] = values[runs, pick][better]
-            iso[better] = candidates[runs[better], pick[better]]
+            lo = _lam_lo(np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2))
+            f = np.empty_like(lo)
+            for band, runs, alphas in self.bands:
+                f[runs] = _renyi_of(lo[runs])(alphas, band)
+            values = np.where(live, weights * f, 0.0).sum(axis=-1)
+        # each side's best before each trial, this generation's earlier ones too
+        seq = np.empty((size, 2, values.shape[1] + 1))
+        seq[:, :, 0], seq[:, 0, 1:], seq[:, 1, 1:] = self.best, values, -values
+        prior = np.minimum.accumulate(seq, axis=2)
+        improved = seq[..., 1:] < prior[..., :-1] - PLATEAU_TOL
+        # trials only grow: the last improving one is the largest seen
+        self.last_improve = np.maximum(self.last_improve, (improved * t).max(axis=(1, 2)))
+        run, side = np.nonzero(prior[:, :, -1] < self.best)
+        self.best[run, side] = prior[run, side, -1]
+        self.iso[run, side] = candidates[run, seq[run, side, 1:].argmin(axis=1)]
 
 
 def _check_run(trials: int, seed: int) -> None:
@@ -272,8 +271,8 @@ def _roof_estimates(targets, seed: int) -> list[RoofEstimate]:
     for group in groups:
         # converged: no improvement in the last quarter of enough trials
         limit, plateau = math.floor(0.75 * group.trials), group.trials >= MIN_PLATEAU_TRIALS
-        for i, low, high, last in zip(group.targets, group.best_min.tolist(),
-                                      group.best_max.tolist(), group.last_improve.tolist()):
+        for i, (low, high), last in zip(group.targets, (group.best * [1, -1]).tolist(),
+                                        group.last_improve.tolist()):
             found[i] = RoofEstimate(low, high, group.trials, int(seed), plateau and last < limit)
     return found
 
@@ -347,8 +346,7 @@ def _oracle_tables(state, partition: Partition, orders, trials: int, seed: int) 
                AGREEMENT_TOL - deviation, closed, low, high, converged, max_side]
     (pair_codes, *pairs), (order_codes, *renyi) = zip(*[(c[:size], c[size:])
                                                         for c in map(np.ndarray.tolist, columns)])
-    blocks = partition.sorted_blocks
-    pairs[-1] = [[blocks[i], blocks[j]] for i, j in zip(a.tolist(), b.tolist())]
+    pairs[-1] = list(map(list, combinations(partition.sorted_blocks, 2)))  # a, b's order
     checks = _oracle_checks(min(trials, GENERATION), trials, int(seed))
     return [(checks[0], pair_codes, pairs, [None] * size),
             (checks[1], order_codes, renyi, [order.alpha for order in orders])]
@@ -383,6 +381,8 @@ def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence
     of ``report_to_json_line``, written lazily from the same columns by
     ``verify``'s writer; every check and roof runs before this returns."""
     tables = _oracle_tables(state, partition, orders, trials, seed)
+    blocks = map(_json_value, partition.sorted_blocks)  # each block's JSON text once
+    tables[0][2][-1] = [f"[{x}, {y}]" for x, y in combinations(blocks, 2)]  # the pair column
     return chain.from_iterable([_column(check, codes, columns, list(map(_json_value, alphas)),
                                         False) for check, codes, columns, alphas in tables])
 

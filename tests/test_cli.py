@@ -835,17 +835,59 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
     assert json.loads(lines[4])["applicability"] == "OUT_OF_WINDOW"
 
 
-def test_oracle_stack_of_mixed_measures_equals_solo_runs(tmp_path):
-    # every pair is mixed and entangled, so one (4, 2) stack holds the three
-    # concurrence runs and one order in each f_alpha branch: the von Neumann
-    # band, the expm1 band and the plain power sum
+def test_oracle_stack_of_mixed_measures_equals_solo_runs(tmp_path, monkeypatch):
+    # every pair is mixed and entangled, so all runs draw the shape (4, 2):
+    # one stack of the three concurrence runs, and one Renyi stack of an
+    # order in each f_alpha branch (the von Neumann band, the expm1 band and
+    # the plain power sum); 0.5, outside the window, runs in none.  The trial
+    # counts fall on both sides of a generation (64 trials) and of a draw
+    # chunk (16 generations)
     spec = GWSpec.qubit(np.array([0.6, 0.48, 0.64, 0.0]))
-    orders = (1.0000005, 1.0005, 1.1)
-    lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", orders, 300, 5)
+    orders = (1.0000005, 1.0005, 1.1, 0.5)
     a, b, c = {0}, {1}, {2, 3}
     targets = [((a, b), None), ((a, c), None), ((b, c), None)]
     targets += [((a, b), order) for order in orders]
-    assert lines == [_solo_line(psi, pair, order, 300, 5) for pair, order in targets]
+    bands, real = [], gwlab.roof._Group.__init__
+
+    def record(self, runs):
+        real(self, runs)
+        bands.append(sorted(band for band, _, _ in self.bands))
+
+    for trials in (1, 63, 65, 300, 1025):
+        bands.clear()
+        monkeypatch.setattr(gwlab.roof._Group, "__init__", record)
+        lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", orders, trials, 5)
+        monkeypatch.undo()
+        assert bands == [[], [0, 1, 2]], trials
+        assert lines == [_solo_line(psi, pair, order, trials, 5) for pair, order in targets], trials
+
+
+@pytest.mark.parametrize("orders", [(1.1,), (1.0000005, 1.0005, 0.9, 1.1, 1.2, 2.0, 5.0)],
+                         ids=["one-order", "seven-orders"])
+@pytest.mark.parametrize("trials, steps, chunks", [(1, 2, 1), (1000, 17, 1), (2100, 34, 3)])
+def test_oracle_steps_once_per_generation(spec_file, tmp_path, monkeypatch, orders, trials,
+                                          steps, chunks):
+    # README spec: its three pairs fill one concurrence stack and every
+    # in-window order one Renyi stack, so a job steps once for the pairs and
+    # once per generation of the orders, and draws each chunk once
+    G, calls = gwlab.roof.GENERATION, []
+    step, draw = gwlab.roof._Group.step, gwlab.roof._draw_chunk
+
+    def count_step(group, *generation):
+        calls.append("step")
+        step(group, *generation)
+
+    def count_draw(*args):
+        calls.append("draw")
+        return draw(*args)
+
+    monkeypatch.setattr(gwlab.roof._Group, "step", count_step)
+    monkeypatch.setattr(gwlab.roof, "_draw_chunk", count_draw)
+    args = ["oracle", "--spec", spec_file, "--partition", "0|1,2|3", "--trials", str(trials)]
+    assert main(args + ["--alpha", ",".join(map(str, orders)),
+                        "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert calls.count("step") == steps == 1 + -(-trials // G)
+    assert calls.count("draw") == chunks == -(-trials // (gwlab.roof.DRAW_CHUNK * G))
 
 
 def test_oracle_many_stacks_equal_solo_runs(tmp_path):

@@ -16,14 +16,18 @@ project's "same behaviour" asks of CSV output, and so are the oracle
 streams, whose lines come from the writer that prints verify's.  The README one runs the
 default order grid; the mixture one runs the mixture stream's arguments in
 CSV and was recorded before the mixture suite's lines came from the grid's
-writer.  A deliberate output change re-records a stream by running the
-``ARGS`` below with ``--out tests/data/<file>`` and is written up in
-CHANGES.md.
+writer.  The 12 ``oracle-pairs`` benchmark jobs of seed 1 are pinned by one
+SHA-256 of their ids, exit codes and stdout: they cover every cell shape of
+that workload, where the two oracle streams cover two specs.  A deliberate
+output change re-records a stream by running the ``ARGS`` below with
+``--out tests/data/<file>`` (or a digest by running its jobs) and is
+written up in CHANGES.md.
 """
 
 import hashlib
 import json
 import math
+import runpy
 from itertools import product
 from pathlib import Path
 
@@ -186,6 +190,25 @@ def test_large_singleton_csv_stream_bytes_unchanged(tmp_path):
     args = ["verify", "--spec", str(path), "--alpha", "0.9:1.2:0.1", "--format", "csv"]
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_CSV_SHA256
+
+
+#: SHA-256 of the 12 ``oracle-pairs`` benchmark jobs of seed 1, run in order:
+#: per job its id and exit code, then its stdout.  The cells cover local
+#: dimensions 2 and 3, 3-5 parties, vacuum weights 0 and 0.2 and 3 or 4
+#: blocks, at 1000 trials and orders 0.9 and 1.2.
+ORACLE_PAIRS_SEED1_SHA256 = "12a4395b022b594b06991196055c164f3d61c52fa86b49366373f5a15f5372dc"
+
+
+def test_oracle_pairs_jobs_bytes_unchanged(capsys):
+    # the job list comes from the benchmark's own generator, read by path
+    workloads = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))
+    jobs = workloads["oracle_pairs_jobs"](1)
+    digest = hashlib.sha256()
+    for job in jobs:
+        code = main(job.argv)
+        digest.update(f"{job.job_id} exit {code}\n{capsys.readouterr().out}".encode())
+    assert len(jobs) == 12
+    assert digest.hexdigest() == ORACLE_PAIRS_SEED1_SHA256
 
 
 def test_verify_jsonl_stream_same_bytes_to_file_and_stdout(tmp_path, capsys):

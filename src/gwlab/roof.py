@@ -190,8 +190,8 @@ class _Group:
         self.last_improve = np.zeros(size, dtype=int)
         alphas = np.array([order.alpha for _, _, order, _ in runs if order is not None])
         bands = np.array([_band(alpha) for alpha in alphas.tolist()])
-        self.bands = [(band, slice(None) if (bands == band).all() else bands == band,
-                       alphas[bands == band][:, None, None]) for band in set(bands.tolist())]
+        masks = [(band, bands == band) for band in set(bands.tolist())]
+        self.bands = [(band, mask, alphas[mask][:, None, None]) for band, mask in masks]
 
     def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
         """Evaluate trials t: the Haar draws, with the refining rows of
@@ -202,7 +202,7 @@ class _Group:
         if refine.size:  # runs read their own incumbents: one copy per run
             candidates = np.empty((size, *haar.shape), complex)
             candidates[:] = haar
-            candidates[:, refine] = self.iso[:, (~even).view(np.int8)]  # even: the minimizer
+            candidates[:, refine] = self.iso[:, (~even).astype(int)]
             # a unitary mix of rows k and l keeps the columns orthonormal
             a, b = candidates[:, refine, row_k], candidates[:, refine, row_l]
             candidates[:, refine, row_k], candidates[:, refine, row_l] = (
@@ -302,7 +302,7 @@ def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20
     return _roof_estimates([target], seed)[0]
 
 
-def _oracle_tables(state, partition: Partition, orders, trials: int, seed: int) -> list:
+def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column) -> list:
     """Each ``_oracle_checks`` check, its codes, columns and rows' alphas."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
@@ -346,7 +346,7 @@ def _oracle_tables(state, partition: Partition, orders, trials: int, seed: int) 
                AGREEMENT_TOL - deviation, closed, low, high, converged, max_side]
     (pair_codes, *pairs), (order_codes, *renyi) = zip(*[(c[:size], c[size:])
                                                         for c in map(np.ndarray.tolist, columns)])
-    pairs[-1] = list(map(list, combinations(partition.sorted_blocks, 2)))  # a, b's order
+    pairs[-1] = pair_column(partition.sorted_blocks)  # the pair column, in a, b's order
     checks = _oracle_checks(min(trials, GENERATION), trials, int(seed))
     return [(checks[0], pair_codes, pairs, [None] * size),
             (checks[1], order_codes, renyi, [order.alpha for order in orders])]
@@ -371,7 +371,8 @@ def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequen
     A run that has not converged (a concurrence run's min and max differ by
     more than ``PLATEAU_TOL``, a Renyi run is off its plateau) is
     CONDITION_UNMET."""
-    tables = _oracle_tables(state, partition, orders, trials, seed)
+    tables = _oracle_tables(state, partition, orders, trials, seed,
+                            lambda blocks: list(map(list, combinations(blocks, 2))))
     return [report for table in tables for report in _reports(*table)]
 
 
@@ -380,9 +381,8 @@ def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence
     """The JSON line of each report of :func:`oracle_reports`, with the bytes
     of ``report_to_json_line``, written lazily from the same columns by
     ``verify``'s writer; every check and roof runs before this returns."""
-    tables = _oracle_tables(state, partition, orders, trials, seed)
-    blocks = map(_json_value, partition.sorted_blocks)  # each block's JSON text once
-    tables[0][2][-1] = [f"[{x}, {y}]" for x, y in combinations(blocks, 2)]  # the pair column
+    tables = _oracle_tables(state, partition, orders, trials, seed, lambda blocks: [
+        f"[{x}, {y}]" for x, y in combinations(map(_json_value, blocks), 2)])  # blocks' text once
     return chain.from_iterable([_column(check, codes, columns, list(map(_json_value, alphas)),
                                         False) for check, codes, columns, alphas in tables])
 

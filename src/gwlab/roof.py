@@ -16,12 +16,12 @@ fixed shapes, and refinement uses only incumbents of earlier generations,
 so runs are reproducible and a longer run extends a shorter one.  The runs
 of one call share their seed and row count (every family pair has the same
 two rows), so one isometry shape, drawn per chunk of ``DRAW_CHUNK``
-generations with one QR over the chunk.  Runs of a measure and trial count
-advance in lockstep as stacks of at most ``GROUP_RUNS``, one step per
-generation: both incumbent sides in one array, one Renyi kernel call per
-band of orders, no per-run copy of the Haar draws when no run refines.  As
-sum_k p_k C_k = C on every decomposition, the oracle runs each concurrence
-target for one generation only.
+generations with one QR over the chunk.  Callers hand over stacks of runs
+of one measure and trial count and get columns back; a stack advances in
+lockstep as slices of at most ``GROUP_RUNS``, one step per generation: both
+incumbent sides in one array, one Renyi kernel call per band of orders, no
+per-run copy of the Haar draws when no run refines.  As sum_k p_k C_k = C
+on every decomposition, the oracle runs each pair for one generation only.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,8 +75,8 @@ REFINE_FLOOR = 1e-3
 #: Trials drawn, orthonormalised and averaged as one batch.  Incumbents
 #: change only between generations.
 GENERATION = 64
-#: Runs advance in stacks of at most this many, so a generation's
-#: temporaries do not grow with the number of targets.
+#: A stack of runs advances in slices of at most this many, so a
+#: generation's temporaries do not grow with the number of targets.
 GROUP_RUNS = 256
 #: Generations drawn and orthonormalised together, so a chunk's arrays do
 #: not grow with the trial count.
@@ -168,27 +168,26 @@ def _pair_rows(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
     pure as ``_eigen_ensemble`` decides: its smaller eigenvalue is at most
     ``SUPPORT_TOL``.  Not r == 0: rounding leaves r above 0 on some covers."""
     phi, r = _canonical_pair(w, t_a, t_b)
-    rows = np.zeros((*phi.shape[:-1], 2, 4))
+    rows = np.zeros((*phi.shape[:-1], 2, 4), complex)
     rows[..., 0, :], rows[..., 1, 0] = phi, np.sqrt(r)
     return rows, _lam_lo(np.minimum(4.0 * r * (t_a + t_b), 1.0)) <= SUPPORT_TOL
 
 
 class _Group:
-    """Up to ``GROUP_RUNS`` roof runs of one measure and one trial count as
-    one stack: rows, incumbent minimizing and maximizing isometries (runs, 2,
-    m, r) with values (min, -max), the last trial that improved either by more
-    than ``PLATEAU_TOL``, and ``bands``: each kernel band's runs and orders."""
+    """Up to ``GROUP_RUNS`` roof runs of one measure and trial count: a view
+    of the caller's rows (runs, r, 4), incumbent minimizing and maximizing
+    isometries (runs, 2, m, r) with values (min, -max), the last trial that
+    improved either by more than ``PLATEAU_TOL``, and ``bands``: each kernel
+    band's runs and orders (none when ``alphas`` is None: concurrence)."""
 
-    def __init__(self, runs: list):
-        self.targets = [i for i, _, _, _ in runs]
-        self.trials = runs[0][3]
-        self.ensembles = np.array([e for _, e, _, _ in runs], dtype=complex)
-        size, r = self.ensembles.shape[:2]
+    def __init__(self, ensembles: np.ndarray, alphas: Optional[np.ndarray], trials: int):
+        self.ensembles, self.trials = ensembles, trials
+        size, r = ensembles.shape[:2]
         self.shape = (r + 2, r)
         self.best = np.full((size, 2), math.inf)
         self.iso = np.full((size, 2, r + 2, r), np.nan, complex)
         self.last_improve = np.zeros(size, dtype=int)
-        alphas = np.array([order.alpha for _, _, order, _ in runs if order is not None])
+        alphas = np.zeros(0) if alphas is None else alphas
         bands = np.array([_band(alpha) for alpha in alphas.tolist()])
         masks = [(band, bands == band) for band in set(bands.tolist())]
         self.bands = [(band, mask, alphas[mask][:, None, None]) for band, mask in masks]
@@ -197,7 +196,7 @@ class _Group:
         """Evaluate trials t: the Haar draws, with the refining rows of
         ``moves`` rotating the incumbents instead.  Both sides are minima, the
         maximizer's of negated values (exact: the same tests and first indices)."""
-        size = len(self.targets)
+        size = len(self.ensembles)
         refine, even, row_k, row_l, c, s_phase, s_conj = moves
         if refine.size:  # runs read their own incumbents: one copy per run
             candidates = np.empty((size, *haar.shape), complex)
@@ -245,36 +244,29 @@ def _check_run(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def _roof_estimates(targets, seed: int) -> list[RoofEstimate]:
-    """One estimate per (rows, order, trials) target: the concurrence roof
-    when the order is None, else the f_alpha(C^2) roof, of the state the rows
-    decompose, over the first trials of the seed the callers checked.  Every
-    target has the same row count, so one isometry shape, and each trial
-    count is the call's largest or a multiple of ``GENERATION``.  Runs group
-    by measure and trial count; one chunk of ``DRAW_CHUNK`` generations is
-    drawn per span, up to the longest run, and discarded after it."""
-    def kind(run):
-        return run[2] is not None, run[3]
-
-    groups = []
-    for _, same in groupby(sorted(((i, *target) for i, target in enumerate(targets)),
-                                  key=kind), key=kind):
-        same = list(same)
-        groups += [_Group(same[k : k + GROUP_RUNS]) for k in range(0, len(same), GROUP_RUNS)]
+def _roof_estimates(stacks, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min, max and converged columns of every run of the stacks, in stack
+    order, over the first trials of the seed the callers checked.  A stack is
+    (rows (runs, r, 4) complex, alphas (runs,) or None, trials): the
+    f_alpha(C^2) roof, or the concurrence roof if None, of each run's state.
+    Every stack has one row count, so one isometry shape, and each trial
+    count is the call's largest or a multiple of ``GENERATION``.  Stacks step
+    as slices of at most ``GROUP_RUNS``; one chunk of ``DRAW_CHUNK``
+    generations is drawn per span, up to the longest run, and discarded."""
+    groups = [_Group(ensembles[k : k + GROUP_RUNS],
+                     None if alphas is None else alphas[k : k + GROUP_RUNS], trials)
+              for ensembles, alphas, trials in stacks for k in range(0, len(ensembles), GROUP_RUNS)]
     stop, span = max(group.trials for group in groups), DRAW_CHUNK * GENERATION
     for start in range(0, stop, span):
         chunk = _draw_chunk(seed, start, min(stop, start + span), *groups[0].shape)
         for group in (group for group in groups if group.trials > start):
             for generation in chunk[: -((start - group.trials) // GENERATION)]:
                 group.step(*generation)
-    found: list = [None] * len(targets)
-    for group in groups:
-        # converged: no improvement in the last quarter of enough trials
-        limit, plateau = math.floor(0.75 * group.trials), group.trials >= MIN_PLATEAU_TRIALS
-        for i, (low, high), last in zip(group.targets, (group.best * [1, -1]).tolist(),
-                                        group.last_improve.tolist()):
-            found[i] = RoofEstimate(low, high, group.trials, int(seed), plateau and last < limit)
-    return found
+    low, high = (np.concatenate([group.best for group in groups]) * [1, -1]).T
+    # converged: no improvement in the last quarter of enough trials
+    converged = np.concatenate([(group.last_improve < math.floor(0.75 * group.trials))
+                                & (group.trials >= MIN_PLATEAU_TRIALS) for group in groups])
+    return low, high, converged
 
 
 def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20000, seed: int = 0,
@@ -298,8 +290,10 @@ def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20
     order = None if order is None else _as_order(order)
     if rho.layout.dims != (2, 2):
         raise ValueError(f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}")
-    target = (_eigen_ensemble(rho), order if measure_kind == "renyi_ent" else None, trials)
-    return _roof_estimates([target], seed)[0]
+    alphas = np.array([order.alpha]) if measure_kind == "renyi_ent" else None
+    low, high, converged = (column.item() for column in _roof_estimates(
+        [(_eigen_ensemble(rho)[None], alphas, trials)], seed))
+    return RoofEstimate(low, high, trials, int(seed), converged)
 
 
 def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column) -> list:
@@ -325,14 +319,14 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     concurrences = 2.0 * np.sqrt(t_a * t_b)
     first, size = pair_of[0], len(pair_of)
     windowed = {order.alpha: order for order in orders if order.supports_monogamy}
-    estimates = _roof_estimates([(r, None, min(trials, GENERATION)) for r in rows] + [
-        (rows[first], order, trials) for order in windowed.values()], seed)
-    # one row per pair, then one per order: the index of its run, or -1, a
+    # one run per distinct pair, then one per distinct in-window order
+    low, high, plateau = (np.append(column, math.nan) for column in _roof_estimates([
+        (rows, None, min(trials, GENERATION)),
+        (np.repeat(rows[[first]], len(windowed), axis=0), np.array(list(windowed)), trials)], seed))
+    # one row per pair, then one per order: the index of its run, or -1, the
     # last run of NaNs, outside the window
     found = {alpha: len(rows) + i for i, alpha in enumerate(windowed)}
     run = np.concatenate([pair_of, [found.get(order.alpha, -1) for order in orders]]).astype(int)
-    low, high, plateau = np.array([(e.min_estimate, e.max_estimate, e.converged)
-                                   for e in estimates] + [(math.nan, math.nan, 0.0)]).T
     plateau[: len(rows)] = high[: len(rows)] - low[: len(rows)] <= PLATEAU_TOL
     low, high, converged = low[run], high[run], plateau[run] == 1.0
     closed = np.concatenate([concurrences[pair_of], [f_alpha(
@@ -363,11 +357,12 @@ def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequen
     (at most ``MAX_ORACLE_TARGETS`` pairs plus orders) and the purity are
     checked first; one ``block_sums`` then gives every block's weight.  One
     ``_pair_rows`` call gives the rows of every distinct ordered weight pair,
-    and each distinct target one roof run: a concurrence run min(trials,
-    ``GENERATION``) trials, a Renyi run every trial, and none an order outside
-    the convexity threshold (OUT_OF_WINDOW).  All reports are judged at once,
-    as columns: the roof's min against C or f_alpha(C^2), and its max too
-    for C, and for f_alpha(C^2) in the concavity window or on a pure pair.
+    and the roof two stacks: a concurrence run of min(trials, ``GENERATION``)
+    trials per distinct pair, a Renyi run of every trial per distinct order,
+    none for an order outside the convexity threshold (OUT_OF_WINDOW).  All
+    reports are judged at once, as columns: the roof's min against C or
+    f_alpha(C^2), and its max too for C, and for f_alpha(C^2) in the
+    concavity window or on a pure pair.
     A run that has not converged (a concurrence run's min and max differ by
     more than ``PLATEAU_TOL``, a Renyi run is off its plateau) is
     CONDITION_UNMET."""

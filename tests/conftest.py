@@ -19,6 +19,21 @@ from gwlab import (
 )
 
 
+#: An oracle job whose stacks outgrow ``GROUP_RUNS``: 30 singleton qubits
+#: of seeded distinct weights make 435 distinct pairs, and its 300 distinct
+#: in-window orders make a Renyi stack that splits at run 256 with orders of
+#: all three kernel bands (von Neumann, expm1, power sum) on both sides;
+#: 0.5 lies outside the window.
+MANY_STACK_PARTIES = 30
+MANY_STACK_ORDERS = (1.0000005, 1.0005, *[round(0.85 + k / 100, 2) for k in range(296)],
+                     0.9999995, 0.9995, 0.5)
+
+
+def many_stack_spec() -> GWSpec:
+    amplitudes = np.random.default_rng(4).uniform(0.5, 1.0, MANY_STACK_PARTIES)
+    return GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), vacuum_weight=0.2)
+
+
 def rand_unit(rng: np.random.Generator, *shape) -> np.ndarray:
     vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return vec / np.linalg.norm(vec.reshape(-1))

@@ -37,6 +37,8 @@ from gwlab.cli import (
 )
 from gwlab.featured import FIG1_AMPLITUDES
 
+from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, many_stack_spec
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -849,8 +851,8 @@ def test_oracle_stack_of_mixed_measures_equals_solo_runs(tmp_path, monkeypatch):
     targets += [((a, b), order) for order in orders]
     bands, real = [], gwlab.roof._Group.__init__
 
-    def record(self, runs):
-        real(self, runs)
+    def record(self, *stack):
+        real(self, *stack)
         bands.append(sorted(band for band, _, _ in self.bands))
 
     for trials in (1, 63, 65, 300, 1025):
@@ -891,16 +893,26 @@ def test_oracle_steps_once_per_generation(spec_file, tmp_path, monkeypatch, orde
 
 
 def test_oracle_many_stacks_equal_solo_runs(tmp_path):
-    # 30 singleton blocks make 435 concurrence runs of one shape, more than
-    # one stack holds
-    n = 30
-    amplitudes = np.random.default_rng(4).uniform(0.5, 1.0, n)
-    spec = GWSpec.qubit(amplitudes / np.linalg.norm(amplitudes), vacuum_weight=0.2)
+    # a stack of 435 concurrence runs and one of 300 Renyi runs, each longer
+    # than GROUP_RUNS; 65 trials cross a generation.  Lines on both sides of
+    # each 256-run split equal their solo runs, and every roof's min is at
+    # most its max, although no RoofEstimate checks it on this path
+    n, orders, trials = MANY_STACK_PARTIES, MANY_STACK_ORDERS, 65
     pairs = [({i}, {j}) for i in range(n) for j in range(i + 1, n)]
-    assert len(pairs) > gwlab.roof.GROUP_RUNS
-    lines, psi = _oracle_lines(tmp_path, spec, "|".join(map(str, range(n))), (), 100, 9)
-    for k in (0, len(pairs) // 2, len(pairs) - 1):
-        assert lines[k] == _solo_line(psi, pairs[k], None, 100, 9), k
+    split = gwlab.roof.GROUP_RUNS
+    assert len(pairs) > split and len(orders) - 1 > split
+    lines, psi = _oracle_lines(tmp_path, many_stack_spec(), "|".join(map(str, range(n))),
+                               orders, trials, 9)
+    assert len(lines) == len(pairs) + len(orders)
+    for k in (0, split - 1, split, len(pairs) - 1):
+        assert lines[k] == _solo_line(psi, pairs[k], None, trials, 9), k
+    for k in (0, 1, split - 1, split, *range(len(orders) - 4, len(orders))):
+        line = lines[len(pairs) + k]
+        assert line == _solo_line(psi, pairs[0], orders[k], trials, 9), orders[k]
+    assert json.loads(lines[-1])["applicability"] == "OUT_OF_WINDOW"
+    for line in lines[:-1]:
+        params = json.loads(line)["params"]
+        assert params["roof_min"] <= params["roof_max"], line
 
 
 def test_oracle_runs_each_distinct_target_once(tmp_path, monkeypatch):
@@ -912,14 +924,15 @@ def test_oracle_runs_each_distinct_target_once(tmp_path, monkeypatch):
     runs = []
     real = gwlab.roof._roof_estimates
 
-    def count(targets, seed):
-        runs.append([(len(rows), order and order.alpha, trials) for rows, order, trials in targets])
-        return real(targets, seed)
+    def count(stacks, seed):
+        runs.append([(rows.shape, alphas if alphas is None else alphas.tolist(), trials)
+                     for rows, alphas, trials in stacks])
+        return real(stacks, seed)
 
     monkeypatch.setattr(gwlab.roof, "_roof_estimates", count)
     orders = (1.1, 1.2)
     lines, psi = _oracle_lines(tmp_path, spec, "|".join(map(str, range(n))), orders, 300, 9)
-    assert runs[0] == [(2, None, gwlab.roof.GENERATION), (2, 1.1, 300), (2, 1.2, 300)]
+    assert runs == [[((1, 2, 4), None, gwlab.roof.GENERATION), ((2, 2, 4), [1.1, 1.2], 300)]]
     monkeypatch.undo()
     pairs = [({i}, {j}) for i in range(n) for j in range(i + 1, n)]
     targets = [(pair, None) for pair in pairs] + [(pairs[0], order) for order in orders]

@@ -1,7 +1,8 @@
 """Every top-level import in ``src/gwlab`` has a reader, only
 ``states.py`` tells block weights from dense states, no module calls the
-builtin ``sum``, and the checkers read every squared concurrence from
-``measures._pair_table``.
+builtin ``sum``, the checkers read every squared concurrence from
+``measures._pair_table``, and only ``convex_roof_bounds`` builds a
+``RoofEstimate``.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -161,3 +162,17 @@ def test_only_inequalities_builds_checks():
         if isinstance(node, ast.Call)
     }
     assert called & set(SUITE_PREPARERS) == set(), "cli builds part of verify's suite itself"
+
+
+def test_only_convex_roof_bounds_builds_roof_estimates():
+    # the oracle's roof runs come back as columns; a RoofEstimate per run on
+    # its path would be the per-target object round trip again
+    found = [
+        f"{path.name}: {getattr(scope, 'name', '<module>')}"
+        for path in SOURCES
+        for scope in ast.parse(path.read_text()).body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RoofEstimate"
+    ]
+    assert found == ["roof.py: convex_roof_bounds"], f"RoofEstimate built in {found}"

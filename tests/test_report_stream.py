@@ -18,10 +18,11 @@ default order grid; the mixture one runs the mixture stream's arguments in
 CSV and was recorded before the mixture suite's lines came from the grid's
 writer.  The 12 ``oracle-pairs`` benchmark jobs of seed 1 are pinned by one
 SHA-256 of their ids, exit codes and stdout: they cover every cell shape of
-that workload, where the two oracle streams cover two specs.  A deliberate
-output change re-records a stream by running the ``ARGS`` below with
-``--out tests/data/<file>`` (or a digest by running its jobs) and is
-written up in CHANGES.md.
+that workload, where the two oracle streams cover two specs.  One more
+digest pins an oracle job whose pair and Renyi runs each fill more than one
+stack of ``GROUP_RUNS``.  A deliberate output change re-records a stream
+by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
+by running its jobs) and is written up in CHANGES.md.
 """
 
 import hashlib
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_same_doc
+from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, many_stack_spec
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
 from gwlab.cli import _build_parser, _verify_checks, main, parse_partition
 from gwlab.inequalities import (
@@ -43,7 +44,7 @@ from gwlab.inequalities import (
 )
 from gwlab.measures import _as_order
 from gwlab.roof import oracle_reports
-from gwlab.states import GWBlocks, gw_spec_from_json
+from gwlab.states import GWBlocks, gw_spec_from_json, gw_spec_to_json
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -209,6 +210,23 @@ def test_oracle_pairs_jobs_bytes_unchanged(capsys):
         digest.update(f"{job.job_id} exit {code}\n{capsys.readouterr().out}".encode())
     assert len(jobs) == 12
     assert digest.hexdigest() == ORACLE_PAIRS_SEED1_SHA256
+
+
+#: SHA-256 of the stdout of conftest's many-stack oracle job (435 pairs and
+#: 301 orders at 65 trials, seed 9), recorded before the roof took stacks of
+#: runs: its pair stack and its Renyi stack both split at ``GROUP_RUNS``.
+MANY_STACK_SHA256 = "84e8a33b0fb4ba3fe1f3401e1922cf7273fd54174a075d8000bbdb300a425dc1"
+
+
+def test_many_stack_oracle_job_bytes_unchanged(capsys):
+    n = MANY_STACK_PARTIES
+    argv = ["oracle", "--spec", gw_spec_to_json(many_stack_spec()), "--partition",
+            "|".join(map(str, range(n))), "--alpha", ",".join(map(str, MANY_STACK_ORDERS)),
+            "--trials", "65", "--seed", "9"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == n * (n - 1) // 2 + len(MANY_STACK_ORDERS)
+    assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256
 
 
 def test_verify_jsonl_stream_same_bytes_to_file_and_stdout(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Convex-roof oracle: sampling, estimation and closed-form agreement."""
 
-import dataclasses
 import importlib
 import math
 import pkgutil
@@ -419,9 +418,9 @@ def test_concurrence_spread_beyond_plateau_tol_is_unconverged(monkeypatch):
     # broke the identity sum_k p_k C_k = C: it is reported, not certified
     real = gwlab.roof._roof_estimates
 
-    def spread(targets, seed):
-        return [dataclasses.replace(e, max_estimate=e.min_estimate + 2.0 * PLATEAU_TOL)
-                for e in real(targets, seed)]
+    def spread(stacks, seed):
+        low, _, converged = real(stacks, seed)
+        return low, low + 2.0 * PLATEAU_TOL, converged
 
     monkeypatch.setattr(gwlab.roof, "_roof_estimates", spread)
     report = verify_c_equals_ca(figure1_state(), trials=100, seed=1, blocks=FIGURE1_PAIR)
@@ -463,7 +462,8 @@ def test_oracle_memory_per_target_stays_bounded():
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gwlab.roof, "_roof_estimates",
-                          lambda targets, seed: calls.append(len(targets)) or real(targets, seed))
+                          lambda stacks, seed: calls.append(sum(len(rows) for rows, _, _ in stacks))
+                          or real(stacks, seed))
             reports = oracle_reports(state, Partition.singletons(n), trials=128, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -179,14 +179,14 @@ def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]
 
 
 def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
-    """Write each line, as it comes, to the ``out`` file or to stdout."""
+    """The one writer: one ``writelines`` of newline-ended lines to ``out`` or stdout."""
     stream = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
     with stream as file:
-        file.writelines(line + "\n" for line in lines)
+        file.writelines(lines)
 
 
 def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
-    """Emit the dataset behind one bundled figure as CSV lines.
+    """Emit the dataset behind one bundled figure as newline-ended CSV lines.
 
     Every column is a closed form, so the figures run on block weights.
     Figures 1 and 2 read the columns of :func:`_grid` and build no report;
@@ -212,7 +212,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         for b in (i * 0.02 for i in range(101)):
             bounds = [c12**b + h_coefficient(k, b / 2.0) * c13**b for k in (1.0, 2.0)]
             rows.append((b, exact_c**b, *bounds))
-    lines = [",".join(header)] + [",".join(map(_csv_num, row)) for row in rows]
+    lines = [",".join(header) + "\n"] + [",".join(map(_csv_num, row)) + "\n" for row in rows]
     _write_lines(lines, out)
     return lines
 
@@ -242,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if spec.vacuum_weight > 0.0:
         mixed, more = _grid_lines([grid[len(grid) // 2]], _mixture_checks(spec, tighter), csv)
         failed, lines = failed or mixed, itertools.chain(lines, more)
-    _write_lines(itertools.chain([",".join(CSV_HEADER)], lines) if csv else lines, args.out)
+    _write_lines(itertools.chain([",".join(CSV_HEADER) + "\n"], lines) if csv else lines, args.out)
     return int(failed)
 
 
@@ -262,16 +262,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gamebounds(
     n_list: Sequence[int], d_list: Sequence[int], out: Optional[str] = None
 ) -> list[str]:
-    """Gap-bound table over the Cartesian grid of player counts and dimensions."""
+    """Newline-ended CSV gap-bound table over the grid of player counts and dimensions."""
     header = ("n", "d", "new_bound", "reference_bound", "tighter", "log_base")
     rows = []
-    for n in n_list:
-        for d in d_list:
-            result = gap_bound(GameBoundInput(n=n, d=d))
-            bounds = map(_csv_num, (result.new_bound, result.reference_bound))
-            tighter = str(result.tighter).lower()
-            rows.append((str(int(n)), str(int(d)), *bounds, tighter, str(LOG_BASE)))
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for n, d in itertools.product(n_list, d_list):
+        result = gap_bound(GameBoundInput(n=n, d=d))
+        bounds = map(_csv_num, (result.new_bound, result.reference_bound))
+        tighter = str(result.tighter).lower()
+        rows.append((str(int(n)), str(int(d)), *bounds, tighter, str(LOG_BASE)))
+    lines = [",".join(header) + "\n"] + [",".join(row) + "\n" for row in rows]
     _write_lines(lines, out)
     return lines
 

@@ -268,7 +268,7 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
     prints, then alpha if unprinted.  A check with columns (more ``specs``)
     prints its added keys in the window, and lhs, rhs and slack where
     applicable.  Names and constants are literal text with ``%`` doubled; a
-    printed slot i is ``specs[i]`` and any other ``%.0s``."""
+    printed slot i is ``specs[i]``, any other ``%.0s``; a newline ends it."""
     satisfied, why = _VERDICTS[code]
     constants = {**check.params, **(check.in_window if code != _OUT else {})}
     slots = {"alpha": 0} if check.window and "alpha" not in constants else {}
@@ -292,19 +292,21 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
         line = _json_line(why, name, "{" + params + "}", satisfied, *texts)
     row = row or printed + [0] * (0 not in printed)
     skip = row.index(printed[0]) if printed else 0
-    return "%.0s" * skip + line + "%.0s" * (len(row) - skip - len(printed)), row
+    return "%.0s" * skip + line + "%.0s" * (len(row) - skip - len(printed)) + "\n", row
 
 
 def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
-    """The lines of ``check``'s rows, with verdicts ``codes`` and encoded
-    ``alphas``: its templates applied to its zipped columns, a CSV number by
-    ``%.12g`` and a JSONL column by ``%r`` if it holds only finite floats, as
-    it is if it holds only str (JSON text already), else each value as json
-    writes it (a bool as ``true``)."""
-    specs = ["%s"] + ["%.12g" if csv else "%r" if set(map(type, column)) == {float}
-                      and all(map(math.isfinite, column)) else "%s" for column in columns]
-    values = [alphas] + [column if spec != "%s" or set(map(type, column)) == {str}
-                         else map(_json_value, column) for column, spec in zip(columns, specs[1:])]
+    """The newline-ended lines of ``check``'s rows, with verdicts ``codes`` and encoded
+    ``alphas``: its templates on its zipped columns.  A CSV number is ``%.12g``.  One
+    read of a JSONL column's types picks ``%r`` if it holds only finite floats, as it is
+    if only str (JSON text already), one lookup if only bool, else json's text per value."""
+    specs, values = ["%s"], [alphas]
+    for column in columns:
+        types = set() if csv else set(map(type, column))
+        finite = types == {float} and all(map(math.isfinite, column))
+        specs.append("%.12g" if csv else "%r" if finite else "%s")
+        values.append(column if csv or finite or types == {str} else map(
+            ("false", "true").__getitem__ if types == {bool} else _json_value, column))
     formats, row = {}, None
     for code in sorted(set(codes)):  # the first code's line sets the row
         formats[code], row = _line_format(check, code, csv, specs, row)
@@ -315,7 +317,7 @@ def _grid_lines(grid: Iterable[OrderLike], checks: Sequence[Prepared],
                 csv: bool = False) -> tuple[bool, Iterator[str]]:
     """Whether an applicable report of ``at_orders(grid, checks)`` fails, and
     the bytes of :func:`report_to_json_line` (or :func:`report_to_csv_row`)
-    of each, made lazily from the columns, each order's alpha encoded once."""
+    of each, newline-ended, made lazily from the columns, each alpha encoded once."""
     orders, codes, columns = _grid(grid, checks)
     alphas = [(_csv_num if csv else _json_value)(order.alpha) for order in orders]
     lines = [_column(*column, alphas, csv) for column in zip(checks, codes, columns)]

@@ -373,9 +373,9 @@ def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequen
 
 def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence[OrderLike] = (),
                  trials: int = 20000, seed: int = 0) -> Iterator[str]:
-    """The JSON line of each report of :func:`oracle_reports`, with the bytes
-    of ``report_to_json_line``, written lazily from the same columns by
-    ``verify``'s writer; every check and roof runs before this returns."""
+    """The JSON line of each report of :func:`oracle_reports`: the bytes of
+    ``report_to_json_line`` and a newline, made lazily from the same columns
+    by ``verify``'s templates; every check and roof runs before this returns."""
     tables = _oracle_tables(state, partition, orders, trials, seed, lambda blocks: [
         f"[{x}, {y}]" for x, y in combinations(map(_json_value, blocks), 2)])  # blocks' text once
     return chain.from_iterable([_column(check, codes, columns, list(map(_json_value, alphas)),

@@ -109,11 +109,6 @@ class GWSpec:
     def layout(self) -> SubsystemLayout:
         return SubsystemLayout((self.d,) * self.n)
 
-    def block_weight(self, parties) -> float:
-        """Total squared amplitude carried by the listed parties."""
-        idx = sorted({int(p) for p in parties})
-        return float(np.sum(np.abs(self.amplitudes[idx, :]) ** 2))
-
 
 @dataclass(frozen=True, eq=False)
 class PurificationSpec:

@@ -245,7 +245,9 @@ def test_criterion_06b_oracle_renyi_agreement():
         rho = reduce_to_parties(psi, keep)
         closed_c = gw_pairwise_concurrence(rho, {0}, {1}).value
         pair = dense_block_pair(rho, {0}, {1})
-        s_s, s_k = (spec.block_weight([i]) for i in keep)
+        # block weights carry the factor 1 - vacuum; the assisted formula
+        # below reads them on vacuum-free draws only
+        s_s, s_k = Partition.of([[i] for i in keep]).block_sums(GWBlocks.of(spec).weights).tolist()
         dets = [
             float(np.linalg.det(partial_trace(pair, [p]).matrix).real)
             for p in (0, 1)

@@ -176,3 +176,19 @@ def test_only_convex_roof_bounds_builds_roof_estimates():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RoofEstimate"
     ]
     assert found == ["roof.py: convex_roof_bounds"], f"RoofEstimate built in {found}"
+
+
+def test_one_writer():
+    # every line reaches its file or stdout through cli._write_lines, one
+    # writelines of what it is given; no module prints or writes to stdout
+    # itself (main's refusals go to stderr)
+    writers, printers = [], []
+    for path in SOURCES:
+        for scope in ast.parse(path.read_text()).body:
+            where = f"{path.name}: {getattr(scope, 'name', '<module>')}"
+            calls = [n.func for n in ast.walk(scope) if isinstance(n, ast.Call)]
+            writers += [where for func in calls if getattr(func, "attr", None) == "writelines"]
+            printers += [where for func in calls
+                         if ast.unparse(func) in ("print", "sys.stdout.write")]
+    assert writers == ["cli.py: _write_lines"], f"writelines called in {writers}"
+    assert printers == [], f"stdout written past the writer in {printers}"

@@ -407,18 +407,15 @@ def test_pairwise_concurrence_needs_provenance(bell_state):
 
 
 def test_pairwise_concurrence_closed_form_cross_check(rng):
-    # independent oracle: 2 (1 - vacuum) sqrt(w_s w_k) in the block weights
+    # independent oracle: 2 sqrt(t_s t_k) in the block weights t, which carry
+    # the factor 1 - vacuum
     for _ in range(10):
         spec = random_gw_spec(rng, n_min=3, n_max=5, d=int(rng.integers(2, 4)))
         psi = superpose_with_vacuum(spec)
         blocks = [{0}, {1, 2} if spec.n > 3 else {1}]
         got = gw_pairwise_concurrence(psi, blocks[0], blocks[1]).value
-        w = 1.0 - spec.vacuum_weight
-        expected = (
-            2.0
-            * w
-            * math.sqrt(spec.block_weight(blocks[0]) * spec.block_weight(blocks[1]))
-        )
+        t_s, t_k = Partition.of(blocks).block_sums(GWBlocks.of(spec).weights).tolist()
+        expected = 2.0 * math.sqrt(t_s * t_k)
         assert got == pytest.approx(expected, abs=1e-10)
 
 

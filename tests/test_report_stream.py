@@ -25,6 +25,7 @@ by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
 by running its jobs) and is written up in CHANGES.md.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -38,13 +39,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, many_stack_spec
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
-from gwlab.cli import _build_parser, _verify_checks, main, parse_partition
+from gwlab.cli import (
+    _build_parser, _verify_checks, _write_lines, cmd_figure, cmd_gamebounds, main, parse_partition,
+)
 from gwlab.inequalities import (
     CLOSED_FORM_TOL, Prepared, _csv_num, _grid_lines, _json_value, _mixture_checks, at_orders,
 )
 from gwlab.measures import _as_order
-from gwlab.roof import oracle_reports
+from gwlab.roof import oracle_lines, oracle_reports
 from gwlab.states import GWBlocks, gw_spec_from_json, gw_spec_to_json
+from gwlab.tensor import Partition
 
 DATA = Path(__file__).parent / "data"
 NUM_TOL = 1e-12
@@ -229,12 +233,85 @@ def test_many_stack_oracle_job_bytes_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256
 
 
-def test_verify_jsonl_stream_same_bytes_to_file_and_stdout(tmp_path, capsys):
-    stream = "report_stream_readme.jsonl"
-    out = tmp_path / stream
-    assert main(ARGS[stream] + ["--out", str(out)]) == 0
-    assert main(ARGS[stream]) == 0
-    assert capsys.readouterr().out.encode() == out.read_bytes()
+#: One job of each command, without ``--out``.
+COMMANDS = {
+    "verify": ARGS["report_stream_readme.jsonl"],
+    "oracle": ARGS["oracle_stream_mixture.jsonl"],
+    **{f"figure{i}": ["figure", str(i)] for i in (1, 2, 3)},
+    "gamebounds": ["gamebounds", "--n", "1,16", "--d", "2,4"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_same_bytes_to_file_and_stdout(tmp_path, capsys, command):
+    # the one writer gives --out and stdout the same bytes: lines that each
+    # end in "\n", none of them empty
+    out = tmp_path / "out"
+    assert main(COMMANDS[command] + ["--out", str(out)]) == 0
+    assert main(COMMANDS[command]) == 0
+    text = capsys.readouterr().out
+    assert text.encode() == out.read_bytes()
+    assert text.endswith("\n") and all(text.split("\n")[:-1])
+
+
+def _written(lines, out: str) -> list[str]:
+    lines = list(lines)
+    _write_lines(iter(lines), out)
+    return lines
+
+
+def _verify_lines(name: str, fmt: str, out: str) -> list[str]:
+    """The lines ``verify`` writes for a pinned stream's arguments in either
+    format (no CSV header), the grid's, then the mixture suite's if any,
+    written to ``out``."""
+    args = _build_parser().parse_args(ARGS[f"report_stream_{name}.jsonl"])
+    spec, tighter, grid, checks = _verify_checks(args)
+    mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
+    csv = fmt == "csv"
+    middle = [grid[len(grid) // 2]]
+    lines = [*_grid_lines(grid, checks, csv)[1], *_grid_lines(middle, mixture, csv)[1]]
+    return _written(lines, out)
+
+
+#: Each line producer, given the ``--out`` path, writes its lines there
+#: through ``_write_lines`` and returns them.
+PRODUCERS = {
+    **{f"grid-{name}-{fmt}": functools.partial(_verify_lines, name, fmt)
+       for name in ("readme", "mixture") for fmt in ("jsonl", "csv")},
+    "oracle": lambda out: _written(oracle_lines(
+        GWBlocks.of(gw_spec_from_json(MIXTURE_SPEC)), parse_partition("0|2,3|1|4", 5),
+        [0.5, 0.9, 1.2], trials=100, seed=11), out),
+    **{f"figure{i}": functools.partial(cmd_figure, i) for i in (1, 2, 3)},
+    "gamebounds": functools.partial(cmd_gamebounds, [1, 16], [2, 4]),
+}
+
+
+@pytest.mark.parametrize("producer", list(PRODUCERS))
+def test_writer_writes_the_joined_lines(tmp_path, producer):
+    # every line is whole where it is made, newline and all, so the writer
+    # adds nothing: the file is the lines joined
+    out = tmp_path / "out"
+    lines = PRODUCERS[producer](str(out))
+    assert lines and all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert out.read_bytes() == "".join(lines).encode()
+
+
+def test_oracle_bool_columns_skip_the_json_encoder(monkeypatch):
+    # the converged and max_side_checked columns hold only bools; each is
+    # printed through one lookup, never by a json encoding per row
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return _json_value(value)
+
+    monkeypatch.setattr("gwlab.inequalities._json_value", spy)
+    n = MANY_STACK_PARTIES
+    lines = list(oracle_lines(GWBlocks.of(many_stack_spec()), Partition.singletons(n),
+                              trials=65, seed=9))
+    assert len(lines) == n * (n - 1) // 2
+    assert len(seen) < len(lines)
+    assert not any(isinstance(value, bool) for value in seen)
 
 
 def _doc_line(report: InequalityReport) -> str:
@@ -247,14 +324,15 @@ def _doc_line(report: InequalityReport) -> str:
 def _assert_grid_lines(grid, checks) -> None:
     # the grid writer encodes each order's alpha and each check's constant
     # fields once, and builds no report; its lines must be those of the
-    # reports at_orders builds from the same columns, in both formats
+    # reports at_orders builds from the same columns, in both formats, each
+    # ended by its template's newline
     reports = at_orders(grid, checks)
     want = [_doc_line(r) for r in reports]
     assert [report_to_json_line(r) for r in reports] == want
     failed, lines = _grid_lines(grid, checks)
-    assert list(lines) == want
+    assert list(lines) == [line + "\n" for line in want]
     failed_csv, rows = _grid_lines(grid, checks, csv=True)
-    assert list(rows) == [",".join(report_to_csv_row(r)) for r in reports]
+    assert list(rows) == [",".join(report_to_csv_row(r)) + "\n" for r in reports]
     # the one verdict rule: out of the check's window, else unmet when it has
     # no evaluator, else satisfied by the slack
     for report, (order, check) in zip(reports, product(map(_as_order, grid), checks)):
@@ -324,13 +402,15 @@ _orders = st.lists(st.sampled_from([0.6, 0.83, 0.9, 1.0, 1.1, 1.3, 5000.0]), max
 
 @st.composite
 def _checks(draw, n_orders):
-    # float columns (lhs, rhs, slack and one per added key) that hold NaN,
-    # +-Infinity and -0.0, or no evaluator at all, as for an unmet side
-    # condition; constant in-window params; the window, if any, rejects the
-    # orders below a cut
+    # float columns (lhs, rhs, slack) that hold NaN, +-Infinity and -0.0, an
+    # added key's column of such floats or of bools (as the oracle's
+    # converged), or no evaluator at all, as for an unmet side condition;
+    # constant in-window params; the window, if any, rejects the orders below
+    # a cut
     added, in_window = draw(_added), draw(_in_window)
-    columns = draw(st.lists(st.lists(_floats, min_size=n_orders, max_size=n_orders),
-                            min_size=3 + len(added), max_size=3 + len(added)))
+    floats = st.lists(_floats, min_size=n_orders, max_size=n_orders)
+    flags = st.lists(st.booleans(), min_size=n_orders, max_size=n_orders)
+    columns = draw(st.tuples(*[floats] * 3, *[st.one_of(floats, flags)] * len(added)))
     evaluate = draw(st.sampled_from([None, lambda block: [np.array(c) for c in columns]]))
     cut = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.9, 1.2, 10.0])))
     window = None if cut is None else (lambda order: order.alpha >= cut)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gwlab import (
+    GWBlocks,
     GWSpec,
     Partition,
     PurificationSpec,
@@ -111,7 +112,7 @@ def test_vacuum_superposition_marginal_purity(rng):
     # closed form for the first-party purity, cross-checked by partial trace
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=0.5)
     psi = superpose_with_vacuum(spec)
-    w = (1.0 - spec.vacuum_weight) * spec.block_weight({0})
+    [w] = Partition.of([{0}]).block_sums(GWBlocks.of(spec).weights)  # carries 1 - vacuum
     expected = w**2 + (1 - w) ** 2 + 2 * w * spec.vacuum_weight
     marginal = partial_trace(psi, {0}).matrix
     assert abs(np.trace(marginal @ marginal).real - expected) < 1e-12

@@ -46,7 +46,6 @@ from .measures import (
     DomainError,
     FindingError,
     MeasureValue,
-    RenyiOrder,
     block_pair_reduction,
     concurrence_pure,
     concurrence_two_qubit,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import InequalityReport, _monogamy_cap, _trace_bound_renyi
-from .measures import FindingError, OrderLike, _as_order, _pair_table, _renyi_of
+from .measures import FindingError, _order, _pair_table, _renyi_of
 from .states import GWBlocks
 from .tensor import Partition, PureState, State, bipartition_matrix, require_dense
 
@@ -101,7 +101,7 @@ def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
 
 
 def check_trace_bound_renyi(
-    psi: State | GWBlocks, order: OrderLike, bipartition=None
+    psi: State | GWBlocks, order: float, bipartition=None
 ) -> InequalityReport:
     """Distance to the aligned product state is at most 2 sqrt(2 E_alpha).
 
@@ -115,15 +115,14 @@ def check_trace_bound_renyi(
     return _trace_bound_renyi(psi, Partition.cut(bipartition)).at(order)
 
 
-def game_gap_fn(lambda0: float, order: OrderLike) -> float:
+def game_gap_fn(lambda0: float, order: float) -> float:
     """-2 log2[l^a + (1-l)^a] - (1-l)(a-1) = (a-1) (2 E_a - (1-l)), with E_a
     the Renyi entropy of (l, 1-l): the scalar behind the pure-state trace bound.
 
     Nonnegative on lambda0 in [1/2, 1], the Schmidt-rank-2 domain; use
     :func:`game_gap_grid_min` to scan it.
     """
-    order = _as_order(order)
-    a = order.alpha
+    a = _order(order)
     if a < 1.0:
         raise ValueError(f"order must be >= 1, got {a}")
     lam = float(lambda0)
@@ -173,7 +172,7 @@ def gap_bound(inp: GameBoundInput) -> GapBoundResult:
 def check_monogamy_cap(
     state: State | GWBlocks,
     partition: Partition,
-    order: OrderLike,
+    order: float,
 ) -> InequalityReport:
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""

@@ -3,8 +3,8 @@
 Every checker evaluates one inequality on the block weights of a GW-family
 state and returns an :class:`InequalityReport`.  Its :class:`Prepared` form
 holds the order-free work and the params its reports carry; :func:`_grid`
-evaluates it over an order grid as arrays, into columns (lhs, rhs, slack and
-the keys an order adds) and one verdict code per order, once.
+evaluates it over a grid of float orders as arrays, into columns (lhs, rhs,
+slack and the keys an order adds) and one verdict code per order, once.
 :func:`prepare_checks` builds ``verify``'s suite (the games section's cap
 and trace bound too), :func:`_oracle_checks` the oracle's two, whose columns
 ``roof`` evaluates.  From any check's columns and codes :func:`_reports`
@@ -41,13 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .measures import (
-    OrderLike,
-    RenyiOrder,
-    _as_order,
-    _checked_c2,
-    _f_alpha_tables,
-    _lam_lo,
-    _pair_table,
+    _checked_c2, _f_alpha_tables, _lam_lo, _monogamy, _order, _pair_table, _polygamy,
 )
 from .states import GWBlocks, GWSpec
 from .tensor import Partition, State
@@ -121,38 +115,38 @@ class Prepared(NamedTuple):
     """A checker with its order-free work (validation, reductions, C^2
     values) done.  ``evaluate(block)`` takes the f_alpha values of ``c2s``,
     one row per order of a block, and gives columns over those orders: lhs,
-    rhs, slack and one per ``added`` key.  A report in the order ``window``
-    adds ``in_window``, and those keys unless ``evaluate`` is None (then it is
-    CONDITION_UNMET).  A check whose window is None takes no order and records none."""
+    rhs, slack and one per ``added`` key.  ``window`` takes a float order; a
+    report in it adds ``in_window``, and those keys unless ``evaluate`` is None
+    (then it is CONDITION_UNMET).  A check whose window is None takes no order
+    and records none."""
 
     name: str
-    window: Optional[Callable[[RenyiOrder], bool]]
+    window: Optional[Callable[[float], bool]]
     params: dict
     c2s: np.ndarray
     evaluate: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]]
     in_window: dict = {}
     added: tuple = ()
 
-    def at(self, order: OrderLike) -> InequalityReport:
+    def at(self, order: float) -> InequalityReport:
         return at_orders([order], [self])[0]
 
 
-_MONOGAMY = RenyiOrder.supports_monogamy.fget
-_POLYGAMY = RenyiOrder.supports_polygamy.fget
 #: An order's verdict code, and by code its report's verdict and applicability.
 _HELD, _FAILED, _UNMET, _OUT = range(4)
 _VERDICTS = ((True, Applicability.APPLICABLE), (False, Applicability.APPLICABLE),
              (True, Applicability.CONDITION_UNMET), (True, Applicability.OUT_OF_WINDOW))
 
 
-def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, list, list]:
-    """The grid's orders, and per check its verdict codes and its columns.
+def _grid(grid: Iterable[float], checks: Sequence[Prepared]) -> tuple[list, list, list]:
+    """The grid's orders, as floats checked once by ``_order``, and per check
+    its verdict codes and its columns.
     One f_alpha table per block of orders (the whole grid unless the longest
     C^2 vector makes ``GRID_VALUES`` too few) holds each distinct vector
     object once; each relation on a vector is evaluated once, and each window
     applied once.  The codes are the one verdict rule: out of window, unmet
     where there are no columns, else satisfied when ``slack >= -CLOSED_FORM_TOL``."""
-    orders = [_as_order(a) for a in grid]
+    orders = list(map(_order, grid))
     vectors = {id(check.c2s): check.c2s for check in checks}  # a shared vector is one array
     ends = list(accumulate(map(len, vectors.values()), initial=0))
     spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
@@ -161,7 +155,7 @@ def _grid(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> tuple[list, 
     step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
     # as lists at once: a column may be a view of big powers
     blocks = [[[c.tolist() for c in read[0](table[:, span])] for read, span in reads.items()]
-              for table in _f_alpha_tables(lo, [order.alpha for order in orders], step)]
+              for table in _f_alpha_tables(lo, orders, step)]
     joined = {read: [list(chain.from_iterable(parts)) for parts in zip(*read_blocks)]
               for read, read_blocks in zip(reads, zip(*blocks))}
     columns = [joined.get((check.evaluate, id(check.c2s)), []) for check in checks]
@@ -187,11 +181,11 @@ def _reports(check: Prepared, codes: list, columns: list, alphas: list) -> Itera
         yield InequalityReport(check.name, *numbers, *_VERDICTS[code], params)
 
 
-def at_orders(grid: Iterable[OrderLike], checks: Sequence[Prepared]) -> list[InequalityReport]:
+def at_orders(grid: Iterable[float], checks: Sequence[Prepared]) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
     order; ``verify`` writes their lines from the columns (:func:`_grid_lines`)."""
     orders, codes, columns = _grid(grid, checks)
-    alphas = [[order.alpha for order in orders]] * len(checks)
+    alphas = [orders] * len(checks)
     return list(chain.from_iterable(zip(*map(_reports, checks, codes, columns, alphas))))
 
 
@@ -298,28 +292,34 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
 def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool) -> Iterator[str]:
     """The newline-ended lines of ``check``'s rows, with verdicts ``codes`` and encoded
     ``alphas``: its templates on its zipped columns.  A CSV number is ``%.12g``.  One
-    read of a JSONL column's types picks ``%r`` if it holds only finite floats, as it is
-    if only str (JSON text already), one lookup if only bool, else json's text per value."""
-    specs, values = ["%s"], [alphas]
-    for column in columns:
-        types = set() if csv else set(map(type, column))
-        finite = types == {float} and all(map(math.isfinite, column))
+    read of the types of the rows that print a JSONL column (the sides on held and failed
+    rows, an added key on rows in the window) picks ``%r`` if they hold only finite floats,
+    as it is if only str (JSON text already), one lookup if only bool, else json's text
+    per value."""
+    specs, values, kinds = ["%s"], [alphas], sorted(set(codes))
+    top = kinds[-1] if kinds else _HELD
+    for i, column in enumerate(columns):
+        last = _FAILED if i < 3 else _UNMET  # the highest code whose rows print the column
+        printed = () if csv else column if top <= last else [
+            value for value, code in zip(column, codes) if code <= last]
+        types = set(map(type, printed))
+        finite = types <= {float} and all(map(math.isfinite, printed))
         specs.append("%.12g" if csv else "%r" if finite else "%s")
         values.append(column if csv or finite or types == {str} else map(
-            ("false", "true").__getitem__ if types == {bool} else _json_value, column))
+            {False: "false", True: "true"}.get if types == {bool} else _json_value, column))
     formats, row = {}, None
-    for code in sorted(set(codes)):  # the first code's line sets the row
+    for code in kinds:  # the first code's line sets the row
         formats[code], row = _line_format(check, code, csv, specs, row)
     return map(str.__mod__, map(formats.__getitem__, codes), zip(*[values[i] for i in row or ()]))
 
 
-def _grid_lines(grid: Iterable[OrderLike], checks: Sequence[Prepared],
+def _grid_lines(grid: Iterable[float], checks: Sequence[Prepared],
                 csv: bool = False) -> tuple[bool, Iterator[str]]:
     """Whether an applicable report of ``at_orders(grid, checks)`` fails, and
     the bytes of :func:`report_to_json_line` (or :func:`report_to_csv_row`)
     of each, newline-ended, made lazily from the columns, each alpha encoded once."""
     orders, codes, columns = _grid(grid, checks)
-    alphas = [(_csv_num if csv else _json_value)(order.alpha) for order in orders]
+    alphas = list(map(_csv_num if csv else _json_value, orders))
     lines = [_column(*column, alphas, csv) for column in zip(checks, codes, columns)]
     return any(_FAILED in c for c in codes), chain.from_iterable(zip(*lines))
 
@@ -376,7 +376,7 @@ def _relation(name: str, direction: str, params: dict, c2s: np.ndarray, mu: floa
         lhs, rhs = _fold(block, mu, groups)
         return lhs, rhs, lhs - rhs if direction == "ge" else rhs - lhs
 
-    return Prepared(name, _MONOGAMY if direction == "ge" else _POLYGAMY, params, c2s, evaluate)
+    return Prepared(name, _monogamy if direction == "ge" else _polygamy, params, c2s, evaluate)
 
 
 def _power_relation(
@@ -390,14 +390,14 @@ def _power_relation(
 
 
 def check_monogamy_sq(state: State | GWBlocks, partition: Partition, s: int,
-                      order: OrderLike) -> InequalityReport:
+                      order: float) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
     t, partition = _block_weights(state, partition)
     return _power_relation("monogamy_sq", "ge", _pair_table(t, s), partition, s, 2.0).at(order)
 
 
-def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, order: OrderLike,
+def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, order: float,
                          mu: float) -> InequalityReport:
     """mu-th power monogamy for finite mu >= 2."""
     mu = float(mu)
@@ -408,13 +408,13 @@ def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, 
 
 
 def check_polygamy(state: State | GWBlocks, partition: Partition, s: int,
-                   order: OrderLike) -> InequalityReport:
+                   order: float) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
     t, partition = _block_weights(state, partition)
     return _power_relation("polygamy", "le", _pair_table(t, s), partition, s, 1.0).at(order)
 
 
-def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, order: OrderLike,
+def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, order: float,
                          mu: float) -> InequalityReport:
     """mu-th power polygamy for 0 < mu <= 1."""
     mu = float(mu)
@@ -445,7 +445,7 @@ def check_merged_block_upper_bound(
     block_p: Iterable[int],
     block_q: Iterable[int],
     rest_blocks: Iterable[Iterable[int]],
-    order: OrderLike,
+    order: float,
 ) -> InequalityReport:
     """Entanglement across the merged PQ cut of a pure state is bounded by
     twice the PQ term plus all pairwise P/Q-to-rest terms.
@@ -463,7 +463,7 @@ def check_merged_block_upper_bound(
 def check_reoa_triangle(
     state: State | GWBlocks,
     partition: Partition,
-    order: OrderLike,
+    order: float,
 ) -> InequalityReport:
     """Triangle bound among the three one-to-rest values f_alpha(C^2).
 
@@ -487,7 +487,7 @@ def check_upper_bound_bipartition(
     block_p1: Iterable[int],
     block_p2: Iterable[int],
     q_blocks: Iterable[Iterable[int]],
-    order: OrderLike,
+    order: float,
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
@@ -599,7 +599,7 @@ def _tighter_report(check: Prepared, measure_kind: str, order) -> InequalityRepo
 
 def check_tighter_three(state: State | GWBlocks, partition: Partition, params: TighterParams,
                         measure_kind: str = "concurrence",
-                        order: Optional[OrderLike] = None) -> InequalityReport:
+                        order: Optional[float] = None) -> InequalityReport:
     """Tightened three-block bound: when the P1P3 term dominates k times the
     P1P2 term (in c_pow powers), the one-to-rest value dominates
     M(P1P2)^b + h * M(P1P3)^b.
@@ -616,7 +616,7 @@ def check_tighter_three(state: State | GWBlocks, partition: Partition, params: T
 
 def check_tighter_multi(state: State | GWBlocks, partition: Partition, split_index: int,
                         params: TighterParams, measure_kind: str = "concurrence",
-                        order: Optional[OrderLike] = None) -> InequalityReport:
+                        order: Optional[float] = None) -> InequalityReport:
     """Tightened multi-block bound with geometric h weights.
 
     Blocks are numbered 1..m with P1 distinguished.  The first condition
@@ -639,7 +639,7 @@ def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepar
         return lhs, np.full(len(block), cap), np.minimum(middle - lhs, cap - middle), middle
 
     params = {"d": d_alice, "partition": partition.sorted_blocks}
-    return Prepared("monogamy_cap", _MONOGAMY, params, c2s, evaluate, added=("middle",))
+    return Prepared("monogamy_cap", _monogamy, params, c2s, evaluate, added=("middle",))
 
 
 def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
@@ -656,7 +656,7 @@ def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
         rhs = 2.0 * np.sqrt(2.0 * block[:, 0])
         return np.full(len(rhs), lhs), rhs, rhs - lhs
 
-    return Prepared("trace_bound_renyi", lambda o: o.alpha >= 1.0, {}, np.array([c2]), evaluate,
+    return Prepared("trace_bound_renyi", lambda a: a >= 1.0, {}, np.array([c2]), evaluate,
                     in_window={"lambda0": 1.0 - tail})
 
 
@@ -705,7 +705,7 @@ def _oracle_checks(pair_trials: int, trials: int, seed: int) -> tuple[Prepared, 
     added, none = ("closed_form", "roof_min", "roof_max", "converged"), np.empty(0)
     return (Prepared("c_equals_ca", None, {"trials": pair_trials, "seed": seed}, none, None,
                      added=(*added, "pair")),
-            Prepared("e_alpha_formula", _MONOGAMY, {"trials": trials, "seed": seed}, none, None,
+            Prepared("e_alpha_formula", _monogamy, {"trials": trials, "seed": seed}, none, None,
                      added=(*added, "max_side_checked")))
 
 
@@ -730,7 +730,7 @@ def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> li
 
 def run_mixture_suite(
     spec: GWSpec,
-    order: OrderLike = 2.0,
+    order: float = 2.0,
     tighter: Optional[TighterParams] = None,
 ) -> list[InequalityReport]:
     """Run the monogamy and tightened checks on a vacuum mixture.

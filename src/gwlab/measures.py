@@ -6,7 +6,8 @@ local supports, a two-qubit state with no doubly-excited population.  That
 makes the pairwise concurrences exactly computable and pins the one-to-rest
 convex-roof values through the additivity of squared pairwise concurrence.
 The Renyi-order map ``f_alpha`` then turns squared concurrence into the
-Renyi entanglement for Schmidt-rank-2 states.
+Renyi entanglement for Schmidt-rank-2 states.  An order is a float:
+``_order`` checks it, and ``_monogamy`` and ``_polygamy`` are its windows.
 
 Every family closed form is scalar arithmetic on the excitation
 probabilities t_k of a :class:`GWBlocks`; only a pure member's canonical
@@ -45,7 +46,6 @@ from .tensor import compress_local_support, partial_trace  # noqa: F401
 __all__ = [
     "ALPHA_MONOGAMY_MIN",
     "ALPHA_POLYGAMY_MAX",
-    "RenyiOrder",
     "MeasureValue",
     "ConcurrenceSplit",
     "DomainError",
@@ -94,32 +94,20 @@ class FindingError(RuntimeError):
     """A proven identity failed numerically; surfaced for review, never hidden."""
 
 
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Positive Renyi order with its applicability window classification."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(f"Renyi order must be positive and finite, got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def supports_monogamy(self) -> bool:
-        return self.alpha >= ALPHA_MONOGAMY_MIN
-
-    @property
-    def supports_polygamy(self) -> bool:
-        return ALPHA_MONOGAMY_MIN <= self.alpha <= ALPHA_POLYGAMY_MAX
+def _order(alpha: float) -> float:
+    """A Renyi order as a float, refused unless positive and finite."""
+    a = float(alpha)
+    if not math.isfinite(a) or a <= 0.0:
+        raise ValueError(f"Renyi order must be positive and finite, got {a}")
+    return a
 
 
-OrderLike = Union[RenyiOrder, float, int]
+def _monogamy(alpha: float) -> bool:
+    return alpha >= ALPHA_MONOGAMY_MIN
 
 
-def _as_order(order: OrderLike) -> RenyiOrder:
-    return order if isinstance(order, RenyiOrder) else RenyiOrder(float(order))
+def _polygamy(alpha: float) -> bool:
+    return ALPHA_MONOGAMY_MIN <= alpha <= ALPHA_POLYGAMY_MAX
 
 
 @dataclass(frozen=True)
@@ -153,6 +141,13 @@ def _band(alpha: float) -> int:
     """The kernel branch of an order: 0 von Neumann, 1 expm1, 2 elsewhere."""
     gap = abs(alpha - 1.0)
     return 0 if gap < VON_NEUMANN_BAND else 1 if gap < EXPM1_BAND else 2
+
+
+def _band_masks(alphas: Sequence[float]) -> list[tuple[int, np.ndarray]]:
+    """Each kernel band among the orders ``alphas``, with the mask of its
+    orders: one kernel call serves a band."""
+    bands = np.array([_band(a) for a in alphas])
+    return [(band, bands == band) for band in set(bands.tolist())]
 
 
 def _renyi_of(lo, minor=None) -> Callable:
@@ -206,17 +201,18 @@ def _checked_c2(x) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def f_alpha(x: float, order: OrderLike) -> float:
+def f_alpha(x: float, order: float) -> float:
     """Renyi entanglement of a Schmidt-rank-2 state with squared concurrence x.
 
     The Schmidt coefficients are (1 -+ sqrt(1-x))/2; this is the 0-d call of
     ``_f_alpha_array``, after the domain check of ``_checked_c2``."""
-    return float(_f_alpha_array(_checked_c2(float(x)), order))
+    return float(_f_alpha_array(_checked_c2(float(x)), _order(order)))
 
 
-def _f_alpha_array(x, order: OrderLike) -> np.ndarray:
-    """f_alpha elementwise on squared concurrences already in [0, 1]."""
-    return _renyi_of(_lam_lo(x))(_as_order(order).alpha)
+def _f_alpha_array(x, order: float) -> np.ndarray:
+    """f_alpha elementwise on squared concurrences already in [0, 1], at an
+    order ``_order`` has checked."""
+    return _renyi_of(_lam_lo(x))(order)
 
 
 def _f_alpha_tables(
@@ -227,17 +223,16 @@ def _f_alpha_tables(
     (rows) at a time, one kernel call per band of a table's orders; the
     kernel's order-free arrays are made once.  Each row is bit-equal to
     ``f_alpha`` at its order."""
-    renyi = _renyi_of(lo)
-    bands, column = np.array([_band(a) for a in alphas]), np.array(alphas, dtype=float)[:, None]
+    renyi, column = _renyi_of(lo), np.array(alphas, dtype=float)[:, None]
     for start in range(0, len(alphas), step):
-        block_bands, block = bands[start : start + step], column[start : start + step]
+        block = column[start : start + step]
         out = np.empty((len(block), lo.size))
-        for band in set(block_bands.tolist()):
-            out[block_bands == band] = renyi(block[block_bands == band], band)
+        for band, mask in _band_masks(alphas[start : start + step]):
+            out[mask] = renyi(block[mask], band)
         yield out
 
 
-def g_alpha(y: float, order: OrderLike) -> float:
+def g_alpha(y: float, order: float) -> float:
     """f_alpha evaluated at the square of an (unsquared) concurrence y."""
     y = float(y)
     if y < -F_DOMAIN_SLACK:
@@ -246,7 +241,7 @@ def g_alpha(y: float, order: OrderLike) -> float:
 
 
 def renyi_entropy(
-    spectrum: Union[SchmidtSpectrum, DensityOperator], order: OrderLike
+    spectrum: Union[SchmidtSpectrum, DensityOperator], order: float
 ) -> MeasureValue:
     """log2(sum lambda_i^alpha)/(1-alpha); von Neumann entropy near alpha=1.
 
@@ -258,7 +253,7 @@ def renyi_entropy(
     else:
         raise TypeError(f"expected SchmidtSpectrum or DensityOperator, got {type(spectrum)}")
     minor = np.sort(lams[lams > 1e-15])[:-1]
-    value = float(_renyi_of(minor.sum(), minor)(_as_order(order).alpha))
+    value = float(_renyi_of(minor.sum(), minor)(_order(order)))
     return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
 
 
@@ -391,13 +386,13 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
 
 
 def renyi_entanglement_gw(
-    state: State | GWBlocks, partition: Partition, s: int, order: OrderLike
+    state: State | GWBlocks, partition: Partition, s: int, order: float
 ) -> MeasureValue:
     """Renyi entanglement of block s against the rest via f_alpha(C^2)."""
-    order = _as_order(order)
-    if not order.supports_monogamy:
+    order = _order(order)
+    if not _monogamy(order):
         raise ApplicabilityError(
-            f"order {order.alpha} below the threshold {ALPHA_MONOGAMY_MIN:.10f}"
+            f"order {order} below the threshold {ALPHA_MONOGAMY_MIN:.10f}"
         )
     split = gw_one_to_rest_concurrence_sq(state, partition, s)
     return MeasureValue(

@@ -21,7 +21,8 @@ of one measure and trial count and get columns back; a stack advances in
 lockstep as slices of at most ``GROUP_RUNS``, one step per generation: both
 incumbent sides in one array, one Renyi kernel call per band of orders, no
 per-run copy of the Haar draws when no run refines.  As sum_k p_k C_k = C
-on every decomposition, the oracle runs each pair for one generation only.
+on every decomposition, the oracle runs each pair for one generation only,
+and each distinct float order in its ``e_alpha_formula`` check's window once.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .inequalities import _FAILED, _HELD, _OUT, _UNMET, InequalityReport, _column, _json_value
 from .inequalities import _oracle_checks, _reports
-from .measures import OrderLike, _as_order, _band, _canonical_pair, _lam_lo, _renyi_of, f_alpha
+from .measures import _band_masks, _canonical_pair, _lam_lo, _order, _polygamy, _renyi_of, f_alpha
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
@@ -188,9 +189,8 @@ class _Group:
         self.iso = np.full((size, 2, r + 2, r), np.nan, complex)
         self.last_improve = np.zeros(size, dtype=int)
         alphas = np.zeros(0) if alphas is None else alphas
-        bands = np.array([_band(alpha) for alpha in alphas.tolist()])
-        masks = [(band, bands == band) for band in set(bands.tolist())]
-        self.bands = [(band, mask, alphas[mask][:, None, None]) for band, mask in masks]
+        self.bands = [(band, mask, alphas[mask][:, None, None])
+                      for band, mask in _band_masks(alphas.tolist())]
 
     def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
         """Evaluate trials t: the Haar draws, with the refining rows of
@@ -270,7 +270,7 @@ def _roof_estimates(stacks, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20000, seed: int = 0,
-                       order: Optional[OrderLike] = None) -> RoofEstimate:
+                       order: Optional[float] = None) -> RoofEstimate:
     """Estimate min and max decomposition averages of a pure-state measure
     on a two-qubit state.
 
@@ -287,10 +287,10 @@ def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20
         raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
     if measure_kind == "renyi_ent" and order is None:
         raise ValueError("renyi_ent needs a Renyi order")
-    order = None if order is None else _as_order(order)
+    order = None if order is None else _order(order)
     if rho.layout.dims != (2, 2):
         raise ValueError(f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}")
-    alphas = np.array([order.alpha]) if measure_kind == "renyi_ent" else None
+    alphas = np.array([order]) if measure_kind == "renyi_ent" else None
     low, high, converged = (column.item() for column in _roof_estimates(
         [(_eigen_ensemble(rho)[None], alphas, trials)], seed))
     return RoofEstimate(low, high, trials, int(seed), converged)
@@ -300,7 +300,7 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     """Each ``_oracle_checks`` check, its codes, columns and rows' alphas."""
     state = GWBlocks.from_state(state)
     _check_run(trials, seed)
-    orders = [_as_order(order) for order in orders]
+    orders = list(map(_order, orders))
     k = partition.n_blocks
     if k < 2:
         raise ValueError("partition needs at least two blocks")
@@ -318,20 +318,22 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     rows, pure = _pair_rows(state.vacuum_weight, t_a, t_b)
     concurrences = 2.0 * np.sqrt(t_a * t_b)
     first, size = pair_of[0], len(pair_of)
-    windowed = {order.alpha: order for order in orders if order.supports_monogamy}
-    # one run per distinct pair, then one per distinct in-window order
+    checks = _oracle_checks(min(trials, GENERATION), trials, int(seed))
+    # one run per distinct pair, then one per distinct order in the e_alpha_formula
+    # window: its index by order
+    found = {alpha: i for i, alpha in enumerate(
+        dict.fromkeys(filter(checks[1].window, orders)), len(rows))}
     low, high, plateau = (np.append(column, math.nan) for column in _roof_estimates([
         (rows, None, min(trials, GENERATION)),
-        (np.repeat(rows[[first]], len(windowed), axis=0), np.array(list(windowed)), trials)], seed))
+        (np.repeat(rows[[first]], len(found), axis=0), np.array(list(found)), trials)], seed))
     # one row per pair, then one per order: the index of its run, or -1, the
     # last run of NaNs, outside the window
-    found = {alpha: len(rows) + i for i, alpha in enumerate(windowed)}
-    run = np.concatenate([pair_of, [found.get(order.alpha, -1) for order in orders]]).astype(int)
+    run = np.concatenate([pair_of, [found.get(alpha, -1) for alpha in orders]]).astype(int)
     plateau[: len(rows)] = high[: len(rows)] - low[: len(rows)] <= PLATEAU_TOL
     low, high, converged = low[run], high[run], plateau[run] == 1.0
     closed = np.concatenate([concurrences[pair_of], [f_alpha(
-        float(concurrences[first]) ** 2, o) if o.alpha in found else math.nan for o in orders]])
-    max_side = np.array([True] * size + [o.supports_polygamy or pure[first] for o in orders])
+        float(concurrences[first]) ** 2, o) if o in found else math.nan for o in orders]])
+    max_side = np.array([True] * size + [_polygamy(o) or pure[first] for o in orders])
     deviation = np.abs(low - closed)
     deviation = np.where(max_side, np.maximum(
         np.maximum(deviation, np.abs(high - closed)), np.abs(low - high)), deviation)
@@ -341,12 +343,11 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     (pair_codes, *pairs), (order_codes, *renyi) = zip(*[(c[:size], c[size:])
                                                         for c in map(np.ndarray.tolist, columns)])
     pairs[-1] = pair_column(partition.sorted_blocks)  # the pair column, in a, b's order
-    checks = _oracle_checks(min(trials, GENERATION), trials, int(seed))
     return [(checks[0], pair_codes, pairs, [None] * size),
-            (checks[1], order_codes, renyi, [order.alpha for order in orders])]
+            (checks[1], order_codes, renyi, orders)]
 
 
-def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequence[OrderLike] = (),
+def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequence[float] = (),
                    trials: int = 20000, seed: int = 0) -> list[InequalityReport]:
     """One ``c_equals_ca`` report per pair of the partition's blocks, pairs
     (0, 1), (0, 2), ..., (1, 2), ..., then one ``e_alpha_formula`` report per
@@ -371,7 +372,7 @@ def oracle_reports(state: State | GWBlocks, partition: Partition, orders: Sequen
     return [report for table in tables for report in _reports(*table)]
 
 
-def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence[OrderLike] = (),
+def oracle_lines(state: State | GWBlocks, partition: Partition, orders: Sequence[float] = (),
                  trials: int = 20000, seed: int = 0) -> Iterator[str]:
     """The JSON line of each report of :func:`oracle_reports`: the bytes of
     ``report_to_json_line`` and a newline, made lazily from the same columns
@@ -392,7 +393,7 @@ def verify_c_equals_ca(
     return oracle_reports(state, Partition.of(blocks), (), trials, seed)[0]
 
 
-def verify_e_alpha_formula(state: State | GWBlocks, order: OrderLike, trials: int = 20000,
+def verify_e_alpha_formula(state: State | GWBlocks, order: float, trials: int = 20000,
                            seed: int = 0, blocks=None) -> InequalityReport:
     """Check the Renyi closed form f_alpha(C^2) against decomposition averages.
 

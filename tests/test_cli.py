@@ -626,6 +626,38 @@ def test_library_and_cli_refuse_alike(tmp_path, monkeypatch, capsys, command, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_bad_order_refused_alike_at_every_entry(tmp_path, monkeypatch, capsys, bad):
+    # measures._order is the one order validator: every entry point refuses
+    # an order that is not positive and finite with its one message, and the
+    # CLI prints it, exits 2, runs no roof and writes no file
+    message = f"Renyi order must be positive and finite, got {bad}"
+    spec = GWSpec.qubit(FIG1_AMPLITUDES)
+    psi, partition = GWBlocks.of(spec), Partition.singletons(spec.n)
+    calls = [
+        lambda: gwlab.measures.f_alpha(0.5, bad),
+        lambda: gwlab.measures.renyi_entropy(gwlab.tensor.SchmidtSpectrum([0.7, 0.3]), bad),
+        lambda: gwlab.games.game_gap_fn(0.9, bad),
+        lambda: gwlab.roof.convex_roof_bounds(
+            gwlab.measures.block_pair_reduction(psi, {0}, {1}), "renyi_ent", 10, order=bad),
+        lambda: prepare_checks(psi, partition)[0].at(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    monkeypatch.setattr(gwlab.roof, "_roof_estimates", _refuse_roof)
+    # a grid refuses a non-finite entry itself, before any order is made
+    grids = {"oracle": f"2.0,{bad}", **({"verify": f"{bad}:1:0.5"} if math.isfinite(bad) else {})}
+    for command, alpha in grids.items():
+        out = tmp_path / f"{command}.jsonl"
+        argv = [command, "--spec", gw_spec_to_json(spec), f"--alpha={alpha}", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, why",
     [

@@ -1,8 +1,8 @@
 """Every top-level import in ``src/gwlab`` has a reader, only
 ``states.py`` tells block weights from dense states, no module calls the
 builtin ``sum``, the checkers read every squared concurrence from
-``measures._pair_table``, and only ``convex_roof_bounds`` builds a
-``RoofEstimate``.
+``measures._pair_table``, only ``convex_roof_bounds`` builds a
+``RoofEstimate``, and ``measures._order`` is the one order validator.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -192,3 +192,27 @@ def test_one_writer():
                          if ast.unparse(func) in ("print", "sys.stdout.write")]
     assert writers == ["cli.py: _write_lines"], f"writelines called in {writers}"
     assert printers == [], f"stdout written past the writer in {printers}"
+
+
+def test_one_order_validator():
+    # an order is a float everywhere: no module defines or imports the old
+    # wrapper, and measures._order is the only function that raises the
+    # invalid-order message
+    gone = {"RenyiOrder", "OrderLike", "_as_order"}
+    wrappers, raisers = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = set()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            wrappers += [f"{path.name}: {name}" for name in sorted(names & gone)]
+            if isinstance(node, ast.FunctionDef):
+                raisers += [f"{path.name}: {node.name}" for n in ast.walk(node)
+                            if isinstance(n, ast.Raise) and n.exc is not None
+                            and "must be positive and finite" in ast.unparse(n.exc)]
+    assert wrappers == [], f"the order wrapper survives in {wrappers}"
+    assert raisers == ["measures.py: _order"], f"orders are validated in {raisers}"

@@ -507,9 +507,9 @@ def test_grid_evaluates_each_relation_and_window_once(monkeypatch):
         evaluated.append(len(block))
         return block[:, 0], block[:, 1], block[:, 0] - block[:, 1]
 
-    def window(order):
-        windowed.append(order.alpha)
-        return order.alpha > 1.0
+    def window(alpha):
+        windowed.append(alpha)
+        return alpha > 1.0
 
     first = Prepared("first", window, {}, np.array([0.3, 0.2]), evaluate)
     checks = [first, first._replace(name="second"), first._replace(c2s=np.array([0.5, 0.1]))]

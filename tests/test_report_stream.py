@@ -45,7 +45,6 @@ from gwlab.cli import (
 from gwlab.inequalities import (
     CLOSED_FORM_TOL, Prepared, _csv_num, _grid_lines, _json_value, _mixture_checks, at_orders,
 )
-from gwlab.measures import _as_order
 from gwlab.roof import oracle_lines, oracle_reports
 from gwlab.states import GWBlocks, gw_spec_from_json, gw_spec_to_json
 from gwlab.tensor import Partition
@@ -296,9 +295,9 @@ def test_writer_writes_the_joined_lines(tmp_path, producer):
     assert out.read_bytes() == "".join(lines).encode()
 
 
-def test_oracle_bool_columns_skip_the_json_encoder(monkeypatch):
-    # the converged and max_side_checked columns hold only bools; each is
-    # printed through one lookup, never by a json encoding per row
+def _json_value_calls(monkeypatch, orders) -> tuple[int, list]:
+    # the lines of the many-stack job at 65 trials, and every value the
+    # column writer sent to the json encoder one row at a time
     seen = []
 
     def spy(value):
@@ -307,11 +306,37 @@ def test_oracle_bool_columns_skip_the_json_encoder(monkeypatch):
 
     monkeypatch.setattr("gwlab.inequalities._json_value", spy)
     n = MANY_STACK_PARTIES
-    lines = list(oracle_lines(GWBlocks.of(many_stack_spec()), Partition.singletons(n),
+    lines = list(oracle_lines(GWBlocks.of(many_stack_spec()), Partition.singletons(n), orders,
                               trials=65, seed=9))
-    assert len(lines) == n * (n - 1) // 2
-    assert len(seen) < len(lines)
+    assert len(lines) == n * (n - 1) // 2 + len(orders)
+    return len(lines), seen
+
+
+def test_oracle_bool_columns_skip_the_json_encoder(monkeypatch):
+    # the converged and max_side_checked columns hold only bools; each is
+    # printed through one lookup, never by a json encoding per row
+    lines, seen = _json_value_calls(monkeypatch, ())
+    assert len(seen) < lines
     assert not any(isinstance(value, bool) for value in seen)
+
+
+def test_oracle_float_columns_skip_the_json_encoder(monkeypatch):
+    # e_alpha_formula's float columns hold NaN only on the rows of orders
+    # outside the window, which print none of them: the types are read from
+    # the rows that print a column, so no float is encoded one row at a time
+    lines, seen = _json_value_calls(monkeypatch, MANY_STACK_ORDERS)
+    assert len(seen) < lines
+    assert not any(isinstance(value, (bool, float)) for value in seen)
+
+
+def test_column_types_come_from_the_rows_that_print_it():
+    # the held row's sides are finite and the failed row's slack is NaN; the
+    # out-of-window row holds NaN in every column and prints none of them
+    columns = [[1.0, 2.0, math.nan], [0.5, 1.0, math.nan], [0.5, math.nan, math.nan],
+               [0.1, 0.2, math.nan]]
+    check = Prepared("x", lambda alpha: alpha < 1.2, {}, np.empty(0),
+                     lambda block: [np.array(c) for c in columns], added=("middle",))
+    _assert_grid_lines([0.9, 1.1, 1.3], [check])
 
 
 def _doc_line(report: InequalityReport) -> str:
@@ -335,7 +360,7 @@ def _assert_grid_lines(grid, checks) -> None:
     assert list(rows) == [",".join(report_to_csv_row(r)) + "\n" for r in reports]
     # the one verdict rule: out of the check's window, else unmet when it has
     # no evaluator, else satisfied by the slack
-    for report, (order, check) in zip(reports, product(map(_as_order, grid), checks)):
+    for report, (order, check) in zip(reports, product(grid, checks)):
         out = check.window is not None and not check.window(order)
         assert (report.applicability == Applicability.OUT_OF_WINDOW) == out
         unmet = not out and check.evaluate is None
@@ -413,7 +438,7 @@ def _checks(draw, n_orders):
     columns = draw(st.tuples(*[floats] * 3, *[st.one_of(floats, flags)] * len(added)))
     evaluate = draw(st.sampled_from([None, lambda block: [np.array(c) for c in columns]]))
     cut = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.9, 1.2, 10.0])))
-    window = None if cut is None else (lambda order: order.alpha >= cut)
+    window = None if cut is None else (lambda alpha: alpha >= cut)
     name = draw(_texts)
     return Prepared(name, window, draw(_consts), np.empty(0), evaluate, in_window, added)
 

@@ -6,7 +6,7 @@ Subcommands: ``figure`` regenerates the bundled figure datasets as CSV,
 convex-roof estimator against the closed forms, and ``gamebounds``
 tabulates the game gap bounds.  Output is plain CSV or JSON lines with a
 fixed numeric format, so identical configurations (and seeds) produce
-byte-identical files.
+byte-identical files on the same numpy build with the same CPU features.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .games import LOG_BASE, GameBoundInput, gap_bound
 from .inequalities import (
     CSV_HEADER,
     TighterParams,
-    _block_weights,
     _csv_num,
     _grid,
     _grid_lines,
@@ -195,10 +194,9 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     grid = alpha_grid(*DEFAULT_ALPHA_GRID)
     if fig_id == 1:
         # lower is the monogamy bound, upper the polygamy one, on E(0|12)
-        t, singles = _block_weights(psi, Partition.singletons(3))
-        c2 = _pair_table(t, 0)
-        _, _, (sq, poly) = _grid(grid, [_power_relation("monogamy_sq", "ge", c2, singles, 0, 2.0),
-                                        _power_relation("polygamy", "le", c2, singles, 0, 1.0)])
+        c2 = _pair_table(psi.weights[:3], 0)
+        _, _, (sq, poly) = _grid(grid, [_power_relation("monogamy_sq", "ge", c2, 0, 2.0),
+                                        _power_relation("polygamy", "le", c2, 0, 1.0)])
         header = ("alpha", "lower", "e_mid", "upper")
         rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:

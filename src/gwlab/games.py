@@ -151,14 +151,13 @@ def gap_bound(inp: GameBoundInput) -> GapBoundResult:
     """Averaged-game gap bound 2 sqrt(2) n^(-1/4) (log2 d)^(1/2) against the
     reference 3.1 n^(-1/4) d (log2 d)^(1/4).
 
-    The new bound does not depend on the Renyi order used to derive it.  For
-    every d >= 2 the comparison d >= (log2 d)^(1/4) holds, so the new bound
-    is expected tighter.
+    The new bound does not depend on the Renyi order used to derive it.  It
+    is the tighter one for every integer d >= 2, so ``tighter`` is always
+    true: log2 d < d gives (log2 d)^(1/4) < d^(1/4) <= d, hence
+    (log2 d)^(1/2) < d (log2 d)^(1/4), and 2 sqrt(2) < 3.1.
     """
     n, d = inp.n, inp.d
     log_d = math.log2(d)
-    if d ** 4 < log_d:
-        raise FindingError(f"comparison d >= (log2 d)^(1/4) failed for d={d}")
     scale = n ** -0.25
     new_bound = 2.0 * math.sqrt(2.0) * scale * math.sqrt(log_d)
     reference = 3.1 * scale * d * log_d**0.25
@@ -178,4 +177,4 @@ def check_monogamy_cap(
     <= (log2 d)^2, with d the dimension of the first block."""
     merged = GWBlocks.from_state(state).merged(partition)
     c2s = _pair_table(merged.weights, 0)
-    return _monogamy_cap(c2s, partition.covered(), merged.layout.dims[0]).at(order)
+    return _monogamy_cap(c2s, merged.layout.dims[0]).at(order)

@@ -12,8 +12,9 @@ builds its reports and :func:`_column` their lines.  A public checker takes a
 :class:`GWBlocks` or a GW-tagged dense state and takes the weights t_B of
 its blocks once, at entry (:func:`_block_weights`): one
 :meth:`Partition.block_sums`, exact as ``math.fsum`` per block.  The
-preparers take those weights, or a block's pair table of them, and the
-blocks renumbered on the reduction to the parties they cover.
+preparers take those weights, or a block's pair table of them; a report
+names its blocks by their count ``n_blocks`` (and ``s``), and the caller's
+partition says who is in them.
 Applicability (order windows, and side conditions decided at prepare time)
 is a first-class result state rather than an error, so grid sweeps produce
 complete report streams; genuine violations on applicable instances surface
@@ -335,22 +336,14 @@ def h_coefficient(k: float, t: float) -> float:
     return ((1.0 + k) ** t - 1.0) / k**t
 
 
-def _block_weights(
-    state: State | GWBlocks, partition: Partition
-) -> tuple[np.ndarray, Partition]:
-    """The weights t_B of the partition's blocks, by one block sum, and the
-    blocks on the reduction to the parties they cover, renumbered in
-    ascending order (:meth:`Partition.covered`).
+def _block_weights(state: State | GWBlocks, partition: Partition) -> np.ndarray:
+    """The weights t_B of the partition's blocks, by one block sum.
 
     Checkers accept block families that cover only part of the state; the
     quantities they test live on the reduction to the covered parties, and
     a block's weight is the same there.
     """
-    return partition.block_sums(GWBlocks.from_state(state).weights), partition.covered()
-
-
-def _partition_params(partition: Partition, s: int) -> dict:
-    return {"partition": partition.sorted_blocks, "s": int(s)}
+    return partition.block_sums(GWBlocks.from_state(state).weights)
 
 
 def _fold(block: np.ndarray, mu: float, groups=((1.0, 1, None),)) -> tuple:
@@ -379,22 +372,19 @@ def _relation(name: str, direction: str, params: dict, c2s: np.ndarray, mu: floa
     return Prepared(name, _monogamy if direction == "ge" else _polygamy, params, c2s, evaluate)
 
 
-def _power_relation(
-    name: str, direction: str, c2s: np.ndarray, partition: Partition, s: int, mu
-) -> Prepared:
+def _power_relation(name: str, direction: str, c2s: np.ndarray, s: int, mu) -> Prepared:
     """f(C^2(s|rest))^mu against the sum of f(C^2(s, k))^mu over the other
-    blocks k, on block s's pair table ``c2s``; "ge" is checked in the
-    monogamy window, "le" in the polygamy one."""
-    params = {"mu": mu, **_partition_params(partition, s)}
-    return _relation(name, direction, params, c2s, mu)
+    blocks k, on block s's pair table ``c2s``, one entry per block; "ge" is
+    checked in the monogamy window, "le" in the polygamy one."""
+    return _relation(name, direction, {"mu": mu, "n_blocks": len(c2s), "s": int(s)}, c2s, mu)
 
 
 def check_monogamy_sq(state: State | GWBlocks, partition: Partition, s: int,
                       order: float) -> InequalityReport:
     """Squared Renyi entanglement of one block against the rest dominates the
     sum of its squared pairwise values."""
-    t, partition = _block_weights(state, partition)
-    return _power_relation("monogamy_sq", "ge", _pair_table(t, s), partition, s, 2.0).at(order)
+    t = _block_weights(state, partition)
+    return _power_relation("monogamy_sq", "ge", _pair_table(t, s), s, 2.0).at(order)
 
 
 def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, order: float,
@@ -403,15 +393,15 @@ def check_monogamy_power(state: State | GWBlocks, partition: Partition, s: int, 
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 2.0):
         raise ValueError(f"power monogamy needs a finite mu >= 2, got {mu}")
-    t, partition = _block_weights(state, partition)
-    return _power_relation("monogamy_power", "ge", _pair_table(t, s), partition, s, mu).at(order)
+    t = _block_weights(state, partition)
+    return _power_relation("monogamy_power", "ge", _pair_table(t, s), s, mu).at(order)
 
 
 def check_polygamy(state: State | GWBlocks, partition: Partition, s: int,
                    order: float) -> InequalityReport:
     """Assisted entanglement of one block is bounded by the pairwise sum."""
-    t, partition = _block_weights(state, partition)
-    return _power_relation("polygamy", "le", _pair_table(t, s), partition, s, 1.0).at(order)
+    t = _block_weights(state, partition)
+    return _power_relation("polygamy", "le", _pair_table(t, s), s, 1.0).at(order)
 
 
 def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, order: float,
@@ -420,8 +410,8 @@ def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, 
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"power polygamy needs mu in (0, 1], got {mu}")
-    t, partition = _block_weights(state, partition)
-    return _power_relation("polygamy_power", "le", _pair_table(t, s), partition, s, mu).at(order)
+    t = _block_weights(state, partition)
+    return _power_relation("polygamy_power", "le", _pair_table(t, s), s, mu).at(order)
 
 
 def _merged_cut_bound(name: str, psi: GWBlocks, t: np.ndarray, partition: Partition) -> Prepared:
@@ -435,9 +425,8 @@ def _merged_cut_bound(name: str, psi: GWBlocks, t: np.ndarray, partition: Partit
     cut = partition.relabelled([0, *range(partition.n_blocks - 1)]).block_sums(psi.weights)
     p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
-    params = {"blocks": partition.covered().sorted_blocks}
     c2s = np.concatenate([_pair_table(cut, 0)[:1], p_c2, q_c2])
-    return _relation(name, "le", params, c2s, 1.0, groups)
+    return _relation(name, "le", {"n_blocks": partition.n_blocks}, c2s, 1.0, groups)
 
 
 def check_merged_block_upper_bound(
@@ -472,14 +461,14 @@ def check_reoa_triangle(
     cover a pure state; on a mixed reduction f_alpha(C^2) is the convex
     roof, only a lower bound on the assisted value.
     """
-    return _reoa_triangle(*_block_weights(state, partition)).at(order)
+    return _reoa_triangle(_block_weights(state, partition)).at(order)
 
 
-def _reoa_triangle(t: np.ndarray, partition: Partition) -> Prepared:
-    if partition.n_blocks != 3:
+def _reoa_triangle(t: np.ndarray) -> Prepared:
+    if len(t) != 3:
         raise ValueError("triangle bound needs exactly three blocks")
     c2s = np.array([_pair_table(t, s)[0] for s in range(3)])
-    return _relation("reoa_triangle", "le", _partition_params(partition, 0), c2s)
+    return _relation("reoa_triangle", "le", {"n_blocks": 3, "s": 0}, c2s)
 
 
 def check_upper_bound_bipartition(
@@ -535,19 +524,18 @@ _TIGHTER_KINDS = ("concurrence", "cren", "renyi")
 
 
 def _tightened(
-    c2s: np.ndarray, partition: Partition, split_index, params: TighterParams, measure_kind,
-    three=False,
+    c2s: np.ndarray, split_index, params: TighterParams, measure_kind, three=False
 ) -> Prepared:
-    """The multi-block tightened bound on P1's pair table ``c2s``; ``three``
-    names it the three-block one and records the margin of its one side
-    condition.
+    """The multi-block tightened bound on P1's pair table ``c2s``, one entry
+    per block; ``three`` names it the three-block one and records the margin
+    of its one side condition.
 
     Blocks are numbered 1..m with P1 distinguished.  ``conditions`` holds the
     chain, index and margin of every side condition in checking order; they
     are stated on the concurrence, which CREN equals on this family.  The
     concurrence and CREN kinds take no order: their report is made once, on a
     one-row block of concurrences."""
-    m = partition.n_blocks
+    m = len(c2s)
     if m < 3:
         raise ValueError("need at least three blocks")
     n = int(split_index)
@@ -558,7 +546,7 @@ def _tightened(
     name = f"tighter_{'three' if three else 'multi'}_{measure_kind}"
     c, k, b, h = params.c_pow, params.k, params.b_pow, params.h
     report_params = {"measure": measure_kind, "c_pow": c, "b_pow": b, "k": k, "h": h,
-                     **_partition_params(partition, 0), **({} if three else {"split_index": n})}
+                     "n_blocks": m, "s": 0, **({} if three else {"split_index": n})}
     # by 1-based block numbers, c2s[i - 1] is C^2(P1, P_i), c_pair[i] is
     # C(P1, P_i) and c_suffix[i] is C(P1 | P_i ... P_m) by pairwise additivity,
     # one running sum from the right
@@ -609,8 +597,8 @@ def check_tighter_three(state: State | GWBlocks, partition: Partition, params: T
     """
     if partition.n_blocks != 3:
         raise ValueError("need exactly three blocks")
-    t, partition = _block_weights(state, partition)
-    check = _tightened(_pair_table(t, 0), partition, 2, params, measure_kind, three=True)
+    t = _block_weights(state, partition)
+    check = _tightened(_pair_table(t, 0), 2, params, measure_kind, three=True)
     return _tighter_report(check, measure_kind, order)
 
 
@@ -624,21 +612,21 @@ def check_tighter_multi(state: State | GWBlocks, partition: Partition, split_ind
     weights h^(i-2); the second chain (pairs split_index+1..m-1 dominating k
     times their suffix) feeds h^split_index, and the last pair h^(split_index-1).
     """
-    t, partition = _block_weights(state, partition)
-    check = _tightened(_pair_table(t, 0), partition, split_index, params, measure_kind)
+    t = _block_weights(state, partition)
+    check = _tightened(_pair_table(t, 0), split_index, params, measure_kind)
     return _tighter_report(check, measure_kind, order)
 
 
-def _monogamy_cap(c2s: np.ndarray, partition: Partition, d_alice: int) -> Prepared:
+def _monogamy_cap(c2s: np.ndarray, d_alice: int) -> Prepared:
     """The games section's monogamy cap on the first block's pair table
-    ``c2s``; ``d_alice`` is that block's dimension."""
+    ``c2s``, one entry per block; ``d_alice`` is that block's dimension."""
     cap = math.log2(d_alice) ** 2
 
     def evaluate(block):
         middle, lhs = _fold(block, 2.0)
         return lhs, np.full(len(block), cap), np.minimum(middle - lhs, cap - middle), middle
 
-    params = {"d": d_alice, "partition": partition.sorted_blocks}
+    params = {"d": d_alice, "n_blocks": len(c2s)}
     return Prepared("monogamy_cap", _monogamy, params, c2s, evaluate, added=("middle",))
 
 
@@ -676,26 +664,26 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
     power = ("monogamy_power", "ge") if mu >= 2.0 else ("polygamy_power", "le")
     c2 = _pair_table(t, 0)  # one array for every check on block 0's pairs
     checks = [
-        _power_relation("monogamy_sq", "ge", c2, partition, 0, 2.0),
-        _power_relation("polygamy", "le", c2, partition, 0, 1.0),
-        _power_relation(*power, c2, partition, 0, mu),
+        _power_relation("monogamy_sq", "ge", c2, 0, 2.0),
+        _power_relation("polygamy", "le", c2, 0, 1.0),
+        _power_relation(*power, c2, 0, mu),
     ]
     if k >= 3:
-        t3, first_three = t[:3], partition.relabelled([0, 1, 2] + [-1] * (k - 3)).covered()
+        t3 = t[:3]
         # the two merged-cut bounds are one relation under two names
         bound = _merged_cut_bound("merged_block_upper_bound", psi, t, partition)
-        checks += [_reoa_triangle(t3, first_three), bound,
+        checks += [_reoa_triangle(t3), bound,
                    bound._replace(name="pair_block_upper_bound")]
-    checks.append(_monogamy_cap(c2, partition, merged.layout.dims[0]))
+    checks.append(_monogamy_cap(c2, merged.layout.dims[0]))
     checks.append(_trace_bound_renyi(psi, partition.relabelled([0] + [1] * (k - 1))))
     if tighter is not None and k >= 3:
         c3 = _pair_table(t3, 0)
         # CREN equals the concurrence on this family: one check, two names
-        conc = _tightened(c3, first_three, 2, tighter, "concurrence", three=True)
+        conc = _tightened(c3, 2, tighter, "concurrence", three=True)
         cren = conc._replace(name="tighter_three_cren", params={**conc.params, "measure": "cren"})
-        checks += [conc, cren, _tightened(c3, first_three, 2, tighter, "renyi", three=True)]
+        checks += [conc, cren, _tightened(c3, 2, tighter, "renyi", three=True)]
         if k >= 4:
-            checks.append(_tightened(c2, partition, 1, tighter, "concurrence"))
+            checks.append(_tightened(c2, 1, tighter, "concurrence"))
     return checks
 
 
@@ -713,16 +701,15 @@ def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> li
     """The checks of :func:`run_mixture_suite`, each with its ``stage`` in
     its params."""
     tighter = tighter or TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
-    checks, first_three = [], Partition.singletons(3)
+    checks = []
     for stage, state in (
         ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
     ):
         t, n = state.weights, state.layout.n_parties
-        c2 = _pair_table(t, 0)
-        stage_checks = [_power_relation("monogamy_sq", "ge", c2, Partition.singletons(n), 0, 2.0)]
+        stage_checks = [_power_relation("monogamy_sq", "ge", _pair_table(t, 0), 0, 2.0)]
         if n >= 3:
             c3 = _pair_table(t[:3], 0)
-            stage_checks.append(_tightened(c3, first_three, 2, tighter, "concurrence", three=True))
+            stage_checks.append(_tightened(c3, 2, tighter, "concurrence", three=True))
         checks += [check._replace(params={**check.params, "stage": stage})
                    for check in stage_checks]
     return checks

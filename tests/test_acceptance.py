@@ -450,4 +450,6 @@ def test_criterion_10_byte_determinism(tmp_path):
         assert main(command + ["--out", str(a)]) in (0, 1)
         assert main(command + ["--out", str(b)]) in (0, 1)
         assert a.read_bytes() == b.read_bytes(), command
-    _report("criterion 10", started, 60.0, "four commands byte-identical on rerun")
+    _report("criterion 10", started, 60.0,
+            "four commands byte-identical on rerun, on the same numpy build with the same "
+            "CPU features")

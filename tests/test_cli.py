@@ -477,9 +477,8 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
     # one block sum over the job's labels or a relabelling of them: the job's
     # blocks (whose first three are the first three blocks' weights), the
     # merged-cut bounds' cut (P and Q as one block, shared by both bounds) and
-    # the trace bound's cut.  The first three blocks are one more relabelling,
-    # for their params.  A preparer that parses the partition again, or sums
-    # twice, fails this.
+    # the trace bound's cut.  A preparer that parses the partition again, or
+    # sums twice, fails this.
     calls = {"of": 0, "partition": 0, "block_sums": 0}
 
     def counting(name, fn):
@@ -498,7 +497,7 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
     args = ["verify", "--spec", spec, "--partition", "0|1|2,3", "--alpha", "0.83:1.30:0.05"]
     assert main(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert calls == {"of": 1, "partition": 4, "block_sums": 3}
+    assert calls == {"of": 1, "partition": 3, "block_sums": 3}
 
 
 def test_verify_two_parties_with_vacuum(tmp_path):
@@ -1234,4 +1233,19 @@ def test_verify_thousand_parties_builds_no_dense_state(monkeypatch, tmp_path):
     assert time.perf_counter() - started < 5.0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert {r["params"].get("stage") for r in reports} == {None, "purified", "mixture"}
-    assert len(reports[0]["params"]["partition"]) == 1000
+    assert reports[0]["params"]["n_blocks"] == 1000
+
+
+def test_verify_jsonl_line_length_does_not_grow_with_n(tmp_path):
+    # a line names its blocks by their count, not by their parties: at 10^4
+    # singletons no line is longer than at 10 but for the wider n_blocks (and
+    # a number printed a digit or two longer); one listing each block's
+    # parties took 79,150 characters
+    longest = {}
+    for n in (10, 10**4):
+        spec = {"n": n, "d": 2, "amplitudes": [[1 / math.sqrt(n), 0.0]] * n, "vacuum_weight": 0.2}
+        path, out = tmp_path / f"spec{n}.json", tmp_path / f"r{n}.jsonl"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", "--spec", str(path), "--format", "jsonl", "--out", str(out)]) == 0
+        longest[n] = max(map(len, out.read_text().splitlines()))
+    assert longest[10**4] <= longest[10] + 8, longest

@@ -139,6 +139,10 @@ def test_gap_bound_always_tighter_sampled(rng):
         n = int(10 ** rng.uniform(0, 6))
         r = gap_bound(GameBoundInput(max(n, 1), max(d, 2)))
         assert r.tighter
+    # the least dimension and two far past the sample
+    for d in (2, 2**64, 10**300):
+        for n in (1, 10**6):
+            assert gap_bound(GameBoundInput(n, d)).tighter
 
 
 def test_gap_bound_input_validation():

@@ -478,17 +478,17 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
     psi = GWBlocks.of(spec)
     partition = random_complete_partition(rng, 6, 5)
     t = psi.merged(partition).weights
-    t3, first_three = _block_weights(psi, Partition.of(partition.blocks[:3]))
+    t3 = _block_weights(psi, Partition.of(partition.blocks[:3]))
     tighter = TighterParams(c_pow=2.0, b_pow=1.3, k=1.1)
     checks = [
-        _power_relation("monogamy_power", "ge", _pair_table(t, 0), partition, 0, 3.0),
-        _power_relation("polygamy_power", "le", _pair_table(t, 1), partition, 1, 0.5),
-        _reoa_triangle(t3, first_three),
+        _power_relation("monogamy_power", "ge", _pair_table(t, 0), 0, 3.0),
+        _power_relation("polygamy_power", "le", _pair_table(t, 1), 1, 0.5),
+        _reoa_triangle(t3),
         _merged_cut_bound("pair_block_upper_bound", psi, t, partition),
-        _monogamy_cap(_pair_table(t, 0), partition, 2),
+        _monogamy_cap(_pair_table(t, 0), 2),
         _trace_bound_renyi(psi, Partition.cut(({0}, range(1, 6)))),
-        _tightened(_pair_table(t, 0), partition, 2, tighter, "renyi"),
-        _tightened(_pair_table(t, 0), partition, 1, tighter, "concurrence"),
+        _tightened(_pair_table(t, 0), 2, tighter, "renyi"),
+        _tightened(_pair_table(t, 0), 1, tighter, "concurrence"),
     ]
     grid = [0.6 + 0.037 * i for i in range(25)]
     whole = _report_values(at_orders(grid, checks))

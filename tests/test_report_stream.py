@@ -1,7 +1,9 @@
 """Pinned ``gwlab verify`` and ``gwlab oracle`` report streams.
 
 The expected verify streams in ``tests/data`` were recorded before the
-checkers were merged into one implementation per inequality shape.  Both
+checkers were merged into one implementation per inequality shape; their
+JSONL lines name the blocks by ``n_blocks`` since lines stopped listing
+each block's parties, the numbers kept as recorded.  Both
 oracle streams were recorded again when each concurrence run began taking
 one generation (64 trials): every decomposition of a family pair averages
 to C, so its line's trials fell to 64 and its roof numbers moved in the
@@ -23,13 +25,22 @@ digest pins an oracle job whose pair and Renyi runs each fill more than one
 stack of ``GROUP_RUNS``.  A deliberate output change re-records a stream
 by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
 by running its jobs) and is written up in CHANGES.md.
+
+The byte pins hold on the numpy build and CPU features they were recorded
+on: numpy 2.4.6 dispatching its float64 loops to ``X86_V4``, ``AVX512_ICL``
+and ``AVX512_SPR``.  Without the AVX-512 loops the oracle pins move in their
+last bits; ``test_pins_hold_without_avx512`` runs every stream that way in a
+child process and holds it to the rules above, with CSV byte for byte.
 """
 
 import functools
 import hashlib
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -39,6 +50,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, many_stack_spec
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
+import gwlab
 from gwlab.cli import (
     _build_parser, _verify_checks, _write_lines, cmd_figure, cmd_gamebounds, main, parse_partition,
 )
@@ -135,6 +147,55 @@ def test_oracle_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
     # and byte for byte: the oracle's lines come from verify's writer
     assert (tmp_path / stream).read_bytes() == (DATA / stream).read_bytes()
+
+
+def _avx512_features() -> list[str]:
+    """The AVX-512 targets of numpy's dispatch that this host has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)
+            and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+#: Runs the streams of ``ARGS`` (JSON, argv[1]) into the directory argv[2];
+#: prints their exit codes and the named features numpy still dispatches to.
+_STREAMS_CHILD = """
+import json, sys
+from gwlab.cli import main
+from test_report_stream import _avx512_features
+streams, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = {name: main(argv + ["--out", f"{out}/{name}"]) for name, argv in streams.items()}
+print(json.dumps({"codes": codes, "features": _avx512_features()}))
+"""
+
+
+def test_pins_hold_without_avx512(tmp_path):
+    # numpy picks its float64 loops by CPU at import, and the AVX-512 loops
+    # round some last bits differently: with them disabled in a child, the
+    # oracle byte pins move, but every exit code, name, tag and verdict, every
+    # CSV byte and every JSONL number within NUM_TOL must stay
+    features = _avx512_features()
+    if not features:
+        pytest.skip("numpy dispatches to no AVX-512 feature on this host")
+    paths = [Path(gwlab.__file__).parents[1], Path(__file__).parent, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
+           "PYTHONPATH": os.pathsep.join(map(str, filter(None, paths)))}
+    child = subprocess.run([sys.executable, "-c", _STREAMS_CHILD, json.dumps(ARGS), str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result == {"codes": dict.fromkeys(ARGS, 0), "features": []}
+    for stream in ARGS:
+        got, want = (tmp_path / stream).read_text(), (DATA / stream).read_text()
+        if stream.endswith(".csv"):
+            assert got == want, stream
+            continue
+        got, want = got.splitlines(), want.splitlines()
+        assert len(got) == len(want), stream
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_doc(json.loads(g), json.loads(w), f"{stream} line {i + 1}", NUM_TOL)
 
 
 #: The spec and blocks of an oracle job whose Renyi line at order 0.9 is

@@ -28,7 +28,6 @@ from .states import (
     GWBlocks,
     GWSpec,
     ProvenanceError,
-    PurificationSpec,
     build_gw_qudit,
     build_w_qubit,
     gw_spec_from_json,
@@ -45,7 +44,6 @@ from .measures import (
     ConcurrenceSplit,
     DomainError,
     FindingError,
-    MeasureValue,
     block_pair_reduction,
     concurrence_pure,
     concurrence_two_qubit,
@@ -87,8 +85,6 @@ from .roof import (
     verify_e_alpha_formula,
 )
 from .games import (
-    GameBoundInput,
-    GapBoundResult,
     check_monogamy_cap,
     check_trace_bound_renyi,
     game_gap_fn,

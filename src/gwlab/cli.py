@@ -18,18 +18,18 @@ import itertools
 import math
 import os
 import sys
-import traceback
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import featured
-from .games import LOG_BASE, GameBoundInput, gap_bound
+from .games import LOG_BASE, gap_bound
 from .inequalities import (
     CSV_HEADER,
     TighterParams,
     _csv_num,
     _grid,
     _grid_lines,
+    _merged_cut_bound,
     _mixture_checks,
     _power_relation,
     h_coefficient,
@@ -200,9 +200,10 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         header = ("alpha", "lower", "e_mid", "upper")
         rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:
-        checks = prepare_checks(psi, Partition.of(featured.figure2_blocks()))
-        bound = [check for check in checks if check.name == "merged_block_upper_bound"]
-        _, _, [(lhs, rhs, _)] = _grid(grid, bound)
+        partition = Partition.of(featured.figure2_blocks())
+        bound = _merged_cut_bound("merged_block_upper_bound", psi,
+                                  psi.merged(partition).weights, partition)
+        _, _, [(lhs, rhs, _)] = _grid(grid, [bound])
         header, rows = ("alpha", "lhs", "upper_bound"), zip(grid, lhs, rhs)
     else:
         exact_c, c12, c13 = map(math.sqrt, _pair_table(psi.weights, 0))
@@ -264,10 +265,9 @@ def cmd_gamebounds(
     header = ("n", "d", "new_bound", "reference_bound", "tighter", "log_base")
     rows = []
     for n, d in itertools.product(n_list, d_list):
-        result = gap_bound(GameBoundInput(n=n, d=d))
-        bounds = map(_csv_num, (result.new_bound, result.reference_bound))
-        tighter = str(result.tighter).lower()
-        rows.append((str(int(n)), str(int(d)), *bounds, tighter, str(LOG_BASE)))
+        new_bound, reference = gap_bound(n, d)
+        rows.append((str(int(n)), str(int(d)), _csv_num(new_bound), _csv_num(reference),
+                     str(new_bound < reference).lower(), str(LOG_BASE)))
     lines = [",".join(header) + "\n"] + [",".join(row) + "\n" for row in rows]
     _write_lines(lines, out)
     return lines
@@ -358,6 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception:  # a fault of the program, never a verdict: exit 1 means a violation
+        import traceback  # only a fault needs it; importing it costs every start
+
         traceback.print_exc()
         return 3
 

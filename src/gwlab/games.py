@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
     "LOG_BASE",
-    "GameBoundInput",
-    "GapBoundResult",
     "trace_distance_to_vacuum",
     "check_trace_bound_renyi",
     "game_gap_fn",
@@ -43,36 +40,6 @@ __all__ = [
 
 #: Base of every logarithm in the bound formulas, recorded in CSV output.
 LOG_BASE = 2
-
-
-@dataclass(frozen=True)
-class GameBoundInput:
-    """Player count n and the dimension d of the shared party."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        n, d = int(self.n), int(self.d)
-        if max(n, d) > sys.float_info.max:
-            raise ValueError("player count and dimension must fit a float")
-        if n < 1:
-            raise ValueError(f"player count must be >= 1, got {n}")
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-
-
-@dataclass(frozen=True)
-class GapBoundResult:
-    new_bound: float
-    reference_bound: float
-    tighter: bool
-
-    def __post_init__(self):
-        if self.new_bound <= 0 or self.reference_bound <= 0:
-            raise ValueError("bounds must be positive")
 
 
 def trace_distance_to_vacuum(psi: PureState, bipartition) -> float:
@@ -119,8 +86,8 @@ def game_gap_fn(lambda0: float, order: float) -> float:
     """-2 log2[l^a + (1-l)^a] - (1-l)(a-1) = (a-1) (2 E_a - (1-l)), with E_a
     the Renyi entropy of (l, 1-l): the scalar behind the pure-state trace bound.
 
-    Nonnegative on lambda0 in [1/2, 1], the Schmidt-rank-2 domain; use
-    :func:`game_gap_grid_min` to scan it.
+    Nonnegative on lambda0 in [1/2, 1] at every a >= 1, by the gap lemma
+    E_a >= E_inf = -log2 lambda0 >= (1-lambda0)/ln 2 and 2/ln 2 > 1.
     """
     a = _order(order)
     if a < 1.0:
@@ -147,25 +114,26 @@ def game_gap_grid_min(
     return min(float(_gap(lams, a).min()) for a in alphas.tolist())
 
 
-def gap_bound(inp: GameBoundInput) -> GapBoundResult:
-    """Averaged-game gap bound 2 sqrt(2) n^(-1/4) (log2 d)^(1/2) against the
-    reference 3.1 n^(-1/4) d (log2 d)^(1/4).
+def gap_bound(n: int, d: int) -> tuple[float, float]:
+    """Averaged-game gap bound 2 sqrt(2) n^(-1/4) (log2 d)^(1/2) and the
+    reference 3.1 n^(-1/4) d (log2 d)^(1/4), for n >= 1 players sharing a
+    party of dimension d >= 2.
 
     The new bound does not depend on the Renyi order used to derive it.  It
-    is the tighter one for every integer d >= 2, so ``tighter`` is always
-    true: log2 d < d gives (log2 d)^(1/4) < d^(1/4) <= d, hence
-    (log2 d)^(1/2) < d (log2 d)^(1/4), and 2 sqrt(2) < 3.1.
+    is the smaller one for every integer d >= 2: log2 d < d gives
+    (log2 d)^(1/4) < d^(1/4) <= d, hence (log2 d)^(1/2) < d (log2 d)^(1/4),
+    and 2 sqrt(2) < 3.1.
     """
-    n, d = inp.n, inp.d
+    n, d = int(n), int(d)
+    if max(n, d) > sys.float_info.max:
+        raise ValueError("player count and dimension must fit a float")
+    if n < 1:
+        raise ValueError(f"player count must be >= 1, got {n}")
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
     log_d = math.log2(d)
     scale = n ** -0.25
-    new_bound = 2.0 * math.sqrt(2.0) * scale * math.sqrt(log_d)
-    reference = 3.1 * scale * d * log_d**0.25
-    return GapBoundResult(
-        new_bound=new_bound,
-        reference_bound=reference,
-        tighter=bool(new_bound < reference),
-    )
+    return 2.0 * math.sqrt(2.0) * scale * math.sqrt(log_d), 3.1 * scale * d * log_d**0.25
 
 
 def check_monogamy_cap(

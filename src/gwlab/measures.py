@@ -21,7 +21,6 @@ they are the reference the weight forms are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -46,7 +45,6 @@ from .tensor import compress_local_support, partial_trace  # noqa: F401
 __all__ = [
     "ALPHA_MONOGAMY_MIN",
     "ALPHA_POLYGAMY_MAX",
-    "MeasureValue",
     "ConcurrenceSplit",
     "DomainError",
     "ApplicabilityError",
@@ -108,33 +106,6 @@ def _monogamy(alpha: float) -> bool:
 
 def _polygamy(alpha: float) -> bool:
     return ALPHA_MONOGAMY_MIN <= alpha <= ALPHA_POLYGAMY_MAX
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A nonnegative measure value with its kind and computation method."""
-
-    value: float
-    kind: str
-    method: str
-
-    KINDS = (
-        "concurrence",
-        "negativity",
-        "cren",
-        "renyi_ent",
-    )
-    METHODS = ("closed_form", "two_qubit_formula", "block_weights", "oracle")
-
-    def __post_init__(self):
-        v = float(self.value)
-        if v < -1e-9:
-            raise ValueError(f"measure value {v} is negative")
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.method not in self.METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "value", max(v, 0.0))
 
 
 def _band(alpha: float) -> int:
@@ -242,7 +213,7 @@ def g_alpha(y: float, order: float) -> float:
 
 def renyi_entropy(
     spectrum: Union[SchmidtSpectrum, DensityOperator], order: float
-) -> MeasureValue:
+) -> float:
     """log2(sum lambda_i^alpha)/(1-alpha); von Neumann entropy near alpha=1.
 
     The largest coefficient enters as one minus the others, as in f_alpha."""
@@ -253,16 +224,14 @@ def renyi_entropy(
     else:
         raise TypeError(f"expected SchmidtSpectrum or DensityOperator, got {type(spectrum)}")
     minor = np.sort(lams[lams > 1e-15])[:-1]
-    value = float(_renyi_of(minor.sum(), minor)(_order(order)))
-    return MeasureValue(max(value, 0.0), kind="renyi_ent", method="closed_form")
+    return max(float(_renyi_of(minor.sum(), minor)(_order(order))), 0.0)
 
 
-def concurrence_pure(psi: PureState, bipartition) -> MeasureValue:
+def concurrence_pure(psi: PureState, bipartition) -> float:
     """sqrt(2 [1 - Tr rho_A^2]) across the bipartition."""
     lams = schmidt_spectrum(psi, bipartition).coefficients
     purity = float((lams**2).sum())
-    value = math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
-    return MeasureValue(value, kind="concurrence", method="closed_form")
+    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
 _SIGMA_Y2 = np.kron(
@@ -270,7 +239,7 @@ _SIGMA_Y2 = np.kron(
 )
 
 
-def concurrence_two_qubit(rho: DensityOperator) -> MeasureValue:
+def concurrence_two_qubit(rho: DensityOperator) -> float:
     """Two-qubit mixed-state concurrence from the spin-flipped spectrum.
 
     Computed through the Hermitian form sqrt(rho) rho_tilde sqrt(rho), whose
@@ -288,17 +257,15 @@ def concurrence_two_qubit(rho: DensityOperator) -> MeasureValue:
     # square root below; a relative floor keeps rank-deficient states exact
     mu[mu < 1e-13 * mu.max()] = 0.0
     mu = np.sqrt(mu)[::-1]
-    value = max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
-    return MeasureValue(value, kind="concurrence", method="two_qubit_formula")
+    return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
 
 
-def negativity(state: State, bipartition) -> MeasureValue:
+def negativity(state: State, bipartition) -> float:
     """Trace norm of the partial transpose minus one, clamped at zero."""
     two_party = coarse_grain_state(state, Partition.cut(bipartition))
     if isinstance(two_party, PureState):
         two_party = two_party.density()
-    value = trace_norm(partial_transpose(two_party, 0)) - 1.0
-    return MeasureValue(max(0.0, value), kind="negativity", method="closed_form")
+    return max(0.0, trace_norm(partial_transpose(two_party, 0)) - 1.0)
 
 
 def block_pair_reduction(
@@ -328,12 +295,11 @@ def _canonical_pair(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
 
 def gw_pairwise_concurrence(
     state: State | GWBlocks, block_s: Iterable[int], block_k: Iterable[int]
-) -> MeasureValue:
+) -> float:
     """Concurrence 2 sqrt(t_S t_K) between two blocks of a GW-family state."""
     weights = GWBlocks.from_state(state).weights
     t_s, t_k = Partition.of([block_s, block_k]).block_sums(weights).tolist()
-    value = 2.0 * math.sqrt(t_s * t_k)
-    return MeasureValue(value, kind="concurrence", method="block_weights")
+    return 2.0 * math.sqrt(t_s * t_k)
 
 
 class ConcurrenceSplit(NamedTuple):
@@ -387,24 +353,20 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
 
 def renyi_entanglement_gw(
     state: State | GWBlocks, partition: Partition, s: int, order: float
-) -> MeasureValue:
+) -> float:
     """Renyi entanglement of block s against the rest via f_alpha(C^2)."""
     order = _order(order)
     if not _monogamy(order):
         raise ApplicabilityError(
             f"order {order} below the threshold {ALPHA_MONOGAMY_MIN:.10f}"
         )
-    split = gw_one_to_rest_concurrence_sq(state, partition, s)
-    return MeasureValue(
-        f_alpha(split.pair_sum_sq, order), kind="renyi_ent", method="closed_form"
-    )
+    return f_alpha(gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq, order)
 
 
-def cren_gw(state: State | GWBlocks, bipartition) -> MeasureValue:
+def cren_gw(state: State | GWBlocks, bipartition) -> float:
     """Convex-roof extended negativity between two blocks of a GW state.
 
     On this family CREN coincides with the pairwise concurrence, because all
     pure states in the optimal decompositions have Schmidt rank two.
     """
-    value = gw_pairwise_concurrence(state, *Partition.cut(bipartition).blocks).value
-    return MeasureValue(value, kind="cren", method="block_weights")
+    return gw_pairwise_concurrence(state, *Partition.cut(bipartition).blocks)

@@ -37,7 +37,6 @@ __all__ = [
     "GWBlocks",
     "Partition",
     "ProvenanceError",
-    "PurificationSpec",
     "build_w_qubit",
     "build_gw_qudit",
     "superpose_with_vacuum",
@@ -108,22 +107,6 @@ class GWSpec:
     @property
     def layout(self) -> SubsystemLayout:
         return SubsystemLayout((self.d,) * self.n)
-
-
-@dataclass(frozen=True, eq=False)
-class PurificationSpec:
-    """A mixed family member together with ancilla amplitudes purifying it."""
-
-    base: GWSpec
-    ancilla_amplitudes: np.ndarray
-
-    def __post_init__(self):
-        anc = _normalized_table(
-            np.asarray(self.ancilla_amplitudes, dtype=complex).reshape(-1),
-            (self.base.d - 1,),
-            "ancilla amplitudes",
-        )
-        object.__setattr__(self, "ancilla_amplitudes", anc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,19 +277,23 @@ def mix_with_vacuum(spec: GWSpec) -> DensityOperator:
     return DensityOperator(mat, spec.layout, gw=True)
 
 
-def purify_mixture(pspec: PurificationSpec) -> PureState:
+def purify_mixture(spec: GWSpec, ancilla_amplitudes) -> PureState:
     """(n+1)-party pure state whose ancilla trace-out gives the mixture.
 
-    The purification is itself a generalized W-class state: the base table
-    scaled by sqrt(1-w) plus an ancilla row carrying sqrt(w) times the
-    ancilla amplitudes.
+    The purification is itself a generalized W-class state: the spec's table
+    scaled by sqrt(1-w) plus an ancilla row carrying sqrt(w) times the d-1
+    ancilla amplitudes, which must be finite and of unit norm.
     """
-    base = pspec.base
-    w = base.vacuum_weight
-    table = np.zeros((base.n + 1, base.d - 1), dtype=complex)
-    table[: base.n, :] = np.sqrt(1.0 - w) * base.amplitudes
-    table[base.n, :] = np.sqrt(w) * pspec.ancilla_amplitudes
-    induced = GWSpec(n=base.n + 1, d=base.d, amplitudes=table, vacuum_weight=0.0)
+    anc = _normalized_table(
+        np.asarray(ancilla_amplitudes, dtype=complex).reshape(-1),
+        (spec.d - 1,),
+        "ancilla amplitudes",
+    )
+    w = spec.vacuum_weight
+    table = np.zeros((spec.n + 1, spec.d - 1), dtype=complex)
+    table[: spec.n, :] = np.sqrt(1.0 - w) * spec.amplitudes
+    table[spec.n, :] = np.sqrt(w) * anc
+    induced = GWSpec(n=spec.n + 1, d=spec.d, amplitudes=table, vacuum_weight=0.0)
     return build_gw_qudit(induced)
 
 

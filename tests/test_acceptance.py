@@ -38,7 +38,6 @@ from gwlab import (
     g_alpha,
     game_gap_grid_min,
     gap_bound,
-    GameBoundInput,
     gw_one_to_rest_concurrence_sq,
     gw_pairwise_concurrence,
     partial_trace,
@@ -68,8 +67,8 @@ def test_criterion_01_worked_example_pair_concurrences():
     rho, _ = figure1_reduction()
     pair01 = dense_block_pair(rho, {0}, {1})
     pair02 = dense_block_pair(rho, {0}, {2})
-    c01 = concurrence_two_qubit(pair01).value
-    c02 = concurrence_two_qubit(pair02).value
+    c01 = concurrence_two_qubit(pair01)
+    c02 = concurrence_two_qubit(pair02)
     assert abs(c01 - math.sqrt(2.0) / 2.0) < 1e-10
     assert abs(c02 - 2.0 * math.sqrt(2.0) / 5.0) < 1e-10
     _report(
@@ -119,9 +118,9 @@ def test_criterion_03_figure2_closed_forms(tmp_path):
     split = gw_one_to_rest_concurrence_sq(psi, merged, 0)
     assert abs(split.pair_sum_sq - expected["cut"]) < 1e-12
     values = {
-        "pq": gw_pairwise_concurrence(psi, block_p, block_q).value ** 2,
-        "pr": gw_pairwise_concurrence(psi, block_p, block_r).value ** 2,
-        "qr": gw_pairwise_concurrence(psi, block_q, block_r).value ** 2,
+        "pq": gw_pairwise_concurrence(psi, block_p, block_q) ** 2,
+        "pr": gw_pairwise_concurrence(psi, block_p, block_r) ** 2,
+        "qr": gw_pairwise_concurrence(psi, block_q, block_r) ** 2,
     }
     for key, val in values.items():
         assert abs(val - expected[key]) < 1e-12, key
@@ -169,7 +168,7 @@ def test_criterion_05_squared_concurrence_additivity():
         partition = random_complete_partition(rng, spec.n)
         for s, block in enumerate(partition.blocks):
             rest = partition.parties() - block
-            direct = concurrence_pure(psi, (block, rest)).value ** 2
+            direct = concurrence_pure(psi, (block, rest)) ** 2
             split = gw_one_to_rest_concurrence_sq(weights, partition, s)
             worst = max(worst, abs(direct - split.pair_sum_sq))
     assert worst < ADDITIVITY_TOL
@@ -191,7 +190,7 @@ def test_criterion_06a_oracle_concurrence_agreement():
         psi = superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=2, replace=False))
         rho = reduce_to_parties(psi, keep)
-        closed = gw_pairwise_concurrence(rho, {0}, {1}).value
+        closed = gw_pairwise_concurrence(rho, {0}, {1})
         pair = dense_block_pair(rho, {0}, {1})
         est = convex_roof_bounds(pair, "concurrence", trials=20000, seed=seed)
         dev = max(
@@ -243,7 +242,7 @@ def test_criterion_06b_oracle_renyi_agreement():
         psi = superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=2, replace=False))
         rho = reduce_to_parties(psi, keep)
-        closed_c = gw_pairwise_concurrence(rho, {0}, {1}).value
+        closed_c = gw_pairwise_concurrence(rho, {0}, {1})
         pair = dense_block_pair(rho, {0}, {1})
         # block weights carry the factor 1 - vacuum; the assisted formula
         # below reads them on vacuum-free draws only
@@ -399,14 +398,15 @@ def test_criterion_08_inequality_suites():
 
 def test_criterion_09_game_bound_table(tmp_path):
     started = time.perf_counter()
-    result = gap_bound(GameBoundInput(1, 2))
-    assert abs(result.new_bound - 2.0 * math.sqrt(2.0)) < 1e-12
-    assert abs(result.reference_bound - 6.2) < 1e-12
+    new_bound, reference = gap_bound(1, 2)
+    assert abs(new_bound - 2.0 * math.sqrt(2.0)) < 1e-12
+    assert abs(reference - 6.2) < 1e-12
     rng = np.random.default_rng(990)
     for _ in range(100):
         d = int(rng.integers(2, 1025))
         n = int(rng.integers(1, 10**6))
-        assert gap_bound(GameBoundInput(n, d)).tighter
+        new_bound, reference = gap_bound(n, d)
+        assert new_bound < reference
     assert game_gap_grid_min(2, lambda_step=0.001, alpha_step=0.05) >= -1e-9
     cmd_gamebounds([1, 16], [2, 4], str(tmp_path / "gb.csv"))
     _report(

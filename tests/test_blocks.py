@@ -14,7 +14,6 @@ from gwlab import (
     Partition,
     ProvenanceError,
     PureState,
-    PurificationSpec,
     SubsystemLayout,
     TighterParams,
     at_orders,
@@ -105,7 +104,7 @@ def _dense_purification(spec):
     """The dense purification whose weights ``GWBlocks.purification`` holds."""
     anc = np.zeros(spec.d - 1, dtype=complex)
     anc[-1] = 1.0
-    return purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
+    return purify_mixture(spec, anc)
 
 
 def _dense_mixture_suite(spec, order):
@@ -164,7 +163,7 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
                 for p in pairs
             ]
             np.testing.assert_allclose(spectra[0], spectra[1], rtol=0.0, atol=1e-12)
-            got, want = (concurrence_two_qubit(p).value for p in pairs)
+            got, want = (concurrence_two_qubit(p) for p in pairs)
             assert got == pytest.approx(want, abs=1e-12)
             assert want**2 == pytest.approx(pair_sq, abs=1e-12)
         cut = (first, partition.parties() - first)
@@ -172,7 +171,7 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         got = cut_spectrum(blocks, cut).coefficients
         np.testing.assert_allclose(got, want[:2], rtol=0.0, atol=1e-12)
         assert want[2:].sum() == pytest.approx(0.0, abs=1e-12)
-        direct = concurrence_pure(dense, cut).value ** 2
+        direct = concurrence_pure(dense, cut) ** 2
         assert direct == pytest.approx(split.pair_sum_sq, abs=1e-12)
 
 
@@ -185,8 +184,8 @@ def test_restriction_and_merging_match_dense(rng):
         want = concurrence_two_qubit(dense_block_pair(partial_trace(psi, keep), *pair))
         reduced = blocks.merged(Partition.of([p] for p in keep))
         assert not reduced.pure and reduced.layout.n_parties == 3
-        assert gw_pairwise_concurrence(reduced, *pair).value == pytest.approx(
-            want.value, abs=1e-12
+        assert gw_pairwise_concurrence(reduced, *pair) == pytest.approx(
+            want, abs=1e-12
         )
         partition = random_complete_partition(rng, spec.n, 3)
         merged = blocks.merged(partition)
@@ -196,7 +195,7 @@ def test_restriction_and_merging_match_dense(rng):
         want = gw_one_to_rest_concurrence_sq(dense_merged, Partition.singletons(3), 0)
         assert split.pair_sq == pytest.approx(want.pair_sq, abs=1e-12)
         cut = (partition.blocks[0], partition.parties() - partition.blocks[0])
-        direct = concurrence_pure(psi, cut).value ** 2
+        direct = concurrence_pure(psi, cut) ** 2
         assert split.pair_sum_sq == pytest.approx(direct, abs=1e-12)
 
 
@@ -373,14 +372,14 @@ def test_from_state_vacuum_has_no_entanglement():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=1.0)
     singles = Partition.singletons(3)
     for state in (superpose_with_vacuum(spec), mix_with_vacuum(spec)):
-        assert gw_pairwise_concurrence(state, {0}, {1}).value == 0.0
+        assert gw_pairwise_concurrence(state, {0}, {1}) == 0.0
         split = gw_one_to_rest_concurrence_sq(state, singles, 0)
         assert (split.pair_sum_sq, split.pair_sq) == (0.0, (0.0, 0.0))
-        assert cren_gw(state, ({0}, {1, 2})).value == 0.0
-        assert renyi_entanglement_gw(state, singles, 0, 2.0).value == 0.0
+        assert cren_gw(state, ({0}, {1, 2})) == 0.0
+        assert renyi_entanglement_gw(state, singles, 0, 2.0) == 0.0
     psi = superpose_with_vacuum(spec)
     assert cut_spectrum(psi, ({0}, {1, 2})).coefficients.tolist() == [1.0, 0.0]
-    assert concurrence_two_qubit(block_pair_reduction(psi, {0}, {1})).value == 0.0
+    assert concurrence_two_qubit(block_pair_reduction(psi, {0}, {1})) == 0.0
 
 
 def test_from_state_refuses_off_family_and_untagged_states():

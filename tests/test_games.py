@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from gwlab import (
     Applicability,
-    GameBoundInput,
     GWSpec,
     Partition,
     ProvenanceError,
@@ -121,41 +121,69 @@ def test_game_gap_nonnegative_on_grid():
 
 
 def test_gap_bound_plugins():
-    r = gap_bound(GameBoundInput(1, 2))
-    assert r.new_bound == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-    assert r.reference_bound == pytest.approx(6.2, abs=1e-12)
-    assert r.tighter
-    r = gap_bound(GameBoundInput(16, 2))
-    assert r.new_bound == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert r.reference_bound == pytest.approx(3.1, abs=1e-12)
-    r = gap_bound(GameBoundInput(1, 4))
-    assert r.new_bound == pytest.approx(4.0, abs=1e-12)
-    assert r.reference_bound == pytest.approx(3.1 * 4.0 * 2.0**0.25, abs=1e-12)
+    new_bound, reference = gap_bound(1, 2)
+    assert new_bound == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert reference == pytest.approx(6.2, abs=1e-12)
+    assert new_bound < reference
+    new_bound, reference = gap_bound(16, 2)
+    assert new_bound == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert reference == pytest.approx(3.1, abs=1e-12)
+    new_bound, reference = gap_bound(1, 4)
+    assert new_bound == pytest.approx(4.0, abs=1e-12)
+    assert reference == pytest.approx(3.1 * 4.0 * 2.0**0.25, abs=1e-12)
 
 
 def test_gap_bound_always_tighter_sampled(rng):
     for _ in range(200):
         d = int(2 ** rng.uniform(1, 10))
         n = int(10 ** rng.uniform(0, 6))
-        r = gap_bound(GameBoundInput(max(n, 1), max(d, 2)))
-        assert r.tighter
+        new_bound, reference = gap_bound(max(n, 1), max(d, 2))
+        assert new_bound < reference
     # the least dimension and two far past the sample
     for d in (2, 2**64, 10**300):
         for n in (1, 10**6):
-            assert gap_bound(GameBoundInput(n, d)).tighter
+            new_bound, reference = gap_bound(n, d)
+            assert new_bound < reference
 
 
 def test_gap_bound_input_validation():
-    with pytest.raises(ValueError):
-        GameBoundInput(0, 2)
-    with pytest.raises(ValueError):
-        GameBoundInput(1, 1)
+    with pytest.raises(ValueError, match="player count must be >= 1, got 0"):
+        gap_bound(0, 2)
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        gap_bound(1, 1)
+    with pytest.raises(ValueError, match="player count and dimension must fit a float"):
+        gap_bound(1, 10**400)
 
 
 def test_gap_bound_is_reproducible():
-    a = gap_bound(GameBoundInput(7, 8))
-    b = gap_bound(GameBoundInput(7, 8))
-    assert a.new_bound == b.new_bound and a.reference_bound == b.reference_bound
+    assert gap_bound(7, 8) == gap_bound(7, 8)
+
+
+def test_gap_lemma_chain_in_mpmath():
+    # game_gap_fn = (a-1)(2 E_a - (1-l)) >= 0 on l in [1/2, 1] and a >= 1:
+    # E_a >= E_inf = -log2 l >= (1-l)/ln 2, and 2/ln 2 > 1.  Each step is
+    # evaluated in 50 digits at the float grid points themselves.
+    lams = [0.5 + i / 200 for i in range(101)]
+    alphas = [1.0 + i / 20 for i in range(21)] + [2.0 + i for i in range(1, 49)]
+    assert lams[0] == 0.5 and lams[-1] == 1.0 and alphas[-1] == 50.0
+    with mpmath.workdps(50):
+        tol, ln2 = mpmath.mpf(10) ** -40, mpmath.log(2)
+        assert 2 / ln2 > 1
+        for lam in lams:
+            lo, hi = mpmath.mpf(1.0 - lam), mpmath.mpf(lam)
+            e_inf = -mpmath.log(hi, 2)
+            assert e_inf >= lo / ln2 - tol, lam
+            for a in alphas:
+                if a == 1.0:
+                    e_a = -sum(x * mpmath.log(x, 2) for x in (lo, hi) if x > 0)
+                else:
+                    e_a = mpmath.log(lo**a + hi**a, 2) / (1 - mpmath.mpf(a))
+                assert e_a >= e_inf - tol, (lam, a)
+                exact = (a - 1) * (2 * e_a - lo)
+                assert exact >= -tol, (lam, a)
+                value = game_gap_fn(lam, a)
+                assert value >= 0.0, (lam, a)
+                assert abs(value - exact) <= 1e-12 * max(1.0, exact), (lam, a)
 
 
 def test_monogamy_cap_featured():

@@ -183,7 +183,7 @@ def test_merged_block_bound_featured():
     # the merged cut has Schmidt rank two, so the closed form agrees with the
     # spectrum entropy
     spectrum = schmidt_spectrum(psi, (block_p | block_q, block_r))
-    assert report.lhs == pytest.approx(renyi_entropy(spectrum, 1.2).value, abs=1e-10)
+    assert report.lhs == pytest.approx(renyi_entropy(spectrum, 1.2), abs=1e-10)
     assert report.lhs == pytest.approx(f_alpha(15.0 / 64.0, 1.2), abs=1e-10)
 
 
@@ -196,13 +196,13 @@ def test_merged_block_bound_intermediate_values():
     merged = Partition.of([block_p | block_q, block_r])
     split = gw_one_to_rest_concurrence_sq(psi, merged, 0)
     assert split.pair_sum_sq == pytest.approx(15.0 / 64.0, abs=1e-12)
-    assert gw_pairwise_concurrence(psi, block_p, block_q).value ** 2 == pytest.approx(
+    assert gw_pairwise_concurrence(psi, block_p, block_q) ** 2 == pytest.approx(
         27.0 / 32.0, abs=1e-12
     )
-    assert gw_pairwise_concurrence(psi, block_p, block_r).value ** 2 == pytest.approx(
+    assert gw_pairwise_concurrence(psi, block_p, block_r) ** 2 == pytest.approx(
         9.0 / 64.0, abs=1e-12
     )
-    assert gw_pairwise_concurrence(psi, block_q, block_r).value ** 2 == pytest.approx(
+    assert gw_pairwise_concurrence(psi, block_q, block_r) ** 2 == pytest.approx(
         3.0 / 32.0, abs=1e-12
     )
 

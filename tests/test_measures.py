@@ -137,7 +137,7 @@ def test_zero_entropy_is_positive_zero():
     for a in BRANCH_ORDERS:
         assert math.copysign(1.0, f_alpha(0.0, a)) == 1.0, a
         assert not np.signbit(_f_alpha_array(np.zeros(3), a)).any(), a
-        assert math.copysign(1.0, renyi_entropy(SchmidtSpectrum([1.0]), a).value) == 1.0, a
+        assert math.copysign(1.0, renyi_entropy(SchmidtSpectrum([1.0]), a)) == 1.0, a
 
 
 def test_f_alpha_grid_rows_match_scalar():
@@ -203,18 +203,18 @@ def test_g_alpha_matches_squared_argument():
 
 def test_renyi_entropy_values():
     for a in (0.5, 0.9, 1.0, 2.0, 4.0):
-        assert renyi_entropy(SchmidtSpectrum([0.5, 0.5]), a).value == pytest.approx(
+        assert renyi_entropy(SchmidtSpectrum([0.5, 0.5]), a) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert renyi_entropy(SchmidtSpectrum([1.0]), a).value == pytest.approx(
+        assert renyi_entropy(SchmidtSpectrum([1.0]), a) == pytest.approx(
             0.0, abs=1e-12
         )
     expected = -math.log2(10.0 / 16.0)
-    assert renyi_entropy(SchmidtSpectrum([0.75, 0.25]), 2.0).value == pytest.approx(
+    assert renyi_entropy(SchmidtSpectrum([0.75, 0.25]), 2.0) == pytest.approx(
         expected, abs=1e-12
     )
     vn = binary_entropy(0.25)
-    assert renyi_entropy(SchmidtSpectrum([0.75, 0.25]), 1.0).value == pytest.approx(
+    assert renyi_entropy(SchmidtSpectrum([0.75, 0.25]), 1.0) == pytest.approx(
         vn, abs=1e-12
     )
     # orders just outside the von Neumann band, where the plain quotient
@@ -223,7 +223,7 @@ def test_renyi_entropy_values():
         with mpmath.workdps(50):
             lams = (mpmath.mpf("0.8"), mpmath.mpf("0.2"))
             exact = mpmath.log(sum(lam**a for lam in lams), 2) / (1 - mpmath.mpf(a))
-        value = renyi_entropy(SchmidtSpectrum([0.8, 0.2]), a).value
+        value = renyi_entropy(SchmidtSpectrum([0.8, 0.2]), a)
         assert abs(value - float(exact)) < 1e-14, a
         assert abs(value - f_alpha(0.64, a)) < 1e-14, a
 
@@ -246,7 +246,7 @@ def test_renyi_values_at_large_orders_match_mpmath(a):
     for x, value, exact in zip(xs, arrays, exact_f):
         assert f_alpha(x, a) == pytest.approx(exact, rel=1e-12), x
         assert value == pytest.approx(exact, rel=1e-12), x
-    assert renyi_entropy(SchmidtSpectrum(lams), a).value == pytest.approx(exact_s, rel=1e-12)
+    assert renyi_entropy(SchmidtSpectrum(lams), a) == pytest.approx(exact_s, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.9, 1.0 - 2e-6, 1.0, 1.0 + 2e-6, 1.0005, 2.0])
@@ -262,13 +262,13 @@ def test_rank_three_renyi_matches_mpmath_in_every_branch(a):
             -sum(lam * mpmath.log(lam, 2) for lam in lams) if a == 1.0
             else mpmath.log(sum(lam**a for lam in lams), 2) / (1 - mpmath.mpf(a))
         )
-    value = renyi_entropy(SchmidtSpectrum([0.6, 0.3, 0.1]), a).value
+    value = renyi_entropy(SchmidtSpectrum([0.6, 0.3, 0.1]), a)
     assert value == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_renyi_on_density_operator(bell_state):
     rho = partial_trace(bell_state, {0})
-    assert renyi_entropy(rho, 3.0).value == pytest.approx(1.0, abs=1e-12)
+    assert renyi_entropy(rho, 3.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rank_two_identity_between_entropy_and_concurrence(rng):
@@ -277,16 +277,16 @@ def test_rank_two_identity_between_entropy_and_concurrence(rng):
         lam = float(rng.uniform(0.5, 1.0))
         c2 = 4.0 * lam * (1.0 - lam)
         for a in (0.83, 0.95, 1.0, 1.2, 2.0, 3.5):
-            s = renyi_entropy(SchmidtSpectrum([lam, 1 - lam]), a).value
+            s = renyi_entropy(SchmidtSpectrum([lam, 1 - lam]), a)
             assert s == pytest.approx(f_alpha(c2, a), abs=1e-10)
 
 
 def test_concurrence_pure_values(bell_state):
-    assert concurrence_pure(bell_state, ({0}, {1})).value == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_pure(bell_state, ({0}, {1})) == pytest.approx(1.0, abs=1e-12)
     prod = PureState(np.array([0, 1, 0, 0]), SubsystemLayout((2, 2)))
-    assert concurrence_pure(prod, ({0}, {1})).value == pytest.approx(0.0, abs=1e-12)
+    assert concurrence_pure(prod, ({0}, {1})) == pytest.approx(0.0, abs=1e-12)
     psi3 = figure3_state()
-    assert concurrence_pure(psi3, ({0}, {1, 2})).value == pytest.approx(
+    assert concurrence_pure(psi3, ({0}, {1, 2})) == pytest.approx(
         math.sqrt(5.0) / 3.0, abs=1e-12
     )
 
@@ -295,24 +295,21 @@ def test_two_qubit_concurrence_on_featured_pairs():
     rho, _ = figure1_reduction()
     pair01 = concurrence_two_qubit(dense_block_pair(rho, {0}, {1}))
     pair02 = concurrence_two_qubit(dense_block_pair(rho, {0}, {2}))
-    assert pair01.value == pytest.approx(SQRT2_OVER_2, abs=1e-10)
-    assert pair02.value == pytest.approx(TWO_SQRT2_OVER_5, abs=1e-10)
-    assert pair01.method == "two_qubit_formula"
-    closed = gw_pairwise_concurrence(rho, {0}, {1})
-    assert closed.value == pytest.approx(pair01.value, abs=1e-12)
-    assert closed.method == "block_weights"
+    assert pair01 == pytest.approx(SQRT2_OVER_2, abs=1e-10)
+    assert pair02 == pytest.approx(TWO_SQRT2_OVER_5, abs=1e-10)
+    assert gw_pairwise_concurrence(rho, {0}, {1}) == pytest.approx(pair01, abs=1e-12)
 
 
 def test_two_qubit_concurrence_maximally_mixed():
     rho = DensityOperator(np.eye(4) / 4, SubsystemLayout((2, 2)))
-    assert concurrence_two_qubit(rho).value == 0.0
+    assert concurrence_two_qubit(rho) == 0.0
 
 
 def test_two_qubit_concurrence_agrees_with_pure(rng):
     for _ in range(20):
         psi = PureState(rand_unit(rng, 4), SubsystemLayout((2, 2)))
-        a = concurrence_pure(psi, ({0}, {1})).value
-        b = concurrence_two_qubit(psi.density()).value
+        a = concurrence_pure(psi, ({0}, {1}))
+        b = concurrence_two_qubit(psi.density())
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -330,14 +327,14 @@ def test_two_qubit_concurrence_matches_spinflip_product_route(rng):
         mu = np.sort(np.abs(np.real(np.linalg.eigvals(mat @ tilde))))[::-1]
         mu = np.sqrt(mu)
         expected = max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
-        assert concurrence_two_qubit(rho).value == pytest.approx(expected, abs=1e-8)
+        assert concurrence_two_qubit(rho) == pytest.approx(expected, abs=1e-8)
 
 
 def test_werner_mixture_separable_point(bell_state):
     q = 0.3
     mat = q * bell_state.density().matrix + (1 - q) * np.eye(4) / 4
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
-    assert concurrence_two_qubit(rho).value == 0.0
+    assert concurrence_two_qubit(rho) == 0.0
 
 
 def _grid_values(alpha: float, xs: np.ndarray) -> np.ndarray:
@@ -413,7 +410,7 @@ def test_pairwise_concurrence_closed_form_cross_check(rng):
         spec = random_gw_spec(rng, n_min=3, n_max=5, d=int(rng.integers(2, 4)))
         psi = superpose_with_vacuum(spec)
         blocks = [{0}, {1, 2} if spec.n > 3 else {1}]
-        got = gw_pairwise_concurrence(psi, blocks[0], blocks[1]).value
+        got = gw_pairwise_concurrence(psi, blocks[0], blocks[1])
         t_s, t_k = Partition.of(blocks).block_sums(GWBlocks.of(spec).weights).tolist()
         expected = 2.0 * math.sqrt(t_s * t_k)
         assert got == pytest.approx(expected, abs=1e-10)
@@ -421,7 +418,7 @@ def test_pairwise_concurrence_closed_form_cross_check(rng):
 
 def test_pairwise_zero_cross_amplitudes():
     psi = build_w_qubit((0.0, 0.6, 0.8))
-    assert gw_pairwise_concurrence(psi, {0}, {1}).value == pytest.approx(0.0, abs=1e-12)
+    assert gw_pairwise_concurrence(psi, {0}, {1}) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_to_rest_split_featured():
@@ -463,40 +460,40 @@ def test_one_to_rest_additivity_random(rng):
         for s in range(partition.n_blocks):
             split = gw_one_to_rest_concurrence_sq(psi, partition, s)
             block = partition.blocks[s]
-            direct = concurrence_pure(psi, (block, partition.parties() - block)).value
+            direct = concurrence_pure(psi, (block, partition.parties() - block))
             worst = max(worst, abs(direct**2 - split.pair_sum_sq))
     assert worst < 1e-9
 
 
 def test_renyi_entanglement_featured():
     rho, partition = figure1_reduction()
-    value = renyi_entanglement_gw(rho, partition, 0, 2.0).value
+    value = renyi_entanglement_gw(rho, partition, 0, 2.0)
     assert value == pytest.approx(f2_closed(0.82), abs=1e-10)
     with pytest.raises(ApplicabilityError):
         renyi_entanglement_gw(rho, partition, 0, 0.5)
 
 
 def test_negativity_values(bell_state):
-    assert negativity(bell_state, ({0}, {1})).value == pytest.approx(1.0, abs=1e-10)
+    assert negativity(bell_state, ({0}, {1})) == pytest.approx(1.0, abs=1e-10)
     prod = PureState(np.array([0, 1, 0, 0]), SubsystemLayout((2, 2)))
-    assert negativity(prod, ({0}, {1})).value == pytest.approx(0.0, abs=1e-10)
+    assert negativity(prod, ({0}, {1})) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_negativity_rank_two_equals_concurrence():
     psi = PureState(
         np.array([math.sqrt(0.75), 0.0, 0.0, 0.5]), SubsystemLayout((2, 2))
     )
-    n = negativity(psi, ({0}, {1})).value
-    c = concurrence_pure(psi, ({0}, {1})).value
+    n = negativity(psi, ({0}, {1}))
+    c = concurrence_pure(psi, ({0}, {1}))
     assert n == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-10)
     assert n == pytest.approx(c, abs=1e-10)
 
 
 def test_cren_matches_concurrence_on_featured_pairs():
     rho, _ = figure1_reduction()
-    pair01 = gw_pairwise_concurrence(rho, {0}, {1}).value
-    assert cren_gw(rho, ({0}, {1})).value == pytest.approx(pair01, abs=1e-12)
-    assert cren_gw(rho, ({0}, {2})).value == pytest.approx(
+    pair01 = gw_pairwise_concurrence(rho, {0}, {1})
+    assert cren_gw(rho, ({0}, {1})) == pytest.approx(pair01, abs=1e-12)
+    assert cren_gw(rho, ({0}, {2})) == pytest.approx(
         TWO_SQRT2_OVER_5, abs=1e-10
     )
 
@@ -504,15 +501,15 @@ def test_cren_matches_concurrence_on_featured_pairs():
 def test_cren_vacuum_is_zero():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=1.0)
     psi = superpose_with_vacuum(spec)
-    assert cren_gw(psi, ({0}, {1, 2})).value == pytest.approx(0.0, abs=1e-12)
+    assert cren_gw(psi, ({0}, {1, 2})) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cren_random_matches_pairwise(rng):
     for _ in range(10):
         spec = random_gw_spec(rng, n_min=3, n_max=5)
         psi = superpose_with_vacuum(spec)
-        c = gw_pairwise_concurrence(psi, {0}, {1}).value
-        assert cren_gw(psi, ({0}, {1})).value == pytest.approx(c, abs=1e-12)
+        c = gw_pairwise_concurrence(psi, {0}, {1})
+        assert cren_gw(psi, ({0}, {1})) == pytest.approx(c, abs=1e-12)
 
 
 def test_block_pair_reduction_either_order_gives_one_concurrence():
@@ -522,9 +519,9 @@ def test_block_pair_reduction_either_order_gives_one_concurrence():
     ba = block_pair_reduction(psi, {1, 3}, {0})
     # block a comes first, so the orders give different pairs with one concurrence
     assert not np.allclose(ab.matrix, ba.matrix)
-    c_ab = concurrence_two_qubit(ab).value
-    assert concurrence_two_qubit(ba).value == pytest.approx(c_ab, abs=1e-12)
-    assert c_ab == pytest.approx(gw_pairwise_concurrence(psi, {0}, {1, 3}).value, abs=1e-12)
+    c_ab = concurrence_two_qubit(ab)
+    assert concurrence_two_qubit(ba) == pytest.approx(c_ab, abs=1e-12)
+    assert c_ab == pytest.approx(gw_pairwise_concurrence(psi, {0}, {1, 3}), abs=1e-12)
 
 
 def test_block_pair_reduction_refuses_bad_blocks_and_states():

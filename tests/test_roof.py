@@ -252,7 +252,7 @@ def test_roof_min_vanishes_on_separable_mixture(bell_state):
     q = 0.3
     mat = q * bell_state.density().matrix + (1 - q) * np.eye(4) / 4
     rho = DensityOperator(mat, SubsystemLayout((2, 2)))
-    assert concurrence_two_qubit(rho).value == 0.0
+    assert concurrence_two_qubit(rho) == 0.0
     estimate = convex_roof_bounds(rho, "concurrence", trials=20000, seed=11)
     assert estimate.min_estimate <= 5e-3
 
@@ -285,14 +285,14 @@ def test_negativity_roof_matches_concurrence_on_family(rng):
     spec = random_gw_spec(rng, n_min=3, n_max=4)
     rho = reduce_to_parties(superpose_with_vacuum(spec), {0, 1})
     pair = dense_block_pair(rho, {0}, {1})
-    closed = gw_pairwise_concurrence(rho, {0}, {1}).value
+    closed = gw_pairwise_concurrence(rho, {0}, {1})
     # a pure two-qubit component has negativity equal to its concurrence, so
     # the concurrence roof is the negativity (CREN) roof
     for _ in range(5):
         psi = PureState(rand_unit(rng, 4), SubsystemLayout((2, 2)))
         cut = ({0}, {1})
-        assert negativity(psi, cut).value == pytest.approx(
-            concurrence_pure(psi, cut).value, abs=1e-10
+        assert negativity(psi, cut) == pytest.approx(
+            concurrence_pure(psi, cut), abs=1e-10
         )
     est = convex_roof_bounds(pair, "concurrence", trials=3000, seed=8)
     assert abs(est.min_estimate - closed) < AGREEMENT_TOL
@@ -372,7 +372,7 @@ def test_assisted_average_exceeds_closed_form_exactly():
         mat = vec.reshape(2, 2)
         c2 = min(1.0, (2.0 * abs(np.linalg.det(mat))) ** 2)
         avg += lam * f_alpha(c2, 1.1)
-    closed = f_alpha(gw_pairwise_concurrence(rho, {0}, {1}).value ** 2, 1.1)
+    closed = f_alpha(gw_pairwise_concurrence(rho, {0}, {1}) ** 2, 1.1)
     assert avg == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert avg > closed + 0.1
 

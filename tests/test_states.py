@@ -9,7 +9,6 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
-    PurificationSpec,
     build_gw_qudit,
     build_w_qubit,
     coarse_grain_state,
@@ -132,7 +131,7 @@ def test_mixture_rank_and_spectrum(rng):
 
 def test_purification_decoupled_ancilla():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=0.0)
-    puri = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=[1.0]))
+    puri = purify_mixture(spec, [1.0])
     t = puri.amplitudes.reshape(2, 2, 2, 2)
     np.testing.assert_allclose(
         t[..., 0].reshape(-1), build_gw_qudit(spec).amplitudes, atol=1e-12
@@ -142,7 +141,7 @@ def test_purification_decoupled_ancilla():
 
 def test_purification_traces_back_to_mixture():
     spec = GWSpec.qubit([0.6, 0.8], vacuum_weight=0.5)
-    puri = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=[1.0]))
+    puri = purify_mixture(spec, [1.0])
     back = partial_trace(puri, {0, 1})
     np.testing.assert_allclose(back.matrix, mix_with_vacuum(spec).matrix, atol=1e-10)
 
@@ -152,7 +151,7 @@ def test_purification_roundtrip_random(rng):
     for _ in range(50):
         spec = random_gw_spec(rng, n_min=2, n_max=4, d=int(rng.integers(2, 4)))
         anc = rand_unit(rng, spec.d - 1)
-        puri = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
+        puri = purify_mixture(spec, anc)
         back = partial_trace(puri, set(range(spec.n)))
         gap = float(np.max(np.abs(back.matrix - mix_with_vacuum(spec).matrix)))
         worst = max(worst, gap)
@@ -162,7 +161,7 @@ def test_purification_roundtrip_random(rng):
 def test_purification_is_weight_one_state(rng):
     spec = random_gw_spec(rng, vacuum="always")
     anc = rand_unit(rng, spec.d - 1)
-    puri = purify_mixture(PurificationSpec(base=spec, ancilla_amplitudes=anc))
+    puri = purify_mixture(spec, anc)
     t = puri.amplitudes.reshape(puri.layout.dims)
     for idx in np.ndindex(*puri.layout.dims):
         if sum(1 for i in idx if i != 0) != 1:
@@ -253,4 +252,4 @@ def test_non_finite_amplitudes_rejected(bad):
         GWSpec.qubit([complex(0.6, bad), 0.8])
     base = GWSpec(n=2, d=3, amplitudes=[[0.6, 0.0], [0.0, 0.8]], vacuum_weight=0.3)
     with pytest.raises(ValueError, match="non-finite"):
-        PurificationSpec(base=base, ancilla_amplitudes=[bad, 1.0])
+        purify_mixture(base, [bad, 1.0])

@@ -1,24 +1,24 @@
 """Command-line front end.
 
 Subcommands: ``figure`` regenerates the bundled figure datasets as CSV,
-``verify`` parses its flags, grid and spec and sweeps the checks of
-``inequalities.prepare_checks`` over the grid, ``oracle`` runs the
-convex-roof estimator against the closed forms, and ``gamebounds``
-tabulates the game gap bounds.  Output is plain CSV or JSON lines with a
+``verify`` sweeps the checks of ``inequalities.prepare_checks`` over an
+order grid, ``oracle`` runs the convex-roof estimator against the closed
+forms, and ``gamebounds`` tabulates the game gap bounds.  ``_parse`` reads
+each command's flags from the one table ``_FLAGS``, and every refusal is
+one ``error:`` line and exit 2.  Output is plain CSV or JSON lines with a
 fixed numeric format, so identical configurations (and seeds) produce
 byte-identical files on the same numpy build with the same CPU features.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import itertools
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from . import featured
@@ -143,7 +143,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         return tuple(map(float, parts))
 
 
-def _tighter(args: argparse.Namespace) -> Optional[TighterParams]:
+def _tighter(args: SimpleNamespace) -> Optional[TighterParams]:
     """The tightened-bound exponents: all of --c-pow, --b-pow, --k or none."""
     flags = {"--c-pow": args.c_pow, "--b-pow": args.b_pow, "--k": args.k}
     missing = [flag for flag, value in flags.items() if value is None]
@@ -164,7 +164,7 @@ def _load_spec(source: str) -> GWSpec:
     return gw_spec_from_json(text)
 
 
-def _load_blocks(args: argparse.Namespace) -> tuple[GWSpec, GWBlocks, Partition]:
+def _load_blocks(args: SimpleNamespace) -> tuple[GWSpec, GWBlocks, Partition]:
     """The spec, its block weights (no dense state, so no party count is too
     large) and ``--partition`` or one block per party, checked complete."""
     spec = _load_spec(args.spec)
@@ -216,7 +216,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
     return lines
 
 
-def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterParams], list, list]:
+def _verify_checks(args: SimpleNamespace) -> tuple[GWSpec, Optional[TighterParams], list, list]:
     """The job's spec, tightened-bound exponents, order grid and the checks
     of :func:`prepare_checks`, each with its order-free work done once."""
     tighter = _tighter(args)
@@ -229,7 +229,7 @@ def _verify_checks(args: argparse.Namespace) -> tuple[GWSpec, Optional[TighterPa
     return spec, tighter, grid, prepare_checks(psi, partition, args.mu, tighter)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     """Run every applicable checker over the grid, then, on a spec with a
     vacuum weight, the mixture suite at the grid's middle order; exit 0 only
     if no applicable check failed.  Both are evaluated once as columns, and
@@ -245,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return int(failed)
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     """The lines of ``oracle_lines``, one per report of ``oracle_reports`` on
     every block pair and each order on the first two.  That call refuses a
     bad trial count, seed or order, and more than ``roof.MAX_ORACLE_TARGETS``
@@ -282,47 +282,75 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged, and
-    callers may run ``main`` many times."""
-    parser = argparse.ArgumentParser(
-        prog="gwlab",
-        description="Generalized W-class states: measures, inequality "
-        "verification, convex-roof oracle and game bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_OUT = {"--out": (str, None, "write to this file, not stdout")}
+_STATE = {"--spec": (str, ..., "path to or inline JSON spec"),
+          "--partition": (str, None, 'blocks like "0|1,2|3"; default one per party')}
+#: Each command's flags, name: (kind, default, help).  A kind converts the
+#: value, lists the texts accepted, or is None for a switch (no value); a
+#: default ``...`` marks a required flag, a name without ``--`` a positional.
+_FLAGS = {
+    "figure": {"fig_id": (("1", "2", "3"), ..., "the figure: 1, 2 or 3"), **_OUT},
+    "verify": {**_STATE, "--alpha": (str, None, "order grid start:stop:step"),
+               "--include-one": (None, False, "keep the orders within 1e-9 of 1"),
+               "--mu": (float, 2.0, "exponent of the power relations"),
+               "--c-pow": (float, None, "tightened bounds: conditioning concurrence power"),
+               "--b-pow": (float, None, "tightened bounds: bounded concurrence power"),
+               "--k": (float, None, "tightened bounds: k >= 1 of the coefficient h"),
+               "--format": (("csv", "jsonl"), "jsonl", "csv or jsonl"), **_OUT},
+    "oracle": {**_STATE, "--alpha": (str, None, "comma list of orders"),
+               "--trials": (int, 20000, "roof trials per target"),
+               "--seed": (int, None, f"default: GWLAB_SEED, else {DEFAULT_SEED}"), **_OUT},
+    "gamebounds": {"--n": (str, "1", "comma list of player counts"),
+                   "--d": (str, "2", "comma list of dimensions"), **_OUT},
+}
 
-    p_fig = sub.add_parser("figure", help="emit a bundled figure dataset as CSV")
-    p_fig.add_argument("fig_id", type=int, choices=(1, 2, 3))
-    p_fig.add_argument("--out", default=None)
 
-    p_ver = sub.add_parser("verify", help="run the inequality checkers over a grid")
-    p_ver.add_argument("--spec", required=True, help="path to or inline JSON spec")
-    p_ver.add_argument("--partition", default=None, help='blocks like "0|1,2|3"')
-    p_ver.add_argument("--alpha", default=None, help="order grid start:stop:step")
-    p_ver.add_argument("--include-one", action="store_true")
-    p_ver.add_argument("--mu", type=float, default=2.0)
-    p_ver.add_argument("--c-pow", type=float, default=None)
-    p_ver.add_argument("--b-pow", type=float, default=None)
-    p_ver.add_argument("--k", type=float, default=None)
-    p_ver.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
-    p_ver.add_argument("--out", default=None)
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command and its flags' values, or None once ``--help`` is printed.
 
-    p_orc = sub.add_parser("oracle", help="convex-roof estimates vs closed forms")
-    p_orc.add_argument("--spec", required=True)
-    p_orc.add_argument("--partition", default=None)
-    p_orc.add_argument("--alpha", default=None, help="comma list of orders")
-    p_orc.add_argument("--trials", type=int, default=20000)
-    p_orc.add_argument("--seed", type=int, default=None)
-    p_orc.add_argument("--out", default=None)
-
-    p_gb = sub.add_parser("gamebounds", help="gap-bound table as CSV")
-    p_gb.add_argument("--n", default="1", help="comma list of player counts")
-    p_gb.add_argument("--d", default="2", help="comma list of dimensions")
-    p_gb.add_argument("--out", default=None)
-
-    return parser
+    A value follows its flag or an ``=``; a token that starts with ``--``
+    is never a value, and the last of a repeated flag wins."""
+    command = argv[0] if argv else None
+    if command not in (*_FLAGS, "-h", "--help"):
+        raise ValueError(("no command" if command is None else f"unknown command {command!r}")
+                         + f"; the commands are {', '.join(_FLAGS)}")
+    if "-h" in argv or "--help" in argv:
+        flags = _FLAGS.get(command, {})
+        lines = [f"  {n:<15}{t}{' (required)' if d is ... else f' (default {d})' if d else ''}\n"
+                 for n, (_, d, t) in flags.items()]
+        _write_lines([f"usage: gwlab {command if flags else '<command>'} [flags]\n",
+                      *(lines or [f"commands: {', '.join(_FLAGS)}\n"])], None)
+        return None
+    flags, given, tokens = _FLAGS[command], {}, iter(argv[1:])
+    positional = [name for name in flags if not name.startswith("--")]
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if not token.startswith("--"):
+            if not positional:
+                raise ValueError(f"unexpected argument {token!r}")
+            name, text = positional.pop(0), token
+        elif name not in flags:
+            raise ValueError(f"{command} has no flag {name}")
+        elif flags[name][0] is None:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            text = True
+        elif not eq:
+            text = next(tokens, "--")  # none left: as if another flag came
+            if text.startswith("--"):
+                raise ValueError(f"{name} needs a value")
+        given[name] = text
+    values = {"command": command}
+    for name, (kind, default, _) in flags.items():
+        text = given.get(name, default)
+        if text is ...:
+            raise ValueError(f"{command} needs {name}")
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+        with _converting(name):
+            values[name.lstrip("-").replace("-", "_")] = (
+                kind(text) if callable(kind) and name in given else text)
+    return SimpleNamespace(**values)
 
 
 def _env_seed() -> int:
@@ -338,19 +366,16 @@ def _env_seed() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "oracle":
             return cmd_oracle(args)
         if args.command == "figure":
-            cmd_figure(args.fig_id, args.out)
+            cmd_figure(int(args.fig_id), args.out)
         else:
             cmd_gamebounds(_int_list("--n", args.n), _int_list("--d", args.d), args.out)
         return 0

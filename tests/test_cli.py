@@ -1,5 +1,6 @@
 """Command-line behavior: datasets, exit codes and byte determinism."""
 
+import copy
 import csv
 import json
 import math
@@ -33,7 +34,7 @@ from gwlab import (
     verify_e_alpha_formula,
 )
 from gwlab.cli import (
-    DEFAULT_ALPHA_GRID, alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition,
+    DEFAULT_ALPHA_GRID, _parse, alpha_grid, cmd_figure, cmd_gamebounds, main, parse_partition,
 )
 from gwlab.featured import FIG1_AMPLITUDES
 
@@ -388,17 +389,103 @@ def test_verify_empty_grid_exit_two(spec_file, tmp_path, capsys):
 
 def test_parser_is_built_once_and_reused(spec_file, tmp_path, capsys):
     # main runs many times in one process: a refused call and --help must
-    # leave the shared parser as a fresh one is
+    # leave the flag table, built once at import, as it was, and the next
+    # call's bytes as a first call's
+    table = copy.deepcopy(gwlab.cli._FLAGS)
     good = ["oracle", "--spec", spec_file, "--trials", "100", "--alpha", "1.1", "--out"]
-    gwlab.cli._build_parser.cache_clear()
-    assert main(["oracle", "--spec", spec_file, "--trials", "many"]) == 2
     assert main(good + [str(tmp_path / "a.jsonl")]) == 0
+    assert main(["oracle", "--spec", spec_file, "--trials", "many"]) == 2
     assert main(["oracle", "--help"]) == 0
-    assert gwlab.cli._build_parser.cache_info().misses == 1
     assert "usage: gwlab oracle" in capsys.readouterr().out
-    gwlab.cli._build_parser.cache_clear()
     assert main(good + [str(tmp_path / "b.jsonl")]) == 0
+    assert gwlab.cli._FLAGS == table
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+COMMANDS = "the commands are figure, verify, oracle, gamebounds"
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["verify", "--spec", "S", "--bogus", "1"], "verify has no flag --bogus"),
+        (["oracle", "--spec", "S", "--tri", "10"], "oracle has no flag --tri"),
+        (["verify", "--spec", "S", "--"], "verify has no flag --"),
+        (["verify", "--spec", "S", "--alpha"], "--alpha needs a value"),
+        (["verify", "--spec", "--mu", "2"], "--spec needs a value"),
+        (["verify", "--spec", "S", "--include-one=x"], "--include-one takes no value"),
+        (["verify", "--spec", "S", "--format", "xml"],
+         "--format must be one of csv, jsonl, got 'xml'"),
+        (["oracle", "--spec", "S", "--trials", "1e3"],
+         "--trials: invalid literal for int() with base 10: '1e3'"),
+        (["verify"], "verify needs --spec"),
+        (["figure", "4"], "fig_id must be one of 1, 2, 3, got '4'"),
+        (["figure", "1", "2"], "unexpected argument '2'"),
+        ([], f"no command; {COMMANDS}"),
+        (["plot"], f"unknown command 'plot'; {COMMANDS}"),
+    ],
+    ids=["unknown-flag", "abbreviated-flag", "double-dash", "no-value-at-end",
+         "no-value-before-flag", "switch-with-value", "format-xml", "trials-1e3",
+         "verify-no-spec", "figure-4", "figure-two-ids", "no-command", "unknown-command"],
+)
+def test_parse_refusals_exit_two(spec_file, tmp_path, capsys, argv, why):
+    # a refusal of the command line is one error line and exit 2, as every
+    # other refusal is, before any file is opened
+    out = tmp_path / "r.out"
+    argv = [spec_file if a == "S" else a for a in argv]
+    argv = argv[:1] + ["--out", str(out)] + argv[1:] if argv else argv
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+    assert not out.exists()
+
+
+def test_flag_forms_and_repeats(spec_file, tmp_path):
+    # --flag=value is --flag value, the last of a repeated flag wins, a
+    # value may start with one dash, and figure's id may follow --out
+    spaced = ["oracle", "--spec", spec_file, "--trials", "100", "--alpha", "1.1"]
+    joined = ["oracle", f"--spec={spec_file}", "--trials=100", "--alpha=1.1"]
+    repeated = ["oracle", "--trials", "7", "--spec", spec_file, "--alpha", "0.9"] + spaced[3:]
+    outs = [tmp_path / f"{i}.jsonl" for i in range(3)]
+    for argv, out in zip([spaced, joined, repeated], outs):
+        assert main(argv + ["--out", str(out)]) == 0
+    assert _parse(spaced) == _parse(joined) == _parse(repeated)
+    assert len({out.read_bytes() for out in outs}) == 1
+    assert _parse(spaced + ["--seed", "-1"]).seed == -1
+    assert _parse(["figure", "--out", "f.csv", "2"]) == _parse(["figure", "2", "--out=f.csv"])
+
+
+@pytest.mark.parametrize("command", list(gwlab.cli._FLAGS))
+def test_help_names_every_flag_of_the_table(capsys, command):
+    # --help is built from the table, so it cannot leave a flag out
+    assert main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: gwlab {command}") and err == ""
+    assert all(f"  {name} " in out for name in gwlab.cli._FLAGS[command])
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: gwlab <command>")
+
+
+def _gwlab_child(*args):
+    """A fresh interpreter that imports gwlab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gwlab.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_a_run_imports_no_argparse(spec_file, tmp_path):
+    # the command line is parsed without argparse, whose parser build, with
+    # gettext importing locale, was the largest start-up cost a job paid
+    code = ("import sys; from gwlab.cli import main\n"
+            "codes = [main(['verify', '--spec', sys.argv[1], '--out', sys.argv[2]]),\n"
+            "         main(['figure', '1', '--out', sys.argv[2]])]\n"
+            "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = _gwlab_child("-c", code, spec_file, str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+    # the console script calls main() with no arguments: it reads sys.argv
+    proc = _gwlab_child("-m", "gwlab.cli", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: gwlab <command>")
+    proc = _gwlab_child("-m", "gwlab.cli")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: no command; {COMMANDS}\n")
 
 
 TIGHTER_FLAGS = ("--c-pow", "--b-pow", "--k")
@@ -688,8 +775,9 @@ def test_empty_flag_value_exit_two(spec_file, tmp_path, capsys, argv, why):
         (["verify", "--alpha", "1:2:x"], "--alpha: could not convert string to float: 'x'"),
         (["gamebounds", "--n", "1,x"], "--n: invalid literal for int() with base 10: 'x'"),
         (["gamebounds", "--d", "2,y"], "--d: invalid literal for int() with base 10: 'y'"),
+        (["verify", "--mu", "x"], "--mu: could not convert string to float: 'x'"),
     ],
-    ids=["oracle-alpha", "verify-alpha", "gamebounds-n", "gamebounds-d"],
+    ids=["oracle-alpha", "verify-alpha", "gamebounds-n", "gamebounds-d", "verify-mu"],
 )
 def test_conversion_errors_name_their_flag(spec_file, tmp_path, capsys, argv, why):
     # a value that is not a number used to print Python's conversion error

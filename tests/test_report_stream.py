@@ -52,7 +52,7 @@ from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, man
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
 import gwlab
 from gwlab.cli import (
-    _build_parser, _verify_checks, _write_lines, cmd_figure, cmd_gamebounds, main, parse_partition,
+    _parse, _verify_checks, _write_lines, cmd_figure, cmd_gamebounds, main, parse_partition,
 )
 from gwlab.inequalities import (
     CLOSED_FORM_TOL, Prepared, _csv_num, _grid_lines, _json_value, _mixture_checks, at_orders,
@@ -324,7 +324,7 @@ def _verify_lines(name: str, fmt: str, out: str) -> list[str]:
     """The lines ``verify`` writes for a pinned stream's arguments in either
     format (no CSV header), the grid's, then the mixture suite's if any,
     written to ``out``."""
-    args = _build_parser().parse_args(ARGS[f"report_stream_{name}.jsonl"])
+    args = _parse(ARGS[f"report_stream_{name}.jsonl"])
     spec, tighter, grid, checks = _verify_checks(args)
     mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
     csv = fmt == "csv"
@@ -437,7 +437,7 @@ def _assert_grid_lines(grid, checks) -> None:
 def test_spliced_lines_of_pinned_streams_match_json(stream):
     # the grid's lines, and the mixture suite's at the grid's middle order
     # (some without alpha), come from the one writer
-    spec, tighter, grid, checks = _verify_checks(_build_parser().parse_args(ARGS[stream]))
+    spec, tighter, grid, checks = _verify_checks(_parse(ARGS[stream]))
     _assert_grid_lines(grid, checks)
     mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
     assert all("stage" in c.params for c in mixture)

@@ -28,7 +28,6 @@ from .states import (
     GWBlocks,
     GWSpec,
     ProvenanceError,
-    build_gw_qudit,
     build_w_qubit,
     gw_spec_from_json,
     gw_spec_to_json,
@@ -41,7 +40,6 @@ from .measures import (
     ALPHA_MONOGAMY_MIN,
     ALPHA_POLYGAMY_MAX,
     ApplicabilityError,
-    ConcurrenceSplit,
     DomainError,
     FindingError,
     block_pair_reduction,
@@ -78,7 +76,6 @@ from .inequalities import (
     run_mixture_suite,
 )
 from .roof import (
-    RoofEstimate,
     convex_roof_bounds,
     oracle_reports,
     verify_c_equals_ca,

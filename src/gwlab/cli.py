@@ -83,8 +83,10 @@ def alpha_grid(
 ) -> list[float]:
     """Arithmetic grid [start, stop] with an optional hole at order 1.
 
-    A grid never holds one order twice: a step that float addition cannot
-    advance is refused, also when the grid ends anyway."""
+    An order past stop by at most 1e-9 steps, float rounding of start +
+    k * step, still ends the grid.  A grid never holds one order twice: a
+    step that float addition cannot advance is refused, also when the grid
+    ends anyway."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"grid {start}:{stop}:{step} has a non-finite entry")
     if step <= 0:
@@ -94,7 +96,7 @@ def alpha_grid(
     # bounded by count: below the spacing of start, start + k * step stalls
     for k in range(MAX_GRID_ORDERS + 1):
         v = start + k * step
-        if v > stop + 1e-12:
+        if v > stop + 1e-9 * step:
             break
         repeated = repeated or v == previous
         previous = v

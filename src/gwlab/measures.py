@@ -21,7 +21,7 @@ they are the reference the weight forms are tested against.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .tensor import compress_local_support, partial_trace  # noqa: F401
 __all__ = [
     "ALPHA_MONOGAMY_MIN",
     "ALPHA_POLYGAMY_MAX",
-    "ConcurrenceSplit",
     "DomainError",
     "ApplicabilityError",
     "FindingError",
@@ -302,13 +301,6 @@ def gw_pairwise_concurrence(
     return 2.0 * math.sqrt(t_s * t_k)
 
 
-class ConcurrenceSplit(NamedTuple):
-    """One-to-rest squared concurrence as the sum of its pair table."""
-
-    pair_sum_sq: float
-    pair_sq: tuple[float, ...]
-
-
 def _pair_table(t: Sequence[float], s: int) -> np.ndarray:
     """``(C^2(s|rest), C^2(s, k)...)`` of the block weights ``t``: the pair
     table ``(4 t_s) t_k`` over the other blocks k, after its sum added left
@@ -325,11 +317,10 @@ def _pair_table(t: Sequence[float], s: int) -> np.ndarray:
 
 def gw_one_to_rest_concurrence_sq(
     state: State | GWBlocks, partition: Partition, s: int
-) -> ConcurrenceSplit:
+) -> float:
     """C^2 = 4 t_S t_R of block s against the rest R, as the sum of the pair
     table 4 t_S t_K over the other blocks K, added left to right."""
-    c2s = _pair_table(partition.block_sums(GWBlocks.from_state(state).weights), s)
-    return ConcurrenceSplit(float(c2s[0]), tuple(c2s[1:].tolist()))
+    return float(_pair_table(partition.block_sums(GWBlocks.from_state(state).weights), s)[0])
 
 
 def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
@@ -360,7 +351,7 @@ def renyi_entanglement_gw(
         raise ApplicabilityError(
             f"order {order} below the threshold {ALPHA_MONOGAMY_MIN:.10f}"
         )
-    return f_alpha(gw_one_to_rest_concurrence_sq(state, partition, s).pair_sum_sq, order)
+    return f_alpha(gw_one_to_rest_concurrence_sq(state, partition, s), order)
 
 
 def cren_gw(state: State | GWBlocks, bipartition) -> float:

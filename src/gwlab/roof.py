@@ -31,7 +31,6 @@ from an independent route, and disagreements are reported, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
@@ -48,7 +47,6 @@ from .measures import block_pair_reduction, gw_pairwise_concurrence  # noqa: F40
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
-    "RoofEstimate",
     "AGREEMENT_TOL",
     "convex_roof_bounds",
     "oracle_lines",
@@ -85,24 +83,6 @@ DRAW_CHUNK = 16
 #: Most roof targets (block pairs plus orders) an oracle job may ask for; a
 #: target holds about 4 KB, and a larger job is refused before any is built.
 MAX_ORACLE_TARGETS = 10**5
-
-_MEASURE_KINDS = ("concurrence", "renyi_ent")
-
-
-@dataclass(frozen=True)
-class RoofEstimate:
-    """Best sampled averages: min bounds the roof from above, max bounds the
-    assisted value from below."""
-
-    min_estimate: float
-    max_estimate: float
-    trials: int
-    seed: int
-    converged: bool
-
-    def __post_init__(self):
-        if self.min_estimate > self.max_estimate + 1e-9:
-            raise ValueError("min estimate exceeds max estimate")
 
 
 def _draw_chunk(seed: int, start: int, stop: int, m: int, r: int) -> list:
@@ -269,13 +249,16 @@ def _roof_estimates(stacks, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return low, high, converged
 
 
-def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20000, seed: int = 0,
-                       order: Optional[float] = None) -> RoofEstimate:
+def convex_roof_bounds(rho: DensityOperator, trials: int = 20000, seed: int = 0,
+                       order: Optional[float] = None) -> tuple[float, float, bool]:
     """Estimate min and max decomposition averages of a pure-state measure
-    on a two-qubit state.
+    on a two-qubit state: the concurrence (also the CREN roof) without an
+    ``order``, f_alpha(C^2) at one.
 
-    Interleaves Haar exploration with random-rotation refinement of the
-    incumbent minimizing and maximizing isometries.  Trial t is a Haar draw
+    Returns ``(roof_min, roof_max, converged)``: the min bounds the roof
+    from above, the max bounds the assisted value from below.  Interleaves
+    Haar exploration with random-rotation refinement of the incumbent
+    minimizing and maximizing isometries.  Trial t is a Haar draw
     when t is a multiple of ``EXPLORE_CYCLE`` or before any incumbent exists;
     otherwise it rotates the minimizer (even t) or the maximizer (odd t).
     ``converged`` is true when neither best value improved by more than
@@ -283,17 +266,11 @@ def convex_roof_bounds(rho: DensityOperator, measure_kind: str, trials: int = 20
     long enough to judge).  Each decomposition has rank + 2 elements.
     """
     _check_run(trials, seed)
-    if measure_kind not in _MEASURE_KINDS:
-        raise ValueError(f"measure_kind must be one of {_MEASURE_KINDS}")
-    if measure_kind == "renyi_ent" and order is None:
-        raise ValueError("renyi_ent needs a Renyi order")
-    order = None if order is None else _order(order)
+    alphas = None if order is None else np.array([_order(order)])
     if rho.layout.dims != (2, 2):
         raise ValueError(f"the roof takes qubit pairs, got local dimensions {rho.layout.dims}")
-    alphas = np.array([order]) if measure_kind == "renyi_ent" else None
-    low, high, converged = (column.item() for column in _roof_estimates(
+    return tuple(column.item() for column in _roof_estimates(
         [(_eigen_ensemble(rho)[None], alphas, trials)], seed))
-    return RoofEstimate(low, high, trials, int(seed), converged)
 
 
 def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column) -> list:

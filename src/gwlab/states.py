@@ -38,7 +38,6 @@ __all__ = [
     "Partition",
     "ProvenanceError",
     "build_w_qubit",
-    "build_gw_qudit",
     "superpose_with_vacuum",
     "mix_with_vacuum",
     "purify_mixture",
@@ -240,27 +239,12 @@ def build_w_qubit(amplitudes) -> PureState:
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.size < 2:
         raise ValueError("need at least 2 amplitudes")
-    spec = GWSpec.qubit(amps)
-    return build_gw_qudit(spec)
-
-
-def build_gw_qudit(spec: GWSpec) -> PureState:
-    """Pure qudit state sum_{s,i} a_{si} |0...i_s...0> from an amplitude table.
-
-    The vacuum machinery plays no role here, so the spec must not declare a
-    vacuum admixture; use :func:`superpose_with_vacuum` for those members.
-    """
-    if spec.vacuum_weight != 0.0:
-        raise ValueError(
-            "build_gw_qudit needs vacuum_weight 0; "
-            "use superpose_with_vacuum for vacuum superpositions"
-        )
-    vec = _weight_one_vector(spec.n, spec.d, spec.amplitudes)
-    return PureState(vec, spec.layout, gw=True)
+    return superpose_with_vacuum(GWSpec.qubit(amps))
 
 
 def superpose_with_vacuum(spec: GWSpec) -> PureState:
-    """sqrt(1-w)|W> + sqrt(w)|0...0> with w the spec's vacuum weight."""
+    """sqrt(1-w)|W> + sqrt(w)|0...0> with w the spec's vacuum weight; at
+    w = 0 the pure qudit state sum_{s,i} a_{si} |0...i_s...0>."""
     w = spec.vacuum_weight
     vec = np.sqrt(1.0 - w) * _weight_one_vector(spec.n, spec.d, spec.amplitudes)
     vec[0] += np.sqrt(w)
@@ -294,7 +278,7 @@ def purify_mixture(spec: GWSpec, ancilla_amplitudes) -> PureState:
     table[: spec.n, :] = np.sqrt(1.0 - w) * spec.amplitudes
     table[spec.n, :] = np.sqrt(w) * anc
     induced = GWSpec(n=spec.n + 1, d=spec.d, amplitudes=table, vacuum_weight=0.0)
-    return build_gw_qudit(induced)
+    return superpose_with_vacuum(induced)
 
 
 def reduce_to_parties(psi: PureState | DensityOperator, subset) -> DensityOperator:

@@ -424,10 +424,15 @@ def schmidt_spectrum(
 
 
 def coarse_grain(layout: PartyLayout, partition: Partition) -> PartyLayout:
-    """Layout with one party per block, dimension the product over members."""
+    """Layout with one party per block, dimension the product over members:
+    per distinct local dimension u, u to the power of each block's count of
+    such parties, so a block of many parties costs no long bignum product."""
     partition.require_complete(layout)
-    dims = np.array(layout.dims, dtype=object)[partition._members]
-    return type(layout)(tuple(np.multiply.reduceat(dims, partition._offsets[:-1]).tolist()))
+    dims, block_dims = np.array(layout.dims), 1
+    for u in set(layout.dims):
+        counts = np.bincount(partition.labels[dims == u], minlength=partition.n_blocks)
+        block_dims = block_dims * u ** counts.astype(object)
+    return type(layout)(tuple(block_dims.tolist()))
 
 
 def coarse_grain_state(state: State, partition: Partition) -> State:

@@ -149,10 +149,9 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         # dense first principles against the weight forms: the canonical pair
         # against the dense compressed pair, Wootters C of the dense pair
         # against the pair C^2, the dense cut's Schmidt spectrum against
-        # cut_spectrum and its concurrence against the one-to-rest split
+        # cut_spectrum and its concurrence against the one-to-rest C^2
         first = partition.blocks[0]
-        split = gw_one_to_rest_concurrence_sq(blocks, partition, 0)
-        for other, pair_sq in zip(partition.blocks[1:], split.pair_sq):
+        for other in partition.blocks[1:]:
             pairs = [
                 block_pair_reduction(blocks, first, other),
                 dense_block_pair(dense, first, other),
@@ -165,6 +164,7 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
             np.testing.assert_allclose(spectra[0], spectra[1], rtol=0.0, atol=1e-12)
             got, want = (concurrence_two_qubit(p) for p in pairs)
             assert got == pytest.approx(want, abs=1e-12)
+            pair_sq = gw_pairwise_concurrence(blocks, first, other) ** 2
             assert want**2 == pytest.approx(pair_sq, abs=1e-12)
         cut = (first, partition.parties() - first)
         want = schmidt_spectrum(dense, cut).coefficients
@@ -172,7 +172,8 @@ def test_checkers_agree_on_weights_and_dense(rng, d, n_max, w):
         np.testing.assert_allclose(got, want[:2], rtol=0.0, atol=1e-12)
         assert want[2:].sum() == pytest.approx(0.0, abs=1e-12)
         direct = concurrence_pure(dense, cut) ** 2
-        assert direct == pytest.approx(split.pair_sum_sq, abs=1e-12)
+        c2 = gw_one_to_rest_concurrence_sq(blocks, partition, 0)
+        assert direct == pytest.approx(c2, abs=1e-12)
 
 
 def test_restriction_and_merging_match_dense(rng):
@@ -191,12 +192,14 @@ def test_restriction_and_merging_match_dense(rng):
         merged = blocks.merged(partition)
         dense_merged = coarse_grain_state(psi, partition)
         assert merged.layout.dims == dense_merged.layout.dims
-        split = gw_one_to_rest_concurrence_sq(merged, Partition.singletons(3), 0)
-        want = gw_one_to_rest_concurrence_sq(dense_merged, Partition.singletons(3), 0)
-        assert split.pair_sq == pytest.approx(want.pair_sq, abs=1e-12)
+        for k in (1, 2):
+            want = gw_pairwise_concurrence(dense_merged, {0}, {k}) ** 2
+            assert gw_pairwise_concurrence(merged, {0}, {k}) ** 2 == pytest.approx(
+                want, abs=1e-12)
         cut = (partition.blocks[0], partition.parties() - partition.blocks[0])
         direct = concurrence_pure(psi, cut) ** 2
-        assert split.pair_sum_sq == pytest.approx(direct, abs=1e-12)
+        c2 = gw_one_to_rest_concurrence_sq(merged, Partition.singletons(3), 0)
+        assert c2 == pytest.approx(direct, abs=1e-12)
 
 
 def test_block_sums_are_exact_and_reductions_count_the_rest_as_vacuum(rng):
@@ -373,8 +376,8 @@ def test_from_state_vacuum_has_no_entanglement():
     singles = Partition.singletons(3)
     for state in (superpose_with_vacuum(spec), mix_with_vacuum(spec)):
         assert gw_pairwise_concurrence(state, {0}, {1}) == 0.0
-        split = gw_one_to_rest_concurrence_sq(state, singles, 0)
-        assert (split.pair_sum_sq, split.pair_sq) == (0.0, (0.0, 0.0))
+        assert gw_one_to_rest_concurrence_sq(state, singles, 0) == 0.0
+        assert gw_pairwise_concurrence(state, {0}, {2}) == 0.0
         assert cren_gw(state, ({0}, {1, 2})) == 0.0
         assert renyi_entanglement_gw(state, singles, 0, 2.0) == 0.0
     psi = superpose_with_vacuum(spec)

@@ -74,6 +74,17 @@ def test_default_grid_holds_no_order_near_one():
     assert len(alpha_grid(0.83, 1.30, 0.01)) == 47
 
 
+def test_grid_end_tolerance_scales_with_the_step():
+    # grids far below 1e-12: a fixed absolute tolerance would run past their stop
+    assert alpha_grid(1e-13, 5e-13, 1e-13) == [1e-13 + k * 1e-13 for k in range(5)]
+    assert alpha_grid(1e-320, 1e-319, 1e-320) == [1e-320 + k * 1e-320 for k in range(10)]
+    # the default, bench and pinned grids keep their orders
+    for grid, size in ((DEFAULT_ALPHA_GRID, 96), ((0.83, 1.30, 0.01), 48),
+                       ((0.83, 1.30, 0.05), 10), ((0.6, 1.6, 0.05), 21)):
+        start, _, step = grid
+        assert alpha_grid(*grid, exclude_one=False) == [start + k * step for k in range(size)]
+
+
 def test_parse_partition():
     p = parse_partition("0|1,2|3", 4)
     assert [sorted(b) for b in p.blocks] == [[0], [1, 2], [3]]
@@ -726,7 +737,7 @@ def test_bad_order_refused_alike_at_every_entry(tmp_path, monkeypatch, capsys, b
         lambda: gwlab.measures.renyi_entropy(gwlab.tensor.SchmidtSpectrum([0.7, 0.3]), bad),
         lambda: gwlab.games.game_gap_fn(0.9, bad),
         lambda: gwlab.roof.convex_roof_bounds(
-            gwlab.measures.block_pair_reduction(psi, {0}, {1}), "renyi_ent", 10, order=bad),
+            gwlab.measures.block_pair_reduction(psi, {0}, {1}), 10, order=bad),
         lambda: prepare_checks(psi, partition)[0].at(bad),
     ]
     for call in calls:
@@ -1015,7 +1026,7 @@ def test_oracle_many_stacks_equal_solo_runs(tmp_path):
     # a stack of 435 concurrence runs and one of 300 Renyi runs, each longer
     # than GROUP_RUNS; 65 trials cross a generation.  Lines on both sides of
     # each 256-run split equal their solo runs, and every roof's min is at
-    # most its max, although no RoofEstimate checks it on this path
+    # most its max: both sides are minima over the same scored candidates
     n, orders, trials = MANY_STACK_PARTIES, MANY_STACK_ORDERS, 65
     pairs = [({i}, {j}) for i in range(n) for j in range(i + 1, n)]
     split = gwlab.roof.GROUP_RUNS

@@ -1,8 +1,9 @@
 """Every top-level import in ``src/gwlab`` has a reader, only
 ``states.py`` tells block weights from dense states, no module calls the
 builtin ``sum``, the checkers read every squared concurrence from
-``measures._pair_table``, only ``convex_roof_bounds`` builds a
-``RoofEstimate``, and ``measures._order`` is the one order validator.
+``measures._pair_table``, no module runs the single-state roof
+``convex_roof_bounds``, ``measures._order`` is the one order validator, and
+every ``__all__`` entry resolves on its module.
 
 An import counts as read when the module uses the name, lists it in
 ``__all__`` or is named as ``<module>.<name>`` in ``SEED_IMPORT_SITES`` of
@@ -12,9 +13,13 @@ names.  The tracer's tuple is read from its source, never edited.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import gwlab
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gwlab").glob("*.py"))
@@ -164,18 +169,30 @@ def test_only_inequalities_builds_checks():
     assert called & set(SUITE_PREPARERS) == set(), "cli builds part of verify's suite itself"
 
 
-def test_only_convex_roof_bounds_builds_roof_estimates():
-    # the oracle's roof runs come back as columns; a RoofEstimate per run on
-    # its path would be the per-target object round trip again
+def test_no_module_calls_convex_roof_bounds():
+    # the oracle's roof runs go to the roof as stacks and come back as
+    # columns; a single-state roof call per run on its path would be the
+    # per-target round trip again
     found = [
         f"{path.name}: {getattr(scope, 'name', '<module>')}"
         for path in SOURCES
         for scope in ast.parse(path.read_text()).body
         for node in ast.walk(scope)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RoofEstimate"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "convex_roof_bounds"
     ]
-    assert found == ["roof.py: convex_roof_bounds"], f"RoofEstimate built in {found}"
+    assert found == [], f"convex_roof_bounds called in {found}"
+
+
+def test_every_exported_name_resolves():
+    # a name pruned from a module but left in its __all__ fails here
+    modules = [gwlab] + [
+        importlib.import_module(f"gwlab.{info.name}")
+        for info in pkgutil.iter_modules(gwlab.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_one_writer():

@@ -194,8 +194,8 @@ def test_merged_block_bound_intermediate_values():
     from gwlab import gw_one_to_rest_concurrence_sq, gw_pairwise_concurrence
 
     merged = Partition.of([block_p | block_q, block_r])
-    split = gw_one_to_rest_concurrence_sq(psi, merged, 0)
-    assert split.pair_sum_sq == pytest.approx(15.0 / 64.0, abs=1e-12)
+    c2 = gw_one_to_rest_concurrence_sq(psi, merged, 0)
+    assert c2 == pytest.approx(15.0 / 64.0, abs=1e-12)
     assert gw_pairwise_concurrence(psi, block_p, block_q) ** 2 == pytest.approx(
         27.0 / 32.0, abs=1e-12
     )

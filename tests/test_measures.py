@@ -423,17 +423,18 @@ def test_pairwise_zero_cross_amplitudes():
 
 def test_one_to_rest_split_featured():
     rho, partition = figure1_reduction()
-    split = gw_one_to_rest_concurrence_sq(rho, partition, 0)
-    assert split.pair_sum_sq == pytest.approx(0.82, abs=1e-10)
-    assert split.pair_sq[0] == pytest.approx(0.5, abs=1e-10)
-    assert split.pair_sq[1] == pytest.approx(0.32, abs=1e-10)
+    first, *others = partition.blocks
+    c2 = gw_one_to_rest_concurrence_sq(rho, partition, 0)
+    assert c2 == pytest.approx(0.82, abs=1e-10)
+    pair_sq = [gw_pairwise_concurrence(rho, first, other) ** 2 for other in others]
+    assert pair_sq == pytest.approx([0.5, 0.32], abs=1e-10)
 
 
 def test_one_to_rest_vacuum_state():
     spec = GWSpec.qubit(np.ones(3) / math.sqrt(3), vacuum_weight=1.0)
     psi = superpose_with_vacuum(spec)
-    split = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
-    assert split.pair_sum_sq == pytest.approx(0.0, abs=1e-12)
+    c2 = gw_one_to_rest_concurrence_sq(psi, Partition.singletons(3), 0)
+    assert c2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_one_to_rest_sum_adds_left_to_right():
@@ -441,11 +442,12 @@ def test_one_to_rest_sum_adds_left_to_right():
     # stays at 0.75; a compensated one (CPython 3.12's builtin sum) rounds
     # the three terms together up to the next float
     delta = 2.0**-55
-    blocks = GWBlocks((0.25, 0.75, delta, delta, delta), PartyLayout((2,) * 5))
-    split = gw_one_to_rest_concurrence_sq(blocks, Partition.singletons(5), 0)
-    assert split.pair_sq == (0.75, delta, delta, delta)
-    assert split.pair_sum_sq == 0.75
-    assert math.fsum(split.pair_sq) > 0.75
+    weights = (0.25, 0.75, delta, delta, delta)
+    blocks = GWBlocks(weights, PartyLayout((2,) * 5))
+    pair_sq = [4.0 * weights[0] * t for t in weights[1:]]
+    assert pair_sq == [0.75, delta, delta, delta]
+    assert gw_one_to_rest_concurrence_sq(blocks, Partition.singletons(5), 0) == 0.75
+    assert math.fsum(pair_sq) > 0.75
 
 
 def test_one_to_rest_additivity_random(rng):
@@ -458,10 +460,10 @@ def test_one_to_rest_additivity_random(rng):
 
         partition = random_complete_partition(rng, spec.n)
         for s in range(partition.n_blocks):
-            split = gw_one_to_rest_concurrence_sq(psi, partition, s)
+            c2 = gw_one_to_rest_concurrence_sq(psi, partition, s)
             block = partition.blocks[s]
             direct = concurrence_pure(psi, (block, partition.parties() - block))
-            worst = max(worst, abs(direct**2 - split.pair_sum_sq))
+            worst = max(worst, abs(direct**2 - c2))
     assert worst < 1e-9
 
 

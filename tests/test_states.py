@@ -9,7 +9,6 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
-    build_gw_qudit,
     build_w_qubit,
     coarse_grain_state,
     compress_local_support,
@@ -60,13 +59,13 @@ def test_normalization_rejected_beyond_tolerance():
 def test_qudit_matches_qubit_special_case(rng):
     amps = rand_unit(rng, 4)
     a = build_w_qubit(amps)
-    b = build_gw_qudit(GWSpec(n=4, d=2, amplitudes=amps.reshape(4, 1)))
+    b = superpose_with_vacuum(GWSpec(n=4, d=2, amplitudes=amps.reshape(4, 1)))
     np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
 def test_qudit_weight_one_support():
     spec = GWSpec(n=2, d=3, amplitudes=np.full((2, 2), 0.5))
-    psi = build_gw_qudit(spec)
+    psi = superpose_with_vacuum(spec)
     t = psi.amplitudes.reshape(3, 3)
     for i in range(3):
         for j in range(3):
@@ -78,16 +77,10 @@ def test_qudit_weight_one_support():
         assert rho.rank() <= 3
 
 
-def test_qudit_rejects_vacuum_admixture():
-    spec = GWSpec(n=2, d=3, amplitudes=np.full((2, 2), 0.5), vacuum_weight=0.25)
-    with pytest.raises(ValueError):
-        build_gw_qudit(spec)
-
-
 def test_hamming_weight_support_exact(rng):
     for _ in range(20):
         spec = random_gw_spec(rng, n_min=2, n_max=5, vacuum="never")
-        psi = build_gw_qudit(spec)
+        psi = superpose_with_vacuum(spec)
         t = psi.amplitudes.reshape(psi.layout.dims)
         for idx in np.ndindex(*psi.layout.dims):
             if sum(1 for i in idx if i != 0) != 1:
@@ -96,10 +89,12 @@ def test_hamming_weight_support_exact(rng):
 
 def test_vacuum_superposition_limits(rng):
     spec = random_gw_spec(rng, vacuum="never")
-    pure_w = superpose_with_vacuum(spec)
-    np.testing.assert_allclose(
-        pure_w.amplitudes, build_gw_qudit(spec).amplitudes, atol=1e-14
-    )
+    # at w = 0 the ket exciting party s to level i carries a_si itself
+    pure_w = superpose_with_vacuum(spec).amplitudes.reshape(spec.layout.dims)
+    for s, i in np.ndindex(spec.n, spec.d - 1):
+        ket = [0] * spec.n
+        ket[s] = i + 1
+        assert pure_w[tuple(ket)] == spec.amplitudes[s, i]
     all_vac = GWSpec(
         n=spec.n, d=spec.d, amplitudes=spec.amplitudes, vacuum_weight=1.0
     )
@@ -134,7 +129,7 @@ def test_purification_decoupled_ancilla():
     puri = purify_mixture(spec, [1.0])
     t = puri.amplitudes.reshape(2, 2, 2, 2)
     np.testing.assert_allclose(
-        t[..., 0].reshape(-1), build_gw_qudit(spec).amplitudes, atol=1e-12
+        t[..., 0].reshape(-1), superpose_with_vacuum(spec).amplitudes, atol=1e-12
     )
     assert float(np.abs(t[..., 1]).sum()) < 1e-12
 

@@ -166,17 +166,17 @@ def _load_spec(source: str) -> GWSpec:
     return gw_spec_from_json(text)
 
 
-def _load_blocks(args: SimpleNamespace) -> tuple[GWSpec, GWBlocks, Partition]:
-    """The spec, its block weights (no dense state, so no party count is too
-    large) and ``--partition`` or one block per party, checked complete."""
-    spec = _load_spec(args.spec)
-    psi = GWBlocks.of(spec)
+def _load_blocks(args: SimpleNamespace) -> tuple[GWBlocks, Partition]:
+    """The spec's block weights, not the spec (no dense state, so no party count
+    is too large), and ``--partition`` or one block per party, checked complete."""
+    psi = GWBlocks.of(_load_spec(args.spec))
+    n = psi.layout.n_parties
     partition = (
-        parse_partition(args.partition, spec.n) if args.partition is not None
-        else Partition.singletons(spec.n)
+        parse_partition(args.partition, n) if args.partition is not None
+        else Partition.singletons(n)
     )
     partition.require_complete(psi.layout)
-    return spec, psi, partition
+    return psi, partition
 
 
 def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
@@ -203,8 +203,9 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:
         partition = Partition.of(featured.figure2_blocks())
-        bound = _merged_cut_bound("merged_block_upper_bound", psi,
-                                  psi.merged(partition).weights, partition)
+        t = psi.merged(partition).weights
+        bound = _merged_cut_bound("merged_block_upper_bound", psi.weights, partition.labels, t,
+                                  _pair_table(t, 0))
         _, _, [(lhs, rhs, _)] = _grid(grid, [bound])
         header, rows = ("alpha", "lhs", "upper_bound"), zip(grid, lhs, rhs)
     else:
@@ -213,22 +214,27 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         for b in (i * 0.02 for i in range(101)):
             bounds = [c12**b + h_coefficient(k, b / 2.0) * c13**b for k in (1.0, 2.0)]
             rows.append((b, exact_c**b, *bounds))
-    lines = [",".join(header) + "\n"] + [",".join(map(_csv_num, row)) + "\n" for row in rows]
+    template = ",".join(["%.12g"] * len(header)) + "\n"
+    lines = [",".join(header) + "\n", *map(template.__mod__, rows)]
     _write_lines(lines, out)
     return lines
 
 
-def _verify_checks(args: SimpleNamespace) -> tuple[GWSpec, Optional[TighterParams], list, list]:
-    """The job's spec, tightened-bound exponents, order grid and the checks
-    of :func:`prepare_checks`, each with its order-free work done once."""
+def _verify_checks(
+    args: SimpleNamespace,
+) -> tuple[Sequence[float], float, Optional[TighterParams], list, list]:
+    """The job's weights and vacuum weight (what the mixture suite reads; the
+    loaded blocks and partition die here), tightened-bound exponents, order
+    grid and the checks of :func:`prepare_checks`, order-free work done once."""
     tighter = _tighter(args)
-    spec, psi, partition = _load_blocks(args)
+    psi, partition = _load_blocks(args)
     alpha = DEFAULT_ALPHA_GRID if args.alpha is None else _parse_grid(args.alpha)
     grid = alpha_grid(*alpha, exclude_one=not args.include_one)
     if not grid:
         start, stop, step = alpha
         raise ValueError(f"order grid {start}:{stop}:{step} holds no orders")
-    return spec, tighter, grid, prepare_checks(psi, partition, args.mu, tighter)
+    checks = prepare_checks(psi, partition, args.mu, tighter)
+    return psi.weights, psi.vacuum_weight, tighter, grid, checks
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -237,11 +243,11 @@ def cmd_verify(args: SimpleNamespace) -> int:
     if no applicable check failed.  Both are evaluated once as columns, and
     one writer makes every line from them, one ``%`` template per check and
     verdict, with the bytes of its report (no report is built)."""
-    spec, tighter, grid, checks = _verify_checks(args)
+    weights, w, tighter, grid, checks = _verify_checks(args)
     csv = args.format == "csv"
     failed, lines = _grid_lines(grid, checks, csv)
-    if spec.vacuum_weight > 0.0:
-        mixed, more = _grid_lines([grid[len(grid) // 2]], _mixture_checks(spec, tighter), csv)
+    if w > 0.0:
+        mixed, more = _grid_lines([grid[len(grid) // 2]], _mixture_checks(weights, w, tighter), csv)
         failed, lines = failed or mixed, itertools.chain(lines, more)
     _write_lines(itertools.chain([",".join(CSV_HEADER) + "\n"], lines) if csv else lines, args.out)
     return int(failed)
@@ -253,7 +259,7 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     bad trial count, seed or order, and more than ``roof.MAX_ORACLE_TARGETS``
     targets, before any roof runs.  Exits 0 whatever the verdicts."""
     seed = _env_seed() if args.seed is None else args.seed
-    _, psi, partition = _load_blocks(args)
+    psi, partition = _load_blocks(args)
     with _converting("--alpha"):
         orders = [] if args.alpha is None else [float(a) for a in args.alpha.split(",")]
     _write_lines(oracle_lines(psi, partition, orders, trials=args.trials, seed=seed), args.out)

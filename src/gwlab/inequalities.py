@@ -414,19 +414,21 @@ def check_polygamy_power(state: State | GWBlocks, partition: Partition, s: int, 
     return _power_relation("polygamy_power", "le", _pair_table(t, s), s, mu).at(order)
 
 
-def _merged_cut_bound(name: str, psi: GWBlocks, t: np.ndarray, partition: Partition) -> Prepared:
+def _merged_cut_bound(name: str, weights: np.ndarray, labels: np.ndarray, t: np.ndarray,
+                      c2: np.ndarray) -> Prepared:
     """f(C^2(PQ|rest)) <= 2 f(C^2(P,Q)) + sum_R [f(C^2(P,R)) + f(C^2(Q,R))] on
-    the blocks (P, Q, R...) of ``partition``, whose weights in ``psi`` are
-    ``t``: the pairs are P's pair table and Q's without its QP entry, and the
-    cut's C^2 is the pair table of the weights (t_PQ, t_R...), one block sum
-    over the relabelling that makes P and Q one block."""
-    if partition.n_blocks < 3:
+    the blocks (P, Q, R...) of the party ``labels``, of weights ``t`` (by party,
+    ``weights``): the pairs are P's pair table ``c2`` and Q's without its QP
+    entry.  The cut's C^2 is the pair table of (t_PQ, t_R...), t_PQ one
+    ``math.fsum`` over the parties labelled 0 or 1."""
+    if len(t) < 3:
         raise ValueError("need at least one rest block")
-    cut = partition.relabelled([0, *range(partition.n_blocks - 1)]).block_sums(psi.weights)
-    p_c2, q_c2 = _pair_table(t, 0)[1:], _pair_table(t, 1)[2:]
+    t_pq = math.fsum(weights[: labels.size][(labels >= 0) & (labels <= 1)].tolist())
+    cut = np.concatenate(([t_pq], t[2:]))
+    p_c2, q_c2 = c2[1:], _pair_table(t, 1)[2:]
     groups = ((2.0, 1, 2), (1.0, 2, len(p_c2) + 1), (1.0, len(p_c2) + 1, None))
     c2s = np.concatenate([_pair_table(cut, 0)[:1], p_c2, q_c2])
-    return _relation(name, "le", {"n_blocks": partition.n_blocks}, c2s, 1.0, groups)
+    return _relation(name, "le", {"n_blocks": len(t)}, c2s, 1.0, groups)
 
 
 def check_merged_block_upper_bound(
@@ -446,7 +448,8 @@ def check_merged_block_upper_bound(
     t = blocks.block_sums(psi.weights)
     if not (psi.pure and blocks.covers(psi.layout.n_parties)):
         raise ValueError("merged_block_upper_bound needs a pure state that its blocks cover")
-    return _merged_cut_bound("merged_block_upper_bound", psi, t, blocks).at(order)
+    return _merged_cut_bound("merged_block_upper_bound", psi.weights, blocks.labels, t,
+                             _pair_table(t, 0)).at(order)
 
 
 def check_reoa_triangle(
@@ -482,7 +485,8 @@ def check_upper_bound_bipartition(
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
     blocks, state = Partition.of([block_p1, block_p2, *q_blocks]), GWBlocks.from_state(state)
     t = blocks.block_sums(state.weights)
-    return _merged_cut_bound("pair_block_upper_bound", state, t, blocks).at(order)
+    return _merged_cut_bound("pair_block_upper_bound", state.weights, blocks.labels, t,
+                             _pair_table(t, 0)).at(order)
 
 
 @dataclass(frozen=True)
@@ -630,13 +634,15 @@ def _monogamy_cap(c2s: np.ndarray, d_alice: int) -> Prepared:
     return Prepared("monogamy_cap", _monogamy, params, c2s, evaluate, added=("middle",))
 
 
-def _trace_bound_renyi(psi: GWBlocks, cut: Partition) -> Prepared:
-    """The games section's trace bound across ``cut``, two blocks that cover
-    the state."""
+def _trace_bound_renyi(psi: GWBlocks, partition: Partition) -> Prepared:
+    """The games section's trace bound across block 0 of ``partition`` against
+    its other blocks, which cover the state; each side weighs one ``math.fsum``."""
     if not psi.pure:
         raise ValueError("the trace bound needs a pure state")
-    cut.require_complete(psi.layout)
-    c2 = min(_pair_table(cut.block_sums(psi.weights), 0)[0], 1.0)
+    partition.require_complete(psi.layout)
+    labels = partition.labels
+    cut = [math.fsum(psi.weights[side].tolist()) for side in (labels == 0, labels >= 1)]
+    c2 = min(_pair_table(cut, 0)[0], 1.0)
     tail = float(_lam_lo(c2))
     lhs = 2.0 * math.sqrt(tail)
 
@@ -671,11 +677,11 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
     if k >= 3:
         t3 = t[:3]
         # the two merged-cut bounds are one relation under two names
-        bound = _merged_cut_bound("merged_block_upper_bound", psi, t, partition)
+        bound = _merged_cut_bound("merged_block_upper_bound", psi.weights, partition.labels, t, c2)
         checks += [_reoa_triangle(t3), bound,
                    bound._replace(name="pair_block_upper_bound")]
     checks.append(_monogamy_cap(c2, merged.layout.dims[0]))
-    checks.append(_trace_bound_renyi(psi, partition.relabelled([0] + [1] * (k - 1))))
+    checks.append(_trace_bound_renyi(psi, partition))
     if tighter is not None and k >= 3:
         c3 = _pair_table(t3, 0)
         # CREN equals the concurrence on this family: one check, two names
@@ -697,17 +703,16 @@ def _oracle_checks(pair_trials: int, trials: int, seed: int) -> tuple[Prepared, 
                      added=(*added, "max_side_checked")))
 
 
-def _mixture_checks(spec: GWSpec, tighter: Optional[TighterParams] = None) -> list[Prepared]:
-    """The checks of :func:`run_mixture_suite`, each with its ``stage`` in
-    its params."""
+def _mixture_checks(weights: np.ndarray, w: float,
+                    tighter: Optional[TighterParams] = None) -> list[Prepared]:
+    """The checks of :func:`run_mixture_suite` on a spec's weights and vacuum
+    weight w, each with its ``stage`` in its params: the purified stage reads
+    the weights and w (its ancilla party), the mixture stage the weights."""
     tighter = tighter or TighterParams(c_pow=2.0, b_pow=1.0, k=1.0)
     checks = []
-    for stage, state in (
-        ("purified", GWBlocks.purification(spec)), ("mixture", GWBlocks.of(spec, pure=False))
-    ):
-        t, n = state.weights, state.layout.n_parties
+    for stage, t in (("purified", np.append(weights, w)), ("mixture", weights)):
         stage_checks = [_power_relation("monogamy_sq", "ge", _pair_table(t, 0), 0, 2.0)]
-        if n >= 3:
+        if len(t) >= 3:
             c3 = _pair_table(t[:3], 0)
             stage_checks.append(_tightened(c3, 2, tighter, "concurrence", three=True))
         checks += [check._replace(params={**check.params, "stage": stage})
@@ -729,4 +734,5 @@ def run_mixture_suite(
     their singletons weigh the parties' own weights.  The three-block
     tightened check runs on a stage of at least three parties.
     """
-    return at_orders([order], _mixture_checks(spec, tighter))
+    psi = GWBlocks.of(spec)
+    return at_orders([order], _mixture_checks(psi.weights, psi.vacuum_weight, tighter))

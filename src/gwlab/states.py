@@ -154,14 +154,13 @@ class GWBlocks:
         object.__setattr__(self, "pure", bool(self.pure))
 
     @classmethod
-    def of(cls, spec: GWSpec, pure: bool = True) -> "GWBlocks":
-        """The spec's vacuum superposition, or its vacuum mixture when not
-        ``pure``: t_k = (1-w) sum_i |a_ki|^2, the excited populations of
-        :func:`superpose_with_vacuum` and :func:`mix_with_vacuum` (pure at w = 0)."""
+    def of(cls, spec: GWSpec) -> "GWBlocks":
+        """The spec's vacuum superposition: t_k = (1-w) sum_i |a_ki|^2, the
+        excited populations of :func:`superpose_with_vacuum` and of
+        :func:`mix_with_vacuum`, which is not pure when w > 0."""
         w = spec.vacuum_weight
         weights = (1.0 - w) * np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
-        layout = PartyLayout((spec.d,) * spec.n)
-        return cls(weights, layout, w, pure or w == 0.0)
+        return cls(weights, PartyLayout((spec.d,) * spec.n), w)
 
     @classmethod
     def from_state(cls, state) -> "GWBlocks":
@@ -199,15 +198,6 @@ class GWBlocks:
                 "it is not a generalized W-class member"
             )
         return cls(excited, PartyLayout(dims), vacuum, pure)
-
-    @classmethod
-    def purification(cls, spec: GWSpec) -> "GWBlocks":
-        """The pure member of :func:`purify_mixture`: the mixture's weights
-        plus an ancilla party of weight w, with no vacuum."""
-        mixture = cls.of(spec, pure=False)
-        weights = np.append(mixture.weights, spec.vacuum_weight)
-        layout = PartyLayout(mixture.layout.dims + (spec.d,))
-        return cls(weights, layout, 0.0, True)
 
     def merged(self, partition: Partition) -> "GWBlocks":
         """One party per block of ``partition``, weighing t_B.  The parties

@@ -298,10 +298,6 @@ class Partition:
     def singletons(cls, n_parties: int) -> "Partition":
         return cls(np.arange(n_parties))
 
-    def relabelled(self, mapping: Sequence[int]) -> "Partition":
-        """Block b's parties in block ``mapping[b]`` (-1: in no block)."""
-        return type(self)(np.array([*mapping, -1])[self.labels])  # label -1 reads the last
-
     def covered(self) -> "Partition":
         """The blocks on the reduction to the parties they hold, which are
         renumbered in ascending order."""

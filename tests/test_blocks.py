@@ -12,6 +12,7 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
+    PartyLayout,
     ProvenanceError,
     PureState,
     SubsystemLayout,
@@ -101,7 +102,7 @@ def _assert_same_reports(got, want):
 
 
 def _dense_purification(spec):
-    """The dense purification whose weights ``GWBlocks.purification`` holds."""
+    """The dense purification: its weights are the spec's with w appended."""
     anc = np.zeros(spec.d - 1, dtype=complex)
     anc[-1] = 1.0
     return purify_mixture(spec, anc)
@@ -255,12 +256,12 @@ def test_blocks_validation_and_purity():
         GWBlocks((0.5, 0.4), GWBlocks.of(spec).layout)
     with pytest.raises(ValueError, match="nonnegative"):
         GWBlocks((1.5, -0.5), GWBlocks.of(spec).layout)
+    member = GWBlocks.of(spec)
+    mixture = GWBlocks(member.weights, member.layout, member.vacuum_weight, pure=False)
     with pytest.raises(ValueError, match="pure state"):
-        cut_spectrum(GWBlocks.of(spec, pure=False), ({0}, {1}))
+        cut_spectrum(mixture, ({0}, {1}))
     with pytest.raises(ValueError, match="pure state"):
-        block_pair_reduction(GWBlocks.of(spec, pure=False), {0}, {1})
-    # with no vacuum the mixture is the pure state itself
-    assert GWBlocks.of(GWSpec.qubit([0.6, 0.8]), pure=False).pure
+        block_pair_reduction(mixture, {0}, {1})
     with pytest.raises(ValueError, match="nonempty"):
         block_pair_reduction(GWBlocks.of(spec), set(), {1})
     three = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
@@ -297,11 +298,15 @@ def test_from_state_matches_spec_weights(rng, d):
         spec = random_gw_spec(rng, n_min=2, n_max=5, d=d)
         psi = superpose_with_vacuum(spec)
         keep = sorted(rng.choice(spec.n, size=2, replace=False).tolist())
+        blocks, w = GWBlocks.of(spec), spec.vacuum_weight
+        # the mixture is the pure state itself when w = 0; the purification
+        # holds the mixture's weights and an ancilla party of weight w
+        purified = PartyLayout(blocks.layout.dims + (d,))
         cases = [
-            (psi, GWBlocks.of(spec)),
-            (mix_with_vacuum(spec), GWBlocks.of(spec, pure=False)),
-            (_dense_purification(spec), GWBlocks.purification(spec)),
-            (partial_trace(psi, keep), GWBlocks.of(spec).merged(Partition.of([p] for p in keep))),
+            (psi, blocks),
+            (mix_with_vacuum(spec), GWBlocks(blocks.weights, blocks.layout, w, pure=w == 0.0)),
+            (_dense_purification(spec), GWBlocks(np.append(blocks.weights, w), purified)),
+            (partial_trace(psi, keep), blocks.merged(Partition.of([p] for p in keep))),
         ]
         for dense, want in cases:
             got = GWBlocks.from_state(dense)
@@ -311,7 +316,6 @@ def test_from_state_matches_spec_weights(rng, d):
             assert got.vacuum_weight == pytest.approx(want.vacuum_weight, abs=1e-12)
             total = math.fsum(want.weights) + want.vacuum_weight
             assert total == pytest.approx(1.0, abs=1e-12)
-        blocks = GWBlocks.of(spec)
         assert GWBlocks.from_state(blocks) is blocks
 
 

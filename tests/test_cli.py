@@ -571,12 +571,12 @@ def test_verify_dense_work_independent_of_grid(monkeypatch, tmp_path):
 
 
 def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
-    # the job's partition is parsed once, and every block weight comes from
-    # one block sum over the job's labels or a relabelling of them: the job's
-    # blocks (whose first three are the first three blocks' weights), the
-    # merged-cut bounds' cut (P and Q as one block, shared by both bounds) and
-    # the trace bound's cut.  A preparer that parses the partition again, or
-    # sums twice, fails this.
+    # the job's partition is parsed once, and its block weights come from one
+    # block sum over the job's labels (the first three are the first three
+    # blocks' weights); the merged-cut bounds' cut (P and Q as one block,
+    # shared by both bounds) and the trace bound's cut are fsums over masks of
+    # those labels, with no relabelled partition.  A preparer that parses the
+    # partition again, builds another, or sums twice, fails this.
     calls = {"of": 0, "partition": 0, "block_sums": 0}
 
     def counting(name, fn):
@@ -595,7 +595,41 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
     args = ["verify", "--spec", spec, "--partition", "0|1|2,3", "--alpha", "0.83:1.30:0.05"]
     assert main(args + ["--out", str(tmp_path / "r.jsonl")]) == 0
     assert len(alpha_grid(0.83, 1.30, 0.05)) == 10
-    assert calls == {"of": 1, "partition": 3, "block_sums": 3}
+    assert calls == {"of": 1, "partition": 1, "block_sums": 1}
+
+
+#: One job of each kind that reads a spec, and the objects it validates:
+#: ``GWBlocks``, ``PartyLayout`` and ``Partition``.  Verify builds the
+#: loader's weights and their merge, on the loader's layout and the merged
+#: one, and one partition; the mixture suite reads the loader's weights.
+VALIDATED_PER_JOB = {
+    "verify-vacuum": (["verify", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4, 0.2)),
+                       "--partition", "0|1|2,3", "--c-pow", "2", "--b-pow", "1", "--k", "2",
+                       "--alpha", "0.83:1.30:0.05"], (2, 2, 1)),
+    "verify-pure": (["verify", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4)),
+                     "--partition", "0|1|2,3", "--c-pow", "2", "--b-pow", "1", "--k", "2",
+                     "--alpha", "0.83:1.30:0.05"], (2, 2, 1)),
+    "oracle": (["oracle", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4, 0.2)),
+                "--partition", "0|1|2,3", "--trials", "64", "--seed", "3", "--alpha", "0.9,1.2"],
+               (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("job", list(VALIDATED_PER_JOB))
+def test_each_job_validates_its_objects_once(monkeypatch, tmp_path, job):
+    # a job validates its input once: no stage rebuilds the loader's weights,
+    # a layout or a partition to read weights it already holds
+    calls = {}
+    for cls in (GWBlocks, gwlab.tensor.PartyLayout, Partition):
+        def counted(self, init=cls.__post_init__, name=cls.__name__):
+            calls[name] = calls.get(name, 0) + 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    argv, want = VALIDATED_PER_JOB[job]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    got = tuple(calls.get(name, 0) for name in ("GWBlocks", "PartyLayout", "Partition"))
+    assert got == want
 
 
 def test_verify_two_parties_with_vacuum(tmp_path):

@@ -484,7 +484,8 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
         _power_relation("monogamy_power", "ge", _pair_table(t, 0), 0, 3.0),
         _power_relation("polygamy_power", "le", _pair_table(t, 1), 1, 0.5),
         _reoa_triangle(t3),
-        _merged_cut_bound("pair_block_upper_bound", psi, t, partition),
+        _merged_cut_bound("pair_block_upper_bound", psi.weights, partition.labels, t,
+                          _pair_table(t, 0)),
         _monogamy_cap(_pair_table(t, 0), 2),
         _trace_bound_renyi(psi, Partition.cut(({0}, range(1, 6)))),
         _tightened(_pair_table(t, 0), 2, tighter, "renyi"),
@@ -495,6 +496,49 @@ def test_split_grid_blocks_change_no_bit(rng, monkeypatch):
     for values in (1, 5, 13, 40):
         monkeypatch.setattr(gwlab.inequalities, "GRID_VALUES", values)
         assert _report_values(at_orders(grid, checks)) == whole, values
+
+
+def _cut_weights(monkeypatch, prepare):
+    """The weights of the cut that ``prepare()`` hands to the pair table of
+    its first block (the one ``_pair_table`` call with s = 0)."""
+    seen = []
+
+    def spy(t, s):
+        seen.append((np.array(t, dtype=float), s))
+        return _pair_table(t, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gwlab.inequalities, "_pair_table", spy)
+        prepare()
+    [cut] = [t for t, s in seen if s == 0]
+    return cut
+
+
+def test_cut_weights_are_the_block_sums_of_the_merged_blocks(rng, monkeypatch):
+    # the merged-cut bounds' (t_PQ, t_R...) and the trace bound's (t_0,
+    # t_rest) are fsums over masks of the labels; each is, bit for bit, the
+    # block sum of the partition whose blocks are the merged ones, on
+    # singletons, on blocks of many parties and on blocks that leave parties
+    # out (as check_upper_bound_bipartition allows)
+    for _ in range(40):
+        n = int(rng.integers(4, 12))
+        # weights over twelve decades, so that adding in another order than
+        # fsum's would round differently
+        raw = rng.uniform(size=n) * 10.0 ** rng.integers(-12, 1, size=n)
+        psi = GWBlocks(raw / math.fsum(raw), PartyLayout((2,) * n))
+        complete = random_complete_partition(rng, n, int(rng.integers(3, n + 1)))
+        kept = [b for b in complete.blocks if rng.uniform() < 0.7]
+        partial = [Partition.of(kept)] if len(kept) >= 3 else []
+        for partition in (Partition.singletons(n), complete, *partial):
+            blocks, t = partition.blocks, partition.block_sums(psi.weights)
+            cut = _cut_weights(monkeypatch, lambda: _merged_cut_bound(
+                "merged_block_upper_bound", psi.weights, partition.labels, t, _pair_table(t, 0)))
+            want = Partition.of([blocks[0] | blocks[1], *blocks[2:]]).block_sums(psi.weights)
+            assert cut.tobytes() == want.tobytes()
+            if partition.covers(n):
+                cut = _cut_weights(monkeypatch, lambda: _trace_bound_renyi(psi, partition))
+                want = Partition.of([blocks[0], frozenset().union(*blocks[1:])])
+                assert cut.tobytes() == want.block_sums(psi.weights).tobytes()
 
 
 def test_grid_evaluates_each_relation_and_window_once(monkeypatch):

@@ -27,10 +27,13 @@ by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
 by running its jobs) and is written up in CHANGES.md.
 
 The byte pins hold on the numpy build and CPU features they were recorded
-on: numpy 2.4.6 dispatching its float64 loops to ``X86_V4``, ``AVX512_ICL``
-and ``AVX512_SPR``.  Without the AVX-512 loops the oracle pins move in their
-last bits; ``test_pins_hold_without_avx512`` runs every stream that way in a
-child process and holds it to the rules above, with CSV byte for byte.
+on, ``PIN_DISPATCH``: numpy 2.4.6 dispatching its float64 loops to
+``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR``.  Without the AVX-512 loops the
+oracle pins move in their last bits, so a failing oracle byte pin names the
+recorded dispatch and the running one; a pin re-recorded on purpose records
+its dispatch with it.  ``test_pins_hold_without_avx512`` runs every stream
+without the AVX-512 loops in a child process and holds it to the rules
+above, with CSV byte for byte.
 """
 
 import functools
@@ -142,13 +145,6 @@ def test_verify_mixture_csv_stream_bytes_unchanged(tmp_path, capsys):
     _assert_csv_stream_bytes_unchanged("report_stream_mixture.csv", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
-def test_oracle_report_stream_unchanged(stream, tmp_path):
-    _assert_stream_unchanged(stream, tmp_path)
-    # and byte for byte: the oracle's lines come from verify's writer
-    assert (tmp_path / stream).read_bytes() == (DATA / stream).read_bytes()
-
-
 def _avx512_features() -> list[str]:
     """The AVX-512 targets of numpy's dispatch that this host has."""
     try:
@@ -157,6 +153,27 @@ def _avx512_features() -> list[str]:
         from numpy.core import _multiarray_umath as umath
     return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)
             and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+#: The numpy version and the AVX-512 dispatch targets (``_avx512_features``)
+#: that the four oracle byte pins were recorded on.
+PIN_DISPATCH = ("2.4.6", ("X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def _dispatch_note() -> str:
+    """The message of a failed oracle byte pin: the dispatch it was recorded
+    on and the one running."""
+    version, targets = PIN_DISPATCH
+    running = ", ".join(_avx512_features()) or "no AVX-512 target"
+    return (f"pinned on numpy {version} with {', '.join(targets)}; "
+            f"running numpy {np.__version__} with {running}")
+
+
+@pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
+def test_oracle_report_stream_unchanged(stream, tmp_path):
+    _assert_stream_unchanged(stream, tmp_path)
+    # and byte for byte: the oracle's lines come from verify's writer
+    assert (tmp_path / stream).read_bytes() == (DATA / stream).read_bytes(), _dispatch_note()
 
 
 #: Runs the streams of ``ARGS`` (JSON, argv[1]) into the directory argv[2];
@@ -273,7 +290,7 @@ def test_oracle_pairs_jobs_bytes_unchanged(capsys):
         code = main(job.argv)
         digest.update(f"{job.job_id} exit {code}\n{capsys.readouterr().out}".encode())
     assert len(jobs) == 12
-    assert digest.hexdigest() == ORACLE_PAIRS_SEED1_SHA256
+    assert digest.hexdigest() == ORACLE_PAIRS_SEED1_SHA256, _dispatch_note()
 
 
 #: SHA-256 of the stdout of conftest's many-stack oracle job (435 pairs and
@@ -290,7 +307,7 @@ def test_many_stack_oracle_job_bytes_unchanged(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == n * (n - 1) // 2 + len(MANY_STACK_ORDERS)
-    assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256, _dispatch_note()
 
 
 #: One job of each command, without ``--out``.
@@ -325,8 +342,8 @@ def _verify_lines(name: str, fmt: str, out: str) -> list[str]:
     format (no CSV header), the grid's, then the mixture suite's if any,
     written to ``out``."""
     args = _parse(ARGS[f"report_stream_{name}.jsonl"])
-    spec, tighter, grid, checks = _verify_checks(args)
-    mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
+    weights, w, tighter, grid, checks = _verify_checks(args)
+    mixture = _mixture_checks(weights, w, tighter) if w else []
     csv = fmt == "csv"
     middle = [grid[len(grid) // 2]]
     lines = [*_grid_lines(grid, checks, csv)[1], *_grid_lines(middle, mixture, csv)[1]]
@@ -437,9 +454,9 @@ def _assert_grid_lines(grid, checks) -> None:
 def test_spliced_lines_of_pinned_streams_match_json(stream):
     # the grid's lines, and the mixture suite's at the grid's middle order
     # (some without alpha), come from the one writer
-    spec, tighter, grid, checks = _verify_checks(_parse(ARGS[stream]))
+    weights, w, tighter, grid, checks = _verify_checks(_parse(ARGS[stream]))
     _assert_grid_lines(grid, checks)
-    mixture = _mixture_checks(spec, tighter) if spec.vacuum_weight else []
+    mixture = _mixture_checks(weights, w, tighter) if w else []
     assert all("stage" in c.params for c in mixture)
     assert bool(mixture) == (stream == "report_stream_mixture.jsonl")
     _assert_grid_lines([grid[len(grid) // 2]], mixture)

@@ -667,13 +667,15 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
     partition.require_complete(psi.layout)  # the trace bound refuses a mixed state
     merged = psi.merged(partition)
     t, k = merged.weights, partition.n_blocks
-    power = ("monogamy_power", "ge") if mu >= 2.0 else ("polygamy_power", "le")
     c2 = _pair_table(t, 0)  # one array for every check on block 0's pairs
-    checks = [
-        _power_relation("monogamy_sq", "ge", c2, 0, 2.0),
-        _power_relation("polygamy", "le", c2, 0, 1.0),
-        _power_relation(*power, c2, 0, mu),
-    ]
+    square = _power_relation("monogamy_sq", "ge", c2, 0, 2.0)
+    if mu == 2.0:  # the square relation under a second name: one fold
+        power = square._replace(name="monogamy_power")
+    elif mu > 2.0:
+        power = _power_relation("monogamy_power", "ge", c2, 0, mu)
+    else:
+        power = _power_relation("polygamy_power", "le", c2, 0, mu)
+    checks = [square, _power_relation("polygamy", "le", c2, 0, 1.0), power]
     if k >= 3:
         t3 = t[:3]
         # the two merged-cut bounds are one relation under two names

@@ -15,14 +15,17 @@ batch.  Generation g draws all its randomness from the (seed, g) pair in
 fixed shapes, and refinement uses only incumbents of earlier generations,
 so runs are reproducible and a longer run extends a shorter one.  The runs
 of one call share their seed and row count (every family pair has the same
-two rows), so one isometry shape, drawn per chunk of ``DRAW_CHUNK``
-generations with one QR over the chunk.  Callers hand over stacks of runs
-of one measure and trial count and get columns back; a stack advances in
-lockstep as slices of at most ``GROUP_RUNS``, one step per generation: both
-incumbent sides in one array, one Renyi kernel call per band of orders, no
-per-run copy of the Haar draws when no run refines.  As sum_k p_k C_k = C
-on every decomposition, the oracle runs each pair for one generation only,
-and each distinct float order in its ``e_alpha_formula`` check's window once.
+two rows), so one isometry shape, drawn in place per chunk of
+``DRAW_CHUNK`` generations with one QR over the chunk's Haar trials alone.
+Callers hand over stacks of runs of one measure and trial count and get
+columns back; a stack advances in lockstep as slices of at most
+``GROUP_RUNS``, one step per generation: one gather of every candidate
+from each run's pool of incumbent, rotated and Haar rows (none when no run
+refines: then the Haar rows are shared), both incumbent sides in one
+array, one Renyi kernel call per band of orders.  As sum_k p_k C_k = C on
+every decomposition, the oracle runs each pair for one generation only,
+and each distinct float order in its ``e_alpha_formula`` check's window
+once.
 
 These estimates never override the closed forms; they exist to verify them
 from an independent route, and disagreements are reported, not corrected.
@@ -38,12 +41,13 @@ import numpy as np
 
 from .inequalities import _FAILED, _HELD, _OUT, _UNMET, InequalityReport, _column, _json_value
 from .inequalities import _oracle_checks, _reports
-from .measures import _band_masks, _canonical_pair, _lam_lo, _order, _polygamy, _renyi_of, f_alpha
+from .measures import _band_masks, _canonical_pair, _checked_c2, _f_alpha_tables, _lam_lo, _order
+from .measures import _polygamy, _renyi_of
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
 # unused here; kept only as bench/tracer.py seed import sites (ROADMAP item 1)
-from .measures import block_pair_reduction, gw_pairwise_concurrence  # noqa: F401
+from .measures import block_pair_reduction, f_alpha, gw_pairwise_concurrence  # noqa: F401
 from .tensor import schmidt_spectrum  # noqa: F401
 
 __all__ = [
@@ -87,52 +91,67 @@ MAX_ORACLE_TARGETS = 10**5
 
 def _draw_chunk(seed: int, start: int, stop: int, m: int, r: int) -> list:
     """The randomness of trials start to stop - 1 (start a multiple of
-    GENERATION), as one (trials, Haar draws, moves) triple per generation.
+    GENERATION), as one (trials, Haar rows, sources, rotation) tuple per
+    generation.
 
     Generation g draws from its own (seed, g) stream, in fixed shapes however
     many of its trials run: GENERATION complex normal m x r matrices, then
-    per trial two row indices, a rotation angle and a phase.  The trials that
-    refine an incumbent (none in generation 0, later those with
-    t % EXPLORE_CYCLE != 0) become moves: their index in the generation,
-    whether they rotate the minimizer (even t), the two distinct rows each
-    mixes, and cos, sin * phase and sin * conj(phase) of its rotation.  Only
-    the other matrices are orthonormalised, by one QR over the chunk (the
-    refining ones are NaN).  Every run of shape (m, r) reads these arrays,
-    so they are read-only."""
+    per trial two row indices, a rotation angle and a phase, the normal and
+    uniform draws written in place.  The trials that refine an incumbent
+    (none in generation 0, later those with t % EXPLORE_CYCLE != 0) rotate
+    the minimizer (even t) or the maximizer; only the other trials' matrices
+    are orthonormalised, by one QR over the chunk, and a generation's Haar
+    rows are theirs alone.
+
+    A run's pool holds its incumbents' rows (minimizer, then maximizer), then
+    GENERATION rotated rows k and GENERATION rotated rows l of the moves, then
+    m rows per Haar trial.  ``sources`` are each trial's m pool rows: its
+    Haar rows, or its incumbent's rows with rows k and l rotated, so a
+    refining trial never reads a Haar row.  The rotation holds the moves'
+    pool rows k and l (2, moves) and cos, sin * phase and sin * conj(phase)
+    of each move, as columns: k becomes cos k - sin phase l, l becomes
+    sin conj(phase) k + cos l.  Every run of shape (m, r) reads these
+    arrays, so they are read-only."""
     gens = range(start // GENERATION, -(-stop // GENERATION))
     z = np.empty((len(gens), GENERATION, m, r), complex)
     rows = np.empty((2, len(gens), GENERATION), int)
     normal, uniform = np.empty((2, len(gens), GENERATION))
     for i, g in enumerate(gens):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
-        # real and imaginary parts side by side: the view is the complex draw
-        z[i] = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
+        # real and imaginary parts side by side: the float view of the complex draw
+        rng.standard_normal(out=z[i].view(float))
         rows[0, i] = rng.integers(m, size=GENERATION)
         rows[1, i] = rng.integers(m - 1, size=GENERATION)
-        normal[i] = rng.standard_normal(GENERATION)
-        uniform[i] = rng.uniform(size=GENERATION)
+        rng.standard_normal(out=normal[i])
+        rng.random(out=uniform[i])  # the doubles of uniform(size=), with no copy
     size = stop - start
-    t = np.arange(start, stop)
+    t = np.arange(start, start + len(gens) * GENERATION)  # whole generations
     refine = (t % EXPLORE_CYCLE != 0) & (t >= GENERATION)
-    z = z.reshape(-1, m, r)[:size]
-    q, rmat = np.linalg.qr(z[~refine])
+    q, rmat = np.linalg.qr(z.reshape(-1, m, r)[:size][~refine[:size]])
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    haar = np.full_like(z, np.nan)
-    haar[~refine] = q * (diag / np.abs(diag))[:, None, :]
-    j = np.flatnonzero(refine)
+    haar = q * (diag / np.abs(diag))[:, None, :]
+    seen = np.cumsum(~refine.reshape(-1, GENERATION), axis=1).ravel()  # Haar trials so far
+    first = np.where(refine, t % 2 * m, 2 * (m + GENERATION) + (seen - 1) * m)
+    sources = first[:, None] + np.arange(m)
+    j = np.flatnonzero(refine[:size])
     row_k, row_l = rows.reshape(2, -1)[:, j]
     row_l += row_l >= row_k
+    moved = 2 * m + (t % GENERATION - seen)[j]  # by the move's rank in its generation
+    sources[j, row_k], sources[j, row_l] = moved, moved + GENERATION
     angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * normal.ravel()[j]
     c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
     phase = np.exp(2j * np.pi * uniform.ravel()[j])[:, None]
-    moves = (j % GENERATION, t[j] % 2 == 0, row_k, row_l, c, s * phase, s * np.conj(phase))
-    for array in (t, haar, *moves):
+    pairs = first[j] + np.array([row_k, row_l])
+    factors = (c, s * phase, s * np.conj(phase))
+    for array in (t, haar, sources, pairs, *factors):
         array.flags.writeable = False
-    lows = range(0, size, GENERATION)
-    cuts = np.searchsorted(j, [*lows, size]).tolist()
-    return [(t[lo : lo + GENERATION], haar[lo : lo + GENERATION],
-             tuple(x[a:b] for x in moves)) for lo, a, b in zip(lows, cuts, cuts[1:])]
+    bounds = [*range(0, size, GENERATION), size]
+    cuts = np.searchsorted(j, bounds).tolist()
+    firsts = [b - a for b, a in zip(bounds, cuts)]  # Haar rows before each generation
+    return [(t[lo:hi], haar[h0:h1], sources[lo:hi].reshape(-1),
+             (pairs[:, a:b], *(x[a:b] for x in factors)))
+            for lo, hi, a, b, h0, h1 in zip(bounds, bounds[1:], cuts, cuts[1:], firsts, firsts[1:])]
 
 
 def _eigen_ensemble(rho: DensityOperator) -> np.ndarray:
@@ -156,46 +175,66 @@ def _pair_rows(w: float, t_a, t_b) -> tuple[np.ndarray, np.ndarray]:
 
 class _Group:
     """Up to ``GROUP_RUNS`` roof runs of one measure and trial count: a view
-    of the caller's rows (runs, r, 4), incumbent minimizing and maximizing
-    isometries (runs, 2, m, r) with values (min, -max), the last trial that
-    improved either by more than ``PLATEAU_TOL``, and ``bands``: each kernel
-    band's runs and orders (none when ``alphas`` is None: concurrence)."""
+    of the caller's rows (runs, r, 4), each run's pool of candidate rows as
+    ``_draw_chunk`` lays it out (only the incumbents' rows if no run
+    refines), the incumbent minimizing and maximizing isometries (runs, 2,
+    m, r) as a view of the pool, with values (min, -max), the last trial
+    that improved either by more than ``PLATEAU_TOL``, and ``bands``: each
+    kernel band's runs (a slice when one band has them all) and orders (none
+    when ``alphas`` is None: concurrence)."""
 
     def __init__(self, ensembles: np.ndarray, alphas: Optional[np.ndarray], trials: int):
         self.ensembles, self.trials = ensembles, trials
         size, r = ensembles.shape[:2]
-        self.shape = (r + 2, r)
+        m = r + 2
+        self.shape = (m, r)
         self.best = np.full((size, 2), math.inf)
-        self.iso = np.full((size, 2, r + 2, r), np.nan, complex)
+        moves = GENERATION if trials > GENERATION else 0
+        self.pool = np.full((size, 2 * (m + moves) + moves * m, r), np.nan, complex)
+        self.iso = self.pool[:, : 2 * m].reshape(size, 2, m, r)
+        self.rotated = self.pool[:, 2 * m : 2 * (m + moves)].reshape(size, 2, moves, r)
+        self.haar = self.pool[:, 2 * (m + moves) :]
         self.last_improve = np.zeros(size, dtype=int)
+        self.runs = np.arange(size)[:, None]
         alphas = np.zeros(0) if alphas is None else alphas
-        self.bands = [(band, mask, alphas[mask][:, None, None])
-                      for band, mask in _band_masks(alphas.tolist())]
+        bands = _band_masks(alphas.tolist())
+        self.bands = [(band, slice(None) if len(bands) == 1 else mask, alphas[mask][:, None, None])
+                      for band, mask in bands]
 
-    def step(self, t: np.ndarray, haar: np.ndarray, moves) -> None:
-        """Evaluate trials t: the Haar draws, with the refining rows of
-        ``moves`` rotating the incumbents instead.  Both sides are minima, the
-        maximizer's of negated values (exact: the same tests and first indices)."""
+    def step(self, t: np.ndarray, haar: np.ndarray, sources: np.ndarray, rotation) -> None:
+        """Evaluate trials t.  If any refines, the Haar rows and the rotated
+        incumbent rows go into the pool and one ``take`` of ``sources``
+        gathers every candidate; otherwise the Haar rows are the candidates.
+        Both sides are minima, the maximizer's of negated values (exact: the
+        same tests and first indices)."""
         size = len(self.ensembles)
-        refine, even, row_k, row_l, c, s_phase, s_conj = moves
-        if refine.size:  # runs read their own incumbents: one copy per run
-            candidates = np.empty((size, *haar.shape), complex)
-            candidates[:] = haar
-            candidates[:, refine] = self.iso[:, (~even).astype(int)]
-            # a unitary mix of rows k and l keeps the columns orthonormal
-            a, b = candidates[:, refine, row_k], candidates[:, refine, row_l]
-            candidates[:, refine, row_k], candidates[:, refine, row_l] = (
-                c * a - s_phase * b, s_conj * a + c * b)
-        else:
-            candidates = np.broadcast_to(haar, (size, *haar.shape))
         m, r = self.shape
+        pairs, c, s_phase, s_conj = rotation
+        if pairs.size:
+            self.haar[:, : len(haar) * m] = haar.reshape(-1, r)
+            # rows k and l as fresh (runs, moves, r) arrays times (moves, 1)
+            # columns: numpy's complex product rounds by memory layout, and
+            # the pins hold the roof to this one
+            a, b = self.pool.take(pairs[0], axis=1), self.pool.take(pairs[1], axis=1)
+            # a unitary mix of rows k and l keeps the columns orthonormal
+            rotated = self.rotated[:, :, : pairs.shape[1]]
+            np.subtract(c * a, s_phase * b, out=rotated[:, 0])
+            np.add(s_conj * a, c * b, out=rotated[:, 1])
+            candidates = self.pool.take(sources, axis=1)
+        else:
+            candidates = np.broadcast_to(haar.reshape(-1, r), (size, len(haar) * m, r))
         # per run, one 2-D product over every component row of the generation
-        rows = (candidates.reshape(size, -1, r) @ self.ensembles).reshape(size, -1, m, 4)
+        rows = (candidates @ self.ensembles).reshape(size, -1, m, 4)
         # a pure two-qubit component has concurrence (and negativity, so this
         # is the CREN roof too) 2|det| of its amplitudes, Renyi value f_alpha(C^2)
         dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
+        # each side's best before each trial, this generation's earlier ones too
+        seq = np.empty((size, 2, len(t) + 1))
+        seq[:, :, 0] = self.best
+        values = seq[:, 0, 1:]
         if not self.bands:
-            values = 2.0 * dets.sum(axis=-1)
+            np.add.reduce(dets, axis=-1, out=values)
+            values *= 2.0
         else:
             mixed = rows.reshape(-1, m, 4)
             weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
@@ -204,17 +243,18 @@ class _Group:
             f = np.empty_like(lo)
             for band, runs, alphas in self.bands:
                 f[runs] = _renyi_of(lo[runs])(alphas, band)
-            values = np.where(live, weights * f, 0.0).sum(axis=-1)
-        # each side's best before each trial, this generation's earlier ones too
-        seq = np.empty((size, 2, values.shape[1] + 1))
-        seq[:, :, 0], seq[:, 0, 1:], seq[:, 1, 1:] = self.best, values, -values
+            np.add.reduce(np.where(live, weights * f, 0.0), axis=-1, out=values)
+        np.negative(values, out=seq[:, 1, 1:])
         prior = np.minimum.accumulate(seq, axis=2)
         improved = seq[..., 1:] < prior[..., :-1] - PLATEAU_TOL
         # trials only grow: the last improving one is the largest seen
-        self.last_improve = np.maximum(self.last_improve, (improved * t).max(axis=(1, 2)))
-        run, side = np.nonzero(prior[:, :, -1] < self.best)
-        self.best[run, side] = prior[run, side, -1]
-        self.iso[run, side] = candidates[run, seq[run, side, 1:].argmin(axis=1)]
+        np.maximum(self.last_improve, np.maximum.reduce(improved * t, axis=(1, 2)),
+                   out=self.last_improve)
+        better = prior[:, :, -1] < self.best
+        np.copyto(self.best, prior[:, :, -1], where=better)
+        first = seq[:, :, 1:].argmin(axis=2)
+        np.copyto(self.iso, candidates.reshape(size, -1, m, r)[self.runs, first],
+                  where=better[..., None, None])
 
 
 def _check_run(trials: int, seed: int) -> None:
@@ -308,8 +348,10 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     run = np.concatenate([pair_of, [found.get(alpha, -1) for alpha in orders]]).astype(int)
     plateau[: len(rows)] = high[: len(rows)] - low[: len(rows)] <= PLATEAU_TOL
     low, high, converged = low[run], high[run], plateau[run] == 1.0
-    closed = np.concatenate([concurrences[pair_of], [f_alpha(
-        float(concurrences[first]) ** 2, o) if o in found else math.nan for o in orders]])
+    # each run's closed form: C, or f_alpha(C^2) from one table (bit-equal to f_alpha)
+    lo = _lam_lo(_checked_c2([float(concurrences[first]) ** 2]))
+    tables = _f_alpha_tables(lo, list(found), max(1, len(found)))
+    closed = np.concatenate([concurrences, *(table[:, 0] for table in tables), [math.nan]])[run]
     max_side = np.array([True] * size + [_polygamy(o) or pure[first] for o in orders])
     deviation = np.abs(low - closed)
     deviation = np.where(max_side, np.maximum(

@@ -694,6 +694,30 @@ def test_malformed_partition_exit_two(spec_file, tmp_path, capsys, command, part
     assert not out.exists()
 
 
+def test_verify_folds_the_square_relation_once_at_mu_two(spec_file, tmp_path, monkeypatch):
+    # at mu = 2 the power monogamy is monogamy_sq under a second name, with
+    # equal params, so the grid folds that row once; at mu = 3 it is its own
+    # relation and folds on its own.  The reports keep both names
+    counts, lines, real = {}, {}, gwlab.inequalities._fold
+
+    def count(*args):
+        counts[mu] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gwlab.inequalities, "_fold", count)
+    for mu in ("2", "3"):
+        counts[mu], out = 0, tmp_path / f"mu{mu}.jsonl"
+        assert main(["verify", "--spec", spec_file, "--alpha", "1.1:1.2:0.1", "--mu", mu,
+                     "--out", str(out)]) == 0
+        lines[mu] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert counts["2"] == counts["3"] - 1
+    square, power = ([doc for doc in lines["2"] if doc["name"] == name]
+                     for name in ("monogamy_sq", "monogamy_power"))
+    assert [doc["params"] for doc in power] == [doc["params"] for doc in square]
+    assert [doc["lhs"] for doc in power] == [doc["lhs"] for doc in square]
+    assert sum(doc["name"] == "monogamy_power" for doc in lines["3"]) == 2
+
+
 @pytest.mark.parametrize("mu", ["1.5", "-1", "0", "nan", "inf"])
 def test_verify_mu_outside_domain_exit_two(spec_file, tmp_path, capsys, mu):
     # a --mu outside (0, 1] and [2, inf) used to drop the power report and
@@ -1155,7 +1179,8 @@ def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkey
 
     def count(seed, start, stop, m, r):
         chunk = real(seed, start, stop, m, r)
-        assert all(not x.flags.writeable for t, haar, moves in chunk for x in (t, haar, *moves))
+        assert all(not x.flags.writeable for t, haar, sources, rotation in chunk
+                   for x in (t, haar, sources, *rotation))
         generations = range(start // G, -(-stop // G))
         assert len(chunk) == len(generations)
         calls.extend((g, m, r) for g in generations)

@@ -22,7 +22,8 @@ writer.  The 12 ``oracle-pairs`` benchmark jobs of seed 1 are pinned by one
 SHA-256 of their ids, exit codes and stdout: they cover every cell shape of
 that workload, where the two oracle streams cover two specs.  One more
 digest pins an oracle job whose pair and Renyi runs each fill more than one
-stack of ``GROUP_RUNS``.  A deliberate output change re-records a stream
+stack of ``GROUP_RUNS``, and one the single-state roof on states of every
+rank, whose isometry shapes no oracle job draws.  A deliberate output change re-records a stream
 by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
 by running its jobs) and is written up in CHANGES.md.
 
@@ -308,6 +309,28 @@ def test_many_stack_oracle_job_bytes_unchanged(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == n * (n - 1) // 2 + len(MANY_STACK_ORDERS)
     assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256, _dispatch_note()
+
+
+#: SHA-256 of the ``repr`` of ``convex_roof_bounds`` on three random
+#: two-qubit states of each rank 1-4 (isometry shapes 3 x 1 to 6 x 4), at
+#: every kernel band and the concurrence, over one and 18 generations,
+#: recorded before the roof's draws were written in place.  The oracle pins
+#: run rank-2 pairs only; numpy's complex product rounds by memory layout,
+#: so the other shapes need a pin of their own.
+ROOF_RANKS_SHA256 = "b4637670f296cbd36bbcb5a2cb28a4f6fe7c10943fd63802ecee6e4b17fc9906"
+
+
+def test_roof_bounds_of_every_rank_unchanged():
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for rank in (1, 2, 3, 4):
+        for seed in (7, 8, 9):
+            a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            rho = gwlab.DensityOperator(a @ a.conj().T / np.vdot(a, a).real,
+                                        gwlab.SubsystemLayout((2, 2)))
+            for order, trials in product((None, 1.0000005, 1.0005, 1.1, 2.0), (65, 1100)):
+                digest.update(repr(gwlab.convex_roof_bounds(rho, trials, seed, order)).encode())
+    assert digest.hexdigest() == ROOF_RANKS_SHA256, _dispatch_note()
 
 
 #: One job of each command, without ``--out``.

@@ -55,17 +55,18 @@ def _draws(rho, m, trials, seed):
     """The rows of each Haar-drawn decomposition, as the roof draws them:
     every trial of generation 0, later every EXPLORE_CYCLE-th trial."""
     ensemble = _eigen_ensemble(rho)
-    for t, haar, _ in _draw_chunk(seed, 0, trials, m, ensemble.shape[0]):
-        read = (t % EXPLORE_CYCLE == 0) | (t < GENERATION)
-        yield from haar[read] @ ensemble
+    for _, haar, _, _ in _draw_chunk(seed, 0, trials, m, ensemble.shape[0]):
+        yield from haar @ ensemble
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 7])
 def test_haar_rows_match_full_qr(g):
-    # only the rows read as Haar draws are orthonormalised, by one QR over the
+    # only the Haar trials' draws are orthonormalised, by one QR over the
     # chunk; each must equal, bit for bit, the same row of one QR over all
     # GENERATION draws of generation g, in a chunk of eight generations (the
-    # last cut short) and in a chunk of g alone
+    # last cut short) and in a chunk of g alone.  A Haar trial reads its own
+    # Haar rows; a refining trial reads its incumbent's rows (below 2 m in
+    # the pool) and its two rotated rows, never a Haar row
     seed, m, r = 42, 4, 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
     z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
@@ -75,11 +76,43 @@ def test_haar_rows_match_full_qr(g):
     eight = _draw_chunk(seed, 0, 8 * GENERATION - 9, m, r)
     alone = _draw_chunk(seed, g * GENERATION, (g + 1) * GENERATION, m, r)
     assert len(eight) == 8 and len(alone) == 1
-    for t, haar, _ in (eight[g], alone[0]):
+    haar_rows = 2 * (m + GENERATION)  # the pool's first Haar row
+    for t, haar, sources, (pairs, *factors) in (eight[g], alone[0]):
         np.testing.assert_array_equal(t, g * GENERATION + np.arange(t.size))
         used = (t % EXPLORE_CYCLE == 0) | (g == 0)
-        np.testing.assert_array_equal(haar[used], full[: t.size][used])
-        assert np.isnan(haar[~used]).all()
+        np.testing.assert_array_equal(haar, full[: t.size][used])
+        sources = sources.reshape(t.size, m)
+        np.testing.assert_array_equal(sources[used],
+                                      haar_rows + np.arange(haar.size // r).reshape(-1, m))
+        refining = sources[~used]
+        assert (refining < haar_rows).all()
+        assert ((refining >= 2 * m).sum(axis=1) == 2).all()  # rows k and l, rotated
+        # the other rows are the minimizer's on even trials, else the maximizer's
+        own = (t[~used] % 2 * m)[:, None] + np.arange(m)
+        np.testing.assert_array_equal(np.where(refining < 2 * m, refining, own), own)
+        np.testing.assert_array_equal(pairs, own[np.arange(len(own)), pairs % m])
+        assert pairs.shape == (2, (~used).sum())
+        assert all(factor.shape == (pairs.shape[1], 1) for factor in factors)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
+def test_in_place_draws_equal_sized_draws(seed):
+    # the roof writes its draws in place: standard_normal(out=) on the float
+    # view of a complex array gives the complex view of standard_normal(shape
+    # + (2,)), and random(out=) the doubles of uniform(size=), bit for bit,
+    # each leaving the stream where the sized draw leaves it
+    m, r = 4, 2
+    a, b = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+            for _ in range(2))
+    z, angle, phase = np.empty((GENERATION, m, r), complex), *np.empty((2, GENERATION))
+    a.standard_normal(out=z.view(float))
+    sized = b.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
+    assert z.tobytes() == sized.tobytes()
+    a.standard_normal(out=angle)
+    assert angle.tobytes() == b.standard_normal(GENERATION).tobytes()
+    a.random(out=phase)
+    assert phase.tobytes() == b.uniform(size=GENERATION).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def _near_support_tol(factor):

@@ -11,12 +11,14 @@ decompositions upper-bound the true convex roof; maxima lower-bound the
 assisted value.
 
 Trials run in generations of ``GENERATION`` candidates averaged as one
-batch.  Generation g draws all its randomness from the (seed, g) pair in
-fixed shapes, and refinement uses only incumbents of earlier generations,
-so runs are reproducible and a longer run extends a shorter one.  The runs
-of one call share their seed and row count (every family pair has the same
-two rows), so one isometry shape, drawn in place per chunk of
-``DRAW_CHUNK`` generations with one QR over the chunk's Haar trials alone.
+batch.  A call draws from two streams of its seed, one of normals and one
+of uniforms, and each generation takes a fixed count of draws from each,
+however many of its trials run; refinement uses only incumbents of earlier
+generations, so runs are reproducible and a longer run extends a shorter
+one.  The runs of one call share their seed and row count (every family
+pair has the same two rows), so one isometry shape, drawn per chunk of
+``DRAW_CHUNK`` generations with one call per stream and one QR over the
+chunk's Haar trials alone; each slice judges its plateau once per chunk.
 Callers hand over stacks of runs of one measure and trial count and get
 columns back; a stack advances in lockstep as slices of at most
 ``GROUP_RUNS``, one step per generation: one gather of every candidate
@@ -89,19 +91,31 @@ DRAW_CHUNK = 16
 MAX_ORACLE_TARGETS = 10**5
 
 
-def _draw_chunk(seed: int, start: int, stop: int, m: int, r: int) -> list:
+def _streams(seed: int) -> list:
+    """A roof call's normal and uniform generators: the seed's first two
+    spawned children.  Generation 0 draws its matrices first, from the
+    child of spawn key (0,), so its Haar rows are the first normals of the
+    seed's (seed, 0) stream."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(entropy=seed).spawn(2)]
+
+
+def _draw_chunk(streams, start: int, stop: int, m: int, r: int) -> list:
     """The randomness of trials start to stop - 1 (start a multiple of
     GENERATION), as one (trials, Haar rows, sources, rotation) tuple per
     generation.
 
-    Generation g draws from its own (seed, g) stream, in fixed shapes however
-    many of its trials run: GENERATION complex normal m x r matrices, then
-    per trial two row indices, a rotation angle and a phase, the normal and
-    uniform draws written in place.  The trials that refine an incumbent
-    (none in generation 0, later those with t % EXPLORE_CYCLE != 0) rotate
-    the minimizer (even t) or the maximizer; only the other trials' matrices
-    are orthonormalised, by one QR over the chunk, and a generation's Haar
-    rows are theirs alone.
+    ``streams`` are the call's normal and uniform generators, at generation
+    start // GENERATION: every generation takes a fixed count of draws from
+    each however many of its trials run, so chunks drawn in order give the
+    same bits whatever their size.  A generation's normals are GENERATION
+    complex normal m x r matrices, then GENERATION rotation angles; its
+    uniforms pick row k (floor(u m)) of GENERATION moves, then row l (floor(u
+    (m - 1)), skipping k), then draw GENERATION phases; each stream is filled
+    by one call per chunk.  The trials that refine an incumbent (none in
+    generation 0, later those with t % EXPLORE_CYCLE != 0) rotate the
+    minimizer (even t) or the maximizer; only the other trials' matrices are
+    orthonormalised, by one QR over the chunk, and a generation's Haar rows
+    are theirs alone.
 
     A run's pool holds its incumbents' rows (minimizer, then maximizer), then
     GENERATION rotated rows k and GENERATION rotated rows l of the moves, then
@@ -112,36 +126,33 @@ def _draw_chunk(seed: int, start: int, stop: int, m: int, r: int) -> list:
     of each move, as columns: k becomes cos k - sin phase l, l becomes
     sin conj(phase) k + cos l.  Every run of shape (m, r) reads these
     arrays, so they are read-only."""
-    gens = range(start // GENERATION, -(-stop // GENERATION))
-    z = np.empty((len(gens), GENERATION, m, r), complex)
-    rows = np.empty((2, len(gens), GENERATION), int)
-    normal, uniform = np.empty((2, len(gens), GENERATION))
-    for i, g in enumerate(gens):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
-        # real and imaginary parts side by side: the float view of the complex draw
-        rng.standard_normal(out=z[i].view(float))
-        rows[0, i] = rng.integers(m, size=GENERATION)
-        rows[1, i] = rng.integers(m - 1, size=GENERATION)
-        rng.standard_normal(out=normal[i])
-        rng.random(out=uniform[i])  # the doubles of uniform(size=), with no copy
-    size = stop - start
-    t = np.arange(start, start + len(gens) * GENERATION)  # whole generations
+    normals, uniforms = streams
+    gens = -(-stop // GENERATION) - start // GENERATION
+    cells = GENERATION * m * r * 2  # the doubles of a generation's matrices
+    normal, uniform = np.empty((gens, cells + GENERATION)), np.empty((gens, 3, GENERATION))
+    normals.standard_normal(out=normal)
+    uniforms.random(out=uniform)
+    # real and imaginary parts side by side: the float view of the complex draws
+    z = normal[:, :cells].view(complex).reshape(gens, GENERATION, m, r)
+    t = np.arange(start, start + gens * GENERATION)  # whole generations
     refine = (t % EXPLORE_CYCLE != 0) & (t >= GENERATION)
-    q, rmat = np.linalg.qr(z.reshape(-1, m, r)[:size][~refine[:size]])
+    q, rmat = np.linalg.qr(z[(~refine & (t < stop)).reshape(gens, GENERATION)])
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
     haar = q * (diag / np.abs(diag))[:, None, :]
     seen = np.cumsum(~refine.reshape(-1, GENERATION), axis=1).ravel()  # Haar trials so far
     first = np.where(refine, t % 2 * m, 2 * (m + GENERATION) + (seen - 1) * m)
     sources = first[:, None] + np.arange(m)
+    size = stop - start
     j = np.flatnonzero(refine[:size])
-    row_k, row_l = rows.reshape(2, -1)[:, j]
+    u_k, u_l, u_phase = uniform.transpose(1, 0, 2).reshape(3, -1)[:, j]
+    row_k, row_l = (u_k * m).astype(int), (u_l * (m - 1)).astype(int)
     row_l += row_l >= row_k
     moved = 2 * m + (t % GENERATION - seen)[j]  # by the move's rank in its generation
     sources[j, row_k], sources[j, row_l] = moved, moved + GENERATION
-    angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * normal.ravel()[j]
+    angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * normal[:, cells:].ravel()[j]
     c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    phase = np.exp(2j * np.pi * uniform.ravel()[j])[:, None]
+    phase = np.exp(2j * np.pi * u_phase)[:, None]
     pairs = first[j] + np.array([row_k, row_l])
     factors = (c, s * phase, s * np.conj(phase))
     for array in (t, haar, sources, pairs, *factors):
@@ -201,12 +212,31 @@ class _Group:
         self.bands = [(band, slice(None) if len(bands) == 1 else mask, alphas[mask][:, None, None])
                       for band, mask in bands]
 
-    def step(self, t: np.ndarray, haar: np.ndarray, sources: np.ndarray, rotation) -> None:
+    def run(self, generations: list) -> None:
+        """Step through a chunk's generations, then judge the plateau once:
+        each step leaves each side's best before its generation and its
+        values in a (runs, 2, generations, GENERATION + 1) history, +inf
+        where no trial ran, and one running minimum per generation finds the
+        trials that improved by more than ``PLATEAU_TOL``."""
+        history = np.full((len(self.ensembles), 2, len(generations), GENERATION + 1), math.inf)
+        for generation, slot in zip(generations, np.moveaxis(history, 2, 0)):
+            self.step(*generation, slot)
+        prior = np.minimum.accumulate(history, axis=3)
+        improved = history[..., 1:] < prior[..., :-1] - PLATEAU_TOL
+        t = generations[0][0][0] + np.arange(len(generations) * GENERATION)
+        # trials only grow: the last improving one is the largest seen
+        np.maximum(self.last_improve, np.maximum.reduce(
+            improved * t.reshape(-1, GENERATION), axis=(1, 2, 3)), out=self.last_improve)
+
+    def step(self, t: np.ndarray, haar: np.ndarray, sources: np.ndarray, rotation,
+             history: np.ndarray) -> None:
         """Evaluate trials t.  If any refines, the Haar rows and the rotated
         incumbent rows go into the pool and one ``take`` of ``sources``
         gathers every candidate; otherwise the Haar rows are the candidates.
         Both sides are minima, the maximizer's of negated values (exact: the
-        same tests and first indices)."""
+        same tests and first indices).  Each side's best before the
+        generation and its values go into the run's ``history`` slot (runs,
+        2, GENERATION + 1), from which ``run`` judges the plateau."""
         size = len(self.ensembles)
         m, r = self.shape
         pairs, c, s_phase, s_conj = rotation
@@ -228,8 +258,8 @@ class _Group:
         # a pure two-qubit component has concurrence (and negativity, so this
         # is the CREN roof too) 2|det| of its amplitudes, Renyi value f_alpha(C^2)
         dets = np.abs(rows[..., 0] * rows[..., 3] - rows[..., 1] * rows[..., 2])
-        # each side's best before each trial, this generation's earlier ones too
-        seq = np.empty((size, 2, len(t) + 1))
+        # each side's best before the generation, then its values
+        seq = history[:, :, : len(t) + 1]
         seq[:, :, 0] = self.best
         values = seq[:, 0, 1:]
         if not self.bands:
@@ -245,13 +275,9 @@ class _Group:
                 f[runs] = _renyi_of(lo[runs])(alphas, band)
             np.add.reduce(np.where(live, weights * f, 0.0), axis=-1, out=values)
         np.negative(values, out=seq[:, 1, 1:])
-        prior = np.minimum.accumulate(seq, axis=2)
-        improved = seq[..., 1:] < prior[..., :-1] - PLATEAU_TOL
-        # trials only grow: the last improving one is the largest seen
-        np.maximum(self.last_improve, np.maximum.reduce(improved * t, axis=(1, 2)),
-                   out=self.last_improve)
-        better = prior[:, :, -1] < self.best
-        np.copyto(self.best, prior[:, :, -1], where=better)
+        least = seq.min(axis=2)
+        better = least < self.best
+        np.copyto(self.best, least, where=better)
         first = seq[:, :, 1:].argmin(axis=2)
         np.copyto(self.iso, candidates.reshape(size, -1, m, r)[self.runs, first],
                   where=better[..., None, None])
@@ -277,11 +303,11 @@ def _roof_estimates(stacks, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                      None if alphas is None else alphas[k : k + GROUP_RUNS], trials)
               for ensembles, alphas, trials in stacks for k in range(0, len(ensembles), GROUP_RUNS)]
     stop, span = max(group.trials for group in groups), DRAW_CHUNK * GENERATION
+    streams = _streams(seed)
     for start in range(0, stop, span):
-        chunk = _draw_chunk(seed, start, min(stop, start + span), *groups[0].shape)
+        chunk = _draw_chunk(streams, start, min(stop, start + span), *groups[0].shape)
         for group in (group for group in groups if group.trials > start):
-            for generation in chunk[: -((start - group.trials) // GENERATION)]:
-                group.step(*generation)
+            group.run(chunk[: -((start - group.trials) // GENERATION)])
     low, high = (np.concatenate([group.best for group in groups]) * [1, -1]).T
     # converged: no improvement in the last quarter of enough trials
     converged = np.concatenate([(group.last_improve < math.floor(0.75 * group.trials))

@@ -1010,9 +1010,9 @@ def test_oracle_lockstep_lines_equal_solo_runs(tmp_path, monkeypatch):
     shapes = set()
     real = gwlab.roof._draw_chunk
 
-    def record(seed, start, stop, m, r):
+    def record(streams, start, stop, m, r):
         shapes.add((m, r))
-        return real(seed, start, stop, m, r)
+        return real(streams, start, stop, m, r)
 
     monkeypatch.setattr(gwlab.roof, "_draw_chunk", record)
     lines, psi = _oracle_lines(tmp_path, spec, "0|1|2,3", (1.1, 0.5), 300, 5)
@@ -1177,8 +1177,8 @@ def test_oracle_draws_each_generation_once_per_shape(spec_file, tmp_path, monkey
     real = gwlab.roof._draw_chunk
     G = gwlab.roof.GENERATION
 
-    def count(seed, start, stop, m, r):
-        chunk = real(seed, start, stop, m, r)
+    def count(streams, start, stop, m, r):
+        chunk = real(streams, start, stop, m, r)
         assert all(not x.flags.writeable for t, haar, sources, rotation in chunk
                    for x in (t, haar, sources, *rotation))
         generations = range(start // G, -(-stop // G))

@@ -38,6 +38,7 @@ from gwlab.roof import (
     _draw_chunk,
     _eigen_ensemble,
     _pair_rows,
+    _streams,
     oracle_reports,
 )
 from gwlab.tensor import SUPPORT_TOL, Partition
@@ -55,8 +56,21 @@ def _draws(rho, m, trials, seed):
     """The rows of each Haar-drawn decomposition, as the roof draws them:
     every trial of generation 0, later every EXPLORE_CYCLE-th trial."""
     ensemble = _eigen_ensemble(rho)
-    for _, haar, _, _ in _draw_chunk(seed, 0, trials, m, ensemble.shape[0]):
+    for _, haar, _, _ in _draw_chunk(_streams(seed), 0, trials, m, ensemble.shape[0]):
         yield from haar @ ensemble
+
+
+def _generations(seed, trials, chunk, m, r):
+    """Every generation's draws of a roof call of ``trials``, drawn as the
+    roof draws them in chunks of ``chunk`` generations."""
+    streams, span = _streams(seed), chunk * GENERATION
+    return [generation for start in range(0, trials, span)
+            for generation in _draw_chunk(streams, start, min(trials, start + span), m, r)]
+
+
+def _generation_bytes(generation):
+    t, haar, sources, rotation = generation
+    return [(x.shape, x.tobytes()) for x in (t, haar, sources, *rotation)]
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 7])
@@ -64,17 +78,23 @@ def test_haar_rows_match_full_qr(g):
     # only the Haar trials' draws are orthonormalised, by one QR over the
     # chunk; each must equal, bit for bit, the same row of one QR over all
     # GENERATION draws of generation g, in a chunk of eight generations (the
-    # last cut short) and in a chunk of g alone.  A Haar trial reads its own
-    # Haar rows; a refining trial reads its incumbent's rows (below 2 m in
-    # the pool) and its two rotated rows, never a Haar row
+    # last cut short) and in a chunk of g alone.  Generation g's matrices
+    # follow g generations of normals (matrices and angles) in the seed's
+    # first spawned stream.  A Haar trial reads its own Haar rows; a
+    # refining trial reads its incumbent's rows (below 2 m in the pool) and
+    # its two rotated rows, never a Haar row
     seed, m, r = 42, 4, 2
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(g,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    rng.standard_normal(g * GENERATION * (2 * m * r + 1))
     z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
     q, rmat = np.linalg.qr(z)
     diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
     full = q * (diag / np.abs(diag))[:, None, :]
-    eight = _draw_chunk(seed, 0, 8 * GENERATION - 9, m, r)
-    alone = _draw_chunk(seed, g * GENERATION, (g + 1) * GENERATION, m, r)
+    eight = _draw_chunk(_streams(seed), 0, 8 * GENERATION - 9, m, r)
+    streams = _streams(seed)
+    if g:
+        _draw_chunk(streams, 0, g * GENERATION, m, r)
+    alone = _draw_chunk(streams, g * GENERATION, (g + 1) * GENERATION, m, r)
     assert len(eight) == 8 and len(alone) == 1
     haar_rows = 2 * (m + GENERATION)  # the pool's first Haar row
     for t, haar, sources, (pairs, *factors) in (eight[g], alone[0]):
@@ -97,22 +117,114 @@ def test_haar_rows_match_full_qr(g):
 
 @pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
 def test_in_place_draws_equal_sized_draws(seed):
-    # the roof writes its draws in place: standard_normal(out=) on the float
-    # view of a complex array gives the complex view of standard_normal(shape
-    # + (2,)), and random(out=) the doubles of uniform(size=), bit for bit,
-    # each leaving the stream where the sized draw leaves it
+    # the roof fills each stream with one call per chunk: standard_normal(out=)
+    # over two generations gives the complex view of standard_normal(shape +
+    # (2,)) and the angles of each in turn, and random(out=) the doubles of
+    # one random(size=) per generation, bit for bit, each leaving the stream
+    # where the generation-sized draws leave it: neither keeps a buffer
+    # between calls
     m, r = 4, 2
     a, b = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
             for _ in range(2))
-    z, angle, phase = np.empty((GENERATION, m, r), complex), *np.empty((2, GENERATION))
-    a.standard_normal(out=z.view(float))
-    sized = b.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
-    assert z.tobytes() == sized.tobytes()
-    a.standard_normal(out=angle)
-    assert angle.tobytes() == b.standard_normal(GENERATION).tobytes()
-    a.random(out=phase)
-    assert phase.tobytes() == b.uniform(size=GENERATION).tobytes()
+    normal, uniform = np.empty((2, GENERATION * (2 * m * r + 1))), np.empty((2, 3, GENERATION))
+    a.standard_normal(out=normal)
+    a.random(out=uniform)
+    for g in range(2):
+        z = normal[g, : -GENERATION].view(complex).reshape(GENERATION, m, r)
+        sized = b.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
+        assert z.tobytes() == sized.tobytes()
+        assert normal[g, -GENERATION:].tobytes() == b.standard_normal(GENERATION).tobytes()
+    assert uniform.tobytes() == b.random(3 * GENERATION).tobytes() + b.random(
+        (3, GENERATION)).tobytes()
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_chunk_size_changes_no_draw(chunk):
+    # 2100 trials are 33 generations, the last cut short: drawn in chunks of
+    # 1, 5 or DRAW_CHUNK generations, every generation is the same bytes
+    want = _generations(8, 2100, gwlab.roof.DRAW_CHUNK, 4, 2)
+    got = _generations(8, 2100, chunk, 4, 2)
+    assert len(got) == len(want) == 33
+    for g, (x, y) in enumerate(zip(got, want)):
+        assert _generation_bytes(x) == _generation_bytes(y), g
+
+
+def test_longer_roof_draws_extend_shorter(monkeypatch):
+    # the roof's draws of 1000 trials (16 generations, one chunk, the last
+    # generation cut to 40 trials) are the first of its draws of 2100 trials
+    # (three chunks): the first 15 generations whole, the 16th a prefix
+    drawn = []
+    real = gwlab.roof._draw_chunk
+
+    def record(*args):
+        chunk = real(*args)
+        drawn[-1].extend(chunk)
+        return chunk
+
+    monkeypatch.setattr(gwlab.roof, "_draw_chunk", record)
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
+    for trials in (1000, 2100):
+        drawn.append([])
+        convex_roof_bounds(pair, trials=trials, seed=5, order=1.1)
+    short, long = drawn
+    assert (len(short), len(long)) == (16, 33)
+    for g in range(15):
+        assert _generation_bytes(short[g]) == _generation_bytes(long[g]), g
+    (t, haar, sources, (pairs, *factors)), (t2, haar2, sources2, (pairs2, *factors2)) = (
+        short[15], long[15])
+    assert t.size == 1000 - 15 * GENERATION
+    np.testing.assert_array_equal(t, t2[: t.size])
+    np.testing.assert_array_equal(haar, haar2[: len(haar)])
+    np.testing.assert_array_equal(sources, sources2[: sources.size])
+    moves = pairs.shape[1]
+    np.testing.assert_array_equal(pairs, pairs2[:, :moves])
+    for x, y in zip(factors, factors2):
+        np.testing.assert_array_equal(x, y[:moves])
+
+
+@pytest.mark.parametrize("trials", [1, GENERATION, 1000, 2100])
+def test_roof_builds_two_generators_per_call(monkeypatch, trials):
+    # one normal and one uniform stream per roof call at any trial count,
+    # not one generator per generation
+    built = []
+    real = np.random.default_rng
+
+    def count(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", count)
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
+    convex_roof_bounds(pair, trials=trials, seed=5, order=1.1)
+    assert len(built) == 2
+
+
+class _ConstantUniforms:
+    """A uniform stream whose every draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("u, rows", [(np.nextafter(1.0, 0.0), (-1, -2)), (0.0, (0, 1))],
+                         ids=["largest-below-one", "zero"])
+def test_row_indices_stay_in_range(m, u, rows):
+    # rows k = floor(u m) and l = floor(u (m - 1)), l skipping k: the largest
+    # double below 1 picks the last row and the one before it, 0 the first
+    # two, at every isometry shape the roof draws (rank 1-4)
+    streams = (np.random.default_rng(3), _ConstantUniforms(u))
+    chunk = _draw_chunk(streams, 0, 3 * GENERATION, m, m - 2)
+    for t, haar, sources, (pairs, *factors) in chunk[1:]:
+        own = t[t % EXPLORE_CYCLE != 0] % 2 * m  # each move's incumbent's first row
+        np.testing.assert_array_equal(pairs - own, np.repeat(np.array([rows]).T % m, own.size, 1))
+        sources = sources.reshape(t.size, m)[t % EXPLORE_CYCLE != 0]
+        assert ((sources >= 2 * m).sum(axis=1) == 2).all()
+        assert (sources < 2 * (m + GENERATION)).all()
 
 
 def _near_support_tol(factor):

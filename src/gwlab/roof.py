@@ -12,13 +12,14 @@ assisted value.
 
 Trials run in generations of ``GENERATION`` candidates averaged as one
 batch.  A call draws from two streams of its seed, one of normals and one
-of uniforms, and each generation takes a fixed count of draws from each,
-however many of its trials run; refinement uses only incumbents of earlier
-generations, so runs are reproducible and a longer run extends a shorter
-one.  The runs of one call share their seed and row count (every family
-pair has the same two rows), so one isometry shape, drawn per chunk of
-``DRAW_CHUNK`` generations with one call per stream and one QR over the
-chunk's Haar trials alone; each slice judges its plateau once per chunk.
+of uniforms, and each generation takes a count of draws from each that its
+index fixes, however many of its trials run: normals for its Haar trials'
+matrices and its moves' angles only; refinement uses only incumbents of
+earlier generations, so runs are reproducible and a longer run extends a
+shorter one.  The runs of one call share their seed and row count (every
+family pair has the same two rows), so one isometry shape, drawn per chunk
+of ``DRAW_CHUNK`` generations with one call per stream and one Gram-Schmidt
+over the chunk's Haar trials; each slice judges its plateau once per chunk.
 Callers hand over stacks of runs of one measure and trial count and get
 columns back; a stack advances in lockstep as slices of at most
 ``GROUP_RUNS``, one step per generation: one gather of every candidate
@@ -36,7 +37,7 @@ from an independent route, and disagreements are reported, not corrected.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -99,23 +100,47 @@ def _streams(seed: int) -> list:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(entropy=seed).spawn(2)]
 
 
+def _haar_isometries(z: np.ndarray) -> np.ndarray:
+    """The Haar isometries of complex normal matrices z (n, m, r), in place:
+    modified Gram-Schmidt, column by column, which leaves R a positive real
+    diagonal, so each is the Q of z = QR with R's diagonal made positive,
+    the Haar map of LAPACK's QR with the diag(R)/|diag(R)| phase fix
+    (Mezzadri, Notices AMS 54, 592 (2007)).  A column in the span of the
+    ones before it has probability 0 under the normal stream; should one
+    come, its zero residual raises ``FloatingPointError`` rather than let a
+    NaN row reach the step, where a NaN minimum would drop its generation's
+    improvements."""
+    r = z.shape[2]
+    doubles = z.view(float).reshape(*z.shape, 2)
+    with np.errstate(divide="raise", invalid="raise"):
+        for k in range(r):
+            column = z[:, :, k]
+            for i in range(k):
+                q = z[:, :, i]
+                column -= q * np.einsum("nm,nm->n", q.conj(), column)[:, None]
+            column /= np.sqrt(np.einsum("nmc,nmc->n", doubles[:, :, k], doubles[:, :, k]))[:, None]
+    return z
+
+
 def _draw_chunk(streams, start: int, stop: int, m: int, r: int) -> list:
     """The randomness of trials start to stop - 1 (start a multiple of
     GENERATION), as one (trials, Haar rows, sources, rotation) tuple per
     generation.
 
     ``streams`` are the call's normal and uniform generators, at generation
-    start // GENERATION: every generation takes a fixed count of draws from
-    each however many of its trials run, so chunks drawn in order give the
-    same bits whatever their size.  A generation's normals are GENERATION
-    complex normal m x r matrices, then GENERATION rotation angles; its
-    uniforms pick row k (floor(u m)) of GENERATION moves, then row l (floor(u
-    (m - 1)), skipping k), then draw GENERATION phases; each stream is filled
-    by one call per chunk.  The trials that refine an incumbent (none in
-    generation 0, later those with t % EXPLORE_CYCLE != 0) rotate the
-    minimizer (even t) or the maximizer; only the other trials' matrices are
-    orthonormalised, by one QR over the chunk, and a generation's Haar rows
-    are theirs alone.
+    start // GENERATION.  The trials that refine an incumbent (none in
+    generation 0, later those with t % EXPLORE_CYCLE != 0) are a
+    generation's moves; the others are its Haar trials.  A generation's
+    normals are the complex normal m x r matrices of its Haar trials, then
+    one rotation angle per move; its uniforms pick row k (floor(u m)) of
+    each of GENERATION trials, then row l (floor(u (m - 1)), skipping k),
+    then draw GENERATION phases, read by the moves alone.  Both counts
+    depend only on the generation's index, however many of its trials run,
+    so chunks drawn in order give the same bits whatever their size; each
+    stream is filled by one call per chunk.  The running Haar trials'
+    matrices are orthonormalised by ``_haar_isometries``, and a generation's
+    Haar rows are theirs.  A move rotates the minimizer (even t) or the
+    maximizer.
 
     A run's pool holds its incumbents' rows (minimizer, then maximizer), then
     GENERATION rotated rows k and GENERATION rotated rows l of the moves, then
@@ -128,29 +153,29 @@ def _draw_chunk(streams, start: int, stop: int, m: int, r: int) -> list:
     arrays, so they are read-only."""
     normals, uniforms = streams
     gens = -(-stop // GENERATION) - start // GENERATION
-    cells = GENERATION * m * r * 2  # the doubles of a generation's matrices
-    normal, uniform = np.empty((gens, cells + GENERATION)), np.empty((gens, 3, GENERATION))
-    normals.standard_normal(out=normal)
-    uniforms.random(out=uniform)
-    # real and imaginary parts side by side: the float view of the complex draws
-    z = normal[:, :cells].view(complex).reshape(gens, GENERATION, m, r)
     t = np.arange(start, start + gens * GENERATION)  # whole generations
     refine = (t % EXPLORE_CYCLE != 0) & (t >= GENERATION)
-    q, rmat = np.linalg.qr(z[(~refine & (t < stop)).reshape(gens, GENERATION)])
-    diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    haar = q * (diag / np.abs(diag))[:, None, :]
-    seen = np.cumsum(~refine.reshape(-1, GENERATION), axis=1).ravel()  # Haar trials so far
-    first = np.where(refine, t % 2 * m, 2 * (m + GENERATION) + (seen - 1) * m)
-    sources = first[:, None] + np.arange(m)
+    seen = np.cumsum(~refine.reshape(gens, GENERATION), axis=1)  # Haar trials so far
+    cells = 2 * m * r  # the doubles of a matrix: real and imaginary parts side by side
+    # per generation its Haar trials' matrices, then its moves' angles
+    ends = list(accumulate(n for h in seen[:, -1].tolist() for n in (h * cells, GENERATION - h)))
+    normal = normals.standard_normal(ends[-1])
+    parts = [normal[a:b] for a, b in zip([0, *ends], ends)]
+    uniform = np.empty((gens, 3, GENERATION))
+    uniforms.random(out=uniform)
     size = stop - start
     j = np.flatnonzero(refine[:size])
+    matrices, angles = np.concatenate(parts[::2]), np.concatenate(parts[1::2])
+    haar = _haar_isometries(matrices[: (size - j.size) * cells].view(complex).reshape(-1, m, r))
+    seen = seen.ravel()
+    first = np.where(refine, t % 2 * m, 2 * (m + GENERATION) + (seen - 1) * m)
+    sources = first[:, None] + np.arange(m)
     u_k, u_l, u_phase = uniform.transpose(1, 0, 2).reshape(3, -1)[:, j]
     row_k, row_l = (u_k * m).astype(int), (u_l * (m - 1)).astype(int)
     row_l += row_l >= row_k
     moved = 2 * m + (t % GENERATION - seen)[j]  # by the move's rank in its generation
     sources[j, row_k], sources[j, row_l] = moved, moved + GENERATION
-    angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * normal[:, cells:].ravel()[j]
+    angle = REFINE_FLOOR ** np.minimum(1.0, t[j] / REFINE_HORIZON) * angles[: j.size]
     c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
     phase = np.exp(2j * np.pi * u_phase)[:, None]
     pairs = first[j] + np.array([row_k, row_l])
@@ -233,6 +258,9 @@ class _Group:
         """Evaluate trials t.  If any refines, the Haar rows and the rotated
         incumbent rows go into the pool and one ``take`` of ``sources``
         gathers every candidate; otherwise the Haar rows are the candidates.
+        A Renyi run's values are sums of weight * f_alpha(C^2) over each
+        trial's component rows, with weights from one product over the rows'
+        doubles, C from one masked divide and the sum folded in place.
         Both sides are minima, the maximizer's of negated values (exact: the
         same tests and first indices).  Each side's best before the
         generation and its values go into the run's ``history`` slot (runs,
@@ -266,14 +294,17 @@ class _Group:
             np.add.reduce(dets, axis=-1, out=values)
             values *= 2.0
         else:
-            mixed = rows.reshape(-1, m, 4)
-            weights = np.einsum("gkd,gkd->gk", mixed, mixed.conj()).real.reshape(dets.shape)
-            live = weights > 1e-14
-            lo = _lam_lo(np.minimum(1.0, (2.0 * dets / np.where(live, weights, 1.0)) ** 2))
+            doubles = rows.view(float)
+            weights = np.einsum("rtkd,rtkd->rtk", doubles, doubles)
+            # C = 2|det| / weight; at weight <= 1e-14 the divide is skipped,
+            # C^2 is (2|det|)^2 <= weight^2 and the component adds under 1e-14
+            np.divide(dets, weights, out=dets, where=weights > 1e-14)
+            lo = _lam_lo(np.minimum(1.0, (2.0 * dets) ** 2))
             f = np.empty_like(lo)
             for band, runs, alphas in self.bands:
                 f[runs] = _renyi_of(lo[runs])(alphas, band)
-            np.add.reduce(np.where(live, weights * f, 0.0), axis=-1, out=values)
+            f *= weights
+            np.add.reduce(f, axis=-1, out=values)
         np.negative(values, out=seq[:, 1, 1:])
         least = seq.min(axis=2)
         better = least < self.best

@@ -10,8 +10,10 @@ to C, so its line's trials fell to 64 and its roof numbers moved in the
 last bits.  Their Renyi lines are those of the oracle that starts each
 pair's roof from the rows its block weights give, and were recorded again
 when the roof began drawing every generation from one normal and one
-uniform stream per call: runs longer than one generation moved, the
-concurrence lines (one generation) kept their bytes.  The oracle streams carry the tags out of window, condition unmet and
+uniform stream per call (runs longer than one generation moved, the
+concurrence lines kept their bytes), and again when it began drawing
+normals for its Haar trials and moves alone and orthonormalising by
+Gram-Schmidt: every line moved, the concurrence lines in their last bits.  The oracle streams carry the tags out of window, condition unmet and
 applicable satisfied.  No applicable unsatisfied oracle report is pinned:
 none of the pinned Renyi runs reaches a plateau in 1000 trials.  "Same
 behaviour" is checked the way the project defines it: every report keeps
@@ -161,8 +163,8 @@ def _avx512_features() -> list[str]:
 
 #: The numpy version and the AVX-512 dispatch targets (``_avx512_features``)
 #: that the oracle byte pins and the roof-ranks pin were recorded on: last
-#: when the roof began drawing from two streams, which moved all but the
-#: many-stack pin.
+#: when the roof began drawing normals for its Haar trials and moves alone
+#: and orthonormalising by Gram-Schmidt, which moved every one of them.
 PIN_DISPATCH = ("2.4.6", ("X86_V4", "AVX512_ICL", "AVX512_SPR"))
 
 
@@ -237,7 +239,7 @@ FAILING_ORACLE_SPEC = (
     [
         # pairs applicable, 0.5 out of the window, 0.9 applicable and
         # unsatisfied, 1.2 short of a plateau
-        (FAILING_ORACLE_SPEC, "1,3|2|0|4", [0.5, 0.9, 1.2], 1000, 44,
+        (FAILING_ORACLE_SPEC, "1,3|2|0|4", [0.5, 0.9, 1.2], 1000, 176,
          {("c_equals_ca", "APPLICABLE", True), ("e_alpha_formula", "OUT_OF_WINDOW", True),
           ("e_alpha_formula", "APPLICABLE", False), ("e_alpha_formula", "CONDITION_UNMET", True)}),
         # a pure pair (two blocks cover a vacuum-free state) whose Renyi runs
@@ -284,7 +286,7 @@ def test_large_singleton_csv_stream_bytes_unchanged(tmp_path):
 #: per job its id and exit code, then its stdout.  The cells cover local
 #: dimensions 2 and 3, 3-5 parties, vacuum weights 0 and 0.2 and 3 or 4
 #: blocks, at 1000 trials and orders 0.9 and 1.2.
-ORACLE_PAIRS_SEED1_SHA256 = "0d3b6035ee5d0f36fc709ff4bfd935ca4ce88c27433e9e53d71662951c76ee7f"
+ORACLE_PAIRS_SEED1_SHA256 = "416b79e8056f8cb7431cdbe61587777a0c28807f740db96f057f7b05f1e99a06"
 
 
 def test_oracle_pairs_jobs_bytes_unchanged(capsys):
@@ -300,9 +302,10 @@ def test_oracle_pairs_jobs_bytes_unchanged(capsys):
 
 
 #: SHA-256 of the stdout of conftest's many-stack oracle job (435 pairs and
-#: 301 orders at 65 trials, seed 9), recorded before the roof took stacks of
-#: runs: its pair stack and its Renyi stack both split at ``GROUP_RUNS``.
-MANY_STACK_SHA256 = "84e8a33b0fb4ba3fe1f3401e1922cf7273fd54174a075d8000bbdb300a425dc1"
+#: 301 orders at 65 trials, seed 9), recorded when the roof began
+#: orthonormalising by Gram-Schmidt: its pair stack and its Renyi stack both
+#: split at ``GROUP_RUNS``.
+MANY_STACK_SHA256 = "650bb5668aa3e0d32317ac3fd0bed258aeee92697452dd28762dd93d38cdd2cc"
 
 
 def test_many_stack_oracle_job_bytes_unchanged(capsys):
@@ -319,10 +322,11 @@ def test_many_stack_oracle_job_bytes_unchanged(capsys):
 #: SHA-256 of the ``repr`` of ``convex_roof_bounds`` on three random
 #: two-qubit states of each rank 1-4 (isometry shapes 3 x 1 to 6 x 4), at
 #: every kernel band and the concurrence, over one and 18 generations,
-#: recorded when the roof began drawing from two streams.  The oracle pins
+#: recorded when the roof began drawing normals for its Haar trials and
+#: moves alone.  The oracle pins
 #: run rank-2 pairs only; numpy's complex product rounds by memory layout,
 #: so the other shapes need a pin of their own.
-ROOF_RANKS_SHA256 = "41ea5b4ef873b8adeb71ddfe9a341cfd6d31e564601109006c81dca0d88dd873"
+ROOF_RANKS_SHA256 = "2c6f4812030bfd63180845a14e9501fe3cdba9e387efb2e0269eadf1f4f5ae26"
 
 
 def test_roof_bounds_of_every_rank_unchanged():

@@ -35,8 +35,11 @@ from gwlab.roof import (
     EXPLORE_CYCLE,
     GENERATION,
     PLATEAU_TOL,
+    REFINE_FLOOR,
+    REFINE_HORIZON,
     _draw_chunk,
     _eigen_ensemble,
+    _haar_isometries,
     _pair_rows,
     _streams,
     oracle_reports,
@@ -73,70 +76,153 @@ def _generation_bytes(generation):
     return [(x.shape, x.tobytes()) for x in (t, haar, sources, *rotation)]
 
 
+#: The isometry shapes m x r the roof draws: rank r = 1-4, m = r + 2.
+SHAPES = [(3, 1), (4, 2), (5, 3), (6, 4)]
+
+
+def _generation_counts(g):
+    """Generation g's Haar trials and moves: every trial of generation 0 is
+    a Haar trial, later every EXPLORE_CYCLE-th."""
+    t = g * GENERATION + np.arange(GENERATION)
+    haar = GENERATION if g == 0 else int(np.count_nonzero(t % EXPLORE_CYCLE == 0))
+    return haar, GENERATION - haar
+
+
+def _normal_matrices(rng, count, m, r):
+    """``count`` complex normal m x r matrices, drawn as standard_normal of
+    (count, m, r, 2) read as real and imaginary parts."""
+    return rng.standard_normal((count, m, r, 2)).view(np.complex128)[..., 0]
+
+
+def _phase_fixed_qr(z):
+    """The Haar isometries of z by LAPACK's QR, R's diagonal phases moved
+    into Q."""
+    q, rmat = np.linalg.qr(z)
+    diag = np.diagonal(rmat, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 @pytest.mark.parametrize("g", [0, 1, 2, 7])
 def test_haar_rows_match_full_qr(g):
-    # only the Haar trials' draws are orthonormalised, by one QR over the
-    # chunk; each must equal, bit for bit, the same row of one QR over all
-    # GENERATION draws of generation g, in a chunk of eight generations (the
-    # last cut short) and in a chunk of g alone.  Generation g's matrices
-    # follow g generations of normals (matrices and angles) in the seed's
-    # first spawned stream.  A Haar trial reads its own Haar rows; a
-    # refining trial reads its incumbent's rows (below 2 m in the pool) and
-    # its two rotated rows, never a Haar row
-    seed, m, r = 42, 4, 2
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    rng.standard_normal(g * GENERATION * (2 * m * r + 1))
-    z = rng.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
-    q, rmat = np.linalg.qr(z)
-    diag = np.diagonal(rmat, axis1=1, axis2=2).copy()
-    full = q * (diag / np.abs(diag))[:, None, :]
-    eight = _draw_chunk(_streams(seed), 0, 8 * GENERATION - 9, m, r)
-    streams = _streams(seed)
-    if g:
-        _draw_chunk(streams, 0, g * GENERATION, m, r)
-    alone = _draw_chunk(streams, g * GENERATION, (g + 1) * GENERATION, m, r)
-    assert len(eight) == 8 and len(alone) == 1
-    haar_rows = 2 * (m + GENERATION)  # the pool's first Haar row
-    for t, haar, sources, (pairs, *factors) in (eight[g], alone[0]):
-        np.testing.assert_array_equal(t, g * GENERATION + np.arange(t.size))
-        used = (t % EXPLORE_CYCLE == 0) | (g == 0)
-        np.testing.assert_array_equal(haar, full[: t.size][used])
-        sources = sources.reshape(t.size, m)
-        np.testing.assert_array_equal(sources[used],
-                                      haar_rows + np.arange(haar.size // r).reshape(-1, m))
-        refining = sources[~used]
-        assert (refining < haar_rows).all()
-        assert ((refining >= 2 * m).sum(axis=1) == 2).all()  # rows k and l, rotated
-        # the other rows are the minimizer's on even trials, else the maximizer's
-        own = (t[~used] % 2 * m)[:, None] + np.arange(m)
-        np.testing.assert_array_equal(np.where(refining < 2 * m, refining, own), own)
-        np.testing.assert_array_equal(pairs, own[np.arange(len(own)), pairs % m])
-        assert pairs.shape == (2, (~used).sum())
-        assert all(factor.shape == (pairs.shape[1], 1) for factor in factors)
+    # generation g's normals follow those of generations 0 to g - 1 in the
+    # seed's first spawned stream: the m x r matrices of its Haar trials,
+    # then one angle per move.  Its Haar rows are those matrices made
+    # isometries by Gram-Schmidt, the same bits in a chunk of eight
+    # generations (the last cut short) and in a chunk of g alone; they
+    # agree with the phase-fixed LAPACK QR of the matrices and are
+    # orthonormal, at every shape the roof draws.  A Haar trial reads its
+    # own Haar rows; a refining trial reads its incumbent's rows (below 2 m
+    # in the pool) and its two rotated rows, never a Haar row
+    seed = 42
+    haars, moves = _generation_counts(g)
+    for m, r in SHAPES:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        rng.standard_normal(sum(h * 2 * m * r + n for h, n in map(_generation_counts, range(g))))
+        z = _normal_matrices(rng, haars, m, r)
+        angles = rng.standard_normal(moves)
+        eight = _draw_chunk(_streams(seed), 0, 8 * GENERATION - 9, m, r)
+        streams = _streams(seed)
+        if g:
+            _draw_chunk(streams, 0, g * GENERATION, m, r)
+        alone = _draw_chunk(streams, g * GENERATION, (g + 1) * GENERATION, m, r)
+        assert len(eight) == 8 and len(alone) == 1
+        np.testing.assert_array_equal(alone[0][1], _haar_isometries(z.copy()))
+        haar_rows = 2 * (m + GENERATION)  # the pool's first Haar row
+        for t, haar, sources, (pairs, c, *factors) in (eight[g], alone[0]):
+            np.testing.assert_array_equal(t, g * GENERATION + np.arange(t.size))
+            used = (t % EXPLORE_CYCLE == 0) | (g == 0)
+            assert haar.tobytes() == alone[0][1][: len(haar)].tobytes()
+            np.testing.assert_allclose(haar, _phase_fixed_qr(z[: len(haar)]), rtol=0, atol=1e-13)
+            gram = np.einsum("nki,nkj->nij", haar.conj(), haar)
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(r), gram.shape), rtol=0,
+                                       atol=1e-13)
+            scale = REFINE_FLOOR ** np.minimum(1.0, t[~used] / REFINE_HORIZON)
+            np.testing.assert_array_equal(c[:, 0], np.cos(scale * angles[: c.shape[0]]))
+            sources = sources.reshape(t.size, m)
+            np.testing.assert_array_equal(sources[used],
+                                          haar_rows + np.arange(haar.size // r).reshape(-1, m))
+            refining = sources[~used]
+            assert (refining < haar_rows).all()
+            assert ((refining >= 2 * m).sum(axis=1) == 2).all()  # rows k and l, rotated
+            # the other rows are the minimizer's on even trials, else the maximizer's
+            own = (t[~used] % 2 * m)[:, None] + np.arange(m)
+            np.testing.assert_array_equal(np.where(refining < 2 * m, refining, own), own)
+            np.testing.assert_array_equal(pairs, own[np.arange(len(own)), pairs % m])
+            assert pairs.shape == (2, (~used).sum())
+            assert all(factor.shape == (pairs.shape[1], 1) for factor in (c, *factors))
+
+
+@pytest.mark.parametrize("second", [0.0, 2.0], ids=["zero", "parallel"])
+def test_dependent_columns_raise_not_nan(second):
+    # a column in the span of those before it (probability 0 under the
+    # normal stream) leaves a zero residual: Gram-Schmidt raises there, so
+    # no NaN row can reach a step and drop its generation's improvements
+    z = np.zeros((3, 4, 2), complex)
+    z[:, 0, 0], z[:, 0, 1] = 1.0, second
+    z[0] = np.eye(4, 2)
+    with pytest.raises(FloatingPointError):
+        _haar_isometries(z)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
 def test_in_place_draws_equal_sized_draws(seed):
-    # the roof fills each stream with one call per chunk: standard_normal(out=)
-    # over two generations gives the complex view of standard_normal(shape +
-    # (2,)) and the angles of each in turn, and random(out=) the doubles of
-    # one random(size=) per generation, bit for bit, each leaving the stream
-    # where the generation-sized draws leave it: neither keeps a buffer
-    # between calls
+    # the roof fills each stream with one call per chunk: one flat
+    # standard_normal over two generations gives, per generation, the
+    # complex view of standard_normal((haar trials, m, r, 2)) and then the
+    # moves' angles, and random(out=) the doubles of one random(size=) per
+    # generation, bit for bit, each leaving the stream where the
+    # generation-sized draws leave it: neither keeps a buffer between calls
     m, r = 4, 2
     a, b = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
             for _ in range(2))
-    normal, uniform = np.empty((2, GENERATION * (2 * m * r + 1))), np.empty((2, 3, GENERATION))
-    a.standard_normal(out=normal)
+    counts = [_generation_counts(g) for g in range(2)]
+    normal = a.standard_normal(sum(h * 2 * m * r + n for h, n in counts))
+    uniform = np.empty((2, 3, GENERATION))
     a.random(out=uniform)
-    for g in range(2):
-        z = normal[g, : -GENERATION].view(complex).reshape(GENERATION, m, r)
-        sized = b.standard_normal((GENERATION, m, r, 2)).view(np.complex128)[..., 0]
-        assert z.tobytes() == sized.tobytes()
-        assert normal[g, -GENERATION:].tobytes() == b.standard_normal(GENERATION).tobytes()
+    for haars, moves in counts:
+        z, normal = normal[: haars * 2 * m * r], normal[haars * 2 * m * r :]
+        assert z.view(complex).reshape(haars, m, r).tobytes() == _normal_matrices(
+            b, haars, m, r).tobytes()
+        angles, normal = normal[:moves], normal[moves:]
+        assert angles.tobytes() == b.standard_normal(moves).tobytes()
+    assert normal.size == 0
     assert uniform.tobytes() == b.random(3 * GENERATION).tobytes() + b.random(
         (3, GENERATION)).tobytes()
     assert a.bit_generator.state == b.bit_generator.state
+
+
+class _CountedNormals:
+    """A normal stream that counts the normals drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.drawn += out.size
+        return out
+
+
+@pytest.mark.parametrize("trials, order, drawn", [(1000, 1.1, 4864), (GENERATION, None, 1024)],
+                         ids=["renyi-1000", "concurrence-64"])
+def test_roof_draws_only_the_normals_it_reads(monkeypatch, trials, order, drawn):
+    # a rank-2 pair's matrices are 4 x 2, 16 doubles each.  1000 trials
+    # take 16 whole generations of normals: the matrices of 256 Haar trials
+    # and the angles of 768 moves, where drawing every trial's matrix took
+    # 17408 normals; the 64 trials of one generation are all Haar trials
+    spies = []
+
+    def streams(seed):
+        normals, uniforms = real(seed)
+        spies.append(_CountedNormals(normals))
+        return spies[-1], uniforms
+
+    real = gwlab.roof._streams
+    monkeypatch.setattr(gwlab.roof, "_streams", streams)
+    pair = dense_block_pair(_figure1_pair(), {0}, {1})
+    assert _eigen_ensemble(pair).shape[0] == 2
+    convex_roof_bounds(pair, trials=trials, seed=5, order=order)
+    assert [spy.drawn for spy in spies] == [drawn]
 
 
 @pytest.mark.parametrize("chunk", [1, 5])

@@ -11,7 +11,6 @@ from .tensor import (
     DIM_CAP,
     DensityOperator,
     Partition,
-    PartyLayout,
     PureState,
     SchmidtSpectrum,
     SubsystemLayout,

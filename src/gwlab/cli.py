@@ -170,12 +170,12 @@ def _load_blocks(args: SimpleNamespace) -> tuple[GWBlocks, Partition]:
     """The spec's block weights, not the spec (no dense state, so no party count
     is too large), and ``--partition`` or one block per party, checked complete."""
     psi = GWBlocks.of(_load_spec(args.spec))
-    n = psi.layout.n_parties
+    n = len(psi.weights)
     partition = (
         parse_partition(args.partition, n) if args.partition is not None
         else Partition.singletons(n)
     )
-    partition.require_complete(psi.layout)
+    partition.require_complete(n)
     return psi, partition
 
 
@@ -203,7 +203,7 @@ def cmd_figure(fig_id: int, out: Optional[str] = None) -> list[str]:
         rows = zip(grid, map(math.sqrt, sq[1]), poly[0], poly[1])
     elif fig_id == 2:
         partition = Partition.of(featured.figure2_blocks())
-        t = psi.merged(partition).weights
+        t = partition.block_sums(psi.weights)
         bound = _merged_cut_bound("merged_block_upper_bound", psi.weights, partition.labels, t,
                                   _pair_table(t, 0))
         _, _, [(lhs, rhs, _)] = _grid(grid, [bound])

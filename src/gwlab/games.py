@@ -77,9 +77,9 @@ def check_trace_bound_renyi(
     cut's C^2 so that no cancellation enters, and E_alpha = f_alpha(C^2).
     The cut is party 0 against the rest unless ``bipartition`` names one."""
     psi = GWBlocks.from_state(psi)
-    if bipartition is None:
-        bipartition = ({0}, range(1, psi.layout.n_parties))
-    return _trace_bound_renyi(psi, Partition.cut(bipartition)).at(order)
+    n = len(psi.weights)
+    bipartition = ({0}, range(1, n)) if bipartition is None else bipartition
+    return _trace_bound_renyi(psi, Partition.cut(bipartition, n, complete=True)).at(order)
 
 
 def game_gap_fn(lambda0: float, order: float) -> float:
@@ -144,5 +144,4 @@ def check_monogamy_cap(
     """Summed squared pairwise entanglements <= squared one-to-rest value
     <= (log2 d)^2, with d the dimension of the first block."""
     merged = GWBlocks.from_state(state).merged(partition)
-    c2s = _pair_table(merged.weights, 0)
-    return _monogamy_cap(c2s, merged.layout.dims[0]).at(order)
+    return _monogamy_cap(_pair_table(merged.weights, 0), merged.dims[0]).at(order)

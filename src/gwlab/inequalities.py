@@ -45,7 +45,7 @@ from .measures import (
     _checked_c2, _f_alpha_tables, _lam_lo, _monogamy, _order, _pair_table, _polygamy,
 )
 from .states import GWBlocks, GWSpec
-from .tensor import Partition, State
+from .tensor import Partition, State, coarse_grain
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
 from .measures import (  # noqa: F401
@@ -444,9 +444,10 @@ def check_merged_block_upper_bound(
     The blocks must cover the state.  The cut's C^2 = 4 t_PQ t_R is the
     merged block's pair table, as in :func:`check_upper_bound_bipartition`;
     a state that is not pure is refused."""
-    blocks, psi = Partition.of([block_p, block_q, *rest_blocks]), GWBlocks.from_state(psi)
+    psi = GWBlocks.from_state(psi)
+    blocks = Partition.of([block_p, block_q, *rest_blocks], len(psi.weights))
     t = blocks.block_sums(psi.weights)
-    if not (psi.pure and blocks.covers(psi.layout.n_parties)):
+    if not (psi.pure and blocks.covers(len(psi.weights))):
         raise ValueError("merged_block_upper_bound needs a pure state that its blocks cover")
     return _merged_cut_bound("merged_block_upper_bound", psi.weights, blocks.labels, t,
                              _pair_table(t, 0)).at(order)
@@ -483,7 +484,8 @@ def check_upper_bound_bipartition(
 ) -> InequalityReport:
     """Entanglement of the merged P1P2 block against the Q blocks is bounded
     by twice the P1P2 term plus all pairwise P-to-Q terms."""
-    blocks, state = Partition.of([block_p1, block_p2, *q_blocks]), GWBlocks.from_state(state)
+    state = GWBlocks.from_state(state)
+    blocks = Partition.of([block_p1, block_p2, *q_blocks], len(state.weights))
     t = blocks.block_sums(state.weights)
     return _merged_cut_bound("pair_block_upper_bound", state.weights, blocks.labels, t,
                              _pair_table(t, 0)).at(order)
@@ -639,7 +641,6 @@ def _trace_bound_renyi(psi: GWBlocks, partition: Partition) -> Prepared:
     its other blocks, which cover the state; each side weighs one ``math.fsum``."""
     if not psi.pure:
         raise ValueError("the trace bound needs a pure state")
-    partition.require_complete(psi.layout)
     labels = partition.labels
     cut = [math.fsum(psi.weights[side].tolist()) for side in (labels == 0, labels >= 1)]
     c2 = min(_pair_table(cut, 0)[0], 1.0)
@@ -664,9 +665,8 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
     if not (math.isfinite(mu) and (0.0 < mu <= 1.0 or mu >= 2.0)):
         raise ValueError(f"mu must lie in (0, 1] or [2, inf), got {mu}")
     psi = GWBlocks.from_state(state)
-    partition.require_complete(psi.layout)  # the trace bound refuses a mixed state
-    merged = psi.merged(partition)
-    t, k = merged.weights, partition.n_blocks
+    partition.require_complete(len(psi.weights))  # the trace bound refuses a mixed state
+    t, k = partition.block_sums(psi.weights), partition.n_blocks
     c2 = _pair_table(t, 0)  # one array for every check on block 0's pairs
     square = _power_relation("monogamy_sq", "ge", c2, 0, 2.0)
     if mu == 2.0:  # the square relation under a second name: one fold
@@ -682,7 +682,7 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
         bound = _merged_cut_bound("merged_block_upper_bound", psi.weights, partition.labels, t, c2)
         checks += [_reoa_triangle(t3), bound,
                    bound._replace(name="pair_block_upper_bound")]
-    checks.append(_monogamy_cap(c2, merged.layout.dims[0]))
+    checks.append(_monogamy_cap(c2, coarse_grain(psi.dims, partition)[0]))
     checks.append(_trace_bound_renyi(psi, partition))
     if tighter is not None and k >= 3:
         c3 = _pair_table(t3, 0)

@@ -261,7 +261,8 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
 
 def negativity(state: State, bipartition) -> float:
     """Trace norm of the partial transpose minus one, clamped at zero."""
-    two_party = coarse_grain_state(state, Partition.cut(bipartition))
+    two_party = coarse_grain_state(
+        state, Partition.cut(bipartition, state.layout.n_parties, complete=True))
     if isinstance(two_party, PureState):
         two_party = two_party.density()
     return max(0.0, trace_norm(partial_transpose(two_party, 0)) - 1.0)
@@ -275,7 +276,8 @@ def block_pair_reduction(
     local unitary.  A mixture has the same weights but lacks the sqrt(w)
     coherence, so a state that is not pure is refused."""
     state = GWBlocks.from_state(state)
-    t_a, t_b = Partition.of([block_a, block_b]).block_sums(state.weights).tolist()
+    pair = Partition.of([block_a, block_b], len(state.weights))
+    t_a, t_b = pair.block_sums(state.weights).tolist()
     if not state.pure:
         raise ValueError("a block pair needs a pure state")
     phi, r = _canonical_pair(state.vacuum_weight, t_a, t_b)
@@ -297,7 +299,7 @@ def gw_pairwise_concurrence(
 ) -> float:
     """Concurrence 2 sqrt(t_S t_K) between two blocks of a GW-family state."""
     weights = GWBlocks.from_state(state).weights
-    t_s, t_k = Partition.of([block_s, block_k]).block_sums(weights).tolist()
+    t_s, t_k = Partition.of([block_s, block_k], len(weights)).block_sums(weights).tolist()
     return 2.0 * math.sqrt(t_s * t_k)
 
 
@@ -334,8 +336,7 @@ def cut_spectrum(state: State | GWBlocks, bipartition) -> SchmidtSpectrum:
     state = GWBlocks.from_state(state)
     if not state.pure:
         raise ValueError("a Schmidt spectrum needs a pure state")
-    cut = Partition.cut(bipartition)
-    cut.require_complete(state.layout)
+    cut = Partition.cut(bipartition, len(state.weights), complete=True)
     t_a, t_b = cut.block_sums(state.weights).tolist()
     c2 = min(4.0 * t_a * t_b, 1.0)
     minor = _lam_lo(c2)
@@ -360,4 +361,5 @@ def cren_gw(state: State | GWBlocks, bipartition) -> float:
     On this family CREN coincides with the pairwise concurrence, because all
     pure states in the optimal decompositions have Schmidt rank two.
     """
-    return gw_pairwise_concurrence(state, *Partition.cut(bipartition).blocks)
+    state = GWBlocks.from_state(state)
+    return gw_pairwise_concurrence(state, *Partition.cut(bipartition, len(state.weights)).blocks)

@@ -465,8 +465,8 @@ def verify_c_equals_ca(
     """Check that the min and max decomposition averages of the concurrence
     pinch together onto the two-qubit closed form."""
     state = GWBlocks.from_state(state)
-    blocks = blocks or ({0}, range(1, state.layout.n_parties))
-    return oracle_reports(state, Partition.of(blocks), (), trials, seed)[0]
+    blocks = Partition.of(blocks or ({0}, range(1, len(state.weights))), len(state.weights))
+    return oracle_reports(state, blocks, (), trials, seed)[0]
 
 
 def verify_e_alpha_formula(state: State | GWBlocks, order: float, trials: int = 20000,
@@ -481,5 +481,5 @@ def verify_e_alpha_formula(state: State | GWBlocks, order: float, trials: int = 
     exceed it.
     """
     state = GWBlocks.from_state(state)
-    blocks = blocks or ({0}, range(1, state.layout.n_parties))
-    return oracle_reports(state, Partition.of(blocks), [order], trials, seed)[-1]
+    blocks = Partition.of(blocks or ({0}, range(1, len(state.weights))), len(state.weights))
+    return oracle_reports(state, blocks, [order], trials, seed)[-1]

@@ -23,7 +23,6 @@ from .tensor import (
     DensityOperator,
     NORM_TOL,
     Partition,
-    PartyLayout,
     PureState,
     SUPPORT_TOL,
     SubsystemLayout,
@@ -125,10 +124,13 @@ class GWBlocks:
     every reduction are not pure.  A reduction keeps the weights of the
     parties it keeps and counts the rest as vacuum, and merging blocks sums
     them; :meth:`merged` does both, so both stay GWBlocks.
+    ``dims[k]``, party k's local dimension, is read by the games section's
+    cap only; a merged block's can pass int64, so ``dims`` is a read-only
+    object array of exact Python ints.
     """
 
     weights: np.ndarray
-    layout: PartyLayout
+    dims: np.ndarray
     vacuum_weight: float = 0.0
     pure: bool = True
 
@@ -136,11 +138,13 @@ class GWBlocks:
     gw = True
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (self.layout.n_parties,):
-            raise ValueError(
-                f"{weights.size} weights for {self.layout.n_parties} parties"
-            )
+        weights, dims = np.array(self.weights, dtype=float), np.array(self.dims, dtype=object)
+        values = dims.tolist()
+        if dims.ndim != 1 or weights.shape != dims.shape or not values:
+            raise ValueError(f"{weights.size} weights for {dims.size} parties, need one or more")
+        if set(map(type, values)) != {int} or min(values) < 2:
+            bad = next(u for u in values if type(u) is not int or u < 2)
+            raise ValueError(f"every local dimension must be an int >= 2, got {bad!r}")
         w = float(self.vacuum_weight)
         if not (0.0 <= w < math.inf and 0.0 <= weights.min() and weights.max() < math.inf):
             raise ValueError("weights and vacuum_weight must be finite and nonnegative")
@@ -149,7 +153,9 @@ class GWBlocks:
         if abs(total - 1.0) > NORM_TOL + SUPPORT_TOL:
             raise ValueError(f"weights and vacuum_weight sum to {total}")
         weights.setflags(write=False)
+        dims.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vacuum_weight", w)
         object.__setattr__(self, "pure", bool(self.pure))
 
@@ -160,7 +166,7 @@ class GWBlocks:
         :func:`mix_with_vacuum`, which is not pure when w > 0."""
         w = spec.vacuum_weight
         weights = (1.0 - w) * np.sum(np.abs(spec.amplitudes) ** 2, axis=1)
-        return cls(weights, PartyLayout((spec.d,) * spec.n), w)
+        return cls(weights, np.full(spec.n, spec.d, dtype=object), w)
 
     @classmethod
     def from_state(cls, state) -> "GWBlocks":
@@ -197,20 +203,17 @@ class GWBlocks:
                 f"state has population {outside:.3e} outside Hamming weight <= 1; "
                 "it is not a generalized W-class member"
             )
-        return cls(excited, PartyLayout(dims), vacuum, pure)
+        return cls(excited, dims, vacuum, pure)
 
     def merged(self, partition: Partition) -> "GWBlocks":
         """One party per block of ``partition``, weighing t_B.  The parties
         in no block are traced out and count as vacuum: w = 1 - the fsum of
         the weights kept, and the reduction is not pure."""
-        weights = partition.block_sums(self.weights)
-        if partition.covers(self.layout.n_parties):
-            layout = coarse_grain(self.layout, partition)
-            return GWBlocks(weights, layout, self.vacuum_weight, self.pure)
-        keep = np.flatnonzero(partition.labels >= 0)
-        layout = coarse_grain(self.layout.restricted(keep.tolist()), partition.covered())
-        vacuum = max(0.0, 1.0 - math.fsum(self.weights[keep].tolist()))
-        return GWBlocks(weights, layout, vacuum, pure=False)
+        weights, dims = partition.block_sums(self.weights), coarse_grain(self.dims, partition)
+        if partition.covers(len(self.weights)):
+            return GWBlocks(weights, dims, self.vacuum_weight, self.pure)
+        kept = self.weights[: partition.labels.size][partition.labels >= 0]
+        return GWBlocks(weights, dims, max(0.0, 1.0 - math.fsum(kept.tolist())), pure=False)
 
 
 def _weight_one_vector(n: int, d: int, table: np.ndarray) -> np.ndarray:

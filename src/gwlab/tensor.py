@@ -8,19 +8,20 @@ amplitude vector into shape ``dims`` maps axis k to party k.
 All objects are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
 
-A :class:`PartyLayout` describes parties of any number; a
-:class:`SubsystemLayout` also fits dense storage.  :func:`require_dense`
-refuses a dense array that does not fit in memory before it is allocated.
+A :class:`SubsystemLayout` holds a dense state's local dimensions, and
+:func:`require_dense` refuses a dense array that does not fit in memory
+before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,17 +102,18 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PartyLayout:
-    """Ordered list of local dimensions; fixes the tensor-index convention."""
+class SubsystemLayout:
+    """Ordered local dimensions of a dense state (composite dimension at most
+    ``DIM_CAP``); fixes the tensor-index convention."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
         dims = tuple(map(int, self.dims))
-        if not dims:
-            raise ValueError("layout needs at least one party")
-        if min(dims) < 2:
-            raise ValueError(f"every local dimension must be >= 2, got {dims}")
+        if not dims or min(dims) < 2:
+            raise ValueError(f"a layout needs one or more local dimensions >= 2, got {dims}")
+        if math.prod(dims) > DIM_CAP:
+            raise ValueError(f"total dimension {math.prod(dims)} exceeds cap {DIM_CAP}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -122,25 +124,10 @@ class PartyLayout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def restricted(self, keep: Sequence[int]) -> "PartyLayout":
-        """Layout of the listed parties, kept in ascending party order."""
-        return type(self)(tuple(self.dims[p] for p in sorted(keep)))
-
     def check_party(self, party: int) -> int:
         if not 0 <= party < self.n_parties:
             raise IndexError(f"party {party} out of range for {self.dims}")
         return party
-
-
-class SubsystemLayout(PartyLayout):
-    """A layout whose composite dimension fits dense storage (``DIM_CAP``)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if math.prod(self.dims) > DIM_CAP:
-            raise ValueError(
-                f"total dimension {math.prod(self.dims)} exceeds cap {DIM_CAP}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +254,11 @@ class Partition:
         object.__setattr__(self, "_offsets", list(accumulate(sizes[1:].tolist(), initial=0)))
 
     @classmethod
-    def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        """The partition whose block i holds the parties listed i-th."""
+    def of(cls, blocks: Iterable[Iterable[int]], n_parties: Optional[int] = None,
+           complete: bool = False) -> "Partition":
+        """The partition whose block i holds the parties listed i-th.  A party
+        past ``n_parties - 1`` raises IndexError, or with ``complete`` the
+        ValueError of :meth:`require_complete`, before labels are allocated."""
         members = [[int(p) for p in block] for block in blocks]
         if not members:
             raise ValueError("partition needs at least one block")
@@ -278,18 +268,24 @@ class Partition:
         if min(parties) < 0:
             raise ValueError(f"party index {min(parties)} is negative")
         if len(set(parties)) < len(parties):
-            party = np.bincount(parties).argmax()
+            party = min((-count, p) for p, count in Counter(parties).items())[1]  # most listed
             raise ValueError(f"partition blocks overlap: party {party} is listed more than once")
-        labels = [-1] * (max(parties) + 1)
+        top = max(parties)
+        if complete and (top >= n_parties or len(parties) < n_parties):
+            raise _uncovered(members, n_parties)
+        if n_parties is not None and top >= n_parties:
+            raise IndexError(f"party {top} out of range for {n_parties} parties")
+        labels = [-1] * (top + 1)
         for b, block in enumerate(members):
             for p in block:
                 labels[p] = b
         return cls(labels)
 
     @classmethod
-    def cut(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        """The partition of a bipartition, refused unless it has two blocks."""
-        partition = cls.of(blocks)
+    def cut(cls, blocks: Iterable[Iterable[int]], n_parties: Optional[int] = None,
+            complete: bool = False) -> "Partition":
+        """:meth:`of` of a bipartition, refused unless it has two blocks."""
+        partition = cls.of(blocks, n_parties, complete)
         if partition.n_blocks != 2:
             raise ValueError(f"a bipartition needs two blocks, got {partition.n_blocks}")
         return partition
@@ -297,11 +293,6 @@ class Partition:
     @classmethod
     def singletons(cls, n_parties: int) -> "Partition":
         return cls(np.arange(n_parties))
-
-    def covered(self) -> "Partition":
-        """The blocks on the reduction to the parties they hold, which are
-        renumbered in ascending order."""
-        return type(self)(self.labels[self.labels >= 0]) if self._sizes[0] else self
 
     def covers(self, n_parties: int) -> bool:
         """Whether the blocks hold parties 0..n_parties-1 and no other."""
@@ -336,15 +327,17 @@ class Partition:
             sums[b] = math.fsum(grouped[offsets[b] : offsets[b + 1]])
         return sums
 
-    def require_complete(self, layout: PartyLayout) -> None:
-        if not self.covers(layout.n_parties):
-            raise ValueError(
-                f"partition {sorted(self.sorted_blocks)} does not cover "
-                f"all {layout.n_parties} parties"
-            )
+    def require_complete(self, n_parties: int) -> None:
+        if not self.covers(n_parties):
+            raise _uncovered(self.sorted_blocks, n_parties)
 
 
-def _validated_keep(layout: PartyLayout, keep: Iterable[int]) -> list[int]:
+def _uncovered(blocks: Iterable[Iterable[int]], n_parties: int) -> ValueError:
+    return ValueError(f"partition {sorted(map(sorted, blocks))} does not cover "
+                      f"all {n_parties} parties")
+
+
+def _validated_keep(layout: SubsystemLayout, keep: Iterable[int]) -> list[int]:
     keep_list = sorted({int(p) for p in keep})
     if not keep_list:
         raise ValueError("keep set must be nonempty")
@@ -374,7 +367,8 @@ def partial_trace(state: State, keep: Iterable[int]) -> DensityOperator:
         t = np.transpose(state.tensor(), order + [n + p for p in order])
         rho = np.trace(t.reshape(d_keep, d_rest, d_keep, d_rest), axis1=1, axis2=3)
 
-    return DensityOperator(rho, layout.restricted(keep_list), gw=state.gw)
+    return DensityOperator(rho, SubsystemLayout(tuple(layout.dims[p] for p in keep_list)),
+                           gw=state.gw)
 
 
 def partial_transpose(rho: DensityOperator, party: int) -> np.ndarray:
@@ -403,9 +397,7 @@ def bipartition_matrix(
     psi: PureState, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> np.ndarray:
     """Amplitude matrix with rows indexing the first block, columns the second."""
-    cut = Partition.cut(bipartition)
-    cut.require_complete(psi.layout)
-    side_a, side_b = cut.sorted_blocks
+    side_a, side_b = Partition.cut(bipartition, psi.layout.n_parties, complete=True).sorted_blocks
     t = np.transpose(psi.tensor(), side_a + side_b)
     d_a = math.prod(psi.layout.dims[p] for p in side_a)
     return t.reshape(d_a, -1)
@@ -419,16 +411,18 @@ def schmidt_spectrum(
     return SchmidtSpectrum(np.linalg.svd(mat, compute_uv=False) ** 2)
 
 
-def coarse_grain(layout: PartyLayout, partition: Partition) -> PartyLayout:
-    """Layout with one party per block, dimension the product over members:
-    per distinct local dimension u, u to the power of each block's count of
-    such parties, so a block of many parties costs no long bignum product."""
-    partition.require_complete(layout)
-    dims, block_dims = np.array(layout.dims), 1
-    for u in set(layout.dims):
-        counts = np.bincount(partition.labels[dims == u], minlength=partition.n_blocks)
+def coarse_grain(dims: Sequence[int], partition: Partition) -> tuple[int, ...]:
+    """Each block's dimension, the product of its parties' local ``dims`` (a
+    party in no block is left out): per distinct dimension u, u to the power
+    of the block's count of such parties, so no block costs a long product."""
+    labels = partition.labels
+    if labels.size > len(dims):
+        raise IndexError(f"party {labels.size - 1} out of range for {len(dims)} parties")
+    dims, inside, block_dims = np.asarray(dims, dtype=object)[: labels.size], labels >= 0, 1
+    for u in map(int, set(dims.tolist())):
+        counts = np.bincount(labels[inside & (dims == u)], minlength=partition.n_blocks)
         block_dims = block_dims * u ** counts.astype(object)
-    return type(layout)(tuple(block_dims.tolist()))
+    return tuple(block_dims.tolist())
 
 
 def coarse_grain_state(state: State, partition: Partition) -> State:
@@ -437,7 +431,8 @@ def coarse_grain_state(state: State, partition: Partition) -> State:
     The amplitude data is unchanged up to the permutation of the parties
     that puts the blocks in order, each block's parties ascending.
     """
-    new_layout = coarse_grain(state.layout, partition)
+    partition.require_complete(state.layout.n_parties)
+    new_layout = SubsystemLayout(coarse_grain(state.layout.dims, partition))
     perm = partition._members.tolist()
     n = state.layout.n_parties
     if isinstance(state, PureState):

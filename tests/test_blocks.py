@@ -12,7 +12,6 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
-    PartyLayout,
     ProvenanceError,
     PureState,
     SubsystemLayout,
@@ -47,6 +46,7 @@ from gwlab import (
     run_mixture_suite,
     schmidt_spectrum,
     superpose_with_vacuum,
+    verify_c_equals_ca,
     verify_e_alpha_formula,
 )
 from gwlab.tensor import SUPPORT_TOL
@@ -185,14 +185,14 @@ def test_restriction_and_merging_match_dense(rng):
         pair = ({0}, {1, 2})
         want = concurrence_two_qubit(dense_block_pair(partial_trace(psi, keep), *pair))
         reduced = blocks.merged(Partition.of([p] for p in keep))
-        assert not reduced.pure and reduced.layout.n_parties == 3
+        assert not reduced.pure and len(reduced.weights) == 3
         assert gw_pairwise_concurrence(reduced, *pair) == pytest.approx(
             want, abs=1e-12
         )
         partition = random_complete_partition(rng, spec.n, 3)
         merged = blocks.merged(partition)
         dense_merged = coarse_grain_state(psi, partition)
-        assert merged.layout.dims == dense_merged.layout.dims
+        assert tuple(merged.dims) == dense_merged.layout.dims
         for k in (1, 2):
             want = gw_pairwise_concurrence(dense_merged, {0}, {k}) ** 2
             assert gw_pairwise_concurrence(merged, {0}, {k}) ** 2 == pytest.approx(
@@ -223,7 +223,7 @@ def test_block_sums_are_exact_and_reductions_count_the_rest_as_vacuum(rng):
                 assert [x.hex() for x in partition.block_sums(vector).tolist()] == want
             merged = blocks.merged(partition)
             assert merged.weights.tolist() == partition.block_sums(blocks.weights).tolist()
-            assert merged.layout.dims == tuple(spec.d ** len(b) for b in partition.blocks)
+            assert tuple(merged.dims) == tuple(spec.d ** len(b) for b in partition.blocks)
             if partition.covers(spec.n):
                 assert merged.vacuum_weight == blocks.vacuum_weight
                 assert merged.pure == blocks.pure
@@ -253,11 +253,11 @@ def test_cut_spectrum_is_exact_for_weak_cuts():
 def test_blocks_validation_and_purity():
     spec = GWSpec.qubit([0.6, 0.8], vacuum_weight=0.3)
     with pytest.raises(ValueError, match="sum to"):
-        GWBlocks((0.5, 0.4), GWBlocks.of(spec).layout)
+        GWBlocks((0.5, 0.4), GWBlocks.of(spec).dims)
     with pytest.raises(ValueError, match="nonnegative"):
-        GWBlocks((1.5, -0.5), GWBlocks.of(spec).layout)
+        GWBlocks((1.5, -0.5), GWBlocks.of(spec).dims)
     member = GWBlocks.of(spec)
-    mixture = GWBlocks(member.weights, member.layout, member.vacuum_weight, pure=False)
+    mixture = GWBlocks(member.weights, member.dims, member.vacuum_weight, pure=False)
     with pytest.raises(ValueError, match="pure state"):
         cut_spectrum(mixture, ({0}, {1}))
     with pytest.raises(ValueError, match="pure state"):
@@ -267,7 +267,7 @@ def test_blocks_validation_and_purity():
     three = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48]))
     with pytest.raises(ValueError, match="pure state"):
         check_merged_block_upper_bound(
-            GWBlocks(three.weights, three.layout, pure=False), {0}, {1}, [{2}], 1.1
+            GWBlocks(three.weights, three.dims, pure=False), {0}, {1}, [{2}], 1.1
         )
     with pytest.raises(IndexError, match="party 2 out of range"):
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {2})
@@ -275,6 +275,59 @@ def test_blocks_validation_and_purity():
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {-1})
     with pytest.raises(ValueError, match="overlap"):
         gw_pairwise_concurrence(GWBlocks.of(spec), {0}, {0, 1})
+
+
+#: Each public entry point that builds a partition from raw blocks, called on
+#: a three-party pure member with blocks that list party p.
+OUT_OF_RANGE_CALLS = {
+    "gw_pairwise_concurrence": lambda s, p: gw_pairwise_concurrence(s, {0}, {p}),
+    "block_pair_reduction": lambda s, p: block_pair_reduction(s, {0}, {p}),
+    "cren_gw": lambda s, p: cren_gw(s, ({0}, {p})),
+    "cut_spectrum": lambda s, p: cut_spectrum(s, ({0}, {1, 2, p})),
+    "check_merged_block_upper_bound":
+        lambda s, p: check_merged_block_upper_bound(s, {0}, {1}, [{2, p}], 1.1),
+    "check_upper_bound_bipartition":
+        lambda s, p: check_upper_bound_bipartition(s, {0}, {1}, [{2, p}], 1.1),
+    "check_trace_bound_renyi": lambda s, p: check_trace_bound_renyi(s, 2.0, ({0}, {1, 2, p})),
+    "verify_c_equals_ca": lambda s, p: verify_c_equals_ca(s, 64, 1, ({0}, {p})),
+    "verify_e_alpha_formula": lambda s, p: verify_e_alpha_formula(s, 1.1, 64, 1, ({0}, {p})),
+    "overlap": lambda s, p: Partition.of([[0, p], [p]]),
+}
+
+
+@pytest.mark.parametrize("entry", list(OUT_OF_RANGE_CALLS))
+def test_a_party_out_of_range_is_refused_before_allocating(entry):
+    # a label vector of max(party) + 1 entries, or a bincount of the parties,
+    # made party 10**12 a MemoryError; it is refused as party n is, at once
+    state, call = GWBlocks.of(GWSpec.qubit([0.6, 0.64, 0.48])), OUT_OF_RANGE_CALLS[entry]
+    errors = []
+    for party in (3, 10**12):
+        with pytest.raises((IndexError, ValueError)) as info:
+            call(state, party)
+        errors.append((info.type, str(info.value)))
+    (small_type, small), (big_type, big) = errors
+    assert big_type is small_type
+    assert big == small.replace("3", str(10**12), 1)
+    want = "blocks overlap" if entry == "overlap" else (
+        "does not cover all 3" if "cut_spectrum" in entry or "trace" in entry
+        else "party 3 out of range for 3 parties")
+    assert want in small
+
+
+def test_dims_are_exact_python_ints():
+    # a merged block's dimension passes int64, and the cap's d reaches JSON as
+    # an int: dims is a read-only object array of Python ints, one per party
+    blocks = GWBlocks.of(GWSpec(n=300, d=7, amplitudes=np.ones((300, 6)) / math.sqrt(1800)))
+    assert blocks.dims.dtype == object and not blocks.dims.flags.writeable
+    merged = blocks.merged(Partition(np.arange(300) % 3))
+    assert merged.dims.tolist() == [7**100] * 3
+    assert all(type(d) is int for d in merged.dims.tolist())
+    assert check_monogamy_cap(merged, Partition.singletons(3), 1.1).params["d"] == 7**100
+    assert GWBlocks((0.5, 0.5), np.array([2, 3])).dims.tolist() == [2, 3]
+    for dims, message in (((2, 2, 2), "2 weights for 3 parties"), ((), "2 weights for 0"),
+                          ((2, 1), "an int >= 2, got 1"), ((2, 2.0), "an int >= 2, got 2.0")):
+        with pytest.raises(ValueError, match=message):
+            GWBlocks((0.5, 0.5), dims)
 
 
 def test_cut_of_three_blocks_is_refused():
@@ -301,17 +354,17 @@ def test_from_state_matches_spec_weights(rng, d):
         blocks, w = GWBlocks.of(spec), spec.vacuum_weight
         # the mixture is the pure state itself when w = 0; the purification
         # holds the mixture's weights and an ancilla party of weight w
-        purified = PartyLayout(blocks.layout.dims + (d,))
+        purified = (*blocks.dims, d)
         cases = [
             (psi, blocks),
-            (mix_with_vacuum(spec), GWBlocks(blocks.weights, blocks.layout, w, pure=w == 0.0)),
+            (mix_with_vacuum(spec), GWBlocks(blocks.weights, blocks.dims, w, pure=w == 0.0)),
             (_dense_purification(spec), GWBlocks(np.append(blocks.weights, w), purified)),
             (partial_trace(psi, keep), blocks.merged(Partition.of([p] for p in keep))),
         ]
         for dense, want in cases:
             got = GWBlocks.from_state(dense)
             assert got.pure == want.pure
-            assert got.layout.dims == want.layout.dims
+            assert got.dims.tolist() == want.dims.tolist()
             np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
             assert got.vacuum_weight == pytest.approx(want.vacuum_weight, abs=1e-12)
             total = math.fsum(want.weights) + want.vacuum_weight
@@ -352,7 +405,7 @@ def test_rank_one_operator_is_pure(rng):
         spec = random_gw_spec(rng, n_min=3, n_max=4, vacuum="always")
         psi = superpose_with_vacuum(spec)
         vector, operator = (GWBlocks.from_state(s) for s in (psi, psi.density()))
-        assert operator.pure and operator.layout.dims == vector.layout.dims
+        assert operator.pure and operator.dims.tolist() == vector.dims.tolist()
         np.testing.assert_allclose(operator.weights, vector.weights, rtol=1e-15, atol=0.0)
         assert operator.vacuum_weight == pytest.approx(vector.vacuum_weight, rel=1e-15)
         blocks = ({0}, set(range(1, spec.n)))

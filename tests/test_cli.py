@@ -483,6 +483,24 @@ def _gwlab_child(*args):
                           timeout=120)
 
 
+def test_verify_and_figures_import_no_module_lazily(tmp_path):
+    # a numpy call that imports a module on first use (np.unique loads numpy.ma,
+    # 16-18 ms in a fresh process) puts that cost in the first job of every
+    # run; oracle is left out, as its first job loads numpy.random
+    spec = gw_spec_to_json(GWSpec.qubit(np.sqrt([0.3, 0.25, 0.2, 0.15, 0.1]), 0.2))
+    code = ("import sys; from gwlab.cli import main\n"
+            "spec, out = sys.argv[1:]\n"
+            "before = set(sys.modules)\n"
+            "runs = [['verify', '--spec', spec, '--format', 'csv', '--partition', '0|1|2,3|4',\n"
+            "         '--c-pow', '2', '--b-pow', '1', '--k', '2'],\n"
+            "        ['verify', '--spec', spec, '--format', 'jsonl', '--mu', '0.5'],\n"
+            "        ['figure', '1'], ['figure', '2'], ['figure', '3'], ['gamebounds']]\n"
+            "codes = [main(run + ['--out', out]) for run in runs]\n"
+            "print(codes, sorted(set(sys.modules) - before))")
+    proc = _gwlab_child("-c", code, spec, str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0] []\n", "")
+
+
 def test_a_run_imports_no_argparse(spec_file, tmp_path):
     # the command line is parsed without argparse, whose parser build, with
     # gettext importing locale, was the largest start-up cost a job paid
@@ -598,21 +616,27 @@ def test_verify_prepares_each_partition_and_merge_once(monkeypatch, tmp_path):
     assert calls == {"of": 1, "partition": 1, "block_sums": 1}
 
 
-#: One job of each kind that reads a spec, and the objects it validates:
-#: ``GWBlocks``, ``PartyLayout`` and ``Partition``.  Verify builds the
-#: loader's weights and their merge, on the loader's layout and the merged
-#: one, and one partition; the mixture suite reads the loader's weights.
+#: One job of each kind, and the objects it validates: ``GWBlocks``,
+#: ``Partition`` and ``SubsystemLayout``.  A job validates the loader's
+#: weights and at most one partition, and builds no layout: block 0's
+#: dimension is ``coarse_grain`` of the weights' dims, and the mixture
+#: suite reads the loader's weights.
 VALIDATED_PER_JOB = {
     "verify-vacuum": (["verify", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4, 0.2)),
                        "--partition", "0|1|2,3", "--c-pow", "2", "--b-pow", "1", "--k", "2",
-                       "--alpha", "0.83:1.30:0.05"], (2, 2, 1)),
+                       "--alpha", "0.83:1.30:0.05"], (1, 1, 0)),
     "verify-pure": (["verify", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4)),
                      "--partition", "0|1|2,3", "--c-pow", "2", "--b-pow", "1", "--k", "2",
-                     "--alpha", "0.83:1.30:0.05"], (2, 2, 1)),
+                     "--alpha", "0.83:1.30:0.05"], (1, 1, 0)),
     "oracle": (["oracle", "--spec", gw_spec_to_json(GWSpec.qubit([0.5] * 4, 0.2)),
                 "--partition", "0|1|2,3", "--trials", "64", "--seed", "3", "--alpha", "0.9,1.2"],
-               (1, 1, 1)),
+               (1, 1, 0)),
+    "figure-1": (["figure", "1"], (1, 0, 0)),
+    "figure-2": (["figure", "2"], (1, 1, 0)),
+    "figure-3": (["figure", "3"], (1, 0, 0)),
+    "gamebounds": (["gamebounds", "--n", "1,4", "--d", "2,3"], (0, 0, 0)),
 }
+VALIDATED_CLASSES = (GWBlocks, Partition, gwlab.tensor.SubsystemLayout)
 
 
 @pytest.mark.parametrize("job", list(VALIDATED_PER_JOB))
@@ -620,7 +644,7 @@ def test_each_job_validates_its_objects_once(monkeypatch, tmp_path, job):
     # a job validates its input once: no stage rebuilds the loader's weights,
     # a layout or a partition to read weights it already holds
     calls = {}
-    for cls in (GWBlocks, gwlab.tensor.PartyLayout, Partition):
+    for cls in VALIDATED_CLASSES:
         def counted(self, init=cls.__post_init__, name=cls.__name__):
             calls[name] = calls.get(name, 0) + 1
             init(self)
@@ -628,8 +652,7 @@ def test_each_job_validates_its_objects_once(monkeypatch, tmp_path, job):
         monkeypatch.setattr(cls, "__post_init__", counted)
     argv, want = VALIDATED_PER_JOB[job]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    got = tuple(calls.get(name, 0) for name in ("GWBlocks", "PartyLayout", "Partition"))
-    assert got == want
+    assert tuple(calls.get(cls.__name__, 0) for cls in VALIDATED_CLASSES) == want
 
 
 def test_verify_two_parties_with_vacuum(tmp_path):
@@ -975,7 +998,7 @@ def test_oracle_hands_full_state_to_verify(spec_file, tmp_path, monkeypatch):
     assert b.read_bytes() == a.read_bytes()
     assert len(b.read_text().splitlines()) == 5
     [(state, partition, orders)] = calls
-    assert isinstance(state, GWBlocks) and state.layout.n_parties == 4
+    assert isinstance(state, GWBlocks) and len(state.weights) == 4
     assert partition.sorted_blocks == [[0], [1, 2], [3]]
     assert orders == [0.9, 1.1]
 

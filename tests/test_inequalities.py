@@ -11,7 +11,6 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
-    PartyLayout,
     TighterParams,
     build_w_qubit,
     check_merged_block_upper_bound,
@@ -382,7 +381,7 @@ def test_merged_and_pair_block_bounds_fold_bit_for_bit(rng):
         # P = {0, 1}: here the fsum over P and Q is one ulp below t_P + t_Q
         weights = (0.21584984358706985, 0.17413972888425444, 0.22940563086548488,
                    0.14389989572471326, 0.2367049009384776)
-        yield GWBlocks(weights, PartyLayout((2,) * 5)), [{0, 1}, {2}, {3}, {4}], 1.1
+        yield GWBlocks(weights, (2,) * 5), [{0, 1}, {2}, {3}, {4}], 1.1
         for _ in range(20):
             spec = random_gw_spec(rng, n_min=6, n_max=9)
             n_blocks = int(rng.integers(5, spec.n + 1))
@@ -423,7 +422,7 @@ def test_tighter_multi_renyi_folds_bit_for_bit(rng):
             later.append(float(scale * math.fsum(later)))
         raw = [float(rng.uniform(0.5, 2.0) * math.fsum(later))] + later[::-1]
         t = tuple(x / math.fsum(raw) for x in raw)
-        psi = GWBlocks(t, PartyLayout((2,) * m))
+        psi = GWBlocks(t, (2,) * m)
         params = TighterParams(c_pow=2.0, b_pow=float(rng.uniform(0.5, 2.0)), k=k)
         order, b, h = float(rng.uniform(0.9, 3.0)), params.b_pow, params.h
         report = check_tighter_multi(
@@ -525,7 +524,7 @@ def test_cut_weights_are_the_block_sums_of_the_merged_blocks(rng, monkeypatch):
         # weights over twelve decades, so that adding in another order than
         # fsum's would round differently
         raw = rng.uniform(size=n) * 10.0 ** rng.integers(-12, 1, size=n)
-        psi = GWBlocks(raw / math.fsum(raw), PartyLayout((2,) * n))
+        psi = GWBlocks(raw / math.fsum(raw), (2,) * n)
         complete = random_complete_partition(rng, n, int(rng.integers(3, n + 1)))
         kept = [b for b in complete.blocks if rng.uniform() < 0.7]
         partial = [Partition.of(kept)] if len(kept) >= 3 else []

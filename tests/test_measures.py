@@ -16,7 +16,6 @@ from gwlab import (
     GWBlocks,
     GWSpec,
     Partition,
-    PartyLayout,
     ProvenanceError,
     PureState,
     SchmidtSpectrum,
@@ -443,7 +442,7 @@ def test_one_to_rest_sum_adds_left_to_right():
     # the three terms together up to the next float
     delta = 2.0**-55
     weights = (0.25, 0.75, delta, delta, delta)
-    blocks = GWBlocks(weights, PartyLayout((2,) * 5))
+    blocks = GWBlocks(weights, (2,) * 5)
     pair_sq = [4.0 * weights[0] * t for t in weights[1:]]
     assert pair_sq == [0.75, delta, delta, delta]
     assert gw_one_to_rest_concurrence_sq(blocks, Partition.singletons(5), 0) == 0.75

@@ -12,7 +12,6 @@ from gwlab import (
     DensityOperator,
     GWBlocks,
     GWSpec,
-    PartyLayout,
     PureState,
     SubsystemLayout,
     block_pair_reduction,
@@ -338,7 +337,7 @@ def test_pair_rows_are_a_unitary_image_of_the_eigen_ensemble(w, t_a, t_b):
     # one isometry shape and differ by a unitary (Hughston, Jozsa and
     # Wootters): Haar draws applied to either have one law
     weights = [t_a, t_b, max(0.0, 1.0 - w - t_a - t_b)]
-    pair = block_pair_reduction(GWBlocks(weights, PartyLayout((2, 2, 2)), w), {0}, {1})
+    pair = block_pair_reduction(GWBlocks(weights, (2, 2, 2), w), {0}, {1})
     (rows, pure), eigen = _pair_rows(w, t_a, t_b), _eigen_ensemble(pair)
     assert rows.shape == (2, 4) and pure == (len(eigen) == 1)
     assert np.abs(rows.T @ rows.conj() - pair.matrix).max() <= 1e-12

@@ -8,7 +8,6 @@ import pytest
 from gwlab import (
     DensityOperator,
     Partition,
-    PartyLayout,
     PureState,
     SubsystemLayout,
     build_w_qubit,
@@ -160,15 +159,18 @@ def test_schmidt_requires_cover(bell_state):
 
 
 def test_coarse_grain_layouts():
-    layout = SubsystemLayout((2, 2, 2, 2))
-    merged = coarse_grain(layout, Partition.of([{0}, {1, 2}, {3}]))
-    assert merged.dims == (2, 4, 2)
-    assert coarse_grain(layout, Partition.singletons(4)).dims == layout.dims
-    assert coarse_grain(SubsystemLayout((2, 2, 2)), Partition.of([{0, 1, 2}])).dims == (8,)
+    dims = (2, 2, 2, 2)
+    assert coarse_grain(dims, Partition.of([{0}, {1, 2}, {3}])) == (2, 4, 2)
+    assert coarse_grain(dims, Partition.singletons(4)) == dims
+    assert coarse_grain((2, 2, 2), Partition.of([{0, 1, 2}])) == (8,)
+    # parties in no block are left out; a party past the dims is refused
+    assert coarse_grain((2, 3, 5, 7), Partition.of([{3}, {0, 2}])) == (7, 10)
+    with pytest.raises(IndexError, match="party 4 out of range for 4 parties"):
+        coarse_grain(dims, Partition.of([{0}, {4}]))
 
 
-def _block_products(layout, partition):
-    return tuple(math.prod(layout.dims[p] for p in block) for block in partition.sorted_blocks)
+def _block_products(dims, partition):
+    return tuple(math.prod(dims[p] for p in block) for block in partition.sorted_blocks)
 
 
 def test_coarse_grain_matches_per_block_products(rng):
@@ -176,23 +178,23 @@ def test_coarse_grain_matches_per_block_products(rng):
     # the merged (bignum) dimensions
     for _ in range(50):
         n = int(rng.integers(1, 40))
-        layout = PartyLayout(tuple(rng.integers(2, 6, size=n).tolist()))
+        dims = tuple(rng.integers(2, 6, size=n).tolist())
         partition = Partition(rng.permutation(np.arange(n) % int(rng.integers(1, n + 1))))
-        merged = coarse_grain(layout, partition)
-        assert merged.dims == _block_products(layout, partition)
-        m = merged.n_parties
+        merged = coarse_grain(dims, partition)
+        assert merged == _block_products(dims, partition)
+        m = len(merged)
         again = Partition(rng.permutation(np.arange(m) % min(2, m)))
-        assert coarse_grain(merged, again).dims == _block_products(merged, again)
-    big = coarse_grain(PartyLayout((7,) * 300), Partition(np.arange(300) % 3))
-    twice = coarse_grain(PartyLayout(big.dims * 2), Partition([0, 1, 0, 1, 1, 0]))
-    assert twice.dims == (7**300, 7**300)
+        assert coarse_grain(merged, again) == _block_products(merged, again)
+    big = coarse_grain((7,) * 300, Partition(np.arange(300) % 3))
+    twice = coarse_grain(big * 2, Partition([0, 1, 0, 1, 1, 0]))
+    assert twice == (7**300, 7**300)
 
 
 def test_coarse_grain_of_a_million_parties_in_two_blocks():
     # a block's dimension is u ** count, not a product of 5 * 10**5 factors
     n = 10**6
-    merged = coarse_grain(PartyLayout((2,) * n), Partition(np.repeat([0, 1], n // 2)))
-    assert merged.dims == (2 ** (n // 2),) * 2
+    merged = coarse_grain((2,) * n, Partition(np.repeat([0, 1], n // 2)))
+    assert merged == (2 ** (n // 2),) * 2
 
 
 def test_full_merge_gives_trivial_spectrum(rng):

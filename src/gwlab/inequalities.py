@@ -35,17 +35,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, count, groupby
+from itertools import accumulate, chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import (
-    _checked_c2, _f_alpha_tables, _lam_lo, _monogamy, _order, _pair_table, _polygamy,
-)
+from .measures import _f_alpha_tables, _lam_lo, _monogamy, _order, _pair_table, _polygamy
 from .states import GWBlocks, GWSpec
-from .tensor import Partition, State, coarse_grain
+from .tensor import Partition, State, block_dimension
 
 # unused; the benchmark tracer expects these import sites (ROADMAP item 1)
 from .measures import (  # noqa: F401
@@ -133,10 +131,21 @@ class Prepared(NamedTuple):
         return at_orders([order], [self])[0]
 
 
-#: An order's verdict code, and by code its report's verdict and applicability.
+#: An order's verdict code, and by code its report's verdict and applicability and the
+#: fields its line prints: "sides" (lhs, rhs, slack), "window" (``in_window``, added keys).
 _HELD, _FAILED, _UNMET, _OUT = range(4)
-_VERDICTS = ((True, Applicability.APPLICABLE), (False, Applicability.APPLICABLE),
-             (True, Applicability.CONDITION_UNMET), (True, Applicability.OUT_OF_WINDOW))
+_VERDICTS = ((True, Applicability.APPLICABLE, {"sides", "window"}),
+             (False, Applicability.APPLICABLE, {"sides", "window"}),
+             (True, Applicability.CONDITION_UNMET, {"window"}),
+             (True, Applicability.OUT_OF_WINDOW, set()))
+#: By field, the codes whose lines print it.
+_PRINTED = {f: {c for c, row in enumerate(_VERDICTS) if f in row[2]} for f in ("sides", "window")}
+
+
+def _codes(inside: Iterable, met: Iterable, slacks: Iterable, tol: float) -> list:
+    """The one verdict rule, by row: out of window, unmet, held (slack >= -tol) or failed."""
+    return [_OUT if not ok else _UNMET if not good else _HELD if slack >= -tol else _FAILED
+            for ok, good, slack in zip(inside, met, slacks)]
 
 
 def _grid(grid: Iterable[float], checks: Sequence[Prepared]) -> tuple[list, list, list]:
@@ -145,28 +154,26 @@ def _grid(grid: Iterable[float], checks: Sequence[Prepared]) -> tuple[list, list
     One f_alpha table per block of orders (the whole grid unless the longest
     C^2 vector makes ``GRID_VALUES`` too few) holds each distinct vector
     object once; each relation on a vector is evaluated once, and each window
-    applied once.  The codes are the one verdict rule: out of window, unmet
-    where there are no columns, else satisfied when ``slack >= -CLOSED_FORM_TOL``."""
+    applied once.  The codes are :func:`_codes` at ``CLOSED_FORM_TOL``, unmet
+    where there are no columns."""
     orders = list(map(_order, grid))
     vectors = {id(check.c2s): check.c2s for check in checks}  # a shared vector is one array
     ends = list(accumulate(map(len, vectors.values()), initial=0))
     spans = {key: slice(a, b) for key, a, b in zip(vectors, ends, ends[1:])}
     reads = {(c.evaluate, id(c.c2s)): spans[id(c.c2s)] for c in checks if c.evaluate}
-    lo = _lam_lo(_checked_c2(np.concatenate([np.empty(0), *vectors.values()])))
+    c2 = np.concatenate([np.empty(0), *vectors.values()])
     step = max(1, GRID_VALUES // max([1, *map(len, vectors.values())]))
     # as lists at once: a column may be a view of big powers
     blocks = [[[c.tolist() for c in read[0](table[:, span])] for read, span in reads.items()]
-              for table in _f_alpha_tables(lo, orders, step)]
+              for table in _f_alpha_tables(c2, orders, step)]
     joined = {read: [list(chain.from_iterable(parts)) for parts in zip(*read_blocks)]
               for read, read_blocks in zip(reads, zip(*blocks))}
     columns = [joined.get((check.evaluate, id(check.c2s)), []) for check in checks]
     windows = {check.window for check in checks}
     inside = {w: list(map(w, orders)) if w else [True] * len(orders) for w in windows}
-    codes = []
-    for check, check_columns in zip(checks, columns):
-        verdicts = ([_HELD if slack >= -CLOSED_FORM_TOL else _FAILED for slack in check_columns[2]]
-                    if check_columns else [_UNMET] * len(orders))
-        codes.append([code if ok else _OUT for ok, code in zip(inside[check.window], verdicts)])
+    codes = [_codes(inside[check.window], repeat(bool(check_columns)),
+                    check_columns[2] if check_columns else repeat(0.0), CLOSED_FORM_TOL)
+             for check, check_columns in zip(checks, columns)]
     return orders, codes, columns
 
 
@@ -174,20 +181,20 @@ def _reports(check: Prepared, codes: list, columns: list, alphas: list) -> Itera
     """The reports of ``check``'s rows from their verdict codes, its columns
     and each row's alpha, as :func:`_line_format` prints them."""
     for i, (code, alpha) in enumerate(zip(codes, alphas)):
+        satisfied, why, prints = _VERDICTS[code]
         params = {"alpha": alpha, **check.params} if check.window else dict(check.params)
-        if code != _OUT:
+        if "window" in prints:
             params.update(check.in_window)
             params.update(zip(check.added, [column[i] for column in columns[3:]]))
-        numbers = [column[i] for column in columns[:3]] if code <= _FAILED else [None] * 3
-        yield InequalityReport(check.name, *numbers, *_VERDICTS[code], params)
+        numbers = [column[i] for column in columns[:3]] if "sides" in prints else [None] * 3
+        yield InequalityReport(check.name, *numbers, satisfied, why, params)
 
 
 def at_orders(grid: Iterable[float], checks: Sequence[Prepared]) -> list[InequalityReport]:
     """The reports of prepared checkers at every order of the grid, order by
     order; ``verify`` writes their lines from the columns (:func:`_grid_lines`)."""
     orders, codes, columns = _grid(grid, checks)
-    alphas = [orders] * len(checks)
-    return list(chain.from_iterable(zip(*map(_reports, checks, codes, columns, alphas))))
+    return list(chain.from_iterable(zip(*map(_reports, checks, codes, columns, repeat(orders)))))
 
 
 CSV_HEADER = ("name", "alpha", "mu", "k", "lhs", "rhs", "slack", "satisfied")
@@ -264,11 +271,11 @@ def _line_format(check: Prepared, code: int, csv: bool, specs: Sequence[str],
     prints its added keys in the window, and lhs, rhs and slack where
     applicable.  Names and constants are literal text with ``%`` doubled; a
     printed slot i is ``specs[i]``, any other ``%.0s``; a newline ends it."""
-    satisfied, why = _VERDICTS[code]
-    constants = {**check.params, **(check.in_window if code != _OUT else {})}
+    satisfied, why, prints = _VERDICTS[code]
+    constants = {**check.params, **(check.in_window if "window" in prints else {})}
     slots = {"alpha": 0} if check.window and "alpha" not in constants else {}
-    sides = [1, 2, 3] if code <= _FAILED else []
-    slots.update(zip(check.added, count(4)) if code != _OUT and len(specs) > 1 else ())
+    sides = [1, 2, 3] if "sides" in prints else []
+    slots.update(zip(check.added, count(4)) if "window" in prints and len(specs) > 1 else ())
     fields = {**constants, **slots}
     keys = CSV_HEADER[1:4] if csv else sorted(fields)
     ordered = [slots[key] for key in keys if key in slots]
@@ -298,11 +305,10 @@ def _column(check: Prepared, codes: list, columns: list, alphas: list, csv: bool
     as it is if only str (JSON text already), one lookup if only bool, else json's text
     per value."""
     specs, values, kinds = ["%s"], [alphas], sorted(set(codes))
-    top = kinds[-1] if kinds else _HELD
     for i, column in enumerate(columns):
-        last = _FAILED if i < 3 else _UNMET  # the highest code whose rows print the column
-        printed = () if csv else column if top <= last else [
-            value for value, code in zip(column, codes) if code <= last]
+        prints = _PRINTED["sides" if i < 3 else "window"]
+        printed = () if csv else column if prints.issuperset(kinds) else [
+            value for value, code in zip(column, codes) if code in prints]
         types = set(map(type, printed))
         finite = types <= {float} and all(map(math.isfinite, printed))
         specs.append("%.12g" if csv else "%r" if finite else "%s")
@@ -682,7 +688,7 @@ def prepare_checks(state: State | GWBlocks, partition: Partition, mu: float = 2.
         bound = _merged_cut_bound("merged_block_upper_bound", psi.weights, partition.labels, t, c2)
         checks += [_reoa_triangle(t3), bound,
                    bound._replace(name="pair_block_upper_bound")]
-    checks.append(_monogamy_cap(c2, coarse_grain(psi.dims, partition)[0]))
+    checks.append(_monogamy_cap(c2, block_dimension(psi.dims, partition, 0)))
     checks.append(_trace_bound_renyi(psi, partition))
     if tighter is not None and k >= 3:
         c3 = _pair_table(t3, 0)

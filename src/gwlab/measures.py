@@ -77,6 +77,8 @@ _LN2 = math.log(2.0)
 
 #: Squared-concurrence sums may overshoot 1 by float noise only.
 F_DOMAIN_SLACK = 1e-9
+#: Values per slice of an ``_f_alpha_tables`` table, whatever the table's length.
+KERNEL_CHUNK = 2**16
 
 
 class DomainError(ValueError):
@@ -174,31 +176,27 @@ def _checked_c2(x) -> np.ndarray:
 def f_alpha(x: float, order: float) -> float:
     """Renyi entanglement of a Schmidt-rank-2 state with squared concurrence x.
 
-    The Schmidt coefficients are (1 -+ sqrt(1-x))/2; this is the 0-d call of
-    ``_f_alpha_array``, after the domain check of ``_checked_c2``."""
-    return float(_f_alpha_array(_checked_c2(float(x)), _order(order)))
+    The Schmidt coefficients are (1 -+ sqrt(1-x))/2; this is the one-value
+    table of ``_f_alpha_tables``, which checks the domain."""
+    return next(_f_alpha_tables([float(x)], [_order(order)], 1)).item()
 
 
-def _f_alpha_array(x, order: float) -> np.ndarray:
-    """f_alpha elementwise on squared concurrences already in [0, 1], at an
-    order ``_order`` has checked."""
-    return _renyi_of(_lam_lo(x))(order)
-
-
-def _f_alpha_tables(
-    lo: np.ndarray, alphas: Sequence[float], step: int
-) -> Iterator[np.ndarray]:
-    """f_alpha (columns) of the squared concurrences whose smaller Schmidt
-    coefficients ``_lam_lo`` gives as ``lo``, at ``step`` orders of alphas
-    (rows) at a time, one kernel call per band of a table's orders; the
-    kernel's order-free arrays are made once.  Each row is bit-equal to
-    ``f_alpha`` at its order."""
-    renyi, column = _renyi_of(lo), np.array(alphas, dtype=float)[:, None]
+def _f_alpha_tables(c2: np.ndarray, alphas: Sequence[float], step: int) -> Iterator[np.ndarray]:
+    """f_alpha (columns) of the squared concurrences ``c2``, at ``step`` orders
+    of alphas (rows) at a time.  ``_checked_c2`` and ``_lam_lo`` run once per
+    slice of ``KERNEL_CHUNK`` values; per table, each slice gets the kernel's
+    order-free arrays and one kernel call per band of the table's orders, so
+    no temporary outgrows a slice.  Each row is bit-equal to ``f_alpha``."""
+    c2, column = np.asarray(c2, dtype=float), np.array(alphas, dtype=float)[:, None]
+    slices = [np.s_[a : a + KERNEL_CHUNK] for a in range(0, c2.size, KERNEL_CHUNK)]
+    lo = np.concatenate([np.empty(0), *[_lam_lo(_checked_c2(c2[part])) for part in slices]])
     for start in range(0, len(alphas), step):
-        block = column[start : start + step]
-        out = np.empty((len(block), lo.size))
-        for band, mask in _band_masks(alphas[start : start + step]):
-            out[mask] = renyi(block[mask], band)
+        block, bands = column[start : start + step], _band_masks(alphas[start : start + step])
+        out = np.empty((len(block), c2.size))
+        for part in slices:
+            renyi = _renyi_of(lo[part])
+            for band, mask in bands:
+                out[mask, part] = renyi(block[mask], band)
         yield out
 
 

@@ -42,10 +42,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .inequalities import _FAILED, _HELD, _OUT, _UNMET, InequalityReport, _column, _json_value
-from .inequalities import _oracle_checks, _reports
-from .measures import _band_masks, _canonical_pair, _checked_c2, _f_alpha_tables, _lam_lo, _order
-from .measures import _polygamy, _renyi_of
+from .inequalities import InequalityReport, _codes, _column, _json_value, _oracle_checks, _reports
+from .measures import _band_masks, _canonical_pair, _f_alpha_tables, _lam_lo, _order, _polygamy
+from .measures import _renyi_of
 from .states import GWBlocks
 from .tensor import DensityOperator, Partition, SUPPORT_TOL, State
 
@@ -406,18 +405,18 @@ def _oracle_tables(state, partition, orders, trials: int, seed: int, pair_column
     plateau[: len(rows)] = high[: len(rows)] - low[: len(rows)] <= PLATEAU_TOL
     low, high, converged = low[run], high[run], plateau[run] == 1.0
     # each run's closed form: C, or f_alpha(C^2) from one table (bit-equal to f_alpha)
-    lo = _lam_lo(_checked_c2([float(concurrences[first]) ** 2]))
-    tables = _f_alpha_tables(lo, list(found), max(1, len(found)))
+    tables = _f_alpha_tables([float(concurrences[first]) ** 2], list(found), max(1, len(found)))
     closed = np.concatenate([concurrences, *(table[:, 0] for table in tables), [math.nan]])[run]
     max_side = np.array([True] * size + [_polygamy(o) or pure[first] for o in orders])
     deviation = np.abs(low - closed)
     deviation = np.where(max_side, np.maximum(
         np.maximum(deviation, np.abs(high - closed)), np.abs(low - high)), deviation)
-    verdicts = np.where(converged, np.where(deviation <= AGREEMENT_TOL, _HELD, _FAILED), _UNMET)
-    columns = [np.where(run >= 0, verdicts, _OUT), deviation, np.full(len(run), AGREEMENT_TOL),
-               AGREEMENT_TOL - deviation, closed, low, high, converged, max_side]
+    columns = [column.tolist() for column in (deviation, np.full(len(run), AGREEMENT_TOL),
+               AGREEMENT_TOL - deviation, closed, low, high, converged, max_side)]
+    # the slack it prints decides: deviation <= AGREEMENT_TOL is slack >= -0.0
+    codes = _codes((run >= 0).tolist(), columns[6], columns[2], 0.0)
     (pair_codes, *pairs), (order_codes, *renyi) = zip(*[(c[:size], c[size:])
-                                                        for c in map(np.ndarray.tolist, columns)])
+                                                        for c in [codes, *columns]])
     pairs[-1] = pair_column(partition.sorted_blocks)  # the pair column, in a, b's order
     return [(checks[0], pair_codes, pairs, [None] * size),
             (checks[1], order_codes, renyi, orders)]

@@ -425,6 +425,13 @@ def coarse_grain(dims: Sequence[int], partition: Partition) -> tuple[int, ...]:
     return tuple(block_dims.tolist())
 
 
+def block_dimension(dims: Sequence[int], partition: Partition, block: int) -> int:
+    """One block's dimension as :func:`coarse_grain` gives it, without the other
+    blocks': u to the power of its count of parties of local dimension u."""
+    members = np.asarray(dims, dtype=object)[: partition.labels.size][partition.labels == block]
+    return math.prod(int(u) ** count for u, count in Counter(members.tolist()).items())
+
+
 def coarse_grain_state(state: State, partition: Partition) -> State:
     """Reindex ``state`` so each partition block becomes a single party.
 

@@ -1,6 +1,7 @@
 """Checker behavior on the featured instances and random family states."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,6 +567,27 @@ def test_grid_evaluates_each_relation_and_window_once(monkeypatch):
         assert windowed == grid
         assert columns[0] is columns[1] and columns[0] != columns[2]
         assert codes[0] == codes[1] == [_OUT, _HELD, _HELD]
+
+
+def test_grid_memory_stays_within_a_few_tables():
+    # 2 * 10^5 singleton qubits of distinct weights give about 6 * 10^5 C^2
+    # values (4.8 MB a float vector), one order per table: the kernel writes
+    # each table a slice at a time, so the grid's peak above what was live
+    # before it stays near four such vectors (it was eight, 38 MB, when the
+    # kernel's temporaries spanned the whole table)
+    n = 2 * 10**5
+    amplitudes = 0.1 + np.random.default_rng(5).uniform(size=(n, 1))
+    spec = GWSpec(n=n, d=2, amplitudes=amplitudes / np.linalg.norm(amplitudes),
+                  vacuum_weight=0.2)
+    checks = gwlab.inequalities.prepare_checks(GWBlocks.of(spec), Partition.singletons(n))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _grid([0.9, 1.0005, 1.2, 2.0], checks)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6, peak
 
 
 #: Relative bound on a fold against the scalar closed forms, as a share of

@@ -36,7 +36,7 @@ from gwlab import (
     renyi_entropy,
     superpose_with_vacuum,
 )
-from gwlab.measures import _band, _f_alpha_array, _f_alpha_tables, _lam_lo
+from gwlab.measures import _band, _f_alpha_tables
 from gwlab.featured import (
     FIG1_AMPLITUDES,
     FIG2_AMPLITUDES,
@@ -121,10 +121,10 @@ BRANCH_XS = (0.0, 1e-300, 1e-12, 0.3, 0.64, 1.0 - 1e-15, 1.0)
 
 
 def test_f_alpha_array_matches_scalar():
-    # the scalar is the 0-d call of the array form, so every element is
-    # bit-equal to it, in every branch
+    # the scalar is the one-value table, so every element of a longer table
+    # is bit-equal to it, in every branch
     for a in BRANCH_ORDERS:
-        values = _f_alpha_array(np.array(BRANCH_XS), a)
+        values = next(_f_alpha_tables(np.array(BRANCH_XS), [a], 1))[0]
         assert values.shape == (len(BRANCH_XS),)
         for x, value in zip(BRANCH_XS, values):
             assert value == f_alpha(x, a), (x, a)
@@ -135,7 +135,7 @@ def test_zero_entropy_is_positive_zero():
     # kernel adds 0.0, and CSV would write it as "-0"
     for a in BRANCH_ORDERS:
         assert math.copysign(1.0, f_alpha(0.0, a)) == 1.0, a
-        assert not np.signbit(_f_alpha_array(np.zeros(3), a)).any(), a
+        assert not np.signbit(next(_f_alpha_tables(np.zeros(3), [a], 1))).any(), a
         assert math.copysign(1.0, renyi_entropy(SchmidtSpectrum([1.0]), a)) == 1.0, a
 
 
@@ -145,11 +145,11 @@ def test_f_alpha_grid_rows_match_scalar():
     # whether the tables hold the whole grid or a few orders each
     grid = [1.2, 1.0, 0.9, 1.0 + 2e-6, 5000.0, 1.0 - 3e-7, 1.0005, 0.83, 2.0]
     for step in (len(grid), 4, 1):
-        table = np.vstack(list(_f_alpha_tables(_lam_lo(np.array(BRANCH_XS)), grid, step)))
+        table = np.vstack(list(_f_alpha_tables(np.array(BRANCH_XS), grid, step)))
         assert table.shape == (len(grid), len(BRANCH_XS))
         for a, row in zip(grid, table):
             assert row.tolist() == [f_alpha(x, a) for x in BRANCH_XS], a
-    single = next(_f_alpha_tables(_lam_lo(np.array([0.3])), grid, len(grid)))
+    single = next(_f_alpha_tables(np.array([0.3]), grid, len(grid)))
     assert single[:, 0].tolist() == [f_alpha(0.3, a) for a in grid]
 
 
@@ -165,10 +165,10 @@ def test_f_alpha_tables_are_position_independent():
     grid = [0.83, 1.2, 2.0, 1.0005, 1.0 - 4e-4, 1.0 - 3e-7, 1.0, 1.0 + 5e-7]
     assert {_band(a) for a in grid} == {0, 1, 2}
     values, inverse = np.unique(np.concatenate(vectors), return_inverse=True)
-    table = next(_f_alpha_tables(_lam_lo(values), grid, len(grid)))
+    table = next(_f_alpha_tables(values, grid, len(grid)))
     ends = np.cumsum([0, *lengths])
     for vector, start, stop in zip(vectors, ends, ends[1:]):
-        direct = next(_f_alpha_tables(_lam_lo(vector), grid, len(grid)))
+        direct = next(_f_alpha_tables(vector, grid, len(grid)))
         assert table[:, inverse[start:stop]].tobytes() == direct.tobytes(), len(vector)
 
 
@@ -241,7 +241,7 @@ def test_renyi_values_at_large_orders_match_mpmath(a):
         halves = [(1 - mpmath.sqrt(1 - mpmath.mpf(x))) / 2 for x in xs]
         exact_f = [plain((lo, 1 - lo)) for lo in halves]
         exact_s = plain(lams)
-    arrays = _f_alpha_array(np.array(xs), a)
+    arrays = next(_f_alpha_tables(np.array(xs), [a], 1))[0]
     for x, value, exact in zip(xs, arrays, exact_f):
         assert f_alpha(x, a) == pytest.approx(exact, rel=1e-12), x
         assert value == pytest.approx(exact, rel=1e-12), x

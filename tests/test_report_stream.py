@@ -32,18 +32,23 @@ rank, whose isometry shapes no oracle job draws.  A deliberate output change re-
 by running the ``ARGS`` below with ``--out tests/data/<file>`` (or a digest
 by running its jobs) and is written up in CHANGES.md.
 
-The byte pins hold on the numpy build and CPU features they were recorded
-on, ``PIN_DISPATCH``: numpy 2.4.6 dispatching its float64 loops to
-``X86_V4``, ``AVX512_ICL`` and ``AVX512_SPR``.  Without the AVX-512 loops the
-oracle pins move in their last bits, so a failing oracle byte pin names the
-recorded dispatch and the running one; a pin re-recorded on purpose records
-its dispatch with it.  ``test_pins_hold_without_avx512`` runs every stream
-without the AVX-512 loops in a child process and holds it to the rules
-above, with CSV byte for byte.
+The oracle byte pins and the roof-ranks pin hold on the numpy build and CPU
+features they were recorded on: numpy's AVX-512 float64 loops round some
+last bits apart from its other loops.  ``PIN_DISPATCH`` holds one set of
+their digests per dispatch, numpy 2.4.6 with and without ``X86_V4``,
+``AVX512_ICL`` and ``AVX512_SPR``, and each pin test reads the set of the
+running dispatch; on a dispatch with no set it fails, naming the recorded
+dispatches and the running one.  A pin re-recorded on purpose is recorded on
+every dispatch in ``PIN_DISPATCH``.  ``test_pins_hold_without_avx512`` runs
+every stream and pinned job without the AVX-512 loops in a child process:
+its byte pins must match the second set, its streams the rules above, with
+CSV byte for byte.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -57,9 +62,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, many_stack_spec
+from conftest import (
+    MANY_STACK_ORDERS, MANY_STACK_PARTIES, assert_same_doc, many_stack_spec,
+    random_complete_partition, random_gw_spec,
+)
 from gwlab import Applicability, InequalityReport, report_to_csv_row, report_to_json_line
 import gwlab
+import gwlab.measures
+import gwlab.roof
 from gwlab.cli import (
     _parse, _verify_checks, _write_lines, cmd_figure, cmd_gamebounds, main, parse_partition,
 )
@@ -161,46 +171,88 @@ def _avx512_features() -> list[str]:
             and (name.startswith("AVX512") or name == "X86_V4")]
 
 
-#: The numpy version and the AVX-512 dispatch targets (``_avx512_features``)
-#: that the oracle byte pins and the roof-ranks pin were recorded on: last
-#: when the roof began drawing normals for its Haar trials and moves alone
-#: and orthonormalising by Gram-Schmidt, which moved every one of them.
-PIN_DISPATCH = ("2.4.6", ("X86_V4", "AVX512_ICL", "AVX512_SPR"))
+#: Per dispatch, the numpy version and its AVX-512 targets
+#: (``_avx512_features``), the SHA-256 of each byte pin that moves with the
+#: dispatch: the two oracle streams' bytes (the first set's are those of the
+#: files in ``tests/data``), the ``oracle-pairs`` jobs of seed 1, the
+#: many-stack job and the roof ranks.  Both sets were last recorded when the
+#: roof began drawing normals for its Haar trials and moves alone and
+#: orthonormalising by Gram-Schmidt, which moved every one of them; the second
+#: with numpy's AVX-512 loops disabled (``NPY_DISABLE_CPU_FEATURES="AVX512_ICL
+#: AVX512_SPR X86_V4"``), as on a host without them.
+PIN_DISPATCH = {
+    ("2.4.6", ("X86_V4", "AVX512_ICL", "AVX512_SPR")): {
+        "oracle_stream_mixture.jsonl":
+            "dd896c46c3fab1cb4404afd25c6c85a0ded2cd835e7cbf7b0c8bd0cc2a5371db",
+        "oracle_stream_readme.jsonl":
+            "c69d0f67788ab2140a652210c3aebc61b0b4cca9377f257c8bfa863e8b3bc3c8",
+        "oracle_pairs_seed1": "416b79e8056f8cb7431cdbe61587777a0c28807f740db96f057f7b05f1e99a06",
+        "many_stack": "650bb5668aa3e0d32317ac3fd0bed258aeee92697452dd28762dd93d38cdd2cc",
+        "roof_ranks": "2c6f4812030bfd63180845a14e9501fe3cdba9e387efb2e0269eadf1f4f5ae26",
+    },
+    ("2.4.6", ()): {
+        "oracle_stream_mixture.jsonl":
+            "d4f0e8c187f5752da164ea225c98037d0275931972be6d3ba714effdea31a6d8",
+        "oracle_stream_readme.jsonl":
+            "f1513e1666170588b7103e1f97fc4260475a9760412a3988c00268c2bfaeea26",
+        "oracle_pairs_seed1": "dcdeeb1349d4dc91d93caab5ac8ea3688f445bbf0920e1a739499210314ac1b4",
+        "many_stack": "5b1eb3aa62ff0b00e4989900c37d34b64aba71eaed117a1452ddc5fb48d9e649",
+        "roof_ranks": "f16c08a1ac365700fcfe1ebc3bb00532d3521ffb52f69761f5bdcf70299ba2e1",
+    },
+}
 
 
 def _dispatch_note() -> str:
-    """The message of a failed oracle byte pin: the dispatch it was recorded
-    on and the one running."""
-    version, targets = PIN_DISPATCH
+    """The message of a failed byte pin: the dispatches pins were recorded on
+    and the one running."""
+    recorded = "; ".join(f"numpy {version} with {', '.join(targets) or 'no AVX-512 target'}"
+                         for version, targets in PIN_DISPATCH)
     running = ", ".join(_avx512_features()) or "no AVX-512 target"
-    return (f"pinned on numpy {version} with {', '.join(targets)}; "
-            f"running numpy {np.__version__} with {running}")
+    return f"pinned on {recorded}; running numpy {np.__version__} with {running}"
+
+
+def _pin(name: str) -> str:
+    """Byte pin ``name``'s digest for the running dispatch; a dispatch with no
+    recorded set fails the test, naming the recorded ones and the running one."""
+    pins = PIN_DISPATCH.get((np.__version__, tuple(_avx512_features())))
+    if pins is None:
+        pytest.fail(f"no byte pins recorded for this dispatch: {_dispatch_note()}")
+    return pins[name]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("stream", sorted(s for s in ARGS if s.startswith("oracle")))
 def test_oracle_report_stream_unchanged(stream, tmp_path):
     _assert_stream_unchanged(stream, tmp_path)
     # and byte for byte: the oracle's lines come from verify's writer
-    assert (tmp_path / stream).read_bytes() == (DATA / stream).read_bytes(), _dispatch_note()
+    assert _sha256((tmp_path / stream).read_bytes()) == _pin(stream), _dispatch_note()
+    assert _sha256((DATA / stream).read_bytes()) == next(iter(PIN_DISPATCH.values()))[stream]
 
 
 #: Runs the streams of ``ARGS`` (JSON, argv[1]) into the directory argv[2];
-#: prints their exit codes and the named features numpy still dispatches to.
+#: prints their exit codes, the named features numpy still dispatches to and
+#: the digests of the three byte pins that are not streams.
 _STREAMS_CHILD = """
 import json, sys
+import numpy as np
 from gwlab.cli import main
-from test_report_stream import _avx512_features
+from test_report_stream import _avx512_features, _job_digests
 streams, out = json.loads(sys.argv[1]), sys.argv[2]
 codes = {name: main(argv + ["--out", f"{out}/{name}"]) for name, argv in streams.items()}
-print(json.dumps({"codes": codes, "features": _avx512_features()}))
+print(json.dumps({"codes": codes, "features": _avx512_features(), "numpy": np.__version__,
+                  "digests": _job_digests()}))
 """
 
 
 def test_pins_hold_without_avx512(tmp_path):
     # numpy picks its float64 loops by CPU at import, and the AVX-512 loops
     # round some last bits differently: with them disabled in a child, the
-    # oracle byte pins move, but every exit code, name, tag and verdict, every
-    # CSV byte and every JSONL number within NUM_TOL must stay
+    # byte pins must match the set recorded for that dispatch, and every exit
+    # code, name, tag and verdict, every CSV byte and every JSONL number of
+    # the first set's streams must hold within NUM_TOL
     features = _avx512_features()
     if not features:
         pytest.skip("numpy dispatches to no AVX-512 feature on this host")
@@ -211,7 +263,11 @@ def test_pins_hold_without_avx512(tmp_path):
                            env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.splitlines()[-1])
-    assert result == {"codes": dict.fromkeys(ARGS, 0), "features": []}
+    assert result["codes"] == dict.fromkeys(ARGS, 0) and result["features"] == []
+    pins = PIN_DISPATCH.get((result["numpy"], ()))
+    assert pins is not None, f"no byte pins recorded without AVX-512: {_dispatch_note()}"
+    streams = {s: _sha256((tmp_path / s).read_bytes()) for s in ARGS if s.startswith("oracle")}
+    assert {**streams, **result["digests"]} == pins
     for stream in ARGS:
         got, want = (tmp_path / stream).read_text(), (DATA / stream).read_text()
         if stream.endswith(".csv"):
@@ -282,54 +338,92 @@ def test_large_singleton_csv_stream_bytes_unchanged(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_CSV_SHA256
 
 
-#: SHA-256 of the 12 ``oracle-pairs`` benchmark jobs of seed 1, run in order:
-#: per job its id and exit code, then its stdout.  The cells cover local
-#: dimensions 2 and 3, 3-5 parties, vacuum weights 0 and 0.2 and 3 or 4
-#: blocks, at 1000 trials and orders 0.9 and 1.2.
-ORACLE_PAIRS_SEED1_SHA256 = "416b79e8056f8cb7431cdbe61587777a0c28807f740db96f057f7b05f1e99a06"
+def test_kernel_chunks_change_no_byte(monkeypatch, capsys):
+    # a table evaluated three values at a time, so every vector and the
+    # concatenation split mid-vector, writes the bytes of one whole slice
+    rng = np.random.default_rng(46)
+    jobs = []
+    for _ in range(8):
+        spec = random_gw_spec(rng, n_min=3, n_max=9, d=int(rng.integers(2, 4)))
+        partition = random_complete_partition(rng, spec.n)
+        blocks = "|".join(",".join(map(str, sorted(block))) for block in partition.blocks)
+        for fmt in ("csv", "jsonl"):
+            jobs.append(["verify", "--spec", gw_spec_to_json(spec), "--partition", blocks,
+                         *TIGHTER, "--mu", "3", "--format", fmt])
+    outputs = {}
+    for chunk in (2**40, 3):
+        monkeypatch.setattr(gwlab.measures, "KERNEL_CHUNK", chunk)
+        for argv in jobs:
+            assert main(argv) in (0, 1)
+        outputs[chunk] = capsys.readouterr().out
+    assert outputs[3] == outputs[2**40] and outputs[3].count("\n") > 16 * 21
 
 
-def test_oracle_pairs_jobs_bytes_unchanged(capsys):
+def test_verify_and_oracle_share_one_verdict_rule(monkeypatch, capsys):
+    # the oracle's codes come from the verdict rule verify's grid uses: one
+    # function, which a verify job calls at CLOSED_FORM_TOL and an oracle job
+    # at 0.0 on the slack it prints
+    assert gwlab.roof._codes is gwlab.inequalities._codes
+    original, tols = gwlab.inequalities._codes, []
+
+    def spy(inside, met, slacks, tol):
+        tols.append(tol)
+        return original(inside, met, slacks, tol)
+
+    for module in (gwlab.inequalities, gwlab.roof):
+        monkeypatch.setattr(module, "_codes", spy)
+    assert main(ARGS["report_stream_readme.csv"]) == 0
+    assert set(tols) == {CLOSED_FORM_TOL}
+    tols.clear()
+    assert main(ARGS["oracle_stream_readme.jsonl"][:-1] + ["0.9", "--trials", "64"]) == 0
+    assert tols == [0.0]
+    capsys.readouterr()
+
+
+def _stdout(argv) -> tuple[int, str]:
+    """Exit code and stdout of ``main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _oracle_pairs_digest() -> str:
+    """SHA-256 of the 12 ``oracle-pairs`` benchmark jobs of seed 1, run in
+    order: per job its id and exit code, then its stdout.  The cells cover
+    local dimensions 2 and 3, 3-5 parties, vacuum weights 0 and 0.2 and 3 or
+    4 blocks, at 1000 trials and orders 0.9 and 1.2."""
     # the job list comes from the benchmark's own generator, read by path
     workloads = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "workloads.py"))
     jobs = workloads["oracle_pairs_jobs"](1)
+    assert len(jobs) == 12
     digest = hashlib.sha256()
     for job in jobs:
-        code = main(job.argv)
-        digest.update(f"{job.job_id} exit {code}\n{capsys.readouterr().out}".encode())
-    assert len(jobs) == 12
-    assert digest.hexdigest() == ORACLE_PAIRS_SEED1_SHA256, _dispatch_note()
+        code, out = _stdout(job.argv)
+        digest.update(f"{job.job_id} exit {code}\n{out}".encode())
+    return digest.hexdigest()
 
 
-#: SHA-256 of the stdout of conftest's many-stack oracle job (435 pairs and
-#: 301 orders at 65 trials, seed 9), recorded when the roof began
-#: orthonormalising by Gram-Schmidt: its pair stack and its Renyi stack both
-#: split at ``GROUP_RUNS``.
-MANY_STACK_SHA256 = "650bb5668aa3e0d32317ac3fd0bed258aeee92697452dd28762dd93d38cdd2cc"
-
-
-def test_many_stack_oracle_job_bytes_unchanged(capsys):
+def _many_stack_digest() -> str:
+    """SHA-256 of the stdout of conftest's many-stack oracle job (435 pairs
+    and 301 orders at 65 trials, seed 9): its pair stack and its Renyi stack
+    both split at ``GROUP_RUNS``."""
     n = MANY_STACK_PARTIES
     argv = ["oracle", "--spec", gw_spec_to_json(many_stack_spec()), "--partition",
             "|".join(map(str, range(n))), "--alpha", ",".join(map(str, MANY_STACK_ORDERS)),
             "--trials", "65", "--seed", "9"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
+    code, out = _stdout(argv)
+    assert code == 0
     assert len(out.splitlines()) == n * (n - 1) // 2 + len(MANY_STACK_ORDERS)
-    assert hashlib.sha256(out.encode()).hexdigest() == MANY_STACK_SHA256, _dispatch_note()
+    return _sha256(out.encode())
 
 
-#: SHA-256 of the ``repr`` of ``convex_roof_bounds`` on three random
-#: two-qubit states of each rank 1-4 (isometry shapes 3 x 1 to 6 x 4), at
-#: every kernel band and the concurrence, over one and 18 generations,
-#: recorded when the roof began drawing normals for its Haar trials and
-#: moves alone.  The oracle pins
-#: run rank-2 pairs only; numpy's complex product rounds by memory layout,
-#: so the other shapes need a pin of their own.
-ROOF_RANKS_SHA256 = "2c6f4812030bfd63180845a14e9501fe3cdba9e387efb2e0269eadf1f4f5ae26"
-
-
-def test_roof_bounds_of_every_rank_unchanged():
+def _roof_ranks_digest() -> str:
+    """SHA-256 of the ``repr`` of ``convex_roof_bounds`` on three random
+    two-qubit states of each rank 1-4 (isometry shapes 3 x 1 to 6 x 4), at
+    every kernel band and the concurrence, over one and 18 generations.  The
+    oracle pins run rank-2 pairs only; numpy's complex product rounds by
+    memory layout, so the other shapes need a pin of their own."""
     rng = np.random.default_rng(11)
     digest = hashlib.sha256()
     for rank in (1, 2, 3, 4):
@@ -339,7 +433,25 @@ def test_roof_bounds_of_every_rank_unchanged():
                                         gwlab.SubsystemLayout((2, 2)))
             for order, trials in product((None, 1.0000005, 1.0005, 1.1, 2.0), (65, 1100)):
                 digest.update(repr(gwlab.convex_roof_bounds(rho, trials, seed, order)).encode())
-    assert digest.hexdigest() == ROOF_RANKS_SHA256, _dispatch_note()
+    return digest.hexdigest()
+
+
+def _job_digests() -> dict:
+    """The byte pins of ``PIN_DISPATCH`` that are not stream files."""
+    return {"oracle_pairs_seed1": _oracle_pairs_digest(), "many_stack": _many_stack_digest(),
+            "roof_ranks": _roof_ranks_digest()}
+
+
+def test_oracle_pairs_jobs_bytes_unchanged():
+    assert _oracle_pairs_digest() == _pin("oracle_pairs_seed1"), _dispatch_note()
+
+
+def test_many_stack_oracle_job_bytes_unchanged():
+    assert _many_stack_digest() == _pin("many_stack"), _dispatch_note()
+
+
+def test_roof_bounds_of_every_rank_unchanged():
+    assert _roof_ranks_digest() == _pin("roof_ranks"), _dispatch_note()
 
 
 #: One job of each command, without ``--out``.

@@ -20,6 +20,7 @@ from gwlab import (
     superpose_with_vacuum,
     trace_norm,
 )
+from gwlab.tensor import block_dimension
 from conftest import rand_unit, random_gw_spec
 
 FIG1_AMPS = (math.sqrt(0.5), 0.5, 0.4, 0.3)
@@ -165,8 +166,11 @@ def test_coarse_grain_layouts():
     assert coarse_grain((2, 2, 2), Partition.of([{0, 1, 2}])) == (8,)
     # parties in no block are left out; a party past the dims is refused
     assert coarse_grain((2, 3, 5, 7), Partition.of([{3}, {0, 2}])) == (7, 10)
+    assert block_dimension((2, 3, 5, 7), Partition.of([{3}, {0, 2}]), 1) == 10
     with pytest.raises(IndexError, match="party 4 out of range for 4 parties"):
         coarse_grain(dims, Partition.of([{0}, {4}]))
+    with pytest.raises(IndexError):
+        block_dimension(dims, Partition.of([{0}, {4}]), 0)
 
 
 def _block_products(dims, partition):
@@ -185,9 +189,14 @@ def test_coarse_grain_matches_per_block_products(rng):
         m = len(merged)
         again = Partition(rng.permutation(np.arange(m) % min(2, m)))
         assert coarse_grain(merged, again) == _block_products(merged, again)
+        # one block's dimension alone is that block's entry
+        assert [block_dimension(dims, partition, b) for b in range(m)] == list(merged)
+        assert [block_dimension(merged, again, b) for b in range(again.n_blocks)] == list(
+            coarse_grain(merged, again))
     big = coarse_grain((7,) * 300, Partition(np.arange(300) % 3))
     twice = coarse_grain(big * 2, Partition([0, 1, 0, 1, 1, 0]))
     assert twice == (7**300, 7**300)
+    assert block_dimension(big * 2, Partition([0, 1, 0, 1, 1, 0]), 0) == 7**300
 
 
 def test_coarse_grain_of_a_million_parties_in_two_blocks():
@@ -195,6 +204,7 @@ def test_coarse_grain_of_a_million_parties_in_two_blocks():
     n = 10**6
     merged = coarse_grain((2,) * n, Partition(np.repeat([0, 1], n // 2)))
     assert merged == (2 ** (n // 2),) * 2
+    assert block_dimension((2,) * n, Partition(np.repeat([0, 1], n // 2)), 1) == 2 ** (n // 2)
 
 
 def test_full_merge_gives_trivial_spectrum(rng):

@@ -1,6 +1,6 @@
 """Scale record of ``gwlab verify`` and ``gwlab oracle`` (ROADMAP item 1b).
 
-    python3 perf/scale.py --out BENCH.json [--against DIR] [--rounds N] [--max-n N]
+    python3 perf/scale.py --out BENCH.json [--against DIR]
 
 Cells, every one on singleton qubits with vacuum weight 0.2, at equal
 weights and at distinct ones (amplitudes 0.1 + U(0, 1) from
@@ -61,6 +61,8 @@ VERIFY_SIZES = (10**3, 10**4, 10**5, 10**6)
 #: The default order grid of ``gwlab verify``, as ``check_job`` counts it.
 DEFAULT_GRID = "0.8229:1.3027:0.005"
 ORACLE_PARTIES = 200
+#: Rounds per cell and side.
+ROUNDS = 3
 VACUUM_WEIGHT = 0.2
 
 #: Runs in a verify cell's first child: argv[1] is the checkout's src, argv[2]
@@ -112,14 +114,14 @@ def _spec(n: int, weights: str) -> dict:
             "vacuum_weight": VACUUM_WEIGHT}
 
 
-def cells(max_n: int) -> list[tuple[str, str, int, str]]:
-    """(name, command, n, weights) of every cell up to ``max_n`` parties."""
+def cells() -> list[tuple[str, str, int, str]]:
+    """(name, command, n, weights) of every cell."""
     out = [(f"verify-csv-n{n}-{weights}", "verify", n, weights)
            for n in VERIFY_SIZES for weights in ("equal", "distinct")]
     out.append(("verify-jsonl-n100000-distinct", "verify", 10**5, "distinct"))
     out += [(f"oracle-n{ORACLE_PARTIES}-{weights}", "oracle", ORACLE_PARTIES, weights)
             for weights in ("equal", "distinct")]
-    return [cell for cell in out if cell[2] <= max_n]
+    return out
 
 
 def _job(name: str, command: str, n: int, spec_path: Path) -> Job:
@@ -194,8 +196,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--against", type=Path, help="a second checkout to run every cell on")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--max-n", type=int, default=max(VERIFY_SIZES))
     args = parser.parse_args(argv)
     sides = {"change": ROOT / "src"}
     if args.against is not None:
@@ -209,12 +209,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         jobs, specs = [], {}
-        for name, command, n, weights in cells(args.max_n):
+        for name, command, n, weights in cells():
             path = tmp / f"{name}.json"
             path.write_text(json.dumps(_spec(n, weights)))
             jobs.append(_job(name, command, n, path))
             specs[name] = (n, weights)
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for job in jobs:
                 for side in order:

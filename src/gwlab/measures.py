@@ -182,19 +182,19 @@ def f_alpha(x: float, order: float) -> float:
 
 
 def _f_alpha_tables(c2: np.ndarray, alphas: Sequence[float], step: int) -> Iterator[np.ndarray]:
-    """f_alpha (columns) of the squared concurrences ``c2``, at ``step`` orders
-    of alphas (rows) at a time.  ``_checked_c2`` and ``_lam_lo`` run once per
-    slice of ``KERNEL_CHUNK`` values; per table, each slice gets the kernel's
-    order-free arrays and one kernel call per band of the table's orders, so
-    no temporary outgrows a slice.  Each row is bit-equal to ``f_alpha``."""
+    """f_alpha (columns) of the squared concurrences ``c2``, at ``step`` orders of alphas (rows)
+    at a time.  ``_checked_c2`` and ``_lam_lo`` run once per slice of ``KERNEL_CHUNK`` values,
+    and the smaller Schmidt coefficients, one per value, are kept for every table; per table,
+    each slice gets the kernel's order-free arrays and one kernel call per band of its orders.
+    Past those and the table no temporary outgrows a slice.  Rows are bit-equal to ``f_alpha``."""
     c2, column = np.asarray(c2, dtype=float), np.array(alphas, dtype=float)[:, None]
     slices = [np.s_[a : a + KERNEL_CHUNK] for a in range(0, c2.size, KERNEL_CHUNK)]
-    lo = np.concatenate([np.empty(0), *[_lam_lo(_checked_c2(c2[part])) for part in slices]])
+    los = [_lam_lo(_checked_c2(c2[part])) for part in slices]
     for start in range(0, len(alphas), step):
         block, bands = column[start : start + step], _band_masks(alphas[start : start + step])
         out = np.empty((len(block), c2.size))
-        for part in slices:
-            renyi = _renyi_of(lo[part])
+        for part, lo in zip(slices, los):
+            renyi = _renyi_of(lo)
             for band, mask in bands:
                 out[mask, part] = renyi(block[mask], band)
         yield out

@@ -317,15 +317,19 @@ class Partition:
         ``np.bincount``, and a larger block's its ``math.fsum``.  ``values``
         holds one entry per party; a block holding a party past its end
         raises IndexError."""
-        values, labels = np.asarray(values, dtype=float), self.labels
-        if values.size < labels.size:
-            raise IndexError(f"party {labels.size - 1} out of range for {values.size} parties")
+        values, labels = self._per_party(np.asarray(values, dtype=float)), self.labels
         # bin 0 gathers the parties in no block
-        sums = np.bincount(labels + 1, values[: labels.size], self.n_blocks + 1)[1:]
+        sums = np.bincount(labels + 1, values, self.n_blocks + 1)[1:]
         grouped, offsets = values[self._members].tolist(), self._offsets
         for b in (self._sizes[1:] > 1).nonzero()[0].tolist():
             sums[b] = math.fsum(grouped[offsets[b] : offsets[b + 1]])
         return sums
+
+    def _per_party(self, values: np.ndarray) -> np.ndarray:
+        """``values`` cut to one entry per labelled party; too few raise IndexError."""
+        if values.size < self.labels.size:
+            raise IndexError(f"party {self.labels.size - 1} out of range for {values.size} parties")
+        return values[: self.labels.size]
 
     def require_complete(self, n_parties: int) -> None:
         if not self.covers(n_parties):
@@ -416,9 +420,7 @@ def coarse_grain(dims: Sequence[int], partition: Partition) -> tuple[int, ...]:
     party in no block is left out): per distinct dimension u, u to the power
     of the block's count of such parties, so no block costs a long product."""
     labels = partition.labels
-    if labels.size > len(dims):
-        raise IndexError(f"party {labels.size - 1} out of range for {len(dims)} parties")
-    dims, inside, block_dims = np.asarray(dims, dtype=object)[: labels.size], labels >= 0, 1
+    dims, inside, block_dims = partition._per_party(np.asarray(dims, dtype=object)), labels >= 0, 1
     for u in map(int, set(dims.tolist())):
         counts = np.bincount(labels[inside & (dims == u)], minlength=partition.n_blocks)
         block_dims = block_dims * u ** counts.astype(object)
@@ -428,7 +430,7 @@ def coarse_grain(dims: Sequence[int], partition: Partition) -> tuple[int, ...]:
 def block_dimension(dims: Sequence[int], partition: Partition, block: int) -> int:
     """One block's dimension as :func:`coarse_grain` gives it, without the other
     blocks': u to the power of its count of parties of local dimension u."""
-    members = np.asarray(dims, dtype=object)[: partition.labels.size][partition.labels == block]
+    members = partition._per_party(np.asarray(dims, dtype=object))[partition.labels == block]
     return math.prod(int(u) ** count for u, count in Counter(members.tolist()).items())
 
 

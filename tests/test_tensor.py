@@ -169,7 +169,7 @@ def test_coarse_grain_layouts():
     assert block_dimension((2, 3, 5, 7), Partition.of([{3}, {0, 2}]), 1) == 10
     with pytest.raises(IndexError, match="party 4 out of range for 4 parties"):
         coarse_grain(dims, Partition.of([{0}, {4}]))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="party 4 out of range for 4 parties"):
         block_dimension(dims, Partition.of([{0}, {4}]), 0)
 
 
